@@ -370,6 +370,21 @@ def build_constraint_row(
     return ConstraintRow(a=a, b=kappa * h + dh_dt, kind=kind, other_id=other_id, h_value=h)
 
 
+def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between every row of a (..., m, dim) and every row
+    of b (..., k, dim), as a (..., m, k) array.
+
+    The squares are summed axis by axis, ((dx*dx + dy*dy) + dz*dz), so each
+    entry is bit-identical to that scalar expression; a dot product or a
+    numpy sum may associate differently.
+    """
+    d2 = None
+    for k in range(a.shape[-1]):
+        dk = a[..., :, None, k] - b[..., None, :, k]
+        d2 = dk * dk if d2 is None else d2 + dk * dk
+    return d2
+
+
 def verify_validity(row: ConstraintRow, admissible_bound: float) -> bool:
     """Check the barrier condition is satisfiable inside the admissible box.
 

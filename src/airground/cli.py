@@ -44,9 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str, seed: int | None, duration: float | None):
     with open(path, "r") as f:
         data = f.read()
-    import yaml
-
-    raw = yaml.safe_load(data)
+    raw = config_mod.load_yaml(data)
     if isinstance(raw, dict):
         if seed is not None:
             raw["seed"] = seed

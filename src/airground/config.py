@@ -16,11 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .barriers import Bounds, SafetyParams, eval_landing
+from .barriers import (Bounds, SafetyParams, eval_landing,
+                       pairwise_sq_distances)
 from .errors import ConfigError, ConfigViolation, InvalidInputError
 from .netsim import LinkModel
 
 _GOLDEN_ANGLE = 2.399963229728653
+
+# libyaml's parser where PyYAML was built with it; both build the same
+# dicts, the C one several times faster.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -104,10 +109,15 @@ def _as_floats(value, n: int | None = None):
     return arr
 
 
+def load_yaml(text: str):
+    """Parse YAML text into plain Python data (safe tags only)."""
+    return yaml.load(text, Loader=YAML_LOADER)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario; raises ConfigError listing every problem."""
     try:
-        data = yaml.safe_load(text)
+        data = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError([ConfigViolation("BAD_VALUE", f"not valid YAML: {exc}")])
     if not isinstance(data, dict):
@@ -351,7 +361,7 @@ def _validate_spawn(v: list[ConfigViolation], safety: SafetyParams,
         x, y, th = spec.start
         ox = x + offset * math.cos(th)
         oy = y + offset * math.sin(th)
-        offset_points.append(np.array([ox, oy]))
+        offset_points.append([ox, oy])
         if not _inside(bounds, x, y) or not _inside(bounds, ox, oy):
             v.append(ConfigViolation(
                 "SPAWN_INFEASIBLE", f"ugv{i} spawns outside the workspace"))
@@ -370,41 +380,57 @@ def _validate_spawn(v: list[ConfigViolation], safety: SafetyParams,
             v.append(ConfigViolation(
                 "SPAWN_INFEASIBLE",
                 f"uav{i} spawns outside its landing funnel safe set (h={h:.4g})"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(uavs[i].start - uavs[j].start))
-            if d <= safety.uav_separation + pad:
-                v.append(ConfigViolation(
-                    "SPAWN_INFEASIBLE",
-                    f"uav{i}/uav{j} spawn {d:.3f} m apart; need > "
-                    f"{safety.uav_separation + pad:.3f}"))
-            d = float(np.linalg.norm(offset_points[i] - offset_points[j]))
-            if d <= safety.ugv_separation + pad:
-                v.append(ConfigViolation(
-                    "SPAWN_INFEASIBLE",
-                    f"ugv{i}/ugv{j} spawn {d:.3f} m apart; need > "
-                    f"{safety.ugv_separation + pad:.3f}"))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            platform = np.array([ugvs[j].start[0], ugvs[j].start[1], platform_height])
-            d = float(np.linalg.norm(uavs[i].start - platform))
-            if d <= safety.uav_ugv_separation + pad:
-                v.append(ConfigViolation(
-                    "SPAWN_INFEASIBLE",
-                    f"uav{i}/ugv{j} spawn {d:.3f} m apart; need > "
-                    f"{safety.uav_ugv_separation + pad:.3f}"))
+
+    # Every pairwise distance in two array passes.  Aerial: each UAV start
+    # against [UAV starts | platforms | UAV first waypoints].  Ground: [UGV
+    # offset points | UGV starts] against [offset points | first waypoints].
+    uav_starts = np.array([spec.start for spec in uavs])
+    ugv_starts = np.array([spec.start for spec in ugvs])
+    platforms = ugv_starts.copy()
+    platforms[:, 2] = platform_height
+    air = np.sqrt(pairwise_sq_distances(uav_starts, np.concatenate(
+        (uav_starts, platforms, [spec.waypoints[0] for spec in uavs]))))
+    offsets = np.array(offset_points)
+    ground = np.sqrt(pairwise_sq_distances(
+        np.concatenate((offsets, ugv_starts[:, :2])),
+        np.concatenate((offsets, [spec.waypoints[0] for spec in ugvs]))))
+    d_uav, d_cross, d_ugv = air[:, :n], air[:, n:2 * n], ground[:n, :n]
+    need_uav = safety.uav_separation + pad
+    need_ugv = safety.ugv_separation + pad
+    need_cross = safety.uav_ugv_separation + pad
+    others = ~np.eye(n, dtype=bool)
+    close_uav = d_uav <= need_uav
+    close_ugv = d_ugv <= need_ugv
+    close = others & (close_uav | close_ugv)
+    for i, j in (np.argwhere(close).tolist() if close.any() else ()):
+        if i > j:
+            continue  # symmetric: each pair once, as (i, j) with i < j
+        if close_uav[i, j]:
+            v.append(ConfigViolation(
+                "SPAWN_INFEASIBLE",
+                f"uav{i}/uav{j} spawn {d_uav[i, j]:.3f} m apart; need > "
+                f"{need_uav:.3f}"))
+        if close_ugv[i, j]:
+            v.append(ConfigViolation(
+                "SPAWN_INFEASIBLE",
+                f"ugv{i}/ugv{j} spawn {d_ugv[i, j]:.3f} m apart; need > "
+                f"{need_ugv:.3f}"))
+    close = others & (d_cross <= need_cross)
+    for i, j in (np.argwhere(close).tolist() if close.any() else ()):
+        v.append(ConfigViolation(
+            "SPAWN_INFEASIBLE",
+            f"uav{i}/ugv{j} spawn {d_cross[i, j]:.3f} m apart; need > "
+            f"{need_cross:.3f}"))
     # Exactly antipodal crossing tasks stall projection filters; reject them.
-    for bucket, label in ((uavs, "uav"), (ugvs, "ugv")):
+    # reaches[i, j]: agent i starts on agent j's first waypoint.
+    for bucket, label, reaches in ((uavs, "uav", air[:, 2 * n:] < 1e-9),
+                                   (ugvs, "ugv", ground[n:, n:] < 1e-9)):
         dim = 3 if label == "uav" else 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                si, wi = bucket[i].start[:dim], bucket[i].waypoints[0][:dim]
-                sj, wj = bucket[j].start[:dim], bucket[j].waypoints[0][:dim]
-                if (np.linalg.norm(si - wj) < 1e-9 and np.linalg.norm(sj - wi) < 1e-9
-                        and np.linalg.norm(wi - si) > 0):
-                    v.append(ConfigViolation(
-                        "SYMMETRIC_DEADLOCK",
-                        f"{label}{i} and {label}{j} swap positions along the same "
-                        "line; enable perturb_setpoints or offset the tasks"))
+        swaps = others & reaches & reaches.T
+        for i, j in (np.argwhere(swaps).tolist() if swaps.any() else ()):
+            spec = bucket[i]
+            if i < j and np.linalg.norm(spec.waypoints[0][:dim] - spec.start[:dim]) > 0:
+                v.append(ConfigViolation(
+                    "SYMMETRIC_DEADLOCK",
+                    f"{label}{i} and {label}{j} swap positions along the same "
+                    "line; enable perturb_setpoints or offset the tasks"))

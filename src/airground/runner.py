@@ -20,13 +20,13 @@ import numpy as np
 from .agents import (UAV, UGV, AgentControlUnit, Command, Gains, UavMode,
                      UavState, UgvState, step_ugv, step_uav)
 from .config import ScenarioConfig
-from .errors import SafetyAbortError
+from .errors import CapacityError, SafetyAbortError
 from .logfmt import fmt9
 from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
 from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
                       TRAJECTORY_HEADER, WATCHER_FILE, WATCHER_HEADER,
-                      AgentSample, MetricsSummary, PhysicsView, summarize_dir,
-                      tick_barriers)
+                      MetricsSummary, PhysicsView, Roster, TickBlock,
+                      summarize_dir, tick_barriers)
 from .watcher import Watcher, WatcherRecord, WaypointTrack
 
 
@@ -111,6 +111,12 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     localization = _Localization(cfg.localization_noise, cfg.seed)
 
     agent_ids = cfg.agent_ids()
+    kinds = tuple(aid[:3] for aid in agent_ids)
+    roster = Roster(tuple(agent_ids), kinds)
+    # Control ticks whose min_h is not yet evaluated: their states, and
+    # their trajectory lines up to the min_h column.
+    block = TickBlock(roster)
+    pending_lines: list[str] = []
     commands: dict[str, Command] = {
         aid: Command(u=np.zeros(3 if aid.startswith("uav") else 2))
         for aid in agent_ids
@@ -145,6 +151,13 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             elif msg.msg_type is MsgType.TOUCHDOWN_ACK:
                 unit.on_touchdown_ack()
 
+    def flush_block():
+        per_agent, _, _ = tick_barriers(view, roster, *block.arrays())
+        for line, h in zip(pending_lines, per_agent.ravel().tolist()):
+            traj_lines.append(line + fmt9(h))
+        pending_lines.clear()
+        block.clear()
+
     def dump_state(step, t, reason):
         dump = {
             "step": step, "time": t, "reason": reason,
@@ -166,8 +179,13 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         route(bus.deliver_due(t))
 
         if step % steps_watch == 0:
-            outbound, records = coordinator.tick(
-                t, localization.poses(uav_states, ugv_states))
+            try:
+                outbound, records = coordinator.tick(
+                    t, localization.poses(uav_states, ugv_states))
+            except CapacityError as exc:
+                path = dump_state(step, t, f"watcher: {exc}")
+                raise SafetyAbortError(
+                    f"watcher failed at t={t}: {exc} (state dump: {path})")
             for ob in outbound:
                 bus.send(ob.msg_type, WATCHER_ID, ob.dst, ob.payload, t)
             watcher_records.extend(records)
@@ -200,34 +218,28 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                     relaxed_events += 1
 
             t_str = fmt9(t)
-            snapshot: dict[str, AgentSample] = {}
-            coord_strs: dict[str, tuple[str, str, str, str]] = {}
-            for aid in agent_ids:
-                if aid.startswith("uav"):
+            states = []
+            for aid, kind in zip(agent_ids, kinds):
+                if kind == "uav":
                     st = uav_states[aid]
                     strs = (fmt9(st.p[0]), fmt9(st.p[1]), fmt9(st.p[2]), fmt9(0.0))
-                    kind = "uav"
                 else:
                     st = ugv_states[aid]
                     strs = (fmt9(st.x), fmt9(st.y), fmt9(0.0), fmt9(st.theta))
-                    kind = "ugv"
-                coord_strs[aid] = strs
-                snapshot[aid] = AgentSample(
-                    kind=kind, x=float(strs[0]), y=float(strs[1]),
-                    z=float(strs[2]), theta=float(strs[3]),
-                    status=telemetry[aid].status, min_h=0.0,
-                )
-            per_agent, _, _ = tick_barriers(view, snapshot)
-            for aid in agent_ids:
                 tele = telemetry[aid]
+                states.append((float(strs[0]), float(strs[1]), float(strs[2]),
+                               float(strs[3]), tele.status == "landed"))
                 u = tele.u_applied
                 ux, uy = fmt9(u[0]), fmt9(u[1])
                 uz = fmt9(u[2]) if len(u) == 3 else fmt9(0.0)
-                sx, sy, sz, sth = coord_strs[aid]
-                traj_lines.append(
-                    f"{t_str},{aid},{snapshot[aid].kind},{sx},{sy},{sz},{sth},"
-                    f"{ux},{uy},{uz},{tele.status},{fmt9(per_agent[aid])}"
+                sx, sy, sz, sth = strs
+                pending_lines.append(
+                    f"{t_str},{aid},{kind},{sx},{sy},{sz},{sth},"
+                    f"{ux},{uy},{uz},{tele.status},"
                 )
+            block.add_tick(*zip(*states))
+            if block.full():
+                flush_block()
 
         if step < total:
             for i in range(cfg.n_pairs):
@@ -251,6 +263,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 else:
                     uav_states[uid] = step_uav(uav_states[uid], commands[uid].u, cfg.dt)
 
+    if block.ticks:
+        flush_block()
     trajectory_path = os.path.join(out_dir, TRAJECTORY_FILE)
     with open(trajectory_path, "w") as f:
         f.write("\n".join(traj_lines) + "\n")

@@ -15,6 +15,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .barriers import pairwise_sq_distances
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import roundtrip
@@ -35,15 +38,10 @@ class LogIntegrityError(Exception):
     """A log line disagrees with physics recomputed from its own states."""
 
 
-@dataclass
-class AgentSample:
-    kind: str          # uav | ugv
-    x: float
-    y: float
-    z: float
-    theta: float
-    status: str
-    min_h: float
+# Agent samples per evaluated block.  Bounds the memory a block holds
+# (pairwise terms are (T, n, n) arrays) while giving small fleets enough
+# ticks per block to amortize the per-call cost of numpy.
+BLOCK_SAMPLES = 512
 
 
 @dataclass
@@ -118,103 +116,168 @@ class PhysicsView:
         )
 
 
-def _offset_point(view: PhysicsView, s: AgentSample) -> tuple[float, float]:
-    return (s.x + view.ugv_offset * math.cos(s.theta),
-            s.y + view.ugv_offset * math.sin(s.theta))
+class Roster:
+    """The agents of one tick, in log order, and the index arrays that
+    tick_barriers needs for them.
+
+    A UAV's own UGV is the roster entry whose id shares its pair suffix,
+    whatever that entry's kind."""
+
+    def __init__(self, ids: tuple[str, ...], kinds: tuple[str, ...]):
+        self.ids = ids
+        self.kinds = kinds
+        self.column = {aid: c for c, aid in enumerate(ids)}
+        uav = [c for c, k in enumerate(kinds) if k == "uav"]
+        ugv = [c for c, k in enumerate(kinds) if k == "ugv"]
+        own = [self.column.get("ugv" + ids[c][3:], -1) for c in uav]
+        self.uav = np.array(uav, dtype=np.intp)
+        self.ugv = np.array(ugv, dtype=np.intp)
+        # Landing funnel: positions within self.uav that have an own UGV,
+        # and that UGV's column.
+        self.funnel_pos = np.array([k for k, o in enumerate(own) if o >= 0],
+                                   dtype=np.intp)
+        self.funnel_own = np.array([o for o in own if o >= 0], dtype=np.intp)
+        # Pair masks: UAV vs another UAV, UAV vs another pair's UGV, UGV vs
+        # another UGV.
+        self.uav_others = ~np.eye(len(uav), dtype=bool)
+        self.other_ugv = np.array([[g != o for g in ugv] for o in own],
+                                  dtype=bool).reshape(len(uav), len(ugv))
+        self.ugv_others = ~np.eye(len(ugv), dtype=bool)
+
+    def key(self) -> tuple:
+        return self.ids, self.kinds
 
 
-def _funnel_h(view: PhysicsView, uav: AgentSample, ugv: AgentSample) -> float:
-    rx = uav.x - ugv.x
-    ry = uav.y - ugv.y
-    rz = uav.z - view.platform_height
-    l = rx * rx + ry * ry
-    a = view.funnel_sharpness
-    return (rz - view.funnel_height * a * l * math.exp(-a * l)
-            - view.hover_clearance)
+class TickBlock:
+    """Consecutive ticks of one roster, stored column-wise in preallocated
+    (T, M) arrays holding at most BLOCK_SAMPLES agent samples."""
+
+    def __init__(self, roster: Roster):
+        self.roster = roster
+        m = len(roster.ids)
+        rows = max(1, BLOCK_SAMPLES // m)
+        self._states = np.empty((4, rows, m))
+        self._landed = np.empty((rows, m), dtype=bool)
+        self.ticks = 0
+
+    def add_tick(self, x, y, z, theta, landed) -> None:
+        """One tick: each argument holds a value per roster agent."""
+        self._states[:, self.ticks] = x, y, z, theta
+        self._landed[self.ticks] = landed
+        self.ticks += 1
+
+    def full(self) -> bool:
+        return self.ticks == self._landed.shape[0]
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(T, M) views x, y, z, theta and landed of the ticks so far."""
+        x, y, z, theta = self._states[:, :self.ticks]
+        return x, y, z, theta, self._landed[:self.ticks]
+
+    def clear(self) -> None:
+        self.ticks = 0
 
 
-def tick_barriers(view: PhysicsView, snapshot: dict[str, AgentSample]
-                  ) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
-    """Evaluate every barrier family from one tick's states.
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn applied per element through libm, not numpy's vector kernels,
+    which may differ in the last ulp."""
+    return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
-    Returns (per-agent min h, per-family min h, per-kind min distance).
-    Landed UAVs retire from the aerial separation families but keep their
-    wall and funnel terms, mirroring the coordinator's row retirement.
+
+def _fmin_all(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    for values in rest:
+        first = np.fmin(first, values)
+    return first
+
+
+def tick_barriers(view: PhysicsView, roster: Roster, x: np.ndarray,
+                  y: np.ndarray, z: np.ndarray, theta: np.ndarray,
+                  landed: np.ndarray
+                  ) -> tuple[np.ndarray, dict[str, float], dict[str, float]]:
+    """Evaluate every barrier family over a block of ticks of one roster.
+
+    x, y, z, theta and landed are (T, M) arrays, one row per tick and one
+    column per roster agent.  Returns the (T, M) per-agent minimum h (inf
+    for an agent with no barrier term), and the per-family minimum h and
+    per-kind minimum distance over the whole block.  Landed UAVs retire
+    from the aerial separation families but keep their wall and funnel
+    terms, mirroring the coordinator's row retirement.  NaN terms are
+    ignored, like a failed comparison in a scalar minimum.
     """
-    per_agent = {aid: math.inf for aid in snapshot}
+    per_agent = np.full(x.shape, math.inf)
     family: dict[str, float] = {}
     dist: dict[str, float] = {}
 
-    def feed(agent_id: str, fam: str, h: float) -> None:
-        if h < per_agent[agent_id]:
-            per_agent[agent_id] = h
-        if h < family.get(fam, math.inf):
-            family[fam] = h
+    def record(fam: str, h: np.ndarray) -> np.ndarray:
+        low = float(np.fmin.reduce(h, axis=None))
+        if low < family.get(fam, math.inf):
+            family[fam] = low
+        return h
 
-    def feed_dist(kind: str, d: float) -> None:
-        if d < dist.get(kind, math.inf):
-            dist[kind] = d
+    def separation(fam: str, kind: str, d2: np.ndarray, radius: float
+                   ) -> np.ndarray:
+        # d2 is (T, m, k), inf where a pair has no term.  Rounding is
+        # monotone, so the minimum commutes exactly with sqrt and with
+        # "- radius**2": the result is each row's smallest h.
+        low = math.sqrt(float(np.fmin.reduce(d2, axis=None)))
+        if low < dist.get(kind, math.inf):
+            dist[kind] = low
+        return record(fam, np.fmin.reduce(d2, axis=2) - radius ** 2)
 
-    uav_ids = sorted(a for a, s in snapshot.items() if s.kind == "uav")
-    ugv_ids = sorted(a for a, s in snapshot.items() if s.kind == "ugv")
-
-    for aid in uav_ids:
-        s = snapshot[aid]
-        feed(aid, "workspace", view.x_max - s.x)
-        feed(aid, "workspace", s.x - view.x_min)
-        feed(aid, "workspace", view.y_max - s.y)
-        feed(aid, "workspace", s.y - view.y_min)
-        feed(aid, "workspace", view.z_max - s.z)
-        own = "ugv" + aid[3:]
-        if own in snapshot:
-            feed(aid, "landing", _funnel_h(view, s, snapshot[own]))
-    for aid in ugv_ids:
-        s = snapshot[aid]
-        ox, oy = _offset_point(view, s)
-        feed(aid, "workspace", view.x_max - ox)
-        feed(aid, "workspace", ox - view.x_min)
-        feed(aid, "workspace", view.y_max - oy)
-        feed(aid, "workspace", oy - view.y_min)
-
-    flying = [a for a in uav_ids if snapshot[a].status != "landed"]
-    for i, ai in enumerate(flying):
-        si = snapshot[ai]
-        for aj in flying[i + 1:]:
-            sj = snapshot[aj]
-            dx, dy, dz = si.x - sj.x, si.y - sj.y, si.z - sj.z
-            d2 = dx * dx + dy * dy + dz * dz
-            h = d2 - view.uav_separation ** 2
-            feed(ai, "uav_uav", h)
-            feed(aj, "uav_uav", h)
-            feed_dist("uav_uav", math.sqrt(d2))
-        own = "ugv" + ai[3:]
-        for gj in ugv_ids:
-            if gj == own:
-                continue
-            sg = snapshot[gj]
-            dx = si.x - sg.x
-            dy = si.y - sg.y
-            dz = si.z - view.platform_height
-            d2 = dx * dx + dy * dy + dz * dz
-            h = d2 - view.uav_ugv_separation ** 2
-            feed(ai, "uav_other_ugv", h)
-            feed_dist("uav_ugv", math.sqrt(d2))
-    for i, gi in enumerate(ugv_ids):
-        oxi, oyi = _offset_point(view, snapshot[gi])
-        for gj in ugv_ids[i + 1:]:
-            oxj, oyj = _offset_point(view, snapshot[gj])
-            dx, dy = oxi - oxj, oyi - oyj
-            d2 = dx * dx + dy * dy
-            h = d2 - view.ugv_separation ** 2
-            feed(gi, "ugv_ugv", h)
-            feed(gj, "ugv_ugv", h)
-            feed_dist("ugv_ugv", math.sqrt(d2))
+    u, g = roster.uav, roster.ugv
+    if u.size:
+        ux, uy, uz = x[:, u], y[:, u], z[:, u]
+        terms = [record("workspace", _fmin_all(
+            view.x_max - ux, ux - view.x_min, view.y_max - uy,
+            uy - view.y_min, view.z_max - uz))]
+        if roster.funnel_pos.size:
+            fu, own = roster.funnel_pos, roster.funnel_own
+            rx = ux[:, fu] - x[:, own]
+            ry = uy[:, fu] - y[:, own]
+            rz = uz[:, fu] - view.platform_height
+            l = rx * rx + ry * ry
+            a = view.funnel_sharpness
+            funnel = np.full(ux.shape, math.inf)
+            funnel[:, fu] = record("landing", rz - view.funnel_height * a * l
+                                   * _libm(math.exp, -a * l) - view.hover_clearance)
+            terms.append(funnel)
+        flying = ~landed[:, u]
+        uavs = np.stack((ux, uy, uz), axis=-1)
+        if u.size > 1:
+            ok = flying[:, :, None] & flying[:, None, :] & roster.uav_others
+            terms.append(separation(
+                "uav_uav", "uav_uav",
+                np.where(ok, pairwise_sq_distances(uavs, uavs), math.inf),
+                view.uav_separation))
+        if g.size:
+            platforms = np.stack((x[:, g], y[:, g],
+                                  np.full((x.shape[0], g.size), view.platform_height)),
+                                 axis=-1)
+            ok = flying[:, :, None] & roster.other_ugv
+            terms.append(separation(
+                "uav_other_ugv", "uav_ugv",
+                np.where(ok, pairwise_sq_distances(uavs, platforms), math.inf),
+                view.uav_ugv_separation))
+        per_agent[:, u] = _fmin_all(*terms)
+    if g.size:
+        ox = x[:, g] + view.ugv_offset * _libm(math.cos, theta[:, g])
+        oy = y[:, g] + view.ugv_offset * _libm(math.sin, theta[:, g])
+        terms = [record("workspace", _fmin_all(
+            view.x_max - ox, ox - view.x_min, view.y_max - oy, oy - view.y_min))]
+        if g.size > 1:
+            offsets = np.stack((ox, oy), axis=-1)
+            d2 = pairwise_sq_distances(offsets, offsets)
+            terms.append(separation(
+                "ugv_ugv", "ugv_ugv",
+                np.where(roster.ugv_others, d2, math.inf), view.ugv_separation))
+        per_agent[:, g] = _fmin_all(*terms)
 
     return per_agent, family, dist
 
 
 def _parse_trajectory(path: str):
-    """Yields (line_number, time_str, AgentSample keyed fields) per record."""
+    """Yields (line_number, time_str, agent_id, kind, x, y, z, theta, status,
+    logged min_h) per record."""
     with open(path, "r") as f:
         header = f.readline().rstrip("\n")
         if header != TRAJECTORY_HEADER:
@@ -228,43 +291,51 @@ def _parse_trajectory(path: str):
                 raise InvalidInputError(f"{path}:{lineno}: expected 12 fields, "
                                         f"got {len(parts)}")
             try:
-                yield lineno, parts[0], parts[1], AgentSample(
-                    kind=parts[2],
-                    x=float(parts[3]), y=float(parts[4]), z=float(parts[5]),
-                    theta=float(parts[6]), status=parts[10],
-                    min_h=float(parts[11]),
-                )
+                yield (lineno, parts[0], parts[1], parts[2], float(parts[3]),
+                       float(parts[4]), float(parts[5]), float(parts[6]),
+                       parts[10], float(parts[11]))
             except ValueError as exc:
                 raise InvalidInputError(f"{path}:{lineno}: {exc}")
 
 
 def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
-    """Recompute the safety metrics for a finished run directory."""
+    """Recompute the safety metrics for a finished run directory.
+
+    The trajectory is streamed tick by tick; consecutive ticks with the same
+    roster are evaluated together in blocks of at most BLOCK_SAMPLES agent
+    samples, and lines are checked in file order, so the first line whose
+    min_h disagrees is the one reported."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
     view = PhysicsView.from_config(cfg)
     summary = MetricsSummary()
 
     traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
-    tick_time: str | None = None
-    tick_rows: list[tuple[int, str, AgentSample]] = []
     first_landed: dict[int, float] = {}
     last_time = 0.0
+    tick_time: str | None = None
+    # The current tick: agent -> (kind, x, y, z, theta, landed); a repeated
+    # agent's later line replaces its state, but every line is checked.
+    tick_states: dict[str, tuple] = {}
+    tick_lines: list[tuple[int, str, float]] = []   # lineno, agent, min_h
+    block: TickBlock | None = None
+    block_lines: list[tuple[int, int, float]] = []  # lineno, flat index, min_h
 
-    def flush():
-        nonlocal tick_rows
-        if not tick_rows:
+    def flush_block():
+        nonlocal block_lines
+        if block is None or not block.ticks:
             return
-        snapshot = {aid: sample for _, aid, sample in tick_rows}
-        per_agent, family, dist = tick_barriers(view, snapshot)
-        for lineno, aid, sample in tick_rows:
+        per_agent, family, dist = tick_barriers(view, block.roster,
+                                                *block.arrays())
+        recomputed = per_agent.ravel().tolist()
+        for lineno, index, logged in block_lines:
             # The column was written at 9 significant digits; push the
             # recomputed value through the same format before comparing.
-            expected = roundtrip(per_agent[aid]) if math.isfinite(per_agent[aid]) \
-                else per_agent[aid]
-            if check and not (math.isinf(expected) and math.isinf(sample.min_h)):
-                if abs(expected - sample.min_h) > 1e-9:
+            h = recomputed[index]
+            expected = roundtrip(h) if math.isfinite(h) else h
+            if check and not (math.isinf(expected) and math.isinf(logged)):
+                if abs(expected - logged) > 1e-9:
                     raise LogIntegrityError(
-                        f"{traj_path}:{lineno}: logged min_h {sample.min_h!r} "
+                        f"{traj_path}:{lineno}: logged min_h {logged!r} "
                         f"disagrees with recomputed {expected!r}")
         for fam, h in family.items():
             if h < summary.family_min_h.get(fam, math.inf):
@@ -272,22 +343,48 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
         for kind, d in dist.items():
             if d < summary.min_pair_distance.get(kind, math.inf):
                 summary.min_pair_distance[kind] = d
-        tick_rows = []
+        block.clear()
+        block_lines = []
 
-    for lineno, t_str, agent_id, sample in _parse_trajectory(traj_path):
-        if t_str != tick_time:
-            flush()
-            tick_time = t_str
-            summary.ticks += 1
-        tick_rows.append((lineno, agent_id, sample))
-        summary.status_counts[sample.status] = (
-            summary.status_counts.get(sample.status, 0) + 1)
-        t = float(t_str)
-        last_time = max(last_time, t)
-        if sample.kind == "uav" and sample.status == "landed":
-            pair = int(agent_id[3:])
-            first_landed.setdefault(pair, t)
-    flush()
+    def end_tick():
+        nonlocal block, tick_states, tick_lines
+        if not tick_states:
+            return
+        kinds, xs, ys, zs, thetas, landed = zip(*tick_states.values())
+        ids = tuple(tick_states)
+        if block is None or block.roster.key() != (ids, kinds):
+            flush_block()
+            block = TickBlock(Roster(ids, kinds))
+        elif block.full():
+            flush_block()
+        base = block.ticks * len(ids)
+        column = block.roster.column
+        block.add_tick(xs, ys, zs, thetas, landed)
+        block_lines.extend((lineno, base + column[aid], logged)
+                           for lineno, aid, logged in tick_lines)
+        tick_states, tick_lines = {}, []
+
+    try:
+        for (lineno, t_str, agent_id, kind, x, y, z, theta, status,
+             logged) in _parse_trajectory(traj_path):
+            if t_str != tick_time:
+                end_tick()
+                tick_time = t_str
+                summary.ticks += 1
+            tick_states[agent_id] = (kind, x, y, z, theta, status == "landed")
+            tick_lines.append((lineno, agent_id, logged))
+            summary.status_counts[status] = summary.status_counts.get(status, 0) + 1
+            t = float(t_str)
+            last_time = max(last_time, t)
+            if kind == "uav" and status == "landed":
+                first_landed.setdefault(int(agent_id[3:]), t)
+    except ValueError:
+        # A bad state earlier in the file is reported before a malformed line.
+        end_tick()
+        flush_block()
+        raise
+    end_tick()
+    flush_block()
     summary.duration = last_time
     summary.landing_outcomes = {
         i: first_landed.get(i) for i in range(cfg.n_pairs)

@@ -5,7 +5,10 @@ The watcher is the only component that sees every agent.  Each tick it:
 1. ingests localization poses and refreshes per-agent velocity estimators,
 2. advances landing phases (signal handling, touchdown detection),
 3. decides which separation constraints are locally relevant to each agent
-   (distance gate with a hysteresis band so rows do not chatter),
+   (distance gate with a hysteresis band so rows do not chatter), holding
+   the decisions as three boolean gate matrices over the fleet -- UAV i
+   against UAV j, UGV i against UGV j, and UAV i against another pair's
+   UGV j -- that are refreshed in one array pass per tick,
 4. assembles one fixed-capacity, zero-padded constraint matrix per agent in
    a fixed row order: workspace walls, then cross-layer / ground rows, then
    the landing funnel and finally UAV-UAV rows,
@@ -29,7 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .barriers import (ConstraintRow, RowKind, SafetyParams,
-                       build_constraint_row, build_workspace_rows)
+                       build_constraint_row, build_workspace_rows,
+                       pairwise_sq_distances)
 from .errors import CapacityError, InvalidInputError
 from .netsim import MsgType
 
@@ -217,6 +221,15 @@ class Outbound:
     payload: object
 
 
+def _active_rows(gates: np.ndarray) -> list[list[int]]:
+    """Column indices of each row's active gates, in ascending order."""
+    rows: list[list[int]] = [[] for _ in range(gates.shape[0])]
+    i, j = np.nonzero(gates)
+    for row, column in zip(i.tolist(), j.tolist()):
+        rows[row].append(column)
+    return rows
+
+
 def _pair_ids(index: int) -> tuple[str, str]:
     return f"uav{index}", f"ugv{index}"
 
@@ -262,8 +275,15 @@ class Watcher:
         self._touch_since: dict[int, float | None] = {i: None for i in range(n_pairs)}
         self.touchdown_times: dict[int, float] = {}
         self._pending: list[Outbound] = []
-        self._active: dict[tuple[str, str, str], bool] = {}
         self._poses: dict[str, np.ndarray] = {}
+        # Gate matrices, indexed by pair: _aa[i, j] UAV i vs UAV j and
+        # _gg[i, j] UGV i vs UGV j (both symmetric), _ago[i, j] UAV i vs
+        # UGV j (cross layer, not symmetric).
+        self._aa = np.zeros((n_pairs, n_pairs), dtype=bool)
+        self._gg = np.zeros((n_pairs, n_pairs), dtype=bool)
+        self._ago = np.zeros((n_pairs, n_pairs), dtype=bool)
+        self._index_gates()
+        self._offsets = np.zeros((n_pairs, 2))  # UGV offset points, this tick
 
         def estimator(dim):
             return VelocityEstimator(dim, smoothing, velocity_stale_after,
@@ -298,13 +318,6 @@ class Watcher:
         pose = self._poses[f"ugv{pair}"]
         return pose[:2]
 
-    def _ugv_offset_point(self, pair: int) -> np.ndarray:
-        pose = self._poses[f"ugv{pair}"]
-        return np.array([
-            pose[0] + self.ugv_offset * math.cos(pose[2]),
-            pose[1] + self.ugv_offset * math.sin(pose[2]),
-        ])
-
     def _platform_3d(self, pair: int) -> np.ndarray:
         xy = self._ugv_xy(pair)
         return np.array([xy[0], xy[1], self.platform_height])
@@ -316,58 +329,53 @@ class Watcher:
 
     # -- proximity gating ---------------------------------------------------
 
-    def _gate(self, kind: str, id_a: str, id_b: str, distance: float,
-              radius: float) -> bool:
-        key = (kind, id_a, id_b) if id_a < id_b else (kind, id_b, id_a)
-        activate_at = radius + self.activation_margin
-        active = self._active.get(key, False)
-        if active:
-            active = distance <= activate_at + _PROXIMITY_HYSTERESIS
-        else:
-            active = distance < activate_at
-        self._active[key] = active
-        return active
-
     def proximal_set(self, agent_id: str) -> set[str]:
         """Other agents currently gated active against agent_id."""
-        out = set()
-        for (kind, a, b), active in self._active.items():
-            if active and agent_id in (a, b):
-                out.add(b if agent_id == a else a)
-        return out
+        pair = int(agent_id[3:])
+        if agent_id.startswith("uav"):
+            return ({f"uav{j}" for j in self._aa_rows[pair]}
+                    | {f"ugv{j}" for j in self._ago_rows[pair]})
+        return ({f"ugv{j}" for j in self._gg_rows[pair]}
+                | {f"uav{i}" for i in self._ago_cols[pair]})
 
-    def _update_gates(self) -> None:
+    def _index_gates(self) -> None:
+        """List each gate matrix's active entries per row (and per column
+        of the cross layer), ascending: what proximal_set and assembly
+        read."""
+        self._aa_rows = _active_rows(self._aa)
+        self._gg_rows = _active_rows(self._gg)
+        self._ago_rows = _active_rows(self._ago)
+        self._ago_cols = _active_rows(self._ago.T)
+
+    def _hysteresis(self, active: np.ndarray, distance: np.ndarray,
+                    radius: float, allowed: np.ndarray) -> np.ndarray:
+        """Hysteresis gate, elementwise: an inactive pair activates inside
+        radius + margin and an active one deactivates beyond that plus
+        _PROXIMITY_HYSTERESIS."""
+        activate_at = radius + self.activation_margin
+        return allowed & np.where(active,
+                                  distance <= activate_at + _PROXIMITY_HYSTERESIS,
+                                  distance < activate_at)
+
+    def _update_gates(self, uav: np.ndarray, ugv: np.ndarray) -> None:
+        """Refresh every gate from the (n, 3) UAV positions and UGV poses.
+
+        Landed UAVs retire from the aerial layer: their rows and columns of
+        _aa and their rows of _ago are forced off."""
         p = self.params
-        for i in range(self.n_pairs):
-            uav_i = f"uav{i}"
-            landed_i = self.phases[i] is PairPhase.LANDED
-            for j in range(i + 1, self.n_pairs):
-                landed_j = self.phases[j] is PairPhase.LANDED
-                # aerial layer
-                if not landed_i and not landed_j:
-                    d = float(np.linalg.norm(self._poses[uav_i] - self._poses[f"uav{j}"]))
-                    self._gate("aa", uav_i, f"uav{j}", d, p.uav_separation)
-                else:
-                    self._active[("aa", *sorted((uav_i, f"uav{j}")))] = False
-                # ground layer (offset points)
-                d = float(np.linalg.norm(self._ugv_offset_point(i) - self._ugv_offset_point(j)))
-                self._gate("gg", f"ugv{i}", f"ugv{j}", d, p.ugv_separation)
-            # cross layer: UAV i against every other pair's UGV
-            for j in range(self.n_pairs):
-                if j == i:
-                    continue
-                key = ("ago", uav_i, f"ugv{j}")
-                if landed_i:
-                    self._active[key] = False
-                    continue
-                d = float(np.linalg.norm(self._poses[uav_i] - self._platform_3d(j)))
-                active_at = p.uav_ugv_separation + self.activation_margin
-                active = self._active.get(key, False)
-                if active:
-                    self._active[key] = d <= active_at + _PROXIMITY_HYSTERESIS
-                else:
-                    self._active[key] = d < active_at
-        # purge aerial gates for landed pairs is handled above by forcing False
+        n = self.n_pairs
+        flying = np.array([self.phases[i] is not PairPhase.LANDED for i in range(n)])
+        others = ~np.eye(n, dtype=bool)
+        platforms = np.column_stack((ugv[:, :2], np.full(n, self.platform_height)))
+        d_aa = np.sqrt(pairwise_sq_distances(uav, uav))
+        d_gg = np.sqrt(pairwise_sq_distances(self._offsets, self._offsets))
+        d_ago = np.sqrt(pairwise_sq_distances(uav, platforms))
+        self._aa = self._hysteresis(self._aa, d_aa, p.uav_separation,
+                                    others & flying[:, None] & flying[None, :])
+        self._gg = self._hysteresis(self._gg, d_gg, p.ugv_separation, others)
+        self._ago = self._hysteresis(self._ago, d_ago, p.uav_ugv_separation,
+                                     others & flying[:, None])
+        self._index_gates()
 
     # -- landing ------------------------------------------------------------
 
@@ -394,60 +402,43 @@ class Watcher:
 
     def assemble_constraints(self, agent_id: str, now: float) -> ConstraintMatrix:
         """Build one agent's matrix in the fixed order: walls, cross-layer or
-        ground rows, landing funnel, aerial rows."""
+        ground rows, landing funnel, aerial rows.  Gated rows follow the
+        other pair's index in ascending order."""
         p = self.params
         rows: list[ConstraintRow] = []
+        pair = int(agent_id[3:])
         if agent_id.startswith("uav"):
-            pair = int(agent_id[3:])
             pos = self._poses[agent_id]
-            landed = self.phases[pair] is PairPhase.LANDED
             rows.extend(build_workspace_rows(pos, p, is_uav=True))
-            if not landed:
-                for j in range(self.n_pairs):
-                    if j == pair:
-                        continue
-                    if not self._active.get(("ago", agent_id, f"ugv{j}"), False):
-                        continue
-                    est = self._est_ugv_body[j].estimate(now)
-                    rows.append(build_constraint_row(
-                        RowKind.UAV_OTHER_UGV, pos, self._ugv_xy(j), est.v,
-                        params=p, platform_height=self.platform_height,
-                        other_id=f"ugv{j}",
-                        worst_case=est.quality is VelQuality.WORST_CASE,
-                    ))
+            for j in self._ago_rows[pair]:
+                est = self._est_ugv_body[j].estimate(now)
+                rows.append(build_constraint_row(
+                    RowKind.UAV_OTHER_UGV, pos, self._ugv_xy(j), est.v,
+                    params=p, platform_height=self.platform_height,
+                    other_id=f"ugv{j}",
+                    worst_case=est.quality is VelQuality.WORST_CASE,
+                ))
             est = self._est_ugv_body[pair].estimate(now)
             rows.append(build_constraint_row(
                 RowKind.LANDING, pos, self._ugv_xy(pair), est.v, params=p,
                 platform_height=self.platform_height, other_id=f"ugv{pair}",
                 worst_case=est.quality is VelQuality.WORST_CASE,
             ))
-            if not landed:
-                for j in range(self.n_pairs):
-                    if j == pair or self.phases[j] is PairPhase.LANDED:
-                        continue
-                    key = ("aa", *sorted((agent_id, f"uav{j}")))
-                    if not self._active.get(key, False):
-                        continue
-                    est = self._est_uav[j].estimate(now)
-                    rows.append(build_constraint_row(
-                        RowKind.UAV_UAV, pos, self._poses[f"uav{j}"], est.v,
-                        params=p, other_id=f"uav{j}",
-                        worst_case=est.quality is VelQuality.WORST_CASE,
-                    ))
+            for j in self._aa_rows[pair]:
+                est = self._est_uav[j].estimate(now)
+                rows.append(build_constraint_row(
+                    RowKind.UAV_UAV, pos, self._poses[f"uav{j}"], est.v,
+                    params=p, other_id=f"uav{j}",
+                    worst_case=est.quality is VelQuality.WORST_CASE,
+                ))
             dim = 3
         else:
-            pair = int(agent_id[3:])
-            point = self._ugv_offset_point(pair)
+            point = self._offsets[pair]
             rows.extend(build_workspace_rows(point, p, is_uav=False))
-            for j in range(self.n_pairs):
-                if j == pair:
-                    continue
-                key = ("gg", *sorted((agent_id, f"ugv{j}")))
-                if not self._active.get(key, False):
-                    continue
+            for j in self._gg_rows[pair]:
                 est = self._est_ugv_offset[j].estimate(now)
                 rows.append(build_constraint_row(
-                    RowKind.UGV_UGV, point, self._ugv_offset_point(j), est.v,
+                    RowKind.UGV_UGV, point, self._offsets[j], est.v,
                     params=p, other_id=f"ugv{j}",
                     worst_case=est.quality is VelQuality.WORST_CASE,
                 ))
@@ -476,13 +467,23 @@ class Watcher:
         """Run one coordination cycle; returns messages to send and records."""
         for agent_id, pose in poses.items():
             self._poses[agent_id] = np.asarray(pose, dtype=float)
-        for i in range(self.n_pairs):
+        n = self.n_pairs
+        uav = np.array([self._poses[f"uav{i}"] for i in range(n)]).reshape(n, 3)
+        ugv = np.array([self._poses[f"ugv{i}"] for i in range(n)]).reshape(n, 3)
+        # libm per element, not numpy's vector cos/sin, which may differ in
+        # the last ulp from the scalar path the rest of the package uses.
+        headings = ugv[:, 2].tolist()
+        self._offsets = np.column_stack((
+            ugv[:, 0] + self.ugv_offset * np.array([math.cos(a) for a in headings]),
+            ugv[:, 1] + self.ugv_offset * np.array([math.sin(a) for a in headings]),
+        )).reshape(n, 2)
+        for i in range(n):
             self._est_uav[i].push(now, self._poses[f"uav{i}"])
             self._est_ugv_body[i].push(now, self._ugv_xy(i))
-            self._est_ugv_offset[i].push(now, self._ugv_offset_point(i))
+            self._est_ugv_offset[i].push(now, self._offsets[i])
 
         self._check_touchdowns(now)
-        self._update_gates()
+        self._update_gates(uav, ugv)
 
         outbound: list[Outbound] = list(self._pending)
         self._pending = []

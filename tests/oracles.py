@@ -1,0 +1,196 @@
+"""Scalar reference implementations of the fleet-level pairwise geometry.
+
+These are the per-pair Python loops the package used before it evaluated
+gates and barriers as arrays.  The equivalence tests require the array code
+to reproduce them exactly, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+_PROXIMITY_HYSTERESIS = 0.1
+
+
+@dataclass
+class Sample:
+    kind: str          # uav | ugv
+    x: float
+    y: float
+    z: float
+    theta: float
+    status: str
+
+
+def _offset_point(view, s: Sample) -> tuple[float, float]:
+    return (s.x + view.ugv_offset * math.cos(s.theta),
+            s.y + view.ugv_offset * math.sin(s.theta))
+
+
+def _funnel_h(view, uav: Sample, ugv: Sample) -> float:
+    rx = uav.x - ugv.x
+    ry = uav.y - ugv.y
+    rz = uav.z - view.platform_height
+    l = rx * rx + ry * ry
+    a = view.funnel_sharpness
+    return (rz - view.funnel_height * a * l * math.exp(-a * l)
+            - view.hover_clearance)
+
+
+def scalar_tick_barriers(view, snapshot: dict[str, Sample]
+                         ) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
+    """One tick: (per-agent min h, per-family min h, per-kind min distance)."""
+    per_agent = {aid: math.inf for aid in snapshot}
+    family: dict[str, float] = {}
+    dist: dict[str, float] = {}
+
+    def feed(agent_id: str, fam: str, h: float) -> None:
+        if h < per_agent[agent_id]:
+            per_agent[agent_id] = h
+        if h < family.get(fam, math.inf):
+            family[fam] = h
+
+    def feed_dist(kind: str, d: float) -> None:
+        if d < dist.get(kind, math.inf):
+            dist[kind] = d
+
+    uav_ids = sorted(a for a, s in snapshot.items() if s.kind == "uav")
+    ugv_ids = sorted(a for a, s in snapshot.items() if s.kind == "ugv")
+
+    for aid in uav_ids:
+        s = snapshot[aid]
+        feed(aid, "workspace", view.x_max - s.x)
+        feed(aid, "workspace", s.x - view.x_min)
+        feed(aid, "workspace", view.y_max - s.y)
+        feed(aid, "workspace", s.y - view.y_min)
+        feed(aid, "workspace", view.z_max - s.z)
+        own = "ugv" + aid[3:]
+        if own in snapshot:
+            feed(aid, "landing", _funnel_h(view, s, snapshot[own]))
+    for aid in ugv_ids:
+        s = snapshot[aid]
+        ox, oy = _offset_point(view, s)
+        feed(aid, "workspace", view.x_max - ox)
+        feed(aid, "workspace", ox - view.x_min)
+        feed(aid, "workspace", view.y_max - oy)
+        feed(aid, "workspace", oy - view.y_min)
+
+    flying = [a for a in uav_ids if snapshot[a].status != "landed"]
+    for i, ai in enumerate(flying):
+        si = snapshot[ai]
+        for aj in flying[i + 1:]:
+            sj = snapshot[aj]
+            dx, dy, dz = si.x - sj.x, si.y - sj.y, si.z - sj.z
+            d2 = dx * dx + dy * dy + dz * dz
+            h = d2 - view.uav_separation ** 2
+            feed(ai, "uav_uav", h)
+            feed(aj, "uav_uav", h)
+            feed_dist("uav_uav", math.sqrt(d2))
+        own = "ugv" + ai[3:]
+        for gj in ugv_ids:
+            if gj == own:
+                continue
+            sg = snapshot[gj]
+            dx = si.x - sg.x
+            dy = si.y - sg.y
+            dz = si.z - view.platform_height
+            d2 = dx * dx + dy * dy + dz * dz
+            h = d2 - view.uav_ugv_separation ** 2
+            feed(ai, "uav_other_ugv", h)
+            feed_dist("uav_ugv", math.sqrt(d2))
+    for i, gi in enumerate(ugv_ids):
+        oxi, oyi = _offset_point(view, snapshot[gi])
+        for gj in ugv_ids[i + 1:]:
+            oxj, oyj = _offset_point(view, snapshot[gj])
+            dx, dy = oxi - oxj, oyi - oyj
+            d2 = dx * dx + dy * dy
+            h = d2 - view.ugv_separation ** 2
+            feed(gi, "ugv_ugv", h)
+            feed(gj, "ugv_ugv", h)
+            feed_dist("ugv_ugv", math.sqrt(d2))
+
+    return per_agent, family, dist
+
+
+class DictGates:
+    """Distance gates with hysteresis, one dict entry per pair.
+
+    Keys are (family, id_a, id_b) with the symmetric families stored under
+    the sorted ids; "ago" keys are (UAV, other pair's UGV)."""
+
+    def __init__(self, n_pairs: int, params, activation_margin: float,
+                 ugv_offset: float, platform_height: float):
+        self.n_pairs = n_pairs
+        self.params = params
+        self.activation_margin = activation_margin
+        self.ugv_offset = ugv_offset
+        self.platform_height = platform_height
+        self.active: dict[tuple[str, str, str], bool] = {}
+
+    def _gate(self, kind, id_a, id_b, distance, radius):
+        key = (kind, id_a, id_b) if id_a < id_b else (kind, id_b, id_a)
+        activate_at = radius + self.activation_margin
+        active = self.active.get(key, False)
+        if active:
+            active = distance <= activate_at + _PROXIMITY_HYSTERESIS
+        else:
+            active = distance < activate_at
+        self.active[key] = active
+
+    def _offset_point(self, pose):
+        return np.array([pose[0] + self.ugv_offset * math.cos(pose[2]),
+                         pose[1] + self.ugv_offset * math.sin(pose[2])])
+
+    def update(self, poses: dict[str, np.ndarray], landed: list[bool]) -> None:
+        p = self.params
+        for i in range(self.n_pairs):
+            uav_i = f"uav{i}"
+            for j in range(i + 1, self.n_pairs):
+                if not landed[i] and not landed[j]:
+                    d = float(np.linalg.norm(poses[uav_i] - poses[f"uav{j}"]))
+                    self._gate("aa", uav_i, f"uav{j}", d, p.uav_separation)
+                else:
+                    self.active[("aa", *sorted((uav_i, f"uav{j}")))] = False
+                d = float(np.linalg.norm(self._offset_point(poses[f"ugv{i}"])
+                                         - self._offset_point(poses[f"ugv{j}"])))
+                self._gate("gg", f"ugv{i}", f"ugv{j}", d, p.ugv_separation)
+            for j in range(self.n_pairs):
+                if j == i:
+                    continue
+                key = ("ago", uav_i, f"ugv{j}")
+                if landed[i]:
+                    self.active[key] = False
+                    continue
+                g = poses[f"ugv{j}"]
+                platform = np.array([g[0], g[1], self.platform_height])
+                d = float(np.linalg.norm(poses[uav_i] - platform))
+                active_at = p.uav_ugv_separation + self.activation_margin
+                if self.active.get(key, False):
+                    self.active[key] = d <= active_at + _PROXIMITY_HYSTERESIS
+                else:
+                    self.active[key] = d < active_at
+
+    def proximal_set(self, agent_id: str) -> set[str]:
+        out = set()
+        for (kind, a, b), active in self.active.items():
+            if active and agent_id in (a, b):
+                out.add(b if agent_id == a else a)
+        return out
+
+    def row_order(self, agent_id: str) -> list[str | None]:
+        """other_id of each row of the agent's matrix, in assembly order:
+        walls, cross-layer or ground rows, funnel, aerial rows."""
+        pair = int(agent_id[3:])
+        if agent_id.startswith("uav"):
+            cross = [f"ugv{j}" for j in range(self.n_pairs)
+                     if self.active.get(("ago", agent_id, f"ugv{j}"), False)]
+            aerial = [f"uav{j}" for j in range(self.n_pairs) if j != pair
+                      and self.active.get(("aa", *sorted((agent_id, f"uav{j}"))),
+                                          False)]
+            return [None] * 5 + cross + [f"ugv{pair}"] + aerial
+        ground = [f"ugv{j}" for j in range(self.n_pairs) if j != pair
+                  and self.active.get(("gg", *sorted((agent_id, f"ugv{j}"))), False)]
+        return [None] * 4 + ground

@@ -175,3 +175,52 @@ def clustered_scenario(duration: float = 6.0, seed: int = 1,
     data["agents"] = agents
     data.update(overrides)
     return config_from_dict(data)
+
+
+def grid_scenario(n_pairs: int, seed: int, duration: float = 1.0,
+                  **overrides) -> ScenarioConfig:
+    """Pairs on a square lattice (2 m pitch) whose workspace grows with N.
+
+    Columns pair up and every UAV shuttles to its partner column; rows pair
+    up the same way for the UGVs.  Partners meet head-on, each aiming 0.15 m
+    to its right and the UAVs at different altitudes, so gates open and
+    rows bind across the whole fleet without a symmetric stall.
+    """
+    rng = np.random.default_rng(seed)
+    side = math.ceil(math.sqrt(n_pairs))
+    s = 2.0
+    half = side * s / 2 + 1.5
+    data = base_dict(n_pairs, duration, seed)
+    data["workspace"] = {"x": [-half, half], "y": [-half, half], "z": [0, 3]}
+
+    def lattice(row, col):
+        return (col - (side - 1) / 2) * s, (row - (side - 1) / 2) * s
+
+    def partner(index):
+        return index + 1 if index % 2 == 0 and index + 1 < side else index - 1
+
+    agents = []
+    for k in range(n_pairs):
+        row, col = divmod(k, side)
+        jx, jy = rng.uniform(-0.05, 0.05, 2)
+        gx, gy = lattice(row, col)
+        gx, gy = float(gx + jx), float(gy + jy)
+        tx, ty = lattice(partner(row), col)
+        tx += 0.15 if partner(row) > row else -0.15
+        heading = math.atan2(ty - gy, tx - gx)
+        ux, uy = gx + s / 2, gy + s / 2
+        uz = 1.0 + 0.2 * (col % 2) + float(rng.uniform(0.0, 0.05))
+        px, py = lattice(row, partner(col))
+        px, py = px + s / 2, py + s / 2
+        py -= 0.15 if partner(col) > col else -0.15
+        pz = 1.0 + 0.2 * (partner(col) % 2)
+        agents.append({
+            "uav": {"start": [ux, uy, uz],
+                    "waypoints": [[px, py, pz], [ux, uy, uz]], "speed": 0.6},
+            "ugv": {"start": [gx, gy, heading],
+                    "waypoints": [[float(tx), float(ty)], [gx, gy]],
+                    "speed": 0.35},
+        })
+    data["agents"] = agents
+    data.update(overrides)
+    return config_from_dict(data)

@@ -4,7 +4,7 @@ import yaml
 
 from airground.cli import main
 
-from scenario_helpers import single_pair
+from scenario_helpers import clustered_scenario, single_pair
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -104,3 +104,21 @@ class TestSafetyAbort:
         cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
         assert "safety abort" in capsys.readouterr().err
+
+    def test_watcher_capacity_failure_exits_three(self, tmp_path, monkeypatch,
+                                                  capsys):
+        from airground import cli
+
+        validated = cli.config_mod.config_from_dict
+
+        def shrink_capacity(raw):
+            cfg = validated(raw)
+            cfg.capacity = 5  # after validation: the watcher hits the limit
+            return cfg
+
+        monkeypatch.setattr(cli.config_mod, "config_from_dict", shrink_capacity)
+        cfg = write_config(tmp_path, clustered_scenario(duration=1.0).raw)
+        out_dir = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out_dir)]) == 3
+        assert "safety abort: watcher failed" in capsys.readouterr().err
+        assert (out_dir / "state_dump.json").exists()

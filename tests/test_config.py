@@ -1,10 +1,15 @@
 import copy
+import glob
+import os
 
 import numpy as np
 import pytest
+import yaml
 
-from airground.config import config_from_dict, parse_config
+from airground.config import config_from_dict, load_yaml, parse_config
 from airground.errors import ConfigError
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 BASE = {
     "pairs": 2,
@@ -82,6 +87,14 @@ class TestAcceptedConfigs:
         assert again.n_pairs == cfg.n_pairs
         assert again.seed == cfg.seed
 
+    def test_scenarios_load_alike_with_either_yaml_parser(self):
+        paths = sorted(glob.glob(os.path.join(SCENARIOS, "*.yaml")))
+        assert paths
+        for path in paths:
+            with open(path) as f:
+                text = f.read()
+            assert load_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader), path
+
     def test_parse_config_from_text(self):
         import yaml
         cfg = parse_config(yaml.safe_dump(BASE))
@@ -89,6 +102,40 @@ class TestAcceptedConfigs:
 
 
 class TestRejections:
+    def test_spawn_violations_listed_in_pair_order(self):
+        """Separation violations come per (i, j) pair in row-major order,
+        the UAV message before the UGV one, then cross-layer pairs, then
+        deadlocks, UAVs first."""
+        data = copy.deepcopy(BASE)
+        data["pairs"] = 4
+        a = data["agents"]
+        a.extend(copy.deepcopy(a[:2]))
+        a[0]["ugv"]["start"] = [-1.9, -0.2, 0.0]
+        a[1]["uav"]["waypoints"] = [[-1.9, 0.5, 0.9]]
+        a[1]["ugv"]["start"] = [2.2, -2.0, 0.0]
+        a[1]["ugv"]["waypoints"] = [[2.3, -1.9]]
+        a[2]["uav"]["start"] = [-1.8, 0.1, 0.5]
+        a[2]["ugv"]["start"] = [2.3, -1.9, 3.0]
+        a[2]["ugv"]["waypoints"] = [[2.2, -2.0]]
+        a[3]["uav"]["start"] = [-1.9, 0.5, 0.9]
+        a[3]["uav"]["waypoints"] = [[2.0, 1.5, 1.0]]
+        a[3]["ugv"]["start"] = [-1.5, 0.3, 1.0]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        swap = "swap positions along the same line; enable perturb_setpoints " \
+               "or offset the tasks"
+        assert [(v.code, v.message) for v in err.value.violations] == [
+            ("SPAWN_INFEASIBLE", "uav0/uav2 spawn 0.548 m apart; need > 0.700"),
+            ("SPAWN_INFEASIBLE", "uav0/uav3 spawn 0.520 m apart; need > 0.700"),
+            ("SPAWN_INFEASIBLE", "ugv0/ugv3 spawn 0.683 m apart; need > 1.200"),
+            ("SPAWN_INFEASIBLE", "ugv1/ugv2 spawn 0.151 m apart; need > 1.200"),
+            ("SPAWN_INFEASIBLE", "uav2/uav3 spawn 0.574 m apart; need > 0.700"),
+            ("SPAWN_INFEASIBLE", "uav2/ugv0 spawn 0.592 m apart; need > 0.900"),
+            ("SPAWN_INFEASIBLE", "uav2/ugv3 spawn 0.616 m apart; need > 0.900"),
+            ("SYMMETRIC_DEADLOCK", f"uav1 and uav3 {swap}"),
+            ("SYMMETRIC_DEADLOCK", f"ugv1 and ugv2 {swap}"),
+        ]
+
     def test_radius_order_violation(self):
         codes = codes_of(variant(safety__uav_separation=0.8))
         assert "RADIUS_ORDER" in codes

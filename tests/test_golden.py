@@ -1,0 +1,59 @@
+"""Byte-identity guard for the deterministic logs.
+
+The digests below were recorded before the watcher's gating and the per-tick
+barrier evaluation were vectorized, from the scalar implementations.  A
+change that alters any logged byte of these runs -- a reordered constraint
+row, a last-ulp difference in a recomputed min_h -- fails here.  A change
+that is meant to alter the logs (a bug fix) must say so and re-record them.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from airground import config_from_dict, load_config, run
+
+from scenario_helpers import grid_scenario, landing_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def crossing_three_5s():
+    raw = load_config(os.path.join(SCENARIOS, "crossing_three.yaml")).raw
+    return config_from_dict(dict(raw, duration=5.0))
+
+
+GOLDEN = {
+    "crossing_three_5s": (
+        crossing_three_5s,
+        "29fafc1a41e1158d4f31be37f8e9cb4b92b13896895d4e96cab73a59287436a2",
+        "bd639830838265febd31362d8eca1fd755170ddd38778882edbbda8d8ea32610",
+    ),
+    "landing_2pairs": (
+        lambda: landing_scenario(2, seed=3, ugv_speed=0.4, duration=10.0),
+        "6949d3537bfd5073b088aabe2b820ed37a5f7f7c8726c90ec22a0b13666d8561",
+        "69dff705949769e177d72e36f50f0b8ab808d20343a32aa59d152f4eff82e6d2",
+    ),
+    "grid_16pairs": (
+        lambda: grid_scenario(16, seed=1, duration=0.5),
+        "c00e627b56e6f4921091d2b4db6851fd52eb878e04ea452f6c0af14f75c43de7",
+        "c3eea8008808281658c591557e5844be5074ab8b35fac3bc0891702520064f21",
+    ),
+}
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_logs_match_recorded_digests(tmp_path, name):
+    build, trajectory, watcher = GOLDEN[name]
+    result = run(build(), str(tmp_path))
+    if name == "landing_2pairs":  # the digest must cover the landed path
+        assert len(result.touchdown_times) == 2
+    assert sha256(result.trajectory_path) == trajectory
+    assert sha256(result.watcher_path) == watcher
+

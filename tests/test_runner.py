@@ -1,11 +1,13 @@
 import csv
+import json
 import os
 
 import numpy as np
 import pytest
 
+from airground.errors import SafetyAbortError
 from airground.runner import run
-from airground.summary import LogIntegrityError, summarize_dir
+from airground.summary import BLOCK_SAMPLES, LogIntegrityError, summarize_dir
 
 from scenario_helpers import (clustered_scenario, crossing_scenario,
                               landing_scenario, single_pair)
@@ -226,6 +228,29 @@ class TestSummarize:
         with pytest.raises(LogIntegrityError):
             summarize_dir(str(tmp_path))
 
+    def test_first_bad_line_mid_block_is_reported(self, tmp_path):
+        """Lines are evaluated a block of ticks at a time but checked in
+        file order: the earliest bad line is reported, ahead of a later
+        bad line and a later malformed line in the same block."""
+        cfg = crossing_scenario(3, seed=2, duration=5.0)
+        result = run(cfg, str(tmp_path))
+        with open(result.trajectory_path) as f:
+            lines = f.read().splitlines()
+        agents = 2 * cfg.n_pairs
+        block_end = 1 + (BLOCK_SAMPLES // agents) * agents  # its last file line
+        first, second, garbage = block_end // 3, block_end // 2, block_end - 3
+        assert 2 < first < second < garbage < block_end
+        for lineno in (first, second):
+            fields = lines[lineno - 1].split(",")
+            fields[11] = "123.5"
+            lines[lineno - 1] = ",".join(fields)
+        lines[garbage - 1] = "garbage"
+        with open(result.trajectory_path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(LogIntegrityError) as err:
+            summarize_dir(str(tmp_path))
+        assert f":{first}: logged min_h 123.5" in str(err.value)
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         cfg = single_pair(duration=1.0)
         result = run(cfg, str(tmp_path))
@@ -243,6 +268,19 @@ class TestSummarize:
         result = run(cfg, str(tmp_path))
         assert result.metrics.ticks == 1  # t=0 snapshot only
         assert result.metrics.status_counts.get("hold", 0) >= 0
+
+
+class TestWatcherFailure:
+    def test_capacity_error_aborts_with_state_dump(self, tmp_path):
+        cfg = clustered_scenario(duration=1.0)
+        cfg.capacity = 6  # validated at 10, the rows a fully proximal UAV needs
+        with pytest.raises(SafetyAbortError, match="watcher failed at t=0"):
+            run(cfg, str(tmp_path))
+        with open(tmp_path / "state_dump.json") as f:
+            dump = json.load(f)
+        assert dump["step"] == 0
+        assert "exceed capacity 6" in dump["reason"]
+        assert sorted(dump["uavs"]) == ["uav0", "uav1", "uav2"]
 
 
 class TestWatcherLog:
