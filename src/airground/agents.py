@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,17 +28,9 @@ UAV = "uav"
 UGV = "ugv"
 
 
-class UavMode(Enum):
-    TASK = "task"
-    RETURN_AND_LAND = "return_and_land"
-    LANDED = "landed"
-
-
 @dataclass
 class UavState:
     p: np.ndarray                 # inertial position (m)
-    mode: UavMode = UavMode.TASK
-    paired_ugv: str | None = None
 
 
 @dataclass
@@ -141,7 +132,7 @@ def step_uav(state: UavState, u, dt: float) -> UavState:
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
     u = np.asarray(u, dtype=float)
-    return UavState(p=state.p + dt * u, mode=state.mode, paired_ugv=state.paired_ugv)
+    return UavState(p=state.p + dt * u)
 
 
 def step_ugv(state: UgvState, v: float, omega: float, dt: float) -> UgvState:
@@ -164,7 +155,6 @@ class Command:
     u: np.ndarray                      # filter-space velocity (3 UAV / 2 UGV)
     v: float = 0.0                     # UGV body twist
     omega: float = 0.0
-    wheels: tuple[float, float] = (0.0, 0.0)
     hold: bool = False
 
 
@@ -193,6 +183,9 @@ class AgentControlUnit:
     (latest timestamp wins per message type), runs the nominal controller and
     the QP filter each tick, and falls back to a zero-velocity hold whenever
     its data is missing or older than hold_timeout.
+
+    The watcher owns the landing phases; a UAV unit only learns that it has
+    landed, from the touchdown acknowledgement, and then emits zero.
     """
 
     def __init__(self, agent_id: str, kind: str, gains: Gains,
@@ -207,7 +200,7 @@ class AgentControlUnit:
         self.hold_timeout = hold_timeout
         self.offset = offset
         self.wheel_base = wheel_base
-        self.mode = UavMode.TASK
+        self.landed = False
         self._pose = _Slot()
         self._setpoint = _Slot()
         self._matrix = _Slot()
@@ -231,13 +224,9 @@ class AgentControlUnit:
         if stamp >= self._matrix.stamp:
             self._matrix = _Slot(matrix, stamp)
 
-    def on_landing_signal(self) -> None:
-        if self.kind == UAV and self.mode is UavMode.TASK:
-            self.mode = UavMode.RETURN_AND_LAND
-
     def on_touchdown_ack(self) -> None:
         if self.kind == UAV:
-            self.mode = UavMode.LANDED
+            self.landed = True
 
     def _zero(self) -> np.ndarray:
         return np.zeros(3 if self.kind == UAV else 2)
@@ -249,7 +238,7 @@ class AgentControlUnit:
         return False
 
     def tick(self, now: float) -> tuple[Command, TickTelemetry]:
-        if self.mode is UavMode.LANDED:
+        if self.landed:
             u = self._zero()
             return (Command(u=u), TickTelemetry(now, self.agent_id, "landed",
                                                 False, u, math.inf))
@@ -287,5 +276,4 @@ class AgentControlUnit:
             return Command(u=u), telemetry
         v, omega = nid_inverse(ugv_view, u,
                                turn_rate_limit=self.params.turn_rate_limit)
-        return Command(u=u, v=v, omega=omega,
-                       wheels=wheel_speeds(v, omega, self.wheel_base)), telemetry
+        return Command(u=u, v=v, omega=omega), telemetry

@@ -51,12 +51,6 @@ class RowKind(Enum):
     WORKSPACE = "workspace"
 
 
-# Families whose b-term carries an explicit time derivative.
-TIME_VARYING_KINDS = frozenset(
-    {RowKind.UAV_UAV, RowKind.UGV_UGV, RowKind.UAV_OTHER_UGV, RowKind.LANDING}
-)
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Axis-aligned task-space box (meters)."""
@@ -150,12 +144,14 @@ class ConstraintRow:
     other_id: str | None = None
     h_value: float = 0.0
 
-    def satisfied_by(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        return float(self.a @ u) + self.b >= -tol
-
 
 def eval_uav_uav(p_i, p_j, separation: float) -> float:
-    """Sphere barrier between two UAV centers: |p_i - p_j|^2 - separation^2."""
+    """Sphere barrier between two centers: |p_i - p_j|^2 - separation^2.
+
+    One function serves all three separation families: UAV centers, planar
+    UGV offset points, and a UAV against another pair's UGV embedded in 3D
+    at its platform height.
+    """
     p_i = _require_finite("p_i", p_i)
     p_j = _require_finite("p_j", p_j)
     if separation <= 0 or not math.isfinite(separation):
@@ -164,27 +160,7 @@ def eval_uav_uav(p_i, p_j, separation: float) -> float:
     return float(d @ d) - separation * separation
 
 
-def eval_ugv_ugv(rho_i, rho_j, separation: float) -> float:
-    """Circle barrier between two UGV offset points (planar)."""
-    rho_i = _require_finite("rho_i", rho_i)
-    rho_j = _require_finite("rho_j", rho_j)
-    if separation <= 0 or not math.isfinite(separation):
-        raise InvalidInputError(f"separation must be positive, got {separation}")
-    d = rho_i - rho_j
-    return float(d @ d) - separation * separation
-
-
-def eval_uav_other_ugv(p_uav, p_ugv_3d, separation: float) -> float:
-    """Sphere barrier between a UAV and another pair's UGV.
-
-    The UGV is embedded in 3D at its platform height before calling this.
-    """
-    p_uav = _require_finite("p_uav", p_uav)
-    p_ugv_3d = _require_finite("p_ugv_3d", p_ugv_3d)
-    if separation <= 0 or not math.isfinite(separation):
-        raise InvalidInputError(f"separation must be positive, got {separation}")
-    d = p_uav - p_ugv_3d
-    return float(d @ d) - separation * separation
+eval_ugv_ugv = eval_uav_other_ugv = eval_uav_uav
 
 
 def eval_landing(p_uav, p_ugv_3d, sharpness: float, height: float,
@@ -273,6 +249,14 @@ def _embed_platform(xy, platform_height: float) -> np.ndarray:
     return np.array([xy[0], xy[1], platform_height])
 
 
+# Separation radius of each sphere family, by SafetyParams field.
+_SPHERE_RADIUS = {
+    RowKind.UAV_UAV: "uav_separation",
+    RowKind.UGV_UGV: "ugv_separation",
+    RowKind.UAV_OTHER_UGV: "uav_ugv_separation",
+}
+
+
 def build_constraint_row(
     kind: RowKind,
     self_state,
@@ -281,17 +265,16 @@ def build_constraint_row(
     params: SafetyParams | None = None,
     *,
     platform_height: float = 0.0,
-    wall_index: int | None = None,
     other_id: str | None = None,
     worst_case: bool = False,
 ) -> ConstraintRow:
-    """Assemble one affine row ``a . u >= -b`` for the given barrier family.
+    """Assemble one pairwise row ``a . u >= -b`` (a sphere family or the
+    landing funnel); wall rows come from build_workspace_rows.
 
     self_state is the agent's own position (3D for UAV rows, 2D offset point
-    for UGV rows).  For the separation families, other_state/other_velocity
-    describe the other agent; UGV positions are planar and get embedded at
-    platform_height where 3D geometry is needed.  For WORKSPACE rows,
-    wall_index selects the face (see eval_workspace ordering).
+    for UGV rows); other_state/other_velocity describe the other agent.  UGV
+    positions are planar and get embedded at platform_height where 3D
+    geometry is needed.
 
     With worst_case=True the velocity estimate is replaced by the most
     adversarial motion allowed by the speed bounds (used when the estimate is
@@ -300,18 +283,8 @@ def build_constraint_row(
     """
     if params is None:
         raise InvalidInputError("params is required")
-    kappa = params.barrier_gain
-
-    if kind is RowKind.WORKSPACE:
-        if wall_index is None:
-            raise InvalidInputError("wall_index is required for workspace rows")
-        is_uav = len(np.asarray(self_state, dtype=float)) == 3
-        rows = eval_workspace(self_state, params.bounds, is_uav)
-        if not 0 <= wall_index < len(rows):
-            raise InvalidInputError(f"wall_index {wall_index} out of range")
-        h, grad = rows[wall_index]
-        return ConstraintRow(a=grad, b=kappa * h, kind=kind, h_value=h)
-
+    if kind is not RowKind.LANDING and kind not in _SPHERE_RADIUS:
+        raise InvalidInputError(f"no pairwise row for kind {kind!r}")
     if other_state is None:
         raise IncompleteInputError(f"{kind.value} row requires the other agent's state")
     if other_velocity is None and not worst_case:
@@ -319,54 +292,34 @@ def build_constraint_row(
             f"{kind.value} row is time-varying and requires a velocity estimate"
         )
 
-    if kind is RowKind.UAV_UAV:
-        p_i = _require_finite("self position", self_state)
+    p_i = _require_finite("self position", self_state)
+    if kind is RowKind.UAV_UAV or kind is RowKind.UGV_UGV:
         p_j = _require_finite("other position", other_state)
-        h = eval_uav_uav(p_i, p_j, params.uav_separation)
-        r = p_i - p_j
-        a = 2.0 * r
-        if worst_case:
-            dh_dt = -2.0 * float(np.linalg.norm(r)) * params.uav_speed_limit
-        else:
-            v = _require_finite("other velocity", other_velocity)
-            dh_dt = -2.0 * float(r @ v)
-    elif kind is RowKind.UGV_UGV:
-        rho_i = _require_finite("self offset point", self_state)
-        rho_j = _require_finite("other offset point", other_state)
-        h = eval_ugv_ugv(rho_i, rho_j, params.ugv_separation)
-        r = rho_i - rho_j
-        a = 2.0 * r
-        if worst_case:
-            dh_dt = -2.0 * float(np.linalg.norm(r)) * params.uav_speed_limit
-        else:
-            v = _require_finite("other velocity", other_velocity)
-            dh_dt = -2.0 * float(r @ v)
-    elif kind is RowKind.UAV_OTHER_UGV:
-        p_i = _require_finite("self position", self_state)
-        p_g = _embed_platform(other_state, platform_height)
-        h = eval_uav_other_ugv(p_i, p_g, params.uav_ugv_separation)
-        r = p_i - p_g
-        a = 2.0 * r
-        if worst_case:
-            dh_dt = -2.0 * float(np.linalg.norm(r)) * params.uav_speed_limit
-        else:
-            v = _require_finite("other velocity", other_velocity)
-            dh_dt = -2.0 * (float(r[0] * v[0]) + float(r[1] * v[1]))  # platform stays flat
-    elif kind is RowKind.LANDING:
-        p_i = _require_finite("self position", self_state)
-        p_g = _embed_platform(other_state, platform_height)
+    else:
+        p_j = _embed_platform(other_state, platform_height)
+    r = p_i - p_j
+    if kind is RowKind.LANDING:
         h, l, k = eval_landing(
-            p_i, p_g, params.funnel_sharpness, params.funnel_height, params.hover_clearance
+            p_i, p_j, params.funnel_sharpness, params.funnel_height, params.hover_clearance
         )
-        r = p_i - p_g
         a = landing_gradient(r, k)
         if worst_case:
             dh_dt = -abs(k) * math.sqrt(l) * params.uav_speed_limit
         else:
             dh_dt = landing_time_term(r, k, other_velocity)
     else:
-        raise InvalidInputError(f"unknown row kind {kind!r}")
+        h = eval_uav_uav(p_i, p_j, getattr(params, _SPHERE_RADIUS[kind]))
+        a = 2.0 * r
+        if worst_case:
+            dh_dt = -2.0 * float(np.linalg.norm(r)) * params.uav_speed_limit
+        else:
+            v = _require_finite("other velocity", other_velocity)
+            if kind is RowKind.UAV_OTHER_UGV:  # the platform stays flat
+                dh_dt = -2.0 * (float(r[0] * v[0]) + float(r[1] * v[1]))
+            else:
+                dh_dt = -2.0 * float(r @ v)
 
+    kappa = params.barrier_gain
     return ConstraintRow(a=a, b=kappa * h + dh_dt, kind=kind, other_id=other_id, h_value=h)
 
 

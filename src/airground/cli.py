@@ -43,15 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str, seed: int | None, duration: float | None):
     with open(path, "r") as f:
-        data = f.read()
-    raw = config_mod.load_yaml(data)
-    if isinstance(raw, dict):
-        if seed is not None:
-            raw["seed"] = seed
-        if duration is not None:
-            raw["duration"] = duration
-        return config_mod.config_from_dict(raw)
-    return config_mod.parse_config(data)
+        raw = config_mod.load_mapping(f.read())
+    if seed is not None:
+        raw["seed"] = seed
+    if duration is not None:
+        raw["duration"] = duration
+    return config_mod.config_from_dict(raw)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -114,15 +114,21 @@ def load_yaml(text: str):
     return yaml.load(text, Loader=YAML_LOADER)
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario; raises ConfigError listing every problem."""
+def load_mapping(text: str) -> dict:
+    """Parse a scenario's YAML text into its top-level mapping, unvalidated;
+    raises ConfigError when the text is not YAML or not a mapping."""
     try:
         data = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError([ConfigViolation("BAD_VALUE", f"not valid YAML: {exc}")])
     if not isinstance(data, dict):
         raise ConfigError([ConfigViolation("BAD_VALUE", "top level must be a mapping")])
-    return config_from_dict(data)
+    return data
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse and validate a scenario; raises ConfigError listing every problem."""
+    return config_from_dict(load_mapping(text))
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -54,6 +54,28 @@ class QpProblem:
             raise InvalidInputError(f"box limits must be positive per axis, got {self.box!r}")
         return lim
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, A, b): the nominal input and the barrier rows a . u >= -b as
+        arrays, checked finite and of the input's dimension.  The box is not
+        included; project_with_box appends it."""
+        n = self.dimension()
+        z = np.asarray(self.u_nominal, dtype=float)
+        if not np.all(np.isfinite(z)):
+            raise InvalidInputError("u_nominal must be finite")
+        A = np.empty((len(self.rows), n))
+        b = np.empty(len(self.rows))
+        for i, row in enumerate(self.rows):
+            a = np.asarray(row.a, dtype=float)
+            if a.shape != (n,):
+                raise InvalidInputError(
+                    f"row gradient dimension {a.shape} does not match input dimension {n}"
+                )
+            if not (np.all(np.isfinite(a)) and np.isfinite(row.b)):
+                raise InvalidInputError("constraint rows must be finite")
+            A[i] = a
+            b[i] = row.b
+        return z, A, b
+
 
 @dataclass
 class QpSolution:
@@ -63,33 +85,18 @@ class QpSolution:
     iterations: int = 0
 
 
-def _stack(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """All halfspaces a . u >= -b as arrays: barrier rows first, then the box
-    encoded as axis-aligned rows (so minimal invasiveness holds jointly)."""
-    n = problem.dimension()
-    u = np.asarray(problem.u_nominal, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise InvalidInputError("u_nominal must be finite")
-    rows_a = []
-    rows_b = []
-    for row in problem.rows:
-        a = np.asarray(row.a, dtype=float)
-        if a.shape != (n,):
-            raise InvalidInputError(
-                f"row gradient dimension {a.shape} does not match input dimension {n}"
-            )
-        if not (np.all(np.isfinite(a)) and np.isfinite(row.b)):
-            raise InvalidInputError("constraint rows must be finite")
-        rows_a.append(a)
-        rows_b.append(float(row.b))
-    lim = problem.box_limits()
-    eye = np.eye(n)
-    for j in range(n):
-        rows_a.append(eye[j])
-        rows_b.append(lim[j])
-        rows_a.append(-eye[j])
-        rows_b.append(lim[j])
-    return np.array(rows_a), np.array(rows_b)
+def _blocking_step(lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
+    """Largest step t before a working-set multiplier lam - t*r reaches zero,
+    and the index of the first row to get there (-1 when none does)."""
+    t_block = np.inf
+    blocker = -1
+    for idx in range(len(r)):
+        if r[idx] > _DEP_TOL:
+            cand = lam[idx] / r[idx]
+            if cand < t_block:
+                t_block = cand
+                blocker = idx
+    return t_block, blocker
 
 
 def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -133,14 +140,7 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
             if w_sq > _DEP_TOL * max(1.0, float(a_p @ a_p)):
                 # Primal step toward the boundary of row p.
                 t_full = -(float(a_p @ u) + b_p) / w_sq
-                t_block = np.inf
-                blocker = -1
-                for idx in range(len(work)):
-                    if r[idx] > _DEP_TOL:
-                        cand = lam[idx] / r[idx]
-                        if cand < t_block:
-                            t_block = cand
-                            blocker = idx
+                t_block, blocker = _blocking_step(lam, r)
                 if t_full <= t_block:
                     u = u + t_full * w
                     lam = lam - t_full * r
@@ -155,34 +155,12 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
                 # a_p lies in the span of the working set: dual-only step.
                 if not np.any(r > _DEP_TOL):
                     return None, iters  # exact infeasibility certificate
-                t_block = np.inf
-                blocker = -1
-                for idx in range(len(work)):
-                    if r[idx] > _DEP_TOL:
-                        cand = lam[idx] / r[idx]
-                        if cand < t_block:
-                            t_block = cand
-                            blocker = idx
+                t_block, blocker = _blocking_step(lam, r)
                 lam = lam - t_block * r
                 lam_p += t_block
             del work[blocker]
             lam = np.delete(lam, blocker)
     raise RuntimeError("active-set projection did not converge")
-
-
-def solve(problem: QpProblem) -> QpSolution:
-    """Least-perturbation filter: the unique projection of the nominal input
-    onto the feasible polytope, or status FAILED when it is empty."""
-    A, b = _stack(problem)
-    z = np.asarray(problem.u_nominal, dtype=float)
-    u, iters = _project(z, A, b)
-    if u is None:
-        return QpSolution(u_star=z.copy(), status=QpStatus.FAILED,
-                          max_violation=float("inf"), iterations=iters)
-    residual = A @ u + b
-    violation = max(0.0, float(-residual.min())) if residual.size else 0.0
-    return QpSolution(u_star=u, status=QpStatus.OPTIMAL,
-                      max_violation=violation, iterations=iters)
 
 
 _BOX_ROWS_CACHE: dict[int, np.ndarray] = {}
@@ -198,23 +176,48 @@ def _box_rows(n: int) -> np.ndarray:
     return rows
 
 
-def project_with_box(z: np.ndarray, A: np.ndarray, b: np.ndarray,
-                     limit: float) -> tuple[np.ndarray | None, int]:
-    """Control-loop fast path: project z onto {A u >= -b} inside |u_j| <= limit.
-
-    Takes the barrier rows as raw arrays (the shape the coordinator already
-    ships) and skips the per-row object conversion of solve(); same active-set
-    core, bit-identical results.
-    """
-    n = z.shape[0]
-    box_a = _box_rows(n)
-    box_b = np.full(2 * n, limit)
-    if A.shape[0]:
-        A_all = np.concatenate([A, box_a])
-        b_all = np.concatenate([b, box_b])
+def _with_box(A: np.ndarray, b: np.ndarray,
+              limit) -> tuple[np.ndarray, np.ndarray]:
+    """Barrier rows followed by the admissible box |u_j| <= limit_j as the
+    rows [I; -I], so minimal invasiveness holds jointly.  limit is a scalar
+    or a per-axis array."""
+    n = A.shape[1]
+    if np.ndim(limit) == 0:
+        box_b = np.full(2 * n, limit)
     else:
-        A_all, b_all = box_a, box_b
-    return _project(z, A_all, b_all)
+        box_b = np.concatenate([limit, limit])
+    if A.shape[0]:
+        return np.concatenate([A, _box_rows(n)]), np.concatenate([b, box_b])
+    return _box_rows(n), box_b
+
+
+def project_with_box(z: np.ndarray, A: np.ndarray, b: np.ndarray,
+                     limit) -> tuple[np.ndarray | None, int]:
+    """The filter's one core: project z onto {A u >= -b} inside the box
+    |u_j| <= limit_j (scalar or per-axis limit).
+
+    Returns (point, iterations), or (None, iterations) when the polytope is
+    empty.  The control loop calls this directly with the rows the watcher
+    ships; solve, solve_relaxed and filter_velocity wrap it.
+    """
+    return _project(z, *_with_box(A, b, limit))
+
+
+def solve(problem: QpProblem) -> QpSolution:
+    """Least-perturbation filter: the unique projection of the nominal input
+    onto the feasible polytope, or status FAILED when it is empty.
+    project_with_box on the problem's arrays, plus the residual violation."""
+    z, A, b = problem.arrays()
+    lim = problem.box_limits()
+    u, iters = project_with_box(z, A, b, lim)
+    if u is None:
+        return QpSolution(u_star=z.copy(), status=QpStatus.FAILED,
+                          max_violation=float("inf"), iterations=iters)
+    A_all, b_all = _with_box(A, b, lim)
+    residual = A_all @ u + b_all
+    violation = max(0.0, float(-residual.min()))
+    return QpSolution(u_star=u, status=QpStatus.OPTIMAL,
+                      max_violation=violation, iterations=iters)
 
 
 _COMBO_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -237,8 +240,8 @@ def oracle_solve(problem: QpProblem) -> QpSolution:
     candidates, so no feasible candidate at all certifies emptiness.
     Practical up to ~16 rows; intended for testing, not the control loop.
     """
-    A, b = _stack(problem)
-    z = np.asarray(problem.u_nominal, dtype=float)
+    z, A, b = problem.arrays()
+    A, b = _with_box(A, b, problem.box_limits())
     m, n = A.shape
     # Normalize row scales so singularity thresholds are geometric.
     norms = np.linalg.norm(A, axis=1)
@@ -330,15 +333,14 @@ def solve_relaxed(problem: QpProblem,
     n + m variables, so the active-set core is reused unchanged.  Always
     feasible; max_violation reports the largest slack actually used.
     """
-    n = problem.dimension()
-    z = np.asarray(problem.u_nominal, dtype=float)
-    mc = len(problem.rows)
+    z, A_bar, b_bar = problem.arrays()
+    mc, n = A_bar.shape
     if mc == 0:
         base = solve(problem)
         return QpSolution(u_star=base.u_star, status=QpStatus.RELAXED,
                           max_violation=0.0, iterations=base.iterations)
     sw = np.sqrt(weight)
-    A_rows, b_rows = _stack(problem)
+    A_rows, b_rows = _with_box(A_bar, b_bar, problem.box_limits())
     dim = n + mc
     A = np.zeros((A_rows.shape[0] + mc, dim))
     b = np.zeros(A_rows.shape[0] + mc)

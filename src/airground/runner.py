@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (UAV, UGV, AgentControlUnit, Command, Gains, UavMode,
-                     UavState, UgvState, step_ugv, step_uav)
+from .agents import (UAV, UGV, AgentControlUnit, Command, Gains, UavState,
+                     UgvState, step_ugv, step_uav)
 from .config import ScenarioConfig
 from .errors import CapacityError, SafetyAbortError
 from .logfmt import fmt9
@@ -79,7 +79,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     tracks: dict[str, WaypointTrack] = {}
     for i in range(cfg.n_pairs):
         uid, gid = f"uav{i}", f"ugv{i}"
-        uav_states[uid] = UavState(p=cfg.uavs[i].start.copy(), paired_ugv=gid)
+        uav_states[uid] = UavState(p=cfg.uavs[i].start.copy())
         ugv_states[gid] = UgvState(
             x=float(cfg.ugvs[i].start[0]), y=float(cfg.ugvs[i].start[1]),
             theta=float(cfg.ugvs[i].start[2]),
@@ -138,6 +138,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     total = round(cfg.duration / cfg.dt)
 
     def route(messages):
+        # A LANDING_SIGNAL needs no action here: the watcher has already
+        # switched the UAV's setpoint stream to the platform.
         for msg in messages:
             unit = units[msg.dst]
             if msg.msg_type is MsgType.POSE_UPDATE:
@@ -146,8 +148,6 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 unit.on_setpoint(msg.payload[0], msg.payload[1], msg.send_time)
             elif msg.msg_type is MsgType.CONSTRAINT_UPDATE:
                 unit.on_constraints(msg.payload, msg.send_time)
-            elif msg.msg_type is MsgType.LANDING_SIGNAL:
-                unit.on_landing_signal()
             elif msg.msg_type is MsgType.TOUCHDOWN_ACK:
                 unit.on_touchdown_ack()
 
@@ -248,12 +248,10 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 ugv_states[gid] = step_ugv(ugv_states[gid], cmd.v, cmd.omega, cfg.dt)
             for i in range(cfg.n_pairs):
                 uid = f"uav{i}"
-                if units[uid].mode is UavMode.LANDED:
+                if units[uid].landed:
                     st = ugv_states[f"ugv{i}"]
-                    uav_states[uid] = UavState(
-                        p=np.array([st.x, st.y,
-                                    cfg.platform_height + cfg.safety.hover_clearance]),
-                        mode=UavMode.LANDED, paired_ugv=f"ugv{i}")
+                    uav_states[uid] = UavState(p=np.array(
+                        [st.x, st.y, cfg.platform_height + cfg.safety.hover_clearance]))
                     uav_velocity[uid] = np.zeros(3)
                 elif cfg.uav_velocity_lag > 0.0:
                     alpha = cfg.dt / cfg.uav_velocity_lag

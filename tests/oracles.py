@@ -1,8 +1,13 @@
-"""Scalar reference implementations of the fleet-level pairwise geometry.
+"""Reference implementations the package's faster or merged code replaced.
 
-These are the per-pair Python loops the package used before it evaluated
-gates and barriers as arrays.  The equivalence tests require the array code
-to reproduce them exactly, bit for bit.
+* The per-pair Python loops of the fleet-level pairwise geometry, from before
+  gates and barriers were evaluated as arrays.
+* The QP entry points that stacked ConstraintRow lists with their own box
+  encoding (interleaved +e_j / -e_j rows) before project_with_box became the
+  one core.
+
+The equivalence tests require the package to reproduce them exactly, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from airground.errors import InvalidInputError
+from airground.qp import (RELAXATION_WEIGHT, QpProblem, QpSolution, QpStatus,
+                          _project)
 
 _PROXIMITY_HYSTERESIS = 0.1
 
@@ -194,3 +203,83 @@ class DictGates:
         ground = [f"ugv{j}" for j in range(self.n_pairs) if j != pair
                   and self.active.get(("gg", *sorted((agent_id, f"ugv{j}"))), False)]
         return [None] * 4 + ground
+
+
+def _stack(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """All halfspaces a . u >= -b as arrays: barrier rows first, then the box
+    encoded as axis-aligned rows (so minimal invasiveness holds jointly)."""
+    n = problem.dimension()
+    u = np.asarray(problem.u_nominal, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise InvalidInputError("u_nominal must be finite")
+    rows_a = []
+    rows_b = []
+    for row in problem.rows:
+        a = np.asarray(row.a, dtype=float)
+        if a.shape != (n,):
+            raise InvalidInputError(
+                f"row gradient dimension {a.shape} does not match input dimension {n}"
+            )
+        if not (np.all(np.isfinite(a)) and np.isfinite(row.b)):
+            raise InvalidInputError("constraint rows must be finite")
+        rows_a.append(a)
+        rows_b.append(float(row.b))
+    lim = problem.box_limits()
+    eye = np.eye(n)
+    for j in range(n):
+        rows_a.append(eye[j])
+        rows_b.append(lim[j])
+        rows_a.append(-eye[j])
+        rows_b.append(lim[j])
+    return np.array(rows_a), np.array(rows_b)
+
+
+def stacked_solve(problem: QpProblem) -> QpSolution:
+    """solve() over the interleaved box encoding."""
+    A, b = _stack(problem)
+    z = np.asarray(problem.u_nominal, dtype=float)
+    u, iters = _project(z, A, b)
+    if u is None:
+        return QpSolution(u_star=z.copy(), status=QpStatus.FAILED,
+                          max_violation=float("inf"), iterations=iters)
+    residual = A @ u + b
+    violation = max(0.0, float(-residual.min())) if residual.size else 0.0
+    return QpSolution(u_star=u, status=QpStatus.OPTIMAL,
+                      max_violation=violation, iterations=iters)
+
+
+def stacked_solve_relaxed(problem: QpProblem,
+                          weight: float = RELAXATION_WEIGHT) -> QpSolution:
+    """solve_relaxed() lifting the interleaved box encoding."""
+    n = problem.dimension()
+    z = np.asarray(problem.u_nominal, dtype=float)
+    mc = len(problem.rows)
+    if mc == 0:
+        base = stacked_solve(problem)
+        return QpSolution(u_star=base.u_star, status=QpStatus.RELAXED,
+                          max_violation=0.0, iterations=base.iterations)
+    sw = np.sqrt(weight)
+    A_rows, b_rows = _stack(problem)
+    dim = n + mc
+    A = np.zeros((A_rows.shape[0] + mc, dim))
+    b = np.zeros(A_rows.shape[0] + mc)
+    A[: A_rows.shape[0], :n] = A_rows
+    b[: A_rows.shape[0]] = b_rows
+    for i in range(mc):
+        A[i, n + i] = 1.0 / sw
+        A[A_rows.shape[0] + i, n + i] = 1.0
+    z_lift = np.concatenate([z, np.zeros(mc)])
+    u_lift, iters = _project(z_lift, A, b)
+    if u_lift is None:
+        raise RuntimeError("relaxed problem reported infeasible")
+    slacks = u_lift[n:] / sw
+    return QpSolution(u_star=u_lift[:n], status=QpStatus.RELAXED,
+                      max_violation=max(0.0, float(slacks.max())), iterations=iters)
+
+
+def stacked_filter_velocity(problem: QpProblem) -> QpSolution:
+    """filter_velocity() over the interleaved box encoding."""
+    sol = stacked_solve(problem)
+    if sol.status is QpStatus.FAILED:
+        return stacked_solve_relaxed(problem)
+    return sol

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from airground.agents import (UAV, UGV, AgentControlUnit, Gains, UavMode,
-                              UavState, UgvState, nid_forward, nid_inverse,
+from airground.agents import (UAV, UGV, AgentControlUnit, Gains, UavState,
+                              UgvState, nid_forward, nid_inverse,
                               nid_offset, nominal_velocity, step_ugv,
                               step_uav, twist_from_wheels, wheel_speeds,
                               wrap_angle)
@@ -216,21 +216,16 @@ class TestControlUnit:
         # offset point starts at (0.1, 0): nominal pulls +x, pure forward.
         assert cmd.v == pytest.approx(0.6)  # clamped to the UGV box
         assert cmd.omega == pytest.approx(0.0, abs=1e-12)
-        assert cmd.wheels[0] == pytest.approx(cmd.wheels[1])
 
     def test_landed_mode_emits_zero(self):
         unit = self.make_uav()
         self.feed(unit, 0.0, (0, 0, 1), (2, 0, 1), (0, 0, 0), empty_matrix())
+        assert not unit.landed
         unit.on_touchdown_ack()
+        assert unit.landed
         cmd, tele = unit.tick(0.0)
         assert tele.status == "landed"
         assert np.allclose(cmd.u, 0)
-
-    def test_landing_signal_changes_mode(self):
-        unit = self.make_uav()
-        assert unit.mode is UavMode.TASK
-        unit.on_landing_signal()
-        assert unit.mode is UavMode.RETURN_AND_LAND
 
     def test_latest_wins_ignores_reordered_pose(self):
         unit = self.make_uav()

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from airground.barriers import (Bounds, RowKind, SafetyParams,
-                                build_constraint_row, eval_landing,
-                                eval_uav_other_ugv, eval_uav_uav,
-                                eval_ugv_ugv, eval_workspace,
+                                build_constraint_row, build_workspace_rows,
+                                eval_landing, eval_uav_other_ugv,
+                                eval_uav_uav, eval_ugv_ugv, eval_workspace,
                                 landing_gradient, landing_time_term,
                                 verify_validity)
 from airground.errors import IncompleteInputError, InvalidInputError
@@ -242,8 +242,7 @@ class TestConstraintRows:
             assert dh_dt == pytest.approx(numeric, rel=1e-4, abs=1e-7)
 
     def test_workspace_ceiling_row(self):
-        row = build_constraint_row(RowKind.WORKSPACE, (0, 0, 1.5), params=PARAMS,
-                                   wall_index=4)
+        row = build_workspace_rows((0, 0, 1.5), PARAMS, is_uav=True)[4]
         assert np.allclose(row.a, [0, 0, -1])
         assert row.b == pytest.approx(0.5)
         assert row.kind is RowKind.WORKSPACE
@@ -343,8 +342,7 @@ class TestSpatialGradients:
 
 class TestValidity:
     def test_workspace_row_inside_box_is_valid(self):
-        row = build_constraint_row(RowKind.WORKSPACE, (0, 0, 1.0), params=PARAMS,
-                                   wall_index=0)
+        row = build_workspace_rows((0, 0, 1.0), PARAMS, is_uav=True)[0]
         assert verify_validity(row, 1.0)
 
     def test_degenerate_gradient_with_negative_b_is_invalid(self):

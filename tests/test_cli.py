@@ -52,6 +52,19 @@ class TestRun:
         cfg = write_config(tmp_path, data)
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
+    def test_run_invalid_yaml_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("pairs: [")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "[BAD_VALUE] not valid YAML" in capsys.readouterr().err
+
+    def test_run_non_mapping_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text("- 1\n- 2\n")
+        assert main(["run", str(path), "--seed", "4",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "top level must be a mapping" in capsys.readouterr().err
+
     def test_seed_and_duration_overrides(self, tmp_path):
         cfg = write_config(tmp_path, single_pair(duration=9.0).raw)
         out_dir = str(tmp_path / "out")

@@ -1,5 +1,6 @@
-"""The array implementations of gating and barrier evaluation against the
-scalar loops they replaced (tests/oracles.py): equal results, bit for bit."""
+"""The array implementations of gating and barrier evaluation, and the QP
+entry points over project_with_box, against the code they replaced
+(tests/oracles.py): equal results, bit for bit."""
 
 import math
 
@@ -10,12 +11,16 @@ from hypothesis.extra.numpy import arrays
 
 from airground.barriers import Bounds, SafetyParams
 from airground.logfmt import fmt9
+from airground.qp import QpStatus, filter_velocity, solve, solve_relaxed
 from airground.runner import run
 from airground.summary import (PhysicsView, Roster, summarize_dir,
                                tick_barriers)
 from airground.watcher import PairPhase, Watcher, WaypointTrack
 
-from oracles import DictGates, Sample, scalar_tick_barriers
+from oracles import (DictGates, Sample, scalar_tick_barriers,
+                     stacked_filter_velocity, stacked_solve,
+                     stacked_solve_relaxed)
+from qp_problems import random_problem
 from scenario_helpers import crossing_scenario
 
 VIEW = PhysicsView(
@@ -195,3 +200,19 @@ def test_gate_matrices_match_dict_oracle(case):
             assert rec.proximal == tuple(sorted(oracle.proximal_set(aid)))
             matrix = w.assemble_constraints(aid, now)
             assert matrix.other_ids == oracle.row_order(aid)
+
+
+def test_qp_entry_points_match_stacked_oracle():
+    rng = np.random.default_rng(5)
+    statuses = set()
+    for _ in range(2000):
+        p = random_problem(rng)
+        for got, want in ((solve(p), stacked_solve(p)),
+                          (solve_relaxed(p), stacked_solve_relaxed(p)),
+                          (filter_velocity(p), stacked_filter_velocity(p))):
+            assert got.u_star.tobytes() == want.u_star.tobytes()
+            assert got.status is want.status
+            assert got.iterations == want.iterations
+            assert got.max_violation == want.max_violation
+            statuses.add(got.status)
+    assert statuses == set(QpStatus)  # both solve outcomes and the relaxation

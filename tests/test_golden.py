@@ -1,10 +1,14 @@
 """Byte-identity guard for the deterministic logs.
 
-The digests below were recorded before the watcher's gating and the per-tick
-barrier evaluation were vectorized, from the scalar implementations.  A
-change that alters any logged byte of these runs -- a reordered constraint
-row, a last-ulp difference in a recomputed min_h -- fails here.  A change
-that is meant to alter the logs (a bug fix) must say so and re-record them.
+The digests below were recorded from earlier implementations: the first
+three before the watcher's gating and the per-tick barrier evaluation were
+vectorized, from the scalar implementations; the clustered run and the
+landing trace before the agents' landing state, the QP entry points and the
+sphere barriers were each reduced to one path.  A change that alters any
+logged byte of these runs -- a reordered constraint row, a last-ulp
+difference in a recomputed min_h, one message more or less on the bus --
+fails here.  A change that is meant to alter the logs (a bug fix) must say
+so and re-record them.
 """
 
 import hashlib
@@ -14,7 +18,7 @@ import pytest
 
 from airground import config_from_dict, load_config, run
 
-from scenario_helpers import grid_scenario, landing_scenario
+from scenario_helpers import clustered_scenario, grid_scenario, landing_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -24,21 +28,31 @@ def crossing_three_5s():
     return config_from_dict(dict(raw, duration=5.0))
 
 
+# name -> (scenario, trajectory.csv, watcher.csv, trace.log or None: untraced)
 GOLDEN = {
     "crossing_three_5s": (
         crossing_three_5s,
         "29fafc1a41e1158d4f31be37f8e9cb4b92b13896895d4e96cab73a59287436a2",
         "bd639830838265febd31362d8eca1fd755170ddd38778882edbbda8d8ea32610",
+        None,
     ),
     "landing_2pairs": (
         lambda: landing_scenario(2, seed=3, ugv_speed=0.4, duration=10.0),
         "6949d3537bfd5073b088aabe2b820ed37a5f7f7c8726c90ec22a0b13666d8561",
         "69dff705949769e177d72e36f50f0b8ab808d20343a32aa59d152f4eff82e6d2",
+        "2f92e6bb2ab1ae93be680012c54c0f509fd30c6e42f853f43b9fc894302b9699",
     ),
     "grid_16pairs": (
         lambda: grid_scenario(16, seed=1, duration=0.5),
         "c00e627b56e6f4921091d2b4db6851fd52eb878e04ea452f6c0af14f75c43de7",
         "c3eea8008808281658c591557e5844be5074ab8b35fac3bc0891702520064f21",
+        None,
+    ),
+    "clustered_6s": (
+        lambda: clustered_scenario(duration=6.0),
+        "6326e40dd4013d3c8d4049fa72ef1d27f579bad743747a9ba2f9d7c78fcc8160",
+        "a9f2dc37b63e993e45a37e4f9146ac04cb456e377bd88328a9dac7c089e3ae07",
+        None,
     ),
 }
 
@@ -50,10 +64,15 @@ def sha256(path: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_logs_match_recorded_digests(tmp_path, name):
-    build, trajectory, watcher = GOLDEN[name]
-    result = run(build(), str(tmp_path))
-    if name == "landing_2pairs":  # the digest must cover the landed path
+    build, trajectory, watcher, trace = GOLDEN[name]
+    result = run(build(), str(tmp_path), trace=trace is not None)
+    if name == "landing_2pairs":  # the digests must cover the landed path
         assert len(result.touchdown_times) == 2
+        with open(result.trace_path) as f:
+            assert "type=landing_signal" in f.read()
+    if name == "clustered_6s":  # and the slack relaxation
+        assert result.relaxed_events > 0
     assert sha256(result.trajectory_path) == trajectory
     assert sha256(result.watcher_path) == watcher
-
+    if trace is not None:
+        assert sha256(result.trace_path) == trace
