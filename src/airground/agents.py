@@ -165,7 +165,6 @@ class TickTelemetry:
     status: str                        # optimal | relaxed | failed | hold | landed
     stale: bool
     u_applied: np.ndarray
-    min_h: float                       # over the rows in the applied matrix
     qp_iterations: int = 0
     max_violation: float = 0.0
 
@@ -241,11 +240,11 @@ class AgentControlUnit:
         if self.landed:
             u = self._zero()
             return (Command(u=u), TickTelemetry(now, self.agent_id, "landed",
-                                                False, u, math.inf))
+                                                False, u))
         if self._data_stale(now):
             u = self._zero()
             return (Command(u=u, hold=True),
-                    TickTelemetry(now, self.agent_id, "hold", True, u, math.inf))
+                    TickTelemetry(now, self.agent_id, "hold", True, u))
 
         pose = self._pose.value
         setpoint, rate = self._setpoint.value
@@ -269,9 +268,8 @@ class AgentControlUnit:
             u, iterations = sol.u_star, sol.iterations
             violation = sol.max_violation
             status = sol.status.value
-        min_h = min(matrix.h_values, default=math.inf)
         telemetry = TickTelemetry(now, self.agent_id, status, False, u,
-                                  min_h, iterations, violation)
+                                  iterations, violation)
         if self.kind == UAV:
             return Command(u=u), telemetry
         v, omega = nid_inverse(ugv_view, u,

@@ -45,7 +45,6 @@ class LandingEvent:
 class WatcherOptions:
     activation_margin: float | None = None
     smoothing: float = 0.7
-    velocity_stale_after: float = 0.2
     touchdown_radius_sq: float = 0.01
     touchdown_height: float = 0.02
     touchdown_hold: float = 0.5
@@ -102,6 +101,36 @@ def _get(data: dict, key: str, default=None, *, required=False, violations=None)
     return default
 
 
+def _number(v: list[ConfigViolation], section: dict, key: str, default,
+            cast=float, where: str = ""):
+    """section[key] converted by cast; the default when the key is absent or
+    null, and also (reported as BAD_VALUE) when the value is malformed or
+    NaN."""
+    raw = section.get(key)
+    if raw is None:
+        return default
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if math.isnan(value):
+        v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be a number, got {raw!r}"))
+        return default
+    return value
+
+
+def _section(v: list[ConfigViolation], data: dict, key: str, kind=dict, *,
+             required: bool = False):
+    """data[key] as a dict (or list), empty when absent or null; a value of
+    any other type is reported as BAD_VALUE."""
+    value = _get(data, key, kind(), required=required, violations=v) or kind()
+    if not isinstance(value, kind):
+        noun = "mapping" if kind is dict else "list"
+        v.append(ConfigViolation("BAD_VALUE", f"{key} must be a {noun}, got {value!r}"))
+        return kind()
+    return value
+
+
 def _as_floats(value, n: int | None = None):
     arr = np.asarray(value, dtype=float)
     if n is not None and arr.shape != (n,):
@@ -139,21 +168,23 @@ def load_config(path: str) -> ScenarioConfig:
 def config_from_dict(data: dict) -> ScenarioConfig:
     v: list[ConfigViolation] = []
 
-    n_pairs = int(_get(data, "pairs", 0, required=True, violations=v) or 0)
-    if n_pairs <= 0:
+    _get(data, "pairs", required=True, violations=v)
+    reported = len(v)
+    n_pairs = _number(v, data, "pairs", 0, int)
+    if n_pairs <= 0 and len(v) == reported:
         v.append(ConfigViolation("BAD_VALUE", f"pairs must be >= 1, got {n_pairs}"))
 
-    dt = float(_get(data, "dt", 0.01))
-    duration = float(_get(data, "duration", 10.0))
-    seed = int(_get(data, "seed", 0))
-    control_rate = float(_get(data, "control_rate", 50.0))
-    watcher_rate = float(_get(data, "watcher_rate", 20.0))
-    hold_timeout = float(_get(data, "hold_timeout", 0.25))
-    platform_height = float(_get(data, "platform_height", 0.0))
-    ugv_offset = float(_get(data, "ugv_offset", 0.1))
-    wheel_base = float(_get(data, "wheel_base", 0.2))
-    noise = float(_get(data, "localization_noise", 0.0))
-    velocity_lag = float(_get(data, "uav_velocity_lag", 0.0))
+    dt = _number(v, data, "dt", 0.01)
+    duration = _number(v, data, "duration", 10.0)
+    seed = _number(v, data, "seed", 0, int)
+    control_rate = _number(v, data, "control_rate", 50.0)
+    watcher_rate = _number(v, data, "watcher_rate", 20.0)
+    hold_timeout = _number(v, data, "hold_timeout", 0.25)
+    platform_height = _number(v, data, "platform_height", 0.0)
+    ugv_offset = _number(v, data, "ugv_offset", 0.1)
+    wheel_base = _number(v, data, "wheel_base", 0.2)
+    noise = _number(v, data, "localization_noise", 0.0)
+    velocity_lag = _number(v, data, "uav_velocity_lag", 0.0)
     perturb = bool(_get(data, "perturb_setpoints", False))
 
     if dt <= 0:
@@ -181,38 +212,33 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                     f"{name}={rate} Hz does not divide the dt={dt} grid evenly",
                 ))
 
-    ws = _get(data, "workspace", {}) or {}
+    ws = _section(v, data, "workspace")
     try:
         bx = _as_floats(ws.get("x", [-6.0, 6.0]), 2)
         by = _as_floats(ws.get("y", [-6.0, 6.0]), 2)
         bz = _as_floats(ws.get("z", [0.0, 3.0]), 2)
         bounds = Bounds(float(bx[0]), float(bx[1]), float(by[0]), float(by[1]),
                         float(bz[0]), float(bz[1]))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         v.append(ConfigViolation("BAD_VALUE", f"workspace: {exc}"))
         bounds = Bounds(-6.0, 6.0, -6.0, 6.0, 0.0, 3.0)
 
-    saf = _get(data, "safety", {}, required=True, violations=v) or {}
-    safety = SafetyParams(
-        uav_separation=float(saf.get("uav_separation", 0.5)),
-        uav_ugv_separation=float(saf.get("uav_ugv_separation", 0.7)),
-        ugv_separation=float(saf.get("ugv_separation", 1.0)),
-        funnel_sharpness=float(saf.get("funnel_sharpness", 1.0)),
-        funnel_height=float(saf.get("funnel_height", 0.5)),
-        hover_clearance=float(saf.get("hover_clearance", 0.2)),
-        barrier_gain=float(saf.get("barrier_gain", 1.0)),
-        bounds=bounds,
-        uav_speed_limit=float(saf.get("uav_speed_limit", 1.0)),
-        ugv_speed_limit=float(saf.get("ugv_speed_limit", 0.6)),
-        turn_rate_limit=float(saf.get("turn_rate_limit", 4.0)),
-    )
+    saf = _section(v, data, "safety", required=True)
+    safety = SafetyParams(bounds=bounds, **{
+        key: _number(v, saf, key, default, where="safety.")
+        for key, default in (
+            ("uav_separation", 0.5), ("uav_ugv_separation", 0.7),
+            ("ugv_separation", 1.0), ("funnel_sharpness", 1.0),
+            ("funnel_height", 0.5), ("hover_clearance", 0.2),
+            ("barrier_gain", 1.0), ("uav_speed_limit", 1.0),
+            ("ugv_speed_limit", 0.6), ("turn_rate_limit", 4.0))})
     for problem in safety.validate():
         code = "RADIUS_ORDER" if "separation radii" in problem else (
             "SPEED_BOUND" if "speed limits" in problem else "BAD_VALUE")
         v.append(ConfigViolation(code, problem))
 
     min_capacity = 2 * n_pairs + 4 if n_pairs > 0 else 4
-    capacity = int(_get(data, "capacity", min_capacity))
+    capacity = _number(v, data, "capacity", min_capacity, int)
     if n_pairs > 0 and capacity < min_capacity:
         v.append(ConfigViolation(
             "CAPACITY",
@@ -220,7 +246,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             f"with {n_pairs} pairs",
         ))
 
-    gains = _get(data, "gains", {}) or {}
+    gains = _section(v, data, "gains")
     try:
         raw_g = gains.get("uav", 1.0)
         g_uav = _as_floats(raw_g, 3) if np.ndim(raw_g) else np.full(3, float(raw_g))
@@ -236,11 +262,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if np.any(g_uav <= 0) or np.any(g_ugv <= 0):
         v.append(ConfigViolation("BAD_VALUE", "gains must be positive"))
 
-    net = _get(data, "network", {}) or {}
+    net = _section(v, data, "network")
     network = LinkModel(
-        base_latency=float(net.get("latency", 0.0)),
-        jitter=float(net.get("jitter", 0.0)),
-        drop_prob=float(net.get("drop", 0.0)),
+        base_latency=_number(v, net, "latency", 0.0, where="network."),
+        jitter=_number(v, net, "jitter", 0.0, where="network."),
+        drop_prob=_number(v, net, "drop", 0.0, where="network."),
     )
     if network.base_latency < 0 or network.jitter < 0:
         v.append(ConfigViolation("BAD_VALUE", "network latency and jitter must be >= 0"))
@@ -249,31 +275,30 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     elif network.drop_prob >= 1.0:
         network = LinkModel(network.base_latency, network.jitter, 0.9999999999)
 
-    wv = _get(data, "watcher", {}) or {}
-    margin = wv.get("activation_margin", None)
-    watcher = WatcherOptions(
-        activation_margin=None if margin is None else float(margin),
-        smoothing=float(wv.get("smoothing", 0.7)),
-        velocity_stale_after=float(wv.get("velocity_stale_after", 0.2)),
-        touchdown_radius_sq=float(wv.get("touchdown_radius_sq", 0.01)),
-        touchdown_height=float(wv.get("touchdown_height", 0.02)),
-        touchdown_hold=float(wv.get("touchdown_hold", 0.5)),
-    )
+    wv = _section(v, data, "watcher")
+    watcher = WatcherOptions(**{
+        key: _number(v, wv, key, default, where="watcher.")
+        for key, default in (
+            ("activation_margin", None), ("smoothing", 0.7),
+            ("touchdown_radius_sq", 0.01), ("touchdown_height", 0.02),
+            ("touchdown_hold", 0.5))})
     if not 0 < watcher.smoothing <= 1:
         v.append(ConfigViolation("BAD_VALUE", "watcher.smoothing must be in (0, 1]"))
 
-    agents = _get(data, "agents", [], required=True, violations=v) or []
+    agents = _section(v, data, "agents", list, required=True)
     if n_pairs > 0 and len(agents) != n_pairs:
         v.append(ConfigViolation(
             "BAD_VALUE", f"expected {n_pairs} agent pair entries, got {len(agents)}"))
     uavs: list[AgentSpec] = []
     ugvs: list[AgentSpec] = []
     for i, entry in enumerate(agents):
-        entry = entry or {}
+        entry = entry if isinstance(entry, dict) else {}
         for kind, dim, bucket in (("uav", 3, uavs), ("ugv", 2, ugvs)):
             spec = entry.get(kind)
-            if spec is None:
-                v.append(ConfigViolation("MISSING_FIELD", f"agents[{i}].{kind} missing"))
+            if not isinstance(spec, dict):
+                v.append(ConfigViolation("MISSING_FIELD", f"agents[{i}].{kind} missing")
+                         if spec is None else ConfigViolation(
+                             "BAD_VALUE", f"agents[{i}].{kind} must be a mapping"))
                 bucket.append(AgentSpec(np.zeros(3), [np.zeros(dim)]))
                 continue
             try:
@@ -292,7 +317,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 v.append(ConfigViolation(
                     "BAD_VALUE", f"agents[{i}].{kind}.waypoints must be {dim}-vectors"))
                 waypoints = [np.zeros(dim)]
-            speed = float(spec.get("speed", 0.0))
+            speed = _number(v, spec, "speed", 0.0, where=f"agents[{i}].{kind}.")
             limit = safety.uav_speed_limit if kind == "uav" else safety.ugv_speed_limit
             if speed < 0:
                 v.append(ConfigViolation("BAD_VALUE", f"agents[{i}].{kind}.speed < 0"))
@@ -315,14 +340,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             spec.waypoints = [w + nudge for w in spec.waypoints]
 
     events: list[LandingEvent] = []
-    for i, entry in enumerate(_get(data, "events", []) or []):
-        entry = entry or {}
+    for i, entry in enumerate(_section(v, data, "events", list)):
+        entry = entry if isinstance(entry, dict) else {}
         etype = entry.get("type", "landing")
         if etype != "landing":
             v.append(ConfigViolation("BAD_EVENT", f"events[{i}]: unknown type {etype!r}"))
             continue
-        time = float(entry.get("time", -1.0))
-        pair = int(entry.get("pair", -1))
+        time = _number(v, entry, "time", -1.0, where=f"events[{i}].")
+        pair = _number(v, entry, "pair", -1, int, where=f"events[{i}].")
         if time < 0:
             v.append(ConfigViolation("BAD_EVENT", f"events[{i}]: time must be >= 0"))
         if not 0 <= pair < max(n_pairs, 1):

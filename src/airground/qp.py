@@ -56,10 +56,13 @@ class QpProblem:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(z, A, b): the nominal input and the barrier rows a . u >= -b as
-        arrays, checked finite and of the input's dimension.  The box is not
-        included; project_with_box appends it."""
+        arrays, checked non-empty, finite and of the input's dimension.  The
+        box is not included; project_with_box appends it."""
         n = self.dimension()
         z = np.asarray(self.u_nominal, dtype=float)
+        if z.shape != (n,) or n == 0:
+            raise InvalidInputError(
+                f"u_nominal must be a non-empty vector, got shape {z.shape}")
         if not np.all(np.isfinite(z)):
             raise InvalidInputError("u_nominal must be finite")
         A = np.empty((len(self.rows), n))

@@ -101,7 +101,6 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         period=1.0 / cfg.watcher_rate, max_latency=max_latency,
         activation_margin=cfg.watcher.activation_margin,
         smoothing=cfg.watcher.smoothing,
-        velocity_stale_after=cfg.watcher.velocity_stale_after,
         touchdown_radius_sq=cfg.watcher.touchdown_radius_sq,
         touchdown_height=cfg.watcher.touchdown_height,
         touchdown_hold=cfg.watcher.touchdown_hold,

@@ -2,7 +2,8 @@
 
 The watcher is the only component that sees every agent.  Each tick it:
 
-1. ingests localization poses and refreshes per-agent velocity estimators,
+1. ingests the fleet's poses as stacked arrays and refreshes one velocity
+   estimator per family (UAVs, UGV bodies, UGV offset points),
 2. advances landing phases (signal handling, touchdown detection),
 3. decides which separation constraints are locally relevant to each agent
    (distance gate with a hysteresis band so rows do not chatter), holding
@@ -40,63 +41,40 @@ from .netsim import MsgType
 _PROXIMITY_HYSTERESIS = 0.1  # extra meters before an active pair deactivates
 
 
-class VelQuality(Enum):
-    FRESH = "fresh"           # single finite difference so far
-    SMOOTHED = "smoothed"     # blend of two or more differences
-    WORST_CASE = "worst_case"  # stale or insufficient history
-
-
-@dataclass
-class VelocityEstimate:
-    v: np.ndarray
-    age: float
-    quality: VelQuality
-
-
 class VelocityEstimator:
-    """Exponentially smoothed finite differences over a pose stream.
+    """Exponentially smoothed finite differences over one family's poses.
 
-    The smoother is seeded with the first difference, so constant-velocity
-    data is reproduced exactly from the second sample on.  Histories older
-    than stale_after fall back to worst-case quality, telling the constraint
-    builder to assume the most adversarial motion within the speed bounds.
+    Tracks n agents as one (n, dim) array, pushed once per watcher tick.  The
+    smoother is seeded with the first difference, so constant-velocity data
+    is reproduced exactly from the second sample on.  Until that first
+    difference the estimate is worst case: the constraint rows assume the
+    most adversarial motion within the speed bounds.
     """
 
-    def __init__(self, dim: int, smoothing: float = 0.7, stale_after: float = 0.2,
-                 speed_bound: float = 1.0):
+    def __init__(self, n: int, dim: int, smoothing: float = 0.7):
         if not 0.0 < smoothing <= 1.0:
             raise InvalidInputError("smoothing must be in (0, 1]")
-        self._dim = dim
         self._smoothing = smoothing
-        self._stale_after = stale_after
-        self._bound = speed_bound
         self._last_pos: np.ndarray | None = None
         self._last_time = -math.inf
-        self._value: np.ndarray | None = None
-        self._n_diffs = 0
+        self._value = np.zeros((n, dim))
+        self._worst_case = True
 
-    def push(self, t: float, position) -> None:
-        pos = np.asarray(position, dtype=float)
+    def push(self, t: float, positions) -> None:
+        pos = np.array(positions, dtype=float)
         if self._last_pos is not None and t > self._last_time:
             diff = (pos - self._last_pos) / (t - self._last_time)
-            if self._value is None:
+            if self._worst_case:
                 self._value = diff
-                self._n_diffs = 1
+                self._worst_case = False
             else:
                 self._value = self._smoothing * diff + (1 - self._smoothing) * self._value
-                self._n_diffs += 1
         self._last_pos = pos
         self._last_time = t
 
-    def estimate(self, now: float) -> VelocityEstimate:
-        if self._value is None:
-            return VelocityEstimate(np.zeros(self._dim), math.inf, VelQuality.WORST_CASE)
-        age = now - self._last_time
-        if age > self._stale_after:
-            clipped = np.clip(self._value, -self._bound, self._bound)
-            return VelocityEstimate(clipped, age, VelQuality.WORST_CASE)
-        quality = VelQuality.FRESH if self._n_diffs == 1 else VelQuality.SMOOTHED
-        return VelocityEstimate(self._value.copy(), age, quality)
+    def estimate(self) -> tuple[np.ndarray, bool]:
+        """The (n, dim) velocities and whether they are still worst case."""
+        return self._value, self._worst_case
 
 
 @dataclass
@@ -113,7 +91,6 @@ class ConstraintMatrix:
     b: np.ndarray               # (capacity,), zero-padded
     kinds: list[RowKind]
     other_ids: list[str | None]
-    h_values: list[float]
 
     @property
     def capacity(self) -> int:
@@ -126,7 +103,7 @@ class ConstraintMatrix:
     def active_rows(self) -> list[ConstraintRow]:
         return [
             ConstraintRow(a=self.a[i], b=float(self.b[i]), kind=self.kinds[i],
-                          other_id=self.other_ids[i], h_value=self.h_values[i])
+                          other_id=self.other_ids[i])
             for i in range(self.active_count)
         ]
 
@@ -149,7 +126,6 @@ class ConstraintMatrix:
             agent_id=agent_id, timestamp=timestamp, a=a, b=b,
             kinds=[r.kind for r in rows],
             other_ids=[r.other_id for r in rows],
-            h_values=[r.h_value for r in rows],
         )
 
 
@@ -250,7 +226,6 @@ class Watcher:
         max_latency: float = 0.0,
         activation_margin: float | None = None,
         smoothing: float = 0.7,
-        velocity_stale_after: float = 0.2,
         touchdown_radius_sq: float = 0.01,
         touchdown_height: float = 0.02,
         touchdown_hold: float = 0.5,
@@ -275,7 +250,12 @@ class Watcher:
         self._touch_since: dict[int, float | None] = {i: None for i in range(n_pairs)}
         self.touchdown_times: dict[int, float] = {}
         self._pending: list[Outbound] = []
-        self._poses: dict[str, np.ndarray] = {}
+        # This tick's fleet, indexed by pair: UAV positions, UGV poses
+        # (x, y, theta), UGV offset points and platform centres.
+        self._uav = np.zeros((n_pairs, 3))
+        self._ugv = np.zeros((n_pairs, 3))
+        self._offsets = np.zeros((n_pairs, 2))
+        self._platforms = np.zeros((n_pairs, 3))
         # Gate matrices, indexed by pair: _aa[i, j] UAV i vs UAV j and
         # _gg[i, j] UGV i vs UGV j (both symmetric), _ago[i, j] UAV i vs
         # UGV j (cross layer, not symmetric).
@@ -283,15 +263,9 @@ class Watcher:
         self._gg = np.zeros((n_pairs, n_pairs), dtype=bool)
         self._ago = np.zeros((n_pairs, n_pairs), dtype=bool)
         self._index_gates()
-        self._offsets = np.zeros((n_pairs, 2))  # UGV offset points, this tick
-
-        def estimator(dim):
-            return VelocityEstimator(dim, smoothing, velocity_stale_after,
-                                     params.uav_speed_limit)
-
-        self._est_uav = {i: estimator(3) for i in range(n_pairs)}
-        self._est_ugv_body = {i: estimator(2) for i in range(n_pairs)}
-        self._est_ugv_offset = {i: estimator(2) for i in range(n_pairs)}
+        self._est_uav = VelocityEstimator(n_pairs, 3, smoothing)
+        self._est_ugv_body = VelocityEstimator(n_pairs, 2, smoothing)
+        self._est_ugv_offset = VelocityEstimator(n_pairs, 2, smoothing)
 
     # -- event handling -----------------------------------------------------
 
@@ -314,16 +288,8 @@ class Watcher:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _ugv_xy(self, pair: int) -> np.ndarray:
-        pose = self._poses[f"ugv{pair}"]
-        return pose[:2]
-
-    def _platform_3d(self, pair: int) -> np.ndarray:
-        xy = self._ugv_xy(pair)
-        return np.array([xy[0], xy[1], self.platform_height])
-
     def hover_point(self, pair: int) -> np.ndarray:
-        p = self._platform_3d(pair)
+        p = self._platforms[pair].copy()
         p[2] += self.params.hover_clearance
         return p
 
@@ -357,8 +323,8 @@ class Watcher:
                                   distance <= activate_at + _PROXIMITY_HYSTERESIS,
                                   distance < activate_at)
 
-    def _update_gates(self, uav: np.ndarray, ugv: np.ndarray) -> None:
-        """Refresh every gate from the (n, 3) UAV positions and UGV poses.
+    def _update_gates(self) -> None:
+        """Refresh every gate from this tick's fleet arrays.
 
         Landed UAVs retire from the aerial layer: their rows and columns of
         _aa and their rows of _ago are forced off."""
@@ -366,10 +332,9 @@ class Watcher:
         n = self.n_pairs
         flying = np.array([self.phases[i] is not PairPhase.LANDED for i in range(n)])
         others = ~np.eye(n, dtype=bool)
-        platforms = np.column_stack((ugv[:, :2], np.full(n, self.platform_height)))
-        d_aa = np.sqrt(pairwise_sq_distances(uav, uav))
+        d_aa = np.sqrt(pairwise_sq_distances(self._uav, self._uav))
         d_gg = np.sqrt(pairwise_sq_distances(self._offsets, self._offsets))
-        d_ago = np.sqrt(pairwise_sq_distances(uav, platforms))
+        d_ago = np.sqrt(pairwise_sq_distances(self._uav, self._platforms))
         self._aa = self._hysteresis(self._aa, d_aa, p.uav_separation,
                                     others & flying[:, None] & flying[None, :])
         self._gg = self._hysteresis(self._gg, d_gg, p.ugv_separation, others)
@@ -383,8 +348,7 @@ class Watcher:
         for i in range(self.n_pairs):
             if self.phases[i] is not PairPhase.LANDING:
                 continue
-            uav = self._poses[f"uav{i}"]
-            r = uav - self._platform_3d(i)
+            r = self._uav[i] - self._platforms[i]
             l = float(r[0] * r[0] + r[1] * r[1])
             inside = (l <= self._touch_l
                       and r[2] <= self.params.hover_clearance + self._touch_rz)
@@ -408,39 +372,33 @@ class Watcher:
         rows: list[ConstraintRow] = []
         pair = int(agent_id[3:])
         if agent_id.startswith("uav"):
-            pos = self._poses[agent_id]
+            pos = self._uav[pair]
+            v_ugv, worst_ugv = self._est_ugv_body.estimate()
             rows.extend(build_workspace_rows(pos, p, is_uav=True))
-            for j in self._ago_rows[pair]:
-                est = self._est_ugv_body[j].estimate(now)
+            # Cross-layer rows against the other pairs' UGVs, then the
+            # landing funnel over the pair's own platform.
+            for j in self._ago_rows[pair] + [pair]:
                 rows.append(build_constraint_row(
-                    RowKind.UAV_OTHER_UGV, pos, self._ugv_xy(j), est.v,
-                    params=p, platform_height=self.platform_height,
-                    other_id=f"ugv{j}",
-                    worst_case=est.quality is VelQuality.WORST_CASE,
+                    RowKind.UAV_OTHER_UGV if j != pair else RowKind.LANDING,
+                    pos, self._ugv[j, :2], v_ugv[j], params=p,
+                    platform_height=self.platform_height, other_id=f"ugv{j}",
+                    worst_case=worst_ugv,
                 ))
-            est = self._est_ugv_body[pair].estimate(now)
-            rows.append(build_constraint_row(
-                RowKind.LANDING, pos, self._ugv_xy(pair), est.v, params=p,
-                platform_height=self.platform_height, other_id=f"ugv{pair}",
-                worst_case=est.quality is VelQuality.WORST_CASE,
-            ))
+            v_uav, worst_uav = self._est_uav.estimate()
             for j in self._aa_rows[pair]:
-                est = self._est_uav[j].estimate(now)
                 rows.append(build_constraint_row(
-                    RowKind.UAV_UAV, pos, self._poses[f"uav{j}"], est.v,
-                    params=p, other_id=f"uav{j}",
-                    worst_case=est.quality is VelQuality.WORST_CASE,
+                    RowKind.UAV_UAV, pos, self._uav[j], v_uav[j],
+                    params=p, other_id=f"uav{j}", worst_case=worst_uav,
                 ))
             dim = 3
         else:
             point = self._offsets[pair]
+            v_offset, worst_offset = self._est_ugv_offset.estimate()
             rows.extend(build_workspace_rows(point, p, is_uav=False))
             for j in self._gg_rows[pair]:
-                est = self._est_ugv_offset[j].estimate(now)
                 rows.append(build_constraint_row(
-                    RowKind.UGV_UGV, point, self._offsets[j], est.v,
-                    params=p, other_id=f"ugv{j}",
-                    worst_case=est.quality is VelQuality.WORST_CASE,
+                    RowKind.UGV_UGV, point, self._offsets[j], v_offset[j],
+                    params=p, other_id=f"ugv{j}", worst_case=worst_offset,
                 ))
             dim = 2
         return ConstraintMatrix.from_rows(agent_id, now, self.capacity, dim, rows)
@@ -454,10 +412,8 @@ class Watcher:
         if self.phases[pair] is PairPhase.TASK:
             return self.tracks[agent_id].sample(now)
         # landing and landed: chase the moving platform's hover point
-        est = self._est_ugv_body[pair].estimate(now)
-        rate = np.array([est.v[0], est.v[1], 0.0])
-        if est.quality is VelQuality.WORST_CASE:
-            rate = np.zeros(3)
+        v, worst_case = self._est_ugv_body.estimate()
+        rate = np.zeros(3) if worst_case else np.array([v[pair, 0], v[pair, 1], 0.0])
         return self.hover_point(pair), rate
 
     # -- main tick ----------------------------------------------------------
@@ -466,34 +422,33 @@ class Watcher:
              ) -> tuple[list[Outbound], list[WatcherRecord]]:
         """Run one coordination cycle; returns messages to send and records."""
         for agent_id, pose in poses.items():
-            self._poses[agent_id] = np.asarray(pose, dtype=float)
-        n = self.n_pairs
-        uav = np.array([self._poses[f"uav{i}"] for i in range(n)]).reshape(n, 3)
-        ugv = np.array([self._poses[f"ugv{i}"] for i in range(n)]).reshape(n, 3)
+            family = self._uav if agent_id.startswith("uav") else self._ugv
+            family[int(agent_id[3:])] = pose
+        ugv = self._ugv
         # libm per element, not numpy's vector cos/sin, which may differ in
         # the last ulp from the scalar path the rest of the package uses.
         headings = ugv[:, 2].tolist()
         self._offsets = np.column_stack((
             ugv[:, 0] + self.ugv_offset * np.array([math.cos(a) for a in headings]),
             ugv[:, 1] + self.ugv_offset * np.array([math.sin(a) for a in headings]),
-        )).reshape(n, 2)
-        for i in range(n):
-            self._est_uav[i].push(now, self._poses[f"uav{i}"])
-            self._est_ugv_body[i].push(now, self._ugv_xy(i))
-            self._est_ugv_offset[i].push(now, self._offsets[i])
+        )).reshape(self.n_pairs, 2)
+        self._platforms = np.column_stack(
+            (ugv[:, :2], np.full(self.n_pairs, self.platform_height)))
+        self._est_uav.push(now, self._uav)
+        self._est_ugv_body.push(now, ugv[:, :2])
+        self._est_ugv_offset.push(now, self._offsets)
 
         self._check_touchdowns(now)
-        self._update_gates(uav, ugv)
+        self._update_gates()
 
         outbound: list[Outbound] = list(self._pending)
         self._pending = []
         records: list[WatcherRecord] = []
         for i in range(self.n_pairs):
-            for agent_id in _pair_ids(i):
+            for agent_id, pose in zip(_pair_ids(i), (self._uav[i], self._ugv[i])):
                 matrix = self.assemble_constraints(agent_id, now)
                 setpoint, rate = self._setpoint_for(agent_id, now)
-                outbound.append(Outbound(MsgType.POSE_UPDATE, agent_id,
-                                         self._poses[agent_id].copy()))
+                outbound.append(Outbound(MsgType.POSE_UPDATE, agent_id, pose.copy()))
                 outbound.append(Outbound(MsgType.SETPOINT_UPDATE, agent_id,
                                          (setpoint, rate)))
                 outbound.append(Outbound(MsgType.CONSTRAINT_UPDATE, agent_id, matrix))

@@ -5,6 +5,8 @@
 * The QP entry points that stacked ConstraintRow lists with their own box
   encoding (interleaved +e_j / -e_j rows) before project_with_box became the
   one core.
+* The per-agent velocity estimator, with its stale-history fallback, from
+  before the watcher kept one estimator per family.
 
 The equivalence tests require the package to reproduce them exactly, bit
 for bit.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -283,3 +286,60 @@ def stacked_filter_velocity(problem: QpProblem) -> QpSolution:
     if sol.status is QpStatus.FAILED:
         return stacked_solve_relaxed(problem)
     return sol
+
+
+class VelQuality(Enum):
+    FRESH = "fresh"           # single finite difference so far
+    SMOOTHED = "smoothed"     # blend of two or more differences
+    WORST_CASE = "worst_case"  # stale or insufficient history
+
+
+@dataclass
+class VelocityEstimate:
+    v: np.ndarray
+    age: float
+    quality: VelQuality
+
+
+class AgentVelocityEstimator:
+    """Exponentially smoothed finite differences over one agent's poses.
+
+    Histories older than stale_after fall back to worst-case quality with
+    the smoothed value clipped to speed_bound.
+    """
+
+    def __init__(self, dim: int, smoothing: float = 0.7, stale_after: float = 0.2,
+                 speed_bound: float = 1.0):
+        if not 0.0 < smoothing <= 1.0:
+            raise InvalidInputError("smoothing must be in (0, 1]")
+        self._dim = dim
+        self._smoothing = smoothing
+        self._stale_after = stale_after
+        self._bound = speed_bound
+        self._last_pos: np.ndarray | None = None
+        self._last_time = -math.inf
+        self._value: np.ndarray | None = None
+        self._n_diffs = 0
+
+    def push(self, t: float, position) -> None:
+        pos = np.asarray(position, dtype=float)
+        if self._last_pos is not None and t > self._last_time:
+            diff = (pos - self._last_pos) / (t - self._last_time)
+            if self._value is None:
+                self._value = diff
+                self._n_diffs = 1
+            else:
+                self._value = self._smoothing * diff + (1 - self._smoothing) * self._value
+                self._n_diffs += 1
+        self._last_pos = pos
+        self._last_time = t
+
+    def estimate(self, now: float) -> VelocityEstimate:
+        if self._value is None:
+            return VelocityEstimate(np.zeros(self._dim), math.inf, VelQuality.WORST_CASE)
+        age = now - self._last_time
+        if age > self._stale_after:
+            clipped = np.clip(self._value, -self._bound, self._bound)
+            return VelocityEstimate(clipped, age, VelQuality.WORST_CASE)
+        quality = VelQuality.FRESH if self._n_diffs == 1 else VelQuality.SMOOTHED
+        return VelocityEstimate(self._value.copy(), age, quality)

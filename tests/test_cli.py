@@ -1,5 +1,6 @@
 import os
 
+import pytest
 import yaml
 
 from airground.cli import main
@@ -35,6 +36,21 @@ class TestValidate:
         for name in ("hover_pair.yaml", "landing_demo.yaml",
                      "crossing_three.yaml"):
             assert main(["validate", os.path.join(SCENARIOS, name)]) == 0
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("line", ["dt: fast", "pairs: abc", "safety: 5",
+                                      "network: 3"])
+    def test_malformed_value_exits_two(self, tmp_path, capsys, command, line):
+        path = tmp_path / "hover_pair.yaml"
+        with open(os.path.join(SCENARIOS, "hover_pair.yaml")) as f:
+            path.write_text(f.read() + line + "\n")
+        args = [command, str(path)]
+        if command == "run":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert f"[BAD_VALUE] {line.split(':')[0]} must be a" in capsys.readouterr().err
 
 
 class TestRun:

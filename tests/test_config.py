@@ -192,6 +192,47 @@ class TestRejections:
         with pytest.raises(ConfigError):
             parse_config(":\nnot yaml: [unclosed")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("dt", "fast", "dt must be a number, got 'fast'"),
+        ("pairs", "abc", "pairs must be a number, got 'abc'"),
+        ("safety", 5, "safety must be a mapping, got 5"),
+        ("network", 3, "network must be a mapping, got 3"),
+        ("watcher", [1], "watcher must be a mapping, got [1]"),
+        ("agents", "abc", "agents must be a list, got 'abc'"),
+        ("events", 4, "events must be a list, got 4"),
+        ("dt", float("nan"), "dt must be a number, got nan"),
+    ])
+    def test_malformed_value_is_a_violation(self, key, value, message):
+        data = variant(hold_timeout=-1.0)  # a violation that must still show
+        data[key] = value
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        found = [(x.code, x.message) for x in err.value.violations]
+        assert ("BAD_VALUE", message) in found
+        assert ("BAD_VALUE", "hold_timeout must be positive") in found
+
+    def test_malformed_nested_values_are_violations(self):
+        data = variant(safety__uav_speed_limit="fast", network__drop="x")
+        data["watcher"] = {"activation_margin": "wide"}
+        data["agents"][0]["uav"]["speed"] = "slow"
+        data["agents"][1]["ugv"] = 3
+        data["events"] = [{"time": "soon", "pair": 0}]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        messages = {x.message for x in err.value.violations
+                    if x.code == "BAD_VALUE"}
+        assert {"safety.uav_speed_limit must be a number, got 'fast'",
+                "network.drop must be a number, got 'x'",
+                "watcher.activation_margin must be a number, got 'wide'",
+                "agents[0].uav.speed must be a number, got 'slow'",
+                "agents[1].ugv must be a mapping",
+                "events[0].time must be a number, got 'soon'"} <= messages
+
+    def test_retired_watcher_key_still_loads(self):
+        data = variant()
+        data["watcher"] = {"velocity_stale_after": 0.2}
+        assert config_from_dict(data).watcher == config_from_dict(variant()).watcher
+
 
 class TestSymmetricDeadlock:
     def swap_config(self):

@@ -1,6 +1,6 @@
-"""The array implementations of gating and barrier evaluation, and the QP
-entry points over project_with_box, against the code they replaced
-(tests/oracles.py): equal results, bit for bit."""
+"""The array implementations of gating, barrier evaluation and velocity
+estimation, and the QP entry points over project_with_box, against the code
+they replaced (tests/oracles.py): equal results, bit for bit."""
 
 import math
 
@@ -15,11 +15,12 @@ from airground.qp import QpStatus, filter_velocity, solve, solve_relaxed
 from airground.runner import run
 from airground.summary import (PhysicsView, Roster, summarize_dir,
                                tick_barriers)
-from airground.watcher import PairPhase, Watcher, WaypointTrack
+from airground.watcher import (PairPhase, VelocityEstimator, Watcher,
+                               WaypointTrack)
 
-from oracles import (DictGates, Sample, scalar_tick_barriers,
-                     stacked_filter_velocity, stacked_solve,
-                     stacked_solve_relaxed)
+from oracles import (AgentVelocityEstimator, DictGates, Sample, VelQuality,
+                     scalar_tick_barriers, stacked_filter_velocity,
+                     stacked_solve, stacked_solve_relaxed)
 from qp_problems import random_problem
 from scenario_helpers import crossing_scenario
 
@@ -216,3 +217,31 @@ def test_qp_entry_points_match_stacked_oracle():
             assert got.max_violation == want.max_violation
             statuses.add(got.status)
     assert statuses == set(QpStatus)  # both solve outcomes and the relaxation
+
+
+def test_fleet_estimator_matches_per_agent_oracle():
+    """Each row of the fleet estimator is the per-agent estimator's value at
+    the tick it was pushed, and the fleet is worst case exactly when the
+    per-agent one says WORST_CASE (also across a repeated tick time)."""
+    rng = np.random.default_rng(9)
+    for n in (1, 3, 16):
+        for dim, smoothing in ((3, 0.7), (2, 0.35), (2, 1.0)):
+            fleet = VelocityEstimator(n, dim, smoothing)
+            agents = [AgentVelocityEstimator(dim, smoothing) for _ in range(n)]
+            steps = rng.uniform(0.01, 0.1, 12)
+            # One repeated tick time: right after the first tick (no
+            # difference yet, still worst case) or later on.
+            steps[1 if dim == 3 else rng.integers(2, 12)] = 0.0
+            positions = rng.normal(0.0, 2.0, (n, dim))
+            qualities = set()
+            for now in np.cumsum(steps).tolist():
+                positions = positions + rng.normal(0.0, 0.05, (n, dim))
+                fleet.push(now, positions)
+                velocity, worst_case = fleet.estimate()
+                for i, agent in enumerate(agents):
+                    agent.push(now, positions[i])
+                    want = agent.estimate(now)
+                    assert velocity[i].tobytes() == want.v.tobytes()
+                    assert worst_case == (want.quality is VelQuality.WORST_CASE)
+                    qualities.add(want.quality)
+            assert qualities == set(VelQuality)

@@ -4,7 +4,8 @@ The digests below were recorded from earlier implementations: the first
 three before the watcher's gating and the per-tick barrier evaluation were
 vectorized, from the scalar implementations; the clustered run and the
 landing trace before the agents' landing state, the QP entry points and the
-sphere barriers were each reduced to one path.  A change that alters any
+sphere barriers were each reduced to one path; the noisy crossing before the
+watcher's per-agent velocity estimators became one per family.  A change that alters any
 logged byte of these runs -- a reordered constraint row, a last-ulp
 difference in a recomputed min_h, one message more or less on the bus --
 fails here.  A change that is meant to alter the logs (a bug fix) must say
@@ -23,9 +24,15 @@ from scenario_helpers import clustered_scenario, grid_scenario, landing_scenario
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
-def crossing_three_5s():
+def crossing_three_5s(**overrides):
     raw = load_config(os.path.join(SCENARIOS, "crossing_three.yaml")).raw
-    return config_from_dict(dict(raw, duration=5.0))
+    return config_from_dict(dict(raw, duration=5.0, **overrides))
+
+
+def noisy_crossing(**overrides):
+    """Noisy poses into the watcher's estimators and the UAV tracking lag."""
+    return crossing_three_5s(localization_noise=0.02, uav_velocity_lag=0.1,
+                             **overrides)
 
 
 # name -> (scenario, trajectory.csv, watcher.csv, trace.log or None: untraced)
@@ -47,6 +54,12 @@ GOLDEN = {
         "c00e627b56e6f4921091d2b4db6851fd52eb878e04ea452f6c0af14f75c43de7",
         "c3eea8008808281658c591557e5844be5074ab8b35fac3bc0891702520064f21",
         None,
+    ),
+    "noisy_crossing_5s": (
+        noisy_crossing,
+        "5e5ecb4f5372d0ec877343fe44c5fc7fd360bc6b3daf805373e19610c39e8d02",
+        "79c8dc66b003ae637434abd638959d63dba5c433b2ea46a651a6f9312d96d989",
+        "8485b3325bd136ff5caf247288ac9a5971db129e549ca5aff01296b5f45266c5",
     ),
     "clustered_6s": (
         lambda: clustered_scenario(duration=6.0),
@@ -76,3 +89,15 @@ def test_logs_match_recorded_digests(tmp_path, name):
     assert sha256(result.watcher_path) == watcher
     if trace is not None:
         assert sha256(result.trace_path) == trace
+
+
+def test_retired_watcher_key_changes_nothing(tmp_path):
+    """watcher.velocity_stale_after is no longer read; scenarios that still
+    set it run exactly as without it, even at a negative value, the one
+    setting that once forced every estimate to its worst case."""
+    _, trajectory, watcher, trace = GOLDEN["noisy_crossing_5s"]
+    result = run(noisy_crossing(watcher={"velocity_stale_after": -1.0}),
+                 str(tmp_path), trace=True)
+    assert sha256(result.trajectory_path) == trajectory
+    assert sha256(result.watcher_path) == watcher
+    assert sha256(result.trace_path) == trace

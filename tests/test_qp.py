@@ -84,6 +84,12 @@ class TestSolve:
         with pytest.raises(InvalidInputError):
             solve(QpProblem(np.zeros(2), [], 0.0))
 
+    @pytest.mark.parametrize("entry", [solve, solve_relaxed, filter_velocity,
+                                       oracle_solve])
+    def test_zero_dimension_rejected(self, entry):
+        with pytest.raises(InvalidInputError):
+            entry(QpProblem(np.zeros(0), [], 1.0))
+
     def test_matches_oracle_on_random_problems(self):
         rng = np.random.default_rng(2024)
         feasible = infeasible = 0

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from airground.barriers import Bounds, RowKind, SafetyParams
-from airground.errors import CapacityError
+from airground.barriers import (Bounds, RowKind, SafetyParams,
+                                build_constraint_row)
+from airground.errors import CapacityError, InvalidInputError
 from airground.netsim import MsgType
-from airground.watcher import (PairPhase, VelQuality, VelocityEstimator,
-                               Watcher, WaypointTrack)
+from airground.watcher import (PairPhase, VelocityEstimator, Watcher,
+                               WaypointTrack)
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -52,43 +53,62 @@ def spread_poses(n=2, spacing=50.0):
 
 class TestVelocityEstimator:
     def test_constant_stream_converges_immediately(self):
-        est = VelocityEstimator(2, smoothing=0.7, stale_after=0.2)
+        est = VelocityEstimator(2, 2, smoothing=0.7)
         for k in range(5):
             t = 0.05 * k
-            est.push(t, (1.0 * t, 0.0))
-        out = est.estimate(0.2)
-        assert np.max(np.abs(out.v - np.array([1.0, 0.0]))) < 1e-6
-        assert out.quality is VelQuality.SMOOTHED
+            est.push(t, [(1.0 * t, 0.0), (0.0, -0.5 * t)])
+        v, worst_case = est.estimate()
+        assert np.max(np.abs(v - [[1.0, 0.0], [0.0, -0.5]])) < 1e-6
+        assert not worst_case
 
     def test_static_agent(self):
-        est = VelocityEstimator(2)
+        est = VelocityEstimator(1, 2)
         for k in range(4):
-            est.push(0.05 * k, (2.0, -1.0))
-        out = est.estimate(0.15)
-        assert np.allclose(out.v, 0.0)
+            est.push(0.05 * k, [(2.0, -1.0)])
+        v, _ = est.estimate()
+        assert np.allclose(v, 0.0)
 
     def test_single_sample_is_worst_case_zero(self):
-        est = VelocityEstimator(3)
-        est.push(0.0, (1, 2, 3))
-        out = est.estimate(0.0)
-        assert out.quality is VelQuality.WORST_CASE
-        assert np.allclose(out.v, 0.0)
+        est = VelocityEstimator(2, 3)
+        est.push(0.0, [(1, 2, 3), (4, 5, 6)])
+        v, worst_case = est.estimate()
+        assert worst_case
+        assert v.shape == (2, 3) and np.allclose(v, 0.0)
 
-    def test_stale_history_degrades_to_worst_case(self):
-        est = VelocityEstimator(2, stale_after=0.2)
-        est.push(0.0, (0, 0))
-        est.push(0.05, (0.05, 0))
-        assert est.estimate(0.1).quality is VelQuality.SMOOTHED or \
-            est.estimate(0.1).quality is VelQuality.FRESH
-        assert est.estimate(0.5).quality is VelQuality.WORST_CASE
+    def test_repeated_time_adds_no_difference(self):
+        est = VelocityEstimator(1, 2)
+        est.push(0.0, [(0.0, 0.0)])
+        est.push(0.0, [(1.0, 0.0)])
+        assert est.estimate()[1]
+        est.push(0.1, [(1.1, 0.0)])
+        v, worst_case = est.estimate()
+        assert not worst_case
+        assert np.allclose(v, [[1.0, 0.0]])
 
-    def test_worst_case_value_respects_speed_bound(self):
-        est = VelocityEstimator(2, stale_after=0.1, speed_bound=1.0)
-        est.push(0.0, (0, 0))
-        est.push(0.001, (0.1, 0))  # absurd 100 m/s difference
-        out = est.estimate(1.0)
-        assert out.quality is VelQuality.WORST_CASE
-        assert np.all(np.abs(out.v) <= 1.0)
+    def test_push_copies_the_positions(self):
+        est = VelocityEstimator(1, 2)
+        buffer = np.zeros((1, 2))
+        est.push(0.0, buffer)
+        buffer[0, 0] = 5.0  # the caller refills its array in place
+        est.push(0.1, buffer)
+        assert np.allclose(est.estimate()[0], [[50.0, 0.0]])
+
+    def test_smoothing_out_of_range_rejected(self):
+        with pytest.raises(InvalidInputError):
+            VelocityEstimator(1, 2, smoothing=0.0)
+
+    def test_rows_are_worst_case_only_on_the_first_tick(self):
+        w = make_watcher(1)
+        poses = {"uav0": np.array([0.3, 0.0, 0.6]), "ugv0": np.array([0.0, 0.0, 0.0])}
+        for now, x in ((0.0, 0.0), (0.1, 0.05)):  # the platform moves at 0.5 m/s
+            poses["ugv0"] = np.array([x, 0.0, 0.0])
+            w.tick(now, poses)
+            landing = w.assemble_constraints("uav0", now).active_rows()[-1]
+            assert landing.kind is RowKind.LANDING
+            expected = build_constraint_row(
+                RowKind.LANDING, poses["uav0"], poses["ugv0"][:2], [0.5, 0.0],
+                PARAMS, worst_case=now == 0.0)
+            assert landing.b == pytest.approx(expected.b, abs=1e-12)
 
 
 class TestProximalGating:
