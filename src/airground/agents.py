@@ -180,8 +180,10 @@ class AgentControlUnit:
 
     Consumes pose / setpoint / constraint-matrix messages from the network
     (latest timestamp wins per message type), runs the nominal controller and
-    the QP filter each tick, and falls back to a zero-velocity hold whenever
-    its data is missing or older than hold_timeout.
+    the QP filter, and falls back to a zero-velocity hold whenever its data is
+    missing or older than hold_timeout.  The filtered command is a function
+    of the three slots alone, so it is solved once per replaced slot and
+    reused on the ticks in between.
 
     The watcher owns the landing phases; a UAV unit only learns that it has
     landed, from the touchdown acknowledgement, and then emits zero.
@@ -203,6 +205,7 @@ class AgentControlUnit:
         self._pose = _Slot()
         self._setpoint = _Slot()
         self._matrix = _Slot()
+        self._solved: tuple | None = None   # (u, v, omega, status, iters, violation)
 
     @property
     def speed_limit(self) -> float:
@@ -212,16 +215,19 @@ class AgentControlUnit:
     def on_pose(self, pose, stamp: float) -> None:
         if stamp >= self._pose.stamp:
             self._pose = _Slot(np.asarray(pose, dtype=float), stamp)
+            self._solved = None
 
     def on_setpoint(self, position, rate, stamp: float) -> None:
         if stamp >= self._setpoint.stamp:
             self._setpoint = _Slot(
                 (np.asarray(position, dtype=float), np.asarray(rate, dtype=float)), stamp
             )
+            self._solved = None
 
     def on_constraints(self, matrix, stamp: float) -> None:
         if stamp >= self._matrix.stamp:
             self._matrix = _Slot(matrix, stamp)
+            self._solved = None
 
     def on_touchdown_ack(self) -> None:
         if self.kind == UAV:
@@ -246,6 +252,17 @@ class AgentControlUnit:
             return (Command(u=u, hold=True),
                     TickTelemetry(now, self.agent_id, "hold", True, u))
 
+        if self._solved is None:
+            self._solved = self._solve()
+        u, v, omega, status, iterations, violation = self._solved
+        u = u.copy()  # callers get their own array; the cached one stays intact
+        return (Command(u=u, v=v, omega=omega),
+                TickTelemetry(now, self.agent_id, status, False, u,
+                              iterations, violation))
+
+    def _solve(self) -> tuple:
+        """Nominal input, QP filter (slack relaxation when infeasible) and,
+        for a UGV, the body twist, all from the current slots."""
         pose = self._pose.value
         setpoint, rate = self._setpoint.value
         matrix = self._matrix.value
@@ -268,10 +285,8 @@ class AgentControlUnit:
             u, iterations = sol.u_star, sol.iterations
             violation = sol.max_violation
             status = sol.status.value
-        telemetry = TickTelemetry(now, self.agent_id, status, False, u,
-                                  iterations, violation)
         if self.kind == UAV:
-            return Command(u=u), telemetry
+            return u, 0.0, 0.0, status, iterations, violation
         v, omega = nid_inverse(ugv_view, u,
                                turn_rate_limit=self.params.turn_rate_limit)
-        return Command(u=u, v=v, omega=omega), telemetry
+        return u, v, omega, status, iterations, violation

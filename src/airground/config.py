@@ -291,16 +291,21 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             "BAD_VALUE", f"expected {n_pairs} agent pair entries, got {len(agents)}"))
     uavs: list[AgentSpec] = []
     ugvs: list[AgentSpec] = []
+    # A spec that does not parse is left out of uavs/ugvs, so the spawn
+    # checks, which need the whole fleet, do not run on made-up values.
     for i, entry in enumerate(agents):
-        entry = entry if isinstance(entry, dict) else {}
+        if not isinstance(entry, dict):
+            v.append(ConfigViolation(
+                "BAD_VALUE", f"agents[{i}] must be a mapping, got {entry!r}"))
+            continue
         for kind, dim, bucket in (("uav", 3, uavs), ("ugv", 2, ugvs)):
             spec = entry.get(kind)
             if not isinstance(spec, dict):
                 v.append(ConfigViolation("MISSING_FIELD", f"agents[{i}].{kind} missing")
                          if spec is None else ConfigViolation(
                              "BAD_VALUE", f"agents[{i}].{kind} must be a mapping"))
-                bucket.append(AgentSpec(np.zeros(3), [np.zeros(dim)]))
                 continue
+            reported = len(v)
             try:
                 start = _as_floats(spec.get("start"), 3)
             except (ValueError, TypeError):
@@ -317,6 +322,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 v.append(ConfigViolation(
                     "BAD_VALUE", f"agents[{i}].{kind}.waypoints must be {dim}-vectors"))
                 waypoints = [np.zeros(dim)]
+            parsed = len(v) == reported
             speed = _number(v, spec, "speed", 0.0, where=f"agents[{i}].{kind}.")
             limit = safety.uav_speed_limit if kind == "uav" else safety.ugv_speed_limit
             if speed < 0:
@@ -327,7 +333,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                     f"agents[{i}].{kind} track speed {speed} exceeds the "
                     f"admissible limit {limit}",
                 ))
-            bucket.append(AgentSpec(start=start, waypoints=waypoints, speed=speed))
+            if parsed:
+                bucket.append(AgentSpec(start=start, waypoints=waypoints, speed=speed))
 
     if perturb:
         for i, spec in enumerate(uavs):
@@ -341,7 +348,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     events: list[LandingEvent] = []
     for i, entry in enumerate(_section(v, data, "events", list)):
-        entry = entry if isinstance(entry, dict) else {}
+        if not isinstance(entry, dict):
+            v.append(ConfigViolation(
+                "BAD_EVENT", f"events[{i}] must be a mapping, got {entry!r}"))
+            continue
         etype = entry.get("type", "landing")
         if etype != "landing":
             v.append(ConfigViolation("BAD_EVENT", f"events[{i}]: unknown type {etype!r}"))

@@ -7,6 +7,8 @@
   one core.
 * The per-agent velocity estimator, with its stale-history fallback, from
   before the watcher kept one estimator per family.
+* The control unit that solved its safety filter on every control tick,
+  from before it reused the solution until an input slot was replaced.
 
 The equivalence tests require the package to reproduce them exactly, bit
 for bit.
@@ -20,6 +22,10 @@ from enum import Enum
 
 import numpy as np
 
+from airground import qp
+from airground.agents import (UAV, AgentControlUnit, Command, TickTelemetry,
+                              UgvState, _Slot, nid_inverse, nid_offset,
+                              nominal_velocity)
 from airground.errors import InvalidInputError
 from airground.qp import (RELAXATION_WEIGHT, QpProblem, QpSolution, QpStatus,
                           _project)
@@ -343,3 +349,62 @@ class AgentVelocityEstimator:
             return VelocityEstimate(clipped, age, VelQuality.WORST_CASE)
         quality = VelQuality.FRESH if self._n_diffs == 1 else VelQuality.SMOOTHED
         return VelocityEstimate(self._value.copy(), age, quality)
+
+
+class UncachedControlUnit(AgentControlUnit):
+    """A control unit that runs the nominal controller and the QP filter on
+    every tick that is neither landed nor stale."""
+
+    def on_pose(self, pose, stamp: float) -> None:
+        if stamp >= self._pose.stamp:
+            self._pose = _Slot(np.asarray(pose, dtype=float), stamp)
+
+    def on_setpoint(self, position, rate, stamp: float) -> None:
+        if stamp >= self._setpoint.stamp:
+            self._setpoint = _Slot(
+                (np.asarray(position, dtype=float), np.asarray(rate, dtype=float)), stamp
+            )
+
+    def on_constraints(self, matrix, stamp: float) -> None:
+        if stamp >= self._matrix.stamp:
+            self._matrix = _Slot(matrix, stamp)
+
+    def tick(self, now: float) -> tuple[Command, TickTelemetry]:
+        if self.landed:
+            u = self._zero()
+            return (Command(u=u), TickTelemetry(now, self.agent_id, "landed",
+                                                False, u))
+        if self._data_stale(now):
+            u = self._zero()
+            return (Command(u=u, hold=True),
+                    TickTelemetry(now, self.agent_id, "hold", True, u))
+
+        pose = self._pose.value
+        setpoint, rate = self._setpoint.value
+        matrix = self._matrix.value
+        if self.kind == UAV:
+            current = pose
+            ugv_view = None
+        else:
+            ugv_view = UgvState(pose[0], pose[1], pose[2], offset=self.offset,
+                                wheel_base=self.wheel_base)
+            current = nid_offset(ugv_view)
+        u_nom = nominal_velocity(current, setpoint, rate, self.gains, self.speed_limit)
+        n_active = matrix.active_count
+        u, iterations = qp.project_with_box(
+            u_nom, matrix.a[:n_active], matrix.b[:n_active], self.speed_limit)
+        violation = 0.0
+        status = "optimal"
+        if u is None:  # infeasible: escalate to the slack relaxation
+            sol = qp.solve_relaxed(qp.QpProblem(
+                u_nominal=u_nom, rows=matrix.active_rows(), box=self.speed_limit))
+            u, iterations = sol.u_star, sol.iterations
+            violation = sol.max_violation
+            status = sol.status.value
+        telemetry = TickTelemetry(now, self.agent_id, status, False, u,
+                                  iterations, violation)
+        if self.kind == UAV:
+            return Command(u=u), telemetry
+        v, omega = nid_inverse(ugv_view, u,
+                               turn_rate_limit=self.params.turn_rate_limit)
+        return Command(u=u, v=v, omega=omega), telemetry

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from airground import qp
 from airground.agents import (UAV, UGV, AgentControlUnit, Gains, UavState,
                               UgvState, nid_forward, nid_inverse,
                               nid_offset, nominal_velocity, step_ugv,
@@ -232,6 +233,54 @@ class TestControlUnit:
         unit.on_pose((1, 1, 1), 0.10)
         unit.on_pose((9, 9, 9), 0.05)  # older message arriving late
         assert np.allclose(unit._pose.value, [1, 1, 1])
+
+    def test_solves_once_per_slot_replacement(self, monkeypatch):
+        calls = []
+        project = qp.project_with_box
+
+        def counted(*args):
+            calls.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(qp, "project_with_box", counted)
+        unit = self.make_uav()
+        self.feed(unit, 0.0, (0, 0, 1), (2, 0, 1), (0, 0, 0), empty_matrix())
+        for t in (0.0, 0.02, 0.04):
+            unit.tick(t)
+        assert len(calls) == 1
+        replacements = [
+            lambda t: unit.on_pose((0.1, 0, 1), t),
+            lambda t: unit.on_setpoint((2, 1, 1), (0, 0, 0), t),
+            lambda t: unit.on_constraints(empty_matrix(t=t), t),
+            lambda t: unit.on_pose((0.2, 0, 1), 0.06),  # equal stamp, new value
+        ]
+        for k, replace in enumerate(replacements):
+            calls.clear()
+            t = 0.06 + 0.02 * k
+            replace(0.06)
+            unit.tick(t)
+            assert len(calls) == 1  # the first tick after the replacement
+            unit.tick(t + 0.01)
+            assert len(calls) == 1  # and none on the next
+        calls.clear()
+        unit.on_pose((9, 9, 9), 0.05)            # older stamps are ignored
+        unit.on_setpoint((9, 9, 9), (0, 0, 0), 0.0)
+        unit.on_constraints(empty_matrix(t=0.0), 0.0)
+        cmd, tele = unit.tick(0.2)
+        assert calls == [] and tele.status == "optimal"
+        cmd, tele = unit.tick(0.4)               # stale: hold, no solve
+        assert calls == [] and tele.status == "hold"
+
+    def test_returned_command_cannot_change_the_next(self):
+        unit = self.make_uav()
+        self.feed(unit, 0.0, (0, 0, 1), (2, 0, 1), (0, 0, 0), empty_matrix())
+        cmd, tele = unit.tick(0.0)
+        expected = cmd.u.tobytes()
+        cmd.u[:] = 7.0
+        tele.u_applied[0] = -7.0
+        cmd, tele = unit.tick(0.02)
+        assert cmd.u.tobytes() == expected
+        assert tele.u_applied.tobytes() == expected
 
 
 class TestConvergenceRate:

@@ -228,6 +228,45 @@ class TestRejections:
                 "agents[1].ugv must be a mapping",
                 "events[0].time must be a number, got 'soon'"} <= messages
 
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda d: d["agents"][0].pop("uav"),
+         ("MISSING_FIELD", "agents[0].uav missing")),
+        (lambda d: d["agents"][1].update(ugv=3),
+         ("BAD_VALUE", "agents[1].ugv must be a mapping")),
+        (lambda d: d["agents"][0]["uav"].update(start="here"),
+         ("BAD_VALUE", "agents[0].uav.start must be 3 numbers (x,y,z)")),
+        (lambda d: d["agents"][1]["ugv"].update(waypoints=[[1, 2, 3]]),
+         ("BAD_VALUE", "agents[1].ugv.waypoints must be 2-vectors")),
+        (lambda d: d["agents"].__setitem__(0, 7),
+         ("BAD_VALUE", "agents[0] must be a mapping, got 7")),
+    ])
+    def test_unparsed_agent_spec_gets_no_spawn_verdict(self, edit, expected):
+        """A spec that did not parse reports its own violation and nothing
+        else: the spawn checks have no values of it to judge."""
+        data = variant()
+        edit(data)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert [(x.code, x.message) for x in err.value.violations] == [expected]
+
+    def test_missing_spec_in_shipped_scenario_reported_once(self):
+        with open(os.path.join(SCENARIOS, "hover_pair.yaml")) as f:
+            data = load_yaml(f.read())
+        del data["agents"][0]["uav"]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert [(x.code, x.message) for x in err.value.violations] == [
+            ("MISSING_FIELD", "agents[0].uav missing")]
+
+    @pytest.mark.parametrize("entry", [5, "land", [1.0, 0], None])
+    def test_non_mapping_event_is_a_bad_event(self, entry):
+        data = variant()
+        data["events"] = [{"time": 1.0, "pair": 0}, entry]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert [(x.code, x.message) for x in err.value.violations] == [
+            ("BAD_EVENT", f"events[1] must be a mapping, got {entry!r}")]
+
     def test_retired_watcher_key_still_loads(self):
         data = variant()
         data["watcher"] = {"velocity_stale_after": 0.2}

@@ -1,6 +1,7 @@
 """The array implementations of gating, barrier evaluation and velocity
-estimation, and the QP entry points over project_with_box, against the code
-they replaced (tests/oracles.py): equal results, bit for bit."""
+estimation, the QP entry points over project_with_box, and the control unit
+that reuses its filtered command, against the code they replaced
+(tests/oracles.py): equal results, bit for bit."""
 
 import math
 
@@ -9,18 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from airground.barriers import Bounds, SafetyParams
+from airground.agents import UAV, UGV, AgentControlUnit, Gains
+from airground.barriers import Bounds, ConstraintRow, RowKind, SafetyParams
 from airground.logfmt import fmt9
 from airground.qp import QpStatus, filter_velocity, solve, solve_relaxed
 from airground.runner import run
 from airground.summary import (PhysicsView, Roster, summarize_dir,
                                tick_barriers)
-from airground.watcher import (PairPhase, VelocityEstimator, Watcher,
-                               WaypointTrack)
+from airground.watcher import (ConstraintMatrix, PairPhase, VelocityEstimator,
+                               Watcher, WaypointTrack)
 
-from oracles import (AgentVelocityEstimator, DictGates, Sample, VelQuality,
-                     scalar_tick_barriers, stacked_filter_velocity,
-                     stacked_solve, stacked_solve_relaxed)
+from oracles import (AgentVelocityEstimator, DictGates, Sample,
+                     UncachedControlUnit, VelQuality, scalar_tick_barriers,
+                     stacked_filter_velocity, stacked_solve,
+                     stacked_solve_relaxed)
 from qp_problems import random_problem
 from scenario_helpers import crossing_scenario
 
@@ -245,3 +248,106 @@ def test_fleet_estimator_matches_per_agent_oracle():
                     assert worst_case == (want.quality is VelQuality.WORST_CASE)
                     qualities.add(want.quality)
             assert qualities == set(VelQuality)
+
+
+def random_matrix(rng, agent_id: str, dim: int, stamp: float,
+                  infeasible: bool) -> ConstraintMatrix:
+    """0-4 random rows, or a pair of rows no velocity satisfies
+    (u_0 >= 0.4 and u_0 <= -0.4), which forces the slack relaxation."""
+    if infeasible:
+        e = np.eye(dim)[0]
+        rows = [ConstraintRow(a=e, b=-0.4, kind=RowKind.UAV_UAV),
+                ConstraintRow(a=-e, b=-0.4, kind=RowKind.UAV_UAV)]
+    else:
+        rows = [ConstraintRow(a=rng.normal(0.0, 1.0, dim),
+                              b=float(rng.uniform(-0.5, 1.0)), kind=RowKind.UAV_UAV)
+                for _ in range(rng.integers(0, 5))]
+    return ConstraintMatrix.from_rows(agent_id, stamp, 8, dim, rows)
+
+
+def message_run(rng, kind: str, hold_timeout: float):
+    """A seeded sequence of (time, messages) for one control unit at 100 Hz.
+
+    Messages arrive with up to 50 ms of latency, so some carry stamps older
+    than their slot's and are ignored; some repeat the slot's stamp with a
+    new value; two silent gaps outlast hold_timeout; one matrix in five is
+    infeasible; a touchdown acknowledgement comes at 80% of the run."""
+    dim = 3 if kind == UAV else 2
+    n_ticks = 400
+    gaps = {int(rng.integers(40, 120)), int(rng.integers(200, 280))}
+    stamps = {"pose": -math.inf, "setpoint": -math.inf, "matrix": -math.inf}
+    silent_until = -1
+    for k in range(n_ticks):
+        t = k * 0.01
+        if k in gaps:
+            silent_until = k + round(hold_timeout / 0.01) + int(rng.integers(2, 10))
+        messages = []
+        if k > silent_until:
+            for slot in ("pose", "setpoint", "matrix"):
+                draw = rng.uniform()
+                if draw < 0.6:
+                    continue
+                if draw < 0.7 and stamps[slot] > -math.inf:
+                    stamp = stamps[slot]                    # equal stamp
+                elif draw < 0.8 and stamps[slot] > -math.inf:
+                    stamp = stamps[slot] - 0.01             # older: ignored
+                else:
+                    stamp = t - float(rng.uniform(0.0, 0.05))
+                stamps[slot] = max(stamps[slot], stamp)
+                if slot == "pose":
+                    value = (rng.uniform(-3.0, 3.0, 3),)  # x, y, z or theta
+                elif slot == "setpoint":
+                    value = (rng.uniform(-3.0, 3.0, dim),
+                             rng.uniform(-0.3, 0.3, dim))
+                else:
+                    value = (random_matrix(rng, f"{kind}0", dim, stamp,
+                                           rng.uniform() < 0.2),)
+                messages.append((slot, value, stamp))
+        if k == int(0.8 * n_ticks):
+            messages.append(("touchdown", (), t))
+        yield t, messages
+
+
+def deliver(unit, slot, value, stamp) -> None:
+    if slot == "pose":
+        unit.on_pose(*value, stamp)
+    elif slot == "setpoint":
+        unit.on_setpoint(*value, stamp)
+    elif slot == "matrix":
+        unit.on_constraints(*value, stamp)
+    else:
+        unit.on_touchdown_ack()
+
+
+def test_cached_control_unit_matches_per_tick_oracle():
+    """Fed the same messages, the unit that solves once per replaced slot
+    emits exactly the commands and telemetry of the one that solves on
+    every tick, including holds, relaxations and the landed state."""
+    for seed in range(6):
+        for kind in (UAV, UGV):
+            dim = 3 if kind == UAV else 2
+            args = (f"{kind}0", kind, Gains.of(1.0, dim), PARAMS, 0.12)
+            cached = AgentControlUnit(*args)
+            oracle = UncachedControlUnit(*args)
+            seen = []
+            reused = 0
+            for t, messages in message_run(np.random.default_rng(seed), kind, 0.12):
+                for message in messages:
+                    deliver(cached, *message)
+                    deliver(oracle, *message)
+                was_solved = cached._solved is not None
+                got_cmd, got = cached.tick(t)
+                want_cmd, want = oracle.tick(t)
+                reused += was_solved and got.status in ("optimal", "relaxed")
+                assert got_cmd.u.tobytes() == want_cmd.u.tobytes()
+                assert got.u_applied.tobytes() == want.u_applied.tobytes()
+                assert (got_cmd.v, got_cmd.omega, got_cmd.hold) == (
+                    want_cmd.v, want_cmd.omega, want_cmd.hold)
+                assert (got.time, got.status, got.stale, got.qp_iterations,
+                        got.max_violation) == (
+                    want.time, want.status, want.stale, want.qp_iterations,
+                    want.max_violation)
+                seen.append(got.status)
+            assert {"optimal", "relaxed", "hold"} <= set(seen)
+            assert ("landed" in seen) == (kind == UAV)
+            assert reused > 50  # ticks that reused a cached solution

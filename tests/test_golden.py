@@ -5,7 +5,9 @@ three before the watcher's gating and the per-tick barrier evaluation were
 vectorized, from the scalar implementations; the clustered run and the
 landing trace before the agents' landing state, the QP entry points and the
 sphere barriers were each reduced to one path; the noisy crossing before the
-watcher's per-agent velocity estimators became one per family.  A change that alters any
+watcher's per-agent velocity estimators became one per family; the lossy
+100 Hz crossing before a control unit reused its filtered command between
+deliveries.  A change that alters any
 logged byte of these runs -- a reordered constraint row, a last-ulp
 difference in a recomputed min_h, one message more or less on the bus --
 fails here.  A change that is meant to alter the logs (a bug fix) must say
@@ -35,6 +37,14 @@ def noisy_crossing(**overrides):
                              **overrides)
 
 
+def lossy_crossing_100hz(**overrides):
+    """Control at 100 Hz over a link that drops a quarter of the messages:
+    each delivery is reused for several ticks, and gaps end in holds."""
+    return crossing_three_5s(
+        control_rate=100.0, hold_timeout=0.12,
+        network={"latency": 0.03, "jitter": 0.02, "drop": 0.25}, **overrides)
+
+
 # name -> (scenario, trajectory.csv, watcher.csv, trace.log or None: untraced)
 GOLDEN = {
     "crossing_three_5s": (
@@ -61,6 +71,12 @@ GOLDEN = {
         "79c8dc66b003ae637434abd638959d63dba5c433b2ea46a651a6f9312d96d989",
         "8485b3325bd136ff5caf247288ac9a5971db129e549ca5aff01296b5f45266c5",
     ),
+    "lossy_crossing_100hz_5s": (
+        lossy_crossing_100hz,
+        "f7f837f6e75f017fff996333d132b34e00efcd5225c64fadf39dfe640f49a3e1",
+        "d11ef98bb950ae2c1e584c6d5ead98b81f568a4f9057fa29503461be82a519cd",
+        "e2e8e3a6212574249087b117b38f3d3193383e456de63d53b81eaf9380d7c616",
+    ),
     "clustered_6s": (
         lambda: clustered_scenario(duration=6.0),
         "6326e40dd4013d3c8d4049fa72ef1d27f579bad743747a9ba2f9d7c78fcc8160",
@@ -85,6 +101,10 @@ def test_logs_match_recorded_digests(tmp_path, name):
             assert "type=landing_signal" in f.read()
     if name == "clustered_6s":  # and the slack relaxation
         assert result.relaxed_events > 0
+    if name == "lossy_crossing_100hz_5s":  # and holds between reused ticks
+        with open(result.trajectory_path) as f:
+            statuses = [line.split(",")[10] for line in f.read().splitlines()[1:]]
+        assert "hold" in statuses and "optimal" in statuses
     assert sha256(result.trajectory_path) == trajectory
     assert sha256(result.watcher_path) == watcher
     if trace is not None:
