@@ -29,11 +29,6 @@ UGV = "ugv"
 
 
 @dataclass
-class UavState:
-    p: np.ndarray                 # inertial position (m)
-
-
-@dataclass
 class UgvState:
     x: float
     y: float
@@ -127,25 +122,29 @@ def twist_from_wheels(r1: float, r2: float, wheel_base: float) -> tuple[float, f
     return (r1 + r2) / 2.0, (r1 - r2) / (2.0 * wheel_base)
 
 
-def step_uav(state: UavState, u, dt: float) -> UavState:
-    """Explicit-Euler position update under a velocity command."""
+def step_uav(positions, velocities, dt: float) -> np.ndarray:
+    """Explicit-Euler update of (n, 3) UAV positions under (n, 3) velocities."""
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
-    u = np.asarray(u, dtype=float)
-    return UavState(p=state.p + dt * u)
+    return np.asarray(positions, dtype=float) + dt * np.asarray(velocities, dtype=float)
 
 
-def step_ugv(state: UgvState, v: float, omega: float, dt: float) -> UgvState:
-    """Explicit-Euler unicycle update; the vehicle stays on the ground plane."""
+def step_ugv(poses, v, omega, dt: float) -> np.ndarray:
+    """Explicit-Euler unicycle update of (n, 3) UGV poses (x, y, theta) under
+    (n,) body twists; the vehicles stay on the ground plane.
+
+    Each vehicle takes the scalar update x + dt*v*cos(theta), with cos and
+    sin from libm, and its new heading is wrapped into (-pi, pi] twice: the
+    pinned logs were recorded with both wraps, and one wrap is not proven to
+    give the same bits."""
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
-    return UgvState(
-        x=state.x + dt * v * math.cos(state.theta),
-        y=state.y + dt * v * math.sin(state.theta),
-        theta=wrap_angle(state.theta + dt * omega),
-        offset=state.offset,
-        wheel_base=state.wheel_base,
-    )
+    twists = zip(np.asarray(poses, dtype=float).tolist(),
+                 np.asarray(v, dtype=float).tolist(),
+                 np.asarray(omega, dtype=float).tolist())
+    return np.array([(x + dt * vk * math.cos(theta), y + dt * vk * math.sin(theta),
+                      wrap_angle(wrap_angle(theta + dt * wk)))
+                     for (x, y, theta), vk, wk in twists]).reshape(-1, 3)
 
 
 @dataclass

@@ -85,19 +85,20 @@ class SafetyParams:
 
     uav_separation < uav_ugv_separation < ugv_separation is required so the
     collision spheres do not block a UAV from entering its own landing funnel.
+    The field defaults are also the defaults of a scenario's safety section.
     """
 
-    uav_separation: float        # min UAV-UAV distance (m)
-    uav_ugv_separation: float    # min UAV to other-pair UGV distance (m)
-    ugv_separation: float        # min UGV-UGV offset-point distance (m)
-    funnel_sharpness: float      # horizontal scale of the landing funnel (1/m^2)
-    funnel_height: float         # vertical scale of the landing funnel (m)
-    hover_clearance: float       # standoff above the platform deck (m)
+    uav_separation: float = 0.5      # min UAV-UAV distance (m)
+    uav_ugv_separation: float = 0.7  # min UAV to other-pair UGV distance (m)
+    ugv_separation: float = 1.0      # min UGV-UGV offset-point distance (m)
+    funnel_sharpness: float = 1.0    # horizontal scale of the landing funnel (1/m^2)
+    funnel_height: float = 0.5       # vertical scale of the landing funnel (m)
+    hover_clearance: float = 0.2     # standoff above the platform deck (m)
     barrier_gain: float = DEFAULT_BARRIER_GAIN  # linear class-K gain (1/s)
     bounds: Bounds = field(default=Bounds(-5.0, 5.0, -5.0, 5.0, 0.0, 3.0))
-    uav_speed_limit: float = 1.0   # per-axis UAV velocity bound (m/s)
-    ugv_speed_limit: float = 0.6   # per-axis UGV offset-velocity bound (m/s)
-    turn_rate_limit: float = 2.0   # UGV angular rate bound (rad/s)
+    uav_speed_limit: float = 1.0     # per-axis UAV velocity bound (m/s)
+    ugv_speed_limit: float = 0.6     # per-axis UGV offset-velocity bound (m/s)
+    turn_rate_limit: float = 4.0     # UGV angular rate bound (rad/s)
 
     def validate(self) -> list[str]:
         problems = []
@@ -336,6 +337,12 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         dk = a[..., :, None, k] - b[..., None, :, k]
         d2 = dk * dk if d2 is None else d2 + dk * dk
     return d2
+
+
+def libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn applied per element through libm, not numpy's vector kernels,
+    which may differ in the last ulp from the scalar path."""
+    return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 def verify_validity(row: ConstraintRow, admissible_bound: float) -> bool:

@@ -11,7 +11,7 @@ body-frame safety from the first tick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -225,13 +225,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     saf = _section(v, data, "safety", required=True)
     safety = SafetyParams(bounds=bounds, **{
-        key: _number(v, saf, key, default, where="safety.")
-        for key, default in (
-            ("uav_separation", 0.5), ("uav_ugv_separation", 0.7),
-            ("ugv_separation", 1.0), ("funnel_sharpness", 1.0),
-            ("funnel_height", 0.5), ("hover_clearance", 0.2),
-            ("barrier_gain", 1.0), ("uav_speed_limit", 1.0),
-            ("ugv_speed_limit", 0.6), ("turn_rate_limit", 4.0))})
+        f.name: _number(v, saf, f.name, f.default, where="safety.")
+        for f in fields(SafetyParams) if f.name != "bounds"})
     for problem in safety.validate():
         code = "RADIUS_ORDER" if "separation radii" in problem else (
             "SPEED_BOUND" if "speed limits" in problem else "BAD_VALUE")

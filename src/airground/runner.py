@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (UAV, UGV, AgentControlUnit, Command, Gains, UavState,
-                     UgvState, step_ugv, step_uav)
+from .agents import (UAV, UGV, AgentControlUnit, Gains, step_ugv, step_uav,
+                     wrap_angle)
 from .config import ScenarioConfig
 from .errors import CapacityError, SafetyAbortError
 from .logfmt import fmt9
@@ -43,48 +43,53 @@ class RunResult:
     relaxed_events: int = 0
 
 
-class _Localization:
-    """Edge-side position source: ground truth plus optional Gaussian noise."""
-
-    def __init__(self, noise_std: float, seed: int):
-        self._std = noise_std
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence([seed, zlib.crc32(b"localization")]))
-
-    def poses(self, uav_states: dict[str, UavState],
-              ugv_states: dict[str, UgvState]) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for aid in sorted(uav_states):
-            out[aid] = uav_states[aid].p.copy()
-        for aid in sorted(ugv_states):
-            st = ugv_states[aid]
-            out[aid] = np.array([st.x, st.y, st.theta])
-        if self._std > 0.0:
-            for aid in sorted(out):
-                out[aid] = out[aid] + self._rng.normal(0.0, self._std, out[aid].shape)
-        return out
+# Per-family row counts of watcher.csv, in column order.
+_ROW_KINDS = ("workspace", "uav_other_ugv", "landing", "uav_uav", "ugv_ugv")
 
 
-def _kind_count(record: WatcherRecord, kind: str) -> int:
-    return record.kind_counts.get(kind, 0)
+def _integrate(uav, ugv, velocity, u, v, omega, landed: list[int],
+               cfg: ScenarioConfig):
+    """One dt of kinematics for the whole fleet.
+
+    UGV poses (x, y, theta) move under their body twists v, omega.  A UAV
+    flies its tracked velocity: a first-order lag toward its command u when
+    uav_velocity_lag > 0, else the command itself.  The landed UAVs (pair
+    indices) ride their platforms at hover clearance above the deck, with
+    zero tracked velocity.  Returns the new UAV positions, UGV poses and
+    tracked velocities."""
+    ugv = step_ugv(ugv, v, omega, cfg.dt)
+    if cfg.uav_velocity_lag > 0.0:
+        alpha = cfg.dt / cfg.uav_velocity_lag
+        velocity = velocity + alpha * (u - velocity)
+        u = velocity
+    uav = step_uav(uav, u, cfg.dt)
+    deck = cfg.platform_height + cfg.safety.hover_clearance
+    for i in landed:
+        velocity[i] = 0.0
+        uav[i] = ugv[i, 0], ugv[i, 1], deck
+    return uav, ugv, velocity
 
 
 def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     os.makedirs(out_dir, exist_ok=True)
     view = PhysicsView.from_config(cfg)
+    n = cfg.n_pairs
+    agent_ids = cfg.agent_ids()
 
-    uav_states: dict[str, UavState] = {}
-    ugv_states: dict[str, UgvState] = {}
+    # The fleet, indexed by pair: UAV positions, UGV poses (x, y, theta),
+    # the velocities the UAVs actually fly, and the latest commands.
+    uav = np.array([spec.start for spec in cfg.uavs], dtype=float)
+    ugv = np.array([spec.start for spec in cfg.ugvs], dtype=float)
+    ugv[:, 2] = [wrap_angle(a) for a in ugv[:, 2].tolist()]
+    uav_velocity = np.zeros((n, 3))
+    u_cmd = np.zeros((n, 3))
+    v_cmd = np.zeros(n)
+    omega_cmd = np.zeros(n)
+
     units: dict[str, AgentControlUnit] = {}
     tracks: dict[str, WaypointTrack] = {}
-    for i in range(cfg.n_pairs):
+    for i in range(n):
         uid, gid = f"uav{i}", f"ugv{i}"
-        uav_states[uid] = UavState(p=cfg.uavs[i].start.copy())
-        ugv_states[gid] = UgvState(
-            x=float(cfg.ugvs[i].start[0]), y=float(cfg.ugvs[i].start[1]),
-            theta=float(cfg.ugvs[i].start[2]),
-            offset=cfg.ugv_offset, wheel_base=cfg.wheel_base,
-        )
         tracks[uid] = WaypointTrack(cfg.uavs[i].waypoints, cfg.uavs[i].speed)
         tracks[gid] = WaypointTrack(cfg.ugvs[i].waypoints, cfg.ugvs[i].speed)
         units[uid] = AgentControlUnit(uid, UAV, Gains.of(cfg.gains_uav, 3),
@@ -93,10 +98,11 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                                       cfg.safety, cfg.hold_timeout,
                                       offset=cfg.ugv_offset,
                                       wheel_base=cfg.wheel_base)
+    uav_units = [units[f"uav{i}"] for i in range(n)]
 
     max_latency = cfg.network.base_latency + cfg.network.jitter
     coordinator = Watcher(
-        cfg.n_pairs, cfg.safety, cfg.capacity, tracks,
+        n, cfg.safety, cfg.capacity, tracks,
         platform_height=cfg.platform_height, ugv_offset=cfg.ugv_offset,
         period=1.0 / cfg.watcher_rate, max_latency=max_latency,
         activation_margin=cfg.watcher.activation_margin,
@@ -106,25 +112,22 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         touchdown_hold=cfg.watcher.touchdown_hold,
     )
     trace_lines: list[str] | None = [] if trace else None
-    bus = StarBus(cfg.agent_ids(), cfg.network, cfg.seed, trace=trace_lines)
-    localization = _Localization(cfg.localization_noise, cfg.seed)
+    bus = StarBus(agent_ids, cfg.network, cfg.seed, trace=trace_lines)
+    # Localization noise, one (2n, 3) draw per watcher tick: row k perturbs
+    # sorted(agent_ids)[k] (uav0, uav1, uav10, ..., ugv0, ...), the order
+    # that fixes the stream.
+    noise_rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, zlib.crc32(b"localization")]))
+    rank = {aid: k for k, aid in enumerate(sorted(agent_ids))}
+    uav_rows = [rank[f"uav{i}"] for i in range(n)]
+    ugv_rows = [rank[f"ugv{i}"] for i in range(n)]
 
-    agent_ids = cfg.agent_ids()
     kinds = tuple(aid[:3] for aid in agent_ids)
     roster = Roster(tuple(agent_ids), kinds)
     # Control ticks whose min_h is not yet evaluated: their states, and
     # their trajectory lines up to the min_h column.
     block = TickBlock(roster)
     pending_lines: list[str] = []
-    commands: dict[str, Command] = {
-        aid: Command(u=np.zeros(3 if aid.startswith("uav") else 2))
-        for aid in agent_ids
-    }
-    # Low-level tracking state: the velocity a UAV actually flies (first-order
-    # lag toward the command when uav_velocity_lag > 0, else the command).
-    uav_velocity: dict[str, np.ndarray] = {
-        f"uav{i}": np.zeros(3) for i in range(cfg.n_pairs)
-    }
     traj_lines: list[str] = [TRAJECTORY_HEADER]
     watcher_lines: list[str] = [WATCHER_HEADER]
     watcher_records: list[WatcherRecord] = []
@@ -160,8 +163,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     def dump_state(step, t, reason):
         dump = {
             "step": step, "time": t, "reason": reason,
-            "uavs": {aid: list(map(float, st.p)) for aid, st in uav_states.items()},
-            "ugvs": {aid: [st.x, st.y, st.theta] for aid, st in ugv_states.items()},
+            "uavs": {f"uav{i}": p for i, p in enumerate(uav.tolist())},
+            "ugvs": {f"ugv{i}": p for i, p in enumerate(ugv.tolist())},
         }
         path = os.path.join(out_dir, "state_dump.json")
         with open(path, "w") as f:
@@ -178,9 +181,12 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         route(bus.deliver_due(t))
 
         if step % steps_watch == 0:
+            seen_uav, seen_ugv = uav, ugv
+            if cfg.localization_noise > 0.0:
+                noise = noise_rng.normal(0.0, cfg.localization_noise, (2 * n, 3))
+                seen_uav, seen_ugv = uav + noise[uav_rows], ugv + noise[ugv_rows]
             try:
-                outbound, records = coordinator.tick(
-                    t, localization.poses(uav_states, ugv_states))
+                outbound, records = coordinator.tick(t, seen_uav, seen_ugv)
             except CapacityError as exc:
                 path = dump_state(step, t, f"watcher: {exc}")
                 raise SafetyAbortError(
@@ -190,20 +196,20 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             watcher_records.extend(records)
             t_str = fmt9(t)
             for rec in records:
-                watcher_lines.append(
-                    f"{t_str},{rec.agent_id},{rec.phase},{rec.active_count},"
-                    f"{_kind_count(rec, 'workspace')},"
-                    f"{_kind_count(rec, 'uav_other_ugv')},"
-                    f"{_kind_count(rec, 'landing')},"
-                    f"{_kind_count(rec, 'uav_uav')},"
-                    f"{_kind_count(rec, 'ugv_ugv')},"
-                    f"{';'.join(rec.proximal)}"
-                )
+                counts = ",".join(str(rec.kind_counts.get(kind, 0)) for kind in _ROW_KINDS)
+                watcher_lines.append(f"{t_str},{rec.agent_id},{rec.phase},"
+                                     f"{rec.active_count},{counts},{';'.join(rec.proximal)}")
             route(bus.deliver_due(t))  # zero-latency traffic lands this instant
 
         if step % steps_ctrl == 0:
-            telemetry = {}
-            for aid in agent_ids:
+            # Logged (x, y, z, theta) per agent.  agent_ids interleave the
+            # pairs (uav0, ugv0, uav1, ...): agent k belongs to pair k // 2.
+            logged = [pose for p, g in zip(uav.tolist(), ugv.tolist())
+                      for pose in ((*p, 0.0), (g[0], g[1], 0.0, g[2]))]
+            t_str = fmt9(t)
+            states = []
+            for k, (aid, kind, (x, y, z, theta)) in enumerate(
+                    zip(agent_ids, kinds, logged)):
                 try:
                     command, tele = units[aid].tick(t)
                 except (RuntimeError, np.linalg.LinAlgError) as exc:
@@ -211,54 +217,28 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                     raise SafetyAbortError(
                         f"safety filter failed for {aid} at t={t}: {exc} "
                         f"(state dump: {path})")
-                commands[aid] = command
-                telemetry[aid] = tele
+                if kind == UAV:
+                    u_cmd[k // 2] = command.u
+                else:
+                    v_cmd[k // 2], omega_cmd[k // 2] = command.v, command.omega
                 if tele.status == "relaxed":
                     relaxed_events += 1
-
-            t_str = fmt9(t)
-            states = []
-            for aid, kind in zip(agent_ids, kinds):
-                if kind == "uav":
-                    st = uav_states[aid]
-                    strs = (fmt9(st.p[0]), fmt9(st.p[1]), fmt9(st.p[2]), fmt9(0.0))
-                else:
-                    st = ugv_states[aid]
-                    strs = (fmt9(st.x), fmt9(st.y), fmt9(0.0), fmt9(st.theta))
-                tele = telemetry[aid]
-                states.append((float(strs[0]), float(strs[1]), float(strs[2]),
-                               float(strs[3]), tele.status == "landed"))
+                sx, sy, sz, sth = fmt9(x), fmt9(y), fmt9(z), fmt9(theta)
+                states.append((float(sx), float(sy), float(sz), float(sth),
+                               tele.status == "landed"))
                 u = tele.u_applied
-                ux, uy = fmt9(u[0]), fmt9(u[1])
                 uz = fmt9(u[2]) if len(u) == 3 else fmt9(0.0)
-                sx, sy, sz, sth = strs
                 pending_lines.append(
                     f"{t_str},{aid},{kind},{sx},{sy},{sz},{sth},"
-                    f"{ux},{uy},{uz},{tele.status},"
-                )
+                    f"{fmt9(u[0])},{fmt9(u[1])},{uz},{tele.status},")
             block.add_tick(*zip(*states))
             if block.full():
                 flush_block()
 
         if step < total:
-            for i in range(cfg.n_pairs):
-                gid = f"ugv{i}"
-                cmd = commands[gid]
-                ugv_states[gid] = step_ugv(ugv_states[gid], cmd.v, cmd.omega, cfg.dt)
-            for i in range(cfg.n_pairs):
-                uid = f"uav{i}"
-                if units[uid].landed:
-                    st = ugv_states[f"ugv{i}"]
-                    uav_states[uid] = UavState(p=np.array(
-                        [st.x, st.y, cfg.platform_height + cfg.safety.hover_clearance]))
-                    uav_velocity[uid] = np.zeros(3)
-                elif cfg.uav_velocity_lag > 0.0:
-                    alpha = cfg.dt / cfg.uav_velocity_lag
-                    uav_velocity[uid] = (uav_velocity[uid]
-                                         + alpha * (commands[uid].u - uav_velocity[uid]))
-                    uav_states[uid] = step_uav(uav_states[uid], uav_velocity[uid], cfg.dt)
-                else:
-                    uav_states[uid] = step_uav(uav_states[uid], commands[uid].u, cfg.dt)
+            landed = [i for i, unit in enumerate(uav_units) if unit.landed]
+            uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, u_cmd,
+                                                v_cmd, omega_cmd, landed, cfg)
 
     if block.ticks:
         flush_block()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import pairwise_sq_distances
+from .barriers import libm, pairwise_sq_distances
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import roundtrip
@@ -178,12 +178,6 @@ class TickBlock:
         self.ticks = 0
 
 
-def _libm(fn, values: np.ndarray) -> np.ndarray:
-    """fn applied per element through libm, not numpy's vector kernels,
-    which may differ in the last ulp."""
-    return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
-
-
 def _fmin_all(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     for values in rest:
         first = np.fmin(first, values)
@@ -239,7 +233,7 @@ def tick_barriers(view: PhysicsView, roster: Roster, x: np.ndarray,
             a = view.funnel_sharpness
             funnel = np.full(ux.shape, math.inf)
             funnel[:, fu] = record("landing", rz - view.funnel_height * a * l
-                                   * _libm(math.exp, -a * l) - view.hover_clearance)
+                                   * libm(math.exp, -a * l) - view.hover_clearance)
             terms.append(funnel)
         flying = ~landed[:, u]
         uavs = np.stack((ux, uy, uz), axis=-1)
@@ -260,8 +254,8 @@ def tick_barriers(view: PhysicsView, roster: Roster, x: np.ndarray,
                 view.uav_ugv_separation))
         per_agent[:, u] = _fmin_all(*terms)
     if g.size:
-        ox = x[:, g] + view.ugv_offset * _libm(math.cos, theta[:, g])
-        oy = y[:, g] + view.ugv_offset * _libm(math.sin, theta[:, g])
+        ox = x[:, g] + view.ugv_offset * libm(math.cos, theta[:, g])
+        oy = y[:, g] + view.ugv_offset * libm(math.sin, theta[:, g])
         terms = [record("workspace", _fmin_all(
             view.x_max - ox, ox - view.x_min, view.y_max - oy, oy - view.y_min))]
         if g.size > 1:
@@ -414,11 +408,17 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
         a2a = 0
         sent = dropped = 0
         with open(trace_path, "r") as f:
-            for line in f:
-                fields = dict(
-                    part.split("=", 1) for part in line.split()[1:]
-                )
-                event = line.split()[0]
+            for lineno, line in enumerate(f, start=1):
+                tokens = line.split()
+                if not tokens:
+                    continue
+                event, fields = tokens[0], {}
+                for token in tokens[1:]:
+                    key, eq, value = token.partition("=")
+                    if not eq:
+                        raise InvalidInputError(
+                            f"{trace_path}:{lineno}: expected key=value, got {token!r}")
+                    fields[key] = value
                 src, dst = fields.get("src", ""), fields.get("dst", "")
                 if event == "send":
                     sent += 1

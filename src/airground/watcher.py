@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .barriers import (ConstraintRow, RowKind, SafetyParams,
-                       build_constraint_row, build_workspace_rows,
+                       build_constraint_row, build_workspace_rows, libm,
                        pairwise_sq_distances)
 from .errors import CapacityError, InvalidInputError
 from .netsim import MsgType
@@ -418,20 +418,15 @@ class Watcher:
 
     # -- main tick ----------------------------------------------------------
 
-    def tick(self, now: float, poses: dict[str, np.ndarray]
-             ) -> tuple[list[Outbound], list[WatcherRecord]]:
-        """Run one coordination cycle; returns messages to send and records."""
-        for agent_id, pose in poses.items():
-            family = self._uav if agent_id.startswith("uav") else self._ugv
-            family[int(agent_id[3:])] = pose
-        ugv = self._ugv
-        # libm per element, not numpy's vector cos/sin, which may differ in
-        # the last ulp from the scalar path the rest of the package uses.
-        headings = ugv[:, 2].tolist()
+    def tick(self, now: float, uav, ugv) -> tuple[list[Outbound], list[WatcherRecord]]:
+        """Run one coordination cycle on the fleet's (n, 3) UAV positions and
+        (n, 3) UGV poses (x, y, theta), indexed by pair; returns messages to
+        send and records."""
+        self._uav = np.array(uav, dtype=float).reshape(self.n_pairs, 3)
+        self._ugv = ugv = np.array(ugv, dtype=float).reshape(self.n_pairs, 3)
         self._offsets = np.column_stack((
-            ugv[:, 0] + self.ugv_offset * np.array([math.cos(a) for a in headings]),
-            ugv[:, 1] + self.ugv_offset * np.array([math.sin(a) for a in headings]),
-        )).reshape(self.n_pairs, 2)
+            ugv[:, 0] + self.ugv_offset * libm(math.cos, ugv[:, 2]),
+            ugv[:, 1] + self.ugv_offset * libm(math.sin, ugv[:, 2])))
         self._platforms = np.column_stack(
             (ugv[:, :2], np.full(self.n_pairs, self.platform_height)))
         self._est_uav.push(now, self._uav)

@@ -9,6 +9,9 @@
   before the watcher kept one estimator per family.
 * The control unit that solved its safety filter on every control tick,
   from before it reused the solution until an input slot was replaced.
+* The per-vehicle kinematic steps on state objects, and the simulator's
+  per-agent integration loop over them, from before the fleet was stepped
+  as arrays.
 
 The equivalence tests require the package to reproduce them exactly, bit
 for bit.
@@ -25,7 +28,7 @@ import numpy as np
 from airground import qp
 from airground.agents import (UAV, AgentControlUnit, Command, TickTelemetry,
                               UgvState, _Slot, nid_inverse, nid_offset,
-                              nominal_velocity)
+                              nominal_velocity, wrap_angle)
 from airground.errors import InvalidInputError
 from airground.qp import (RELAXATION_WEIGHT, QpProblem, QpSolution, QpStatus,
                           _project)
@@ -408,3 +411,56 @@ class UncachedControlUnit(AgentControlUnit):
         v, omega = nid_inverse(ugv_view, u,
                                turn_rate_limit=self.params.turn_rate_limit)
         return Command(u=u, v=v, omega=omega), telemetry
+
+
+@dataclass
+class UavState:
+    p: np.ndarray                 # inertial position (m)
+
+
+def step_uav(state: UavState, u, dt: float) -> UavState:
+    """Explicit-Euler position update under a velocity command."""
+    if dt <= 0:
+        raise InvalidInputError("dt must be positive")
+    u = np.asarray(u, dtype=float)
+    return UavState(p=state.p + dt * u)
+
+
+def step_ugv(state: UgvState, v: float, omega: float, dt: float) -> UgvState:
+    """Explicit-Euler unicycle update; the vehicle stays on the ground plane."""
+    if dt <= 0:
+        raise InvalidInputError("dt must be positive")
+    return UgvState(
+        x=state.x + dt * v * math.cos(state.theta),
+        y=state.y + dt * v * math.sin(state.theta),
+        theta=wrap_angle(state.theta + dt * omega),
+        offset=state.offset,
+        wheel_base=state.wheel_base,
+    )
+
+
+def integrate_per_agent(uav_states: dict[str, UavState],
+                        ugv_states: dict[str, UgvState],
+                        uav_velocity: dict[str, np.ndarray],
+                        commands: dict[str, Command], landed: dict[str, bool],
+                        dt: float, lag: float, deck_z: float) -> None:
+    """One dt of the simulator's per-agent integration, in place: every UGV,
+    then every UAV (riding its platform at deck_z once landed)."""
+    n = len(uav_states)
+    for i in range(n):
+        gid = f"ugv{i}"
+        cmd = commands[gid]
+        ugv_states[gid] = step_ugv(ugv_states[gid], cmd.v, cmd.omega, dt)
+    for i in range(n):
+        uid = f"uav{i}"
+        if landed[uid]:
+            st = ugv_states[f"ugv{i}"]
+            uav_states[uid] = UavState(p=np.array([st.x, st.y, deck_z]))
+            uav_velocity[uid] = np.zeros(3)
+        elif lag > 0.0:
+            alpha = dt / lag
+            uav_velocity[uid] = (uav_velocity[uid]
+                                 + alpha * (commands[uid].u - uav_velocity[uid]))
+            uav_states[uid] = step_uav(uav_states[uid], uav_velocity[uid], dt)
+        else:
+            uav_states[uid] = step_uav(uav_states[uid], commands[uid].u, dt)

@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from airground import qp
-from airground.agents import (UAV, UGV, AgentControlUnit, Gains, UavState,
-                              UgvState, nid_forward, nid_inverse,
-                              nid_offset, nominal_velocity, step_ugv,
-                              step_uav, twist_from_wheels, wheel_speeds,
-                              wrap_angle)
+from airground.agents import (UAV, UGV, AgentControlUnit, Gains, UgvState,
+                              nid_forward, nid_inverse, nid_offset,
+                              nominal_velocity, step_ugv, step_uav,
+                              twist_from_wheels, wheel_speeds, wrap_angle)
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row)
+from airground.errors import InvalidInputError
 from airground.watcher import ConstraintMatrix
 
 PARAMS = SafetyParams(
@@ -102,36 +102,45 @@ class TestWheelMap:
 
 class TestKinematicSteps:
     def test_uav_zero_input(self):
-        s = UavState(p=np.array([1.0, 2.0, 3.0]))
-        s2 = step_uav(s, (0, 0, 0), 0.01)
-        assert np.array_equal(s2.p, s.p)
+        p = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 1.0]])
+        p2 = step_uav(p, np.zeros((2, 3)), 0.01)
+        assert np.array_equal(p2, p)
 
     def test_uav_euler(self):
-        s = step_uav(UavState(p=np.array([0.0, 0.0, 1.0])), (1, 0, 0), 0.01)
-        assert np.allclose(s.p, [0.01, 0, 1])
+        p = step_uav(np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]), 0.01)
+        assert np.allclose(p, [[0.01, 0, 1]])
 
     def test_uav_linearity(self):
-        s = UavState(p=np.zeros(3))
-        u = np.array([0.3, -0.1, 0.2])
+        p = np.zeros((2, 3))
+        u = np.array([[0.3, -0.1, 0.2], [-0.5, 0.4, 0.0]])
         for _ in range(17):
-            s = step_uav(s, u, 0.01)
-        assert np.allclose(s.p, 17 * 0.01 * u, atol=1e-12)
+            p = step_uav(p, u, 0.01)
+        assert np.allclose(p, 17 * 0.01 * u, atol=1e-12)
 
     def test_ugv_hold(self):
-        s = UgvState(1, 2, 0.5)
-        s2 = step_ugv(s, 0, 0, 0.1)
-        assert (s2.x, s2.y, s2.theta) == (1, 2, 0.5)
+        poses = np.array([[1.0, 2.0, 0.5], [-3.0, 0.0, -2.0]])
+        poses2 = step_ugv(poses, np.zeros(2), np.zeros(2), 0.1)
+        assert np.array_equal(poses2, poses)
 
     def test_ugv_straight(self):
-        s2 = step_ugv(UgvState(0, 0, 0.0), 1.0, 0.0, 0.1)
-        assert s2.x == pytest.approx(0.1)
-        assert s2.y == pytest.approx(0.0)
+        poses = step_ugv(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, math.pi / 2]]),
+                         np.array([1.0, 0.5]), np.zeros(2), 0.1)
+        assert poses[0] == pytest.approx([0.1, 0.0, 0.0])
+        assert poses[1] == pytest.approx([1.0, 1.05, math.pi / 2])
 
     def test_heading_wraps_into_half_open_interval(self):
-        s = UgvState(0, 0, math.pi - 0.01)
-        s2 = step_ugv(s, 0.0, 0.02 / 0.1, 0.1)  # push past pi
-        assert -math.pi < s2.theta <= math.pi
-        assert s2.theta == pytest.approx(-math.pi + 0.01, abs=1e-12)
+        poses = np.array([[0.0, 0.0, math.pi - 0.01], [0.0, 0.0, -math.pi + 0.01]])
+        # push the first past pi and the second past -pi
+        poses2 = step_ugv(poses, np.zeros(2), np.array([0.2, -0.2]), 0.1)
+        assert np.all((-math.pi < poses2[:, 2]) & (poses2[:, 2] <= math.pi))
+        assert poses2[0, 2] == pytest.approx(-math.pi + 0.01, abs=1e-12)
+        assert poses2[1, 2] == pytest.approx(math.pi - 0.01, abs=1e-12)
+
+    def test_non_positive_dt_rejected(self):
+        with pytest.raises(InvalidInputError):
+            step_uav(np.zeros((1, 3)), np.zeros((1, 3)), 0.0)
+        with pytest.raises(InvalidInputError):
+            step_ugv(np.zeros((1, 3)), np.zeros(1), np.zeros(1), -0.01)
 
     def test_wrap_convention(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)

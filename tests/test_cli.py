@@ -119,6 +119,36 @@ class TestSummarize:
     def test_summarize_missing_dir_fails(self):
         assert main(["summarize", "/nonexistent/run"]) == 1
 
+    def traced_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
+        out_dir = str(tmp_path / "out")
+        assert main(["run", cfg, "--out-dir", out_dir, "--trace"]) == 0
+        capsys.readouterr()
+        trace = os.path.join(out_dir, "trace.log")
+        with open(trace) as f:
+            lines = f.read().splitlines()
+        return out_dir, trace, lines
+
+    def test_blank_trace_lines_are_skipped(self, tmp_path, capsys):
+        out_dir, trace, lines = self.traced_run(tmp_path, capsys)
+        assert main(["summarize", out_dir]) == 0
+        clean = capsys.readouterr().out
+        with open(trace, "w") as f:
+            f.write("\n".join(lines[:3] + ["", "   "] + lines[3:]) + "\n\n")
+        assert main(["summarize", out_dir]) == 0
+        assert capsys.readouterr().out == clean
+
+    def test_trace_token_without_equals_fails_cleanly(self, tmp_path, capsys):
+        out_dir, trace, lines = self.traced_run(tmp_path, capsys)
+        lines[4] += " garbled"
+        with open(trace, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert "cannot summarize" in err
+        assert f"{trace}:5:" in err and "'garbled'" in err
+        assert "Traceback" not in err
+
 
 class TestSafetyAbort:
     def test_unrecoverable_filter_failure_exits_three(self, tmp_path,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from airground.barriers import SafetyParams
 from airground.config import config_from_dict, load_yaml, parse_config
 from airground.errors import ConfigError
 
@@ -99,6 +100,11 @@ class TestAcceptedConfigs:
         import yaml
         cfg = parse_config(yaml.safe_dump(BASE))
         assert cfg.duration == 5.0
+
+    def test_empty_safety_section_takes_safety_params_defaults(self):
+        cfg = config_from_dict(variant(safety={}))
+        assert cfg.safety == SafetyParams(bounds=cfg.safety.bounds)
+        assert cfg.safety.turn_rate_limit == 4.0
 
 
 class TestRejections:

@@ -1,27 +1,31 @@
-"""The array implementations of gating, barrier evaluation and velocity
-estimation, the QP entry points over project_with_box, and the control unit
-that reuses its filtered command, against the code they replaced
-(tests/oracles.py): equal results, bit for bit."""
+"""The array implementations of gating, barrier evaluation, velocity
+estimation and the fleet's kinematic steps, the QP entry points over
+project_with_box, and the control unit that reuses its filtered command,
+against the code they replaced (tests/oracles.py): equal results, bit for
+bit."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from airground.agents import UAV, UGV, AgentControlUnit, Gains
+from airground.agents import (UAV, UGV, AgentControlUnit, Command, Gains,
+                              UgvState, wrap_angle)
 from airground.barriers import Bounds, ConstraintRow, RowKind, SafetyParams
 from airground.logfmt import fmt9
 from airground.qp import QpStatus, filter_velocity, solve, solve_relaxed
-from airground.runner import run
+from airground.runner import _integrate, run
 from airground.summary import (PhysicsView, Roster, summarize_dir,
                                tick_barriers)
 from airground.watcher import (ConstraintMatrix, PairPhase, VelocityEstimator,
                                Watcher, WaypointTrack)
 
 from oracles import (AgentVelocityEstimator, DictGates, Sample,
-                     UncachedControlUnit, VelQuality, scalar_tick_barriers,
+                     UavState, UncachedControlUnit, VelQuality,
+                     integrate_per_agent, scalar_tick_barriers,
                      stacked_filter_velocity, stacked_solve,
                      stacked_solve_relaxed)
 from qp_problems import random_problem
@@ -196,7 +200,7 @@ def test_gate_matrices_match_dict_oracle(case):
             poses[f"ugv{i}"] = ugv[i].copy()
             w.phases[i] = PairPhase.LANDED if landed[i] else PairPhase.TASK
         now = 0.05 * k
-        _, records = w.tick(now, poses)
+        _, records = w.tick(now, uav, ugv)
         oracle.update(poses, landed)
         for rec in records:
             aid = rec.agent_id
@@ -351,3 +355,56 @@ def test_cached_control_unit_matches_per_tick_oracle():
             assert {"optimal", "relaxed", "hold"} <= set(seen)
             assert ("landed" in seen) == (kind == UAV)
             assert reused > 50  # ticks that reused a cached solution
+
+
+def test_fleet_integration_matches_per_agent_oracle():
+    """The runner's fleet step (step_ugv, the UAV tracking lag, step_uav and
+    the landed UAVs riding their platforms) against the per-agent loop over
+    state objects, for 40 steps of random twists: every pose, position and
+    tracked velocity equal, bit for bit.  Headings start on and next to
+    +-pi and the turn rates carry them across it."""
+    rng = np.random.default_rng(3)
+    edges = [math.pi, math.nextafter(math.pi, 0.0), -math.pi + 1e-12,
+             math.nextafter(-math.pi, 0.0) + 2 * math.pi, 0.0, -1e-300]
+    crossed = 0
+    for n, lag, dt in ((1, 0.0, 0.01), (6, 0.0, 0.01), (6, 0.1, 0.01),
+                       (17, 0.05, 0.005), (17, 0.3, 0.02)):
+        cfg = SimpleNamespace(dt=dt, uav_velocity_lag=lag, platform_height=0.25,
+                              safety=SimpleNamespace(hover_clearance=0.2))
+        deck_z = cfg.platform_height + cfg.safety.hover_clearance
+        headings = rng.uniform(-math.pi, math.pi, n)
+        headings[:min(n, len(edges))] = edges[:n]
+        uav = rng.uniform(-5.0, 5.0, (n, 3))
+        ugv = np.column_stack((rng.uniform(-5.0, 5.0, (n, 2)),
+                               [wrap_angle(a) for a in headings.tolist()]))
+        velocity = np.zeros((n, 3))
+        uav_states = {f"uav{i}": UavState(p=uav[i].copy()) for i in range(n)}
+        ugv_states = {f"ugv{i}": UgvState(*ugv[i].tolist()) for i in range(n)}
+        uav_velocity = {f"uav{i}": np.zeros(3) for i in range(n)}
+        landed = np.zeros(n, dtype=bool)
+        for step in range(40):
+            u = rng.uniform(-1.0, 1.0, (n, 3))
+            v = rng.uniform(-0.6, 0.6, n)
+            omega = rng.choice([-1.0, 1.0], n) * rng.uniform(0.0, 40.0, n)
+            if step in (5, 25):  # touchdowns; a landed UAV stays landed
+                landed[(step // 20) * (n // 2)] = True
+            commands = {f"uav{i}": Command(u=u[i].copy()) for i in range(n)}
+            commands.update({f"ugv{i}": Command(u=np.zeros(2), v=v[i].item(),
+                                                omega=omega[i].item())
+                             for i in range(n)})
+            before = ugv[:, 2].copy()
+            uav, ugv, velocity = _integrate(uav, ugv, velocity, u, v, omega,
+                                            np.flatnonzero(landed).tolist(), cfg)
+            integrate_per_agent(uav_states, ugv_states, uav_velocity, commands,
+                                {f"uav{i}": bool(landed[i]) for i in range(n)},
+                                dt, lag, deck_z)
+            crossed += int(np.sum(np.abs(ugv[:, 2] - before) > math.pi))
+            for i in range(n):
+                st = ugv_states[f"ugv{i}"]
+                assert ugv[i].tobytes() == np.array([st.x, st.y, st.theta]).tobytes()
+                assert uav[i].tobytes() == uav_states[f"uav{i}"].p.tobytes()
+                assert velocity[i].tobytes() == uav_velocity[f"uav{i}"].tobytes()
+            assert np.all((-math.pi < ugv[:, 2]) & (ugv[:, 2] <= math.pi))
+            assert np.all(uav[landed, 2] == deck_z)
+        assert landed.any() and (n == 1 or not landed.all())
+    assert crossed > 20  # headings wrapped across +-pi

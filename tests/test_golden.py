@@ -7,7 +7,9 @@ landing trace before the agents' landing state, the QP entry points and the
 sphere barriers were each reduced to one path; the noisy crossing before the
 watcher's per-agent velocity estimators became one per family; the lossy
 100 Hz crossing before a control unit reused its filtered command between
-deliveries.  A change that alters any
+deliveries; the noisy 12-pair grid, whose localization noise is drawn in
+the lexicographic order of the agent ids (uav0, uav1, uav10, ...), before
+the runner held the fleet as arrays.  A change that alters any
 logged byte of these runs -- a reordered constraint row, a last-ulp
 difference in a recomputed min_h, one message more or less on the bus --
 fails here.  A change that is meant to alter the logs (a bug fix) must say
@@ -76,6 +78,12 @@ GOLDEN = {
         "f7f837f6e75f017fff996333d132b34e00efcd5225c64fadf39dfe640f49a3e1",
         "d11ef98bb950ae2c1e584c6d5ead98b81f568a4f9057fa29503461be82a519cd",
         "e2e8e3a6212574249087b117b38f3d3193383e456de63d53b81eaf9380d7c616",
+    ),
+    "noisy_grid_12pairs": (
+        lambda: grid_scenario(12, seed=1, duration=0.5, localization_noise=0.02),
+        "25fc774ace4fe29a20965485734a04d71e882646ce37908ce6deb03089246595",
+        "a0ef26012ab8851020cb52fb062223be9685755a7549120192107a0f14dd3ffe",
+        "5e5eb31948be4cd0dc19ab90ce514e50475061f2c4ee29755da27d2bf3d955a4",
     ),
     "clustered_6s": (
         lambda: clustered_scenario(duration=6.0),

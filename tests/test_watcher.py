@@ -32,23 +32,23 @@ def make_watcher(n, capacity=None, **kwargs):
 
 
 def clustered_poses(n=3, uav_side=0.9, ugv_side=1.3, z=0.5):
-    """n pairs on concentric triangles, everything mutually in range."""
-    poses = {}
+    """n pairs on concentric triangles, everything mutually in range: the
+    (n, 3) UAV positions and (n, 3) UGV poses."""
+    uav, ugv = np.zeros((n, 3)), np.zeros((n, 3))
     r_u = uav_side / math.sqrt(3)
     r_g = ugv_side / math.sqrt(3)
     for i in range(n):
         phi = 2 * math.pi * i / n + math.pi / 2
-        poses[f"uav{i}"] = np.array([r_u * math.cos(phi), r_u * math.sin(phi), z])
-        poses[f"ugv{i}"] = np.array([r_g * math.cos(phi), r_g * math.sin(phi), phi])
-    return poses
+        uav[i] = r_u * math.cos(phi), r_u * math.sin(phi), z
+        ugv[i] = r_g * math.cos(phi), r_g * math.sin(phi), phi
+    return uav, ugv
 
 
 def spread_poses(n=2, spacing=50.0):
-    poses = {}
-    for i in range(n):
-        poses[f"uav{i}"] = np.array([spacing * i, 0.0, 1.0])
-        poses[f"ugv{i}"] = np.array([spacing * i, 0.0, 0.0])
-    return poses
+    uav, ugv = np.zeros((n, 3)), np.zeros((n, 3))
+    uav[:, 0] = ugv[:, 0] = spacing * np.arange(n)
+    uav[:, 2] = 1.0
+    return uav, ugv
 
 
 class TestVelocityEstimator:
@@ -99,14 +99,14 @@ class TestVelocityEstimator:
 
     def test_rows_are_worst_case_only_on_the_first_tick(self):
         w = make_watcher(1)
-        poses = {"uav0": np.array([0.3, 0.0, 0.6]), "ugv0": np.array([0.0, 0.0, 0.0])}
+        uav = np.array([[0.3, 0.0, 0.6]])
         for now, x in ((0.0, 0.0), (0.1, 0.05)):  # the platform moves at 0.5 m/s
-            poses["ugv0"] = np.array([x, 0.0, 0.0])
-            w.tick(now, poses)
+            ugv = np.array([[x, 0.0, 0.0]])
+            w.tick(now, uav, ugv)
             landing = w.assemble_constraints("uav0", now).active_rows()[-1]
             assert landing.kind is RowKind.LANDING
             expected = build_constraint_row(
-                RowKind.LANDING, poses["uav0"], poses["ugv0"][:2], [0.5, 0.0],
+                RowKind.LANDING, uav[0], ugv[0, :2], [0.5, 0.0],
                 PARAMS, worst_case=now == 0.0)
             assert landing.b == pytest.approx(expected.b, abs=1e-12)
 
@@ -114,23 +114,23 @@ class TestVelocityEstimator:
 class TestProximalGating:
     def test_distant_agents_have_empty_sets(self):
         w = make_watcher(2)
-        w.tick(0.0, spread_poses(2))
+        w.tick(0.0, *spread_poses(2))
         assert w.proximal_set("uav0") == set()
         assert w.proximal_set("ugv0") == set()
 
     def test_clustered_agents_fully_active(self):
         w = make_watcher(3)
-        w.tick(0.0, clustered_poses(3))
+        w.tick(0.0, *clustered_poses(3))
         assert w.proximal_set("uav0") == {"uav1", "uav2", "ugv1", "ugv2"}
         assert w.proximal_set("ugv0") == {"ugv1", "ugv2", "uav1", "uav2"}
 
     def test_threshold_is_sharp_on_activation(self):
         w = make_watcher(2)
         d_act = PARAMS.uav_separation + w.activation_margin
-        poses = spread_poses(2)
-        poses["uav1"] = np.array([d_act - 1e-6, 0.0, 1.0])
-        poses["uav0"] = np.array([0.0, 0.0, 1.0])
-        w.tick(0.0, poses)
+        uav, ugv = spread_poses(2)
+        uav[1] = d_act - 1e-6, 0.0, 1.0
+        uav[0] = 0.0, 0.0, 1.0
+        w.tick(0.0, uav, ugv)
         assert "uav1" in w.proximal_set("uav0")
 
     def test_hysteresis_prevents_chattering(self):
@@ -138,14 +138,14 @@ class TestProximalGating:
         d_act = PARAMS.uav_separation + w.activation_margin
         transitions = 0
         prev = None
-        poses = spread_poses(2)
+        uav, ugv = spread_poses(2)
         # Oscillate inside the hysteresis band: cross d_act but never leave
         # the deactivation radius; once active the pair must stay active.
         for k in range(40):
             x = d_act + 0.05 * math.sin(2.1 * k) - 0.03
-            poses["uav0"] = np.array([0.0, 0.0, 1.0])
-            poses["uav1"] = np.array([x, 0.0, 1.0])
-            w.tick(0.05 * k, poses)
+            uav[0] = 0.0, 0.0, 1.0
+            uav[1] = x, 0.0, 1.0
+            w.tick(0.05 * k, uav, ugv)
             active = "uav1" in w.proximal_set("uav0")
             if prev is not None and active != prev:
                 transitions += 1
@@ -155,29 +155,27 @@ class TestProximalGating:
     def test_deactivation_beyond_band(self):
         w = make_watcher(2)
         d_act = PARAMS.uav_separation + w.activation_margin
-        poses = spread_poses(2)
-        poses["uav0"] = np.array([0.0, 0.0, 1.0])
-        poses["uav1"] = np.array([d_act - 0.01, 0.0, 1.0])
-        w.tick(0.0, poses)
+        uav, ugv = spread_poses(2)
+        uav[0] = 0.0, 0.0, 1.0
+        uav[1] = d_act - 0.01, 0.0, 1.0
+        w.tick(0.0, uav, ugv)
         assert "uav1" in w.proximal_set("uav0")
-        poses["uav1"] = np.array([d_act + 0.2, 0.0, 1.0])
-        w.tick(0.05, poses)
+        uav[1] = d_act + 0.2, 0.0, 1.0
+        w.tick(0.05, uav, ugv)
         assert "uav1" not in w.proximal_set("uav0")
 
     def test_shrinking_margin_never_adds_rows(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            poses = {}
+            uav, ugv = np.zeros((3, 3)), np.zeros((3, 3))
             for i in range(3):
-                poses[f"uav{i}"] = np.array([*rng.uniform(-3, 3, 2),
-                                             rng.uniform(0.4, 2.0)])
-                poses[f"ugv{i}"] = np.array([*rng.uniform(-3, 3, 2),
-                                             rng.uniform(-3, 3)])
+                uav[i] = *rng.uniform(-3, 3, 2), rng.uniform(0.4, 2.0)
+                ugv[i] = *rng.uniform(-3, 3, 2), rng.uniform(-3, 3)
             wide = make_watcher(3, activation_margin=1.5)
             narrow = make_watcher(3, activation_margin=0.4)
-            wide.tick(0.0, poses)
-            narrow.tick(0.0, poses)
-            for aid in poses:
+            wide.tick(0.0, uav, ugv)
+            narrow.tick(0.0, uav, ugv)
+            for aid in ("uav0", "uav1", "uav2", "ugv0", "ugv1", "ugv2"):
                 assert narrow.proximal_set(aid) <= wide.proximal_set(aid)
 
 
@@ -185,7 +183,7 @@ class TestAssembly:
     def test_fully_proximal_counts(self):
         n = 3
         w = make_watcher(n)
-        _, records = w.tick(0.0, clustered_poses(n))
+        _, records = w.tick(0.0, *clustered_poses(n))
         by_agent = {r.agent_id: r for r in records}
         for i in range(n):
             assert by_agent[f"uav{i}"].active_count == 2 * n + 4  # 10
@@ -193,7 +191,7 @@ class TestAssembly:
 
     def test_isolated_uav_keeps_walls_and_funnel(self):
         w = make_watcher(2)
-        _, records = w.tick(0.0, spread_poses(2))
+        _, records = w.tick(0.0, *spread_poses(2))
         by_agent = {r.agent_id: r for r in records}
         assert by_agent["uav0"].active_count == 6  # 5 walls + funnel
         assert by_agent["uav0"].kind_counts == {"workspace": 5, "landing": 1}
@@ -201,7 +199,7 @@ class TestAssembly:
 
     def test_row_order_uav(self):
         w = make_watcher(3)
-        w.tick(0.0, clustered_poses(3))
+        w.tick(0.0, *clustered_poses(3))
         matrix = w.assemble_constraints("uav0", 0.0)
         kinds = [k.value for k in matrix.kinds]
         assert kinds == (["workspace"] * 5
@@ -214,14 +212,14 @@ class TestAssembly:
 
     def test_row_order_ugv(self):
         w = make_watcher(3)
-        w.tick(0.0, clustered_poses(3))
+        w.tick(0.0, *clustered_poses(3))
         matrix = w.assemble_constraints("ugv1", 0.0)
         kinds = [k.value for k in matrix.kinds]
         assert kinds == ["workspace"] * 4 + ["ugv_ugv"] * 2
 
     def test_zero_padding_beyond_active_rows(self):
         w = make_watcher(3, capacity=16)
-        w.tick(0.0, spread_poses(3))
+        w.tick(0.0, *spread_poses(3))
         matrix = w.assemble_constraints("uav0", 0.0)
         assert matrix.active_count == 6
         assert np.all(matrix.a[6:] == 0.0)
@@ -230,11 +228,11 @@ class TestAssembly:
     def test_capacity_exceeded_is_hard_error(self):
         w = make_watcher(3, capacity=7)
         with pytest.raises(CapacityError):
-            w.tick(0.0, clustered_poses(3))
+            w.tick(0.0, *clustered_poses(3))
 
     def test_landing_row_survives_any_distance(self):
         w = make_watcher(2)
-        w.tick(0.0, spread_poses(2, spacing=500.0))
+        w.tick(0.0, *spread_poses(2, spacing=500.0))
         matrix = w.assemble_constraints("uav1", 0.0)
         assert RowKind.LANDING in matrix.kinds
 
@@ -243,14 +241,14 @@ class TestLandingProtocol:
     def landing_watcher(self):
         w = make_watcher(2)
         poses = spread_poses(2, spacing=10.0)
-        w.tick(0.0, poses)
+        w.tick(0.0, *poses)
         return w, poses
 
     def test_signal_switches_phase_and_setpoint(self):
         w, poses = self.landing_watcher()
         assert w.handle_landing_signal(0, 1.0)
         assert w.phases[0] is PairPhase.LANDING
-        outbound, _ = w.tick(1.05, poses)
+        outbound, _ = w.tick(1.05, *poses)
         signals = [ob for ob in outbound if ob.msg_type is MsgType.LANDING_SIGNAL]
         assert [ob.dst for ob in signals] == ["uav0"]
         setpoints = {ob.dst: ob.payload for ob in outbound
@@ -262,7 +260,7 @@ class TestLandingProtocol:
         w, poses = self.landing_watcher()
         assert w.handle_landing_signal(0, 1.0)
         assert w.handle_landing_signal(0, 1.2)
-        outbound, _ = w.tick(1.25, poses)
+        outbound, _ = w.tick(1.25, *poses)
         signals = [ob for ob in outbound if ob.msg_type is MsgType.LANDING_SIGNAL]
         assert len(signals) == 1
 
@@ -277,21 +275,19 @@ class TestLandingProtocol:
         assert w.phases[0] is PairPhase.LANDED
 
     def hover_poses(self, w, pair=0):
-        poses = spread_poses(2, spacing=10.0)
-        hover = np.array([10.0 * pair, 0.0,
-                          w.platform_height + PARAMS.hover_clearance])
-        poses[f"uav{pair}"] = hover
-        return poses
+        uav, ugv = spread_poses(2, spacing=10.0)
+        uav[pair] = 10.0 * pair, 0.0, w.platform_height + PARAMS.hover_clearance
+        return uav, ugv
 
     def test_touchdown_requires_dwell(self):
         w, _ = self.landing_watcher()
         w.handle_landing_signal(0, 0.0)
         poses = self.hover_poses(w)
-        w.tick(0.05, poses)
+        w.tick(0.05, *poses)
         assert w.phases[0] is PairPhase.LANDING  # just arrived
-        w.tick(0.30, poses)
+        w.tick(0.30, *poses)
         assert w.phases[0] is PairPhase.LANDING  # dwell not yet over
-        w.tick(0.56, poses)
+        w.tick(0.56, *poses)
         assert w.phases[0] is PairPhase.LANDED
         assert w.touchdown_times[0] == pytest.approx(0.56)
 
@@ -299,34 +295,33 @@ class TestLandingProtocol:
         w, far = self.landing_watcher()
         w.handle_landing_signal(0, 0.0)
         inside = self.hover_poses(w)
-        w.tick(0.05, inside)
-        outside = dict(inside)
-        outside["uav0"] = np.array([10.0 * 0, 0.0, 1.5])
-        w.tick(0.15, outside)  # left the funnel mouth
-        w.tick(0.20, inside)
-        w.tick(0.60, inside)   # only 0.4 s of continuous dwell
+        w.tick(0.05, *inside)
+        outside = inside[0].copy(), inside[1]
+        outside[0][0] = 10.0 * 0, 0.0, 1.5
+        w.tick(0.15, *outside)  # left the funnel mouth
+        w.tick(0.20, *inside)
+        w.tick(0.60, *inside)   # only 0.4 s of continuous dwell
         assert w.phases[0] is PairPhase.LANDING
-        w.tick(0.75, inside)
+        w.tick(0.75, *inside)
         assert w.phases[0] is PairPhase.LANDED
 
     def test_touchdown_emits_ack_and_retires_rows(self):
         n = 2
         w = make_watcher(n)
-        poses = clustered_poses(n, uav_side=0.9, ugv_side=1.25, z=0.3)
-        w.tick(0.0, poses)
+        uav, ugv = clustered_poses(n, uav_side=0.9, ugv_side=1.25, z=0.3)
+        w.tick(0.0, uav, ugv)
         before_self = w.assemble_constraints("uav0", 0.0)
         before_other = w.assemble_constraints("uav1", 0.0)
         assert before_self.active_count == 2 * n + 4
         assert before_other.active_count == 2 * n + 4
 
         w.handle_landing_signal(0, 0.1)
-        hover = poses.copy()
-        hover["uav0"] = np.array([*poses["ugv0"][:2],
-                                  w.platform_height + PARAMS.hover_clearance])
-        w.tick(0.2, hover)
-        w.tick(0.8, hover)
+        hover = uav.copy()
+        hover[0] = *ugv[0, :2], w.platform_height + PARAMS.hover_clearance
+        w.tick(0.2, hover, ugv)
+        w.tick(0.8, hover, ugv)
         assert w.phases[0] is PairPhase.LANDED
-        outbound, _ = w.tick(0.85, hover)
+        outbound, _ = w.tick(0.85, hover, ugv)
         acks = [ob for ob in outbound if ob.msg_type is MsgType.TOUCHDOWN_ACK]
         assert [ob.dst for ob in acks] <= ["uav0"]
 
@@ -348,7 +343,7 @@ class TestLandingProtocol:
 class TestDispatch:
     def test_three_updates_per_agent_per_tick(self):
         w = make_watcher(2)
-        outbound, _ = w.tick(0.0, spread_poses(2))
+        outbound, _ = w.tick(0.0, *spread_poses(2))
         per_dst = {}
         for ob in outbound:
             per_dst.setdefault(ob.dst, []).append(ob.msg_type)
@@ -359,7 +354,7 @@ class TestDispatch:
 
     def test_records_cover_every_agent(self):
         w = make_watcher(3)
-        _, records = w.tick(0.0, clustered_poses(3))
+        _, records = w.tick(0.0, *clustered_poses(3))
         assert sorted(r.agent_id for r in records) == sorted(
             [f"uav{i}" for i in range(3)] + [f"ugv{i}" for i in range(3)])
 
