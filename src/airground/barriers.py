@@ -19,6 +19,11 @@ families exist:
 The separation barriers are time-varying because the other agent moves; their
 explicit time derivative enters b through the other agent's velocity estimate.
 Workspace rows are time-invariant.
+
+The barrier functions also take stacked inputs with a leading row axis and
+then evaluate all rows in one array pass, each bit-identical to its 1-D
+call; the watcher builds a whole family's rows per tick that way.  x.T[k] is
+coordinate k: a scalar for one row, a column for stacked rows.
 """
 
 from __future__ import annotations
@@ -146,6 +151,18 @@ class ConstraintRow:
     h_value: float = 0.0
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis, one value per leading index, as a batched
+    matmul: each value is bit-identical to float(x_k @ y_k) for its row,
+    which an axis-by-axis sum or np.einsum is not."""
+    return (x[..., None, :] @ y[..., :, None]).T[0, 0]
+
+
+def _out(value):
+    """A 0-d result as the Python float a 1-D call returns; arrays as is."""
+    return value if getattr(value, "ndim", 0) else float(value)
+
+
 def eval_uav_uav(p_i, p_j, separation: float) -> float:
     """Sphere barrier between two centers: |p_i - p_j|^2 - separation^2.
 
@@ -158,7 +175,7 @@ def eval_uav_uav(p_i, p_j, separation: float) -> float:
     if separation <= 0 or not math.isfinite(separation):
         raise InvalidInputError(f"separation must be positive, got {separation}")
     d = p_i - p_j
-    return float(d @ d) - separation * separation
+    return _out(_dot(d, d) - separation * separation)
 
 
 eval_ugv_ugv = eval_uav_other_ugv = eval_uav_uav
@@ -174,48 +191,38 @@ def eval_landing(p_uav, p_ugv_3d, sharpness: float, height: float,
 
     Returns (h, l, k) where k = 2*height*sharpness*(sharpness*l - 1) *
     exp(-sharpness*l) is the surface slope factor reused by the gradient and
-    the time term.
+    the time term.  exp goes through libm, element by element.
     """
     p_uav = _require_finite("p_uav", p_uav)
     p_ugv_3d = _require_finite("p_ugv_3d", p_ugv_3d)
     if sharpness <= 0 or height <= 0:
         raise InvalidInputError("funnel sharpness and height must be positive")
-    r = p_uav - p_ugv_3d
-    l = float(r[0] * r[0] + r[1] * r[1])
-    decay = math.exp(-sharpness * l)
-    h = float(r[2]) - height * sharpness * l * decay - clearance
+    rx, ry, rz = (p_uav - p_ugv_3d).T
+    l = rx * rx + ry * ry
+    decay = libm(math.exp, -sharpness * l)
+    h = rz - height * sharpness * l * decay - clearance
     k = 2.0 * height * sharpness * (sharpness * l - 1.0) * decay
-    return h, l, k
+    return _out(h), _out(l), _out(k)
 
 
 def landing_gradient(r, k: float) -> np.ndarray:
     """Spatial gradient of the funnel barrier: (k*r_x, k*r_y, 1)."""
     r = _require_finite("r", r)
-    return np.array([k * r[0], k * r[1], 1.0])
+    return np.array([k * r.T[0], k * r.T[1], np.ones_like(r.T[0])]).T
 
 
 def landing_time_term(r, k: float, ugv_velocity) -> float:
     """Explicit dh/dt of the funnel under platform motion: -k*(r_x*vx + r_y*vy)."""
     r = _require_finite("r", r)
     v = _require_finite("ugv_velocity", ugv_velocity)
-    return -k * (r[0] * v[0] + r[1] * v[1])
+    return _out(-k * (r.T[0] * v.T[0] + r.T[1] * v.T[1]))
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values)
-    arr.flags.writeable = False
-    return arr
-
-
-_UAV_WALL_GRADIENTS = (
-    _frozen([-1.0, 0.0, 0.0]), _frozen([1.0, 0.0, 0.0]),
-    _frozen([0.0, -1.0, 0.0]), _frozen([0.0, 1.0, 0.0]),
-    _frozen([0.0, 0.0, -1.0]),
-)
-_UGV_WALL_GRADIENTS = (
-    _frozen([-1.0, 0.0]), _frozen([1.0, 0.0]),
-    _frozen([0.0, -1.0]), _frozen([0.0, 1.0]),
-)
+# Per wall face: the read-only gradient, the axis it bounds and that axis's sign in h.
+_WALLS = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                   [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+_WALLS.flags.writeable = False
+_WALL_AXES, _WALL_SIGNS = [0, 0, 1, 1, 2], _WALLS.sum(axis=1)
 
 
 def eval_workspace(p, bounds: Bounds, is_uav: bool) -> list[tuple[float, np.ndarray]]:
@@ -224,30 +231,28 @@ def eval_workspace(p, bounds: Bounds, is_uav: bool) -> list[tuple[float, np.ndar
     UAVs get five rows (both x walls, both y walls, ceiling); the floor is
     covered by the landing funnel, which never deactivates.  UGVs get four
     planar rows evaluated at the offset point.  The gradients are shared
-    read-only constants.
+    read-only constants, repeated to (m, dim) for m stacked positions.
+    All faces are one pass: x_max - x is taken as -x + x_max, the same float.
     """
     p = _require_finite("p", p)
-    x, y = float(p[0]), float(p[1])
-    heights = [bounds.x_max - x, x - bounds.x_min,
-               bounds.y_max - y, y - bounds.y_min]
-    if is_uav:
-        heights.append(bounds.z_max - float(p[2]))
-        return list(zip(heights, _UAV_WALL_GRADIENTS))
-    return list(zip(heights, _UGV_WALL_GRADIENTS))
+    faces = 5 if is_uav else 4
+    b = bounds
+    heights = (p[..., _WALL_AXES[:faces]] * _WALL_SIGNS[:faces] + np.array(
+        (b.x_max, -b.x_min, b.y_max, -b.y_min, b.z_max)[:faces])).T
+    grads = _WALLS[:faces, :p.shape[-1]]
+    if p.ndim > 1:
+        grads = grads[:, None].repeat(len(p), axis=1)
+    return [(_out(heights[face]), grads[face]) for face in range(faces)]
 
 
 def build_workspace_rows(p, params: SafetyParams, is_uav: bool) -> list[ConstraintRow]:
-    """All wall rows for one agent in face order (single workspace pass)."""
+    """All wall rows for one agent in face order (single workspace pass);
+    for (m, dim) positions, one row per face holding all m agents."""
     kappa = params.barrier_gain
     return [
         ConstraintRow(a=grad, b=kappa * h, kind=RowKind.WORKSPACE, h_value=h)
         for h, grad in eval_workspace(p, params.bounds, is_uav)
     ]
-
-
-def _embed_platform(xy, platform_height: float) -> np.ndarray:
-    xy = _require_finite("ugv position", xy)
-    return np.array([xy[0], xy[1], platform_height])
 
 
 # Separation radius of each sphere family, by SafetyParams field.
@@ -277,6 +282,11 @@ def build_constraint_row(
     positions are planar and get embedded at platform_height where 3D
     geometry is needed.
 
+    The states and velocity may carry a leading row axis: m stacked pairs
+    give one ConstraintRow whose a is (m, dim) and whose b and h_value are
+    (m,) arrays, each row bit-identical to the 1-D call on that pair, which
+    returns a (dim,) a and float b and h_value.
+
     With worst_case=True the velocity estimate is replaced by the most
     adversarial motion allowed by the speed bounds (used when the estimate is
     stale): dh/dt = -2*|r|*v_max for the spheres, -|k|*sqrt(l)*v_max for the
@@ -293,11 +303,11 @@ def build_constraint_row(
             f"{kind.value} row is time-varying and requires a velocity estimate"
         )
 
-    p_i = _require_finite("self position", self_state)
-    if kind is RowKind.UAV_UAV or kind is RowKind.UGV_UGV:
-        p_j = _require_finite("other position", other_state)
-    else:
-        p_j = _embed_platform(other_state, platform_height)
+    # eval_landing and eval_uav_uav check the positions for finite values.
+    p_i = np.asarray(self_state, dtype=float)
+    p_j = np.asarray(other_state, dtype=float)
+    if kind is RowKind.UAV_OTHER_UGV or kind is RowKind.LANDING:
+        p_j = np.concatenate((p_j, np.full(p_j.shape[:-1] + (1,), platform_height)), axis=-1)
     r = p_i - p_j
     if kind is RowKind.LANDING:
         h, l, k = eval_landing(
@@ -305,23 +315,24 @@ def build_constraint_row(
         )
         a = landing_gradient(r, k)
         if worst_case:
-            dh_dt = -abs(k) * math.sqrt(l) * params.uav_speed_limit
+            dh_dt = -np.abs(k) * np.sqrt(l) * params.uav_speed_limit
         else:
             dh_dt = landing_time_term(r, k, other_velocity)
     else:
         h = eval_uav_uav(p_i, p_j, getattr(params, _SPHERE_RADIUS[kind]))
         a = 2.0 * r
         if worst_case:
-            dh_dt = -2.0 * float(np.linalg.norm(r)) * params.uav_speed_limit
+            dh_dt = -2.0 * np.sqrt(_dot(r, r)) * params.uav_speed_limit
         else:
             v = _require_finite("other velocity", other_velocity)
             if kind is RowKind.UAV_OTHER_UGV:  # the platform stays flat
-                dh_dt = -2.0 * (float(r[0] * v[0]) + float(r[1] * v[1]))
+                dh_dt = -2.0 * (r.T[0] * v.T[0] + r.T[1] * v.T[1])
             else:
-                dh_dt = -2.0 * float(r @ v)
+                dh_dt = -2.0 * _dot(r, v)
 
     kappa = params.barrier_gain
-    return ConstraintRow(a=a, b=kappa * h + dh_dt, kind=kind, other_id=other_id, h_value=h)
+    return ConstraintRow(a=a, b=_out(kappa * h + dh_dt), kind=kind, other_id=other_id,
+                         h_value=h)
 
 
 def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ body-frame safety from the first tick.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -271,6 +272,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         network = LinkModel(network.base_latency, network.jitter, 0.9999999999)
 
     wv = _section(v, data, "watcher")
+    if "velocity_stale_after" in wv:
+        warnings.warn("watcher.velocity_stale_after is no longer read and will be "
+                      "rejected in a future version; remove it", FutureWarning, stacklevel=2)
     watcher = WatcherOptions(**{
         key: _number(v, wv, key, default, where="watcher.")
         for key, default in (
@@ -401,29 +405,30 @@ def _validate_spawn(v: list[ConfigViolation], safety: SafetyParams,
         if not _inside(bounds, x, y) or not _inside(bounds, ox, oy):
             v.append(ConfigViolation(
                 "SPAWN_INFEASIBLE", f"ugv{i} spawns outside the workspace"))
+    uav_starts = np.array([spec.start for spec in uavs])
+    ugv_starts = np.array([spec.start for spec in ugvs])
+    platforms = ugv_starts.copy()
+    platforms[:, 2] = platform_height
+    try:
+        funnel_h = eval_landing(uav_starts, platforms, safety.funnel_sharpness,
+                                safety.funnel_height, safety.hover_clearance)[0]
+    except InvalidInputError:  # bad funnel params or a non-finite start, reported
+        funnel_h = None
     for i, spec in enumerate(uavs):
         x, y, z = spec.start
         if not _inside(bounds, x, y, z):
             v.append(ConfigViolation(
                 "SPAWN_INFEASIBLE", f"uav{i} spawns outside the workspace"))
-        platform = np.array([ugvs[i].start[0], ugvs[i].start[1], platform_height])
-        try:
-            h, _, _ = eval_landing(spec.start, platform, safety.funnel_sharpness,
-                                   safety.funnel_height, safety.hover_clearance)
-        except InvalidInputError:
-            return  # funnel params already reported as BAD_VALUE
-        if h <= 0:
+        if funnel_h is not None and funnel_h[i] <= 0:
             v.append(ConfigViolation(
                 "SPAWN_INFEASIBLE",
-                f"uav{i} spawns outside its landing funnel safe set (h={h:.4g})"))
+                f"uav{i} spawns outside its landing funnel safe set (h={funnel_h[i]:.4g})"))
+    if funnel_h is None:
+        return
 
     # Every pairwise distance in two array passes.  Aerial: each UAV start
     # against [UAV starts | platforms | UAV first waypoints].  Ground: [UGV
     # offset points | UGV starts] against [offset points | first waypoints].
-    uav_starts = np.array([spec.start for spec in uavs])
-    ugv_starts = np.array([spec.start for spec in ugvs])
-    platforms = ugv_starts.copy()
-    platforms[:, 2] = platform_height
     air = np.sqrt(pairwise_sq_distances(uav_starts, np.concatenate(
         (uav_starts, platforms, [spec.waypoints[0] for spec in uavs]))))
     offsets = np.array(offset_points)

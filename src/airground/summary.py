@@ -25,6 +25,7 @@ from .logfmt import roundtrip
 TRAJECTORY_FILE = "trajectory.csv"
 WATCHER_FILE = "watcher.csv"
 TRACE_FILE = "trace.log"
+_TRACE_EVENTS = ("send", "drop", "deliver")
 METRICS_FILE = "metrics.json"
 CONFIG_FILE = "resolved_config.yaml"
 
@@ -269,27 +270,33 @@ def tick_barriers(view: PhysicsView, roster: Roster, x: np.ndarray,
     return per_agent, family, dist
 
 
+def _csv_rows(path: str, header: str, width: int):
+    """Yields (line_number, fields) per data line of a log with a fixed
+    header and field count; blank and whitespace-only lines are skipped."""
+    with open(path, "r") as f:
+        first = f.readline().rstrip("\n")
+        if first != header:
+            raise InvalidInputError(f"{path}:1: unexpected header {first!r}")
+        for lineno, line in enumerate(f, start=2):
+            if line.isspace():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != width:
+                raise InvalidInputError(f"{path}:{lineno}: expected {width} fields, "
+                                        f"got {len(parts)}")
+            yield lineno, parts
+
+
 def _parse_trajectory(path: str):
     """Yields (line_number, time_str, agent_id, kind, x, y, z, theta, status,
     logged min_h) per record."""
-    with open(path, "r") as f:
-        header = f.readline().rstrip("\n")
-        if header != TRAJECTORY_HEADER:
-            raise InvalidInputError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 12:
-                raise InvalidInputError(f"{path}:{lineno}: expected 12 fields, "
-                                        f"got {len(parts)}")
-            try:
-                yield (lineno, parts[0], parts[1], parts[2], float(parts[3]),
-                       float(parts[4]), float(parts[5]), float(parts[6]),
-                       parts[10], float(parts[11]))
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}")
+    for lineno, parts in _csv_rows(path, TRAJECTORY_HEADER, 12):
+        try:
+            yield (lineno, parts[0], parts[1], parts[2], float(parts[3]),
+                   float(parts[4]), float(parts[5]), float(parts[6]),
+                   parts[10], float(parts[11]))
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}")
 
 
 def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
@@ -386,21 +393,10 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
 
     watcher_path = os.path.join(out_dir, WATCHER_FILE)
     if os.path.exists(watcher_path):
-        with open(watcher_path, "r") as f:
-            header = f.readline().rstrip("\n")
-            if header != WATCHER_HEADER:
-                raise InvalidInputError(f"{watcher_path}:1: unexpected header")
-            for lineno, line in enumerate(f, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 10:
-                    raise InvalidInputError(
-                        f"{watcher_path}:{lineno}: expected 10 fields")
-                agent, count = parts[1], int(parts[3])
-                hist = summary.row_count_histogram.setdefault(agent, {})
-                hist[count] = hist.get(count, 0) + 1
+        for _, parts in _csv_rows(watcher_path, WATCHER_HEADER, 10):
+            agent, count = parts[1], int(parts[3])
+            hist = summary.row_count_histogram.setdefault(agent, {})
+            hist[count] = hist.get(count, 0) + 1
 
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):
@@ -419,12 +415,12 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
                         raise InvalidInputError(
                             f"{trace_path}:{lineno}: expected key=value, got {token!r}")
                     fields[key] = value
-                src, dst = fields.get("src", ""), fields.get("dst", "")
-                if event == "send":
-                    sent += 1
-                elif event == "drop":
-                    sent += 1
-                    dropped += 1
+                if event not in _TRACE_EVENTS or not fields.keys() >= {"src", "dst"}:
+                    raise InvalidInputError(f"{trace_path}:{lineno}: expected a send, drop "
+                                            f"or deliver event with src and dst")
+                src, dst = fields["src"], fields["dst"]
+                sent += event != "deliver"  # a dropped message was sent too
+                dropped += event == "drop"
                 if "watcher" not in (src, dst):
                     a2a += 1
                 else:

@@ -10,9 +10,8 @@ The watcher is the only component that sees every agent.  Each tick it:
    the decisions as three boolean gate matrices over the fleet -- UAV i
    against UAV j, UGV i against UGV j, and UAV i against another pair's
    UGV j -- that are refreshed in one array pass per tick,
-4. assembles one fixed-capacity, zero-padded constraint matrix per agent in
-   a fixed row order: workspace walls, then cross-layer / ground rows, then
-   the landing funnel and finally UAV-UAV rows,
+4. assembles every agent's fixed-capacity, zero-padded constraint matrix
+   in one array pass per barrier family (row order on assemble_constraints),
 5. emits pose, setpoint and constraint-matrix updates over the star bus.
 
 Landing orchestration: a landing signal flips the pair to the `landing`
@@ -39,6 +38,7 @@ from .errors import CapacityError, InvalidInputError
 from .netsim import MsgType
 
 _PROXIMITY_HYSTERESIS = 0.1  # extra meters before an active pair deactivates
+_KINDS = tuple(RowKind)
 
 
 class VelocityEstimator:
@@ -81,8 +81,8 @@ class VelocityEstimator:
 class ConstraintMatrix:
     """Fixed-capacity constraint block shipped to one agent.
 
-    Rows beyond active_count are identically zero; row order is the assembly
-    order documented on the class builder.
+    Rows beyond active_count are identically zero; row order is the order
+    documented on Watcher.assemble_constraints.
     """
 
     agent_id: str
@@ -109,24 +109,6 @@ class ConstraintMatrix:
 
     def wire_bytes(self) -> int:
         return self.a.size * 8 + self.b.size * 8 + 16
-
-    @staticmethod
-    def from_rows(agent_id: str, timestamp: float, capacity: int, dim: int,
-                  rows: list[ConstraintRow]) -> "ConstraintMatrix":
-        if len(rows) > capacity:
-            raise CapacityError(
-                f"{agent_id}: {len(rows)} active rows exceed capacity {capacity}"
-            )
-        a = np.zeros((capacity, dim))
-        b = np.zeros(capacity)
-        for i, row in enumerate(rows):
-            a[i] = row.a
-            b[i] = row.b
-        return ConstraintMatrix(
-            agent_id=agent_id, timestamp=timestamp, a=a, b=b,
-            kinds=[r.kind for r in rows],
-            other_ids=[r.other_id for r in rows],
-        )
 
 
 class PairPhase(Enum):
@@ -197,15 +179,6 @@ class Outbound:
     payload: object
 
 
-def _active_rows(gates: np.ndarray) -> list[list[int]]:
-    """Column indices of each row's active gates, in ascending order."""
-    rows: list[list[int]] = [[] for _ in range(gates.shape[0])]
-    i, j = np.nonzero(gates)
-    for row, column in zip(i.tolist(), j.tolist()):
-        rows[row].append(column)
-    return rows
-
-
 def _pair_ids(index: int) -> tuple[str, str]:
     return f"uav{index}", f"ugv{index}"
 
@@ -247,6 +220,8 @@ class Watcher:
         self._touch_hold = touchdown_hold
 
         self.phases = {i: PairPhase.TASK for i in range(n_pairs)}
+        self._uav_ids = np.array([f"uav{i}" for i in range(n_pairs)], dtype=object)
+        self._ugv_ids = np.array([f"ugv{i}" for i in range(n_pairs)], dtype=object)
         self._touch_since: dict[int, float | None] = {i: None for i in range(n_pairs)}
         self.touchdown_times: dict[int, float] = {}
         self._pending: list[Outbound] = []
@@ -262,7 +237,6 @@ class Watcher:
         self._aa = np.zeros((n_pairs, n_pairs), dtype=bool)
         self._gg = np.zeros((n_pairs, n_pairs), dtype=bool)
         self._ago = np.zeros((n_pairs, n_pairs), dtype=bool)
-        self._index_gates()
         self._est_uav = VelocityEstimator(n_pairs, 3, smoothing)
         self._est_ugv_body = VelocityEstimator(n_pairs, 2, smoothing)
         self._est_ugv_offset = VelocityEstimator(n_pairs, 2, smoothing)
@@ -299,19 +273,10 @@ class Watcher:
         """Other agents currently gated active against agent_id."""
         pair = int(agent_id[3:])
         if agent_id.startswith("uav"):
-            return ({f"uav{j}" for j in self._aa_rows[pair]}
-                    | {f"ugv{j}" for j in self._ago_rows[pair]})
-        return ({f"ugv{j}" for j in self._gg_rows[pair]}
-                | {f"uav{i}" for i in self._ago_cols[pair]})
-
-    def _index_gates(self) -> None:
-        """List each gate matrix's active entries per row (and per column
-        of the cross layer), ascending: what proximal_set and assembly
-        read."""
-        self._aa_rows = _active_rows(self._aa)
-        self._gg_rows = _active_rows(self._gg)
-        self._ago_rows = _active_rows(self._ago)
-        self._ago_cols = _active_rows(self._ago.T)
+            aerial, ground = self._aa[pair], self._ago[pair]
+        else:
+            aerial, ground = self._ago[:, pair], self._gg[pair]
+        return set(self._uav_ids[aerial].tolist()) | set(self._ugv_ids[ground].tolist())
 
     def _hysteresis(self, active: np.ndarray, distance: np.ndarray,
                     radius: float, allowed: np.ndarray) -> np.ndarray:
@@ -340,7 +305,6 @@ class Watcher:
         self._gg = self._hysteresis(self._gg, d_gg, p.ugv_separation, others)
         self._ago = self._hysteresis(self._ago, d_ago, p.uav_ugv_separation,
                                      others & flying[:, None])
-        self._index_gates()
 
     # -- landing ------------------------------------------------------------
 
@@ -364,44 +328,64 @@ class Watcher:
 
     # -- constraint assembly ------------------------------------------------
 
-    def assemble_constraints(self, agent_id: str, now: float) -> ConstraintMatrix:
-        """Build one agent's matrix in the fixed order: walls, cross-layer or
-        ground rows, landing funnel, aerial rows.  Gated rows follow the
-        other pair's index in ascending order."""
-        p = self.params
-        rows: list[ConstraintRow] = []
-        pair = int(agent_id[3:])
-        if agent_id.startswith("uav"):
-            pos = self._uav[pair]
-            v_ugv, worst_ugv = self._est_ugv_body.estimate()
-            rows.extend(build_workspace_rows(pos, p, is_uav=True))
-            # Cross-layer rows against the other pairs' UGVs, then the
-            # landing funnel over the pair's own platform.
-            for j in self._ago_rows[pair] + [pair]:
-                rows.append(build_constraint_row(
-                    RowKind.UAV_OTHER_UGV if j != pair else RowKind.LANDING,
-                    pos, self._ugv[j, :2], v_ugv[j], params=p,
-                    platform_height=self.platform_height, other_id=f"ugv{j}",
-                    worst_case=worst_ugv,
-                ))
-            v_uav, worst_uav = self._est_uav.estimate()
-            for j in self._aa_rows[pair]:
-                rows.append(build_constraint_row(
-                    RowKind.UAV_UAV, pos, self._uav[j], v_uav[j],
-                    params=p, other_id=f"uav{j}", worst_case=worst_uav,
-                ))
-            dim = 3
-        else:
-            point = self._offsets[pair]
-            v_offset, worst_offset = self._est_ugv_offset.estimate()
-            rows.extend(build_workspace_rows(point, p, is_uav=False))
-            for j in self._gg_rows[pair]:
-                rows.append(build_constraint_row(
-                    RowKind.UGV_UGV, point, self._offsets[j], v_offset[j],
-                    params=p, other_id=f"ugv{j}", worst_case=worst_offset,
-                ))
-            dim = 2
-        return ConstraintMatrix.from_rows(agent_id, now, self.capacity, dim, rows)
+    def assemble_constraints(self, now: float) -> dict[str, ConstraintMatrix]:
+        """Build every agent's matrix, keyed uav0, ugv0, uav1, ..., in one
+        array pass per barrier family.
+
+        A UAV's rows are its walls, cross-layer rows against other pairs'
+        UGVs, its landing funnel and its aerial rows; a UGV's are its walls
+        and ground rows.  Gated rows follow the other pair's index in
+        ascending order.  Each matrix is a view into one fresh, zero-padded
+        block per vehicle kind, never reused: agents and in-flight messages
+        still hold earlier ones."""
+        n, cap = self.n_pairs, self.capacity
+        n_ago, n_aa, n_gg = (g.sum(axis=1) for g in (self._ago, self._aa, self._gg))
+        # Each pair's (UAV, UGV) row kinds.
+        layouts = [([RowKind.WORKSPACE] * 5 + [RowKind.UAV_OTHER_UGV] * cross
+                    + [RowKind.LANDING] + [RowKind.UAV_UAV] * aerial,
+                    [RowKind.WORKSPACE] * 4 + [RowKind.UGV_UGV] * ground)
+                   for cross, aerial, ground in zip(n_ago.tolist(), n_aa.tolist(), n_gg.tolist())]
+        for i, layout in enumerate(layouts):
+            for agent_id, kinds in zip(_pair_ids(i), layout):
+                if len(kinds) > cap:
+                    raise CapacityError(
+                        f"{agent_id}: {len(kinds)} active rows exceed capacity {cap}")
+        # Per vehicle kind: A, b and each row's other agent.
+        uav, ugv = blocks = [(np.zeros((n, cap, dim)), np.zeros((n, cap)),
+                              np.full((n, cap), None)) for dim in (3, 2)]
+        for (a, b, _), pos, is_uav in ((uav, self._uav, True), (ugv, self._offsets, False)):
+            for face, row in enumerate(build_workspace_rows(pos, self.params, is_uav)):
+                a[:, face], b[:, face] = row.a, row.b
+        decks = self._ugv[:, :2]
+        self._scatter(uav, RowKind.UAV_OTHER_UGV, self._ago, np.full(n, 5), self._uav,
+                      decks, self._est_ugv_body, self._ugv_ids)
+        self._scatter(uav, RowKind.LANDING, np.eye(n, dtype=bool), 5 + n_ago, self._uav,
+                      decks, self._est_ugv_body, self._ugv_ids)
+        self._scatter(uav, RowKind.UAV_UAV, self._aa, 6 + n_ago, self._uav, self._uav,
+                      self._est_uav, self._uav_ids)
+        self._scatter(ugv, RowKind.UGV_UGV, self._gg, np.full(n, 4), self._offsets,
+                      self._offsets, self._est_ugv_offset, self._ugv_ids)
+        matrices = {}
+        for i, layout in enumerate(layouts):
+            for agent_id, kinds, (a, b, ids) in zip(_pair_ids(i), layout, blocks):
+                matrices[agent_id] = ConstraintMatrix(agent_id, now, a[i], b[i], kinds,
+                                                      ids[i, :len(kinds)].tolist())
+        return matrices
+
+    def _scatter(self, block, kind: RowKind, gates: np.ndarray, first: np.ndarray,
+                 own: np.ndarray, other: np.ndarray, estimator: VelocityEstimator,
+                 other_ids: np.ndarray) -> None:
+        """Build one family's rows, agent i against each gated j, in one call;
+        write each to agent i's block at slot first[i] plus its rank among them."""
+        i, j = np.nonzero(gates)  # row-major, so i is sorted
+        if not len(i):
+            return
+        velocity, worst = estimator.estimate()
+        row = build_constraint_row(kind, own[i], other[j], velocity[j], params=self.params,
+                                   platform_height=self.platform_height, worst_case=worst)
+        slot = first[i] + np.arange(len(i)) - np.searchsorted(i, i)
+        a, b, ids = block
+        a[i, slot], b[i, slot], ids[i, slot] = row.a, row.b, other_ids[j]
 
     # -- setpoints ----------------------------------------------------------
 
@@ -424,6 +408,8 @@ class Watcher:
         send and records."""
         self._uav = np.array(uav, dtype=float).reshape(self.n_pairs, 3)
         self._ugv = ugv = np.array(ugv, dtype=float).reshape(self.n_pairs, 3)
+        if not (np.isfinite(self._uav).all() and np.isfinite(ugv).all()):
+            raise InvalidInputError(f"fleet poses must be finite at t={now}")
         self._offsets = np.column_stack((
             ugv[:, 0] + self.ugv_offset * libm(math.cos, ugv[:, 2]),
             ugv[:, 1] + self.ugv_offset * libm(math.sin, ugv[:, 2])))
@@ -439,20 +425,20 @@ class Watcher:
         outbound: list[Outbound] = list(self._pending)
         self._pending = []
         records: list[WatcherRecord] = []
+        matrices = self.assemble_constraints(now)
         for i in range(self.n_pairs):
             for agent_id, pose in zip(_pair_ids(i), (self._uav[i], self._ugv[i])):
-                matrix = self.assemble_constraints(agent_id, now)
+                matrix = matrices[agent_id]
                 setpoint, rate = self._setpoint_for(agent_id, now)
                 outbound.append(Outbound(MsgType.POSE_UPDATE, agent_id, pose.copy()))
                 outbound.append(Outbound(MsgType.SETPOINT_UPDATE, agent_id,
                                          (setpoint, rate)))
                 outbound.append(Outbound(MsgType.CONSTRAINT_UPDATE, agent_id, matrix))
-                counts: dict[str, int] = {}
-                for kind in matrix.kinds:
-                    counts[kind.value] = counts.get(kind.value, 0) + 1
                 records.append(WatcherRecord(
                     time=now, agent_id=agent_id,
-                    active_count=matrix.active_count, kind_counts=counts,
+                    active_count=matrix.active_count,
+                    kind_counts={k.value: matrix.kinds.count(k) for k in _KINDS
+                                 if k in matrix.kinds},
                     phase=self.phases[i].value,
                     proximal=tuple(sorted(self.proximal_set(agent_id))),
                 ))

@@ -12,6 +12,9 @@
 * The per-vehicle kinematic steps on state objects, and the simulator's
   per-agent integration loop over them, from before the fleet was stepped
   as arrays.
+* The watcher's per-row constraint assembly: one scalar barrier row object
+  per gated pair, copied into each agent's matrix, from before every
+  family's rows were built in one array pass per tick.
 
 The equivalence tests require the package to reproduce them exactly, bit
 for bit.
@@ -29,9 +32,12 @@ from airground import qp
 from airground.agents import (UAV, AgentControlUnit, Command, TickTelemetry,
                               UgvState, _Slot, nid_inverse, nid_offset,
                               nominal_velocity, wrap_angle)
-from airground.errors import InvalidInputError
+from airground.barriers import ConstraintRow, RowKind, SafetyParams
+from airground.errors import (CapacityError, IncompleteInputError,
+                              InvalidInputError)
 from airground.qp import (RELAXATION_WEIGHT, QpProblem, QpSolution, QpStatus,
                           _project)
+from airground.watcher import ConstraintMatrix
 
 _PROXIMITY_HYSTERESIS = 0.1
 
@@ -464,3 +470,165 @@ def integrate_per_agent(uav_states: dict[str, UavState],
             uav_states[uid] = step_uav(uav_states[uid], uav_velocity[uid], dt)
         else:
             uav_states[uid] = step_uav(uav_states[uid], commands[uid].u, dt)
+
+
+def _require_finite(name: str, value) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
+def eval_sphere(p_i, p_j, separation: float) -> float:
+    p_i = _require_finite("p_i", p_i)
+    p_j = _require_finite("p_j", p_j)
+    if separation <= 0 or not math.isfinite(separation):
+        raise InvalidInputError(f"separation must be positive, got {separation}")
+    d = p_i - p_j
+    return float(d @ d) - separation * separation
+
+
+def eval_landing(p_uav, p_ugv_3d, sharpness: float, height: float,
+                 clearance: float) -> tuple[float, float, float]:
+    p_uav = _require_finite("p_uav", p_uav)
+    p_ugv_3d = _require_finite("p_ugv_3d", p_ugv_3d)
+    if sharpness <= 0 or height <= 0:
+        raise InvalidInputError("funnel sharpness and height must be positive")
+    r = p_uav - p_ugv_3d
+    l = float(r[0] * r[0] + r[1] * r[1])
+    decay = math.exp(-sharpness * l)
+    h = float(r[2]) - height * sharpness * l * decay - clearance
+    k = 2.0 * height * sharpness * (sharpness * l - 1.0) * decay
+    return h, l, k
+
+
+def landing_gradient(r, k: float) -> np.ndarray:
+    r = _require_finite("r", r)
+    return np.array([k * r[0], k * r[1], 1.0])
+
+
+def landing_time_term(r, k: float, ugv_velocity) -> float:
+    r = _require_finite("r", r)
+    v = _require_finite("ugv_velocity", ugv_velocity)
+    return -k * (r[0] * v[0] + r[1] * v[1])
+
+
+_UAV_WALL_GRADIENTS = ([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                       [0.0, 1.0, 0.0], [0.0, 0.0, -1.0])
+_UGV_WALL_GRADIENTS = ([-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0])
+
+
+def build_workspace_rows(p, params: SafetyParams, is_uav: bool) -> list[ConstraintRow]:
+    """One row per wall face of one agent, as scalar rows."""
+    p = _require_finite("p", p)
+    x, y = float(p[0]), float(p[1])
+    b = params.bounds
+    heights = [b.x_max - x, x - b.x_min, b.y_max - y, y - b.y_min]
+    grads = _UGV_WALL_GRADIENTS
+    if is_uav:
+        heights.append(b.z_max - float(p[2]))
+        grads = _UAV_WALL_GRADIENTS
+    kappa = params.barrier_gain
+    return [ConstraintRow(a=np.array(g), b=kappa * h, kind=RowKind.WORKSPACE, h_value=h)
+            for h, g in zip(heights, grads)]
+
+
+_SPHERE_RADIUS = {
+    RowKind.UAV_UAV: "uav_separation",
+    RowKind.UGV_UGV: "ugv_separation",
+    RowKind.UAV_OTHER_UGV: "uav_ugv_separation",
+}
+
+
+def build_constraint_row(kind: RowKind, self_state, other_state=None,
+                         other_velocity=None, params: SafetyParams | None = None,
+                         *, platform_height: float = 0.0,
+                         other_id: str | None = None,
+                         worst_case: bool = False) -> ConstraintRow:
+    """One pairwise row of one agent, from scalar barrier evaluations."""
+    if params is None:
+        raise InvalidInputError("params is required")
+    if other_state is None:
+        raise IncompleteInputError(f"{kind.value} row requires the other agent's state")
+    if other_velocity is None and not worst_case:
+        raise IncompleteInputError(
+            f"{kind.value} row is time-varying and requires a velocity estimate")
+    p_i = _require_finite("self position", self_state)
+    if kind is RowKind.UAV_UAV or kind is RowKind.UGV_UGV:
+        p_j = _require_finite("other position", other_state)
+    else:
+        xy = _require_finite("ugv position", other_state)
+        p_j = np.array([xy[0], xy[1], platform_height])
+    r = p_i - p_j
+    if kind is RowKind.LANDING:
+        h, l, k = eval_landing(
+            p_i, p_j, params.funnel_sharpness, params.funnel_height, params.hover_clearance)
+        a = landing_gradient(r, k)
+        if worst_case:
+            dh_dt = -abs(k) * math.sqrt(l) * params.uav_speed_limit
+        else:
+            dh_dt = landing_time_term(r, k, other_velocity)
+    else:
+        h = eval_sphere(p_i, p_j, getattr(params, _SPHERE_RADIUS[kind]))
+        a = 2.0 * r
+        if worst_case:
+            dh_dt = -2.0 * float(np.linalg.norm(r)) * params.uav_speed_limit
+        else:
+            v = _require_finite("other velocity", other_velocity)
+            if kind is RowKind.UAV_OTHER_UGV:
+                dh_dt = -2.0 * (float(r[0] * v[0]) + float(r[1] * v[1]))
+            else:
+                dh_dt = -2.0 * float(r @ v)
+    kappa = params.barrier_gain
+    return ConstraintRow(a=a, b=kappa * h + dh_dt, kind=kind, other_id=other_id, h_value=h)
+
+
+def from_rows(agent_id: str, timestamp: float, capacity: int, dim: int,
+              rows: list[ConstraintRow]) -> ConstraintMatrix:
+    """Copy rows into a fresh zero-padded matrix."""
+    if len(rows) > capacity:
+        raise CapacityError(
+            f"{agent_id}: {len(rows)} active rows exceed capacity {capacity}")
+    a = np.zeros((capacity, dim))
+    b = np.zeros(capacity)
+    for i, row in enumerate(rows):
+        a[i] = row.a
+        b[i] = row.b
+    return ConstraintMatrix(agent_id=agent_id, timestamp=timestamp, a=a, b=b,
+                            kinds=[r.kind for r in rows],
+                            other_ids=[r.other_id for r in rows])
+
+
+def assemble_per_row(w, agent_id: str, now: float) -> ConstraintMatrix:
+    """One agent's matrix from the watcher's current tick state, one row
+    object per gated pair: walls, cross-layer or ground rows, landing
+    funnel, aerial rows."""
+    p = w.params
+    rows: list[ConstraintRow] = []
+    pair = int(agent_id[3:])
+    if agent_id.startswith("uav"):
+        pos = w._uav[pair]
+        v_ugv, worst_ugv = w._est_ugv_body.estimate()
+        rows.extend(build_workspace_rows(pos, p, is_uav=True))
+        for j in np.flatnonzero(w._ago[pair]).tolist() + [pair]:
+            rows.append(build_constraint_row(
+                RowKind.UAV_OTHER_UGV if j != pair else RowKind.LANDING,
+                pos, w._ugv[j, :2], v_ugv[j], params=p,
+                platform_height=w.platform_height, other_id=f"ugv{j}",
+                worst_case=worst_ugv))
+        v_uav, worst_uav = w._est_uav.estimate()
+        for j in np.flatnonzero(w._aa[pair]).tolist():
+            rows.append(build_constraint_row(
+                RowKind.UAV_UAV, pos, w._uav[j], v_uav[j], params=p,
+                other_id=f"uav{j}", worst_case=worst_uav))
+        dim = 3
+    else:
+        point = w._offsets[pair]
+        v_offset, worst_offset = w._est_ugv_offset.estimate()
+        rows.extend(build_workspace_rows(point, p, is_uav=False))
+        for j in np.flatnonzero(w._gg[pair]).tolist():
+            rows.append(build_constraint_row(
+                RowKind.UGV_UGV, point, w._offsets[j], v_offset[j], params=p,
+                other_id=f"ugv{j}", worst_case=worst_offset))
+        dim = 2
+    return from_rows(agent_id, now, w.capacity, dim, rows)

@@ -13,7 +13,8 @@ from airground.agents import (UAV, UGV, AgentControlUnit, Gains, UgvState,
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row)
 from airground.errors import InvalidInputError
-from airground.watcher import ConstraintMatrix
+
+from oracles import from_rows
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -24,7 +25,7 @@ PARAMS = SafetyParams(
 
 
 def empty_matrix(agent_id="uav0", dim=3, t=0.0):
-    return ConstraintMatrix.from_rows(agent_id, t, capacity=8, dim=dim, rows=[])
+    return from_rows(agent_id, t, capacity=8, dim=dim, rows=[])
 
 
 class TestNominalController:
@@ -184,7 +185,7 @@ class TestControlUnit:
         unit = self.make_uav()
         rows = [build_constraint_row(RowKind.UAV_UAV, (2, 0, 1), (0, 0, 1),
                                      (0, 0, 0), PARAMS)]
-        matrix = ConstraintMatrix.from_rows("uav0", 0.0, 8, 3, rows)
+        matrix = from_rows("uav0", 0.0, 8, 3, rows)
         self.feed(unit, 0.0, (2, 0, 1), (2.5, 0, 1), (0, 0, 0), matrix)
         cmd, tele = unit.tick(0.0)
         assert np.allclose(cmd.u, [0.5, 0, 0])  # moving away: untouched
@@ -200,7 +201,7 @@ class TestControlUnit:
         for step in range(400):
             t = step * dt
             row = build_constraint_row(RowKind.UAV_UAV, p_i, p_j, v_j, PARAMS)
-            matrix = ConstraintMatrix.from_rows("uav0", t, 8, 3, [row])
+            matrix = from_rows("uav0", t, 8, 3, [row])
             self.feed(unit, t, p_i, (-2.0, 0, 1.0), (0, 0, 0), matrix)
             cmd, tele = unit.tick(t)
             assert float(row.a @ cmd.u) + row.b >= -1e-9

@@ -13,6 +13,8 @@ from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 verify_validity)
 from airground.errors import IncompleteInputError, InvalidInputError
 
+import oracles
+
 PARAMS = SafetyParams(
     uav_separation=0.5,
     uav_ugv_separation=0.7,
@@ -284,6 +286,56 @@ class TestConstraintRows:
             RowKind.UAV_UAV, (1, 1, 1), (1, 1, 1), (0, 0, 0), PARAMS)
         assert np.allclose(row.a, 0.0)
         assert row.h_value == pytest.approx(-PARAMS.uav_separation ** 2)
+
+
+class TestStackedRows:
+    """A call on m stacked rows is, byte for byte, the stack of its m 1-D
+    calls, and each 1-D call gives the scalar per-row reference's row."""
+
+    @staticmethod
+    def stack(rows, field):
+        return np.array([getattr(r, field) for r in rows]).tobytes()
+
+    @pytest.mark.parametrize("worst_case", [False, True])
+    @pytest.mark.parametrize("kind, dim, other_dim", [
+        (RowKind.UAV_UAV, 3, 3), (RowKind.UGV_UGV, 2, 2),
+        (RowKind.UAV_OTHER_UGV, 3, 2), (RowKind.LANDING, 3, 2)])
+    def test_pairwise_rows(self, kind, dim, other_dim, worst_case):
+        rng = np.random.default_rng(31)
+        m = 300
+        own = rng.uniform(-3, 3, (m, dim))
+        other = rng.uniform(-3, 3, (m, other_dim))
+        velocity = rng.uniform(-1, 1, (m, other_dim))
+        other[:20] = own[:20, :other_dim]  # coincident centres, funnel axis
+        other[20:40] = own[20:40, :other_dim] + rng.normal(0, 1e-4, (20, other_dim))
+        args = dict(params=PARAMS, platform_height=0.3, worst_case=worst_case)
+        stacked = build_constraint_row(kind, own, other, velocity, **args)
+        singles = [build_constraint_row(kind, own[k], other[k], velocity[k], **args)
+                   for k in range(m)]
+        reference = [oracles.build_constraint_row(kind, own[k], other[k], velocity[k], **args)
+                     for k in range(m)]
+        assert stacked.kind is kind and stacked.a.shape == (m, dim)
+        for field in ("a", "b", "h_value"):
+            assert getattr(stacked, field).tobytes() == self.stack(singles, field)
+            assert self.stack(singles, field) == self.stack(reference, field)
+        assert all(isinstance(r.b, float) and isinstance(r.h_value, float)
+                   and r.a.shape == (dim,) for r in singles)
+
+    @pytest.mark.parametrize("is_uav", [True, False])
+    def test_workspace_rows(self, is_uav):
+        rng = np.random.default_rng(32)
+        dim = 3 if is_uav else 2
+        points = rng.uniform(-2.5, 2.5, (100, dim))
+        stacked = build_workspace_rows(points, PARAMS, is_uav)
+        singles = [build_workspace_rows(p, PARAMS, is_uav) for p in points]
+        reference = [oracles.build_workspace_rows(p, PARAMS, is_uav) for p in points]
+        assert len(stacked) == (5 if is_uav else 4)
+        for face, row in enumerate(stacked):
+            column = [rows[face] for rows in singles]
+            for field in ("a", "b", "h_value"):
+                assert getattr(row, field).tobytes() == self.stack(column, field)
+                assert self.stack(column, field) == self.stack(
+                    [rows[face] for rows in reference], field)
 
 
 class TestSpatialGradients:

@@ -149,6 +149,32 @@ class TestSummarize:
         assert f"{trace}:5:" in err and "'garbled'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["bogus t=1", "send t=1 src=watcher",
+                                     "deliver t=1 dst=uav0", "bogus t=1 src=uav0 dst=ugv0"])
+    def test_trace_line_without_known_event_or_endpoints_fails(self, tmp_path, capsys,
+                                                               bad):
+        out_dir, trace, lines = self.traced_run(tmp_path, capsys)
+        with open(trace, "w") as f:
+            f.write("\n".join(lines + [bad]) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert "cannot summarize" in err
+        assert f"{trace}:{len(lines) + 1}:" in err
+        assert "Traceback" not in err
+
+    def test_whitespace_lines_in_csv_logs_are_skipped(self, tmp_path, capsys):
+        out_dir, _, _ = self.traced_run(tmp_path, capsys)
+        assert main(["summarize", out_dir]) == 0
+        clean = capsys.readouterr().out
+        for name in ("trajectory.csv", "watcher.csv"):
+            path = os.path.join(out_dir, name)
+            with open(path) as f:
+                lines = f.read().splitlines()
+            with open(path, "w") as f:
+                f.write("\n".join(lines[:4] + ["   ", "\t"] + lines[4:] + [" "]) + "\n")
+        assert main(["summarize", out_dir]) == 0
+        assert capsys.readouterr().out == clean
+
 
 class TestSafetyAbort:
     def test_unrecoverable_filter_failure_exits_three(self, tmp_path,

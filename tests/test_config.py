@@ -1,6 +1,7 @@
 import copy
 import glob
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ class TestAcceptedConfigs:
         cfg = config_from_dict(variant(safety={}))
         assert cfg.safety == SafetyParams(bounds=cfg.safety.bounds)
         assert cfg.safety.turn_rate_limit == 4.0
+
+    def test_watcher_section_without_retired_key_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config_from_dict(variant(watcher={"smoothing": 0.5}))
 
 
 class TestRejections:
@@ -273,10 +279,22 @@ class TestRejections:
         assert [(x.code, x.message) for x in err.value.violations] == [
             ("BAD_EVENT", f"events[1] must be a mapping, got {entry!r}")]
 
+    def test_non_finite_spawn_is_rejected(self):
+        """The funnel check evaluates every spawn in one call, which a
+        non-finite start fails as a whole; the start is still reported."""
+        data = variant()
+        data["agents"][1]["uav"]["start"] = [float("nan"), 0.0, 1.0]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert [(x.code, x.message) for x in err.value.violations] == [
+            ("SPAWN_INFEASIBLE", "uav1 spawns outside the workspace")]
+
     def test_retired_watcher_key_still_loads(self):
         data = variant()
         data["watcher"] = {"velocity_stale_after": 0.2}
-        assert config_from_dict(data).watcher == config_from_dict(variant()).watcher
+        with pytest.warns(FutureWarning, match="watcher.velocity_stale_after"):
+            cfg = config_from_dict(data)
+        assert cfg.watcher == config_from_dict(variant()).watcher
 
 
 class TestSymmetricDeadlock:

@@ -1,5 +1,6 @@
-"""The array implementations of gating, barrier evaluation, velocity
-estimation and the fleet's kinematic steps, the QP entry points over
+"""The array implementations of gating, barrier evaluation, constraint
+assembly, velocity estimation and the fleet's kinematic steps, the QP entry
+points over
 project_with_box, and the control unit that reuses its filtered command,
 against the code they replaced (tests/oracles.py): equal results, bit for
 bit."""
@@ -8,14 +9,16 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from airground.agents import (UAV, UGV, AgentControlUnit, Command, Gains,
                               UgvState, wrap_angle)
 from airground.barriers import Bounds, ConstraintRow, RowKind, SafetyParams
+from airground.errors import CapacityError
 from airground.logfmt import fmt9
+from airground.netsim import MsgType
 from airground.qp import QpStatus, filter_velocity, solve, solve_relaxed
 from airground.runner import _integrate, run
 from airground.summary import (PhysicsView, Roster, summarize_dir,
@@ -25,7 +28,8 @@ from airground.watcher import (ConstraintMatrix, PairPhase, VelocityEstimator,
 
 from oracles import (AgentVelocityEstimator, DictGates, Sample,
                      UavState, UncachedControlUnit, VelQuality,
-                     integrate_per_agent, scalar_tick_barriers,
+                     assemble_per_row, from_rows, integrate_per_agent,
+                     scalar_tick_barriers,
                      stacked_filter_velocity, stacked_solve,
                      stacked_solve_relaxed)
 from qp_problems import random_problem
@@ -206,8 +210,79 @@ def test_gate_matrices_match_dict_oracle(case):
             aid = rec.agent_id
             assert w.proximal_set(aid) == oracle.proximal_set(aid)
             assert rec.proximal == tuple(sorted(oracle.proximal_set(aid)))
-            matrix = w.assemble_constraints(aid, now)
+            matrix = w.assemble_constraints(now)[aid]
             assert matrix.other_ids == oracle.row_order(aid)
+
+
+@st.composite
+def assembly_runs(draw):
+    """1-6 pairs packed so that many gates are on, a platform height, a
+    capacity that some agents may exceed, and 1-4 ticks of small moves with
+    random landed phases.  The first tick's rows are worst case.  One UAV
+    pair sits on the edges of its hysteresis band."""
+    n = draw(st.integers(1, 6))
+    platform_height = draw(st.sampled_from([0.0, 0.1, 0.45]))
+    capacity = draw(st.integers(5, 2 * n + 4))
+    coord = st.floats(-1.4, 1.4)
+    base_uav = draw(arrays(float, (n, 3), elements=coord)) + [0.0, 0.0, 1.6]
+    base_ugv = draw(arrays(float, (n, 3), elements=coord))
+    ticks = []
+    for _ in range(draw(st.integers(1, 4))):
+        move = st.floats(-0.12, 0.12)
+        uav = base_uav + draw(arrays(float, (n, 3), elements=move))
+        ugv = base_ugv + draw(arrays(float, (n, 3), elements=move))
+        edge = draw(st.sampled_from([-1e-9, 0.0, 1e-9, 0.1, 0.1 + 1e-9]))
+        landed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        ticks.append((uav, ugv, edge, landed))
+    return n, platform_height, capacity, ticks
+
+
+def _clustered_ticks(n, landed):
+    """Two ticks of n pairs all within each other's gates."""
+    phi = 2 * math.pi * np.arange(n) / n
+    uav = np.column_stack((0.3 * np.cos(phi), 0.3 * np.sin(phi), np.full(n, 1.0)))
+    ugv = np.column_stack((0.4 * np.cos(phi), 0.4 * np.sin(phi), phi))
+    return [(uav, ugv, 0.05, landed), (uav + 0.01, ugv + 0.01, 0.05, landed)]
+
+
+# ugv0 (3 gated ground rows) overflows capacity 6 before uav1 (uav0 is landed).
+@example((4, 0.1, 6, _clustered_ticks(4, [True, False, False, False])))
+# six clustered pairs on a raised platform, at the largest capacity drawn
+@example((6, 0.45, 16, _clustered_ticks(6, [False] * 6)))
+@settings(max_examples=200, deadline=None)
+@given(assembly_runs())
+def test_array_assembly_matches_per_row_oracle(case):
+    n, platform_height, capacity, ticks = case
+    w = Watcher(n, PARAMS, capacity, static_tracks(n), platform_height=platform_height)
+    activate_at = PARAMS.uav_separation + w.activation_margin
+    for k, (uav, ugv, edge, landed) in enumerate(ticks):
+        if n > 1:
+            uav[1] = uav[0] + [activate_at + edge, 0.0, 0.0]
+        for i in range(n):
+            w.phases[i] = PairPhase.LANDED if landed[i] else PairPhase.TASK
+        now = 0.05 * k
+        ids = [aid for i in range(n) for aid in (f"uav{i}", f"ugv{i}")]
+        try:
+            outbound, _ = w.tick(now, uav, ugv)
+        except CapacityError as exc:
+            # The oracle's message for its first overflowing agent.
+            for aid in ids:
+                try:
+                    assemble_per_row(w, aid, now)
+                except CapacityError as want:
+                    assert str(exc) == str(want)
+                    return
+            raise AssertionError(f"the oracle fits every agent: {exc}")
+        shipped = [ob.payload for ob in outbound if ob.msg_type is MsgType.CONSTRAINT_UPDATE]
+        assert [m.agent_id for m in shipped] == ids
+        for got in shipped:
+            want = assemble_per_row(w, got.agent_id, now)
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.b.tobytes() == want.b.tobytes()
+            assert got.kinds == want.kinds
+            assert got.other_ids == want.other_ids
+            assert got.active_count == want.active_count
+            assert got.timestamp == want.timestamp
 
 
 def test_qp_entry_points_match_stacked_oracle():
@@ -266,7 +341,7 @@ def random_matrix(rng, agent_id: str, dim: int, stamp: float,
         rows = [ConstraintRow(a=rng.normal(0.0, 1.0, dim),
                               b=float(rng.uniform(-0.5, 1.0)), kind=RowKind.UAV_UAV)
                 for _ in range(rng.integers(0, 5))]
-    return ConstraintMatrix.from_rows(agent_id, stamp, 8, dim, rows)
+    return from_rows(agent_id, stamp, 8, dim, rows)
 
 
 def message_run(rng, kind: str, hold_timeout: float):

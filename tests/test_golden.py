@@ -9,7 +9,10 @@ watcher's per-agent velocity estimators became one per family; the lossy
 100 Hz crossing before a control unit reused its filtered command between
 deliveries; the noisy 12-pair grid, whose localization noise is drawn in
 the lexicographic order of the agent ids (uav0, uav1, uav10, ...), before
-the runner held the fleet as arrays.  A change that alters any
+the runner held the fleet as arrays; the clustered run on a platform raised
+0.1 m, which pins the platform embedding of the cross-layer and funnel rows,
+before the watcher assembled its constraint matrices in one array pass per
+barrier family.  A change that alters any
 logged byte of these runs -- a reordered constraint row, a last-ulp
 difference in a recomputed min_h, one message more or less on the bus --
 fails here.  A change that is meant to alter the logs (a bug fix) must say
@@ -91,6 +94,12 @@ GOLDEN = {
         "a9f2dc37b63e993e45a37e4f9146ac04cb456e377bd88328a9dac7c089e3ae07",
         None,
     ),
+    "clustered_raised_platform": (
+        lambda: clustered_scenario(duration=3.0, platform_height=0.1),
+        "785e5c0d488c2c9d1a4ab31af36f5e4b552176dce7b5c7384dc023c06db7aa1a",
+        "42a076a3173533d44776b1e193405edf18b21c35fa78f28a4a1f34ceceaabcba",
+        "5fa80288e33aad41e79b269c76cc49e4a21ba05f4796fdb465d345f5777a0eaf",
+    ),
 }
 
 
@@ -109,6 +118,14 @@ def test_logs_match_recorded_digests(tmp_path, name):
             assert "type=landing_signal" in f.read()
     if name == "clustered_6s":  # and the slack relaxation
         assert result.relaxed_events > 0
+    if name == "clustered_raised_platform":  # every family, platform raised
+        rows = {}
+        for rec in result.watcher_records:
+            for kind, count in rec.kind_counts.items():
+                rows[kind] = rows.get(kind, 0) + count
+        assert set(rows) == {"workspace", "uav_other_ugv", "landing",
+                             "uav_uav", "ugv_ugv"}
+        assert result.relaxed_events > 0
     if name == "lossy_crossing_100hz_5s":  # and holds between reused ticks
         with open(result.trajectory_path) as f:
             statuses = [line.split(",")[10] for line in f.read().splitlines()[1:]]
@@ -121,11 +138,13 @@ def test_logs_match_recorded_digests(tmp_path, name):
 
 def test_retired_watcher_key_changes_nothing(tmp_path):
     """watcher.velocity_stale_after is no longer read; scenarios that still
-    set it run exactly as without it, even at a negative value, the one
-    setting that once forced every estimate to its worst case."""
+    set it get a FutureWarning naming the key and run exactly as without
+    it, even at a negative value, the one setting that once forced every
+    estimate to its worst case."""
     _, trajectory, watcher, trace = GOLDEN["noisy_crossing_5s"]
-    result = run(noisy_crossing(watcher={"velocity_stale_after": -1.0}),
-                 str(tmp_path), trace=True)
+    with pytest.warns(FutureWarning, match="watcher.velocity_stale_after"):
+        result = run(noisy_crossing(watcher={"velocity_stale_after": -1.0}),
+                     str(tmp_path), trace=True)
     assert sha256(result.trajectory_path) == trajectory
     assert sha256(result.watcher_path) == watcher
     assert sha256(result.trace_path) == trace

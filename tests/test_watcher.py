@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from airground import watcher as watcher_module
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row)
 from airground.errors import CapacityError, InvalidInputError
@@ -103,7 +104,7 @@ class TestVelocityEstimator:
         for now, x in ((0.0, 0.0), (0.1, 0.05)):  # the platform moves at 0.5 m/s
             ugv = np.array([[x, 0.0, 0.0]])
             w.tick(now, uav, ugv)
-            landing = w.assemble_constraints("uav0", now).active_rows()[-1]
+            landing = w.assemble_constraints(now)["uav0"].active_rows()[-1]
             assert landing.kind is RowKind.LANDING
             expected = build_constraint_row(
                 RowKind.LANDING, uav[0], ugv[0, :2], [0.5, 0.0],
@@ -200,7 +201,7 @@ class TestAssembly:
     def test_row_order_uav(self):
         w = make_watcher(3)
         w.tick(0.0, *clustered_poses(3))
-        matrix = w.assemble_constraints("uav0", 0.0)
+        matrix = w.assemble_constraints(0.0)["uav0"]
         kinds = [k.value for k in matrix.kinds]
         assert kinds == (["workspace"] * 5
                          + ["uav_other_ugv"] * 2
@@ -213,14 +214,14 @@ class TestAssembly:
     def test_row_order_ugv(self):
         w = make_watcher(3)
         w.tick(0.0, *clustered_poses(3))
-        matrix = w.assemble_constraints("ugv1", 0.0)
+        matrix = w.assemble_constraints(0.0)["ugv1"]
         kinds = [k.value for k in matrix.kinds]
         assert kinds == ["workspace"] * 4 + ["ugv_ugv"] * 2
 
     def test_zero_padding_beyond_active_rows(self):
         w = make_watcher(3, capacity=16)
         w.tick(0.0, *spread_poses(3))
-        matrix = w.assemble_constraints("uav0", 0.0)
+        matrix = w.assemble_constraints(0.0)["uav0"]
         assert matrix.active_count == 6
         assert np.all(matrix.a[6:] == 0.0)
         assert np.all(matrix.b[6:] == 0.0)
@@ -230,10 +231,34 @@ class TestAssembly:
         with pytest.raises(CapacityError):
             w.tick(0.0, *clustered_poses(3))
 
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_one_row_call_per_pairwise_family_per_tick(self, n, monkeypatch):
+        calls = []
+
+        def counting(kind, *args, **kwargs):
+            calls.append(kind)
+            return build_constraint_row(kind, *args, **kwargs)
+
+        monkeypatch.setattr(watcher_module, "build_constraint_row", counting)
+        w = make_watcher(n)
+        uav, ugv = clustered_poses(n)
+        for now in (0.0, 0.05):  # worst-case rows, then estimated ones
+            calls.clear()
+            w.tick(now, uav, ugv)
+            assert sorted(k.value for k in calls) == [
+                "landing", "uav_other_ugv", "uav_uav", "ugv_ugv"]
+
+    def test_non_finite_pose_rejected(self):
+        w = make_watcher(2)
+        uav, ugv = spread_poses(2)
+        ugv[1, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            w.tick(0.0, uav, ugv)
+
     def test_landing_row_survives_any_distance(self):
         w = make_watcher(2)
         w.tick(0.0, *spread_poses(2, spacing=500.0))
-        matrix = w.assemble_constraints("uav1", 0.0)
+        matrix = w.assemble_constraints(0.0)["uav1"]
         assert RowKind.LANDING in matrix.kinds
 
 
@@ -310,8 +335,8 @@ class TestLandingProtocol:
         w = make_watcher(n)
         uav, ugv = clustered_poses(n, uav_side=0.9, ugv_side=1.25, z=0.3)
         w.tick(0.0, uav, ugv)
-        before_self = w.assemble_constraints("uav0", 0.0)
-        before_other = w.assemble_constraints("uav1", 0.0)
+        before_self = w.assemble_constraints(0.0)["uav0"]
+        before_other = w.assemble_constraints(0.0)["uav1"]
         assert before_self.active_count == 2 * n + 4
         assert before_other.active_count == 2 * n + 4
 
@@ -325,8 +350,8 @@ class TestLandingProtocol:
         acks = [ob for ob in outbound if ob.msg_type is MsgType.TOUCHDOWN_ACK]
         assert [ob.dst for ob in acks] <= ["uav0"]
 
-        after_self = w.assemble_constraints("uav0", 0.9)
-        after_other = w.assemble_constraints("uav1", 0.9)
+        after_self = w.assemble_constraints(0.9)["uav0"]
+        after_other = w.assemble_constraints(0.9)["uav1"]
         # The landed UAV keeps walls + funnel only: one aerial row and one
         # cross-layer row retire from its matrix.
         self_kinds = [k.value for k in after_self.kinds]
