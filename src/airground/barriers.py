@@ -24,6 +24,8 @@ The barrier functions also take stacked inputs with a leading row axis and
 then evaluate all rows in one array pass, each bit-identical to its 1-D
 call; the watcher builds a whole family's rows per tick that way.  x.T[k] is
 coordinate k: a scalar for one row, a column for stacked rows.
+eval_workspace, eval_landing and offset_points take any leading shape, so
+the post-run summary evaluates (T, k, .) blocks of ticks with them too.
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ def eval_landing(p_uav, p_ugv_3d, sharpness: float, height: float,
     p_ugv_3d = _require_finite("p_ugv_3d", p_ugv_3d)
     if sharpness <= 0 or height <= 0:
         raise InvalidInputError("funnel sharpness and height must be positive")
-    rx, ry, rz = (p_uav - p_ugv_3d).T
+    r = p_uav - p_ugv_3d
+    rx, ry, rz = r[..., 0], r[..., 1], r[..., 2]
     l = rx * rx + ry * ry
     decay = libm(math.exp, -sharpness * l)
     h = rz - height * sharpness * l * decay - clearance
@@ -218,11 +221,10 @@ def landing_time_term(r, k: float, ugv_velocity) -> float:
     return _out(-k * (r.T[0] * v.T[0] + r.T[1] * v.T[1]))
 
 
-# Per wall face: the read-only gradient, the axis it bounds and that axis's sign in h.
+# The read-only gradient of each wall face, in eval_workspace's face order.
 _WALLS = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
                    [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
 _WALLS.flags.writeable = False
-_WALL_AXES, _WALL_SIGNS = [0, 0, 1, 1, 2], _WALLS.sum(axis=1)
 
 
 def eval_workspace(p, bounds: Bounds, is_uav: bool) -> list[tuple[float, np.ndarray]]:
@@ -231,18 +233,29 @@ def eval_workspace(p, bounds: Bounds, is_uav: bool) -> list[tuple[float, np.ndar
     UAVs get five rows (both x walls, both y walls, ceiling); the floor is
     covered by the landing funnel, which never deactivates.  UGVs get four
     planar rows evaluated at the offset point.  The gradients are shared
-    read-only constants, repeated to (m, dim) for m stacked positions.
-    All faces are one pass: x_max - x is taken as -x + x_max, the same float.
+    read-only constants, broadcast to p's leading shape for stacked positions.
     """
     p = _require_finite("p", p)
-    faces = 5 if is_uav else 4
     b = bounds
-    heights = (p[..., _WALL_AXES[:faces]] * _WALL_SIGNS[:faces] + np.array(
-        (b.x_max, -b.x_min, b.y_max, -b.y_min, b.z_max)[:faces])).T
-    grads = _WALLS[:faces, :p.shape[-1]]
-    if p.ndim > 1:
-        grads = grads[:, None].repeat(len(p), axis=1)
-    return [(_out(heights[face]), grads[face]) for face in range(faces)]
+    x, y = p[..., 0], p[..., 1]
+    heights = [b.x_max - x, x - b.x_min, b.y_max - y, y - b.y_min]
+    if is_uav:
+        heights.append(b.z_max - p[..., 2])
+    grads = np.broadcast_to(_WALLS[:len(heights), :p.shape[-1]],
+                            p.shape[:-1] + (len(heights), p.shape[-1]))
+    return [(_out(h), grads[..., face, :]) for face, h in enumerate(heights)]
+
+
+def offset_points(poses, offset: float) -> np.ndarray:
+    """UGV control points of (..., 3) poses (x, y, theta), as (..., 2)
+    points (x + offset*cos(theta), y + offset*sin(theta)); cos and sin go
+    through libm, element by element."""
+    poses = _require_finite("poses", poses)
+    theta = poses[..., 2]
+    points = np.empty(poses.shape[:-1] + (2,))
+    points[..., 0] = poses[..., 0] + offset * libm(math.cos, theta)
+    points[..., 1] = poses[..., 1] + offset * libm(math.sin, theta)
+    return points
 
 
 def build_workspace_rows(p, params: SafetyParams, is_uav: bool) -> list[ConstraintRow]:

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
-from .barriers import (Bounds, SafetyParams, eval_landing,
+from .barriers import (Bounds, SafetyParams, eval_landing, offset_points,
                        pairwise_sq_distances)
 from .errors import ConfigError, ConfigViolation, InvalidInputError
 from .netsim import LinkModel
+from .watcher import WatcherOptions
 
 _GOLDEN_ANGLE = 2.399963229728653
 
@@ -40,15 +41,6 @@ class AgentSpec:
 class LandingEvent:
     time: float
     pair: int
-
-
-@dataclass
-class WatcherOptions:
-    activation_margin: float | None = None
-    smoothing: float = 0.7
-    touchdown_radius_sq: float = 0.01
-    touchdown_height: float = 0.02
-    touchdown_hold: float = 0.5
 
 
 @dataclass
@@ -105,8 +97,8 @@ def _get(data: dict, key: str, default=None, *, required=False, violations=None)
 def _number(v: list[ConfigViolation], section: dict, key: str, default,
             cast=float, where: str = ""):
     """section[key] converted by cast; the default when the key is absent or
-    null, and also (reported as BAD_VALUE) when the value is malformed or
-    NaN."""
+    null, and also (reported as BAD_VALUE) when the value is malformed, NaN
+    or infinite."""
     raw = section.get(key)
     if raw is None:
         return default
@@ -114,7 +106,7 @@ def _number(v: list[ConfigViolation], section: dict, key: str, default,
         value = cast(raw)
     except (TypeError, ValueError, OverflowError):
         value = math.nan
-    if math.isnan(value):
+    if not math.isfinite(value):
         v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be a number, got {raw!r}"))
         return default
     return value
@@ -132,10 +124,14 @@ def _section(v: list[ConfigViolation], data: dict, key: str, kind=dict, *,
     return value
 
 
-def _as_floats(value, n: int | None = None):
+def _as_floats(value, n: int, finite: bool = True):
     arr = np.asarray(value, dtype=float)
-    if n is not None and arr.shape != (n,):
+    if arr.shape != (n,):
         raise ValueError(f"expected {n} numbers, got {value!r}")
+    # Checked element by element: on a few numbers, several times faster
+    # than a NumPy reduction, and a scenario has hundreds of these vectors.
+    if finite and not all(map(math.isfinite, arr.tolist())):
+        raise ValueError(f"expected finite numbers, got {value!r}")
     return arr
 
 
@@ -215,9 +211,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     ws = _section(v, data, "workspace")
     try:
-        bx = _as_floats(ws.get("x", [-6.0, 6.0]), 2)
-        by = _as_floats(ws.get("y", [-6.0, 6.0]), 2)
-        bz = _as_floats(ws.get("z", [0.0, 3.0]), 2)
+        # Non-finite bounds are left to Bounds.validate, which names the axis.
+        bx = _as_floats(ws.get("x", [-6.0, 6.0]), 2, finite=False)
+        by = _as_floats(ws.get("y", [-6.0, 6.0]), 2, finite=False)
+        bz = _as_floats(ws.get("z", [0.0, 3.0]), 2, finite=False)
         bounds = Bounds(float(bx[0]), float(bx[1]), float(by[0]), float(by[1]),
                         float(bz[0]), float(bz[1]))
     except (ValueError, TypeError) as exc:
@@ -243,18 +240,16 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         ))
 
     gains = _section(v, data, "gains")
-    try:
-        raw_g = gains.get("uav", 1.0)
-        g_uav = _as_floats(raw_g, 3) if np.ndim(raw_g) else np.full(3, float(raw_g))
-    except (ValueError, TypeError):
-        v.append(ConfigViolation("BAD_VALUE", "gains.uav must be a number or 3 numbers"))
-        g_uav = np.ones(3)
-    try:
-        raw_g = gains.get("ugv", 1.0)
-        g_ugv = _as_floats(raw_g, 2) if np.ndim(raw_g) else np.full(2, float(raw_g))
-    except (ValueError, TypeError):
-        v.append(ConfigViolation("BAD_VALUE", "gains.ugv must be a number or 2 numbers"))
-        g_ugv = np.ones(2)
+    gain = {}
+    for kind, dim in (("uav", 3), ("ugv", 2)):
+        raw_g = gains.get(kind, 1.0)
+        try:
+            gain[kind] = _as_floats(raw_g if np.ndim(raw_g) else np.full(dim, raw_g), dim)
+        except (ValueError, TypeError):
+            v.append(ConfigViolation(
+                "BAD_VALUE", f"gains.{kind} must be a number or {dim} numbers"))
+            gain[kind] = np.ones(dim)
+    g_uav, g_ugv = gain["uav"], gain["ugv"]
     if np.any(g_uav <= 0) or np.any(g_ugv <= 0):
         v.append(ConfigViolation("BAD_VALUE", "gains must be positive"))
 
@@ -276,11 +271,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         warnings.warn("watcher.velocity_stale_after is no longer read and will be "
                       "rejected in a future version; remove it", FutureWarning, stacklevel=2)
     watcher = WatcherOptions(**{
-        key: _number(v, wv, key, default, where="watcher.")
-        for key, default in (
-            ("activation_margin", None), ("smoothing", 0.7),
-            ("touchdown_radius_sq", 0.01), ("touchdown_height", 0.02),
-            ("touchdown_hold", 0.5))})
+        f.name: _number(v, wv, f.name, f.default, where="watcher.")
+        for f in fields(WatcherOptions)})
     if not 0 < watcher.smoothing <= 1:
         v.append(ConfigViolation("BAD_VALUE", "watcher.smoothing must be in (0, 1]"))
 
@@ -396,26 +388,21 @@ def _validate_spawn(v: list[ConfigViolation], safety: SafetyParams,
     bounds = safety.bounds
     pad = 2.0 * offset  # offset-space rows protect the body only up to this slack
     n = len(uavs)
-    offset_points = []
-    for i, spec in enumerate(ugvs):
-        x, y, th = spec.start
-        ox = x + offset * math.cos(th)
-        oy = y + offset * math.sin(th)
-        offset_points.append([ox, oy])
+    uav_starts = np.array([spec.start for spec in uavs])
+    ugv_starts = np.array([spec.start for spec in ugvs])
+    offsets = offset_points(ugv_starts, offset)
+    for i, ((x, y, _), (ox, oy)) in enumerate(zip(ugv_starts.tolist(), offsets.tolist())):
         if not _inside(bounds, x, y) or not _inside(bounds, ox, oy):
             v.append(ConfigViolation(
                 "SPAWN_INFEASIBLE", f"ugv{i} spawns outside the workspace"))
-    uav_starts = np.array([spec.start for spec in uavs])
-    ugv_starts = np.array([spec.start for spec in ugvs])
     platforms = ugv_starts.copy()
     platforms[:, 2] = platform_height
     try:
         funnel_h = eval_landing(uav_starts, platforms, safety.funnel_sharpness,
                                 safety.funnel_height, safety.hover_clearance)[0]
-    except InvalidInputError:  # bad funnel params or a non-finite start, reported
+    except InvalidInputError:  # bad funnel params, reported by SafetyParams.validate
         funnel_h = None
-    for i, spec in enumerate(uavs):
-        x, y, z = spec.start
+    for i, (x, y, z) in enumerate(uav_starts.tolist()):
         if not _inside(bounds, x, y, z):
             v.append(ConfigViolation(
                 "SPAWN_INFEASIBLE", f"uav{i} spawns outside the workspace"))
@@ -431,7 +418,6 @@ def _validate_spawn(v: list[ConfigViolation], safety: SafetyParams,
     # offset points | UGV starts] against [offset points | first waypoints].
     air = np.sqrt(pairwise_sq_distances(uav_starts, np.concatenate(
         (uav_starts, platforms, [spec.waypoints[0] for spec in uavs]))))
-    offsets = np.array(offset_points)
     ground = np.sqrt(pairwise_sq_distances(
         np.concatenate((offsets, ugv_starts[:, :2])),
         np.concatenate((offsets, [spec.waypoints[0] for spec in ugvs]))))

@@ -25,8 +25,8 @@ from .logfmt import fmt9
 from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
 from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
                       TRAJECTORY_HEADER, WATCHER_FILE, WATCHER_HEADER,
-                      MetricsSummary, PhysicsView, Roster, TickBlock,
-                      summarize_dir, tick_barriers)
+                      MetricsSummary, Roster, TickBlock, summarize_dir,
+                      tick_barriers)
 from .watcher import Watcher, WatcherRecord, WaypointTrack
 
 
@@ -72,7 +72,6 @@ def _integrate(uav, ugv, velocity, u, v, omega, landed: list[int],
 
 def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     os.makedirs(out_dir, exist_ok=True)
-    view = PhysicsView.from_config(cfg)
     n = cfg.n_pairs
     agent_ids = cfg.agent_ids()
 
@@ -105,12 +104,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         n, cfg.safety, cfg.capacity, tracks,
         platform_height=cfg.platform_height, ugv_offset=cfg.ugv_offset,
         period=1.0 / cfg.watcher_rate, max_latency=max_latency,
-        activation_margin=cfg.watcher.activation_margin,
-        smoothing=cfg.watcher.smoothing,
-        touchdown_radius_sq=cfg.watcher.touchdown_radius_sq,
-        touchdown_height=cfg.watcher.touchdown_height,
-        touchdown_hold=cfg.watcher.touchdown_hold,
-    )
+        **vars(cfg.watcher))
     trace_lines: list[str] | None = [] if trace else None
     bus = StarBus(agent_ids, cfg.network, cfg.seed, trace=trace_lines)
     # Localization noise, one (2n, 3) draw per watcher tick: row k perturbs
@@ -154,7 +148,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 unit.on_touchdown_ack()
 
     def flush_block():
-        per_agent, _, _ = tick_barriers(view, roster, *block.arrays())
+        per_agent, _, _ = tick_barriers(cfg, roster, *block.arrays())
         for line, h in zip(pending_lines, per_agent.ravel().tolist()):
             traj_lines.append(line + fmt9(h))
         pending_lines.clear()

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import libm, pairwise_sq_distances
+from .barriers import (eval_landing, eval_workspace, offset_points,
+                       pairwise_sq_distances)
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import roundtrip
@@ -77,44 +78,6 @@ class MetricsSummary:
             "messages_dropped": self.messages_dropped,
         }
         return json.dumps(data, indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class PhysicsView:
-    """The handful of scenario constants needed to re-evaluate every barrier."""
-
-    uav_separation: float
-    uav_ugv_separation: float
-    ugv_separation: float
-    funnel_sharpness: float
-    funnel_height: float
-    hover_clearance: float
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    z_min: float
-    z_max: float
-    ugv_offset: float
-    platform_height: float
-    n_pairs: int
-
-    @staticmethod
-    def from_config(cfg: ScenarioConfig) -> "PhysicsView":
-        s = cfg.safety
-        b = s.bounds
-        return PhysicsView(
-            uav_separation=s.uav_separation,
-            uav_ugv_separation=s.uav_ugv_separation,
-            ugv_separation=s.ugv_separation,
-            funnel_sharpness=s.funnel_sharpness,
-            funnel_height=s.funnel_height,
-            hover_clearance=s.hover_clearance,
-            x_min=b.x_min, x_max=b.x_max, y_min=b.y_min, y_max=b.y_max,
-            z_min=b.z_min, z_max=b.z_max,
-            ugv_offset=cfg.ugv_offset, platform_height=cfg.platform_height,
-            n_pairs=cfg.n_pairs,
-        )
 
 
 class Roster:
@@ -179,13 +142,7 @@ class TickBlock:
         self.ticks = 0
 
 
-def _fmin_all(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    for values in rest:
-        first = np.fmin(first, values)
-    return first
-
-
-def tick_barriers(view: PhysicsView, roster: Roster, x: np.ndarray,
+def tick_barriers(cfg: ScenarioConfig, roster: Roster, x: np.ndarray,
                   y: np.ndarray, z: np.ndarray, theta: np.ndarray,
                   landed: np.ndarray
                   ) -> tuple[np.ndarray, dict[str, float], dict[str, float]]:
@@ -197,8 +154,11 @@ def tick_barriers(view: PhysicsView, roster: Roster, x: np.ndarray,
     per-kind minimum distance over the whole block.  Landed UAVs retire
     from the aerial separation families but keep their wall and funnel
     terms, mirroring the coordinator's row retirement.  NaN terms are
-    ignored, like a failed comparison in a scalar minimum.
+    ignored, like a failed comparison in a scalar minimum.  Walls, funnel
+    and UGV offset points come from the barriers module, whose functions
+    the watcher's rows use too.
     """
+    s = cfg.safety
     per_agent = np.full(x.shape, math.inf)
     family: dict[str, float] = {}
     dist: dict[str, float] = {}
@@ -208,6 +168,10 @@ def tick_barriers(view: PhysicsView, roster: Roster, x: np.ndarray,
         if low < family.get(fam, math.inf):
             family[fam] = low
         return h
+
+    def walls(p: np.ndarray, is_uav: bool) -> np.ndarray:
+        return record("workspace", np.fmin.reduce(
+            [h for h, _ in eval_workspace(p, s.bounds, is_uav)]))
 
     def separation(fam: str, kind: str, d2: np.ndarray, radius: float
                    ) -> np.ndarray:
@@ -219,53 +183,49 @@ def tick_barriers(view: PhysicsView, roster: Roster, x: np.ndarray,
             dist[kind] = low
         return record(fam, np.fmin.reduce(d2, axis=2) - radius ** 2)
 
+    def block(columns: np.ndarray, *coords: np.ndarray) -> np.ndarray:
+        # (T, k, len(coords)) in C order, which pairwise_sq_distances reads
+        # fastest; np.stack of indexed columns may not be.
+        out = np.empty((x.shape[0], columns.size, len(coords)))
+        for i, c in enumerate(coords):
+            out[..., i] = c[:, columns]
+        return out
+
+    deck = np.full(x.shape, cfg.platform_height)
     u, g = roster.uav, roster.ugv
     if u.size:
-        ux, uy, uz = x[:, u], y[:, u], z[:, u]
-        terms = [record("workspace", _fmin_all(
-            view.x_max - ux, ux - view.x_min, view.y_max - uy,
-            uy - view.y_min, view.z_max - uz))]
+        uavs = block(u, x, y, z)
+        terms = [walls(uavs, True)]
         if roster.funnel_pos.size:
-            fu, own = roster.funnel_pos, roster.funnel_own
-            rx = ux[:, fu] - x[:, own]
-            ry = uy[:, fu] - y[:, own]
-            rz = uz[:, fu] - view.platform_height
-            l = rx * rx + ry * ry
-            a = view.funnel_sharpness
-            funnel = np.full(ux.shape, math.inf)
-            funnel[:, fu] = record("landing", rz - view.funnel_height * a * l
-                                   * libm(math.exp, -a * l) - view.hover_clearance)
+            fu = roster.funnel_pos
+            funnel = np.full(uavs.shape[:2], math.inf)
+            funnel[:, fu] = record("landing", eval_landing(
+                uavs[:, fu], block(roster.funnel_own, x, y, deck), s.funnel_sharpness,
+                s.funnel_height, s.hover_clearance)[0])
             terms.append(funnel)
         flying = ~landed[:, u]
-        uavs = np.stack((ux, uy, uz), axis=-1)
         if u.size > 1:
             ok = flying[:, :, None] & flying[:, None, :] & roster.uav_others
             terms.append(separation(
                 "uav_uav", "uav_uav",
                 np.where(ok, pairwise_sq_distances(uavs, uavs), math.inf),
-                view.uav_separation))
+                s.uav_separation))
         if g.size:
-            platforms = np.stack((x[:, g], y[:, g],
-                                  np.full((x.shape[0], g.size), view.platform_height)),
-                                 axis=-1)
             ok = flying[:, :, None] & roster.other_ugv
             terms.append(separation(
                 "uav_other_ugv", "uav_ugv",
-                np.where(ok, pairwise_sq_distances(uavs, platforms), math.inf),
-                view.uav_ugv_separation))
-        per_agent[:, u] = _fmin_all(*terms)
+                np.where(ok, pairwise_sq_distances(uavs, block(g, x, y, deck)), math.inf),
+                s.uav_ugv_separation))
+        per_agent[:, u] = np.fmin.reduce(terms)
     if g.size:
-        ox = x[:, g] + view.ugv_offset * libm(math.cos, theta[:, g])
-        oy = y[:, g] + view.ugv_offset * libm(math.sin, theta[:, g])
-        terms = [record("workspace", _fmin_all(
-            view.x_max - ox, ox - view.x_min, view.y_max - oy, oy - view.y_min))]
+        offsets = offset_points(block(g, x, y, theta), cfg.ugv_offset)
+        terms = [walls(offsets, False)]
         if g.size > 1:
-            offsets = np.stack((ox, oy), axis=-1)
             d2 = pairwise_sq_distances(offsets, offsets)
             terms.append(separation(
                 "ugv_ugv", "ugv_ugv",
-                np.where(roster.ugv_others, d2, math.inf), view.ugv_separation))
-        per_agent[:, g] = _fmin_all(*terms)
+                np.where(roster.ugv_others, d2, math.inf), s.ugv_separation))
+        per_agent[:, g] = np.fmin.reduce(terms)
 
     return per_agent, family, dist
 
@@ -289,14 +249,18 @@ def _csv_rows(path: str, header: str, width: int):
 
 def _parse_trajectory(path: str):
     """Yields (line_number, time_str, agent_id, kind, x, y, z, theta, status,
-    logged min_h) per record."""
+    logged min_h) per record; a state must be finite."""
+    isfinite = math.isfinite
     for lineno, parts in _csv_rows(path, TRAJECTORY_HEADER, 12):
         try:
-            yield (lineno, parts[0], parts[1], parts[2], float(parts[3]),
-                   float(parts[4]), float(parts[5]), float(parts[6]),
-                   parts[10], float(parts[11]))
+            x, y, z, theta = float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])
+            logged = float(parts[11])
         except ValueError as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}")
+        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(theta)):
+            raise InvalidInputError(f"{path}:{lineno}: state must be finite, "
+                                    f"got {','.join(parts[3:7])}")
+        yield lineno, parts[0], parts[1], parts[2], x, y, z, theta, parts[10], logged
 
 
 def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
@@ -307,7 +271,6 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
     samples, and lines are checked in file order, so the first line whose
     min_h disagrees is the one reported."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
-    view = PhysicsView.from_config(cfg)
     summary = MetricsSummary()
 
     traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
@@ -325,7 +288,7 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
         nonlocal block_lines
         if block is None or not block.ticks:
             return
-        per_agent, family, dist = tick_barriers(view, block.roster,
+        per_agent, family, dist = tick_barriers(cfg, block.roster,
                                                 *block.arrays())
         recomputed = per_agent.ravel().tolist()
         for lineno, index, logged in block_lines:
@@ -380,8 +343,9 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
             if kind == "uav" and status == "landed":
                 first_landed.setdefault(int(agent_id[3:]), t)
     except ValueError:
-        # A bad state earlier in the file is reported before a malformed line.
-        end_tick()
+        # A bad state earlier in the file is reported before a malformed
+        # line; only complete ticks are evaluated, since the malformed
+        # line's tick lacks the rest of its agents.
         flush_block()
         raise
     end_tick()

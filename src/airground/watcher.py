@@ -32,13 +32,27 @@ from enum import Enum
 import numpy as np
 
 from .barriers import (ConstraintRow, RowKind, SafetyParams,
-                       build_constraint_row, build_workspace_rows, libm,
-                       pairwise_sq_distances)
+                       build_constraint_row, build_workspace_rows,
+                       offset_points, pairwise_sq_distances)
 from .errors import CapacityError, InvalidInputError
 from .netsim import MsgType
 
 _PROXIMITY_HYSTERESIS = 0.1  # extra meters before an active pair deactivates
 _KINDS = tuple(RowKind)
+
+
+@dataclass
+class WatcherOptions:
+    """The watcher's tuning knobs.  The field defaults are also the defaults
+    of a scenario's watcher section and of the Watcher's keyword arguments.
+    activation_margin None derives the margin from the speed limit, the
+    watcher period and the worst link latency."""
+
+    activation_margin: float | None = None
+    smoothing: float = 0.7            # velocity estimator weight of the newest difference
+    touchdown_radius_sq: float = 0.01  # horizontal touchdown window, squared (m^2)
+    touchdown_height: float = 0.02     # vertical touchdown window above hover (m)
+    touchdown_hold: float = 0.5        # dwell inside the window before touchdown (s)
 
 
 class VelocityEstimator:
@@ -51,7 +65,7 @@ class VelocityEstimator:
     most adversarial motion within the speed bounds.
     """
 
-    def __init__(self, n: int, dim: int, smoothing: float = 0.7):
+    def __init__(self, n: int, dim: int, smoothing: float = WatcherOptions.smoothing):
         if not 0.0 < smoothing <= 1.0:
             raise InvalidInputError("smoothing must be in (0, 1]")
         self._smoothing = smoothing
@@ -197,13 +211,11 @@ class Watcher:
         ugv_offset: float = 0.1,
         period: float = 0.05,
         max_latency: float = 0.0,
-        activation_margin: float | None = None,
-        smoothing: float = 0.7,
-        touchdown_radius_sq: float = 0.01,
-        touchdown_height: float = 0.02,
-        touchdown_hold: float = 0.5,
+        **options,
     ):
+        """options are WatcherOptions fields; absent ones take its defaults."""
         params.require_valid()
+        opts = WatcherOptions(**options)
         self.n_pairs = n_pairs
         self.params = params
         self.capacity = capacity
@@ -211,13 +223,13 @@ class Watcher:
         self.platform_height = platform_height
         self.ugv_offset = ugv_offset
         self.period = period
-        if activation_margin is None:
+        self.activation_margin = opts.activation_margin
+        if self.activation_margin is None:
             # Worst-case closing distance over one update interval, padded.
-            activation_margin = 2.0 * params.uav_speed_limit * (period + max_latency) + 0.5
-        self.activation_margin = activation_margin
-        self._touch_l = touchdown_radius_sq
-        self._touch_rz = touchdown_height
-        self._touch_hold = touchdown_hold
+            self.activation_margin = 2.0 * params.uav_speed_limit * (period + max_latency) + 0.5
+        self._touch_l = opts.touchdown_radius_sq
+        self._touch_rz = opts.touchdown_height
+        self._touch_hold = opts.touchdown_hold
 
         self.phases = {i: PairPhase.TASK for i in range(n_pairs)}
         self._uav_ids = np.array([f"uav{i}" for i in range(n_pairs)], dtype=object)
@@ -237,9 +249,9 @@ class Watcher:
         self._aa = np.zeros((n_pairs, n_pairs), dtype=bool)
         self._gg = np.zeros((n_pairs, n_pairs), dtype=bool)
         self._ago = np.zeros((n_pairs, n_pairs), dtype=bool)
-        self._est_uav = VelocityEstimator(n_pairs, 3, smoothing)
-        self._est_ugv_body = VelocityEstimator(n_pairs, 2, smoothing)
-        self._est_ugv_offset = VelocityEstimator(n_pairs, 2, smoothing)
+        self._est_uav = VelocityEstimator(n_pairs, 3, opts.smoothing)
+        self._est_ugv_body = VelocityEstimator(n_pairs, 2, opts.smoothing)
+        self._est_ugv_offset = VelocityEstimator(n_pairs, 2, opts.smoothing)
 
     # -- event handling -----------------------------------------------------
 
@@ -410,9 +422,7 @@ class Watcher:
         self._ugv = ugv = np.array(ugv, dtype=float).reshape(self.n_pairs, 3)
         if not (np.isfinite(self._uav).all() and np.isfinite(ugv).all()):
             raise InvalidInputError(f"fleet poses must be finite at t={now}")
-        self._offsets = np.column_stack((
-            ugv[:, 0] + self.ugv_offset * libm(math.cos, ugv[:, 2]),
-            ugv[:, 1] + self.ugv_offset * libm(math.sin, ugv[:, 2])))
+        self._offsets = offset_points(ugv, self.ugv_offset)
         self._platforms = np.column_stack(
             (ugv[:, :2], np.full(self.n_pairs, self.platform_height)))
         self._est_uav.push(now, self._uav)

@@ -23,8 +23,9 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,6 +51,17 @@ class Sample:
     z: float
     theta: float
     status: str
+
+
+def scalar_view(cfg) -> SimpleNamespace:
+    """The flat constants scalar_tick_barriers reads: every SafetyParams
+    field, the workspace bounds' fields, ugv_offset and platform_height of a
+    scenario config (or any object with those attributes)."""
+    safety = cfg.safety
+    return SimpleNamespace(
+        **{f.name: getattr(safety, f.name) for f in fields(safety) if f.name != "bounds"},
+        **{f.name: getattr(safety.bounds, f.name) for f in fields(safety.bounds)},
+        ugv_offset=cfg.ugv_offset, platform_height=cfg.platform_height)
 
 
 def _offset_point(view, s: Sample) -> tuple[float, float]:

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row, build_workspace_rows,
                                 eval_landing, eval_uav_other_ugv,
                                 eval_uav_uav, eval_ugv_ugv, eval_workspace,
                                 landing_gradient, landing_time_term,
-                                verify_validity)
+                                offset_points, verify_validity)
 from airground.errors import IncompleteInputError, InvalidInputError
 
 import oracles
@@ -336,6 +337,78 @@ class TestStackedRows:
                 assert getattr(row, field).tobytes() == self.stack(column, field)
                 assert self.stack(column, field) == self.stack(
                     [rows[face] for rows in reference], field)
+
+
+# Headings at and next to +-pi, where a wrap may land either side.
+_EDGE_HEADINGS = [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                  math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 4.0),
+                  math.nextafter(-math.pi, -4.0), 0.0, -0.0]
+
+
+@st.composite
+def tick_blocks(draw):
+    """A (T, k, 3) block of UAV positions, one of UGV poses (x, y, theta)
+    and a platform height."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), 3)
+    coord = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+    uavs = draw(arrays(float, shape, elements=coord))
+    poses = draw(arrays(float, shape, elements=coord))
+    poses[..., 2] = draw(arrays(float, shape[:2], elements=st.one_of(
+        st.floats(-4.0, 4.0), st.sampled_from(_EDGE_HEADINGS))))
+    return uavs, poses, draw(st.sampled_from([0.0, 0.1, 0.45]))
+
+
+class TestBlockCalls:
+    """offset_points, eval_workspace and eval_landing on (T, k, .) blocks
+    equal, byte for byte, the stack of their 1-D calls."""
+
+    @staticmethod
+    def singles(fn, *blocks):
+        """fn on each (T, k) entry of the blocks, as a T by k nested list."""
+        return [[fn(*(b[t, j] for b in blocks)) for j in range(blocks[0].shape[1])]
+                for t in range(blocks[0].shape[0])]
+
+    @settings(max_examples=150, deadline=None)
+    @given(tick_blocks(), st.sampled_from([0.1, 0.3]))
+    def test_offset_points(self, block, offset):
+        _, poses, _ = block
+        got = offset_points(poses, offset)
+        assert got.shape == poses.shape[:-1] + (2,)
+        assert got.tobytes() == np.array(
+            self.singles(lambda p: offset_points(p, offset), poses)).tobytes()
+        scalar = [[[x + offset * math.cos(th), y + offset * math.sin(th)]
+                   for x, y, th in row] for row in poses.tolist()]
+        assert got.tobytes() == np.array(scalar).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(tick_blocks(), st.booleans())
+    def test_workspace(self, block, is_uav):
+        uavs, poses, _ = block
+        points = uavs if is_uav else offset_points(poses, 0.1)
+        bounds = Bounds(-5.0, 5.0, -4.0, 4.5, 0.0, 3.0)
+        got = eval_workspace(points, bounds, is_uav)
+        singles = self.singles(lambda p: eval_workspace(p, bounds, is_uav), points)
+        assert len(got) == (5 if is_uav else 4)
+        for face, (h, grad) in enumerate(got):
+            assert h.shape == grad.shape[:-1] == points.shape[:-1]
+            assert h.tobytes() == np.array(
+                [[rows[face][0] for rows in row] for row in singles]).tobytes()
+            assert grad.tobytes() == np.array(
+                [[rows[face][1] for rows in row] for row in singles]).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(tick_blocks())
+    def test_landing(self, block):
+        uavs, poses, platform_height = block
+        decks = poses.copy()
+        decks[..., 2] = platform_height
+        args = (PARAMS.funnel_sharpness, PARAMS.funnel_height, PARAMS.hover_clearance)
+        got = eval_landing(uavs, decks, *args)
+        singles = self.singles(lambda p, d: eval_landing(p, d, *args), uavs, decks)
+        for k, values in enumerate(got):
+            assert values.shape == uavs.shape[:-1]
+            assert values.tobytes() == np.array(
+                [[hlk[k] for hlk in row] for row in singles]).tobytes()
 
 
 class TestSpatialGradients:

@@ -53,6 +53,30 @@ class TestMalformedValues:
         assert f"[BAD_VALUE] {line.split(':')[0]} must be a" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("start: [-6.0, -1.1, 0.0]", "start: [-6.0, -1.1, .inf]",
+         "agents[0].ugv.start must be 3 numbers (x,y,theta)"),
+        ("duration: 30.0", "duration: .inf", "duration must be a number, got inf"),
+        ("uav: 1.2", "uav: .inf", "gains.uav must be a number or 3 numbers"),
+        ("[[7.0, -1.1],", "[[.inf, -1.1],", "agents[0].ugv.waypoints must be 2-vectors"),
+    ], ids=["start", "duration", "gains", "waypoint"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, command, old, new,
+                                         message):
+        with open(os.path.join(SCENARIOS, "landing_demo.yaml")) as f:
+            text = f.read()
+        assert text.count(old) == 1
+        path = tmp_path / "landing_demo.yaml"
+        path.write_text(text.replace(old, new))
+        args = [command, str(path)]
+        if command == "run":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"[BAD_VALUE] {message}" in err
+        assert "Traceback" not in err
+
+
 class TestRun:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, single_pair(duration=1.0).raw)

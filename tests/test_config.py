@@ -213,6 +213,12 @@ class TestRejections:
         ("agents", "abc", "agents must be a list, got 'abc'"),
         ("events", 4, "events must be a list, got 4"),
         ("dt", float("nan"), "dt must be a number, got nan"),
+        ("duration", float("inf"), "duration must be a number, got inf"),
+        ("dt", float("-inf"), "dt must be a number, got -inf"),
+        ("gains", {"uav": float("inf"), "ugv": 1.0},
+         "gains.uav must be a number or 3 numbers"),
+        ("gains", {"uav": 1.0, "ugv": [1.0, float("nan")]},
+         "gains.ugv must be a number or 2 numbers"),
     ])
     def test_malformed_value_is_a_violation(self, key, value, message):
         data = variant(hold_timeout=-1.0)  # a violation that must still show
@@ -251,6 +257,12 @@ class TestRejections:
          ("BAD_VALUE", "agents[1].ugv.waypoints must be 2-vectors")),
         (lambda d: d["agents"].__setitem__(0, 7),
          ("BAD_VALUE", "agents[0] must be a mapping, got 7")),
+        (lambda d: d["agents"][0]["ugv"].update(start=[-2.0, -2.0, float("inf")]),
+         ("BAD_VALUE", "agents[0].ugv.start must be 3 numbers (x,y,theta)")),
+        (lambda d: d["agents"][1]["uav"].update(start=[float("-inf"), 0.0, 1.0]),
+         ("BAD_VALUE", "agents[1].uav.start must be 3 numbers (x,y,z)")),
+        (lambda d: d["agents"][0]["ugv"].update(waypoints=[[float("inf"), -1.1]]),
+         ("BAD_VALUE", "agents[0].ugv.waypoints must be 2-vectors")),
     ])
     def test_unparsed_agent_spec_gets_no_spawn_verdict(self, edit, expected):
         """A spec that did not parse reports its own violation and nothing
@@ -280,14 +292,14 @@ class TestRejections:
             ("BAD_EVENT", f"events[1] must be a mapping, got {entry!r}")]
 
     def test_non_finite_spawn_is_rejected(self):
-        """The funnel check evaluates every spawn in one call, which a
-        non-finite start fails as a whole; the start is still reported."""
+        """A non-finite start does not parse: it is reported as a bad value
+        and its spec gets no spawn verdict."""
         data = variant()
         data["agents"][1]["uav"]["start"] = [float("nan"), 0.0, 1.0]
         with pytest.raises(ConfigError) as err:
             config_from_dict(data)
         assert [(x.code, x.message) for x in err.value.violations] == [
-            ("SPAWN_INFEASIBLE", "uav1 spawns outside the workspace")]
+            ("BAD_VALUE", "agents[1].uav.start must be 3 numbers (x,y,z)")]
 
     def test_retired_watcher_key_still_loads(self):
         data = variant()

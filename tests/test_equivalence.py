@@ -21,26 +21,31 @@ from airground.logfmt import fmt9
 from airground.netsim import MsgType
 from airground.qp import QpStatus, filter_velocity, solve, solve_relaxed
 from airground.runner import _integrate, run
-from airground.summary import (PhysicsView, Roster, summarize_dir,
-                               tick_barriers)
+from airground.summary import Roster, summarize_dir, tick_barriers
 from airground.watcher import (ConstraintMatrix, PairPhase, VelocityEstimator,
                                Watcher, WaypointTrack)
 
 from oracles import (AgentVelocityEstimator, DictGates, Sample,
                      UavState, UncachedControlUnit, VelQuality,
                      assemble_per_row, from_rows, integrate_per_agent,
-                     scalar_tick_barriers,
+                     scalar_tick_barriers, scalar_view,
                      stacked_filter_velocity, stacked_solve,
                      stacked_solve_relaxed)
 from qp_problems import random_problem
 from scenario_helpers import crossing_scenario
 
-VIEW = PhysicsView(
-    uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
-    funnel_sharpness=1.0, funnel_height=0.5, hover_clearance=0.2,
-    x_min=-8.0, x_max=8.0, y_min=-8.0, y_max=8.0, z_min=0.0, z_max=3.0,
-    ugv_offset=0.1, platform_height=0.0, n_pairs=5,
-)
+
+def physics(platform_height: float = 0.0, ugv_offset: float = 0.1) -> SimpleNamespace:
+    """The scenario fields tick_barriers reads."""
+    return SimpleNamespace(
+        safety=SafetyParams(
+            uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
+            funnel_sharpness=1.0, funnel_height=0.5, hover_clearance=0.2,
+            bounds=Bounds(-8.0, 8.0, -8.0, 8.0, 0.0, 3.0)),
+        ugv_offset=ugv_offset, platform_height=platform_height)
+
+
+PHYSICS = physics()
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -56,9 +61,10 @@ def merge_min(into: dict, values: dict) -> None:
             into[key] = v
 
 
-def oracle_block(view, ids, x, y, z, theta, landed):
+def oracle_block(cfg, ids, x, y, z, theta, landed):
     """Per-tick scalar evaluation of a (T, M) block, aggregated like the
     array version: (T, M) per-agent minima, family and distance minima."""
+    view = scalar_view(cfg)
     per_agent, family, dist = [], {}, {}
     for t in range(x.shape[0]):
         snapshot = {
@@ -94,12 +100,15 @@ def fleet_blocks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fleet_blocks())
-def test_block_barriers_match_scalar_oracle(block):
+@given(fleet_blocks(), st.sampled_from([0.0, 0.1, 0.45]), st.sampled_from([0.1, 0.3]))
+def test_block_barriers_match_scalar_oracle(block, platform_height, ugv_offset):
+    """Raised decks move the funnel and cross-layer terms, and the offset
+    moves the UGV walls and ground separation."""
     ids, x, y, z, theta, landed = block
+    cfg = physics(platform_height, ugv_offset)
     roster = Roster(tuple(ids), tuple(aid[:3] for aid in ids))
-    per_agent, family, dist = tick_barriers(VIEW, roster, x, y, z, theta, landed)
-    want_agent, want_family, want_dist = oracle_block(VIEW, ids, x, y, z, theta,
+    per_agent, family, dist = tick_barriers(cfg, roster, x, y, z, theta, landed)
+    want_agent, want_family, want_dist = oracle_block(cfg, ids, x, y, z, theta,
                                                       landed)
     assert per_agent.tolist() == want_agent
     assert family == want_family
@@ -115,8 +124,8 @@ def test_single_pair_and_lone_uav():
         theta = np.full(shape, 0.3)
         landed = np.array([[False] * len(ids), [True] * len(ids)])
         roster = Roster(tuple(ids), tuple(a[:3] for a in ids))
-        got = tick_barriers(VIEW, roster, x, -x, z, theta, landed)
-        want = oracle_block(VIEW, ids, x, -x, z, theta, landed)
+        got = tick_barriers(PHYSICS, roster, x, -x, z, theta, landed)
+        want = oracle_block(PHYSICS, ids, x, -x, z, theta, landed)
         assert got[0].tolist() == want[0]
         assert got[1:] == want[1:]
 
@@ -140,7 +149,7 @@ def test_summarize_follows_roster_changes(tmp_path):
             return t < 3.0
         return True
 
-    view = PhysicsView.from_config(cfg)
+    view = scalar_view(cfg)
     out, family, dist = [header], {}, {}
     for t_str, rows in ticks.items():
         rows = [r for r in rows if present(float(t_str), r[1])]

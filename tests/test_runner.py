@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from airground.errors import SafetyAbortError
+from airground.errors import InvalidInputError, SafetyAbortError
 from airground.runner import run
 from airground.summary import BLOCK_SAMPLES, LogIntegrityError, summarize_dir
 
@@ -250,6 +250,32 @@ class TestSummarize:
         with pytest.raises(LogIntegrityError) as err:
             summarize_dir(str(tmp_path))
         assert f":{first}: logged min_h 123.5" in str(err.value)
+
+    def test_malformed_line_mid_tick_is_reported(self, tmp_path):
+        """A malformed line leaves its tick incomplete: that tick is not
+        evaluated, so the malformed line is what gets reported."""
+        result = run(single_pair(duration=1.0), str(tmp_path))
+        with open(result.trajectory_path) as f:
+            lines = f.read().splitlines()
+        lines.insert(2, "0,ugv0,ugv,not-a-number,0,0,0,0,0,0,optimal,0")
+        with open(result.trajectory_path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=":3:"):
+            summarize_dir(str(tmp_path))
+
+    @pytest.mark.parametrize("column, value", [(3, "nan"), (5, "nan"), (6, "-inf")])
+    def test_non_finite_state_is_rejected(self, tmp_path, column, value):
+        result = run(single_pair(duration=1.0), str(tmp_path))
+        with open(result.trajectory_path) as f:
+            lines = f.read().splitlines()
+        fields = lines[6].split(",")
+        assert fields[2] == "ugv"
+        fields[column] = value
+        lines[6] = ",".join(fields)
+        with open(result.trajectory_path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=":7: state must be finite"):
+            summarize_dir(str(tmp_path))
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         cfg = single_pair(duration=1.0)
