@@ -174,6 +174,16 @@ class _Slot:
     stamp: float = -math.inf
 
 
+def data_stale(now: float, oldest_stamp: float, hold_timeout: float) -> bool:
+    """The staleness rule: inputs whose oldest slot is stamped oldest_stamp
+    (-inf while a slot is empty) are too old to act on at now.
+
+    Rounding of now - s is monotone in s, so this is exactly "now - s >
+    hold_timeout for some slot stamp s", and a test against the earliest
+    stamp of many units decides it for all of them when it fails."""
+    return now - oldest_stamp > hold_timeout
+
+
 class AgentControlUnit:
     """Distributed control unit for one agent.
 
@@ -235,11 +245,12 @@ class AgentControlUnit:
     def _zero(self) -> np.ndarray:
         return np.zeros(3 if self.kind == UAV else 2)
 
+    def oldest_stamp(self) -> float:
+        """Stamp of the oldest input slot; -inf while a slot is empty."""
+        return min(self._pose.stamp, self._setpoint.stamp, self._matrix.stamp)
+
     def _data_stale(self, now: float) -> bool:
-        for slot in (self._pose, self._setpoint, self._matrix):
-            if slot.value is None or now - slot.stamp > self.hold_timeout:
-                return True
-        return False
+        return data_stale(now, self.oldest_stamp(), self.hold_timeout)
 
     def tick(self, now: float) -> tuple[Command, TickTelemetry]:
         if self.landed:
@@ -289,3 +300,43 @@ class AgentControlUnit:
         v, omega = nid_inverse(ugv_view, u,
                                turn_rate_limit=self.params.turn_rate_limit)
         return u, v, omega, status, iterations, violation
+
+
+class TickSchedule:
+    """Which control units of a fleet must tick at a control instant.
+
+    A unit's tick output is a function of its three slots, its landed flag
+    and whether its data is stale.  Between two of its ticks that output
+    can change only if the unit received a message, or if the data it acted
+    on at its last tick went stale since; every other unit would repeat its
+    last command, status and u, and is skipped."""
+
+    def __init__(self, units: list[AgentControlUnit]):
+        self._units = units
+        self._received = set(range(len(units)))   # nothing ticked yet
+        # Units whose last tick acted on fresh data -> their oldest stamp.
+        self._fresh: dict[int, float] = {}
+        self._hold_timeout = min((u.hold_timeout for u in units), default=math.inf)
+
+    def received(self, k: int) -> None:
+        """Unit k got a message since its last tick."""
+        self._received.add(k)
+
+    def due(self, now: float) -> list[int]:
+        """The units to tick at now, in index order."""
+        due, self._received = self._received, set()
+        fresh = self._fresh
+        # No unit went stale unless the earliest fresh stamp, judged by the
+        # shortest timeout, did.
+        if fresh and data_stale(now, min(fresh.values()), self._hold_timeout):
+            units = self._units
+            due.update(k for k, stamp in fresh.items()
+                       if data_stale(now, stamp, units[k].hold_timeout))
+        return sorted(due)
+
+    def ticked(self, k: int, status: str) -> None:
+        """Record the status unit k's tick returned."""
+        if status in ("hold", "landed"):
+            self._fresh.pop(k, None)
+        else:
+            self._fresh[k] = self._units[k].oldest_stamp()

@@ -1,9 +1,10 @@
 """Fixed-width numeric formatting shared by every log writer and reader.
 
 All numbers in trajectory logs and message traces go through fmt9 (9
-significant digits) so repeated runs diff byte-for-byte, and every consumer
-that recomputes physics from a log must first round-trip values through this
-format to reproduce the producer's arithmetic exactly.
+significant digits), or fmt9_all for many at once, so repeated runs diff
+byte-for-byte, and every consumer that recomputes physics from a log must
+first round-trip values through this format to reproduce the producer's
+arithmetic exactly.
 """
 
 
@@ -11,5 +12,6 @@ def fmt9(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def roundtrip(x: float) -> float:
-    return float(fmt9(x))
+def fmt9_all(values) -> list[str]:
+    """fmt9 of each float in an iterable, in one pass."""
+    return list(map("{:.9g}".format, values))

@@ -2,10 +2,11 @@
 
 Within one time instant the order is fixed: operator events, then network
 deliveries, then the watcher tick (followed by a second delivery drain so
-zero-latency traffic lands in the same instant), then every agent's control
-tick, then kinematic integration.  All randomness flows from the scenario
-seed through named substreams, so a config+seed pair reproduces its logs
-byte for byte.
+zero-latency traffic lands in the same instant), then the control ticks,
+then kinematic integration.  A control tick runs only the units whose
+output can change (agents.TickSchedule); the others hold their last
+command.  All randomness flows from the scenario seed through named
+substreams, so a config+seed pair reproduces its logs byte for byte.
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (UAV, UGV, AgentControlUnit, Gains, step_ugv, step_uav,
-                     wrap_angle)
+from .agents import (UAV, UGV, AgentControlUnit, Gains, TickSchedule,
+                     step_ugv, step_uav, wrap_angle)
 from .config import ScenarioConfig
 from .errors import CapacityError, SafetyAbortError
 from .logfmt import fmt9
 from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
 from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
-                      TRAJECTORY_HEADER, WATCHER_FILE, WATCHER_HEADER,
-                      MetricsSummary, Roster, TickBlock, summarize_dir,
-                      tick_barriers)
+                      WATCHER_FILE, WATCHER_HEADER, MetricsSummary, Roster,
+                      TrajectoryWriter, summarize_dir, tick_barriers)
 from .watcher import Watcher, WatcherRecord, WaypointTrack
 
 
@@ -85,19 +85,23 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     v_cmd = np.zeros(n)
     omega_cmd = np.zeros(n)
 
-    units: dict[str, AgentControlUnit] = {}
+    # Control units in agent_ids order, which interleaves the pairs (uav0,
+    # ugv0, uav1, ...): unit k belongs to pair k // 2.
+    units: list[AgentControlUnit] = []
     tracks: dict[str, WaypointTrack] = {}
     for i in range(n):
         uid, gid = f"uav{i}", f"ugv{i}"
         tracks[uid] = WaypointTrack(cfg.uavs[i].waypoints, cfg.uavs[i].speed)
         tracks[gid] = WaypointTrack(cfg.ugvs[i].waypoints, cfg.ugvs[i].speed)
-        units[uid] = AgentControlUnit(uid, UAV, Gains.of(cfg.gains_uav, 3),
-                                      cfg.safety, cfg.hold_timeout)
-        units[gid] = AgentControlUnit(gid, UGV, Gains.of(cfg.gains_ugv, 2),
+        units.append(AgentControlUnit(uid, UAV, Gains.of(cfg.gains_uav, 3),
+                                      cfg.safety, cfg.hold_timeout))
+        units.append(AgentControlUnit(gid, UGV, Gains.of(cfg.gains_ugv, 2),
                                       cfg.safety, cfg.hold_timeout,
                                       offset=cfg.ugv_offset,
-                                      wheel_base=cfg.wheel_base)
-    uav_units = [units[f"uav{i}"] for i in range(n)]
+                                      wheel_base=cfg.wheel_base))
+    uav_units = units[0::2]
+    unit_index = {aid: k for k, aid in enumerate(agent_ids)}
+    schedule = TickSchedule(units)
 
     max_latency = cfg.network.base_latency + cfg.network.jitter
     coordinator = Watcher(
@@ -118,11 +122,13 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
 
     kinds = tuple(aid[:3] for aid in agent_ids)
     roster = Roster(tuple(agent_ids), kinds)
-    # Control ticks whose min_h is not yet evaluated: their states, and
-    # their trajectory lines up to the min_h column.
-    block = TickBlock(roster)
-    pending_lines: list[str] = []
-    traj_lines: list[str] = [TRAJECTORY_HEADER]
+    writer = TrajectoryWriter(roster)
+    # What each agent's trajectory row logs: (x, y, z, theta), with z = 0
+    # for a UGV and theta = 0 for a UAV, the applied input padded to 3 with
+    # zeros, and the status of the unit's last tick.
+    logged = np.zeros((2 * n, 4))
+    u_logged = np.zeros((2 * n, 3))
+    statuses = ["hold"] * (2 * n)
     watcher_lines: list[str] = [WATCHER_HEADER]
     watcher_records: list[WatcherRecord] = []
     events = list(cfg.events)
@@ -137,7 +143,9 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         # A LANDING_SIGNAL needs no action here: the watcher has already
         # switched the UAV's setpoint stream to the platform.
         for msg in messages:
-            unit = units[msg.dst]
+            k = unit_index[msg.dst]
+            unit = units[k]
+            schedule.received(k)
             if msg.msg_type is MsgType.POSE_UPDATE:
                 unit.on_pose(msg.payload, msg.send_time)
             elif msg.msg_type is MsgType.SETPOINT_UPDATE:
@@ -148,11 +156,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 unit.on_touchdown_ack()
 
     def flush_block():
-        per_agent, _, _ = tick_barriers(cfg, roster, *block.arrays())
-        for line, h in zip(pending_lines, per_agent.ravel().tolist()):
-            traj_lines.append(line + fmt9(h))
-        pending_lines.clear()
-        block.clear()
+        writer.flush(lambda *block: tick_barriers(cfg, roster, *block)[0])
 
     def dump_state(step, t, reason):
         dump = {
@@ -196,37 +200,27 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             route(bus.deliver_due(t))  # zero-latency traffic lands this instant
 
         if step % steps_ctrl == 0:
-            # Logged (x, y, z, theta) per agent.  agent_ids interleave the
-            # pairs (uav0, ugv0, uav1, ...): agent k belongs to pair k // 2.
-            logged = [pose for p, g in zip(uav.tolist(), ugv.tolist())
-                      for pose in ((*p, 0.0), (g[0], g[1], 0.0, g[2]))]
-            t_str = fmt9(t)
-            states = []
-            for k, (aid, kind, (x, y, z, theta)) in enumerate(
-                    zip(agent_ids, kinds, logged)):
+            for k in schedule.due(t):
                 try:
-                    command, tele = units[aid].tick(t)
+                    command, tele = units[k].tick(t)
                 except (RuntimeError, np.linalg.LinAlgError) as exc:
-                    path = dump_state(step, t, f"{aid}: {exc}")
+                    path = dump_state(step, t, f"{agent_ids[k]}: {exc}")
                     raise SafetyAbortError(
-                        f"safety filter failed for {aid} at t={t}: {exc} "
-                        f"(state dump: {path})")
-                if kind == UAV:
+                        f"safety filter failed for {agent_ids[k]} at t={t}: "
+                        f"{exc} (state dump: {path})")
+                if kinds[k] == UAV:
                     u_cmd[k // 2] = command.u
                 else:
                     v_cmd[k // 2], omega_cmd[k // 2] = command.v, command.omega
-                if tele.status == "relaxed":
-                    relaxed_events += 1
-                sx, sy, sz, sth = fmt9(x), fmt9(y), fmt9(z), fmt9(theta)
-                states.append((float(sx), float(sy), float(sz), float(sth),
-                               tele.status == "landed"))
-                u = tele.u_applied
-                uz = fmt9(u[2]) if len(u) == 3 else fmt9(0.0)
-                pending_lines.append(
-                    f"{t_str},{aid},{kind},{sx},{sy},{sz},{sth},"
-                    f"{fmt9(u[0])},{fmt9(u[1])},{uz},{tele.status},")
-            block.add_tick(*zip(*states))
-            if block.full():
+                u_logged[k, :len(tele.u_applied)] = tele.u_applied
+                statuses[k] = tele.status
+                schedule.ticked(k, tele.status)
+            relaxed_events += statuses.count("relaxed")
+            logged[0::2, :3] = uav
+            logged[1::2, :2] = ugv[:, :2]
+            logged[1::2, 3] = ugv[:, 2]
+            writer.add_tick(fmt9(t), logged, u_logged, statuses)
+            if writer.full():
                 flush_block()
 
         if step < total:
@@ -234,11 +228,9 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, u_cmd,
                                                 v_cmd, omega_cmd, landed, cfg)
 
-    if block.ticks:
-        flush_block()
+    flush_block()
     trajectory_path = os.path.join(out_dir, TRAJECTORY_FILE)
-    with open(trajectory_path, "w") as f:
-        f.write("\n".join(traj_lines) + "\n")
+    writer.write(trajectory_path)
     watcher_path = os.path.join(out_dir, WATCHER_FILE)
     with open(watcher_path, "w") as f:
         f.write("\n".join(watcher_lines) + "\n")

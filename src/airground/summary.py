@@ -21,7 +21,7 @@ from .barriers import (eval_landing, eval_workspace, offset_points,
                        pairwise_sq_distances)
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
-from .logfmt import roundtrip
+from .logfmt import fmt9_all
 
 TRAJECTORY_FILE = "trajectory.csv"
 WATCHER_FILE = "watcher.csv"
@@ -142,6 +142,61 @@ class TickBlock:
         self.ticks = 0
 
 
+class TrajectoryWriter:
+    """The trajectory.csv writer, for control ticks of one roster.
+
+    A tick holds every roster agent's raw logged (x, y, z, theta), applied
+    input (ux, uy, uz) and status.  Ticks are formatted a block of at most
+    BLOCK_SAMPLES agent samples at a time: one pass formats every number at
+    9 significant digits, the rounded states are parsed back -- the values
+    a reader of the file sees -- and the min_h column is evaluated from
+    them."""
+
+    def __init__(self, roster: Roster):
+        m = len(roster.ids)
+        self.roster = roster
+        self._numbers = np.empty((max(1, BLOCK_SAMPLES // m), m, 7))
+        self._times: list[str] = []
+        self._statuses: list[str] = []      # flat, tick by tick
+        self._prefixes = [f"{aid},{kind}" for aid, kind in zip(roster.ids, roster.kinds)]
+        self._chunks = [TRAJECTORY_HEADER + "\n"]
+
+    def add_tick(self, time_s: str, states, u, statuses) -> None:
+        """One tick: (M, 4) states, (M, 3) inputs and M statuses."""
+        row = self._numbers[len(self._times)]
+        row[:, :4] = states
+        row[:, 4:] = u
+        self._times.append(time_s)
+        self._statuses.extend(statuses)
+
+    def full(self) -> bool:
+        return len(self._times) == self._numbers.shape[0]
+
+    def flush(self, min_h) -> None:
+        """Format the buffered ticks.  min_h maps the block's rounded (T, M)
+        x, y, z, theta and landed arrays to its (T, M) per-agent min h."""
+        ticks, m = len(self._times), len(self.roster.ids)
+        if not ticks:
+            return
+        text = fmt9_all(self._numbers[:ticks].ravel().tolist())
+        samples = ticks * m
+        x, y, z, theta = (np.fromiter(map(float, text[k::7]), float, samples
+                                      ).reshape(ticks, m) for k in range(4))
+        statuses = self._statuses
+        landed = np.fromiter(map("landed".__eq__, statuses), bool, samples)
+        h = fmt9_all(min_h(x, y, z, theta, landed.reshape(ticks, m)).ravel().tolist())
+        times = [t for t in self._times for _ in range(m)]
+        self._chunks.append("\n".join(map(",".join, zip(
+            times, self._prefixes * ticks, *(text[k::7] for k in range(7)),
+            statuses, h))) + "\n")
+        self._times, self._statuses = [], []
+
+    def write(self, path: str) -> None:
+        """Write the header and every flushed block to path."""
+        with open(path, "w") as f:
+            f.writelines(self._chunks)
+
+
 def tick_barriers(cfg: ScenarioConfig, roster: Roster, x: np.ndarray,
                   y: np.ndarray, z: np.ndarray, theta: np.ndarray,
                   landed: np.ndarray
@@ -248,19 +303,25 @@ def _csv_rows(path: str, header: str, width: int):
 
 
 def _parse_trajectory(path: str):
-    """Yields (line_number, time_str, agent_id, kind, x, y, z, theta, status,
-    logged min_h) per record; a state must be finite."""
+    """Yields (line_number, time_str, time, agent_id, kind, x, y, z, theta,
+    status, logged min_h) per record; the time and the state must be
+    finite."""
     isfinite = math.isfinite
     for lineno, parts in _csv_rows(path, TRAJECTORY_HEADER, 12):
         try:
+            t = float(parts[0])
             x, y, z, theta = float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])
             logged = float(parts[11])
         except ValueError as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}")
+        if not isfinite(t):
+            raise InvalidInputError(f"{path}:{lineno}: time must be finite, "
+                                    f"got {parts[0]}")
         if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(theta)):
             raise InvalidInputError(f"{path}:{lineno}: state must be finite, "
                                     f"got {','.join(parts[3:7])}")
-        yield lineno, parts[0], parts[1], parts[2], x, y, z, theta, parts[10], logged
+        yield (lineno, parts[0], t, parts[1], parts[2], x, y, z, theta,
+               parts[10], logged)
 
 
 def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
@@ -290,12 +351,11 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
             return
         per_agent, family, dist = tick_barriers(cfg, block.roster,
                                                 *block.arrays())
-        recomputed = per_agent.ravel().tolist()
+        # The column was written at 9 significant digits; push the
+        # recomputed values through the same format before comparing.
+        rounded = list(map(float, fmt9_all(per_agent.ravel().tolist())))
         for lineno, index, logged in block_lines:
-            # The column was written at 9 significant digits; push the
-            # recomputed value through the same format before comparing.
-            h = recomputed[index]
-            expected = roundtrip(h) if math.isfinite(h) else h
+            expected = rounded[index]
             if check and not (math.isinf(expected) and math.isinf(logged)):
                 if abs(expected - logged) > 1e-9:
                     raise LogIntegrityError(
@@ -329,7 +389,7 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
         tick_states, tick_lines = {}, []
 
     try:
-        for (lineno, t_str, agent_id, kind, x, y, z, theta, status,
+        for (lineno, t_str, t, agent_id, kind, x, y, z, theta, status,
              logged) in _parse_trajectory(traj_path):
             if t_str != tick_time:
                 end_tick()
@@ -338,7 +398,6 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
             tick_states[agent_id] = (kind, x, y, z, theta, status == "landed")
             tick_lines.append((lineno, agent_id, logged))
             summary.status_counts[status] = summary.status_counts.get(status, 0) + 1
-            t = float(t_str)
             last_time = max(last_time, t)
             if kind == "uav" and status == "landed":
                 first_landed.setdefault(int(agent_id[3:]), t)

@@ -8,7 +8,10 @@
 * The per-agent velocity estimator, with its stale-history fallback, from
   before the watcher kept one estimator per family.
 * The control unit that solved its safety filter on every control tick,
-  from before it reused the solution until an input slot was replaced.
+  from before it reused the solution until an input slot was replaced, and
+  its per-slot staleness test, from before the one rule on the oldest stamp.
+* The runner's per-agent trajectory rows, eight fmt9 calls each, from
+  before the rows were formatted a block at a time.
 * The per-vehicle kinematic steps on state objects, and the simulator's
   per-agent integration loop over them, from before the fleet was stepped
   as arrays.
@@ -36,6 +39,7 @@ from airground.agents import (UAV, AgentControlUnit, Command, TickTelemetry,
 from airground.barriers import ConstraintRow, RowKind, SafetyParams
 from airground.errors import (CapacityError, IncompleteInputError,
                               InvalidInputError)
+from airground.logfmt import fmt9
 from airground.qp import (RELAXATION_WEIGHT, QpProblem, QpSolution, QpStatus,
                           _project)
 from airground.watcher import ConstraintMatrix
@@ -429,6 +433,37 @@ class UncachedControlUnit(AgentControlUnit):
         v, omega = nid_inverse(ugv_view, u,
                                turn_rate_limit=self.params.turn_rate_limit)
         return Command(u=u, v=v, omega=omega), telemetry
+
+
+def per_slot_stale(now: float, stamps, hold_timeout: float) -> bool:
+    """A control unit's staleness test, slot by slot: an empty slot (stamp
+    -inf) or one older than hold_timeout."""
+    return any(s == -math.inf or now - s > hold_timeout for s in stamps)
+
+
+def per_agent_trajectory_rows(ticks, ids, kinds, min_h) -> list[str]:
+    """trajectory.csv lines of consecutive ticks, formatted agent by agent.
+
+    ticks holds (time_s, logged, inputs, statuses) per tick: each agent's
+    raw (x, y, z, theta), applied input (3 values for a UAV, 2 for a UGV)
+    and status.  min_h maps the rounded (T, M) x, y, z, theta and landed
+    arrays to the (T, M) per-agent minimum h."""
+    pending, states = [], []
+    for t_str, logged, inputs, statuses in ticks:
+        row = []
+        for aid, kind, (x, y, z, theta), u, status in zip(
+                ids, kinds, logged, inputs, statuses):
+            sx, sy, sz, sth = fmt9(x), fmt9(y), fmt9(z), fmt9(theta)
+            row.append((float(sx), float(sy), float(sz), float(sth),
+                        status == "landed"))
+            uz = fmt9(u[2]) if len(u) == 3 else fmt9(0.0)
+            pending.append(f"{t_str},{aid},{kind},{sx},{sy},{sz},{sth},"
+                           f"{fmt9(u[0])},{fmt9(u[1])},{uz},{status},")
+        states.append(row)
+    block = np.array([[sample[:4] for sample in row] for row in states])
+    landed = np.array([[sample[4] for sample in row] for row in states], dtype=bool)
+    h = min_h(*np.moveaxis(block, 2, 0), landed)
+    return [line + fmt9(v) for line, v in zip(pending, h.ravel().tolist())]
 
 
 @dataclass

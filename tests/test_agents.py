@@ -6,15 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from airground import qp
-from airground.agents import (UAV, UGV, AgentControlUnit, Gains, UgvState,
-                              nid_forward, nid_inverse, nid_offset,
+from airground.agents import (UAV, UGV, AgentControlUnit, Gains,
+                              TickSchedule, UgvState, nid_forward,
+                              nid_inverse, nid_offset,
                               nominal_velocity, step_ugv, step_uav,
                               twist_from_wheels, wheel_speeds, wrap_angle)
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row)
 from airground.errors import InvalidInputError
 
-from oracles import from_rows
+from oracles import from_rows, per_slot_stale
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -291,6 +292,62 @@ class TestControlUnit:
         cmd, tele = unit.tick(0.02)
         assert cmd.u.tobytes() == expected
         assert tele.u_applied.tobytes() == expected
+
+
+# Slot stamps: empty (-inf), a few shared values that make ties, or any.
+STAMPS = st.one_of(st.just(-math.inf), st.sampled_from([0.0, 0.1, 0.3, 2.5]),
+                   st.floats(0.0, 50.0))
+UNITS = st.lists(st.tuples(st.tuples(STAMPS, STAMPS, STAMPS),
+                           st.sampled_from([0.05, 0.1, 0.12, 0.25]) | st.floats(1e-3, 1.0)),
+                 min_size=1, max_size=4)
+
+
+class TestStaleness:
+    @given(units=UNITS, pick=st.integers(0, 11), ulps=st.integers(-4, 4))
+    def test_due_and_stale_match_per_slot_test(self, units, pick, ulps):
+        """The oldest-stamp rule, in each unit and in the schedule's screen
+        over a fleet, decides exactly as testing every slot does, at times
+        within a few ulps of a slot's stamp plus its unit's timeout."""
+        edges = [s + timeout for stamps, timeout in units for s in stamps
+                 if s > -math.inf] or [0.0]
+        now = edges[pick % len(edges)]
+        for _ in range(abs(ulps)):
+            now = math.nextafter(now, math.copysign(math.inf, ulps))
+        fleet = []
+        for stamps, timeout in units:
+            unit = AgentControlUnit("uav0", UAV, Gains.of(1.0, 3), PARAMS,
+                                    hold_timeout=timeout)
+            pose, setpoint, matrix = stamps
+            if pose > -math.inf:
+                unit.on_pose((0, 0, 1), pose)
+            if setpoint > -math.inf:
+                unit.on_setpoint((0, 0, 1), (0, 0, 0), setpoint)
+            if matrix > -math.inf:
+                unit.on_constraints(empty_matrix(t=matrix), matrix)
+            fleet.append(unit)
+        want = [per_slot_stale(now, stamps, timeout) for stamps, timeout in units]
+        assert [unit._data_stale(now) for unit in fleet] == want
+        schedule = TickSchedule(fleet)
+        assert schedule.due(-math.inf) == list(range(len(fleet)))
+        for k in range(len(fleet)):  # as if each last acted on fresh data
+            schedule.ticked(k, "optimal")
+        assert schedule.due(now) == [k for k, stale in enumerate(want) if stale]
+
+    def test_only_received_or_newly_stale_units_are_due(self):
+        fleet = [AgentControlUnit(f"uav{k}", UAV, Gains.of(1.0, 3), PARAMS,
+                                  hold_timeout=0.25) for k in range(3)]
+        schedule = TickSchedule(fleet)
+        assert schedule.due(0.0) == [0, 1, 2]   # every unit's first tick
+        for k, status in enumerate(("hold", "optimal", "landed")):
+            fleet[k].on_pose((0, 0, 1), 0.0)
+            fleet[k].on_setpoint((0, 0, 1), (0, 0, 0), 0.0)
+            fleet[k].on_constraints(empty_matrix(), 0.0)
+            schedule.ticked(k, status)
+        assert schedule.due(0.25) == []
+        schedule.received(2)
+        assert schedule.due(0.26) == [1, 2]     # 1 went stale, 2 got a message
+        schedule.ticked(1, "hold")
+        assert schedule.due(1.0) == []
 
 
 class TestConvergenceRate:

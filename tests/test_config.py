@@ -8,8 +8,12 @@ import pytest
 import yaml
 
 from airground.barriers import SafetyParams
-from airground.config import config_from_dict, load_yaml, parse_config
+from airground.config import (config_from_dict, load_config, load_yaml,
+                              parse_config)
 from airground.errors import ConfigError
+
+from scenario_helpers import grid_scenario
+from test_golden import GOLDEN
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -96,6 +100,16 @@ class TestAcceptedConfigs:
             with open(path) as f:
                 text = f.read()
             assert load_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader), path
+
+    def test_resolved_config_dumps_alike_with_either_yaml_emitter(self):
+        """to_yaml uses libyaml's emitter where PyYAML has it; it must write
+        the bytes the Python emitter writes."""
+        configs = [load_config(path) for path in
+                   sorted(glob.glob(os.path.join(SCENARIOS, "*.yaml")))]
+        configs += [build() for build, *_ in GOLDEN.values()]
+        configs += [grid_scenario(n, seed=2) for n in (4, 16, 64)]
+        for cfg in configs:
+            assert cfg.to_yaml() == yaml.safe_dump(cfg.raw, sort_keys=True)
 
     def test_parse_config_from_text(self):
         import yaml

@@ -1,9 +1,9 @@
 """The array implementations of gating, barrier evaluation, constraint
 assembly, velocity estimation and the fleet's kinematic steps, the QP entry
-points over
-project_with_box, and the control unit that reuses its filtered command,
-against the code they replaced (tests/oracles.py): equal results, bit for
-bit."""
+points over project_with_box, the control unit that reuses its filtered
+command, the schedule that ticks only the units whose output can change,
+and the block trajectory writer, against the code they replaced
+(tests/oracles.py): equal results, bit for bit."""
 
 import math
 from types import SimpleNamespace
@@ -14,21 +14,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from airground.agents import (UAV, UGV, AgentControlUnit, Command, Gains,
-                              UgvState, wrap_angle)
+                              TickSchedule, UgvState, wrap_angle)
 from airground.barriers import Bounds, ConstraintRow, RowKind, SafetyParams
 from airground.errors import CapacityError
 from airground.logfmt import fmt9
 from airground.netsim import MsgType
 from airground.qp import QpStatus, filter_velocity, solve, solve_relaxed
 from airground.runner import _integrate, run
-from airground.summary import Roster, summarize_dir, tick_barriers
+from airground.summary import (BLOCK_SAMPLES, Roster, TrajectoryWriter,
+                               summarize_dir, tick_barriers)
 from airground.watcher import (ConstraintMatrix, PairPhase, VelocityEstimator,
                                Watcher, WaypointTrack)
 
 from oracles import (AgentVelocityEstimator, DictGates, Sample,
                      UavState, UncachedControlUnit, VelQuality,
                      assemble_per_row, from_rows, integrate_per_agent,
-                     scalar_tick_barriers, scalar_view,
+                     per_agent_trajectory_rows, scalar_tick_barriers, scalar_view,
                      stacked_filter_velocity, stacked_solve,
                      stacked_solve_relaxed)
 from qp_problems import random_problem
@@ -439,6 +440,102 @@ def test_cached_control_unit_matches_per_tick_oracle():
             assert {"optimal", "relaxed", "hold"} <= set(seen)
             assert ("landed" in seen) == (kind == UAV)
             assert reused > 50  # ticks that reused a cached solution
+
+
+def test_scheduled_units_match_per_tick_oracle():
+    """Units ticked only when the schedule finds them due hold exactly the
+    commands and statuses of units ticked on every control tick, through
+    stale gaps, ignored old stamps, relaxations and a touchdown; two
+    timeouts exercise the schedule's shortest-timeout screen."""
+    skipped = 0
+    for seed in range(4):
+        kinds = (UAV, UGV, UAV, UGV)
+        timeouts = (0.12, 0.12, 0.09, 0.2)
+        units, oracles, runs = [], [], []
+        for k, (kind, timeout) in enumerate(zip(kinds, timeouts)):
+            dim = 3 if kind == UAV else 2
+            args = (f"{kind}{k}", kind, Gains.of(1.0, dim), PARAMS, timeout)
+            units.append(AgentControlUnit(*args))
+            oracles.append(UncachedControlUnit(*args))
+            runs.append(message_run(np.random.default_rng([seed, k]), kind, timeout))
+        schedule = TickSchedule(units)
+        held = [None] * len(units)
+        for ticks in zip(*runs):
+            t = ticks[0][0]
+            for k, (_, messages) in enumerate(ticks):
+                for message in messages:
+                    deliver(units[k], *message)
+                    deliver(oracles[k], *message)
+                    schedule.received(k)
+            due = schedule.due(t)
+            skipped += len(units) - len(due)
+            for k in due:
+                held[k] = units[k].tick(t)
+                schedule.ticked(k, held[k][1].status)
+            for (got_cmd, got), oracle in zip(held, oracles):
+                want_cmd, want = oracle.tick(t)
+                assert got_cmd.u.tobytes() == want_cmd.u.tobytes()
+                assert got.u_applied.tobytes() == want.u_applied.tobytes()
+                assert (got_cmd.v, got_cmd.omega, got.status) == (
+                    want_cmd.v, want_cmd.omega, want.status)
+    assert skipped > 1000
+
+
+def random_log_values(rng, shape) -> np.ndarray:
+    """Log numbers with the formatting edge cases mixed in: -0.0,
+    subnormals, magnitudes at and beyond 1e9, and ordinary values."""
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 1e9, -1e9,
+                        123456789.5, 9.999999995e9, -3.7e12, 1.234567891e15,
+                        0.1, 1.0 / 3.0])
+    values = rng.uniform(-20.0, 20.0, shape)
+    pick = rng.uniform(size=shape) < 0.3
+    values[pick] = rng.choice(special, int(pick.sum()))
+    return values
+
+
+def test_trajectory_writer_matches_per_agent_rows(tmp_path):
+    """The block writer's lines equal the per-agent formatting of the same
+    ticks, and its min_h column is evaluated from the same rounded states,
+    for UAV and UGV rosters over several blocks."""
+    rng = np.random.default_rng(11)
+    statuses = ("optimal", "relaxed", "hold", "landed", "failed")
+
+    def min_h(x, y, z, theta, landed):
+        return np.where(landed | (x > 15.0), math.inf, x - y * z + np.abs(theta))
+
+    for ids, kinds in ((("uav0", "ugv0"), ("uav", "ugv")),
+                       (("uav0", "ugv0", "uav1", "ugv1", "uav2"),
+                        ("uav", "ugv", "uav", "ugv", "uav")),
+                       (("ugv3",), ("ugv",))):
+        m = len(ids)
+        writer = TrajectoryWriter(Roster(ids, kinds))
+        n_ticks = 3 * (BLOCK_SAMPLES // m) + 7
+        expected, block = [], []
+        for tick in range(n_ticks):
+            time_s = fmt9(tick * 0.02)
+            logged = random_log_values(rng, (m, 4))
+            inputs = random_log_values(rng, (m, 3))
+            tick_statuses = [str(rng.choice(statuses)) for _ in ids]
+            for k, kind in enumerate(kinds):  # what the runner logs per kind
+                logged[k, 3 if kind == "uav" else 2] = 0.0
+                if kind == "ugv":
+                    inputs[k, 2] = 0.0
+            writer.add_tick(time_s, logged, inputs, tick_statuses)
+            block.append((time_s, logged.tolist(),
+                          [u if kind == "uav" else u[:2]
+                           for u, kind in zip(inputs.tolist(), kinds)],
+                          tick_statuses))
+            if writer.full() or tick == n_ticks - 1:
+                writer.flush(min_h)
+                expected += per_agent_trajectory_rows(block, ids, kinds, min_h)
+                block = []
+        path = tmp_path / "trajectory.csv"
+        writer.write(str(path))
+        lines = path.read_text().splitlines()
+        assert lines[1:] == expected
+        assert len(lines) == 1 + n_ticks * m
+        assert any(line.endswith(",inf") for line in lines)
+        assert any(",-0," in line for line in lines)
 
 
 def test_fleet_integration_matches_per_agent_oracle():

@@ -277,6 +277,23 @@ class TestSummarize:
         with pytest.raises(InvalidInputError, match=":7: state must be finite"):
             summarize_dir(str(tmp_path))
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_bad_time_is_reported_with_its_line(self, tmp_path, value):
+        """A time that is not a finite number names its file and line, like
+        every other malformed field; nan and inf are not a duration."""
+        result = run(single_pair(duration=1.0), str(tmp_path))
+        with open(result.trajectory_path) as f:
+            lines = f.read().splitlines()
+        for k in (-2, -1):  # both lines of the last tick
+            fields = lines[k].split(",")
+            fields[0] = value
+            lines[k] = ",".join(fields)
+        with open(result.trajectory_path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"trajectory.csv:{len(lines) - 1}: "):
+            summarize_dir(str(tmp_path))
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         cfg = single_pair(duration=1.0)
         result = run(cfg, str(tmp_path))
