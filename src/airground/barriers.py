@@ -165,6 +165,13 @@ def _out(value):
     return value if getattr(value, "ndim", 0) else float(value)
 
 
+def _sphere(d, separation: float):
+    """|d|^2 - separation^2 for finite differences d."""
+    if separation <= 0 or not math.isfinite(separation):
+        raise InvalidInputError(f"separation must be positive, got {separation}")
+    return _dot(d, d) - separation * separation
+
+
 def eval_uav_uav(p_i, p_j, separation: float) -> float:
     """Sphere barrier between two centers: |p_i - p_j|^2 - separation^2.
 
@@ -174,13 +181,22 @@ def eval_uav_uav(p_i, p_j, separation: float) -> float:
     """
     p_i = _require_finite("p_i", p_i)
     p_j = _require_finite("p_j", p_j)
-    if separation <= 0 or not math.isfinite(separation):
-        raise InvalidInputError(f"separation must be positive, got {separation}")
-    d = p_i - p_j
-    return _out(_dot(d, d) - separation * separation)
+    return _out(_sphere(p_i - p_j, separation))
 
 
 eval_ugv_ugv = eval_uav_other_ugv = eval_uav_uav
+
+
+def _funnel(r, sharpness: float, height: float, clearance: float):
+    """eval_landing's (h, l, k) at finite offsets r, unwrapped."""
+    if sharpness <= 0 or height <= 0:
+        raise InvalidInputError("funnel sharpness and height must be positive")
+    rx, ry, rz = r[..., 0], r[..., 1], r[..., 2]
+    l = rx * rx + ry * ry
+    decay = libm(math.exp, -sharpness * l)
+    h = rz - height * sharpness * l * decay - clearance
+    k = 2.0 * height * sharpness * (sharpness * l - 1.0) * decay
+    return h, l, k
 
 
 def eval_landing(p_uav, p_ugv_3d, sharpness: float, height: float,
@@ -197,34 +213,51 @@ def eval_landing(p_uav, p_ugv_3d, sharpness: float, height: float,
     """
     p_uav = _require_finite("p_uav", p_uav)
     p_ugv_3d = _require_finite("p_ugv_3d", p_ugv_3d)
-    if sharpness <= 0 or height <= 0:
-        raise InvalidInputError("funnel sharpness and height must be positive")
-    r = p_uav - p_ugv_3d
-    rx, ry, rz = r[..., 0], r[..., 1], r[..., 2]
-    l = rx * rx + ry * ry
-    decay = libm(math.exp, -sharpness * l)
-    h = rz - height * sharpness * l * decay - clearance
-    k = 2.0 * height * sharpness * (sharpness * l - 1.0) * decay
+    h, l, k = _funnel(p_uav - p_ugv_3d, sharpness, height, clearance)
     return _out(h), _out(l), _out(k)
+
+
+def _funnel_gradient(r, k) -> np.ndarray:
+    return np.array([k * r.T[0], k * r.T[1], np.ones_like(r.T[0])]).T
 
 
 def landing_gradient(r, k: float) -> np.ndarray:
     """Spatial gradient of the funnel barrier: (k*r_x, k*r_y, 1)."""
-    r = _require_finite("r", r)
-    return np.array([k * r.T[0], k * r.T[1], np.ones_like(r.T[0])]).T
+    return _funnel_gradient(_require_finite("r", r), k)
+
+
+def _funnel_time_term(r, k, v):
+    return -k * (r.T[0] * v.T[0] + r.T[1] * v.T[1])
 
 
 def landing_time_term(r, k: float, ugv_velocity) -> float:
     """Explicit dh/dt of the funnel under platform motion: -k*(r_x*vx + r_y*vy)."""
     r = _require_finite("r", r)
     v = _require_finite("ugv_velocity", ugv_velocity)
-    return _out(-k * (r.T[0] * v.T[0] + r.T[1] * v.T[1]))
+    return _out(_funnel_time_term(r, k, v))
 
 
 # The read-only gradient of each wall face, in eval_workspace's face order.
 _WALLS = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
                    [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
 _WALLS.flags.writeable = False
+
+
+def wall_gradients(is_uav: bool, dim: int) -> np.ndarray:
+    """The read-only (faces, dim) unit gradients of an agent's wall rows,
+    in eval_workspace's face order."""
+    return _WALLS[:5 if is_uav else 4, :dim]
+
+
+def _wall_heights(p: np.ndarray, bounds: Bounds, is_uav: bool) -> np.ndarray:
+    """(..., faces) wall heights of finite positions p, in face order: upper
+    walls at even faces (bound - x), lower walls at odd ones (x - bound),
+    each entry bit-identical to that scalar expression."""
+    upper = 3 if is_uav else 2  # x and y walls, plus the ceiling for a UAV
+    h = np.empty(p.shape[:-1] + (upper + 2,))
+    h[..., 0::2] = (bounds.x_max, bounds.y_max, bounds.z_max)[:upper] - p[..., :upper]
+    h[..., 1::2] = p[..., :2] - (bounds.x_min, bounds.y_min)
+    return h
 
 
 def eval_workspace(p, bounds: Bounds, is_uav: bool) -> list[tuple[float, np.ndarray]]:
@@ -236,14 +269,11 @@ def eval_workspace(p, bounds: Bounds, is_uav: bool) -> list[tuple[float, np.ndar
     read-only constants, broadcast to p's leading shape for stacked positions.
     """
     p = _require_finite("p", p)
-    b = bounds
-    x, y = p[..., 0], p[..., 1]
-    heights = [b.x_max - x, x - b.x_min, b.y_max - y, y - b.y_min]
-    if is_uav:
-        heights.append(b.z_max - p[..., 2])
-    grads = np.broadcast_to(_WALLS[:len(heights), :p.shape[-1]],
-                            p.shape[:-1] + (len(heights), p.shape[-1]))
-    return [(_out(h), grads[..., face, :]) for face, h in enumerate(heights)]
+    h = _wall_heights(p, bounds, is_uav)
+    grads = wall_gradients(is_uav, p.shape[-1])
+    faces = len(grads)
+    grads = np.broadcast_to(grads, p.shape[:-1] + grads.shape)
+    return [(_out(h[..., face]), grads[..., face, :]) for face in range(faces)]
 
 
 def offset_points(poses, offset: float) -> np.ndarray:
@@ -258,14 +288,34 @@ def offset_points(poses, offset: float) -> np.ndarray:
     return points
 
 
-def build_workspace_rows(p, params: SafetyParams, is_uav: bool) -> list[ConstraintRow]:
-    """All wall rows for one agent in face order (single workspace pass);
-    for (m, dim) positions, one row per face holding all m agents."""
-    kappa = params.barrier_gain
-    return [
-        ConstraintRow(a=grad, b=kappa * h, kind=RowKind.WORKSPACE, h_value=h)
-        for h, grad in eval_workspace(p, params.bounds, is_uav)
-    ]
+@dataclass(frozen=True)
+class WallRows:
+    """The wall rows of one agent, or of a stack of agents, in face order.
+
+    a is the shared read-only (faces, dim) gradients; b = kappa * h and h
+    are (..., faces).  rows[face] is that face's ConstraintRow, holding
+    every stacked agent, and len(rows) is the number of faces."""
+
+    a: np.ndarray
+    b: np.ndarray
+    h: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, face: int) -> ConstraintRow:
+        h = self.h[..., face]
+        return ConstraintRow(a=np.broadcast_to(self.a[face], h.shape + self.a.shape[1:]),
+                             b=_out(self.b[..., face]), kind=RowKind.WORKSPACE,
+                             h_value=_out(h))
+
+
+def build_workspace_rows(p, params: SafetyParams, is_uav: bool) -> WallRows:
+    """All wall rows for one agent, or for (m, dim) stacked positions, in
+    one array pass."""
+    p = _require_finite("p", p)
+    h = _wall_heights(p, params.bounds, is_uav)
+    return WallRows(a=wall_gradients(is_uav, p.shape[-1]), b=params.barrier_gain * h, h=h)
 
 
 # Separation radius of each sphere family, by SafetyParams field.
@@ -316,23 +366,23 @@ def build_constraint_row(
             f"{kind.value} row is time-varying and requires a velocity estimate"
         )
 
-    # eval_landing and eval_uav_uav check the positions for finite values.
     p_i = np.asarray(self_state, dtype=float)
     p_j = np.asarray(other_state, dtype=float)
     if kind is RowKind.UAV_OTHER_UGV or kind is RowKind.LANDING:
         p_j = np.concatenate((p_j, np.full(p_j.shape[:-1] + (1,), platform_height)), axis=-1)
-    r = p_i - p_j
+    # r is finite only where both positions are (and their difference does
+    # not overflow), so one check covers everything derived from them.
+    r = _require_finite("position difference", p_i - p_j)
     if kind is RowKind.LANDING:
-        h, l, k = eval_landing(
-            p_i, p_j, params.funnel_sharpness, params.funnel_height, params.hover_clearance
-        )
-        a = landing_gradient(r, k)
+        h, l, k = _funnel(r, params.funnel_sharpness, params.funnel_height,
+                          params.hover_clearance)
+        a = _funnel_gradient(r, k)
         if worst_case:
             dh_dt = -np.abs(k) * np.sqrt(l) * params.uav_speed_limit
         else:
-            dh_dt = landing_time_term(r, k, other_velocity)
+            dh_dt = _funnel_time_term(r, k, _require_finite("ugv_velocity", other_velocity))
     else:
-        h = eval_uav_uav(p_i, p_j, getattr(params, _SPHERE_RADIUS[kind]))
+        h = _sphere(r, getattr(params, _SPHERE_RADIUS[kind]))
         a = 2.0 * r
         if worst_case:
             dh_dt = -2.0 * np.sqrt(_dot(r, r)) * params.uav_speed_limit
@@ -345,7 +395,7 @@ def build_constraint_row(
 
     kappa = params.barrier_gain
     return ConstraintRow(a=a, b=_out(kappa * h + dh_dt), kind=kind, other_id=other_id,
-                         h_value=h)
+                         h_value=_out(h))
 
 
 def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -263,6 +263,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     )
     if network.base_latency < 0 or network.jitter < 0:
         v.append(ConfigViolation("BAD_VALUE", "network latency and jitter must be >= 0"))
+    elif not (math.isfinite(2.0 * network.jitter)
+              and math.isfinite(network.base_latency + network.jitter)):
+        v.append(ConfigViolation(
+            "BAD_VALUE", "network jitter is too large: 2*jitter and latency+jitter "
+            f"must be finite, got latency {network.base_latency!r}, jitter {network.jitter!r}"))
     if not 0.0 <= network.drop_prob <= 1.0:
         v.append(ConfigViolation("BAD_VALUE", "network drop must be in [0, 1]"))
     elif network.drop_prob >= 1.0:

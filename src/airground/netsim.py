@@ -4,12 +4,23 @@ All cross-node traffic travels between the coordinator and an agent; there
 are no agent-to-agent links, and an attempt to use one is a hard failure.
 Each directed link owns an RNG stream derived from the scenario seed and the
 link's name, so adding links never perturbs the draws of existing ones.
+
+A link reads its stream as uniforms in [0, 1), in send order: one drop draw
+per message when drop_prob > 0 (the message is dropped when the draw is
+below drop_prob), then one jitter draw u per kept message when jitter > 0,
+which adds -jitter + (jitter - -jitter) * u to the base latency.  The
+uniforms are drawn _BLOCK at a time.  Each one is the value a scalar
+Generator.uniform() returns at that point of the stream, and the jitter
+term is the float uniform(-jitter, jitter) returns, so the schedule is the
+same as with one Generator call per draw.
+
 Delivery is a deterministic total order: (deliver_time, seq, src, dst).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +31,7 @@ from .errors import InvalidInputError, TopologyViolationError
 from .logfmt import fmt9
 
 WATCHER_ID = "watcher"
+_BLOCK = 256  # uniforms a link draws from its stream at a time
 
 
 class MsgType(Enum):
@@ -50,6 +62,10 @@ class LinkModel:
     def validate(self) -> None:
         if self.base_latency < 0 or self.jitter < 0:
             raise InvalidInputError("latency and jitter must be non-negative")
+        if not (math.isfinite(2.0 * self.jitter)
+                and math.isfinite(self.base_latency + self.jitter)):
+            raise InvalidInputError("latency and jitter must keep every delivery "
+                                    "time finite (2*jitter and latency+jitter)")
         if not 0.0 <= self.drop_prob < 1.0:
             raise InvalidInputError("drop_prob must be in [0, 1)")
 
@@ -62,22 +78,52 @@ class LinkStats:
     bytes: int = 0
 
 
+def _field_bytes(field) -> int:
+    """Nominal size of one payload field: 8 bytes per scalar, strings as
+    utf-8, wire_bytes() where the object defines it, 64 otherwise."""
+    if isinstance(field, np.ndarray):
+        return field.size * 8
+    if field is None:
+        return 0
+    if isinstance(field, (int, float)):
+        return 8
+    if isinstance(field, str):
+        return len(field.encode())
+    if isinstance(field, (tuple, list)):
+        return sum(map(_field_bytes, field))
+    nbytes = getattr(field, "wire_bytes", None)
+    return nbytes() if callable(nbytes) else 64
+
+
 def _payload_bytes(payload) -> int:
-    """Nominal wire size: 8 bytes per scalar, strings as utf-8, 16B header."""
-    if payload is None:
-        return 16
-    if isinstance(payload, (int, float)):
-        return 16 + 8
-    if isinstance(payload, str):
-        return 16 + len(payload.encode())
-    if isinstance(payload, np.ndarray):
-        return 16 + payload.size * 8
-    if isinstance(payload, (tuple, list)):
-        return 16 + sum(_payload_bytes(item) - 16 for item in payload)
-    nbytes = getattr(payload, "wire_bytes", None)
-    if callable(nbytes):
-        return 16 + nbytes()
-    return 16 + 64
+    """Nominal wire size: a 16B header plus the payload's fields."""
+    if isinstance(payload, tuple):
+        return 16 + sum(map(_field_bytes, payload))
+    return 16 + _field_bytes(payload)
+
+
+class _Link:
+    """One directed link: its agent's counters (shared with the reverse
+    direction), its RNG stream read _BLOCK uniforms at a time, and its last
+    sequence number."""
+
+    __slots__ = ("stats", "rng", "draws", "next_draw", "seq")
+
+    def __init__(self, stats: LinkStats, rng: np.random.Generator):
+        self.stats = stats
+        self.rng = rng
+        self.draws: list[float] = []
+        self.next_draw = 0
+        self.seq = 0
+
+    def uniform(self) -> float:
+        """The stream's next uniform in [0, 1)."""
+        k = self.next_draw
+        if k == len(self.draws):
+            self.draws = self.rng.random(_BLOCK).tolist()
+            k = 0
+        self.next_draw = k + 1
+        return self.draws[k]
 
 
 class StarBus:
@@ -89,11 +135,13 @@ class StarBus:
         self.link = link
         self.agents = set(agent_ids)
         self.trace = trace
-        self._seq: dict[tuple[str, str], int] = {}
-        self._rng: dict[tuple[str, str], np.random.Generator] = {}
+        self._links: dict[tuple[str, str], _Link] = {}
         self._stats: dict[str, LinkStats] = {}
         self._queue: list[tuple[float, int, str, str, Message]] = []
         self._seed = seed
+        # uniform(-jitter, jitter) is -jitter + (jitter - -jitter) * u.
+        self._jitter_low = -link.jitter
+        self._jitter_range = link.jitter - -link.jitter
 
     def _check_link(self, src: str, dst: str) -> str:
         """Returns the agent endpoint naming the star link."""
@@ -105,27 +153,23 @@ class StarBus:
             f"link {src} -> {dst} is not part of the star topology"
         )
 
-    def _link_rng(self, src: str, dst: str) -> np.random.Generator:
-        key = (src, dst)
-        rng = self._rng.get(key)
-        if rng is None:
-            tag = zlib.crc32(f"{src}->{dst}".encode())
-            rng = np.random.default_rng(np.random.SeedSequence([self._seed, tag]))
-            self._rng[key] = rng
-        return rng
+    def _open_link(self, src: str, dst: str) -> _Link:
+        """The record of a star link's first message in this direction."""
+        agent = self._check_link(src, dst)
+        tag = zlib.crc32(f"{src}->{dst}".encode())
+        rng = np.random.default_rng(np.random.SeedSequence([self._seed, tag]))
+        link = self._links[src, dst] = _Link(self._stats.setdefault(agent, LinkStats()), rng)
+        return link
 
     def send(self, msg_type: MsgType, src: str, dst: str, payload,
              now: float) -> Message | None:
         """Schedule a message; returns None when the link model drops it."""
-        agent = self._check_link(src, dst)
-        stats = self._stats.setdefault(agent, LinkStats())
-        key = (src, dst)
-        seq = self._seq.get(key, 0) + 1
-        self._seq[key] = seq
-        rng = self._link_rng(src, dst)
+        link = self._links.get((src, dst)) or self._open_link(src, dst)
+        link.seq = seq = link.seq + 1
+        stats = link.stats
         stats.sent += 1
         stats.bytes += _payload_bytes(payload)
-        if self.link.drop_prob > 0.0 and rng.uniform() < self.link.drop_prob:
+        if self.link.drop_prob > 0.0 and link.uniform() < self.link.drop_prob:
             stats.dropped += 1
             if self.trace is not None:
                 self.trace.append(f"drop t={fmt9(now)} src={src} dst={dst} "
@@ -133,7 +177,7 @@ class StarBus:
             return None
         latency = self.link.base_latency
         if self.link.jitter > 0.0:
-            latency += rng.uniform(-self.link.jitter, self.link.jitter)
+            latency += self._jitter_low + self._jitter_range * link.uniform()
         deliver = max(now, now + latency)
         msg = Message(msg_type=msg_type, src=src, dst=dst, send_time=now,
                       deliver_time=deliver, seq=seq, payload=payload)
@@ -148,7 +192,7 @@ class StarBus:
         out = []
         while self._queue and self._queue[0][0] <= now:
             _, _, _, _, msg = heapq.heappop(self._queue)
-            self._stats[self._check_link(msg.src, msg.dst)].delivered += 1
+            self._links[msg.src, msg.dst].stats.delivered += 1
             if self.trace is not None:
                 self.trace.append(f"deliver t={fmt9(now)} src={msg.src} dst={msg.dst} "
                                   f"type={msg.msg_type.value} seq={msg.seq} "

@@ -33,12 +33,11 @@ import numpy as np
 
 from .barriers import (ConstraintRow, RowKind, SafetyParams,
                        build_constraint_row, build_workspace_rows,
-                       offset_points, pairwise_sq_distances)
+                       offset_points, pairwise_sq_distances, wall_gradients)
 from .errors import CapacityError, InvalidInputError
 from .netsim import MsgType
 
 _PROXIMITY_HYSTERESIS = 0.1  # extra meters before an active pair deactivates
-_KINDS = tuple(RowKind)
 
 
 @dataclass
@@ -193,8 +192,19 @@ class Outbound:
     payload: object
 
 
-def _pair_ids(index: int) -> tuple[str, str]:
-    return f"uav{index}", f"ugv{index}"
+def _gated(gates: np.ndarray, first) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j) entries of gates that are on, row-major so that i is
+    sorted, and the slot of each: first (or first[i]) plus its rank among
+    agent i's entries."""
+    i, j = np.nonzero(gates)
+    if not len(i):
+        return i, j, i
+    return i, j, (first[i] if np.ndim(first) else first) + np.arange(len(i)) - np.searchsorted(i, i)
+
+
+# The wall rows that open every UAV and every UGV matrix.
+_UAV_WALLS = [RowKind.WORKSPACE] * 5
+_UGV_WALLS = [RowKind.WORKSPACE] * 4
 
 
 class Watcher:
@@ -232,6 +242,7 @@ class Watcher:
         self._touch_hold = opts.touchdown_hold
 
         self.phases = {i: PairPhase.TASK for i in range(n_pairs)}
+        self._names = [(f"uav{i}", f"ugv{i}") for i in range(n_pairs)]
         self._uav_ids = np.array([f"uav{i}" for i in range(n_pairs)], dtype=object)
         self._ugv_ids = np.array([f"ugv{i}" for i in range(n_pairs)], dtype=object)
         self._touch_since: dict[int, float | None] = {i: None for i in range(n_pairs)}
@@ -249,6 +260,19 @@ class Watcher:
         self._aa = np.zeros((n_pairs, n_pairs), dtype=bool)
         self._gg = np.zeros((n_pairs, n_pairs), dtype=bool)
         self._ago = np.zeros((n_pairs, n_pairs), dtype=bool)
+        self._others = ~np.eye(n_pairs, dtype=bool)
+        self._pairs = np.arange(n_pairs)
+        # Per vehicle kind (UAV, UGV), the A block every tick starts from:
+        # the constant wall gradients in the first rows, zero padding below.
+        self._templates = []
+        for is_uav, dim in ((True, 3), (False, 2)):
+            walls = wall_gradients(is_uav, dim)
+            template = np.zeros((n_pairs, capacity, dim))
+            template[:, :len(walls)] = walls
+            self._templates.append(template)
+        # Gated row counts per pair from the last assembly: cross-layer,
+        # aerial and ground rows.
+        self._row_counts: tuple[list[int], list[int], list[int]] = ([], [], [])
         self._est_uav = VelocityEstimator(n_pairs, 3, opts.smoothing)
         self._est_ugv_body = VelocityEstimator(n_pairs, 2, opts.smoothing)
         self._est_ugv_offset = VelocityEstimator(n_pairs, 2, opts.smoothing)
@@ -268,8 +292,7 @@ class Watcher:
         if self.phases[pair] is PairPhase.LANDING:
             return True  # idempotent
         self.phases[pair] = PairPhase.LANDING
-        uav_id, _ = _pair_ids(pair)
-        self._pending.append(Outbound(MsgType.LANDING_SIGNAL, uav_id, pair))
+        self._pending.append(Outbound(MsgType.LANDING_SIGNAL, self._names[pair][0], pair))
         return True
 
     # -- geometry helpers ---------------------------------------------------
@@ -307,16 +330,19 @@ class Watcher:
         _aa and their rows of _ago are forced off."""
         p = self.params
         n = self.n_pairs
-        flying = np.array([self.phases[i] is not PairPhase.LANDED for i in range(n)])
-        others = ~np.eye(n, dtype=bool)
+        others = aerial = cross = self._others
+        landed = [i for i in range(n) if self.phases[i] is PairPhase.LANDED]
+        if landed:
+            flying = np.ones(n, dtype=bool)
+            flying[landed] = False
+            aerial = others & flying[:, None] & flying[None, :]
+            cross = others & flying[:, None]
         d_aa = np.sqrt(pairwise_sq_distances(self._uav, self._uav))
         d_gg = np.sqrt(pairwise_sq_distances(self._offsets, self._offsets))
         d_ago = np.sqrt(pairwise_sq_distances(self._uav, self._platforms))
-        self._aa = self._hysteresis(self._aa, d_aa, p.uav_separation,
-                                    others & flying[:, None] & flying[None, :])
+        self._aa = self._hysteresis(self._aa, d_aa, p.uav_separation, aerial)
         self._gg = self._hysteresis(self._gg, d_gg, p.ugv_separation, others)
-        self._ago = self._hysteresis(self._ago, d_ago, p.uav_ugv_separation,
-                                     others & flying[:, None])
+        self._ago = self._hysteresis(self._ago, d_ago, p.uav_ugv_separation, cross)
 
     # -- landing ------------------------------------------------------------
 
@@ -348,69 +374,76 @@ class Watcher:
         UGVs, its landing funnel and its aerial rows; a UGV's are its walls
         and ground rows.  Gated rows follow the other pair's index in
         ascending order.  Each matrix is a view into one fresh, zero-padded
-        block per vehicle kind, never reused: agents and in-flight messages
-        still hold earlier ones."""
+        block per vehicle kind, copied from that kind's wall template and
+        never reused: agents and in-flight messages still hold earlier
+        ones."""
         n, cap = self.n_pairs, self.capacity
         n_ago, n_aa, n_gg = (g.sum(axis=1) for g in (self._ago, self._aa, self._gg))
-        # Each pair's (UAV, UGV) row kinds.
-        layouts = [([RowKind.WORKSPACE] * 5 + [RowKind.UAV_OTHER_UGV] * cross
-                    + [RowKind.LANDING] + [RowKind.UAV_UAV] * aerial,
-                    [RowKind.WORKSPACE] * 4 + [RowKind.UGV_UGV] * ground)
-                   for cross, aerial, ground in zip(n_ago.tolist(), n_aa.tolist(), n_gg.tolist())]
-        for i, layout in enumerate(layouts):
-            for agent_id, kinds in zip(_pair_ids(i), layout):
-                if len(kinds) > cap:
-                    raise CapacityError(
-                        f"{agent_id}: {len(kinds)} active rows exceed capacity {cap}")
-        # Per vehicle kind: A, b and each row's other agent.
-        uav, ugv = blocks = [(np.zeros((n, cap, dim)), np.zeros((n, cap)),
-                              np.full((n, cap), None)) for dim in (3, 2)]
-        for (a, b, _), pos, is_uav in ((uav, self._uav, True), (ugv, self._offsets, False)):
-            for face, row in enumerate(build_workspace_rows(pos, self.params, is_uav)):
-                a[:, face], b[:, face] = row.a, row.b
+        self._row_counts = cross, aerial, ground = n_ago.tolist(), n_aa.tolist(), n_gg.tolist()
+        if max(cross) + max(aerial) + 6 > cap or max(ground) + 4 > cap:
+            for names, c, r, g in zip(self._names, cross, aerial, ground):
+                for agent_id, rows in zip(names, (6 + c + r, 4 + g)):
+                    if rows > cap:
+                        raise CapacityError(
+                            f"{agent_id}: {rows} active rows exceed capacity {cap}")
+        # Per vehicle kind: A and b, with the wall rows in place.
+        uav, ugv = blocks = [(template.copy(), np.zeros((n, cap))) for template in self._templates]
+        for (a, b), pos, is_uav in ((uav, self._uav, True), (ugv, self._offsets, False)):
+            walls = build_workspace_rows(pos, self.params, is_uav)
+            b[:, :len(walls)] = walls.b
         decks = self._ugv[:, :2]
-        self._scatter(uav, RowKind.UAV_OTHER_UGV, self._ago, np.full(n, 5), self._uav,
-                      decks, self._est_ugv_body, self._ugv_ids)
-        self._scatter(uav, RowKind.LANDING, np.eye(n, dtype=bool), 5 + n_ago, self._uav,
-                      decks, self._est_ugv_body, self._ugv_ids)
-        self._scatter(uav, RowKind.UAV_UAV, self._aa, 6 + n_ago, self._uav, self._uav,
-                      self._est_uav, self._uav_ids)
-        self._scatter(ugv, RowKind.UGV_UGV, self._gg, np.full(n, 4), self._offsets,
-                      self._offsets, self._est_ugv_offset, self._ugv_ids)
+        # Each family's other agents, grouped by agent in ascending order.
+        cross_ids = self._scatter(uav, RowKind.UAV_OTHER_UGV, *_gated(self._ago, 5),
+                                  self._uav, decks, self._est_ugv_body, self._ugv_ids)
+        funnel_ids = self._scatter(uav, RowKind.LANDING, self._pairs, self._pairs, 5 + n_ago,
+                                   self._uav, decks, self._est_ugv_body, self._ugv_ids)
+        aerial_ids = self._scatter(uav, RowKind.UAV_UAV, *_gated(self._aa, 6 + n_ago),
+                                   self._uav, self._uav, self._est_uav, self._uav_ids)
+        ground_ids = self._scatter(ugv, RowKind.UGV_UGV, *_gated(self._gg, 4),
+                                   self._offsets, self._offsets, self._est_ugv_offset,
+                                   self._ugv_ids)
         matrices = {}
-        for i, layout in enumerate(layouts):
-            for agent_id, kinds, (a, b, ids) in zip(_pair_ids(i), layout, blocks):
-                matrices[agent_id] = ConstraintMatrix(agent_id, now, a[i], b[i], kinds,
-                                                      ids[i, :len(kinds)].tolist())
+        (uav_a, uav_b), (ugv_a, ugv_b) = blocks
+        c0 = a0 = g0 = 0
+        for i, ((uav_id, ugv_id), c, r, g) in enumerate(zip(self._names, cross, aerial, ground)):
+            matrices[uav_id] = ConstraintMatrix(
+                uav_id, now, uav_a[i], uav_b[i],
+                _UAV_WALLS + [RowKind.UAV_OTHER_UGV] * c + [RowKind.LANDING]
+                + [RowKind.UAV_UAV] * r,
+                [None] * 5 + cross_ids[c0:c0 + c] + [funnel_ids[i]] + aerial_ids[a0:a0 + r])
+            matrices[ugv_id] = ConstraintMatrix(
+                ugv_id, now, ugv_a[i], ugv_b[i], _UGV_WALLS + [RowKind.UGV_UGV] * g,
+                [None] * 4 + ground_ids[g0:g0 + g])
+            c0, a0, g0 = c0 + c, a0 + r, g0 + g
         return matrices
 
-    def _scatter(self, block, kind: RowKind, gates: np.ndarray, first: np.ndarray,
+    def _scatter(self, block, kind: RowKind, i: np.ndarray, j: np.ndarray, slot,
                  own: np.ndarray, other: np.ndarray, estimator: VelocityEstimator,
-                 other_ids: np.ndarray) -> None:
-        """Build one family's rows, agent i against each gated j, in one call;
-        write each to agent i's block at slot first[i] plus its rank among them."""
-        i, j = np.nonzero(gates)  # row-major, so i is sorted
+                 other_ids: np.ndarray) -> list[str]:
+        """Build one family's rows, agent i[k] against agent j[k], in one
+        call, and write row k to agent i[k]'s block at slot[k].  Returns
+        each row's other agent."""
         if not len(i):
-            return
+            return []
         velocity, worst = estimator.estimate()
         row = build_constraint_row(kind, own[i], other[j], velocity[j], params=self.params,
                                    platform_height=self.platform_height, worst_case=worst)
-        slot = first[i] + np.arange(len(i)) - np.searchsorted(i, i)
-        a, b, ids = block
-        a[i, slot], b[i, slot], ids[i, slot] = row.a, row.b, other_ids[j]
+        a, b = block
+        a[i, slot], b[i, slot] = row.a, row.b
+        return other_ids[j].tolist()
 
     # -- setpoints ----------------------------------------------------------
 
-    def _setpoint_for(self, agent_id: str, now: float) -> tuple[np.ndarray, np.ndarray]:
-        if agent_id.startswith("ugv"):
-            return self.tracks[agent_id].sample(now)
-        pair = int(agent_id[3:])
+    def _setpoints(self, pair: int, now: float) -> tuple[tuple, tuple]:
+        """The (position, rate) setpoints of the pair's UAV and UGV."""
+        uav_id, ugv_id = self._names[pair]
+        ugv = self.tracks[ugv_id].sample(now)
         if self.phases[pair] is PairPhase.TASK:
-            return self.tracks[agent_id].sample(now)
-        # landing and landed: chase the moving platform's hover point
+            return self.tracks[uav_id].sample(now), ugv
+        # landing and landed: the UAV chases the moving platform's hover point
         v, worst_case = self._est_ugv_body.estimate()
         rate = np.zeros(3) if worst_case else np.array([v[pair, 0], v[pair, 1], 0.0])
-        return self.hover_point(pair), rate
+        return (self.hover_point(pair), rate), ugv
 
     # -- main tick ----------------------------------------------------------
 
@@ -436,20 +469,29 @@ class Watcher:
         self._pending = []
         records: list[WatcherRecord] = []
         matrices = self.assemble_constraints(now)
-        for i in range(self.n_pairs):
-            for agent_id, pose in zip(_pair_ids(i), (self._uav[i], self._ugv[i])):
+        # An agent's proximal set is empty unless one of its gates is on: a
+        # UAV's cross-layer or aerial row, a UGV's ground row or another
+        # pair's UAV's cross-layer row against it (cross_in).
+        cross, aerial, ground = self._row_counts
+        cross_in = self._ago.sum(axis=0).tolist()
+        for i, pair_ids in enumerate(self._names):
+            phase = self.phases[i].value
+            # Row counts per kind in RowKind order, kinds without rows left out.
+            uav_counts = {k: c for k, c in (("uav_uav", aerial[i]), ("uav_other_ugv", cross[i]),
+                                            ("landing", 1), ("workspace", 5)) if c}
+            ugv_counts = {k: c for k, c in (("ugv_ugv", ground[i]), ("workspace", 4)) if c}
+            for agent_id, pose, setpoint, kind_counts, gated in zip(
+                    pair_ids, (self._uav[i], self._ugv[i]), self._setpoints(i, now),
+                    (uav_counts, ugv_counts), (cross[i] + aerial[i], ground[i] + cross_in[i])):
                 matrix = matrices[agent_id]
-                setpoint, rate = self._setpoint_for(agent_id, now)
-                outbound.append(Outbound(MsgType.POSE_UPDATE, agent_id, pose.copy()))
-                outbound.append(Outbound(MsgType.SETPOINT_UPDATE, agent_id,
-                                         (setpoint, rate)))
-                outbound.append(Outbound(MsgType.CONSTRAINT_UPDATE, agent_id, matrix))
+                outbound += (Outbound(MsgType.POSE_UPDATE, agent_id, pose.copy()),
+                             Outbound(MsgType.SETPOINT_UPDATE, agent_id, setpoint),
+                             Outbound(MsgType.CONSTRAINT_UPDATE, agent_id, matrix))
                 records.append(WatcherRecord(
                     time=now, agent_id=agent_id,
                     active_count=matrix.active_count,
-                    kind_counts={k.value: matrix.kinds.count(k) for k in _KINDS
-                                 if k in matrix.kinds},
-                    phase=self.phases[i].value,
-                    proximal=tuple(sorted(self.proximal_set(agent_id))),
+                    kind_counts=kind_counts,
+                    phase=phase,
+                    proximal=tuple(sorted(self.proximal_set(agent_id))) if gated else (),
                 ))
         return outbound, records

@@ -17,7 +17,12 @@
   as arrays.
 * The watcher's per-row constraint assembly: one scalar barrier row object
   per gated pair, copied into each agent's matrix, from before every
-  family's rows were built in one array pass per tick.
+  family's rows were built in one array pass per tick; and its per-agent
+  row counts, one list count per row kind, from before they came from the
+  gate matrices' row sums.
+* The star bus's per-message draws, one scalar Generator.uniform() call
+  per drop or jitter draw, and its recursive wire sizes, from before each
+  link drew its uniforms in blocks.
 
 The equivalence tests require the package to reproduce them exactly, bit
 for bit.
@@ -25,7 +30,9 @@ for bit.
 
 from __future__ import annotations
 
+import heapq
 import math
+import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from types import SimpleNamespace
@@ -40,6 +47,7 @@ from airground.barriers import ConstraintRow, RowKind, SafetyParams
 from airground.errors import (CapacityError, IncompleteInputError,
                               InvalidInputError)
 from airground.logfmt import fmt9
+from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
 from airground.qp import (RELAXATION_WEIGHT, QpProblem, QpSolution, QpStatus,
                           _project)
 from airground.watcher import ConstraintMatrix
@@ -679,3 +687,90 @@ def assemble_per_row(w, agent_id: str, now: float) -> ConstraintMatrix:
                 other_id=f"ugv{j}", worst_case=worst_offset))
         dim = 2
     return from_rows(agent_id, now, w.capacity, dim, rows)
+
+
+def per_agent_kind_counts(kinds: list[RowKind]) -> dict[str, int]:
+    """An agent's rows per kind, in RowKind order, absent kinds left out."""
+    return {k.value: kinds.count(k) for k in RowKind if k in kinds}
+
+
+def payload_bytes(payload) -> int:
+    """Nominal wire size: 8 bytes per scalar, strings as utf-8, 16B header."""
+    if payload is None:
+        return 16
+    if isinstance(payload, (int, float)):
+        return 16 + 8
+    if isinstance(payload, str):
+        return 16 + len(payload.encode())
+    if isinstance(payload, np.ndarray):
+        return 16 + payload.size * 8
+    if isinstance(payload, (tuple, list)):
+        return 16 + sum(payload_bytes(item) - 16 for item in payload)
+    nbytes = getattr(payload, "wire_bytes", None)
+    if callable(nbytes):
+        return 16 + nbytes()
+    return 16 + 64
+
+
+class ScalarDrawBus:
+    """The star bus drawing each link's randomness one scalar call at a
+    time: uniform() for a drop and uniform(-jitter, jitter) for a jitter."""
+
+    def __init__(self, agent_ids: list[str], link: LinkModel, seed: int):
+        link.validate()
+        self.link = link
+        self.agents = set(agent_ids)
+        self._seq: dict[tuple[str, str], int] = {}
+        self._rng: dict[tuple[str, str], np.random.Generator] = {}
+        self._stats: dict[str, LinkStats] = {}
+        self._queue: list[tuple[float, int, str, str, Message]] = []
+        self._seed = seed
+
+    def _check_link(self, src: str, dst: str) -> str:
+        if src == WATCHER_ID and dst in self.agents:
+            return dst
+        if dst == WATCHER_ID and src in self.agents:
+            return src
+        raise AssertionError(f"link {src} -> {dst} is not part of the star topology")
+
+    def _link_rng(self, src: str, dst: str) -> np.random.Generator:
+        key = (src, dst)
+        rng = self._rng.get(key)
+        if rng is None:
+            tag = zlib.crc32(f"{src}->{dst}".encode())
+            rng = np.random.default_rng(np.random.SeedSequence([self._seed, tag]))
+            self._rng[key] = rng
+        return rng
+
+    def send(self, msg_type: MsgType, src: str, dst: str, payload,
+             now: float) -> Message | None:
+        agent = self._check_link(src, dst)
+        stats = self._stats.setdefault(agent, LinkStats())
+        key = (src, dst)
+        seq = self._seq.get(key, 0) + 1
+        self._seq[key] = seq
+        rng = self._link_rng(src, dst)
+        stats.sent += 1
+        stats.bytes += payload_bytes(payload)
+        if self.link.drop_prob > 0.0 and rng.uniform() < self.link.drop_prob:
+            stats.dropped += 1
+            return None
+        latency = self.link.base_latency
+        if self.link.jitter > 0.0:
+            latency += rng.uniform(-self.link.jitter, self.link.jitter)
+        deliver = max(now, now + latency)
+        msg = Message(msg_type=msg_type, src=src, dst=dst, send_time=now,
+                      deliver_time=deliver, seq=seq, payload=payload)
+        heapq.heappush(self._queue, (deliver, seq, src, dst, msg))
+        return msg
+
+    def deliver_due(self, now: float) -> list[Message]:
+        out = []
+        while self._queue and self._queue[0][0] <= now:
+            _, _, _, _, msg = heapq.heappop(self._queue)
+            self._stats[self._check_link(msg.src, msg.dst)].delivered += 1
+            out.append(msg)
+        return out
+
+    def link_stats(self) -> dict[str, LinkStats]:
+        return dict(sorted(self._stats.items()))

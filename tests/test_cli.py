@@ -77,6 +77,25 @@ class TestMalformedValues:
         assert "Traceback" not in err
 
 
+class TestHugeJitter:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_jitter_that_overflows_exits_two(self, tmp_path, capsys, command):
+        """Delivery times of -jitter + 2*jitter*u would overflow: the config
+        is rejected before the bus draws anything."""
+        with open(os.path.join(SCENARIOS, "crossing_three.yaml")) as f:
+            text = f.read()
+        assert text.count("jitter: 0.005") == 1
+        path = tmp_path / "crossing_three.yaml"
+        path.write_text(text.replace("jitter: 0.005", "jitter: 1.0e+308"))
+        args = [command, str(path)]
+        if command == "run":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "[BAD_VALUE] network jitter is too large" in err
+        assert "Traceback" not in err
+
+
 class TestRun:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, single_pair(duration=1.0).raw)

@@ -198,6 +198,23 @@ class TestRejections:
     def test_uneven_rate_grid(self):
         assert "BAD_VALUE" in codes_of(variant(control_rate=33.0))
 
+    @pytest.mark.parametrize("latency, jitter", [
+        (0.02, 1.0e308),      # 2*jitter overflows
+        (1.7e308, 0.9e308),   # 2*jitter is finite, latency+jitter is not
+    ])
+    def test_jitter_that_overflows_a_delivery_time_rejected(self, latency, jitter):
+        data = variant(network={"latency": latency, "jitter": jitter, "drop": 0.0})
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert [(v.code, v.message) for v in err.value.violations] == [(
+            "BAD_VALUE", "network jitter is too large: 2*jitter and latency+jitter "
+            f"must be finite, got latency {latency!r}, jitter {jitter!r}")]
+
+    def test_largest_finite_jitter_accepted(self):
+        jitter = 8.9e307  # 2*jitter and latency+jitter are still finite
+        cfg = config_from_dict(variant(network={"latency": 0.02, "jitter": jitter}))
+        assert cfg.network.jitter == jitter
+
     def test_bad_event_pair(self):
         data = variant()
         data["events"] = [{"time": 1.0, "type": "landing", "pair": 5}]

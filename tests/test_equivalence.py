@@ -29,6 +29,7 @@ from airground.watcher import (ConstraintMatrix, PairPhase, VelocityEstimator,
 from oracles import (AgentVelocityEstimator, DictGates, Sample,
                      UavState, UncachedControlUnit, VelQuality,
                      assemble_per_row, from_rows, integrate_per_agent,
+                     per_agent_kind_counts,
                      per_agent_trajectory_rows, scalar_tick_barriers, scalar_view,
                      stacked_filter_velocity, stacked_solve,
                      stacked_solve_relaxed)
@@ -273,7 +274,7 @@ def test_array_assembly_matches_per_row_oracle(case):
         now = 0.05 * k
         ids = [aid for i in range(n) for aid in (f"uav{i}", f"ugv{i}")]
         try:
-            outbound, _ = w.tick(now, uav, ugv)
+            outbound, records = w.tick(now, uav, ugv)
         except CapacityError as exc:
             # The oracle's message for its first overflowing agent.
             for aid in ids:
@@ -293,6 +294,14 @@ def test_array_assembly_matches_per_row_oracle(case):
             assert got.other_ids == want.other_ids
             assert got.active_count == want.active_count
             assert got.timestamp == want.timestamp
+        # Row counts from the gate row sums, with the keys and key order of
+        # one count per kind; a proximal set computed only where a gate is
+        # on, equal to the one computed for every agent.
+        assert [r.agent_id for r in records] == ids
+        for rec, matrix in zip(records, shipped):
+            assert (list(rec.kind_counts.items())
+                    == list(per_agent_kind_counts(matrix.kinds).items()))
+            assert rec.proximal == tuple(sorted(w.proximal_set(rec.agent_id)))
 
 
 def test_qp_entry_points_match_stacked_oracle():

@@ -14,7 +14,9 @@ the runner held the fleet as arrays; the clustered run on a platform raised
 before the watcher assembled its constraint matrices in one array pass per
 barrier family; the lossy 100 Hz landing, whose units hold, resume and land
 between deliveries, before the runner ticked a control unit only when its
-output could change and wrote trajectory rows a block at a time.  A change
+output could change and wrote trajectory rows a block at a time; the
+drop-only and jitter-only crossings, one per branch of a link's draws,
+before the bus drew each link's uniforms in blocks.  A change
 that alters any logged byte of these runs -- a reordered constraint row, a
 last-ulp difference in a recomputed min_h, one message more or less on the
 bus -- fails here.  A change that is meant to alter the logs (a bug fix) must say
@@ -58,6 +60,16 @@ def lossy_crossing_100hz(**overrides):
     return crossing_three_5s(
         control_rate=100.0, hold_timeout=0.12,
         network={"latency": 0.03, "jitter": 0.02, "drop": 0.25}, **overrides)
+
+
+def drop_only_crossing():
+    """A link that drops and never jitters: only the drop draws run."""
+    return crossing_three_5s(network={"latency": 0.02, "jitter": 0.0, "drop": 0.2})
+
+
+def jitter_only_crossing():
+    """A link that jitters and never drops: only the jitter draws run."""
+    return crossing_three_5s(network={"latency": 0.02, "jitter": 0.01, "drop": 0.0})
 
 
 # name -> (scenario, trajectory.csv, watcher.csv, trace.log or None: untraced)
@@ -116,6 +128,18 @@ GOLDEN = {
         "42a076a3173533d44776b1e193405edf18b21c35fa78f28a4a1f34ceceaabcba",
         "5fa80288e33aad41e79b269c76cc49e4a21ba05f4796fdb465d345f5777a0eaf",
     ),
+    "drop_only_crossing_5s": (
+        drop_only_crossing,
+        "64c11b6004f7bc142613decb79fb17b9be460d8f185e73d28a04310b68751a49",
+        "e00ed3611983b63b92bed721361801f361fffcbcfba2805d395d6753adde3324",
+        "f2aaf1f65441b01cf300f733b997bd036139a47d394c12c4e19ea59a0870b76d",
+    ),
+    "jitter_only_crossing_5s": (
+        jitter_only_crossing,
+        "a247eb152a83ff4f78cd4884c522892b8b9e7fabc98c56af0d216e839e96b089",
+        "eedc88442c82cc89a425a4ffbc185c8322cad7b005c68dbed7eee6e1ff7f9677",
+        "62d35accac4cc2de4637418e42bbb4ce6207445090b82c2566aebbcb6f2435dc",
+    ),
 }
 
 
@@ -152,6 +176,10 @@ def test_logs_match_recorded_digests(tmp_path, name):
         with open(result.trajectory_path) as f:
             statuses = [line.split(",")[10] for line in f.read().splitlines()[1:]]
         assert "hold" in statuses and "optimal" in statuses
+    if name == "drop_only_crossing_5s":  # drops, and no jitter
+        assert all(s.dropped > 0 for s in result.link_stats.values())
+    if name == "jitter_only_crossing_5s":  # every message kept
+        assert all(s.dropped == 0 for s in result.link_stats.values())
     assert sha256(result.trajectory_path) == trajectory
     assert sha256(result.watcher_path) == watcher
     if trace is not None:

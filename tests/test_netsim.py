@@ -1,7 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from airground.errors import TopologyViolationError
-from airground.netsim import WATCHER_ID, LinkModel, MsgType, StarBus
+from airground.errors import InvalidInputError, TopologyViolationError
+from airground.netsim import _BLOCK, WATCHER_ID, LinkModel, MsgType, StarBus, _payload_bytes
+from airground.watcher import ConstraintMatrix
+
+from oracles import ScalarDrawBus, payload_bytes
 
 
 AGENTS = ["uav0", "ugv0", "uav1", "ugv1"]
@@ -149,3 +155,60 @@ class TestStatsAndTrace:
         delivers = sum(1 for l in trace if l.startswith("deliver"))
         assert sends + drops == 40
         assert delivers == sends
+
+
+class TestLinkModel:
+    @pytest.mark.parametrize("latency, jitter", [(0.02, 1.0e308), (1.7e308, 0.9e308)])
+    def test_jitter_that_overflows_a_delivery_time_rejected(self, latency, jitter):
+        with pytest.raises(InvalidInputError, match="finite"):
+            make_bus(latency=latency, jitter=jitter)
+
+
+# One payload of each shape the bus sizes: header only, scalars, a string,
+# arrays, nested sequences, an object with wire_bytes() and one without.
+PAYLOADS = [None, 7, True, 2.5, "landing", np.zeros(3), (np.zeros(3), np.ones(3)),
+            [1, (2.0, "ab"), None], (0, 1),
+            ConstraintMatrix("uav0", 0.0, np.zeros((8, 3)), np.zeros(8), [], []),
+            object()]
+LINKS = [(WATCHER_ID, aid) for aid in AGENTS] + [(aid, WATCHER_ID) for aid in AGENTS]
+
+
+def test_wire_sizes_match_recursive_sizes():
+    for payload in PAYLOADS:
+        assert _payload_bytes(payload) == payload_bytes(payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       latency=st.sampled_from([0.0, 0.02]),
+       jitter=st.one_of(st.just(0.0), st.floats(1e-6, 0.1), st.just(8.9e307)),
+       drop=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_max=True)),
+       schedule=st.integers(0, 2**32 - 1))
+def test_block_draws_match_scalar_draws(seed, latency, jitter, drop, schedule):
+    """Every other message goes over one link, so its draws span several
+    blocks; the rest are spread over the other links, both directions.
+    Drop decisions, sequence numbers, delivery-time bits, delivery order
+    and link statistics all equal those of one scalar draw per decision."""
+    link = LinkModel(latency, jitter, drop)
+    bus, ref = StarBus(AGENTS, link, seed), ScalarDrawBus(AGENTS, link, seed)
+    rng = np.random.default_rng(schedule)
+    n = 4 * _BLOCK
+    others = rng.integers(1, len(LINKS), n)
+    payloads = rng.integers(0, len(PAYLOADS), n)
+    now = 0.0
+    for k in range(n):
+        src, dst = LINKS[0 if k % 2 else others[k]]
+        msg_type = MsgType.POSE_UPDATE if src == WATCHER_ID else MsgType.TOUCHDOWN_ACK
+        got = bus.send(msg_type, src, dst, PAYLOADS[payloads[k]], now)
+        want = ref.send(msg_type, src, dst, PAYLOADS[payloads[k]], now)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.seq, got.deliver_time.hex()) == (want.seq, want.deliver_time.hex())
+        if k % 64 == 63:
+            now += 0.05
+            assert ([(m.src, m.dst, m.seq) for m in bus.deliver_due(now)]
+                    == [(m.src, m.dst, m.seq) for m in ref.deliver_due(now)])
+    assert ([(m.src, m.dst, m.seq) for m in bus.deliver_due(1e309)]
+            == [(m.src, m.dst, m.seq) for m in ref.deliver_due(1e309)])
+    assert ({k: vars(v) for k, v in bus.link_stats().items()}
+            == {k: vars(v) for k, v in ref.link_stats().items()})
