@@ -161,6 +161,8 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
                 t_block, blocker = _blocking_step(lam, r)
                 lam = lam - t_block * r
                 lam_p += t_block
+            if blocker < 0:  # only a NaN step or an infinite multiplier gets here
+                raise RuntimeError("active-set projection took a non-finite step")
             del work[blocker]
             lam = np.delete(lam, blocker)
     raise RuntimeError("active-set projection did not converge")

@@ -21,12 +21,13 @@ import numpy as np
 from .agents import (UAV, UGV, AgentControlUnit, Gains, TickSchedule,
                      step_ugv, step_uav, wrap_angle)
 from .config import ScenarioConfig
-from .errors import CapacityError, SafetyAbortError
+from .errors import CapacityError, InvalidInputError, SafetyAbortError
 from .logfmt import fmt9
 from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
+# run() no longer calls summarize_dir; bench/ still looks it up on this module.
 from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
-                      WATCHER_FILE, WATCHER_HEADER, MetricsSummary, Roster,
-                      TrajectoryWriter, summarize_dir, tick_barriers)
+                      WATCHER_FILE, WATCHER_HEADER, MetricsFold, MetricsSummary,
+                      Roster, TrajectoryWriter, summarize_dir, tick_barriers)
 from .watcher import Watcher, WatcherRecord, WaypointTrack
 
 
@@ -123,6 +124,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     kinds = tuple(aid[:3] for aid in agent_ids)
     roster = Roster(tuple(agent_ids), kinds)
     writer = TrajectoryWriter(roster)
+    fold = MetricsFold(n)
     # What each agent's trajectory row logs: (x, y, z, theta), with z = 0
     # for a UGV and theta = 0 for a UAV, the applied input padded to 3 with
     # zeros, and the status of the unit's last tick.
@@ -155,10 +157,21 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             elif msg.msg_type is MsgType.TOUCHDOWN_ACK:
                 unit.on_touchdown_ack()
 
-    def flush_block():
-        writer.flush(lambda *block: tick_barriers(cfg, roster, *block)[0])
+    def min_h(times, statuses, *block):
+        """The writer's min_h: folds a flushed block into the metrics.  The
+        states a reader of the log sees must be finite; step and t are the
+        loop's at the flush."""
+        if not (np.isfinite(block[:4]).all()
+                and np.isfinite(np.array(times, dtype=float)).all()):
+            raise abort(step, t, "non-finite logged state",
+                        f"non-finite state logged by t={t}")
+        per_agent, family, dist = tick_barriers(cfg, roster, *block)
+        fold.barriers(family, dist)
+        fold.ticks(times, roster.ids, roster.kinds, statuses)
+        return per_agent
 
-    def dump_state(step, t, reason):
+    def abort(step, t, reason, message):
+        """Writes state_dump.json; returns the SafetyAbortError to raise."""
         dump = {
             "step": step, "time": t, "reason": reason,
             "uavs": {f"uav{i}": p for i, p in enumerate(uav.tolist())},
@@ -167,7 +180,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         path = os.path.join(out_dir, "state_dump.json")
         with open(path, "w") as f:
             json.dump(dump, f, indent=2, sort_keys=True)
-        return path
+        return SafetyAbortError(f"{message} (state dump: {path})")
 
     for step in range(total + 1):
         t = step * cfg.dt
@@ -185,10 +198,9 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 seen_uav, seen_ugv = uav + noise[uav_rows], ugv + noise[ugv_rows]
             try:
                 outbound, records = coordinator.tick(t, seen_uav, seen_ugv)
-            except CapacityError as exc:
-                path = dump_state(step, t, f"watcher: {exc}")
-                raise SafetyAbortError(
-                    f"watcher failed at t={t}: {exc} (state dump: {path})")
+            except (CapacityError, InvalidInputError) as exc:
+                raise abort(step, t, f"watcher: {exc}",
+                            f"watcher failed at t={t}: {exc}")
             for ob in outbound:
                 bus.send(ob.msg_type, WATCHER_ID, ob.dst, ob.payload, t)
             watcher_records.extend(records)
@@ -204,10 +216,9 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 try:
                     command, tele = units[k].tick(t)
                 except (RuntimeError, np.linalg.LinAlgError) as exc:
-                    path = dump_state(step, t, f"{agent_ids[k]}: {exc}")
-                    raise SafetyAbortError(
-                        f"safety filter failed for {agent_ids[k]} at t={t}: "
-                        f"{exc} (state dump: {path})")
+                    raise abort(step, t, f"{agent_ids[k]}: {exc}",
+                                f"safety filter failed for {agent_ids[k]} "
+                                f"at t={t}: {exc}")
                 if kinds[k] == UAV:
                     u_cmd[k // 2] = command.u
                 else:
@@ -221,14 +232,14 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             logged[1::2, 3] = ugv[:, 2]
             writer.add_tick(fmt9(t), logged, u_logged, statuses)
             if writer.full():
-                flush_block()
+                writer.flush(min_h)
 
         if step < total:
             landed = [i for i, unit in enumerate(uav_units) if unit.landed]
             uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, u_cmd,
                                                 v_cmd, omega_cmd, landed, cfg)
 
-    flush_block()
+    writer.flush(min_h)
     trajectory_path = os.path.join(out_dir, TRAJECTORY_FILE)
     writer.write(trajectory_path)
     watcher_path = os.path.join(out_dir, WATCHER_FILE)
@@ -242,7 +253,14 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     with open(os.path.join(out_dir, CONFIG_FILE), "w") as f:
         f.write(cfg.to_yaml())
 
-    metrics = summarize_dir(out_dir)  # also cross-checks the log we just wrote
+    # The metrics come from the loop; `airground summarize` (summarize_dir)
+    # re-derives them from the files above as an independent check.
+    fold.rows((rec.agent_id, rec.active_count) for rec in watcher_records)
+    link_stats = bus.link_stats()
+    if trace:  # what the trace records: every link touches the watcher
+        fold.links(len(link_stats), 0, sum(s.sent for s in link_stats.values()),
+                   sum(s.dropped for s in link_stats.values()))
+    metrics = fold.result()
     with open(os.path.join(out_dir, METRICS_FILE), "w") as f:
         f.write(metrics.to_json() + "\n")
 
@@ -250,6 +268,6 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         out_dir=out_dir, metrics=metrics, trajectory_path=trajectory_path,
         watcher_path=watcher_path, trace_path=trace_path,
         touchdown_times=dict(coordinator.touchdown_times),
-        watcher_records=watcher_records, link_stats=bus.link_stats(),
+        watcher_records=watcher_records, link_stats=link_stats,
         relaxed_events=relaxed_events,
     )

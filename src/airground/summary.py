@@ -1,11 +1,14 @@
-"""Post-run metric aggregation, independent of the in-loop telemetry.
+"""Run metrics: the trajectory writer, the barrier evaluation and the fold
+that turns a run's data into its MetricsSummary.
 
-Every barrier value in the summary is recomputed from the raw states in the
-trajectory log (never trusted from the controller), then cross-checked
-against the per-tick minimum the runner logged; any disagreement beyond
-1e-9 means the log was tampered with or the physics diverged, and is an
-error.  States are parsed from the log text, so the recomputation sees the
-exact same rounded values the producer committed to disk.
+run() feeds the fold from the loop: each flushed trajectory block's barrier
+minima, statuses and times, then the watcher records and link counters.
+summarize_dir, behind `airground summarize`, is the independent re-check:
+it parses the logs back, recomputes every barrier value from the logged
+states (never trusted from the controller), requires each line's min_h to
+agree within 1e-9 -- else the log was tampered with or the physics
+diverged -- and feeds the same fold.  Both paths see the rounded states the
+producer committed to disk.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +84,60 @@ class MetricsSummary:
         return json.dumps(data, indent=2, sort_keys=True)
 
 
+class MetricsFold:
+    """Folds one run's data into its MetricsSummary.  run() feeds it from
+    the loop and summarize_dir from the logs, so the two summaries agree
+    whenever their inputs do."""
+
+    def __init__(self, n_pairs: int):
+        self.summary = MetricsSummary()
+        self._n_pairs = n_pairs
+        self._landed: dict[int, float] = {}   # pair -> first landed time
+
+    def barriers(self, family: dict[str, float], dist: dict[str, float]) -> None:
+        """One block's per-family minimum h and per-kind minimum distance."""
+        for low, block in ((self.summary.family_min_h, family),
+                           (self.summary.min_pair_distance, dist)):
+            for key, value in block.items():
+                if value < low.get(key, math.inf):
+                    low[key] = value
+
+    def ticks(self, times, ids, kinds, statuses) -> None:
+        """Consecutive ticks with one status per agent of ids (and kinds):
+        tick k is logged at time string times[k] with the statuses
+        statuses[k*m:(k+1)*m], m = len(ids)."""
+        s, m = self.summary, len(ids)
+        s.ticks += len(times)
+        s.duration = max(s.duration, *map(float, times))
+        for status in dict.fromkeys(statuses):  # distinct, first seen first
+            s.status_counts[status] = s.status_counts.get(status, 0) + statuses.count(status)
+        first: dict[int, int] = {}   # pair -> its first landed tick here
+        if "landed" in statuses:
+            for c in range(m):
+                column = statuses[c::m] if kinds[c] == "uav" else ()
+                if "landed" in column:
+                    pair, k = int(ids[c][3:]), column.index("landed")
+                    first[pair] = min(k, first.get(pair, k))
+        for pair, k in first.items():
+            self._landed.setdefault(pair, float(times[k]))
+
+    def rows(self, counts) -> None:
+        """Watcher records as (agent id, active row count) pairs."""
+        for (agent, count), k in Counter(counts).items():
+            hist = self.summary.row_count_histogram.setdefault(agent, {})
+            hist[count] = hist.get(count, 0) + k
+
+    def links(self, active: int, a2a: int, sent: int, dropped: int) -> None:
+        s = self.summary
+        s.active_links, s.agent_to_agent_messages = active, a2a
+        s.messages_sent, s.messages_dropped = sent, dropped
+
+    def result(self) -> MetricsSummary:
+        self.summary.landing_outcomes = {
+            i: self._landed.get(i) for i in range(self._n_pairs)}
+        return self.summary
+
+
 class Roster:
     """The agents of one tick, in log order, and the index arrays that
     tick_barriers needs for them.
@@ -107,39 +165,6 @@ class Roster:
         self.other_ugv = np.array([[g != o for g in ugv] for o in own],
                                   dtype=bool).reshape(len(uav), len(ugv))
         self.ugv_others = ~np.eye(len(ugv), dtype=bool)
-
-    def key(self) -> tuple:
-        return self.ids, self.kinds
-
-
-class TickBlock:
-    """Consecutive ticks of one roster, stored column-wise in preallocated
-    (T, M) arrays holding at most BLOCK_SAMPLES agent samples."""
-
-    def __init__(self, roster: Roster):
-        self.roster = roster
-        m = len(roster.ids)
-        rows = max(1, BLOCK_SAMPLES // m)
-        self._states = np.empty((4, rows, m))
-        self._landed = np.empty((rows, m), dtype=bool)
-        self.ticks = 0
-
-    def add_tick(self, x, y, z, theta, landed) -> None:
-        """One tick: each argument holds a value per roster agent."""
-        self._states[:, self.ticks] = x, y, z, theta
-        self._landed[self.ticks] = landed
-        self.ticks += 1
-
-    def full(self) -> bool:
-        return self.ticks == self._landed.shape[0]
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """(T, M) views x, y, z, theta and landed of the ticks so far."""
-        x, y, z, theta = self._states[:, :self.ticks]
-        return x, y, z, theta, self._landed[:self.ticks]
-
-    def clear(self) -> None:
-        self.ticks = 0
 
 
 class TrajectoryWriter:
@@ -173,8 +198,9 @@ class TrajectoryWriter:
         return len(self._times) == self._numbers.shape[0]
 
     def flush(self, min_h) -> None:
-        """Format the buffered ticks.  min_h maps the block's rounded (T, M)
-        x, y, z, theta and landed arrays to its (T, M) per-agent min h."""
+        """Format the buffered ticks.  min_h maps the block's T time strings,
+        its T*M statuses (tick by tick) and its rounded (T, M) x, y, z,
+        theta and landed arrays to its (T, M) per-agent min h."""
         ticks, m = len(self._times), len(self.roster.ids)
         if not ticks:
             return
@@ -184,7 +210,8 @@ class TrajectoryWriter:
                                       ).reshape(ticks, m) for k in range(4))
         statuses = self._statuses
         landed = np.fromiter(map("landed".__eq__, statuses), bool, samples)
-        h = fmt9_all(min_h(x, y, z, theta, landed.reshape(ticks, m)).ravel().tolist())
+        h = fmt9_all(min_h(self._times, statuses, x, y, z, theta,
+                           landed.reshape(ticks, m)).ravel().tolist())
         times = [t for t in self._times for _ in range(m)]
         self._chunks.append("\n".join(map(",".join, zip(
             times, self._prefixes * ticks, *(text[k::7] for k in range(7)),
@@ -303,7 +330,7 @@ def _csv_rows(path: str, header: str, width: int):
 
 
 def _parse_trajectory(path: str):
-    """Yields (line_number, time_str, time, agent_id, kind, x, y, z, theta,
+    """Yields (line_number, time_str, agent_id, kind, x, y, z, theta,
     status, logged min_h) per record; the time and the state must be
     finite."""
     isfinite = math.isfinite
@@ -320,7 +347,7 @@ def _parse_trajectory(path: str):
         if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(theta)):
             raise InvalidInputError(f"{path}:{lineno}: state must be finite, "
                                     f"got {','.join(parts[3:7])}")
-        yield (lineno, parts[0], t, parts[1], parts[2], x, y, z, theta,
+        yield (lineno, parts[0], parts[1], parts[2], x, y, z, theta,
                parts[10], logged)
 
 
@@ -328,104 +355,85 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
     """Recompute the safety metrics for a finished run directory.
 
     The trajectory is streamed tick by tick; consecutive ticks with the same
-    roster are evaluated together in blocks of at most BLOCK_SAMPLES agent
-    samples, and lines are checked in file order, so the first line whose
-    min_h disagrees is the one reported."""
+    agents in the same line order are evaluated together in blocks of at
+    most BLOCK_SAMPLES lines, and lines are checked in file order, so the
+    first line whose min_h disagrees is the one reported."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
-    summary = MetricsSummary()
+    fold = MetricsFold(cfg.n_pairs)
 
     traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
-    first_landed: dict[int, float] = {}
-    last_time = 0.0
-    tick_time: str | None = None
-    # The current tick: agent -> (kind, x, y, z, theta, landed); a repeated
-    # agent's later line replaces its state, but every line is checked.
-    tick_states: dict[str, tuple] = {}
-    tick_lines: list[tuple[int, str, float]] = []   # lineno, agent, min_h
-    block: TickBlock | None = None
-    block_lines: list[tuple[int, int, float]] = []  # lineno, flat index, min_h
+    tick: list[tuple] = []     # the current tick's lines, as parsed
+    block: list[tuple] = []    # the lines of the block's complete ticks
+    layout: tuple = ()         # the agent ids and kinds of a tick's lines
+    # The layout's roster; a repeated agent's last line in a tick gives its
+    # state, but every line is checked and counted.
+    roster: Roster | None = None
+    columns: list[int] = []    # the roster column of each line of a tick
+    last: list[int] = []       # the last line of each roster agent in a tick
 
     def flush_block():
-        nonlocal block_lines
-        if block is None or not block.ticks:
+        nonlocal block
+        if not block:
             return
-        per_agent, family, dist = tick_barriers(cfg, block.roster,
-                                                *block.arrays())
+        linenos, times, _, _, *states, statuses, logged = zip(*block)
+        ids, kinds = layout
+        width, m = len(ids), len(roster.ids)
+        states.append([status == "landed" for status in statuses])
+        per_agent, family, dist = tick_barriers(cfg, roster, *(
+            np.array(v).reshape(-1, width)[:, last] for v in states))
         # The column was written at 9 significant digits; push the
         # recomputed values through the same format before comparing.
         rounded = list(map(float, fmt9_all(per_agent.ravel().tolist())))
-        for lineno, index, logged in block_lines:
-            expected = rounded[index]
-            if check and not (math.isinf(expected) and math.isinf(logged)):
-                if abs(expected - logged) > 1e-9:
+        for k, (lineno, h) in enumerate(zip(linenos, logged)):
+            expected = rounded[k // width * m + columns[k % width]]
+            if check and not (math.isinf(expected) and math.isinf(h)):
+                if abs(expected - h) > 1e-9:
                     raise LogIntegrityError(
-                        f"{traj_path}:{lineno}: logged min_h {logged!r} "
+                        f"{traj_path}:{lineno}: logged min_h {h!r} "
                         f"disagrees with recomputed {expected!r}")
-        for fam, h in family.items():
-            if h < summary.family_min_h.get(fam, math.inf):
-                summary.family_min_h[fam] = h
-        for kind, d in dist.items():
-            if d < summary.min_pair_distance.get(kind, math.inf):
-                summary.min_pair_distance[kind] = d
-        block.clear()
-        block_lines = []
+        fold.barriers(family, dist)
+        fold.ticks(times[::width], ids, kinds, statuses)
+        block = []
 
     def end_tick():
-        nonlocal block, tick_states, tick_lines
-        if not tick_states:
-            return
-        kinds, xs, ys, zs, thetas, landed = zip(*tick_states.values())
-        ids = tuple(tick_states)
-        if block is None or block.roster.key() != (ids, kinds):
+        nonlocal layout, roster, columns, last
+        _, _, ids, kinds, *_ = zip(*tick)
+        if (ids, kinds) != layout:
             flush_block()
-            block = TickBlock(Roster(ids, kinds))
-        elif block.full():
+            layout = ids, kinds
+            agents = dict(zip(ids, kinds))
+            roster = Roster(tuple(agents), tuple(agents.values()))
+            columns = [roster.column[aid] for aid in ids]
+            last = list({aid: k for k, aid in enumerate(ids)}.values())
+        elif len(block) + len(tick) > max(BLOCK_SAMPLES, len(tick)):
             flush_block()
-        base = block.ticks * len(ids)
-        column = block.roster.column
-        block.add_tick(xs, ys, zs, thetas, landed)
-        block_lines.extend((lineno, base + column[aid], logged)
-                           for lineno, aid, logged in tick_lines)
-        tick_states, tick_lines = {}, []
+        block.extend(tick)
+        tick.clear()
 
     try:
-        for (lineno, t_str, t, agent_id, kind, x, y, z, theta, status,
-             logged) in _parse_trajectory(traj_path):
-            if t_str != tick_time:
+        for line in _parse_trajectory(traj_path):
+            if tick and line[1] != tick[0][1]:
                 end_tick()
-                tick_time = t_str
-                summary.ticks += 1
-            tick_states[agent_id] = (kind, x, y, z, theta, status == "landed")
-            tick_lines.append((lineno, agent_id, logged))
-            summary.status_counts[status] = summary.status_counts.get(status, 0) + 1
-            last_time = max(last_time, t)
-            if kind == "uav" and status == "landed":
-                first_landed.setdefault(int(agent_id[3:]), t)
+            tick.append(line)
     except ValueError:
         # A bad state earlier in the file is reported before a malformed
         # line; only complete ticks are evaluated, since the malformed
         # line's tick lacks the rest of its agents.
         flush_block()
         raise
-    end_tick()
+    if tick:
+        end_tick()
     flush_block()
-    summary.duration = last_time
-    summary.landing_outcomes = {
-        i: first_landed.get(i) for i in range(cfg.n_pairs)
-    }
 
     watcher_path = os.path.join(out_dir, WATCHER_FILE)
     if os.path.exists(watcher_path):
-        for _, parts in _csv_rows(watcher_path, WATCHER_HEADER, 10):
-            agent, count = parts[1], int(parts[3])
-            hist = summary.row_count_histogram.setdefault(agent, {})
-            hist[count] = hist.get(count, 0) + 1
+        fold.rows((parts[1], int(parts[3]))
+                  for _, parts in _csv_rows(watcher_path, WATCHER_HEADER, 10))
 
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):
         links: set[str] = set()
-        a2a = 0
-        sent = dropped = 0
+        a2a = sent = dropped = 0
         with open(trace_path, "r") as f:
             for lineno, line in enumerate(f, start=1):
                 tokens = line.split()
@@ -448,9 +456,6 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
                     a2a += 1
                 else:
                     links.add(dst if src == "watcher" else src)
-        summary.active_links = len(links)
-        summary.agent_to_agent_messages = a2a
-        summary.messages_sent = sent
-        summary.messages_dropped = dropped
+        fold.links(len(links), a2a, sent, dropped)
 
-    return summary
+    return fold.result()

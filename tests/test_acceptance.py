@@ -4,7 +4,9 @@ nowhere else; run with `pytest tests/test_acceptance.py -v -s` to see the
 per-criterion report.
 """
 
+import hashlib
 import math
+import os
 import time
 
 import numpy as np
@@ -37,6 +39,15 @@ STRESS_NETWORK = {"latency": 0.05, "jitter": 0.01, "drop": 0.05}
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
     assert ok, f"{name}: {detail}"
+
+
+def check_metrics(out_dir: str, result, digest: str) -> None:
+    """run()'s metrics equal summarize_dir's independent re-check of the
+    same directory, and metrics.json holds the bytes recorded while run()
+    still re-read its own logs."""
+    assert summarize_dir(out_dir).to_json() == result.metrics.to_json()
+    with open(os.path.join(out_dir, "metrics.json"), "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == digest
 
 
 def invariance_suite(tmp_path, network=None) -> tuple[dict, float]:
@@ -78,6 +89,7 @@ def test_c02_star_topology_law(tmp_path):
                                      "drop": 0.02})
     result = run(cfg, str(tmp_path), trace=True)
     metrics = summarize_dir(str(tmp_path))
+    check_metrics(str(tmp_path), result, "887fbad7b8989d3ef8045b015ad53d571ed67c4916153f2e0b7e1c3a40f9c67c")
     n_agents = 2 * cfg.n_pairs
     ok = (metrics.active_links == n_agents
           and metrics.agent_to_agent_messages == 0)
@@ -311,6 +323,7 @@ def test_c10_determinism(tmp_path):
                                 network={"latency": 0.03, "jitter": 0.01,
                                          "drop": 0.05})
         result = run(cfg, str(tmp_path / tag), trace=True)
+        check_metrics(str(tmp_path / tag), result, "3a842190e17cfbab04bc7d5dd0cd819e76733f17cba29db02438af8a4c892aba")
         with open(result.trajectory_path, "rb") as f:
             traj = f.read()
         with open(result.trace_path, "rb") as f:

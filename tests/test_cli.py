@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -94,6 +95,26 @@ class TestHugeJitter:
         err = capsys.readouterr().err
         assert "[BAD_VALUE] network jitter is too large" in err
         assert "Traceback" not in err
+
+
+class TestNanInTheFilter:
+    def test_overflowing_gains_end_in_a_safety_abort(self, tmp_path, capsys):
+        """Speed limits and gains near the float maximum validate, but the
+        filter's steps overflow into NaN: the run ends in a safety abort
+        with a state dump, not a traceback."""
+        with open(os.path.join(SCENARIOS, "crossing_three.yaml")) as f:
+            data = yaml.safe_load(f)
+        data["safety"].update(uav_speed_limit=1e308, ugv_speed_limit=1e307)
+        data.update(gains={"uav": 1e308, "ugv": 1e308}, duration=3.0)
+        path = write_config(tmp_path, data)
+        assert main(["validate", path]) == 0
+        out_dir = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", path, "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "safety abort" in err and "non-finite step" in err
+        assert "Traceback" not in err
+        assert (out_dir / "state_dump.json").exists()
 
 
 class TestRun:

@@ -535,7 +535,12 @@ def test_trajectory_writer_matches_per_agent_rows(tmp_path):
                            for u, kind in zip(inputs.tolist(), kinds)],
                           tick_statuses))
             if writer.full() or tick == n_ticks - 1:
-                writer.flush(min_h)
+                def block_min_h(times, statuses, *states):
+                    # The block's time strings and its statuses, tick by tick.
+                    assert list(times) == [t for t, *_ in block]
+                    assert list(statuses) == [s for *_, ss in block for s in ss]
+                    return min_h(*states)
+                writer.flush(block_min_h)
                 expected += per_agent_trajectory_rows(block, ids, kinds, min_h)
                 block = []
         path = tmp_path / "trajectory.csv"

@@ -16,8 +16,11 @@ barrier family; the lossy 100 Hz landing, whose units hold, resume and land
 between deliveries, before the runner ticked a control unit only when its
 output could change and wrote trajectory rows a block at a time; the
 drop-only and jitter-only crossings, one per branch of a link's draws,
-before the bus drew each link's uniforms in blocks.  A change
-that alters any logged byte of these runs -- a reordered constraint row, a
+before the bus drew each link's uniforms in blocks.  The metrics.json
+digests were recorded while run() still re-read its own logs through
+summarize_dir, before it built its metrics in the loop; every run also
+checks that summarize_dir, the independent re-check, agrees with them.  A
+change that alters any logged byte of these runs -- a reordered constraint row, a
 last-ulp difference in a recomputed min_h, one message more or less on the
 bus -- fails here.  A change that is meant to alter the logs (a bug fix) must say
 so and re-record them.
@@ -28,7 +31,7 @@ import os
 
 import pytest
 
-from airground import config_from_dict, load_config, run
+from airground import config_from_dict, load_config, run, summarize_dir
 
 from scenario_helpers import clustered_scenario, grid_scenario, landing_scenario
 
@@ -143,6 +146,22 @@ GOLDEN = {
 }
 
 
+# name -> metrics.json
+METRICS = {
+    "clustered_6s": "d08b41c17fc84e85afff3bad459a0a5416523c3127c1dd6ded91a8fc4c9b48b5",
+    "clustered_raised_platform": "23a35aa9b7d3a0e6a6acc03586951d0f6a5930f4548de16b77f9f296338f4ad1",
+    "crossing_three_5s": "9b5cb4ba2f296a682e931119d7c8d1bca63c2656c135d1aa8058c8cff3521199",
+    "drop_only_crossing_5s": "477c9e1437295dde590d85ef9fc17d35e3b9b477c015342ede25a9485389d7fc",
+    "grid_16pairs": "bb54a2239386c9a3af7638fb30f7f0297590bd269ade82906d656880557f271a",
+    "jitter_only_crossing_5s": "7b7b69991a4b16f998b9fe6152a6e86fcdcd73b564886ed30b6565ee484fa8c9",
+    "landing_2pairs": "802cc87683f86f7d6643e06f9edc84a12b13e130bb3cd6a81908f290943e87a8",
+    "lossy_crossing_100hz_5s": "28fb3760908cdd7a13ac58242e2a0f225f346ef548fc3e9f935f30c946140544",
+    "lossy_landing_100hz": "9ea7092d6dfd02fc024ff185c1bff81125a95e0561dc1c212caa7ee35166e591",
+    "noisy_crossing_5s": "bf41854bd4edec57a6352585fb5db65738c708a8dcaf35923a1c6e31b2ad974a",
+    "noisy_grid_12pairs": "d3adeb78c97af475861cb46c312d4aa7d76a233e92a28ffb7c65e6e173a82d5e",
+}
+
+
 def sha256(path: str) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
@@ -184,6 +203,8 @@ def test_logs_match_recorded_digests(tmp_path, name):
     assert sha256(result.watcher_path) == watcher
     if trace is not None:
         assert sha256(result.trace_path) == trace
+    assert sha256(str(tmp_path / "metrics.json")) == METRICS[name]
+    assert summarize_dir(str(tmp_path)).to_json() == result.metrics.to_json()
 
 
 def test_retired_watcher_key_changes_nothing(tmp_path):

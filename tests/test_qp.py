@@ -4,7 +4,7 @@ import pytest
 from airground.barriers import ConstraintRow, RowKind
 from airground.errors import InvalidInputError
 from airground.qp import (QpProblem, QpStatus, filter_velocity, oracle_solve,
-                          solve, solve_relaxed)
+                          project_with_box, solve, solve_relaxed)
 
 from qp_problems import random_problem
 
@@ -58,6 +58,30 @@ class TestOracle:
     def test_degenerate_zero_gradient_infeasible(self):
         sol = oracle_solve(QpProblem(np.zeros(2), [row([0, 0], -0.25)], 1.0))
         assert sol.status is QpStatus.FAILED
+
+
+class TestNanStep:
+    """A NaN step fails both the full-step and the blocking test, so no
+    working row is to be dropped: the projection raises rather than drop
+    the wrong row (or index an empty working set)."""
+
+    def test_nan_nominal(self):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(RuntimeError, match="non-finite step"):
+            project_with_box(np.array([np.nan, 0.0, 0.0]), np.zeros((0, 3)),
+                             np.zeros(0), 1.0)
+
+    def test_overflow_with_rows_in_the_working_set(self):
+        """Finite data whose products overflow once a row is working; this
+        problem was once reported infeasible, after that row was dropped
+        where no row blocked the step."""
+        z = np.array([2.3e205, 1.5e205, -9.0e204])
+        A = np.array([[-3.0e153, -1.0e153, 3.0e153],
+                      [-2.2e154, -1.0e154, -1.0e154]])
+        b = np.array([-4.0e207, 5.0e207])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RuntimeError, match="non-finite step"):
+            project_with_box(z, A, b, 1e213)
 
 
 class TestSolve:

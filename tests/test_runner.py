@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+import airground.runner as runner_mod
 from airground.errors import InvalidInputError, SafetyAbortError
 from airground.runner import run
 from airground.summary import BLOCK_SAMPLES, LogIntegrityError, summarize_dir
@@ -209,11 +211,57 @@ class TestSummarize:
         cfg = crossing_scenario(2, seed=9, duration=6.0)
         result = run(cfg, str(tmp_path), trace=True)
         again = summarize_dir(str(tmp_path))
-        assert again.family_min_h == result.metrics.family_min_h
-        assert again.status_counts == result.metrics.status_counts
-        assert again.min_pair_distance == result.metrics.min_pair_distance
+        assert again.to_json() == result.metrics.to_json()
         assert again.active_links == 4  # 2N links with N=2
         assert again.agent_to_agent_messages == 0
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("case", [
+        "no_duration", "one_pair", "crossing", "whole_blocks",
+        "whole_blocks_3", "landings", "relaxed"])
+    def test_loop_metrics_equal_recomputed(self, tmp_path, case, trace):
+        """run() builds its metrics in the loop; summarize_dir re-derives
+        them from the files.  Both must agree key for key, and metrics.json
+        must hold run()'s."""
+        cfg = {
+            "no_duration": lambda: single_pair(duration=0.0),
+            "one_pair": lambda: single_pair(duration=1.0),
+            "crossing": lambda: crossing_scenario(3, seed=2, duration=3.0),
+            # 512 ticks of 2 agents, and 170 ticks of 6: whole blocks only
+            "whole_blocks": lambda: single_pair(duration=10.22),
+            "whole_blocks_3": lambda: crossing_scenario(3, seed=2, duration=3.38),
+            "landings": lambda: landing_scenario(2, seed=3, ugv_speed=0.4,
+                                                 duration=10.0),
+            "relaxed": lambda: clustered_scenario(duration=3.0),
+        }[case]()
+        result = run(cfg, str(tmp_path), trace=trace)
+        m = result.metrics
+        assert summarize_dir(str(tmp_path)).to_json() == m.to_json()
+        assert (tmp_path / "metrics.json").read_text() == m.to_json() + "\n"
+        assert (m.active_links is not None) == trace
+        if case == "no_duration":
+            assert m.ticks == 1 and m.duration == 0.0
+        if case.startswith("whole_blocks"):
+            assert m.ticks == 2 * (BLOCK_SAMPLES // (2 * cfg.n_pairs))
+        if case == "landings":
+            assert None not in m.landing_outcomes.values()
+        if case == "relaxed":
+            assert m.status_counts["relaxed"] > 0
+
+    def test_repeated_agent_line(self, tmp_path):
+        """A tick that logs an agent twice: the later line gives its state,
+        and both lines are checked and counted."""
+        result = run(single_pair(duration=1.0), str(tmp_path))
+        with open(result.trajectory_path) as f:
+            lines = f.read().splitlines()
+        lines.insert(5, lines[5])
+        with open(result.trajectory_path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        again = summarize_dir(str(tmp_path))
+        status = lines[5].split(",")[10]
+        assert again.ticks == result.metrics.ticks
+        assert again.status_counts[status] == result.metrics.status_counts[status] + 1
+        assert again.family_min_h == result.metrics.family_min_h
 
     def test_tampered_state_detected(self, tmp_path):
         cfg = single_pair(duration=1.0)
@@ -324,6 +372,41 @@ class TestWatcherFailure:
         assert dump["step"] == 0
         assert "exceed capacity 6" in dump["reason"]
         assert sorted(dump["uavs"]) == ["uav0", "uav1", "uav2"]
+
+
+class TestNonFiniteState:
+    """A state that turns non-finite mid-run ends in a safety abort with a
+    state dump, whichever check sees it first."""
+
+    @staticmethod
+    def poison_step(monkeypatch, at_call):
+        step, calls = runner_mod.step_uav, []
+
+        def step_uav(uav, u, dt):
+            calls.append(None)
+            out = step(uav, u, dt)
+            if len(calls) == at_call:
+                out[0, 0] = np.inf
+            return out
+        monkeypatch.setattr(runner_mod, "step_uav", step_uav)
+
+    def test_logged_after_the_last_watcher_tick(self, tmp_path, monkeypatch):
+        """The last integration (t=0.51 -> 0.52) goes non-finite; the
+        watcher last ticked at t=0.5, so only the trajectory block sees
+        it."""
+        self.poison_step(monkeypatch, at_call=52)
+        with pytest.raises(SafetyAbortError, match="non-finite state logged"):
+            run(crossing_scenario(2, seed=9, duration=0.52), str(tmp_path))
+        dump = json.loads((tmp_path / "state_dump.json").read_text())
+        assert dump["step"] == 52 and dump["reason"] == "non-finite logged state"
+        assert dump["uavs"]["uav0"][0] == math.inf
+
+    def test_seen_by_the_watcher(self, tmp_path, monkeypatch):
+        self.poison_step(monkeypatch, at_call=30)
+        with pytest.raises(SafetyAbortError, match="watcher failed at t=0.3"):
+            run(crossing_scenario(2, seed=9, duration=1.0), str(tmp_path))
+        dump = json.loads((tmp_path / "state_dump.json").read_text())
+        assert "fleet poses must be finite" in dump["reason"]
 
 
 class TestWatcherLog:
