@@ -1,10 +1,14 @@
-"""Per-agent control units: nominal tracking controller, safety-filter
-invocation, the unicycle offset transform, and the kinematic step models.
+"""Control units: nominal tracking controller, safety-filter invocation,
+the unicycle offset transform, and the kinematic step models.
+
+The units of one vehicle kind are held as arrays (KindControl) and the due
+ones (TickSchedule) are ticked together, those without a solution filtered
+as one batch; AgentControlUnit is the same code for a single unit.
 
 A UAV is treated as a velocity-controlled point in 3D.  A UGV is a
 differential-drive unicycle; its filter runs on the offset point located
-``offset`` meters ahead along the heading, which turns the unicycle into a
-single integrator:
+``offset`` meters ahead along the heading (barriers.offset_points), which
+turns the unicycle into a single integrator:
 
     offset point:  (x_o, y_o) = (x, y) + offset * (cos th, sin th)
     inverse map:   v  =  cos th * xo_dot + sin th * yo_dot
@@ -17,31 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import qp
-from .barriers import SafetyParams
+from .barriers import SafetyParams, offset_points
 from .errors import InvalidInputError
 
 UAV = "uav"
 UGV = "ugv"
-
-
-@dataclass
-class UgvState:
-    x: float
-    y: float
-    theta: float                  # heading, wrapped to (-pi, pi]
-    offset: float = 0.1           # forward offset of the control point (m)
-    wheel_base: float = 0.2       # half axle track L (m)
-
-    def __post_init__(self):
-        if self.offset <= 0:
-            raise InvalidInputError("offset must be positive")
-        if self.wheel_base <= 0:
-            raise InvalidInputError("wheel_base must be positive")
-        self.theta = wrap_angle(self.theta)
 
 
 @dataclass(frozen=True)
@@ -79,31 +68,24 @@ def nominal_velocity(current, setpoint, setpoint_rate, gains: Gains,
     return np.clip(u, -speed_limit, speed_limit)
 
 
-def nid_offset(state: UgvState) -> np.ndarray:
-    """Offset point ahead of the vehicle along its heading."""
-    return np.array([
-        state.x + state.offset * math.cos(state.theta),
-        state.y + state.offset * math.sin(state.theta),
-    ])
-
-
 def nid_forward(theta: float, v: float, omega: float, offset: float) -> np.ndarray:
     """Offset-point velocity produced by a body twist (inverse of nid_inverse)."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([v * c - offset * omega * s, v * s + offset * omega * c])
 
 
-def nid_inverse(state: UgvState, offset_velocity,
+def nid_inverse(theta: float, offset_velocity, offset: float,
                 turn_rate_limit: float | None = None) -> tuple[float, float]:
-    """Convert an offset-point velocity to a body twist (v, omega).
+    """Convert an offset-point velocity to a body twist (v, omega) at
+    heading theta (inverse of nid_forward).
 
     When the implied turn rate exceeds turn_rate_limit the whole offset
     velocity is scaled down uniformly, preserving the commanded direction.
     """
     ov = np.asarray(offset_velocity, dtype=float)
-    c, s = math.cos(state.theta), math.sin(state.theta)
+    c, s = math.cos(theta), math.sin(theta)
     v = c * ov[0] + s * ov[1]
-    omega = (-s * ov[0] + c * ov[1]) / state.offset
+    omega = (-s * ov[0] + c * ov[1]) / offset
     if turn_rate_limit is not None and abs(omega) > turn_rate_limit:
         scale = turn_rate_limit / abs(omega)
         v *= scale
@@ -168,15 +150,18 @@ class TickTelemetry:
     max_violation: float = 0.0
 
 
-@dataclass
-class _Slot:
-    value: object = None
-    stamp: float = -math.inf
+class FilterError(RuntimeError):
+    """The safety filter of one unit failed; cause is the error it raised."""
+
+    def __init__(self, agent_id: str, cause: Exception):
+        super().__init__(f"{agent_id}: {cause}")
+        self.agent_id, self.cause = agent_id, cause
 
 
-def data_stale(now: float, oldest_stamp: float, hold_timeout: float) -> bool:
+def data_stale(now: float, oldest_stamp, hold_timeout):
     """The staleness rule: inputs whose oldest slot is stamped oldest_stamp
-    (-inf while a slot is empty) are too old to act on at now.
+    (-inf while a slot is empty) are too old to act on at now.  It also
+    applies element by element to arrays.
 
     Rounding of now - s is monotone in s, so this is exactly "now - s >
     hold_timeout for some slot stamp s", and a test against the earliest
@@ -184,159 +169,181 @@ def data_stale(now: float, oldest_stamp: float, hold_timeout: float) -> bool:
     return now - oldest_stamp > hold_timeout
 
 
-class AgentControlUnit:
-    """Distributed control unit for one agent.
-
-    Consumes pose / setpoint / constraint-matrix messages from the network
-    (latest timestamp wins per message type), runs the nominal controller and
-    the QP filter, and falls back to a zero-velocity hold whenever its data is
-    missing or older than hold_timeout.  The filtered command is a function
-    of the three slots alone, so it is solved once per replaced slot and
-    reused on the ticks in between.
-
-    The watcher owns the landing phases; a UAV unit only learns that it has
-    landed, from the touchdown acknowledgement, and then emits zero.
-    """
-
-    def __init__(self, agent_id: str, kind: str, gains: Gains,
-                 params: SafetyParams, hold_timeout: float = 0.25,
-                 offset: float = 0.1, wheel_base: float = 0.2):
-        if kind not in (UAV, UGV):
-            raise InvalidInputError(f"kind must be 'uav' or 'ugv', got {kind!r}")
-        self.agent_id = agent_id
-        self.kind = kind
-        self.gains = gains
-        self.params = params
-        self.hold_timeout = hold_timeout
-        self.offset = offset
-        self.wheel_base = wheel_base
-        self.landed = False
-        self._pose = _Slot()
-        self._setpoint = _Slot()
-        self._matrix = _Slot()
-        self._solved: tuple | None = None   # (u, v, omega, status, iters, violation)
-
-    @property
-    def speed_limit(self) -> float:
-        return (self.params.uav_speed_limit if self.kind == UAV
-                else self.params.ugv_speed_limit)
-
-    def on_pose(self, pose, stamp: float) -> None:
-        if stamp >= self._pose.stamp:
-            self._pose = _Slot(np.asarray(pose, dtype=float), stamp)
-            self._solved = None
-
-    def on_setpoint(self, position, rate, stamp: float) -> None:
-        if stamp >= self._setpoint.stamp:
-            self._setpoint = _Slot(
-                (np.asarray(position, dtype=float), np.asarray(rate, dtype=float)), stamp
-            )
-            self._solved = None
-
-    def on_constraints(self, matrix, stamp: float) -> None:
-        if stamp >= self._matrix.stamp:
-            self._matrix = _Slot(matrix, stamp)
-            self._solved = None
-
-    def on_touchdown_ack(self) -> None:
-        if self.kind == UAV:
-            self.landed = True
-
-    def _zero(self) -> np.ndarray:
-        return np.zeros(3 if self.kind == UAV else 2)
-
-    def oldest_stamp(self) -> float:
-        """Stamp of the oldest input slot; -inf while a slot is empty."""
-        return min(self._pose.stamp, self._setpoint.stamp, self._matrix.stamp)
-
-    def _data_stale(self, now: float) -> bool:
-        return data_stale(now, self.oldest_stamp(), self.hold_timeout)
-
-    def tick(self, now: float) -> tuple[Command, TickTelemetry]:
-        if self.landed:
-            u = self._zero()
-            return (Command(u=u), TickTelemetry(now, self.agent_id, "landed",
-                                                False, u))
-        if self._data_stale(now):
-            u = self._zero()
-            return (Command(u=u, hold=True),
-                    TickTelemetry(now, self.agent_id, "hold", True, u))
-
-        if self._solved is None:
-            self._solved = self._solve()
-        u, v, omega, status, iterations, violation = self._solved
-        u = u.copy()  # callers get their own array; the cached one stays intact
-        return (Command(u=u, v=v, omega=omega),
-                TickTelemetry(now, self.agent_id, status, False, u,
-                              iterations, violation))
-
-    def _solve(self) -> tuple:
-        """Nominal input, QP filter (slack relaxation when infeasible) and,
-        for a UGV, the body twist, all from the current slots."""
-        pose = self._pose.value
-        setpoint, rate = self._setpoint.value
-        matrix = self._matrix.value
-        if self.kind == UAV:
-            current = pose
-            ugv_view = None
-        else:
-            ugv_view = UgvState(pose[0], pose[1], pose[2], offset=self.offset,
-                                wheel_base=self.wheel_base)
-            current = nid_offset(ugv_view)
-        u_nom = nominal_velocity(current, setpoint, rate, self.gains, self.speed_limit)
-        n_active = matrix.active_count
-        u, iterations = qp.project_with_box(
-            u_nom, matrix.a[:n_active], matrix.b[:n_active], self.speed_limit)
-        violation = 0.0
-        status = "optimal"
-        if u is None:  # infeasible: escalate to the slack relaxation
-            sol = qp.solve_relaxed(qp.QpProblem(
-                u_nominal=u_nom, rows=matrix.active_rows(), box=self.speed_limit))
-            u, iterations = sol.u_star, sol.iterations
-            violation = sol.max_violation
-            status = sol.status.value
-        if self.kind == UAV:
-            return u, 0.0, 0.0, status, iterations, violation
-        v, omega = nid_inverse(ugv_view, u,
-                               turn_rate_limit=self.params.turn_rate_limit)
-        return u, v, omega, status, iterations, violation
-
-
 class TickSchedule:
-    """Which control units of a fleet must tick at a control instant.
+    """Which of n control units must tick at a control instant.
 
     A unit's tick output is a function of its three slots, its landed flag
     and whether its data is stale.  Between two of its ticks that output
-    can change only if the unit received a message, or if the data it acted
-    on at its last tick went stale since; every other unit would repeat its
-    last command, status and u, and is skipped."""
+    can change only if the unit received a message (the mask received), or
+    if the data its last tick acted on went stale since (fresh holds the
+    oldest stamp of that data, +inf after a hold or landed tick).  Every
+    other unit would repeat its last command, status and u, and is
+    skipped.  hold_timeout is one timeout for all units or one per unit."""
 
-    def __init__(self, units: list[AgentControlUnit]):
-        self._units = units
-        self._received = set(range(len(units)))   # nothing ticked yet
-        # Units whose last tick acted on fresh data -> their oldest stamp.
-        self._fresh: dict[int, float] = {}
-        self._hold_timeout = min((u.hold_timeout for u in units), default=math.inf)
-
-    def received(self, k: int) -> None:
-        """Unit k got a message since its last tick."""
-        self._received.add(k)
+    def __init__(self, n: int, hold_timeout):
+        self.hold_timeout = hold_timeout
+        self.received = np.ones(n, dtype=bool)   # nothing ticked yet
+        self.fresh = np.full(n, np.inf)
+        self._earliest, self._shortest = np.inf, np.min(hold_timeout)
 
     def due(self, now: float) -> list[int]:
         """The units to tick at now, in index order."""
-        due, self._received = self._received, set()
-        fresh = self._fresh
+        due = self.received
         # No unit went stale unless the earliest fresh stamp, judged by the
         # shortest timeout, did.
-        if fresh and data_stale(now, min(fresh.values()), self._hold_timeout):
-            units = self._units
-            due.update(k for k, stamp in fresh.items()
-                       if data_stale(now, stamp, units[k].hold_timeout))
-        return sorted(due)
+        if data_stale(now, self._earliest, self._shortest):
+            due = due | data_stale(now, self.fresh, self.hold_timeout)
+        units = due.nonzero()[0].tolist()
+        self.received.fill(False)
+        return units
 
-    def ticked(self, k: int, status: str) -> None:
-        """Record the status unit k's tick returned."""
-        if status in ("hold", "landed"):
-            self._fresh.pop(k, None)
-        else:
-            self._fresh[k] = self._units[k].oldest_stamp()
+    def ticked(self, units: list[int], stamps: list[float]) -> None:
+        """Record what the ticks of units acted on: the oldest stamp of
+        fresh data, or +inf for a hold or landed tick."""
+        fresh = self.fresh
+        for k, stamp in zip(units, stamps):
+            fresh[k] = stamp
+        self._earliest = fresh.min()
+
+
+class KindControl:
+    """The control units of one vehicle kind, as arrays indexed by unit.
+
+    Each unit keeps the latest pose, setpoint (with its rate) and constraint
+    matrix it has received, one slot each, stamped in stamps[:, 0..2]: a
+    message stamped older than its slot is ignored, and any other replaces
+    the slot and drops the unit's solution.  The filtered command is a
+    function of the three slots alone, so it is solved once per replaced
+    slot (sol_u, and (status, iterations, violation, v, omega) in sol_info)
+    and reused on the ticks in between.  The watcher owns the landing phases; a UAV
+    unit only learns that it has landed, from the touchdown
+    acknowledgement, and then emits zero.
+
+    tick(now) runs the due units: a landed unit emits zero; a unit whose
+    data is missing or older than hold_timeout holds at zero; every other
+    unit emits its solution, and those without one are filtered together
+    (_filter).  u, v, omega and status are what each unit last emitted."""
+
+    def __init__(self, ids, kind: str, gains: Gains, params: SafetyParams,
+                 hold_timeout: float = 0.25, offset: float = 0.1):
+        if kind not in (UAV, UGV):
+            raise InvalidInputError(f"kind must be 'uav' or 'ugv', got {kind!r}")
+        if offset <= 0:
+            raise InvalidInputError("offset must be positive")
+        n, dim = len(ids), 3 if kind == UAV else 2
+        self.ids, self.kind, self.dim, self.gains = list(ids), kind, dim, gains
+        self.params, self.hold_timeout, self.offset = params, hold_timeout, offset
+        self.speed_limit = params.uav_speed_limit if kind == UAV else params.ugv_speed_limit
+        self.schedule = TickSchedule(n, hold_timeout)
+        self.stamps = np.full((n, 3), -np.inf)   # pose, setpoint, matrix
+        self.pose = np.zeros((n, 3))             # UAV position, UGV (x, y, theta)
+        self.setpoint, self.rate = np.zeros((n, dim)), np.zeros((n, dim))
+        self.matrices: list = [None] * n
+        self.landed, self.solved = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        self.sol_u, self.sol_info = np.zeros((n, dim)), [("optimal", 0, 0.0, 0.0, 0.0)] * n
+        self.u, self.v, self.omega = np.zeros((n, dim)), np.zeros(n), np.zeros(n)
+        self.status = ["hold"] * n
+
+    def on_pose(self, k: int, pose, stamp: float) -> None:
+        if stamp >= self.stamps[k, 0]:
+            self.stamps[k, 0], self.pose[k], self.solved[k] = stamp, pose, False
+
+    def on_setpoint(self, k: int, position, rate, stamp: float) -> None:
+        if stamp >= self.stamps[k, 1]:
+            self.stamps[k, 1], self.solved[k] = stamp, False
+            self.setpoint[k], self.rate[k] = position, rate
+
+    def on_constraints(self, k: int, matrix, stamp: float) -> None:
+        if stamp >= self.stamps[k, 2]:
+            self.stamps[k, 2], self.matrices[k], self.solved[k] = stamp, matrix, False
+
+    def on_touchdown_ack(self, k: int) -> None:
+        if self.kind == UAV:
+            self.landed[k] = True
+
+    def tick(self, now: float) -> int:
+        """Tick the due units; returns how many ticked."""
+        due = self.schedule.due(now)
+        if not due:
+            return 0
+        oldest = self.stamps.min(axis=1).tolist()
+        oldest = [oldest[k] for k in due]
+        live = [not self.landed[k] and not data_stale(now, s, self.hold_timeout)
+                for k, s in zip(due, oldest)]
+        self._filter([k for k, ok in zip(due, live) if ok and not self.solved[k]])
+        for k, ok in zip(due, live):
+            if ok:
+                self.u[k] = self.sol_u[k]
+                self.status[k], _, _, self.v[k], self.omega[k] = self.sol_info[k]
+            else:
+                self.u[k] = self.v[k] = self.omega[k] = 0.0
+                self.status[k] = "landed" if self.landed[k] else "hold"
+        self.schedule.ticked(due, [s if ok else np.inf for s, ok in zip(oldest, live)])
+        return len(due)
+
+    def _filter(self, lanes: list[int]) -> None:
+        """Solve the units `lanes` from their slots: the nominal inputs in one
+        array expression, the QP through qp.project_lanes, the slack
+        relaxation where a polytope is empty and, for a UGV, the body twist
+        through libm, unit by unit.  A UGV's control point is taken at its
+        heading wrapped into (-pi, pi]: the watcher ships noisy poses."""
+        if not lanes:
+            return
+        limit, pose = self.speed_limit, self.pose[lanes]
+        current = pose
+        if self.kind == UGV:
+            theta = [wrap_angle(a) for a in pose[:, 2].tolist()]
+            pose[:, 2] = theta
+            current = offset_points(pose, self.offset)
+        u_nom = nominal_velocity(current, self.setpoint[lanes], self.rate[lanes],
+                                 self.gains, limit)
+        matrices = [self.matrices[k] for k in lanes]
+        counts = [m.active_count for m in matrices]
+        rows = max(counts)  # matrices of one kind share a zero-padded capacity
+        solutions = qp.project_lanes(u_nom, np.array([m.a[:rows] for m in matrices]),
+                                     np.array([m.b[:rows] for m in matrices]), counts, limit)
+        for lane, k in enumerate(lanes):
+            try:
+                u, iterations = next(solutions)
+                info = ("optimal", iterations, 0.0)
+                if u is None:  # infeasible: escalate to the slack relaxation
+                    sol = qp.solve_relaxed(qp.QpProblem(
+                        u_nominal=u_nom[lane], rows=matrices[lane].active_rows(), box=limit))
+                    u, info = sol.u_star, (sol.status.value, sol.iterations, sol.max_violation)
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                raise FilterError(self.ids[k], exc) from exc
+            twist = (0.0, 0.0) if self.kind == UAV else nid_inverse(
+                theta[lane], u, self.offset, self.params.turn_rate_limit)
+            self.sol_u[k], self.sol_info[k] = u, info + twist
+        self.solved[lanes] = True
+
+
+class AgentControlUnit:
+    """One distributed control unit with a per-unit interface: a one-lane
+    KindControl, ticked on every call."""
+
+    def __init__(self, agent_id: str, kind: str, gains: Gains,
+                 params: SafetyParams, hold_timeout: float = 0.25,
+                 offset: float = 0.1):
+        self.agent_id, self.kind = agent_id, kind
+        self.lane = lane = KindControl([agent_id], kind, gains, params, hold_timeout, offset)
+        # on_pose(pose, stamp), on_setpoint, on_constraints, on_touchdown_ack()
+        self.on_pose, self.on_setpoint, self.on_constraints, self.on_touchdown_ack = (
+            partial(handler, 0) for handler in (lane.on_pose, lane.on_setpoint,
+                                                lane.on_constraints, lane.on_touchdown_ack))
+
+    @property
+    def landed(self) -> bool:
+        return bool(self.lane.landed[0])
+
+    def tick(self, now: float) -> tuple[Command, TickTelemetry]:
+        lane = self.lane
+        lane.schedule.received[0] = True
+        lane.tick(now)
+        status, u = lane.status[0], lane.u[0].copy()
+        held = status in ("hold", "landed")
+        iterations, violation = (0, 0.0) if held else lane.sol_info[0][1:3]
+        return (Command(u=u, v=float(lane.v[0]), omega=float(lane.omega[0]),
+                        hold=status == "hold"),
+                TickTelemetry(now, self.agent_id, status, status == "hold", u,
+                              iterations, violation))

@@ -21,7 +21,7 @@ from .barriers import (Bounds, SafetyParams, eval_landing, offset_points,
                        pairwise_sq_distances)
 from .errors import ConfigError, ConfigViolation, InvalidInputError
 from .netsim import LinkModel
-from .watcher import WatcherOptions
+from .watcher import WatcherOptions, derived_margin
 
 _GOLDEN_ANGLE = 2.399963229728653
 
@@ -254,6 +254,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     g_uav, g_ugv = gain["uav"], gain["ugv"]
     if np.any(g_uav <= 0) or np.any(g_ugv <= 0):
         v.append(ConfigViolation("BAD_VALUE", "gains must be positive"))
+    elif not bounds.validate():
+        reach = _filter_reach(safety, max(g_uav.tolist() + g_ugv.tolist()))
+        if not math.isfinite(reach):
+            v.append(ConfigViolation(
+                "BAD_VALUE", "speed limits, gains and barrier_gain are too large: the "
+                f"safety filter's terms over the workspace reach {reach}, must be finite"))
 
     net = _section(v, data, "network")
     network = LinkModel(
@@ -261,10 +267,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         jitter=_number(v, net, "jitter", 0.0, where="network."),
         drop_prob=_number(v, net, "drop", 0.0, where="network."),
     )
+    max_latency = network.base_latency + network.jitter
+    latency_finite = math.isfinite(2.0 * network.jitter) and math.isfinite(max_latency)
     if network.base_latency < 0 or network.jitter < 0:
         v.append(ConfigViolation("BAD_VALUE", "network latency and jitter must be >= 0"))
-    elif not (math.isfinite(2.0 * network.jitter)
-              and math.isfinite(network.base_latency + network.jitter)):
+    elif not latency_finite:
         v.append(ConfigViolation(
             "BAD_VALUE", "network jitter is too large: 2*jitter and latency+jitter "
             f"must be finite, got latency {network.base_latency!r}, jitter {network.jitter!r}"))
@@ -282,6 +289,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         for f in fields(WatcherOptions)})
     if not 0 < watcher.smoothing <= 1:
         v.append(ConfigViolation("BAD_VALUE", "watcher.smoothing must be in (0, 1]"))
+    if watcher.activation_margin is None and watcher_rate > 0 and latency_finite:
+        margin = derived_margin(safety.uav_speed_limit, 1.0 / watcher_rate, max_latency)
+        if not math.isfinite(margin):
+            v.append(ConfigViolation("BAD_VALUE", (
+                f"the derived watcher activation_margin is {margin}, must be finite: "
+                f"latency+jitter {max_latency!r}, uav_speed_limit {safety.uav_speed_limit!r}")))
 
     agents = _section(v, data, "agents", list, required=True)
     if n_pairs > 0 and len(agents) != n_pairs:
@@ -380,6 +393,21 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         watcher=watcher, uavs=uavs, ugvs=ugvs, events=events,
         perturb_setpoints=perturb, raw=data,
     )
+
+
+def _filter_reach(safety: SafetyParams, gain: float) -> float:
+    """max(K*D + v, kappa*D**2 + 12*D*v): a bound on the terms the safety
+    filter computes for agents and setpoints inside the workspace (diagonal
+    D), with v the larger speed limit, K the largest gain and kappa the
+    barrier gain.  A nominal input -K*(p - p_des) + p_des_dot is at most
+    K*D + v before clipping; in a sphere row (a = 2r, |r| <= D), a.u and the
+    time term 2r.v_other are each at most 6*D*v over three axes and kappa*h
+    at most kappa*D**2, so a.u + b is at most kappa*D**2 + 12*D*v."""
+    b = safety.bounds
+    diag = math.dist((b.x_min, b.y_min, b.z_min), (b.x_max, b.y_max, b.z_max))
+    speed = max(safety.uav_speed_limit, safety.ugv_speed_limit)
+    return max(gain * diag + speed,
+               safety.barrier_gain * diag ** 2 + 12.0 * diag * speed)
 
 
 def _inside(bounds: Bounds, x: float, y: float, z: float | None = None) -> bool:

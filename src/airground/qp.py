@@ -139,17 +139,18 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
             else:
                 r = np.zeros(0)
                 w = a_p
-            w_sq = float(w @ w)
-            if w_sq > _DEP_TOL * max(1.0, float(a_p @ a_p)):
-                # Primal step toward the boundary of row p.
+            a_sq = float(a_p @ a_p)
+            w_sq = float(w @ w) if work else a_sq
+            if w_sq > _DEP_TOL * max(1.0, a_sq):
+                # Primal step toward the boundary of row p.  Nothing blocks
+                # it while the working set is empty, unless t_full is NaN.
                 t_full = -(float(a_p @ u) + b_p) / w_sq
-                t_block, blocker = _blocking_step(lam, r)
+                t_block, blocker = _blocking_step(lam, r) if work else (np.inf, -1)
                 if t_full <= t_block:
                     u = u + t_full * w
-                    lam = lam - t_full * r
                     lam_p += t_full
+                    lam = np.append(lam - t_full * r, lam_p) if work else np.array([lam_p])
                     work.append(p)
-                    lam = np.append(lam, lam_p)
                     break
                 u = u + t_block * w
                 lam = lam - t_block * r
@@ -206,6 +207,31 @@ def project_with_box(z: np.ndarray, A: np.ndarray, b: np.ndarray,
     ships; solve, solve_relaxed and filter_velocity wrap it.
     """
     return _project(z, *_with_box(A, b, limit))
+
+
+def project_lanes(z: np.ndarray, A: np.ndarray, b: np.ndarray, counts,
+                  limit):
+    """project_with_box for L lanes: yields each lane's result in order.
+
+    z is (L, n); lane l's rows are the first counts[l] of the (L, k, n) A and
+    (L, k) b, zeros below; limit is one box limit or one per lane.  One scan
+    runs _project's first check on every lane, box rows included: stacked
+    products equal the 2-D ones bit for bit, and fl(f + tol) >= 0 iff f >=
+    -tol.  A lane it passes yields (z[l], 1); every other lane is solved by
+    project_with_box on its own rows."""
+    L, k, n = A.shape
+    A_all = np.empty((L, k + 2 * n, n))
+    A_all[:, :k] = A
+    A_all[:, k:] = _box_rows(n)
+    b_all = np.empty((L, k + 2 * n))
+    b_all[:, :k] = b
+    per_lane = np.ndim(limit) > 0
+    b_all[:, k:] = limit[:, None] if per_lane else limit
+    tol = _FEAS_TOL * np.maximum(1.0, np.abs(A_all).max(axis=2))
+    f = (A_all @ z[:, :, None])[:, :, 0] + b_all
+    for l, (easy, m) in enumerate(zip((f + tol >= 0).all(axis=1).tolist(), counts)):
+        yield (z[l], 1) if easy else project_with_box(
+            z[l], A[l, :m], b[l, :m], limit[l] if per_lane else limit)
 
 
 def solve(problem: QpProblem) -> QpSolution:

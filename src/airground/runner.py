@@ -3,10 +3,12 @@
 Within one time instant the order is fixed: operator events, then network
 deliveries, then the watcher tick (followed by a second delivery drain so
 zero-latency traffic lands in the same instant), then the control ticks,
-then kinematic integration.  A control tick runs only the units whose
-output can change (agents.TickSchedule); the others hold their last
-command.  All randomness flows from the scenario seed through named
-substreams, so a config+seed pair reproduces its logs byte for byte.
+then kinematic integration.  The control units of a vehicle kind are one
+agents.KindControl, written by the message router; a control tick runs
+only the units whose output can change, filtering those without a cached
+solution as one batch, and the others hold their last command.  All
+randomness flows from the scenario seed through named substreams, so a
+config+seed pair reproduces its logs byte for byte.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (UAV, UGV, AgentControlUnit, Gains, TickSchedule,
-                     step_ugv, step_uav, wrap_angle)
+from .agents import (UAV, UGV, FilterError, Gains, KindControl, step_ugv,
+                     step_uav, wrap_angle)
 from .config import ScenarioConfig
 from .errors import CapacityError, InvalidInputError, SafetyAbortError
 from .logfmt import fmt9
@@ -48,26 +50,27 @@ class RunResult:
 _ROW_KINDS = ("workspace", "uav_other_ugv", "landing", "uav_uav", "ugv_ugv")
 
 
-def _integrate(uav, ugv, velocity, u, v, omega, landed: list[int],
+def _integrate(uav, ugv, velocity, u, v, omega, landed: np.ndarray,
                cfg: ScenarioConfig):
     """One dt of kinematics for the whole fleet.
 
     UGV poses (x, y, theta) move under their body twists v, omega.  A UAV
     flies its tracked velocity: a first-order lag toward its command u when
-    uav_velocity_lag > 0, else the command itself.  The landed UAVs (pair
-    indices) ride their platforms at hover clearance above the deck, with
-    zero tracked velocity.  Returns the new UAV positions, UGV poses and
-    tracked velocities."""
+    uav_velocity_lag > 0, else the command itself.  The landed UAVs (the
+    (n,) mask landed) ride their platforms at hover clearance above the
+    deck, with zero tracked velocity.  Returns the new UAV positions, UGV
+    poses and tracked velocities."""
     ugv = step_ugv(ugv, v, omega, cfg.dt)
     if cfg.uav_velocity_lag > 0.0:
         alpha = cfg.dt / cfg.uav_velocity_lag
         velocity = velocity + alpha * (u - velocity)
         u = velocity
     uav = step_uav(uav, u, cfg.dt)
-    deck = cfg.platform_height + cfg.safety.hover_clearance
-    for i in landed:
-        velocity[i] = 0.0
-        uav[i] = ugv[i, 0], ugv[i, 1], deck
+    landed = landed.nonzero()[0]
+    if landed.size:
+        velocity[landed] = 0.0
+        uav[landed, :2] = ugv[landed, :2]
+        uav[landed, 2] = cfg.platform_height + cfg.safety.hover_clearance
     return uav, ugv, velocity
 
 
@@ -82,27 +85,19 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     ugv = np.array([spec.start for spec in cfg.ugvs], dtype=float)
     ugv[:, 2] = [wrap_angle(a) for a in ugv[:, 2].tolist()]
     uav_velocity = np.zeros((n, 3))
-    u_cmd = np.zeros((n, 3))
-    v_cmd = np.zeros(n)
-    omega_cmd = np.zeros(n)
 
-    # Control units in agent_ids order, which interleaves the pairs (uav0,
-    # ugv0, uav1, ...): unit k belongs to pair k // 2.
-    units: list[AgentControlUnit] = []
+    # The control units of each kind, indexed by pair; their latest
+    # commands (uavs.u, ugvs.v, ugvs.omega) drive the integration.
     tracks: dict[str, WaypointTrack] = {}
     for i in range(n):
-        uid, gid = f"uav{i}", f"ugv{i}"
-        tracks[uid] = WaypointTrack(cfg.uavs[i].waypoints, cfg.uavs[i].speed)
-        tracks[gid] = WaypointTrack(cfg.ugvs[i].waypoints, cfg.ugvs[i].speed)
-        units.append(AgentControlUnit(uid, UAV, Gains.of(cfg.gains_uav, 3),
-                                      cfg.safety, cfg.hold_timeout))
-        units.append(AgentControlUnit(gid, UGV, Gains.of(cfg.gains_ugv, 2),
-                                      cfg.safety, cfg.hold_timeout,
-                                      offset=cfg.ugv_offset,
-                                      wheel_base=cfg.wheel_base))
-    uav_units = units[0::2]
-    unit_index = {aid: k for k, aid in enumerate(agent_ids)}
-    schedule = TickSchedule(units)
+        tracks[f"uav{i}"] = WaypointTrack(cfg.uavs[i].waypoints, cfg.uavs[i].speed)
+        tracks[f"ugv{i}"] = WaypointTrack(cfg.ugvs[i].waypoints, cfg.ugvs[i].speed)
+    uavs = KindControl(agent_ids[0::2], UAV, Gains.of(cfg.gains_uav, 3), cfg.safety,
+                       cfg.hold_timeout)
+    ugvs = KindControl(agent_ids[1::2], UGV, Gains.of(cfg.gains_ugv, 2), cfg.safety,
+                       cfg.hold_timeout, offset=cfg.ugv_offset)
+    targets = {aid: (control, i) for control in (uavs, ugvs)
+               for i, aid in enumerate(control.ids)}
 
     max_latency = cfg.network.base_latency + cfg.network.jitter
     coordinator = Watcher(
@@ -145,17 +140,16 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         # A LANDING_SIGNAL needs no action here: the watcher has already
         # switched the UAV's setpoint stream to the platform.
         for msg in messages:
-            k = unit_index[msg.dst]
-            unit = units[k]
-            schedule.received(k)
+            control, i = targets[msg.dst]
+            control.schedule.received[i] = True
             if msg.msg_type is MsgType.POSE_UPDATE:
-                unit.on_pose(msg.payload, msg.send_time)
+                control.on_pose(i, msg.payload, msg.send_time)
             elif msg.msg_type is MsgType.SETPOINT_UPDATE:
-                unit.on_setpoint(msg.payload[0], msg.payload[1], msg.send_time)
+                control.on_setpoint(i, msg.payload[0], msg.payload[1], msg.send_time)
             elif msg.msg_type is MsgType.CONSTRAINT_UPDATE:
-                unit.on_constraints(msg.payload, msg.send_time)
+                control.on_constraints(i, msg.payload, msg.send_time)
             elif msg.msg_type is MsgType.TOUCHDOWN_ACK:
-                unit.on_touchdown_ack()
+                control.on_touchdown_ack(i)
 
     def min_h(times, statuses, *block):
         """The writer's min_h: folds a flushed block into the metrics.  The
@@ -212,20 +206,14 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             route(bus.deliver_due(t))  # zero-latency traffic lands this instant
 
         if step % steps_ctrl == 0:
-            for k in schedule.due(t):
-                try:
-                    command, tele = units[k].tick(t)
-                except (RuntimeError, np.linalg.LinAlgError) as exc:
-                    raise abort(step, t, f"{agent_ids[k]}: {exc}",
-                                f"safety filter failed for {agent_ids[k]} "
-                                f"at t={t}: {exc}")
-                if kinds[k] == UAV:
-                    u_cmd[k // 2] = command.u
-                else:
-                    v_cmd[k // 2], omega_cmd[k // 2] = command.v, command.omega
-                u_logged[k, :len(tele.u_applied)] = tele.u_applied
-                statuses[k] = tele.status
-                schedule.ticked(k, tele.status)
+            try:
+                ticked = uavs.tick(t) + ugvs.tick(t)
+            except FilterError as exc:
+                raise abort(step, t, str(exc), f"safety filter failed for "
+                            f"{exc.agent_id} at t={t}: {exc.cause}")
+            if ticked:
+                u_logged[0::2], u_logged[1::2, :2] = uavs.u, ugvs.u
+                statuses[0::2], statuses[1::2] = uavs.status, ugvs.status
             relaxed_events += statuses.count("relaxed")
             logged[0::2, :3] = uav
             logged[1::2, :2] = ugv[:, :2]
@@ -235,9 +223,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 writer.flush(min_h)
 
         if step < total:
-            landed = [i for i, unit in enumerate(uav_units) if unit.landed]
-            uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, u_cmd,
-                                                v_cmd, omega_cmd, landed, cfg)
+            uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, uavs.u, ugvs.v,
+                                                ugvs.omega, uavs.landed, cfg)
 
     writer.flush(min_h)
     trajectory_path = os.path.join(out_dir, TRAJECTORY_FILE)

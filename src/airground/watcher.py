@@ -54,6 +54,12 @@ class WatcherOptions:
     touchdown_hold: float = 0.5        # dwell inside the window before touchdown (s)
 
 
+def derived_margin(uav_speed_limit: float, period: float, max_latency: float) -> float:
+    """The default activation margin: worst-case closing distance over one
+    update interval, padded."""
+    return 2.0 * uav_speed_limit * (period + max_latency) + 0.5
+
+
 class VelocityEstimator:
     """Exponentially smoothed finite differences over one family's poses.
 
@@ -235,8 +241,7 @@ class Watcher:
         self.period = period
         self.activation_margin = opts.activation_margin
         if self.activation_margin is None:
-            # Worst-case closing distance over one update interval, padded.
-            self.activation_margin = 2.0 * params.uav_speed_limit * (period + max_latency) + 0.5
+            self.activation_margin = derived_margin(params.uav_speed_limit, period, max_latency)
         self._touch_l = opts.touchdown_radius_sq
         self._touch_rz = opts.touchdown_height
         self._touch_hold = opts.touchdown_hold

@@ -7,9 +7,16 @@
   one core.
 * The per-agent velocity estimator, with its stale-history fallback, from
   before the watcher kept one estimator per family.
-* The control unit that solved its safety filter on every control tick,
-  from before it reused the solution until an input slot was replaced, and
-  its per-slot staleness test, from before the one rule on the oldest stamp.
+* The per-unit control unit, one object per agent with its slot objects,
+  its UgvState view and nid_offset control point, nominal controller,
+  projection and twist, from before a vehicle kind's
+  units were held as arrays and filtered as one batch; the control unit
+  that solved its safety filter on every control tick, from before it
+  reused the solution until an input slot was replaced; and its per-slot
+  staleness test, from before the one rule on the oldest stamp.
+* The active-set projection whose first step, on an empty working set,
+  went through the blocking-step search and the multiplier update, from
+  before that step was taken directly.
 * The runner's per-agent trajectory rows, eight fmt9 calls each, from
   before the rows were formatted a block at a time.
 * The per-vehicle kinematic steps on state objects, and the simulator's
@@ -40,16 +47,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from airground import qp
-from airground.agents import (UAV, AgentControlUnit, Command, TickTelemetry,
-                              UgvState, _Slot, nid_inverse, nid_offset,
-                              nominal_velocity, wrap_angle)
+from airground.agents import (UAV, UGV, Command, Gains, TickTelemetry,
+                              data_stale, nid_inverse, nominal_velocity,
+                              wrap_angle)
 from airground.barriers import ConstraintRow, RowKind, SafetyParams
 from airground.errors import (CapacityError, IncompleteInputError,
                               InvalidInputError)
 from airground.logfmt import fmt9
 from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
-from airground.qp import (RELAXATION_WEIGHT, QpProblem, QpSolution, QpStatus,
-                          _project)
+from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpProblem,
+                          QpSolution, QpStatus, _blocking_step, _project)
 from airground.watcher import ConstraintMatrix
 
 _PROXIMITY_HYSTERESIS = 0.1
@@ -384,7 +391,145 @@ class AgentVelocityEstimator:
         return VelocityEstimate(self._value.copy(), age, quality)
 
 
-class UncachedControlUnit(AgentControlUnit):
+@dataclass
+class UgvState:
+    """One UGV's pose, its heading wrapped, with the unit's offset and
+    half axle track."""
+
+    x: float
+    y: float
+    theta: float                  # heading, wrapped to (-pi, pi]
+    offset: float = 0.1           # forward offset of the control point (m)
+    wheel_base: float = 0.2       # half axle track L (m)
+
+    def __post_init__(self):
+        if self.offset <= 0:
+            raise InvalidInputError("offset must be positive")
+        if self.wheel_base <= 0:
+            raise InvalidInputError("wheel_base must be positive")
+        self.theta = wrap_angle(self.theta)
+
+
+def nid_offset(state: UgvState) -> np.ndarray:
+    """Offset point ahead of the vehicle along its heading."""
+    return np.array([
+        state.x + state.offset * math.cos(state.theta),
+        state.y + state.offset * math.sin(state.theta),
+    ])
+
+
+@dataclass
+class _Slot:
+    value: object = None
+    stamp: float = -math.inf
+
+
+class ScalarControlUnit:
+    """One agent's control unit as an object: slots, a cached solution,
+    and the nominal controller, projection and twist of that one unit."""
+
+    def __init__(self, agent_id: str, kind: str, gains: Gains,
+                 params: SafetyParams, hold_timeout: float = 0.25,
+                 offset: float = 0.1, wheel_base: float = 0.2):
+        if kind not in (UAV, UGV):
+            raise InvalidInputError(f"kind must be 'uav' or 'ugv', got {kind!r}")
+        self.agent_id = agent_id
+        self.kind = kind
+        self.gains = gains
+        self.params = params
+        self.hold_timeout = hold_timeout
+        self.offset = offset
+        self.wheel_base = wheel_base
+        self.landed = False
+        self._pose = _Slot()
+        self._setpoint = _Slot()
+        self._matrix = _Slot()
+        self._solved: tuple | None = None   # (u, v, omega, status, iters, violation)
+
+    @property
+    def speed_limit(self) -> float:
+        return (self.params.uav_speed_limit if self.kind == UAV
+                else self.params.ugv_speed_limit)
+
+    def on_pose(self, pose, stamp: float) -> None:
+        if stamp >= self._pose.stamp:
+            self._pose = _Slot(np.asarray(pose, dtype=float), stamp)
+            self._solved = None
+
+    def on_setpoint(self, position, rate, stamp: float) -> None:
+        if stamp >= self._setpoint.stamp:
+            self._setpoint = _Slot(
+                (np.asarray(position, dtype=float), np.asarray(rate, dtype=float)), stamp
+            )
+            self._solved = None
+
+    def on_constraints(self, matrix, stamp: float) -> None:
+        if stamp >= self._matrix.stamp:
+            self._matrix = _Slot(matrix, stamp)
+            self._solved = None
+
+    def on_touchdown_ack(self) -> None:
+        if self.kind == UAV:
+            self.landed = True
+
+    def _zero(self) -> np.ndarray:
+        return np.zeros(3 if self.kind == UAV else 2)
+
+    def oldest_stamp(self) -> float:
+        return min(self._pose.stamp, self._setpoint.stamp, self._matrix.stamp)
+
+    def _data_stale(self, now: float) -> bool:
+        return data_stale(now, self.oldest_stamp(), self.hold_timeout)
+
+    def tick(self, now: float) -> tuple[Command, TickTelemetry]:
+        if self.landed:
+            u = self._zero()
+            return (Command(u=u), TickTelemetry(now, self.agent_id, "landed",
+                                                False, u))
+        if self._data_stale(now):
+            u = self._zero()
+            return (Command(u=u, hold=True),
+                    TickTelemetry(now, self.agent_id, "hold", True, u))
+
+        if self._solved is None:
+            self._solved = self._solve()
+        u, v, omega, status, iterations, violation = self._solved
+        u = u.copy()  # callers get their own array; the cached one stays intact
+        return (Command(u=u, v=v, omega=omega),
+                TickTelemetry(now, self.agent_id, status, False, u,
+                              iterations, violation))
+
+    def _solve(self) -> tuple:
+        pose = self._pose.value
+        setpoint, rate = self._setpoint.value
+        matrix = self._matrix.value
+        if self.kind == UAV:
+            current = pose
+            ugv_view = None
+        else:
+            ugv_view = UgvState(pose[0], pose[1], pose[2], offset=self.offset,
+                                wheel_base=self.wheel_base)
+            current = nid_offset(ugv_view)
+        u_nom = nominal_velocity(current, setpoint, rate, self.gains, self.speed_limit)
+        n_active = matrix.active_count
+        u, iterations = qp.project_with_box(
+            u_nom, matrix.a[:n_active], matrix.b[:n_active], self.speed_limit)
+        violation = 0.0
+        status = "optimal"
+        if u is None:  # infeasible: escalate to the slack relaxation
+            sol = qp.solve_relaxed(qp.QpProblem(
+                u_nominal=u_nom, rows=matrix.active_rows(), box=self.speed_limit))
+            u, iterations = sol.u_star, sol.iterations
+            violation = sol.max_violation
+            status = sol.status.value
+        if self.kind == UAV:
+            return u, 0.0, 0.0, status, iterations, violation
+        v, omega = nid_inverse(ugv_view.theta, u, ugv_view.offset,
+                               turn_rate_limit=self.params.turn_rate_limit)
+        return u, v, omega, status, iterations, violation
+
+
+class UncachedControlUnit(ScalarControlUnit):
     """A control unit that runs the nominal controller and the QP filter on
     every tick that is neither landed nor stale."""
 
@@ -438,7 +583,7 @@ class UncachedControlUnit(AgentControlUnit):
                                   iterations, violation)
         if self.kind == UAV:
             return Command(u=u), telemetry
-        v, omega = nid_inverse(ugv_view, u,
+        v, omega = nid_inverse(ugv_view.theta, u, ugv_view.offset,
                                turn_rate_limit=self.params.turn_rate_limit)
         return Command(u=u, v=v, omega=omega), telemetry
 
@@ -774,3 +919,65 @@ class ScalarDrawBus:
 
     def link_stats(self) -> dict[str, LinkStats]:
         return dict(sorted(self._stats.items()))
+
+
+def project_reference(z: np.ndarray, A: np.ndarray, b: np.ndarray,
+                      max_iter: int = 2000) -> tuple[np.ndarray | None, int]:
+    """qp._project with its first step, on an empty working set, taken
+    through the blocking-step search and the multiplier update."""
+    m = A.shape[0]
+    u = z.astype(float).copy()
+    row_scale = np.maximum(1.0, np.abs(A).max(axis=1)) if m else np.ones(0)
+    feas_tol = _FEAS_TOL * row_scale
+    work: list[int] = []
+    lam = np.zeros(0)
+    iters = 0
+    while iters < max_iter:
+        iters += 1
+        f = A @ u + b
+        p = int(np.argmin(f + feas_tol))
+        if f[p] >= -feas_tol[p]:
+            return u, iters
+        a_p = A[p]
+        b_p = b[p]
+        lam_p = 0.0
+        while True:
+            iters += 1
+            if iters > max_iter:
+                raise RuntimeError("active-set projection did not converge")
+            if work:
+                N = A[work].T
+                gram = N.T @ N
+                try:
+                    r = np.linalg.solve(gram, N.T @ a_p)
+                except np.linalg.LinAlgError:
+                    r = np.linalg.lstsq(gram, N.T @ a_p, rcond=None)[0]
+                w = a_p - N @ r
+            else:
+                r = np.zeros(0)
+                w = a_p
+            w_sq = float(w @ w)
+            if w_sq > _DEP_TOL * max(1.0, float(a_p @ a_p)):
+                t_full = -(float(a_p @ u) + b_p) / w_sq
+                t_block, blocker = _blocking_step(lam, r)
+                if t_full <= t_block:
+                    u = u + t_full * w
+                    lam = lam - t_full * r
+                    lam_p += t_full
+                    work.append(p)
+                    lam = np.append(lam, lam_p)
+                    break
+                u = u + t_block * w
+                lam = lam - t_block * r
+                lam_p += t_block
+            else:
+                if not np.any(r > _DEP_TOL):
+                    return None, iters
+                t_block, blocker = _blocking_step(lam, r)
+                lam = lam - t_block * r
+                lam_p += t_block
+            if blocker < 0:
+                raise RuntimeError("active-set projection took a non-finite step")
+            del work[blocker]
+            lam = np.delete(lam, blocker)
+    raise RuntimeError("active-set projection did not converge")

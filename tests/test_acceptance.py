@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from airground.agents import UgvState, nid_forward, nid_inverse, twist_from_wheels, wheel_speeds
+from airground.agents import nid_forward, nid_inverse, twist_from_wheels, wheel_speeds
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row, eval_landing,
                                 eval_uav_other_ugv, eval_uav_uav,
@@ -243,10 +243,8 @@ def test_c07_offset_and_wheel_map_exactness():
         theta = rng.uniform(-math.pi, math.pi)
         offset = rng.uniform(0.02, 0.5)
         v, omega = rng.uniform(-1.5, 1.5), rng.uniform(-4, 4)
-        state = UgvState(rng.uniform(-5, 5), rng.uniform(-5, 5), theta,
-                         offset=offset)
         ov = nid_forward(theta, v, omega, offset)
-        v2, om2 = nid_inverse(state, ov)
+        v2, om2 = nid_inverse(theta, ov, offset)
         worst = max(worst, abs(v2 - v), abs(om2 - omega))
 
         half_track = rng.uniform(0.05, 0.4)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from airground import qp
 from airground.agents import (UAV, UGV, AgentControlUnit, Gains,
-                              TickSchedule, UgvState, nid_forward,
-                              nid_inverse, nid_offset,
+                              TickSchedule, data_stale, nid_forward,
+                              nid_inverse,
                               nominal_velocity, step_ugv, step_uav,
                               twist_from_wheels, wheel_speeds, wrap_angle)
 from airground.barriers import (Bounds, RowKind, SafetyParams,
-                                build_constraint_row)
+                                build_constraint_row, offset_points)
 from airground.errors import InvalidInputError
 
 from oracles import from_rows, per_slot_stale
@@ -49,39 +49,37 @@ class TestNominalController:
 
 class TestOffsetTransform:
     def test_offset_heading_zero(self):
-        assert np.allclose(nid_offset(UgvState(0, 0, 0.0, offset=0.1)), [0.1, 0])
+        assert np.allclose(offset_points(np.array([0, 0, 0.0]), 0.1), [0.1, 0])
 
     def test_offset_heading_quarter(self):
-        assert np.allclose(nid_offset(UgvState(0, 0, math.pi / 2, offset=0.1)),
+        assert np.allclose(offset_points(np.array([0, 0, math.pi / 2]), 0.1),
                            [0, 0.1], atol=1e-15)
 
     def test_offset_heading_pi(self):
-        assert np.allclose(nid_offset(UgvState(0, 0, math.pi, offset=0.1)),
+        assert np.allclose(offset_points(np.array([0, 0, math.pi]), 0.1),
                            [-0.1, 0], atol=1e-15)
 
     def test_pure_forward(self):
-        v, om = nid_inverse(UgvState(0, 0, 0.0, offset=0.1), (1, 0))
+        v, om = nid_inverse(0.0, (1, 0), 0.1)
         assert v == pytest.approx(1.0)
         assert om == pytest.approx(0.0)
 
     def test_pure_offset_rotation(self):
-        v, om = nid_inverse(UgvState(0, 0, 0.0, offset=0.1), (0, 1))
+        v, om = nid_inverse(0.0, (0, 1), 0.1)
         assert v == pytest.approx(0.0)
         assert om == pytest.approx(10.0)
 
     def test_turn_rate_clamp_preserves_direction(self):
-        state = UgvState(0, 0, 0.0, offset=0.1)
-        v, om = nid_inverse(state, (0.5, 1.0), turn_rate_limit=4.0)
-        v0, om0 = nid_inverse(state, (0.5, 1.0))
+        v, om = nid_inverse(0.0, (0.5, 1.0), 0.1, turn_rate_limit=4.0)
+        v0, om0 = nid_inverse(0.0, (0.5, 1.0), 0.1)
         assert abs(om) == pytest.approx(4.0)
         assert v / v0 == pytest.approx(om / om0)  # uniform scaling
 
     @given(st.floats(-math.pi, math.pi), st.floats(0.01, 1.0),
            st.floats(-1, 1), st.floats(-3, 3))
     def test_round_trip_exact(self, theta, offset, v, omega):
-        state = UgvState(0, 0, theta, offset=offset)
         ov = nid_forward(theta, v, omega, offset)
-        v2, om2 = nid_inverse(state, ov)
+        v2, om2 = nid_inverse(theta, ov, offset)
         assert v2 == pytest.approx(v, abs=1e-12)
         assert om2 == pytest.approx(omega, abs=1e-12)
 
@@ -220,7 +218,7 @@ class TestControlUnit:
 
     def test_ugv_unit_converts_to_twist(self):
         unit = AgentControlUnit("ugv0", UGV, Gains.of(1.0, 2), PARAMS,
-                                hold_timeout=0.25, offset=0.1, wheel_base=0.2)
+                                hold_timeout=0.25, offset=0.1)
         unit.on_pose((0.0, 0.0, 0.0), 0.0)
         unit.on_setpoint((1.0, 0.0), (0, 0), 0.0)
         unit.on_constraints(empty_matrix("ugv0", dim=2), 0.0)
@@ -243,17 +241,17 @@ class TestControlUnit:
         unit = self.make_uav()
         unit.on_pose((1, 1, 1), 0.10)
         unit.on_pose((9, 9, 9), 0.05)  # older message arriving late
-        assert np.allclose(unit._pose.value, [1, 1, 1])
+        assert np.allclose(unit.lane.pose[0], [1, 1, 1])
 
     def test_solves_once_per_slot_replacement(self, monkeypatch):
         calls = []
-        project = qp.project_with_box
+        project = qp.project_lanes
 
         def counted(*args):
             calls.append(args)
             return project(*args)
 
-        monkeypatch.setattr(qp, "project_with_box", counted)
+        monkeypatch.setattr(qp, "project_lanes", counted)
         unit = self.make_uav()
         self.feed(unit, 0.0, (0, 0, 1), (2, 0, 1), (0, 0, 0), empty_matrix())
         for t in (0.0, 0.02, 0.04):
@@ -313,7 +311,7 @@ class TestStaleness:
         now = edges[pick % len(edges)]
         for _ in range(abs(ulps)):
             now = math.nextafter(now, math.copysign(math.inf, ulps))
-        fleet = []
+        oldest = []
         for stamps, timeout in units:
             unit = AgentControlUnit("uav0", UAV, Gains.of(1.0, 3), PARAMS,
                                     hold_timeout=timeout)
@@ -324,29 +322,25 @@ class TestStaleness:
                 unit.on_setpoint((0, 0, 1), (0, 0, 0), setpoint)
             if matrix > -math.inf:
                 unit.on_constraints(empty_matrix(t=matrix), matrix)
-            fleet.append(unit)
+            oldest.append(unit.lane.stamps[0].min())
+        timeouts = np.array([timeout for _, timeout in units])
         want = [per_slot_stale(now, stamps, timeout) for stamps, timeout in units]
-        assert [unit._data_stale(now) for unit in fleet] == want
-        schedule = TickSchedule(fleet)
-        assert schedule.due(-math.inf) == list(range(len(fleet)))
-        for k in range(len(fleet)):  # as if each last acted on fresh data
-            schedule.ticked(k, "optimal")
+        assert [bool(data_stale(now, s, t)) for s, t in zip(oldest, timeouts)] == want
+        schedule = TickSchedule(len(units), timeouts)
+        assert schedule.due(-math.inf) == list(range(len(units)))
+        # as if each last acted on fresh data
+        schedule.ticked(list(range(len(units))), oldest)
         assert schedule.due(now) == [k for k, stale in enumerate(want) if stale]
 
     def test_only_received_or_newly_stale_units_are_due(self):
-        fleet = [AgentControlUnit(f"uav{k}", UAV, Gains.of(1.0, 3), PARAMS,
-                                  hold_timeout=0.25) for k in range(3)]
-        schedule = TickSchedule(fleet)
+        schedule = TickSchedule(3, 0.25)
         assert schedule.due(0.0) == [0, 1, 2]   # every unit's first tick
-        for k, status in enumerate(("hold", "optimal", "landed")):
-            fleet[k].on_pose((0, 0, 1), 0.0)
-            fleet[k].on_setpoint((0, 0, 1), (0, 0, 0), 0.0)
-            fleet[k].on_constraints(empty_matrix(), 0.0)
-            schedule.ticked(k, status)
+        # unit 0 held, unit 1 acted on data stamped 0.0, unit 2 landed
+        schedule.ticked([0, 1, 2], [math.inf, 0.0, math.inf])
         assert schedule.due(0.25) == []
-        schedule.received(2)
+        schedule.received[2] = True
         assert schedule.due(0.26) == [1, 2]     # 1 went stale, 2 got a message
-        schedule.ticked(1, "hold")
+        schedule.ticked([1], [math.inf])
         assert schedule.due(1.0) == []
 
 

@@ -1,10 +1,15 @@
+import copy
+import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 import yaml
 
+from airground import cli
 from airground.cli import main
+from airground.watcher import WaypointTrack
 
 from scenario_helpers import clustered_scenario, single_pair
 
@@ -96,25 +101,81 @@ class TestHugeJitter:
         assert "[BAD_VALUE] network jitter is too large" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_latency_that_makes_the_margin_infinite_exits_two(self, tmp_path, capsys,
+                                                              command):
+        """A latency whose derived activation margin is infinite would open
+        every gate at any distance: the config is rejected."""
+        with open(os.path.join(SCENARIOS, "crossing_three.yaml")) as f:
+            text = f.read()
+        assert text.count("latency: 0.02") == 1 and text.count("jitter: 0.005") == 1
+        path = tmp_path / "crossing_three.yaml"
+        path.write_text(text.replace("latency: 0.02", "latency: 1.0e+308")
+                        .replace("jitter: 0.005", "jitter: 0.0"))
+        args = [command, str(path)]
+        if command == "run":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "[BAD_VALUE] the derived watcher activation_margin is inf" in err
+        assert "Traceback" not in err
+
 
 class TestNanInTheFilter:
-    def test_overflowing_gains_end_in_a_safety_abort(self, tmp_path, capsys):
-        """Speed limits and gains near the float maximum validate, but the
-        filter's steps overflow into NaN: the run ends in a safety abort
-        with a state dump, not a traceback."""
+    def test_overflowing_gains_end_in_a_safety_abort(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """Speed limits and gains near the float maximum fail validation.
+        Set after it, the filter's steps overflow into NaN: the run ends in
+        a safety abort with a state dump, not a traceback."""
         with open(os.path.join(SCENARIOS, "crossing_three.yaml")) as f:
             data = yaml.safe_load(f)
-        data["safety"].update(uav_speed_limit=1e308, ugv_speed_limit=1e307)
-        data.update(gains={"uav": 1e308, "ugv": 1e308}, duration=3.0)
-        path = write_config(tmp_path, data)
-        assert main(["validate", path]) == 0
+        data["duration"] = 3.0
+        huge = copy.deepcopy(data)
+        huge["safety"].update(uav_speed_limit=1e308, ugv_speed_limit=1e307)
+        huge.update(gains={"uav": 1e308, "ugv": 1e308})
+        assert main(["validate", write_config(tmp_path, huge, "huge.yaml")]) == 2
+        err = capsys.readouterr().err
+        assert "[BAD_VALUE] speed limits, gains and barrier_gain are too large" in err
+        assert "[BAD_VALUE] the derived watcher activation_margin is inf" in err
+        validated = cli.config_mod.config_from_dict
+
+        def overflowing(raw):
+            cfg = validated(raw)
+            cfg.safety = dataclasses.replace(cfg.safety, uav_speed_limit=1e308,
+                                             ugv_speed_limit=1e307)
+            cfg.gains_uav, cfg.gains_ugv = np.full(3, 1e308), np.full(2, 1e308)
+            return cfg
+
+        monkeypatch.setattr(cli.config_mod, "config_from_dict", overflowing)
         out_dir = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", path, "--out-dir", str(out_dir)]) == 3
+            assert main(["run", write_config(tmp_path, data), "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err
         assert "safety abort" in err and "non-finite step" in err
         assert "Traceback" not in err
         assert (out_dir / "state_dump.json").exists()
+
+    def test_nan_nominal_input_ends_in_a_safety_abort(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """A NaN setpoint makes a unit's nominal input NaN: the batched scan
+        passes it to the scalar projection, whose failure names the unit
+        and ends the run in a safety abort with a state dump."""
+        sample = WaypointTrack.sample
+
+        def nan_after_one_second(track, t):
+            point = sample(track, t)
+            return np.full_like(point, np.nan) if t >= 1.0 else point
+
+        monkeypatch.setattr(WaypointTrack, "sample", nan_after_one_second)
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, single_pair(duration=3.0).raw)
+        with np.errstate(invalid="ignore"):
+            assert main(["run", path, "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "safety abort: safety filter failed for uav0 at t=1.0" in err
+        assert "Traceback" not in err
+        dump = json.loads((out_dir / "state_dump.json").read_text())
+        assert dump["reason"].startswith("uav0: active-set projection")
 
 
 class TestRun:

@@ -215,6 +215,43 @@ class TestRejections:
         cfg = config_from_dict(variant(network={"latency": 0.02, "jitter": jitter}))
         assert cfg.network.jitter == jitter
 
+    @pytest.mark.parametrize("overrides", [
+        # the speed limits and gains that used to validate and overflow
+        {"safety__uav_speed_limit": 1e308, "safety__ugv_speed_limit": 1e307,
+         "gains": {"uav": 1e308, "ugv": 1e308}},
+        {"gains": {"uav": [1.0, 1.0, 1e308], "ugv": 1.0}},   # K*D overflows
+        {"safety__uav_speed_limit": 1e307},                 # 12*D*v overflows
+        {"safety__barrier_gain": 1e307},                    # kappa*D**2 overflows
+    ])
+    def test_overflowing_limits_and_gains_rejected(self, overrides):
+        violations = self._violations(variant(**overrides))
+        assert ("BAD_VALUE", "speed limits, gains and barrier_gain are too large: the "
+                "safety filter's terms over the workspace reach inf, must be finite"
+                ) in violations
+
+    def test_largest_gains_and_limits_within_the_bound_accepted(self):
+        # D = |(12, 12, 3)| = 17.23 for the test workspace
+        cfg = config_from_dict(variant(gains={"uav": 1e306, "ugv": 1e306},
+                                       safety__uav_speed_limit=1e305))
+        assert cfg.gains_uav[0] == 1e306
+
+    def test_infinite_activation_margin_rejected(self):
+        data = variant(network={"latency": 1.0e308, "jitter": 0.0})
+        assert self._violations(data) == [(
+            "BAD_VALUE", "the derived watcher activation_margin is inf, must be "
+            "finite: latency+jitter 1e+308, uav_speed_limit 1.0")]
+
+    def test_explicit_activation_margin_needs_no_derived_one(self):
+        cfg = config_from_dict(variant(network={"latency": 1.0e308, "jitter": 0.0},
+                                       watcher={"activation_margin": 2.0}))
+        assert cfg.watcher.activation_margin == 2.0
+
+    @staticmethod
+    def _violations(data):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        return [(v.code, v.message) for v in err.value.violations]
+
     def test_bad_event_pair(self):
         data = variant()
         data["events"] = [{"time": 1.0, "type": "landing", "pair": 5}]

@@ -1,9 +1,10 @@
 """The array implementations of gating, barrier evaluation, constraint
 assembly, velocity estimation and the fleet's kinematic steps, the QP entry
-points over project_with_box, the control unit that reuses its filtered
-command, the schedule that ticks only the units whose output can change,
-and the block trajectory writer, against the code they replaced
-(tests/oracles.py): equal results, bit for bit."""
+points over project_with_box and the projection's direct first step, the
+control units of a kind held as arrays and filtered as one batch, the
+reuse of a filtered command, the schedule that ticks only the units whose
+output can change, and the block trajectory writer, against the code they
+replaced (tests/oracles.py): equal results, bit for bit."""
 
 import math
 from types import SimpleNamespace
@@ -13,13 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from airground import qp
 from airground.agents import (UAV, UGV, AgentControlUnit, Command, Gains,
-                              TickSchedule, UgvState, wrap_angle)
-from airground.barriers import Bounds, ConstraintRow, RowKind, SafetyParams
+                              KindControl, wrap_angle)
+from airground.barriers import (Bounds, ConstraintRow, RowKind, SafetyParams,
+                                offset_points)
 from airground.errors import CapacityError
 from airground.logfmt import fmt9
 from airground.netsim import MsgType
-from airground.qp import QpStatus, filter_velocity, solve, solve_relaxed
+from airground.qp import (QpStatus, _project, filter_velocity, solve,
+                          solve_relaxed)
 from airground.runner import _integrate, run
 from airground.summary import (BLOCK_SAMPLES, Roster, TrajectoryWriter,
                                summarize_dir, tick_barriers)
@@ -27,10 +31,12 @@ from airground.watcher import (ConstraintMatrix, PairPhase, VelocityEstimator,
                                Watcher, WaypointTrack)
 
 from oracles import (AgentVelocityEstimator, DictGates, Sample,
-                     UavState, UncachedControlUnit, VelQuality,
+                     ScalarControlUnit, UavState, UgvState, UncachedControlUnit,
+                     VelQuality,
                      assemble_per_row, from_rows, integrate_per_agent,
                      per_agent_kind_counts,
-                     per_agent_trajectory_rows, scalar_tick_barriers, scalar_view,
+                     per_agent_trajectory_rows, project_reference,
+                     scalar_tick_barriers, scalar_view,
                      stacked_filter_velocity, stacked_solve,
                      stacked_solve_relaxed)
 from qp_problems import random_problem
@@ -433,7 +439,7 @@ def test_cached_control_unit_matches_per_tick_oracle():
                 for message in messages:
                     deliver(cached, *message)
                     deliver(oracle, *message)
-                was_solved = cached._solved is not None
+                was_solved = bool(cached.lane.solved[0])
                 got_cmd, got = cached.tick(t)
                 want_cmd, want = oracle.tick(t)
                 reused += was_solved and got.status in ("optimal", "relaxed")
@@ -451,43 +457,196 @@ def test_cached_control_unit_matches_per_tick_oracle():
             assert reused > 50  # ticks that reused a cached solution
 
 
+def deliver_lane(control, k, slot, value, stamp) -> None:
+    """What the runner's router does with a message for unit k."""
+    control.schedule.received[k] = True
+    if slot == "pose":
+        control.on_pose(k, *value, stamp)
+    elif slot == "setpoint":
+        control.on_setpoint(k, *value, stamp)
+    elif slot == "matrix":
+        control.on_constraints(k, *value, stamp)
+    else:
+        control.on_touchdown_ack(k)
+
+
 def test_scheduled_units_match_per_tick_oracle():
-    """Units ticked only when the schedule finds them due hold exactly the
-    commands and statuses of units ticked on every control tick, through
-    stale gaps, ignored old stamps, relaxations and a touchdown; two
-    timeouts exercise the schedule's shortest-timeout screen."""
+    """The units of a kind, held as arrays, ticked only when their schedule
+    finds them due and filtered as one batch, hold exactly the commands and
+    statuses of per-unit objects ticked on every control tick, through
+    stale gaps, ignored old stamps, relaxations and a touchdown."""
     skipped = 0
     for seed in range(4):
-        kinds = (UAV, UGV, UAV, UGV)
-        timeouts = (0.12, 0.12, 0.09, 0.2)
-        units, oracles, runs = [], [], []
-        for k, (kind, timeout) in enumerate(zip(kinds, timeouts)):
+        for kind, timeout in ((UAV, 0.12), (UGV, 0.09)):
             dim = 3 if kind == UAV else 2
-            args = (f"{kind}{k}", kind, Gains.of(1.0, dim), PARAMS, timeout)
-            units.append(AgentControlUnit(*args))
-            oracles.append(UncachedControlUnit(*args))
-            runs.append(message_run(np.random.default_rng([seed, k]), kind, timeout))
-        schedule = TickSchedule(units)
-        held = [None] * len(units)
-        for ticks in zip(*runs):
-            t = ticks[0][0]
-            for k, (_, messages) in enumerate(ticks):
-                for message in messages:
-                    deliver(units[k], *message)
-                    deliver(oracles[k], *message)
-                    schedule.received(k)
-            due = schedule.due(t)
-            skipped += len(units) - len(due)
-            for k in due:
-                held[k] = units[k].tick(t)
-                schedule.ticked(k, held[k][1].status)
-            for (got_cmd, got), oracle in zip(held, oracles):
-                want_cmd, want = oracle.tick(t)
-                assert got_cmd.u.tobytes() == want_cmd.u.tobytes()
-                assert got.u_applied.tobytes() == want.u_applied.tobytes()
-                assert (got_cmd.v, got_cmd.omega, got.status) == (
-                    want_cmd.v, want_cmd.omega, want.status)
+            ids = [f"{kind}{k}" for k in range(3)]
+            control = KindControl(ids, kind, Gains.of(1.0, dim), PARAMS, timeout)
+            oracles = [UncachedControlUnit(aid, kind, Gains.of(1.0, dim), PARAMS, timeout)
+                       for aid in ids]
+            runs = [message_run(np.random.default_rng([seed, k]), kind, timeout)
+                    for k in range(3)]
+            for ticks in zip(*runs):
+                t = ticks[0][0]
+                for k, (_, messages) in enumerate(ticks):
+                    for message in messages:
+                        deliver_lane(control, k, *message)
+                        deliver(oracles[k], *message)
+                skipped += len(ids) - control.tick(t)
+                for k, oracle in enumerate(oracles):
+                    want_cmd, want = oracle.tick(t)
+                    assert control.u[k].tobytes() == want_cmd.u.tobytes()
+                    assert (control.v[k], control.omega[k], control.status[k]) == (
+                        want_cmd.v, want_cmd.omega, want.status)
     assert skipped > 1000
+
+
+# Tolerance of a row whose largest gradient entry is at most 1.
+TOL = 1e-10
+EDGE_B = (-TOL, math.nextafter(-TOL, -1.0), math.nextafter(-TOL, 0.0))
+
+
+@st.composite
+def lane_fleets(draw):
+    """One vehicle kind's units at one control instant, each in one of the
+    states a unit can tick in, with its slots and a zero-padded matrix."""
+    kind = draw(st.sampled_from([UAV, UGV]))
+    dim = 3 if kind == UAV else 2
+    coord = st.floats(-4.0, 4.0)
+    units = []
+    for _ in range(draw(st.integers(1, 12))):
+        state = draw(st.sampled_from(
+            ["fresh", "fresh", "fresh", "cached", "stale", "empty", "landed"]
+            if kind == UAV else ["fresh", "fresh", "fresh", "cached", "stale", "empty"]))
+        if kind == UAV:
+            pose = draw(st.tuples(coord, coord, st.floats(0.0, 3.0)))
+        else:  # headings beyond (-pi, pi], as noisy poses carry them
+            theta = draw(st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 4.0),
+                                          3 * math.pi, -2.5 * math.pi])
+                         | st.floats(-3 * math.pi, 3 * math.pi))
+            pose = draw(st.tuples(coord, coord)) + (theta,)
+        # at_setpoint: nominal input zero (or -0.0), and rows placed at -tol
+        at_setpoint = draw(st.booleans())
+        rate = draw(st.sampled_from([(0.0,) * dim, (-0.0,) * dim])
+                    | st.tuples(*[st.floats(-0.5, 0.5)] * dim))
+        rows = []
+        for _ in range(draw(st.integers(0, 5))):
+            a = draw(st.tuples(*[st.floats(-2.0, 2.0)] * dim))
+            rows.append((a, draw(st.floats(-1.0, 1.5))))
+        if at_setpoint:
+            rate = draw(st.sampled_from([(0.0,) * dim, (-0.0,) * dim]))
+            for b in draw(st.lists(st.sampled_from(EDGE_B), max_size=3)):
+                axis = draw(st.integers(0, dim - 1))
+                rows.append((tuple(float(j == axis) * draw(st.sampled_from([1.0, -1.0, 0.5]))
+                                   for j in range(dim)), b))
+        if rows and draw(st.booleans()):   # a duplicate row: an argmin tie
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        if draw(st.integers(0, 5)) == 0:   # no velocity satisfies both: relaxed
+            e = tuple(float(j == 0) for j in range(dim))
+            rows += [(e, -0.4), (tuple(-x for x in e), -0.4)]
+        setpoint = draw(st.tuples(*[coord] * dim))
+        units.append((state, pose, at_setpoint, setpoint, rate, rows))
+    return kind, units
+
+
+_E = (1.0, 0.0, 0.0)
+_HOME = ((0.0, 0.0, 1.0), False, (1.0, 0.0, 1.0), (0.0,) * 3)
+
+
+# One batch with a landed, a stale, a cached, a relaxed, a binding and two
+# trivially feasible units, one of them at the nominal input -0.0 and on
+# two tied rows exactly at -tol.
+@example((UAV, [("landed", *_HOME, []), ("stale", *_HOME, []), ("cached", *_HOME, []),
+                ("fresh", *_HOME, [(_E, -0.4), ((-1.0, 0.0, 0.0), -0.4)]),
+                ("fresh", *_HOME, [((-1.0, 0.0, 0.0), 0.5)]),
+                ("fresh", (0.0, 0.0, 1.0), True, (0.0,) * 3, (-0.0,) * 3,
+                 [(_E, -TOL), (_E, -TOL)]),
+                ("fresh", *_HOME, [])]))
+@settings(max_examples=200, deadline=None)
+@given(lane_fleets())
+def test_batched_instant_matches_scalar_units(fleet):
+    """One control instant of a kind's units, ticked together, equals the
+    per-unit reference ticked unit by unit: commands, twists, statuses,
+    iteration counts and slack, bit for bit, for landed, stale, cached,
+    relaxed and fresh units in batches of 1 to 12 lanes.  A unit reaches
+    project_with_box exactly when the reference's first feasibility check
+    rejected its nominal input."""
+    kind, units = fleet
+    dim = 3 if kind == UAV else 2
+    timeout, offset, t0, t1 = 0.2, 0.1, 1.0, 1.05
+    ids = [f"{kind}{k}" for k in range(len(units))]
+    control = KindControl(ids, kind, Gains.of(1.3, dim), PARAMS, timeout, offset)
+    scalar = [ScalarControlUnit(aid, kind, Gains.of(1.3, dim), PARAMS, timeout, offset)
+              for aid in ids]
+    control.tick(t0)                        # every unit's first tick: a hold
+    for k, (state, pose, at_setpoint, setpoint, rate, rows) in enumerate(units):
+        if at_setpoint:
+            point = np.array(pose) if kind == UAV else offset_points(np.array(pose), offset)
+            setpoint = tuple(point.tolist())
+        stamp = t1 - 0.5 if state == "stale" else t0
+        matrix = from_rows(ids[k], stamp, 12, dim,
+                           [ConstraintRow(a=np.array(a), b=b, kind=RowKind.UAV_UAV)
+                            for a, b in rows])
+        messages = [("pose", (pose,), stamp), ("setpoint", (setpoint, rate), stamp),
+                    ("matrix", (matrix,), stamp)]
+        if state == "empty":
+            messages.pop(k % 3)
+        if state == "landed":
+            messages.append(("touchdown", (), stamp))
+        for message in messages:
+            deliver_lane(control, k, *message)
+            deliver(scalar[k], *message)
+    scans = []
+    project = qp.project_with_box
+    qp.project_with_box = lambda *args: scans.append(args) or project(*args)
+    try:
+        control.tick(t0)                    # the cached units solve here ...
+        for k, (state, *_) in enumerate(units):
+            if state != "cached":
+                control.schedule.received[k] = True
+        control.tick(t1)                    # ... and every other unit here
+    finally:
+        qp.project_with_box = project
+    rejected = 0
+    for k, unit in enumerate(scalar):
+        cmd, tele = unit.tick(t1)
+        assert control.u[k].tobytes() == cmd.u.tobytes()
+        assert control.v[k].tobytes() == np.float64(cmd.v).tobytes()
+        assert control.omega[k].tobytes() == np.float64(cmd.omega).tobytes()
+        assert control.status[k] == tele.status
+        if tele.status not in ("hold", "landed"):
+            assert control.sol_info[k][1:3] == (tele.qp_iterations, tele.max_violation)
+            rejected += tele.status == "relaxed" or tele.qp_iterations > 1
+    assert len(scans) == rejected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.floats(-3.0, 3.0)),
+    arrays(np.float64, st.tuples(st.integers(0, 8), st.just(n)),
+           elements=st.floats(-2.0, 2.0)),
+    st.floats(-1.5, 1.5), st.integers(0, 2**32 - 1))))
+def test_first_step_matches_blocking_search(case):
+    """_project's direct first step gives the bits, iteration counts and
+    errors of the step through the blocking-step search, on random
+    projections with the box and on ones with a NaN nominal input."""
+    z, A, scale, seed = case
+    rng = np.random.default_rng(seed)
+    b = rng.normal(scale, 1.0, A.shape[0])
+    n = len(z)
+    A = np.concatenate([A, np.eye(n), -np.eye(n)])
+    b = np.concatenate([b, np.full(2 * n, 1.0)])
+    if seed % 7 == 0:
+        z = z.copy()
+        z[seed % n] = math.nan
+    outcomes = []
+    for project in (_project, project_reference):
+        try:
+            with np.errstate(invalid="ignore"):   # the NaN input's steps
+                u, iters = project(z, A, b)
+            outcomes.append((None if u is None else u.tobytes(), iters))
+        except RuntimeError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def random_log_values(rng, shape) -> np.ndarray:
@@ -589,7 +748,7 @@ def test_fleet_integration_matches_per_agent_oracle():
                              for i in range(n)})
             before = ugv[:, 2].copy()
             uav, ugv, velocity = _integrate(uav, ugv, velocity, u, v, omega,
-                                            np.flatnonzero(landed).tolist(), cfg)
+                                            landed.copy(), cfg)
             integrate_per_agent(uav_states, ugv_states, uav_velocity, commands,
                                 {f"uav{i}": bool(landed[i]) for i in range(n)},
                                 dt, lag, deck_z)

@@ -4,7 +4,7 @@ import pytest
 from airground.barriers import ConstraintRow, RowKind
 from airground.errors import InvalidInputError
 from airground.qp import (QpProblem, QpStatus, filter_velocity, oracle_solve,
-                          project_with_box, solve, solve_relaxed)
+                          project_lanes, project_with_box, solve, solve_relaxed)
 
 from qp_problems import random_problem
 
@@ -115,22 +115,36 @@ class TestSolve:
             entry(QpProblem(np.zeros(0), [], 1.0))
 
     def test_matches_oracle_on_random_problems(self):
+        """The batched entry point the control loop calls, over lanes of
+        random problems zero-padded to a common row count, against the
+        brute-force oracle, problem by problem."""
         rng = np.random.default_rng(2024)
-        feasible = infeasible = 0
-        for _ in range(400):
-            p = random_problem(rng)
-            got = solve(p)
-            want = oracle_solve(p)
-            assert got.status == want.status, p
-            if want.status is QpStatus.OPTIMAL:
-                feasible += 1
-                assert np.max(np.abs(got.u_star - want.u_star)) <= 1e-5
-                obj_got = float((got.u_star - p.u_nominal) @ (got.u_star - p.u_nominal))
-                obj_want = float((want.u_star - p.u_nominal) @ (want.u_star - p.u_nominal))
-                assert obj_got <= obj_want + 1e-8
-            else:
-                infeasible += 1
-        assert feasible > 100 and infeasible > 20  # both paths exercised
+        feasible = infeasible = trivial = 0
+        problems = [random_problem(rng) for _ in range(400)]
+        for n in (2, 3):
+            lanes = [p for p in problems if p.dimension() == n]
+            counts = [len(p.rows) for p in lanes]
+            A = np.zeros((len(lanes), max(counts), n))
+            b = np.zeros((len(lanes), max(counts)))
+            for l, p in enumerate(lanes):
+                _, A[l, :counts[l]], b[l, :counts[l]] = p.arrays()
+            z = np.array([p.u_nominal for p in lanes])
+            limits = np.array([p.box for p in lanes])
+            got = project_lanes(z, A, b, counts, limits)
+            for p, (u, iters) in zip(lanes, got):
+                want = oracle_solve(p)
+                assert (u is None) == (want.status is QpStatus.FAILED), p
+                trivial += iters == 1
+                if want.status is QpStatus.OPTIMAL:
+                    feasible += 1
+                    assert np.max(np.abs(u - want.u_star)) <= 1e-5
+                    obj_got = float((u - p.u_nominal) @ (u - p.u_nominal))
+                    obj_want = float((want.u_star - p.u_nominal) @ (want.u_star - p.u_nominal))
+                    assert obj_got <= obj_want + 1e-8
+                else:
+                    infeasible += 1
+        # both paths exercised, and lanes passed by the batched scan
+        assert feasible > 100 and infeasible > 20 and trivial > 10
 
     def test_minimal_invasiveness(self):
         rng = np.random.default_rng(9)
@@ -230,3 +244,41 @@ class TestRelaxed:
         sol = filter_velocity(p)
         assert sol.status is QpStatus.RELAXED
         assert sol.max_violation > 0.5
+
+
+# Row counts the control loop stacks: every barrier row count up to the
+# capacity of a 64-pair fleet (2*64 + 4), plus the box rows.
+LOOP_ROWS = range(0, 2 * 64 + 4 + 1)
+
+
+class TestStackedProducts:
+    """The batched scan relies on these bit identities of numpy's matmul."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_rows_equal_the_2d_product(self, n):
+        """(L, m, n) @ (L, n, 1) gives each lane's rows the bits of the 2-D
+        A @ u over that lane's own rows and box, for every row count."""
+        rng = np.random.default_rng(n)
+        box = np.concatenate([np.eye(n), -np.eye(n)])
+        for k in LOOP_ROWS:
+            counts = rng.integers(0, k + 1, 4)
+            counts[0] = k
+            A = np.zeros((4, k, n))
+            for l, c in enumerate(counts):
+                A[l, :c] = rng.normal(size=(c, n)) * 10.0 ** rng.uniform(-3, 3)
+            u = rng.uniform(-2.0, 2.0, (4, n))
+            stacked = np.concatenate([A, np.broadcast_to(box, (4, 2 * n, n))], axis=1)
+            f = (stacked @ u[:, :, None])[:, :, 0]
+            for l, c in enumerate(counts):
+                flat = np.concatenate([A[l, :c], box]) @ u[l]
+                assert f[l, :c].tobytes() == flat[:c].tobytes()
+                assert f[l, k:].tobytes() == flat[c:].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_row_stack_equals_the_1d_product(self, n):
+        """(L, 1, n) @ (L, n, 1) gives the bits of each lane's a @ u."""
+        rng = np.random.default_rng(10 + n)
+        a = rng.normal(size=(2000, n)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
+        u = rng.uniform(-2.0, 2.0, (2000, n))
+        got = (a[:, None, :] @ u[:, :, None])[:, 0, 0]
+        assert got.tobytes() == np.array([a[l] @ u[l] for l in range(2000)]).tobytes()
