@@ -31,6 +31,7 @@ from .errors import InvalidInputError
 
 UAV = "uav"
 UGV = "ugv"
+_HELD = np.array(["hold", "landed"], dtype=object)  # a held unit's status, by landed flag
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def nominal_velocity(current, setpoint, setpoint_rate, gains: Gains,
     setpoint = np.asarray(setpoint, dtype=float)
     rate = np.asarray(setpoint_rate, dtype=float)
     u = -gains.diag * (current - setpoint) + rate
-    return np.clip(u, -speed_limit, speed_limit)
+    return u.clip(-speed_limit, speed_limit)
 
 
 def nid_forward(theta: float, v: float, omega: float, offset: float) -> np.ndarray:
@@ -74,23 +75,26 @@ def nid_forward(theta: float, v: float, omega: float, offset: float) -> np.ndarr
     return np.array([v * c - offset * omega * s, v * s + offset * omega * c])
 
 
-def nid_inverse(theta: float, offset_velocity, offset: float,
-                turn_rate_limit: float | None = None) -> tuple[float, float]:
+def nid_inverse(theta, offset_velocity, offset: float,
+                turn_rate_limit: float | None = None):
     """Convert an offset-point velocity to a body twist (v, omega) at
     heading theta (inverse of nid_forward).
 
-    When the implied turn rate exceeds turn_rate_limit the whole offset
-    velocity is scaled down uniformly, preserving the commanded direction.
+    An implied turn rate above turn_rate_limit scales the whole offset
+    velocity down uniformly, keeping its direction.  L stacked headings and
+    (L, 2) velocities give (L,) arrays v and omega, each lane bit-identical
+    to its scalar call (which returns floats); cos and sin go through libm.
     """
     ov = np.asarray(offset_velocity, dtype=float)
-    c, s = math.cos(theta), math.sin(theta)
-    v = c * ov[0] + s * ov[1]
-    omega = (-s * ov[0] + c * ov[1]) / offset
-    if turn_rate_limit is not None and abs(omega) > turn_rate_limit:
-        scale = turn_rate_limit / abs(omega)
-        v *= scale
-        omega = math.copysign(turn_rate_limit, omega)
-    return v, omega
+    x, y = ov.reshape(-1, 2).T
+    c, s = np.array([(math.cos(a), math.sin(a)) for a in np.ravel(theta).tolist()]).T
+    v = c * x + s * y
+    omega = (-s * x + c * y) / offset
+    over = () if turn_rate_limit is None else (np.abs(omega) > turn_rate_limit).nonzero()[0]
+    if len(over):
+        v[over] *= turn_rate_limit / np.abs(omega[over])
+        omega[over] = np.copysign(turn_rate_limit, omega[over])
+    return (v, omega) if ov.ndim > 1 else (float(v[0]), float(omega[0]))
 
 
 def wheel_speeds(v: float, omega: float, wheel_base: float) -> tuple[float, float]:
@@ -186,24 +190,21 @@ class TickSchedule:
         self.fresh = np.full(n, np.inf)
         self._earliest, self._shortest = np.inf, np.min(hold_timeout)
 
-    def due(self, now: float) -> list[int]:
-        """The units to tick at now, in index order."""
-        due = self.received
+    def due(self, now: float) -> np.ndarray:
+        """The (n,) mask of the units to tick at now."""
+        due = self.received.copy()
         # No unit went stale unless the earliest fresh stamp, judged by the
         # shortest timeout, did.
         if data_stale(now, self._earliest, self._shortest):
-            due = due | data_stale(now, self.fresh, self.hold_timeout)
-        units = due.nonzero()[0].tolist()
+            due |= data_stale(now, self.fresh, self.hold_timeout)
         self.received.fill(False)
-        return units
+        return due
 
-    def ticked(self, units: list[int], stamps: list[float]) -> None:
-        """Record what the ticks of units acted on: the oldest stamp of
-        fresh data, or +inf for a hold or landed tick."""
-        fresh = self.fresh
-        for k, stamp in zip(units, stamps):
-            fresh[k] = stamp
-        self._earliest = fresh.min()
+    def ticked(self, units: np.ndarray, stamps: np.ndarray) -> None:
+        """Record what the ticks of the units masked acted on, from (n,)
+        stamps: the oldest stamp of fresh data, +inf for a hold or landing."""
+        np.copyto(self.fresh, stamps, where=units)
+        self._earliest = self.fresh.min()
 
 
 class KindControl:
@@ -214,8 +215,8 @@ class KindControl:
     message stamped older than its slot is ignored, and any other replaces
     the slot and drops the unit's solution.  The filtered command is a
     function of the three slots alone, so it is solved once per replaced
-    slot (sol_u, and (status, iterations, violation, v, omega) in sol_info)
-    and reused on the ticks in between.  The watcher owns the landing phases; a UAV
+    slot (solution, sol_status, sol_iters, sol_violation) and reused on the
+    ticks in between.  The watcher owns the landing phases; a UAV
     unit only learns that it has landed, from the touchdown
     acknowledgement, and then emits zero.
 
@@ -240,9 +241,11 @@ class KindControl:
         self.setpoint, self.rate = np.zeros((n, dim)), np.zeros((n, dim))
         self.matrices: list = [None] * n
         self.landed, self.solved = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.sol_u, self.sol_info = np.zeros((n, dim)), [("optimal", 0, 0.0, 0.0, 0.0)] * n
-        self.u, self.v, self.omega = np.zeros((n, dim)), np.zeros(n), np.zeros(n)
-        self.status = ["hold"] * n
+        self.solution, self.command = np.zeros((2, n, dim + 2))  # rows: u, v, omega
+        cmd = self.command
+        self.u, self.v, self.omega = cmd[:, :dim], cmd[:, dim], cmd[:, -1]
+        self.sol_status, self.status = np.full(n, "optimal", object), np.full(n, "hold", object)
+        self.sol_iters, self.sol_violation = np.zeros(n, dtype=int), np.zeros(n)
 
     def on_pose(self, k: int, pose, stamp: float) -> None:
         if stamp >= self.stamps[k, 0]:
@@ -264,45 +267,47 @@ class KindControl:
     def tick(self, now: float) -> int:
         """Tick the due units; returns how many ticked."""
         due = self.schedule.due(now)
-        if not due:
+        if not np.count_nonzero(due):
             return 0
-        oldest = self.stamps.min(axis=1).tolist()
-        oldest = [oldest[k] for k in due]
-        live = [not self.landed[k] and not data_stale(now, s, self.hold_timeout)
-                for k, s in zip(due, oldest)]
-        self._filter([k for k, ok in zip(due, live) if ok and not self.solved[k]])
-        for k, ok in zip(due, live):
-            if ok:
-                self.u[k] = self.sol_u[k]
-                self.status[k], _, _, self.v[k], self.omega[k] = self.sol_info[k]
-            else:
-                self.u[k] = self.v[k] = self.omega[k] = 0.0
-                self.status[k] = "landed" if self.landed[k] else "hold"
-        self.schedule.ticked(due, [s if ok else np.inf for s, ok in zip(oldest, live)])
-        return len(due)
+        oldest = self.stamps.min(axis=1)
+        live = ~(self.landed | data_stale(now, oldest, self.hold_timeout))
+        on = due & live
+        self._filter((on & ~self.solved).nonzero()[0])
+        np.copyto(self.command, self.solution, where=on[:, None])
+        np.copyto(self.status, self.sol_status, where=on)
+        held = (due & ~live).nonzero()[0]
+        if len(held):
+            self.command[held] = 0.0
+            self.status[held] = _HELD[self.landed[held].astype(int)]
+        self.schedule.ticked(due, np.where(live, oldest, np.inf))
+        return int(np.count_nonzero(due))
 
-    def _filter(self, lanes: list[int]) -> None:
-        """Solve the units `lanes` from their slots: the nominal inputs in one
-        array expression, the QP through qp.project_lanes, the slack
-        relaxation where a polytope is empty and, for a UGV, the body twist
-        through libm, unit by unit.  A UGV's control point is taken at its
-        heading wrapped into (-pi, pi]: the watcher ships noisy poses."""
-        if not lanes:
+    def _filter(self, lanes: np.ndarray) -> None:
+        """Solve the units `lanes` (an index array) from their slots as
+        arrays: nominal inputs, qp.project_lanes and, for a UGV, one
+        nid_inverse call.  Only lanes its scan rejects take per-lane Python
+        (project_with_box, and the slack relaxation where a polytope is
+        empty).  A UGV's control point is taken at its heading wrapped into
+        (-pi, pi]: the watcher ships noisy poses."""
+        if not len(lanes):
             return
         limit, pose = self.speed_limit, self.pose[lanes]
         current = pose
         if self.kind == UGV:
-            theta = [wrap_angle(a) for a in pose[:, 2].tolist()]
-            pose[:, 2] = theta
+            pose[:, 2] = [wrap_angle(a) for a in pose[:, 2].tolist()]
             current = offset_points(pose, self.offset)
         u_nom = nominal_velocity(current, self.setpoint[lanes], self.rate[lanes],
                                  self.gains, limit)
-        matrices = [self.matrices[k] for k in lanes]
+        matrices = [self.matrices[k] for k in lanes.tolist()]
         counts = [m.active_count for m in matrices]
         rows = max(counts)  # matrices of one kind share a zero-padded capacity
-        solutions = qp.project_lanes(u_nom, np.array([m.a[:rows] for m in matrices]),
-                                     np.array([m.b[:rows] for m in matrices]), counts, limit)
-        for lane, k in enumerate(lanes):
+        passed, solutions = qp.project_lanes(
+            u_nom, np.array([m.a[:rows] for m in matrices]),
+            np.array([m.b[:rows] for m in matrices]), counts, limit)
+        self.sol_status.put(lanes, "optimal")
+        self.sol_iters[lanes], self.sol_violation[lanes] = 1, 0.0
+        for lane in (~passed).nonzero()[0].tolist():
+            k = lanes[lane]
             try:
                 u, iterations = next(solutions)
                 info = ("optimal", iterations, 0.0)
@@ -312,9 +317,12 @@ class KindControl:
                     u, info = sol.u_star, (sol.status.value, sol.iterations, sol.max_violation)
             except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise FilterError(self.ids[k], exc) from exc
-            twist = (0.0, 0.0) if self.kind == UAV else nid_inverse(
-                theta[lane], u, self.offset, self.params.turn_rate_limit)
-            self.sol_u[k], self.sol_info[k] = u, info + twist
+            u_nom[lane] = u  # drawn already: u_nom now holds the lane's solution
+            self.sol_status[k], self.sol_iters[k], self.sol_violation[k] = info
+        self.solution[lanes, :self.dim] = u_nom
+        if self.kind == UGV:
+            self.solution[lanes, -2], self.solution[lanes, -1] = nid_inverse(
+                pose[:, 2], u_nom, self.offset, self.params.turn_rate_limit)
         self.solved[lanes] = True
 
 
@@ -342,8 +350,7 @@ class AgentControlUnit:
         lane.tick(now)
         status, u = lane.status[0], lane.u[0].copy()
         held = status in ("hold", "landed")
-        iterations, violation = (0, 0.0) if held else lane.sol_info[0][1:3]
+        info = (0, 0.0) if held else (lane.sol_iters.item(0), lane.sol_violation.item(0))
         return (Command(u=u, v=float(lane.v[0]), omega=float(lane.omega[0]),
                         hold=status == "hold"),
-                TickTelemetry(now, self.agent_id, status, status == "hold", u,
-                              iterations, violation))
+                TickTelemetry(now, self.agent_id, status, status == "hold", u, *info))

@@ -1,7 +1,7 @@
 """Command-line entry points: run, validate, summarize.
 
-Exit codes: 0 success, 1 internal/integrity failure, 2 invalid config,
-3 safety abort.
+Exit codes: 0 success, 1 internal/integrity failure, 2 invalid config or
+unusable output directory, 3 safety abort.
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         except SafetyAbortError as exc:
             print(f"safety abort: {exc}", file=sys.stderr)
             return 3
+        except OSError as exc:  # e.g. --out-dir names a file, or lies under one
+            print(f"cannot write to output directory {args.out_dir}: {exc}", file=sys.stderr)
+            return 2
         print(f"run complete: {result.trajectory_path}")
         print(result.metrics.to_json())
         return 0

@@ -186,6 +186,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     velocity_lag = _number(v, data, "uav_velocity_lag", 0.0)
     perturb = bool(_get(data, "perturb_setpoints", False))
 
+    if seed < 0:  # numpy's SeedSequence takes non-negative integers only
+        v.append(ConfigViolation("BAD_VALUE", f"seed must be >= 0, got {seed}"))
     if dt <= 0:
         v.append(ConfigViolation("BAD_VALUE", f"dt must be positive, got {dt}"))
     if duration < 0:

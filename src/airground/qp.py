@@ -27,6 +27,7 @@ from .errors import InvalidInputError
 RELAXATION_WEIGHT = 1e4
 _FEAS_TOL = 1e-10
 _DEP_TOL = 1e-12
+_EMPTY = np.zeros(0)  # no working rows, no multipliers
 
 
 class QpStatus(Enum):
@@ -91,8 +92,7 @@ class QpSolution:
 def _blocking_step(lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
     """Largest step t before a working-set multiplier lam - t*r reaches zero,
     and the index of the first row to get there (-1 when none does)."""
-    t_block = np.inf
-    blocker = -1
+    t_block, blocker = np.inf, -1
     for idx in range(len(r)):
         if r[idx] > _DEP_TOL:
             cand = lam[idx] / r[idx]
@@ -106,26 +106,21 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
              max_iter: int = 2000) -> tuple[np.ndarray | None, int]:
     """Project z onto {u : A u + b >= 0}; returns (point, iterations) or
     (None, iterations) when the polytope is empty."""
-    m = A.shape[0]
-    u = z.astype(float).copy()
-    row_scale = np.maximum(1.0, np.abs(A).max(axis=1)) if m else np.ones(0)
-    feas_tol = _FEAS_TOL * row_scale
-    work: list[int] = []
-    lam = np.zeros(0)
-    iters = 0
+    u = z.astype(float)
+    feas_tol = _FEAS_TOL * np.abs(A).max(axis=1, initial=1.0)
+    work, lam, iters = [], _EMPTY, 0
     while iters < max_iter:
         iters += 1
-        f = A @ u + b
-        p = int(np.argmin(f + feas_tol))
-        if f[p] >= -feas_tol[p]:
+        g = A.dot(u) + b + feas_tol
+        p = int(g.argmin())
+        if g[p] >= 0:  # fl(f + tol) >= 0 iff f >= -tol
             return u, iters
-        a_p = A[p]
-        b_p = b[p]
-        lam_p = 0.0
+        a_p, b_p, lam_p = A[p], float(b[p]), 0.0
         while True:
             iters += 1
             if iters > max_iter:
                 raise RuntimeError("active-set projection did not converge")
+            a_sq = float(a_p.dot(a_p))
             if work:
                 N = A[work].T
                 gram = N.T @ N
@@ -136,15 +131,13 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
                     # the step well defined.
                     r = np.linalg.lstsq(gram, N.T @ a_p, rcond=None)[0]
                 w = a_p - N @ r
+                w_sq = float(w @ w)
             else:
-                r = np.zeros(0)
-                w = a_p
-            a_sq = float(a_p @ a_p)
-            w_sq = float(w @ w) if work else a_sq
+                w, w_sq, r = a_p, a_sq, _EMPTY
             if w_sq > _DEP_TOL * max(1.0, a_sq):
                 # Primal step toward the boundary of row p.  Nothing blocks
                 # it while the working set is empty, unless t_full is NaN.
-                t_full = -(float(a_p @ u) + b_p) / w_sq
+                t_full = -(float(a_p.dot(u)) + b_p) / w_sq
                 t_block, blocker = _blocking_step(lam, r) if work else (np.inf, -1)
                 if t_full <= t_block:
                     u = u + t_full * w
@@ -157,7 +150,7 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
                 lam_p += t_block
             else:
                 # a_p lies in the span of the working set: dual-only step.
-                if not np.any(r > _DEP_TOL):
+                if not (r > _DEP_TOL).any():
                     return None, iters  # exact infeasibility certificate
                 t_block, blocker = _blocking_step(lam, r)
                 lam = lam - t_block * r
@@ -169,17 +162,22 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
     raise RuntimeError("active-set projection did not converge")
 
 
-_BOX_ROWS_CACHE: dict[int, np.ndarray] = {}
+_BOX_CACHE: dict = {}
 
 
-def _box_rows(n: int) -> np.ndarray:
-    rows = _BOX_ROWS_CACHE.get(n)
-    if rows is None:
-        eye = np.eye(n)
-        rows = np.concatenate([eye, -eye])
-        rows.flags.writeable = False
-        _BOX_ROWS_CACHE[n] = rows
-    return rows
+def _box(n: int, limit) -> tuple[np.ndarray, np.ndarray]:
+    """The box |u_j| <= limit_j as the rows [I; -I] and their offsets,
+    read-only; built once per (n, limit) for a scalar limit."""
+    if not isinstance(limit, (float, int)):  # per axis, or an array scalar
+        return _box(n, 1.0)[0], np.broadcast_to(limit, (2, n)).ravel()
+    box = _BOX_CACHE.get((n, limit))
+    if box is None:
+        box = np.concatenate([np.eye(n), -np.eye(n)]), np.full(2 * n, float(limit))
+        box[0].flags.writeable = box[1].flags.writeable = False
+        if len(_BOX_CACHE) >= 64:  # callers may pass many distinct limits
+            _BOX_CACHE.clear()
+        _BOX_CACHE[n, limit] = box
+    return box
 
 
 def _with_box(A: np.ndarray, b: np.ndarray,
@@ -187,14 +185,8 @@ def _with_box(A: np.ndarray, b: np.ndarray,
     """Barrier rows followed by the admissible box |u_j| <= limit_j as the
     rows [I; -I], so minimal invasiveness holds jointly.  limit is a scalar
     or a per-axis array."""
-    n = A.shape[1]
-    if np.ndim(limit) == 0:
-        box_b = np.full(2 * n, limit)
-    else:
-        box_b = np.concatenate([limit, limit])
-    if A.shape[0]:
-        return np.concatenate([A, _box_rows(n)]), np.concatenate([b, box_b])
-    return _box_rows(n), box_b
+    box_a, box_b = _box(A.shape[1], limit)
+    return np.concatenate([A, box_a]), np.concatenate([b, box_b])
 
 
 def project_with_box(z: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -211,27 +203,28 @@ def project_with_box(z: np.ndarray, A: np.ndarray, b: np.ndarray,
 
 def project_lanes(z: np.ndarray, A: np.ndarray, b: np.ndarray, counts,
                   limit):
-    """project_with_box for L lanes: yields each lane's result in order.
+    """project_with_box for L lanes: (passed, solutions).
 
     z is (L, n); lane l's rows are the first counts[l] of the (L, k, n) A and
     (L, k) b, zeros below; limit is one box limit or one per lane.  One scan
     runs _project's first check on every lane, box rows included: stacked
     products equal the 2-D ones bit for bit, and fl(f + tol) >= 0 iff f >=
-    -tol.  A lane it passes yields (z[l], 1); every other lane is solved by
-    project_with_box on its own rows."""
+    -tol.  passed masks the lanes it passes, whose result is (z[l], 1);
+    solutions yields each other lane's project_with_box on its own rows."""
     L, k, n = A.shape
     A_all = np.empty((L, k + 2 * n, n))
     A_all[:, :k] = A
-    A_all[:, k:] = _box_rows(n)
+    A_all[:, k:] = _box(n, 1.0)[0]
     b_all = np.empty((L, k + 2 * n))
     b_all[:, :k] = b
     per_lane = np.ndim(limit) > 0
     b_all[:, k:] = limit[:, None] if per_lane else limit
-    tol = _FEAS_TOL * np.maximum(1.0, np.abs(A_all).max(axis=2))
+    tol = _FEAS_TOL * np.abs(A_all).max(axis=2, initial=1.0)
     f = (A_all @ z[:, :, None])[:, :, 0] + b_all
-    for l, (easy, m) in enumerate(zip((f + tol >= 0).all(axis=1).tolist(), counts)):
-        yield (z[l], 1) if easy else project_with_box(
-            z[l], A[l, :m], b[l, :m], limit[l] if per_lane else limit)
+    passed = (f + tol >= 0).all(axis=1)
+    return passed, (project_with_box(z[l], A[l, :counts[l]], b[l, :counts[l]],
+                                     limit[l] if per_lane else limit)
+                    for l in (~passed).nonzero()[0].tolist())
 
 
 def solve(problem: QpProblem) -> QpSolution:

@@ -30,6 +30,8 @@
 * The star bus's per-message draws, one scalar Generator.uniform() call
   per drop or jitter draw, and its recursive wire sizes, from before each
   link drew its uniforms in blocks.
+* The unicycle's inverse offset map on one heading and one offset
+  velocity, from before nid_inverse took a lane axis.
 
 The equivalence tests require the package to reproduce them exactly, bit
 for bit.
@@ -48,7 +50,7 @@ import numpy as np
 
 from airground import qp
 from airground.agents import (UAV, UGV, Command, Gains, TickTelemetry,
-                              data_stale, nid_inverse, nominal_velocity,
+                              data_stale, nominal_velocity,
                               wrap_angle)
 from airground.barriers import ConstraintRow, RowKind, SafetyParams
 from airground.errors import (CapacityError, IncompleteInputError,
@@ -524,8 +526,8 @@ class ScalarControlUnit:
             status = sol.status.value
         if self.kind == UAV:
             return u, 0.0, 0.0, status, iterations, violation
-        v, omega = nid_inverse(ugv_view.theta, u, ugv_view.offset,
-                               turn_rate_limit=self.params.turn_rate_limit)
+        v, omega = nid_inverse_scalar(ugv_view.theta, u, ugv_view.offset,
+                                      turn_rate_limit=self.params.turn_rate_limit)
         return u, v, omega, status, iterations, violation
 
 
@@ -583,8 +585,8 @@ class UncachedControlUnit(ScalarControlUnit):
                                   iterations, violation)
         if self.kind == UAV:
             return Command(u=u), telemetry
-        v, omega = nid_inverse(ugv_view.theta, u, ugv_view.offset,
-                               turn_rate_limit=self.params.turn_rate_limit)
+        v, omega = nid_inverse_scalar(ugv_view.theta, u, ugv_view.offset,
+                                      turn_rate_limit=self.params.turn_rate_limit)
         return Command(u=u, v=v, omega=omega), telemetry
 
 
@@ -919,6 +921,22 @@ class ScalarDrawBus:
 
     def link_stats(self) -> dict[str, LinkStats]:
         return dict(sorted(self._stats.items()))
+
+
+def nid_inverse_scalar(theta: float, offset_velocity, offset: float,
+                       turn_rate_limit: float | None = None) -> tuple[float, float]:
+    """agents.nid_inverse on one heading: the body twist (v, omega) of an
+    offset-point velocity, scaled down uniformly where the turn rate
+    exceeds turn_rate_limit."""
+    ov = np.asarray(offset_velocity, dtype=float)
+    c, s = math.cos(theta), math.sin(theta)
+    v = c * ov[0] + s * ov[1]
+    omega = (-s * ov[0] + c * ov[1]) / offset
+    if turn_rate_limit is not None and abs(omega) > turn_rate_limit:
+        scale = turn_rate_limit / abs(omega)
+        v *= scale
+        omega = math.copysign(turn_rate_limit, omega)
+    return v, omega
 
 
 def project_reference(z: np.ndarray, A: np.ndarray, b: np.ndarray,

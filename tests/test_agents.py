@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from airground import qp
@@ -15,7 +15,7 @@ from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row, offset_points)
 from airground.errors import InvalidInputError
 
-from oracles import from_rows, per_slot_stale
+from oracles import from_rows, nid_inverse_scalar, per_slot_stale
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -82,6 +82,49 @@ class TestOffsetTransform:
         v2, om2 = nid_inverse(theta, ov, offset)
         assert v2 == pytest.approx(v, abs=1e-12)
         assert om2 == pytest.approx(omega, abs=1e-12)
+
+
+# Turn rates at the limit 4.0 and one ulp either side, and signed zeros.
+EDGE_OMEGAS = [sign * w for sign in (1.0, -1.0) for w in
+               (4.0, math.nextafter(4.0, 0.0), math.nextafter(4.0, math.inf), 0.0)]
+# Headings at and beyond +-pi, and signed zeros.
+HEADINGS = st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 4.0),
+                            math.nextafter(-math.pi, -4.0), 3.5, -3.5, 7.0, -9.5,
+                            0.0, -0.0]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def twist_lanes(draw):
+    """Stacked (theta, offset velocity) lanes for one offset.  An edge lane
+    has heading +-0.0, so its implied turn rate is exactly y / offset, and
+    the offset is a power of two, so y = omega * offset hits each edge turn
+    rate exactly."""
+    offset = draw(st.sampled_from([0.5, 0.25, 1.0, 0.1]))
+    lanes = []
+    for _ in range(draw(st.integers(1, 9))):
+        if draw(st.booleans()):
+            theta = draw(st.sampled_from([0.0, -0.0]))
+            y = draw(st.sampled_from(EDGE_OMEGAS)) * offset
+        else:
+            theta, y = draw(HEADINGS), draw(st.floats(-3.0, 3.0))
+        lanes.append((theta, (draw(st.floats(-3.0, 3.0)), y)))
+    return offset, draw(st.sampled_from([4.0, None])), lanes
+
+
+@example((0.5, 4.0, [(0.0, (1.0, w * 0.5)) for w in EDGE_OMEGAS]
+          + [(theta, (0.3, -0.7)) for theta in (math.pi, -math.pi, 3.5, -9.5)]))
+@given(twist_lanes())
+def test_stacked_nid_inverse_matches_scalar_calls(case):
+    """nid_inverse on L stacked lanes gives each lane the bits of its scalar
+    call and of the one-heading reference, clamped or not."""
+    offset, limit, lanes = case
+    theta = np.array([t for t, _ in lanes])
+    v, omega = nid_inverse(theta, np.array([ov for _, ov in lanes]), offset, limit)
+    assert v.shape == omega.shape == (len(lanes),)
+    for l, (t, ov) in enumerate(lanes):
+        for want in (nid_inverse(t, ov, offset, limit), nid_inverse_scalar(t, ov, offset, limit)):
+            assert v[l].tobytes() == np.float64(want[0]).tobytes()
+            assert omega[l].tobytes() == np.float64(want[1]).tobytes()
 
 
 class TestWheelMap:
@@ -300,6 +343,10 @@ UNITS = st.lists(st.tuples(st.tuples(STAMPS, STAMPS, STAMPS),
                  min_size=1, max_size=4)
 
 
+def due_units(schedule: TickSchedule, now: float) -> list[int]:
+    return schedule.due(now).nonzero()[0].tolist()
+
+
 class TestStaleness:
     @given(units=UNITS, pick=st.integers(0, 11), ulps=st.integers(-4, 4))
     def test_due_and_stale_match_per_slot_test(self, units, pick, ulps):
@@ -327,21 +374,21 @@ class TestStaleness:
         want = [per_slot_stale(now, stamps, timeout) for stamps, timeout in units]
         assert [bool(data_stale(now, s, t)) for s, t in zip(oldest, timeouts)] == want
         schedule = TickSchedule(len(units), timeouts)
-        assert schedule.due(-math.inf) == list(range(len(units)))
+        assert due_units(schedule, -math.inf) == list(range(len(units)))
         # as if each last acted on fresh data
-        schedule.ticked(list(range(len(units))), oldest)
-        assert schedule.due(now) == [k for k, stale in enumerate(want) if stale]
+        schedule.ticked(np.ones(len(units), dtype=bool), np.array(oldest))
+        assert due_units(schedule, now) == [k for k, stale in enumerate(want) if stale]
 
     def test_only_received_or_newly_stale_units_are_due(self):
         schedule = TickSchedule(3, 0.25)
-        assert schedule.due(0.0) == [0, 1, 2]   # every unit's first tick
+        assert due_units(schedule, 0.0) == [0, 1, 2]   # every unit's first tick
         # unit 0 held, unit 1 acted on data stamped 0.0, unit 2 landed
-        schedule.ticked([0, 1, 2], [math.inf, 0.0, math.inf])
-        assert schedule.due(0.25) == []
+        schedule.ticked(np.ones(3, dtype=bool), np.array([math.inf, 0.0, math.inf]))
+        assert due_units(schedule, 0.25) == []
         schedule.received[2] = True
-        assert schedule.due(0.26) == [1, 2]     # 1 went stale, 2 got a message
-        schedule.ticked([1], [math.inf])
-        assert schedule.due(1.0) == []
+        assert due_units(schedule, 0.26) == [1, 2]     # 1 went stale, 2 got a message
+        schedule.ticked(np.array([False, True, False]), np.full(3, math.inf))
+        assert due_units(schedule, 1.0) == []
 
 
 class TestConvergenceRate:

@@ -217,6 +217,39 @@ class TestRun:
         assert resolved["duration"] == 0.5
 
 
+    @pytest.mark.parametrize("command", ["validate", "run", "run --seed"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command):
+        """A seed numpy cannot take is a config violation, from the scenario
+        file and from --seed alike, not a traceback from the run."""
+        with open(os.path.join(SCENARIOS, "hover_pair.yaml")) as f:
+            text = f.read()
+        args = [command.split()[0]]
+        if command == "run --seed":
+            args += ["--seed", "-1"]
+        else:
+            text = text.replace("seed: 7", "seed: -5")
+        path = tmp_path / "hover_pair.yaml"
+        path.write_text(text)
+        args.append(str(path))
+        if command != "validate":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert "[BAD_VALUE] seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_unusable_out_dir_exits_two(self, tmp_path, capsys, sub):
+        """--out-dir naming a file, or a path under one, is reported on one
+        line naming the path."""
+        cfg = write_config(tmp_path, single_pair(duration=0.1).raw)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out_dir = str(blocker / sub) if sub else str(blocker)
+        assert main(["run", cfg, "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write to output directory {out_dir}: ")
+        assert err.count("\n") == 1
+
+
 class TestSummarize:
     def test_summarize_run_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path, single_pair(duration=1.0).raw)

@@ -297,6 +297,16 @@ class TestRejections:
         assert ("BAD_VALUE", message) in found
         assert ("BAD_VALUE", "hold_timeout must be positive") in found
 
+    @pytest.mark.parametrize("seed", [-1, -5, -2**70])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(variant(seed=seed))
+        assert [(x.code, x.message) for x in err.value.violations] == [
+            ("BAD_VALUE", f"seed must be >= 0, got {seed}")]
+
+    def test_zero_seed_accepted(self):
+        assert config_from_dict(variant(seed=0)).seed == 0
+
     def test_malformed_nested_values_are_violations(self):
         data = variant(safety__uav_speed_limit="fast", network__drop="x")
         data["watcher"] = {"activation_margin": "wide"}

@@ -614,7 +614,8 @@ def test_batched_instant_matches_scalar_units(fleet):
         assert control.omega[k].tobytes() == np.float64(cmd.omega).tobytes()
         assert control.status[k] == tele.status
         if tele.status not in ("hold", "landed"):
-            assert control.sol_info[k][1:3] == (tele.qp_iterations, tele.max_violation)
+            assert (control.sol_iters[k], control.sol_violation[k]) == (
+                tele.qp_iterations, tele.max_violation)
             rejected += tele.status == "relaxed" or tele.qp_iterations > 1
     assert len(scans) == rejected
 

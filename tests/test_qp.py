@@ -3,8 +3,9 @@ import pytest
 
 from airground.barriers import ConstraintRow, RowKind
 from airground.errors import InvalidInputError
-from airground.qp import (QpProblem, QpStatus, filter_velocity, oracle_solve,
-                          project_lanes, project_with_box, solve, solve_relaxed)
+from airground.qp import (QpProblem, QpStatus, _project, _with_box, filter_velocity,
+                          oracle_solve, project_lanes, project_with_box, solve,
+                          solve_relaxed)
 
 from qp_problems import random_problem
 
@@ -84,6 +85,23 @@ class TestNanStep:
             project_with_box(z, A, b, 1e213)
 
 
+def test_box_rows_cached_per_dimension_and_limit():
+    """The cached box rows and offsets follow (dimension, limit): two scalar
+    limits alternating in one dimension, another dimension and a per-axis
+    limit each give the arrays built afresh and the projection on them."""
+    rng = np.random.default_rng(13)
+    for limit, n in [(0.6, 3), (1.0, 3), (0.6, 3), (0.6, 2), (1, 3), (1.0, 2),
+                     (np.array([0.6, 1.0, 0.3]), 3), (0.6, 3), (np.float64(1.0), 3)]:
+        A, b, z = rng.normal(size=(4, n)), rng.normal(size=4), rng.normal(size=n)
+        lim = np.broadcast_to(np.asarray(limit, dtype=float), (n,))
+        want = (np.concatenate([A, np.eye(n), -np.eye(n)]), np.concatenate([b, lim, lim]))
+        got = _with_box(A, b, limit)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        outcomes = [(None if u is None else u.tobytes(), iters)
+                    for u, iters in (project_with_box(z, A, b, limit), _project(z, *want))]
+        assert outcomes[0] == outcomes[1]
+
+
 class TestSolve:
     def test_no_rows_identity(self):
         p = QpProblem(np.array([0.4, -0.3, 0.2]), [], 1.0)
@@ -130,7 +148,8 @@ class TestSolve:
                 _, A[l, :counts[l]], b[l, :counts[l]] = p.arrays()
             z = np.array([p.u_nominal for p in lanes])
             limits = np.array([p.box for p in lanes])
-            got = project_lanes(z, A, b, counts, limits)
+            passed, rest = project_lanes(z, A, b, counts, limits)
+            got = [(z[l], 1) if ok else next(rest) for l, ok in enumerate(passed.tolist())]
             for p, (u, iters) in zip(lanes, got):
                 want = oracle_solve(p)
                 assert (u is None) == (want.status is QpStatus.FAILED), p
