@@ -100,7 +100,7 @@ def _number(v: list[ConfigViolation], section: dict, key: str, default,
             cast=float, where: str = ""):
     """section[key] converted by cast; the default when the key is absent or
     null, and also (reported as BAD_VALUE) when the value is malformed, NaN
-    or infinite."""
+    or infinite, or for cast int a boolean or a number with a fraction."""
     raw = section.get(key)
     if raw is None:
         return default
@@ -111,6 +111,9 @@ def _number(v: list[ConfigViolation], section: dict, key: str, default,
     if not math.isfinite(value):
         v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be a number, got {raw!r}"))
         return default
+    if cast is int and (isinstance(raw, bool) or isinstance(raw, float) and raw != value):
+        v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be an integer, got {raw!r}"))
+        return default  # int() would have truncated it
     return value
 
 

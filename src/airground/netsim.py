@@ -15,6 +15,9 @@ term is the float uniform(-jitter, jitter) returns, so the schedule is the
 same as with one Generator call per draw.
 
 Delivery is a deterministic total order: (deliver_time, seq, src, dst).
+A queue entry also carries the message and its link's counters.  Payloads
+are sized by exact type (WIRE_SIZES), a subclass as its nearest listed
+base.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class MsgType(Enum):
     TOUCHDOWN_ACK = "touchdown_ack"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     msg_type: MsgType
     src: str
@@ -78,27 +81,35 @@ class LinkStats:
     bytes: int = 0
 
 
-def _field_bytes(field) -> int:
-    """Nominal size of one payload field: 8 bytes per scalar, strings as
-    utf-8, wire_bytes() where the object defines it, 64 otherwise."""
-    if isinstance(field, np.ndarray):
-        return field.size * 8
-    if field is None:
-        return 0
-    if isinstance(field, (int, float)):
-        return 8
-    if isinstance(field, str):
-        return len(field.encode())
-    if isinstance(field, (tuple, list)):
-        return sum(map(_field_bytes, field))
+def _object_bytes(field) -> int:
     nbytes = getattr(field, "wire_bytes", None)
     return nbytes() if callable(nbytes) else 64
 
 
+# Nominal payload field sizes by type: 8 bytes per scalar, strings as utf-8,
+# sequences field by field, wire_bytes() where an object defines it, 64
+# otherwise.
+WIRE_SIZES = {np.ndarray: lambda field: field.size * 8, type(None): lambda field: 0,
+              int: lambda field: 8, float: lambda field: 8, bool: lambda field: 8,
+              str: lambda field: len(field.encode()),
+              tuple: lambda field: sum(map(_field_bytes, field)),
+              list: lambda field: sum(map(_field_bytes, field)), object: _object_bytes}
+
+
+def _field_bytes(field) -> int:
+    """A field's size by its type's entry, or by the first base of its type
+    that has one."""
+    if type(field) is np.ndarray:  # most fields: poses, setpoints
+        return field.size * 8
+    size = WIRE_SIZES.get(type(field))
+    if size is None:  # remembered: the entry depends on the type alone
+        size = WIRE_SIZES[type(field)] = next(
+            WIRE_SIZES[base] for base in type(field).__mro__ if base in WIRE_SIZES)
+    return size(field)
+
+
 def _payload_bytes(payload) -> int:
     """Nominal wire size: a 16B header plus the payload's fields."""
-    if isinstance(payload, tuple):
-        return 16 + sum(map(_field_bytes, payload))
     return 16 + _field_bytes(payload)
 
 
@@ -137,7 +148,9 @@ class StarBus:
         self.trace = trace
         self._links: dict[tuple[str, str], _Link] = {}
         self._stats: dict[str, LinkStats] = {}
-        self._queue: list[tuple[float, int, str, str, Message]] = []
+        # (deliver_time, seq, src, dst, message, the link's stats); the first
+        # four are unique, so messages and stats are never compared.
+        self._queue: list[tuple[float, int, str, str, Message, LinkStats]] = []
         self._seed = seed
         # uniform(-jitter, jitter) is -jitter + (jitter - -jitter) * u.
         self._jitter_low = -link.jitter
@@ -169,19 +182,19 @@ class StarBus:
         stats = link.stats
         stats.sent += 1
         stats.bytes += _payload_bytes(payload)
-        if self.link.drop_prob > 0.0 and link.uniform() < self.link.drop_prob:
+        model = self.link
+        if model.drop_prob > 0.0 and link.uniform() < model.drop_prob:
             stats.dropped += 1
             if self.trace is not None:
                 self.trace.append(f"drop t={fmt9(now)} src={src} dst={dst} "
                                   f"type={msg_type.value} seq={seq}")
             return None
-        latency = self.link.base_latency
-        if self.link.jitter > 0.0:
+        latency = model.base_latency
+        if model.jitter > 0.0:
             latency += self._jitter_low + self._jitter_range * link.uniform()
         deliver = max(now, now + latency)
-        msg = Message(msg_type=msg_type, src=src, dst=dst, send_time=now,
-                      deliver_time=deliver, seq=seq, payload=payload)
-        heapq.heappush(self._queue, (deliver, seq, src, dst, msg))
+        msg = Message(msg_type, src, dst, now, deliver, seq, payload)
+        heapq.heappush(self._queue, (deliver, seq, src, dst, msg, stats))
         if self.trace is not None:
             self.trace.append(f"send t={fmt9(now)} src={src} dst={dst} "
                               f"type={msg_type.value} seq={seq} due={fmt9(deliver)}")
@@ -189,10 +202,10 @@ class StarBus:
 
     def deliver_due(self, now: float) -> list[Message]:
         """Pop every message due by `now` in (deliver_time, seq, link) order."""
-        out = []
-        while self._queue and self._queue[0][0] <= now:
-            _, _, _, _, msg = heapq.heappop(self._queue)
-            self._links[msg.src, msg.dst].stats.delivered += 1
+        queue, out = self._queue, []
+        while queue and queue[0][0] <= now:
+            msg, stats = heapq.heappop(queue)[4:]
+            stats.delivered += 1
             if self.trace is not None:
                 self.trace.append(f"deliver t={fmt9(now)} src={msg.src} dst={msg.dst} "
                                   f"type={msg.msg_type.value} seq={msg.seq} "

@@ -16,6 +16,7 @@ control loop always has a defined, observable degradation path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,7 @@ from .errors import InvalidInputError
 RELAXATION_WEIGHT = 1e4
 _FEAS_TOL = 1e-10
 _DEP_TOL = 1e-12
+_RETRY_DEP_TOL = 1e-8  # w_sq / a_sq below which a retried solve calls a row dependent
 _EMPTY = np.zeros(0)  # no working rows, no multipliers
 
 
@@ -105,7 +107,28 @@ def _blocking_step(lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
 def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
              max_iter: int = 2000) -> tuple[np.ndarray | None, int]:
     """Project z onto {u : A u + b >= 0}; returns (point, iterations) or
-    (None, iterations) when the polytope is empty."""
+    (None, iterations) when the polytope is empty.  Rounding can leave a
+    row nearly in the working rows' span (or a further row beyond n, which
+    span R^n) a tiny w, and the huge steps can cycle until the multipliers
+    overflow: a solve on finite data that fails is repeated with at most n
+    working rows and _RETRY_DEP_TOL as the dependence test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _active_set(z, A, b, max_iter, math.inf, _DEP_TOL)
+        except RuntimeError:
+            if not all(np.isfinite(x).all() for x in (z, A, b)):
+                raise
+            try:
+                return _active_set(z, A, b, max_iter, len(z), _RETRY_DEP_TOL)
+            except RuntimeError:
+                pass
+            raise
+
+
+def _active_set(z: np.ndarray, A: np.ndarray, b: np.ndarray, max_iter: int,
+                max_rows, dep_tol: float) -> tuple[np.ndarray | None, int]:
+    """_project's dual active-set loop: at most max_rows working rows, and
+    a row whose w_sq is at most dep_tol * max(1, a_sq) is dependent."""
     u = z.astype(float)
     feas_tol = _FEAS_TOL * np.abs(A).max(axis=1, initial=1.0)
     work, lam, iters = [], _EMPTY, 0
@@ -134,7 +157,7 @@ def _project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
                 w_sq = float(w @ w)
             else:
                 w, w_sq, r = a_p, a_sq, _EMPTY
-            if w_sq > _DEP_TOL * max(1.0, a_sq):
+            if len(work) < max_rows and w_sq > dep_tol * max(1.0, a_sq):
                 # Primal step toward the boundary of row p.  Nothing blocks
                 # it while the working set is empty, unless t_full is NaN.
                 t_full = -(float(a_p.dot(u)) + b_p) / w_sq

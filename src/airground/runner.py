@@ -4,7 +4,8 @@ Within one time instant the order is fixed: operator events, then network
 deliveries, then the watcher tick (followed by a second delivery drain so
 zero-latency traffic lands in the same instant), then the control ticks,
 then kinematic integration.  The control units of a vehicle kind are one
-agents.KindControl, written by the message router; a control tick runs
+agents.KindControl, written by the message router from a per-agent table
+of unit index, received mask and slot handlers; a control tick runs
 only the units whose output can change, filtering those without a cached
 solution as one batch, and the others hold their last command.  All
 randomness flows from the scenario seed through named substreams, so a
@@ -44,10 +45,6 @@ class RunResult:
     watcher_records: list[WatcherRecord]
     link_stats: dict[str, LinkStats]
     relaxed_events: int = 0
-
-
-# Per-family row counts of watcher.csv, in column order.
-_ROW_KINDS = ("workspace", "uav_other_ugv", "landing", "uav_uav", "ugv_ugv")
 
 
 def _integrate(uav, ugv, velocity, u, v, omega, landed: np.ndarray,
@@ -96,8 +93,10 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                        cfg.hold_timeout)
     ugvs = KindControl(agent_ids[1::2], UGV, Gains.of(cfg.gains_ugv, 2), cfg.safety,
                        cfg.hold_timeout, offset=cfg.ugv_offset)
-    targets = {aid: (control, i) for control in (uavs, ugvs)
-               for i, aid in enumerate(control.ids)}
+    # Per agent: its unit's index, received mask and slot handlers.
+    routes = {aid: (i, control.schedule.received, control.on_pose, control.on_setpoint,
+                    control.on_constraints, control.on_touchdown_ack)
+              for control in (uavs, ugvs) for i, aid in enumerate(control.ids)}
 
     max_latency = cfg.network.base_latency + cfg.network.jitter
     coordinator = Watcher(
@@ -140,16 +139,17 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         # A LANDING_SIGNAL needs no action here: the watcher has already
         # switched the UAV's setpoint stream to the platform.
         for msg in messages:
-            control, i = targets[msg.dst]
-            control.schedule.received[i] = True
-            if msg.msg_type is MsgType.POSE_UPDATE:
-                control.on_pose(i, msg.payload, msg.send_time)
-            elif msg.msg_type is MsgType.SETPOINT_UPDATE:
-                control.on_setpoint(i, msg.payload[0], msg.payload[1], msg.send_time)
-            elif msg.msg_type is MsgType.CONSTRAINT_UPDATE:
-                control.on_constraints(i, msg.payload, msg.send_time)
-            elif msg.msg_type is MsgType.TOUCHDOWN_ACK:
-                control.on_touchdown_ack(i)
+            i, received, on_pose, on_setpoint, on_constraints, on_touchdown_ack = routes[msg.dst]
+            received[i] = True
+            msg_type = msg.msg_type
+            if msg_type is MsgType.POSE_UPDATE:
+                on_pose(i, msg.payload, msg.send_time)
+            elif msg_type is MsgType.SETPOINT_UPDATE:
+                on_setpoint(i, *msg.payload, msg.send_time)
+            elif msg_type is MsgType.CONSTRAINT_UPDATE:
+                on_constraints(i, msg.payload, msg.send_time)
+            elif msg_type is MsgType.TOUCHDOWN_ACK:
+                on_touchdown_ack(i)
 
     def min_h(times, statuses, *block):
         """The writer's min_h: folds a flushed block into the metrics.  The
@@ -195,14 +195,16 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             except (CapacityError, InvalidInputError) as exc:
                 raise abort(step, t, f"watcher: {exc}",
                             f"watcher failed at t={t}: {exc}")
-            for ob in outbound:
-                bus.send(ob.msg_type, WATCHER_ID, ob.dst, ob.payload, t)
-            watcher_records.extend(records)
+            for msg_type, dst, payload in outbound:
+                bus.send(msg_type, WATCHER_ID, dst, payload, t)
+            watcher_records += records
             t_str = fmt9(t)
-            for rec in records:
-                counts = ",".join(str(rec.kind_counts.get(kind, 0)) for kind in _ROW_KINDS)
-                watcher_lines.append(f"{t_str},{rec.agent_id},{rec.phase},"
-                                     f"{rec.active_count},{counts},{';'.join(rec.proximal)}")
+            for rec in records:  # then the rows of each family
+                k = rec.kind_counts
+                watcher_lines.append(
+                    f"{t_str},{rec.agent_id},{rec.phase},{rec.active_count},"
+                    f"{k.get('workspace', 0)},{k.get('uav_other_ugv', 0)},{k.get('landing', 0)},"
+                    f"{k.get('uav_uav', 0)},{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}")
             route(bus.deliver_due(t))  # zero-latency traffic lands this instant
 
         if step % steps_ctrl == 0:

@@ -12,7 +12,10 @@ The watcher is the only component that sees every agent.  Each tick it:
    UGV j -- that are refreshed in one array pass per tick,
 4. assembles every agent's fixed-capacity, zero-padded constraint matrix
    in one array pass per barrier family (row order on assemble_constraints),
-5. emits pose, setpoint and constraint-matrix updates over the star bus.
+5. returns each agent's pose, setpoint and matrix as (msg_type, dst,
+   payload) tuples for the star bus, with the setpoints of all agents
+   sampled from one TrackTable and the records' proximal sets read off one
+   gate matrix with lexicographic columns.
 
 Landing orchestration: a landing signal flips the pair to the `landing`
 phase, which switches the UAV's setpoint stream from its task track to the
@@ -28,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -96,28 +101,37 @@ class VelocityEstimator:
         return self._value, self._worst_case
 
 
-@dataclass
 class ConstraintMatrix:
     """Fixed-capacity constraint block shipped to one agent.
 
     Rows beyond active_count are identically zero; row order is the order
-    documented on Watcher.assemble_constraints.
-    """
+    documented on Watcher.assemble_constraints.  kinds and other_ids are
+    the active rows' families and other agents: lists given to the
+    constructor, or derived on first read from layout, a callable of
+    agent_id returning both, which the watcher passes in their place."""
 
-    agent_id: str
-    timestamp: float
-    a: np.ndarray               # (capacity, dim), zero-padded
-    b: np.ndarray               # (capacity,), zero-padded
-    kinds: list[RowKind]
-    other_ids: list[str | None]
+    __slots__ = ("agent_id", "timestamp", "a", "b", "active_count", "_rows")
+
+    def __init__(self, agent_id: str, timestamp: float, a: np.ndarray, b: np.ndarray,
+                 kinds: list[RowKind], other_ids: list[str | None],
+                 active_count: int | None = None, layout=None):
+        self.agent_id, self.timestamp = agent_id, timestamp
+        self.a, self.b = a, b                    # (capacity, dim), (capacity,)
+        self._rows = layout or (list(kinds), list(other_ids))
+        self.active_count = len(kinds) if active_count is None else active_count
+
+    def _laid_out(self) -> tuple[list[RowKind], list[str | None]]:
+        if callable(self._rows):
+            self._rows = self._rows(self.agent_id)
+        return self._rows
 
     @property
-    def capacity(self) -> int:
-        return self.a.shape[0]
+    def kinds(self) -> list[RowKind]:
+        return self._laid_out()[0]
 
     @property
-    def active_count(self) -> int:
-        return len(self.kinds)
+    def other_ids(self) -> list[str | None]:
+        return self._laid_out()[1]
 
     def active_rows(self) -> list[ConstraintRow]:
         return [
@@ -166,20 +180,55 @@ class WaypointTrack:
         self._total = sum(leg[2] for leg in self._legs)
 
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Setpoint position and rate at time t."""
-        if not self._legs or self._total == 0.0:
-            w = self.waypoints[0]
-            return w.copy(), np.zeros_like(w)
-        s = math.fmod(self.speed * t, self._total)
-        for start, direction, length in self._legs:
-            if s <= length:
-                return start + s * direction, direction * self.speed
-            s -= length
-        start, direction, length = self._legs[-1]
-        return start + length * direction, direction * self.speed
+        """Setpoint position and rate at time t: a one-track TrackTable."""
+        position, rate = TrackTable([self]).sample(t)
+        return position[0], rate[0]
 
 
-@dataclass
+class TrackTable:
+    """WaypointTracks sampled in one array pass, each row bit for bit its
+    track's sample(t) (zero-padded to the widest track's dimensions).
+
+    Row j of a track's block holds its leg j, and the block's last row its
+    last leg again, with NaN lengths between.  sample(t) walks every
+    track's legs at once as sample does, fmod then s -= length leg by leg,
+    takes the first leg with s <= length (the last row, at s = its length,
+    when rounding leaves s beyond every leg), and forms start + s*direction
+    and direction*speed.  A static track is one leg of infinite length and
+    zero direction walked at speed -0.0: start + (-0.0 * 0.0) is start,
+    even -0.0, for t >= 0, and its rate 0.0 * 0.0 is +0.0."""
+
+    def __init__(self, tracks: list[WaypointTrack]):
+        legs = [track._legs or [(track.waypoints[0], 0.0, math.inf)] for track in tracks]
+        width = max(map(len, legs)) + 1
+        self._starts, self._directions = np.zeros((2, len(tracks) * width,
+                                                   max(len(leg[0][0]) for leg in legs)))
+        self._lengths = np.full((len(tracks), width), np.nan)
+        for k, track_legs in enumerate(legs):
+            for j, (start, direction, length) in zip([*range(len(track_legs)), width - 1],
+                                                     track_legs + track_legs[-1:]):
+                self._starts[k * width + j, :len(start)] = start
+                self._directions[k * width + j, :len(start)] = direction
+                self._lengths[k, j] = length
+        # Per track: walk speed, loop length and rate speed.
+        self._speed, self._total, self._rate = np.array(
+            [(t.speed, t._total, t.speed) if t._legs else (-0.0, math.inf, 0.0) for t in tracks],
+            dtype=float).T[:, :, None]
+        self._blocks = np.arange(0, len(tracks) * width, width)
+
+    def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The (tracks, dim) setpoint positions and rates at time t."""
+        s = self._lengths.copy()   # s before each leg, then the fallback's
+        s[:, :1] = np.fmod(self._speed * t, self._total)
+        for k in range(1, s.shape[1] - 1):
+            np.subtract(s[:, k - 1], self._lengths[:, k - 1], out=s[:, k])
+        rows = (s <= self._lengths).argmax(axis=1) + self._blocks  # NaN is never <=
+        directions = self._directions.take(rows, axis=0)
+        return (self._starts.take(rows, axis=0) + s.take(rows)[:, None] * directions,
+                directions * self._rate)
+
+
+@dataclass(slots=True)
 class WatcherRecord:
     """One per-tick, per-agent decision snapshot for the run log."""
 
@@ -191,18 +240,11 @@ class WatcherRecord:
     proximal: tuple[str, ...] = ()
 
 
-@dataclass
-class Outbound:
-    msg_type: MsgType
-    dst: str
-    payload: object
-
-
 def _gated(gates: np.ndarray, first) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (i, j) entries of gates that are on, row-major so that i is
     sorted, and the slot of each: first (or first[i]) plus its rank among
     agent i's entries."""
-    i, j = np.nonzero(gates)
+    i, j = np.divmod(np.flatnonzero(gates), len(gates))
     if not len(i):
         return i, j, i
     return i, j, (first[i] if np.ndim(first) else first) + np.arange(len(i)) - np.searchsorted(i, i)
@@ -250,9 +292,21 @@ class Watcher:
         self._names = [(f"uav{i}", f"ugv{i}") for i in range(n_pairs)]
         self._uav_ids = np.array([f"uav{i}" for i in range(n_pairs)], dtype=object)
         self._ugv_ids = np.array([f"ugv{i}" for i in range(n_pairs)], dtype=object)
+        self._ids = [agent_id for names in self._names for agent_id in names]
+        self._setpoint_tracks = TrackTable([tracks[agent_id] for agent_id in self._ids])
+        # Proximal sets list their ids in lexicographic order (uav0, uav1,
+        # uav10, ..., ugv0, ...): row a of _prox_cells holds, per id in
+        # _prox_ids, the cell of the gates _aa, _ago, _gg (flattened) that
+        # puts agent a, in tick order, against it.
+        lex = sorted(range(n_pairs), key=str)
+        self._prox_ids = np.concatenate((self._uav_ids[lex], self._ugv_ids[lex]))
+        aa, ago, gg = np.arange(3 * n_pairs ** 2).reshape(3, n_pairs, n_pairs)
+        self._prox_cells = np.stack((np.hstack((aa, ago)), np.hstack((ago.T, gg))),
+                                    axis=1)[:, :, lex + [n_pairs + k for k in lex]].ravel()
+        self._prox_ends = np.arange(1, 2 * n_pairs + 1) * 2 * n_pairs  # each row's end
         self._touch_since: dict[int, float | None] = {i: None for i in range(n_pairs)}
         self.touchdown_times: dict[int, float] = {}
-        self._pending: list[Outbound] = []
+        self._pending: list[tuple[MsgType, str, object]] = []
         # This tick's fleet, indexed by pair: UAV positions, UGV poses
         # (x, y, theta), UGV offset points and platform centres.
         self._uav = np.zeros((n_pairs, 3))
@@ -297,7 +351,7 @@ class Watcher:
         if self.phases[pair] is PairPhase.LANDING:
             return True  # idempotent
         self.phases[pair] = PairPhase.LANDING
-        self._pending.append(Outbound(MsgType.LANDING_SIGNAL, self._names[pair][0], pair))
+        self._pending.append((MsgType.LANDING_SIGNAL, self._names[pair][0], pair))
         return True
 
     # -- geometry helpers ---------------------------------------------------
@@ -311,12 +365,19 @@ class Watcher:
 
     def proximal_set(self, agent_id: str) -> set[str]:
         """Other agents currently gated active against agent_id."""
-        pair = int(agent_id[3:])
-        if agent_id.startswith("uav"):
-            aerial, ground = self._aa[pair], self._ago[pair]
-        else:
-            aerial, ground = self._ago[:, pair], self._gg[pair]
-        return set(self._uav_ids[aerial].tolist()) | set(self._ugv_ids[ground].tolist())
+        return set(self._proximal_sets()[self._ids.index(agent_id)])
+
+    def _proximal_sets(self) -> list[tuple[str, ...]]:
+        """Every agent's proximal set as a sorted tuple, agents in tick order
+        (uav0, ugv0, uav1, ...), from one gate matrix: a row per agent and a
+        column per other agent, columns in lexicographic id order."""
+        if not (self._aa.any() or self._gg.any() or self._ago.any()):
+            return [()] * (2 * self.n_pairs)
+        gates = np.concatenate((self._aa, self._ago, self._gg), axis=None).take(self._prox_cells)
+        on = np.flatnonzero(gates)   # row-major: by agent, then by column
+        ids = self._prox_ids[on % len(self._prox_ids)].tolist()
+        ends = on.searchsorted(self._prox_ends).tolist()
+        return [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]
 
     def _hysteresis(self, active: np.ndarray, distance: np.ndarray,
                     radius: float, allowed: np.ndarray) -> np.ndarray:
@@ -367,7 +428,7 @@ class Watcher:
             if now - self._touch_since[i] >= self._touch_hold:
                 self.phases[i] = PairPhase.LANDED
                 self.touchdown_times[i] = now
-                self._pending.append(Outbound(MsgType.TOUCHDOWN_ACK, f"uav{i}", i))
+                self._pending.append((MsgType.TOUCHDOWN_ACK, f"uav{i}", i))
 
     # -- constraint assembly ------------------------------------------------
 
@@ -397,72 +458,85 @@ class Watcher:
             walls = build_workspace_rows(pos, self.params, is_uav)
             b[:, :len(walls)] = walls.b
         decks = self._ugv[:, :2]
-        # Each family's other agents, grouped by agent in ascending order.
-        cross_ids = self._scatter(uav, RowKind.UAV_OTHER_UGV, *_gated(self._ago, 5),
-                                  self._uav, decks, self._est_ugv_body, self._ugv_ids)
-        funnel_ids = self._scatter(uav, RowKind.LANDING, self._pairs, self._pairs, 5 + n_ago,
-                                   self._uav, decks, self._est_ugv_body, self._ugv_ids)
-        aerial_ids = self._scatter(uav, RowKind.UAV_UAV, *_gated(self._aa, 6 + n_ago),
-                                   self._uav, self._uav, self._est_uav, self._uav_ids)
-        ground_ids = self._scatter(ugv, RowKind.UGV_UGV, *_gated(self._gg, 4),
-                                   self._offsets, self._offsets, self._est_ugv_offset,
-                                   self._ugv_ids)
-        matrices = {}
-        (uav_a, uav_b), (ugv_a, ugv_b) = blocks
-        c0 = a0 = g0 = 0
-        for i, ((uav_id, ugv_id), c, r, g) in enumerate(zip(self._names, cross, aerial, ground)):
-            matrices[uav_id] = ConstraintMatrix(
-                uav_id, now, uav_a[i], uav_b[i],
-                _UAV_WALLS + [RowKind.UAV_OTHER_UGV] * c + [RowKind.LANDING]
-                + [RowKind.UAV_UAV] * r,
-                [None] * 5 + cross_ids[c0:c0 + c] + [funnel_ids[i]] + aerial_ids[a0:a0 + r])
-            matrices[ugv_id] = ConstraintMatrix(
-                ugv_id, now, ugv_a[i], ugv_b[i], _UGV_WALLS + [RowKind.UGV_UGV] * g,
-                [None] * 4 + ground_ids[g0:g0 + g])
-            c0, a0, g0 = c0 + c, a0 + r, g0 + g
-        return matrices
+        self._scatter(uav, RowKind.UAV_OTHER_UGV, *_gated(self._ago, 5),
+                      self._uav, decks, self._est_ugv_body)
+        self._scatter(uav, RowKind.LANDING, self._pairs, self._pairs, 5 + n_ago,
+                      self._uav, decks, self._est_ugv_body)
+        self._scatter(uav, RowKind.UAV_UAV, *_gated(self._aa, 6 + n_ago),
+                      self._uav, self._uav, self._est_uav)
+        self._scatter(ugv, RowKind.UGV_UGV, *_gated(self._gg, 4),
+                      self._offsets, self._offsets, self._est_ugv_offset)
+        # kinds and other_ids come from this tick's gates when first read.
+        layout = repeat(partial(self._row_layout, self._ago, self._aa, self._gg))
+        matrices = [None] * (2 * n)
+        for k, ((a, b), ids, counts) in enumerate(
+                ((uav, self._uav_ids, 6 + n_ago + n_aa), (ugv, self._ugv_ids, 4 + n_gg))):
+            matrices[k::2] = map(ConstraintMatrix, ids, repeat(now), a, b, repeat(None),
+                                 repeat(None), counts.tolist(), layout)
+        return dict(zip(self._ids, matrices))
+
+    def _row_layout(self, ago: np.ndarray, aa: np.ndarray, gg: np.ndarray,
+                    agent_id: str) -> tuple[list[RowKind], list[str | None]]:
+        """The kinds and other agents of agent_id's rows under the gates
+        ago, aa and gg, in assemble_constraints' order."""
+        pair = int(agent_id[3:])
+        if agent_id.startswith("ugv"):
+            ground = self._ugv_ids[gg[pair]].tolist()
+            return _UGV_WALLS + [RowKind.UGV_UGV] * len(ground), [None] * 4 + ground
+        cross, aerial = self._ugv_ids[ago[pair]].tolist(), self._uav_ids[aa[pair]].tolist()
+        return (_UAV_WALLS + [RowKind.UAV_OTHER_UGV] * len(cross) + [RowKind.LANDING]
+                + [RowKind.UAV_UAV] * len(aerial),
+                [None] * 5 + cross + [f"ugv{pair}"] + aerial)
 
     def _scatter(self, block, kind: RowKind, i: np.ndarray, j: np.ndarray, slot,
-                 own: np.ndarray, other: np.ndarray, estimator: VelocityEstimator,
-                 other_ids: np.ndarray) -> list[str]:
+                 own: np.ndarray, other: np.ndarray, estimator: VelocityEstimator) -> None:
         """Build one family's rows, agent i[k] against agent j[k], in one
-        call, and write row k to agent i[k]'s block at slot[k].  Returns
-        each row's other agent."""
+        call, and write row k to agent i[k]'s block at slot[k]."""
         if not len(i):
-            return []
+            return
         velocity, worst = estimator.estimate()
         row = build_constraint_row(kind, own[i], other[j], velocity[j], params=self.params,
                                    platform_height=self.platform_height, worst_case=worst)
         a, b = block
         a[i, slot], b[i, slot] = row.a, row.b
-        return other_ids[j].tolist()
 
     # -- setpoints ----------------------------------------------------------
 
-    def _setpoints(self, pair: int, now: float) -> tuple[tuple, tuple]:
-        """The (position, rate) setpoints of the pair's UAV and UGV."""
-        uav_id, ugv_id = self._names[pair]
-        ugv = self.tracks[ugv_id].sample(now)
-        if self.phases[pair] is PairPhase.TASK:
-            return self.tracks[uav_id].sample(now), ugv
-        # landing and landed: the UAV chases the moving platform's hover point
-        v, worst_case = self._est_ugv_body.estimate()
-        rate = np.zeros(3) if worst_case else np.array([v[pair, 0], v[pair, 1], 0.0])
-        return (self.hover_point(pair), rate), ugv
+    def _setpoints(self, now: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's setpoint position and rate, agents in tick order
+        (uav0, ugv0, uav1, ...), UGV rows zero-padded to three columns.  A
+        landing or landed pair's UAV chases its moving platform's hover
+        point instead of its track."""
+        positions, rates = self._setpoint_tracks.sample(now)
+        chasing = [i for i, phase in self.phases.items() if phase is not PairPhase.TASK]
+        if chasing:
+            rows = 2 * np.array(chasing)
+            positions[rows] = self._platforms[chasing]
+            positions[rows, 2] += self.params.hover_clearance
+            rates[rows] = 0.0
+            v, worst_case = self._est_ugv_body.estimate()
+            if not worst_case:
+                rates[rows, :2] = v[chasing]
+        return positions, rates
 
     # -- main tick ----------------------------------------------------------
 
-    def tick(self, now: float, uav, ugv) -> tuple[list[Outbound], list[WatcherRecord]]:
+    def tick(self, now: float, uav, ugv) -> tuple[list[tuple[MsgType, str, object]],
+                                                 list[WatcherRecord]]:
         """Run one coordination cycle on the fleet's (n, 3) UAV positions and
-        (n, 3) UGV poses (x, y, theta), indexed by pair; returns messages to
-        send and records."""
-        self._uav = np.array(uav, dtype=float).reshape(self.n_pairs, 3)
-        self._ugv = ugv = np.array(ugv, dtype=float).reshape(self.n_pairs, 3)
+        (n, 3) UGV poses (x, y, theta), indexed by pair; returns the
+        (msg_type, dst, payload) messages to send and the records.
+
+        Each agent gets its pose (a row of this tick's copy of the fleet),
+        its setpoint as (position, rate) and its matrix, in that order, and
+        agents come in tick order (uav0, ugv0, uav1, ...)."""
+        n = self.n_pairs
+        self._uav = np.array(uav, dtype=float).reshape(n, 3)
+        self._ugv = ugv = np.array(ugv, dtype=float).reshape(n, 3)
         if not (np.isfinite(self._uav).all() and np.isfinite(ugv).all()):
             raise InvalidInputError(f"fleet poses must be finite at t={now}")
         self._offsets = offset_points(ugv, self.ugv_offset)
-        self._platforms = np.column_stack(
-            (ugv[:, :2], np.full(self.n_pairs, self.platform_height)))
+        self._platforms = np.column_stack((ugv[:, :2], np.full(n, self.platform_height)))
         self._est_uav.push(now, self._uav)
         self._est_ugv_body.push(now, ugv[:, :2])
         self._est_ugv_offset.push(now, self._offsets)
@@ -470,33 +544,30 @@ class Watcher:
         self._check_touchdowns(now)
         self._update_gates()
 
-        outbound: list[Outbound] = list(self._pending)
-        self._pending = []
-        records: list[WatcherRecord] = []
-        matrices = self.assemble_constraints(now)
-        # An agent's proximal set is empty unless one of its gates is on: a
-        # UAV's cross-layer or aerial row, a UGV's ground row or another
-        # pair's UAV's cross-layer row against it (cross_in).
-        cross, aerial, ground = self._row_counts
-        cross_in = self._ago.sum(axis=0).tolist()
-        for i, pair_ids in enumerate(self._names):
-            phase = self.phases[i].value
-            # Row counts per kind in RowKind order, kinds without rows left out.
-            uav_counts = {k: c for k, c in (("uav_uav", aerial[i]), ("uav_other_ugv", cross[i]),
-                                            ("landing", 1), ("workspace", 5)) if c}
-            ugv_counts = {k: c for k, c in (("ugv_ugv", ground[i]), ("workspace", 4)) if c}
-            for agent_id, pose, setpoint, kind_counts, gated in zip(
-                    pair_ids, (self._uav[i], self._ugv[i]), self._setpoints(i, now),
-                    (uav_counts, ugv_counts), (cross[i] + aerial[i], ground[i] + cross_in[i])):
-                matrix = matrices[agent_id]
-                outbound += (Outbound(MsgType.POSE_UPDATE, agent_id, pose.copy()),
-                             Outbound(MsgType.SETPOINT_UPDATE, agent_id, setpoint),
-                             Outbound(MsgType.CONSTRAINT_UPDATE, agent_id, matrix))
-                records.append(WatcherRecord(
-                    time=now, agent_id=agent_id,
-                    active_count=matrix.active_count,
-                    kind_counts=kind_counts,
-                    phase=phase,
-                    proximal=tuple(sorted(self.proximal_set(agent_id))) if gated else (),
-                ))
+        matrices = list(self.assemble_constraints(now).values())
+        positions, rates = self._setpoints(now)
+        # Six updates per pair: the UAV's pose, setpoint and matrix, then
+        # the UGV's.
+        updates = [None] * (6 * n)
+        for k, (ids, poses, setpoints) in enumerate((
+                (self._uav_ids, self._uav, zip(positions[0::2], rates[0::2])),
+                (self._ugv_ids, ugv, zip(positions[1::2, :2], rates[1::2, :2])))):
+            updates[3 * k::6] = zip(repeat(MsgType.POSE_UPDATE), ids, poses)
+            updates[3 * k + 1::6] = zip(repeat(MsgType.SETPOINT_UPDATE), ids, setpoints)
+            updates[3 * k + 2::6] = zip(repeat(MsgType.CONSTRAINT_UPDATE), ids, matrices[k::2])
+        outbound, self._pending = self._pending + updates, []
+        # Row counts per kind in RowKind order, kinds without rows left out.
+        counts = []
+        for c, r, g in zip(*self._row_counts):
+            uav_counts = {"uav_uav": r, "uav_other_ugv": c, "landing": 1, "workspace": 5}
+            if not r:
+                del uav_counts["uav_uav"]
+            if not c:
+                del uav_counts["uav_other_ugv"]
+            counts += uav_counts, {"ugv_ugv": g, "workspace": 4} if g else {"workspace": 4}
+        phases = [self.phases[i].value for i in range(n)]
+        records = [WatcherRecord(now, agent_id, matrix.active_count, kind_counts, phase, proximal)
+                   for agent_id, matrix, kind_counts, phase, proximal
+                   in zip(self._ids, matrices, counts, [p for p in phases for _ in (0, 1)],
+                          self._proximal_sets())]
         return outbound, records

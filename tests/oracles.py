@@ -29,7 +29,14 @@
   gate matrices' row sums.
 * The star bus's per-message draws, one scalar Generator.uniform() call
   per drop or jitter draw, and its recursive wire sizes, from before each
-  link drew its uniforms in blocks.
+  link drew its uniforms in blocks; and its isinstance chain of payload
+  sizes, from before payloads were sized by exact type.
+* WaypointTrack.sample's walk over one track's legs in Python floats,
+  from before tracks were sampled as one TrackTable.
+* The watcher's per-agent fan-out: a copied pose, a setpoint sampled
+  from the agent's own track, a matrix and a record built per agent, its proximal set
+  sorted from proximal_set, from before the tick's updates, setpoints,
+  proximal sets and records were built from its arrays.
 * The unicycle's inverse offset map on one heading and one offset
   velocity, from before nid_inverse took a lane axis.
 
@@ -59,7 +66,7 @@ from airground.logfmt import fmt9
 from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
 from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpProblem,
                           QpSolution, QpStatus, _blocking_step, _project)
-from airground.watcher import ConstraintMatrix
+from airground.watcher import ConstraintMatrix, PairPhase, WatcherRecord
 
 _PROXIMITY_HYSTERESIS = 0.1
 
@@ -859,6 +866,74 @@ def payload_bytes(payload) -> int:
     return 16 + 64
 
 
+def field_bytes_by_isinstance(field) -> int:
+    """netsim._field_bytes as one isinstance chain, from before payloads
+    were sized by exact type: 8 bytes per scalar, strings as utf-8,
+    wire_bytes() where the object defines it, 64 otherwise."""
+    if isinstance(field, np.ndarray):
+        return field.size * 8
+    if field is None:
+        return 0
+    if isinstance(field, (int, float)):
+        return 8
+    if isinstance(field, str):
+        return len(field.encode())
+    if isinstance(field, (tuple, list)):
+        return sum(map(field_bytes_by_isinstance, field))
+    nbytes = getattr(field, "wire_bytes", None)
+    return nbytes() if callable(nbytes) else 64
+
+
+def payload_bytes_by_isinstance(payload) -> int:
+    """A 16B header plus field_bytes_by_isinstance of the payload."""
+    if isinstance(payload, tuple):
+        return 16 + sum(map(field_bytes_by_isinstance, payload))
+    return 16 + field_bytes_by_isinstance(payload)
+
+
+def waypoint_sample(track, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """WaypointTrack.sample walking one track's legs in Python floats, from
+    before tracks were sampled as a TrackTable: the setpoint position and
+    rate at time t."""
+    if not track._legs or track._total == 0.0:
+        w = track.waypoints[0]
+        return w.copy(), np.zeros_like(w)
+    s = math.fmod(track.speed * t, track._total)
+    for start, direction, length in track._legs:
+        if s <= length:
+            return start + s * direction, direction * track.speed
+        s -= length
+    start, direction, length = track._legs[-1]
+    return start + length * direction, direction * track.speed
+
+
+def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
+    """The 6N updates and the records of the watcher's current tick, one
+    agent at a time: a copied pose, the (position, rate) setpoint from the
+    agent's own track by waypoint_sample (a landing or landed pair's UAV chases
+    its platform's hover point instead), the per-row matrix, and a record
+    whose proximal set is tuple(sorted(proximal_set(agent))).  Row counts
+    come from the per-row matrix's kinds."""
+    updates, records = [], []
+    v_ugv, worst = w._est_ugv_body.estimate()
+    for i in range(w.n_pairs):
+        phase = w.phases[i]
+        for agent_id, pose in ((f"uav{i}", w._uav[i]), (f"ugv{i}", w._ugv[i])):
+            setpoint = waypoint_sample(w.tracks[agent_id], now)
+            if agent_id.startswith("uav") and phase is not PairPhase.TASK:
+                rate = np.zeros(3) if worst else np.array([v_ugv[i, 0], v_ugv[i, 1], 0.0])
+                setpoint = (w.hover_point(i), rate)
+            matrix = assemble_per_row(w, agent_id, now)
+            updates += [(MsgType.POSE_UPDATE, agent_id, pose.copy()),
+                        (MsgType.SETPOINT_UPDATE, agent_id, setpoint),
+                        (MsgType.CONSTRAINT_UPDATE, agent_id, matrix)]
+            records.append(WatcherRecord(
+                time=now, agent_id=agent_id, active_count=matrix.active_count,
+                kind_counts=per_agent_kind_counts(matrix.kinds), phase=phase.value,
+                proximal=tuple(sorted(w.proximal_set(agent_id)))))
+    return updates, records
+
+
 class ScalarDrawBus:
     """The star bus drawing each link's randomness one scalar call at a
     time: uniform() for a drop and uniform(-jitter, jitter) for a jitter."""
@@ -942,7 +1017,23 @@ def nid_inverse_scalar(theta: float, offset_velocity, offset: float,
 def project_reference(z: np.ndarray, A: np.ndarray, b: np.ndarray,
                       max_iter: int = 2000) -> tuple[np.ndarray | None, int]:
     """qp._project with its first step, on an empty working set, taken
-    through the blocking-step search and the multiplier update."""
+    through the blocking-step search and the multiplier update: a solve on
+    finite data that fails is repeated with at most n working rows and the
+    retry's dependence tolerance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _reference_active_set(z, A, b, max_iter, math.inf, _DEP_TOL)
+        except RuntimeError:
+            if not all(np.isfinite(x).all() for x in (z, A, b)):
+                raise
+            try:
+                return _reference_active_set(z, A, b, max_iter, len(z), qp._RETRY_DEP_TOL)
+            except RuntimeError:
+                pass
+            raise
+
+
+def _reference_active_set(z, A, b, max_iter: int, max_rows, dep_tol: float):
     m = A.shape[0]
     u = z.astype(float).copy()
     row_scale = np.maximum(1.0, np.abs(A).max(axis=1)) if m else np.ones(0)
@@ -975,7 +1066,7 @@ def project_reference(z: np.ndarray, A: np.ndarray, b: np.ndarray,
                 r = np.zeros(0)
                 w = a_p
             w_sq = float(w @ w)
-            if w_sq > _DEP_TOL * max(1.0, float(a_p @ a_p)):
+            if len(work) < max_rows and w_sq > dep_tol * max(1.0, float(a_p @ a_p)):
                 t_full = -(float(a_p @ u) + b_p) / w_sq
                 t_block, blocker = _blocking_step(lam, r)
                 if t_full <= t_block:

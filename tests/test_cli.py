@@ -9,7 +9,7 @@ import yaml
 
 from airground import cli
 from airground.cli import main
-from airground.watcher import WaypointTrack
+from airground.watcher import TrackTable
 
 from scenario_helpers import clustered_scenario, single_pair
 
@@ -160,13 +160,13 @@ class TestNanInTheFilter:
         """A NaN setpoint makes a unit's nominal input NaN: the batched scan
         passes it to the scalar projection, whose failure names the unit
         and ends the run in a safety abort with a state dump."""
-        sample = WaypointTrack.sample
+        sample = TrackTable.sample
 
-        def nan_after_one_second(track, t):
-            point = sample(track, t)
-            return np.full_like(point, np.nan) if t >= 1.0 else point
+        def nan_after_one_second(table, t):
+            points, rates = sample(table, t)
+            return (np.full_like(points, np.nan) if t >= 1.0 else points), rates
 
-        monkeypatch.setattr(WaypointTrack, "sample", nan_after_one_second)
+        monkeypatch.setattr(TrackTable, "sample", nan_after_one_second)
         out_dir = tmp_path / "out"
         path = write_config(tmp_path, single_pair(duration=3.0).raw)
         with np.errstate(invalid="ignore"):

@@ -307,6 +307,32 @@ class TestRejections:
     def test_zero_seed_accepted(self):
         assert config_from_dict(variant(seed=0)).seed == 0
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 2.7), ("seed", True), ("seed", False), ("capacity", 12.5),
+        ("capacity", True), ("pairs", 1.5), ("pairs", True), ("seed", 1e-300)])
+    def test_integer_keys_are_not_truncated(self, key, value):
+        """int() would run seed 2.7 as 2 and seed true as 1, while the
+        recorded config names the value as given."""
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(variant(**{key: value}))
+        found = [(x.code, x.message) for x in err.value.violations]
+        assert ("BAD_VALUE", f"{key} must be an integer, got {value!r}") in found
+        if key != "pairs":  # a rejected pair count also mismatches the agents
+            assert len(found) == 1
+
+    def test_integral_floats_accepted_as_integers(self):
+        cfg = config_from_dict(variant(seed=3.0, capacity=12.0, pairs=2.0))
+        assert (cfg.seed, cfg.capacity, cfg.n_pairs) == (3, 12, 2)
+        assert all(type(x) is int for x in (cfg.seed, cfg.capacity, cfg.n_pairs))
+
+    def test_fractional_event_pair_rejected(self):
+        data = variant()
+        data["events"] = [{"time": 1.0, "type": "landing", "pair": 0.5}]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert ("BAD_VALUE", "events[0].pair must be an integer, got 0.5") in [
+            (x.code, x.message) for x in err.value.violations]
+
     def test_malformed_nested_values_are_violations(self):
         data = variant(safety__uav_speed_limit="fast", network__drop="x")
         data["watcher"] = {"activation_margin": "wide"}

@@ -27,13 +27,16 @@ from airground.qp import (QpStatus, _project, filter_velocity, solve,
 from airground.runner import _integrate, run
 from airground.summary import (BLOCK_SAMPLES, Roster, TrajectoryWriter,
                                summarize_dir, tick_barriers)
-from airground.watcher import (ConstraintMatrix, PairPhase, VelocityEstimator,
-                               Watcher, WaypointTrack)
+from airground.netsim import _payload_bytes
+from airground.watcher import (ConstraintMatrix, PairPhase, TrackTable,
+                               VelocityEstimator, Watcher, WaypointTrack)
 
 from oracles import (AgentVelocityEstimator, DictGates, Sample,
                      ScalarControlUnit, UavState, UgvState, UncachedControlUnit,
                      VelQuality,
                      assemble_per_row, from_rows, integrate_per_agent,
+                     payload_bytes_by_isinstance, per_agent_fanout,
+                     waypoint_sample,
                      per_agent_kind_counts,
                      per_agent_trajectory_rows, project_reference,
                      scalar_tick_barriers, scalar_view,
@@ -290,7 +293,8 @@ def test_array_assembly_matches_per_row_oracle(case):
                     assert str(exc) == str(want)
                     return
             raise AssertionError(f"the oracle fits every agent: {exc}")
-        shipped = [ob.payload for ob in outbound if ob.msg_type is MsgType.CONSTRAINT_UPDATE]
+        shipped = [payload for msg_type, _, payload in outbound
+                   if msg_type is MsgType.CONSTRAINT_UPDATE]
         assert [m.agent_id for m in shipped] == ids
         for got in shipped:
             want = assemble_per_row(w, got.agent_id, now)
@@ -308,6 +312,130 @@ def test_array_assembly_matches_per_row_oracle(case):
             assert (list(rec.kind_counts.items())
                     == list(per_agent_kind_counts(matrix.kinds).items()))
             assert rec.proximal == tuple(sorted(w.proximal_set(rec.agent_id)))
+
+
+# Waypoints on a half-metre grid, -0.0 included: axis-aligned legs have
+# exact lengths, so times at leg ends put s exactly on a leg's length;
+# repeated waypoints give zero-length legs.
+GRID_POINT = st.integers(-4, 4).map(lambda k: 0.5 * k) | st.just(-0.0)
+
+
+@st.composite
+def tracks(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    waypoints = draw(st.lists(st.tuples(*[GRID_POINT] * dim), min_size=1, max_size=4))
+    speed = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 0.3]) | st.floats(0.0, 5.0))
+    return WaypointTrack([np.array(w) for w in waypoints], speed)
+
+
+@st.composite
+def track_times(draw, track_list):
+    """Finite times at leg ends and whole loops of the first moving track,
+    huge times, zero and ordinary ones: times the scalar walk accepts."""
+    legs = next((t._legs for t in track_list if t._legs), [])
+    ends = np.cumsum([0.0] + [leg[2] for leg in legs]).tolist()
+    speed = next((t.speed for t in track_list if t._legs), 1.0)
+    at_end = [e / speed + k * ends[-1] / speed for e in ends for k in (0, 1, 3)] if legs else []
+    at_end = [t for t in at_end if math.isfinite(t)]  # a subnormal speed puts them at inf
+    return draw(st.lists(st.sampled_from(at_end + [0.0, 1e6, 1e15, 1e300, 7.25])
+                         | st.floats(0.0, 100.0), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tracks(), min_size=1, max_size=5).flatmap(
+    lambda track_list: st.tuples(st.just(track_list), track_times(track_list))))
+def test_track_table_matches_waypoint_samples(case):
+    """Every row of one table sample is its track's scalar sample at t, bit
+    for bit, with -0.0 waypoints and zero rates kept, in the track's
+    dimensions; so is WaypointTrack.sample, a one-track table."""
+    track_list, times = case
+    table = TrackTable(track_list)
+    for t in times:
+        positions, rates = table.sample(t)
+        for k, track in enumerate(track_list):
+            want_position, want_rate = waypoint_sample(track, t)
+            dim = len(want_position)
+            assert positions[k, :dim].tobytes() == want_position.tobytes()
+            assert rates[k, :dim].tobytes() == want_rate.tobytes()
+            assert [x.tobytes() for x in track.sample(t)] == [want_position.tobytes(),
+                                                              want_rate.tobytes()]
+
+
+def test_track_table_keeps_signed_zeros_and_static_tracks():
+    track_list = [WaypointTrack([np.array([-0.0, 0.0, -0.0])]),
+                  WaypointTrack([np.array([-0.0, 1.0])], speed=2.0),
+                  WaypointTrack([np.array([1.0, 1.0]), np.array([1.0, 1.0])], speed=1.0),
+                  WaypointTrack([np.array([0.0, 0.0]), np.array([0.0, 0.0]),
+                                 np.array([2.0, 0.0])], speed=1.0)]
+    positions, rates = TrackTable(track_list).sample(2.0)
+    for k, track in enumerate(track_list):
+        want_position, want_rate = waypoint_sample(track, 2.0)
+        dim = len(want_position)
+        assert positions[k, :dim].tobytes() == want_position.tobytes()
+        assert rates[k, :dim].tobytes() == want_rate.tobytes()
+    assert np.signbit(positions[0, [0, 2]]).all() and not np.signbit(rates[0]).any()
+
+
+@st.composite
+def fanout_runs(draw):
+    """1-5 or 12 pairs on random tracks, packed so that some gates are on
+    (12 pairs put uav10 before uav2 in a proximal set), and 1-4 ticks of
+    small moves, each with random task, landing or landed phases and an
+    occasional landing signal.  The first tick's platform rates are worst
+    case."""
+    n = draw(st.integers(1, 5) | st.just(12))
+    track_dict = {}
+    for i in range(n):
+        for kind, dim in (("uav", 3), ("ugv", 2)):
+            track = draw(tracks())
+            waypoints = [np.resize(w, dim) for w in track.waypoints]
+            track_dict[f"{kind}{i}"] = WaypointTrack(waypoints, track.speed)
+    coord = st.floats(-1.4, 1.4)
+    base_uav = draw(arrays(float, (n, 3), elements=coord)) + [0.0, 0.0, 1.6]
+    base_ugv = draw(arrays(float, (n, 3), elements=coord))
+    ticks = []
+    for _ in range(draw(st.integers(1, 4))):
+        move = st.floats(-0.12, 0.12)
+        phases = draw(st.lists(st.sampled_from(list(PairPhase)), min_size=n, max_size=n))
+        signal = draw(st.none() | st.integers(0, n - 1))
+        ticks.append((base_uav + draw(arrays(float, (n, 3), elements=move)),
+                      base_ugv + draw(arrays(float, (n, 3), elements=move)), phases, signal))
+    return n, track_dict, ticks
+
+
+@settings(max_examples=60, deadline=None)
+@given(fanout_runs())
+def test_fanout_matches_per_agent_oracle(case):
+    """Each tick's updates (order, types, destinations and payload bits),
+    their wire sizes and its records equal the per-agent fan-out's."""
+    n, track_dict, ticks = case
+    w = Watcher(n, PARAMS, 2 * n + 4, track_dict)
+    for k, (uav, ugv, phases, signal) in enumerate(ticks):
+        now = 0.05 * k + 0.025
+        w.phases.update(enumerate(phases))
+        if signal is not None:
+            w.handle_landing_signal(signal, now)
+        outbound, records = w.tick(now, uav, ugv)
+        want_updates, want_records = per_agent_fanout(w, now)
+        pending = outbound[:len(outbound) - 6 * n]
+        assert all(msg_type in (MsgType.LANDING_SIGNAL, MsgType.TOUCHDOWN_ACK)
+                   for msg_type, _, _ in pending)
+        updates = outbound[len(pending):]
+        assert [update[:2] for update in updates] == [want[:2] for want in want_updates]
+        for (msg_type, _, got), (_, _, want) in zip(updates, want_updates):
+            assert _payload_bytes(got) == payload_bytes_by_isinstance(want)
+            if msg_type is MsgType.POSE_UPDATE:
+                assert got.tobytes() == want.tobytes()
+            elif msg_type is MsgType.SETPOINT_UPDATE:
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            else:
+                assert (got.a.tobytes(), got.b.tobytes()) == (want.a.tobytes(), want.b.tobytes())
+                assert (got.agent_id, got.timestamp, got.active_count) == (
+                    want.agent_id, want.timestamp, want.active_count)
+                assert (got.kinds, got.other_ids) == (want.kinds, want.other_ids)
+        assert records == want_records
+        assert ([list(r.kind_counts.items()) for r in records]
+                == [list(r.kind_counts.items()) for r in want_records])
 
 
 def test_qp_entry_points_match_stacked_oracle():

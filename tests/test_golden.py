@@ -16,7 +16,10 @@ barrier family; the lossy 100 Hz landing, whose units hold, resume and land
 between deliveries, before the runner ticked a control unit only when its
 output could change and wrote trajectory rows a block at a time; the
 drop-only and jitter-only crossings, one per branch of a link's draws,
-before the bus drew each link's uniforms in blocks.  The metrics.json
+before the bus drew each link's uniforms in blocks; the crossing whose
+jitter is as wide as its latency, where updates overtake each other and
+units keep the latest stamp, before the watcher's fan-out was built from
+its arrays and the bus sized payloads by type.  The metrics.json
 digests were recorded while run() still re-read its own logs through
 summarize_dir, before it built its metrics in the loop; every run also
 checks that summarize_dir, the independent re-check, agrees with them.  A
@@ -73,6 +76,29 @@ def drop_only_crossing():
 def jitter_only_crossing():
     """A link that jitters and never drops: only the jitter draws run."""
     return crossing_three_5s(network={"latency": 0.02, "jitter": 0.01, "drop": 0.0})
+
+
+def overtaking_crossing():
+    """Jitter as wide as the latency: later updates overtake earlier ones,
+    so units meet stale stamps (latest wins) and several updates of one
+    kind land at one instant."""
+    return crossing_three_5s(network={"latency": 0.06, "jitter": 0.06, "drop": 0.05})
+
+
+def overtaken_deliveries(trace_path: str) -> tuple[int, int]:
+    """Deliveries sent before one already delivered to the same (dst, type),
+    and extra deliveries of one (dst, type) at one instant."""
+    latest, older, per_instant = {}, 0, {}
+    with open(trace_path) as f:
+        for line in f:
+            if line.startswith("deliver "):
+                fields = dict(part.split("=", 1) for part in line.split()[1:])
+                key, sent = (fields["dst"], fields["type"]), float(fields["sent"])
+                older += sent < latest.get(key, -1.0)
+                latest[key] = max(latest.get(key, -1.0), sent)
+                instant = (fields["t"], *key)
+                per_instant[instant] = per_instant.get(instant, 0) + 1
+    return older, sum(1 for count in per_instant.values() if count > 1)
 
 
 # name -> (scenario, trajectory.csv, watcher.csv, trace.log or None: untraced)
@@ -143,6 +169,12 @@ GOLDEN = {
         "eedc88442c82cc89a425a4ffbc185c8322cad7b005c68dbed7eee6e1ff7f9677",
         "62d35accac4cc2de4637418e42bbb4ce6207445090b82c2566aebbcb6f2435dc",
     ),
+    "overtaking_crossing_5s": (
+        overtaking_crossing,
+        "89a6b79e6b0141c823b30fd90a34c99135d62535df0ba9e5b6957cbba594d8ca",
+        "e5c745eb38d34c405d2d727b4a8caa3c232ac2df8a14d5e4b9168e6c9bb3d60f",
+        "4f5837fd352e39070ac05e1bf1673a68f5f86fc2cb2ac1367c0475a6b2c5c1fc",
+    ),
 }
 
 
@@ -159,6 +191,7 @@ METRICS = {
     "lossy_landing_100hz": "9ea7092d6dfd02fc024ff185c1bff81125a95e0561dc1c212caa7ee35166e591",
     "noisy_crossing_5s": "bf41854bd4edec57a6352585fb5db65738c708a8dcaf35923a1c6e31b2ad974a",
     "noisy_grid_12pairs": "d3adeb78c97af475861cb46c312d4aa7d76a233e92a28ffb7c65e6e173a82d5e",
+    "overtaking_crossing_5s": "f6d79b99920d2c85330135e14dfeb0e90f128a51fdf7a16bdc7d54f12b65f6e1",
 }
 
 
@@ -199,6 +232,8 @@ def test_logs_match_recorded_digests(tmp_path, name):
         assert all(s.dropped > 0 for s in result.link_stats.values())
     if name == "jitter_only_crossing_5s":  # every message kept
         assert all(s.dropped == 0 for s in result.link_stats.values())
+    if name == "overtaking_crossing_5s":  # stale stamps and same-instant repeats
+        assert overtaken_deliveries(result.trace_path) == (293, 91)
     assert sha256(result.trajectory_path) == trajectory
     assert sha256(result.watcher_path) == watcher
     if trace is not None:

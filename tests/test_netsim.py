@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from airground.errors import InvalidInputError, TopologyViolationError
 from airground.netsim import _BLOCK, WATCHER_ID, LinkModel, MsgType, StarBus, _payload_bytes
 from airground.watcher import ConstraintMatrix
 
-from oracles import ScalarDrawBus, payload_bytes
+from oracles import ScalarDrawBus, payload_bytes, payload_bytes_by_isinstance
 
 
 AGENTS = ["uav0", "ugv0", "uav1", "ugv1"]
@@ -164,18 +166,26 @@ class TestLinkModel:
             make_bus(latency=latency, jitter=jitter)
 
 
+class _Sized:
+    def wire_bytes(self):
+        return 5
+
+
 # One payload of each shape the bus sizes: header only, scalars, a string,
-# arrays, nested sequences, an object with wire_bytes() and one without.
+# arrays, nested sequences, an object with wire_bytes() and one without, and
+# subclasses of sized types, which size as their base.
 PAYLOADS = [None, 7, True, 2.5, "landing", np.zeros(3), (np.zeros(3), np.ones(3)),
             [1, (2.0, "ab"), None], (0, 1),
             ConstraintMatrix("uav0", 0.0, np.zeros((8, 3)), np.zeros(8), [], []),
-            object()]
+            object(), np.float64(1.5), np.int64(3), namedtuple("Pair", "a b")(1, 2.0),
+            np.zeros((2, 2)).view(np.matrix), _Sized(), 1 + 2j]
 LINKS = [(WATCHER_ID, aid) for aid in AGENTS] + [(aid, WATCHER_ID) for aid in AGENTS]
 
 
 def test_wire_sizes_match_recursive_sizes():
     for payload in PAYLOADS:
         assert _payload_bytes(payload) == payload_bytes(payload)
+        assert _payload_bytes(payload) == payload_bytes_by_isinstance(payload)
 
 
 @settings(max_examples=40, deadline=None)

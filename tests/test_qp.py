@@ -85,6 +85,28 @@ class TestNanStep:
             project_with_box(z, A, b, 1e213)
 
 
+# Both ask u_x >= 0.4 and u_x <= -0.4 beside a row almost dependent on
+# others (its 1e-05 entry): in the first, a fourth working row in three
+# dimensions, in the second two nearly parallel working rows, once made the
+# multipliers grow until they overflowed, and the projection raised instead
+# of reporting the polytope empty.
+CYCLING = [
+    (np.array([[0.0, 0.0, 1.0], [0.11606857360296852, 1e-05, -2.0],
+               [1.0, 0.0, 0.0], [-1.0, -0.0, -0.0]]), np.array([0.0, -1.0, -0.4, -0.4])),
+    (np.array([[1.75, 0.0, 1.3218803e-05], [1.0, 0.0, 0.0], [-1.0, -0.0, -0.0]]),
+     np.array([-1.0, -0.4, -0.4])),
+]
+
+
+@pytest.mark.parametrize("A, b", CYCLING)
+def test_cycling_working_set_reported_empty(A, b):
+    u, _ = project_with_box(np.zeros(3), A, b, 1.0)
+    assert u is None
+    sol = filter_velocity(QpProblem(np.zeros(3), [row(a, bi) for a, bi in zip(A, b)], 1.0))
+    assert sol.status is QpStatus.RELAXED
+    assert np.all(np.isfinite(sol.u_star)) and np.all(np.abs(sol.u_star) <= 1.0)
+
+
 def test_box_rows_cached_per_dimension_and_limit():
     """The cached box rows and offsets follow (dimension, limit): two scalar
     limits alternating in one dimension, another dimension and a per-axis

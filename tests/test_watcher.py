@@ -274,10 +274,10 @@ class TestLandingProtocol:
         assert w.handle_landing_signal(0, 1.0)
         assert w.phases[0] is PairPhase.LANDING
         outbound, _ = w.tick(1.05, *poses)
-        signals = [ob for ob in outbound if ob.msg_type is MsgType.LANDING_SIGNAL]
-        assert [ob.dst for ob in signals] == ["uav0"]
-        setpoints = {ob.dst: ob.payload for ob in outbound
-                     if ob.msg_type is MsgType.SETPOINT_UPDATE}
+        signals = [dst for msg_type, dst, _ in outbound if msg_type is MsgType.LANDING_SIGNAL]
+        assert signals == ["uav0"]
+        setpoints = {dst: payload for msg_type, dst, payload in outbound
+                     if msg_type is MsgType.SETPOINT_UPDATE}
         hover = w.hover_point(0)
         assert np.allclose(setpoints["uav0"][0], hover)
 
@@ -286,7 +286,7 @@ class TestLandingProtocol:
         assert w.handle_landing_signal(0, 1.0)
         assert w.handle_landing_signal(0, 1.2)
         outbound, _ = w.tick(1.25, *poses)
-        signals = [ob for ob in outbound if ob.msg_type is MsgType.LANDING_SIGNAL]
+        signals = [ob for ob in outbound if ob[0] is MsgType.LANDING_SIGNAL]
         assert len(signals) == 1
 
     def test_unknown_pair_rejected(self):
@@ -347,8 +347,8 @@ class TestLandingProtocol:
         w.tick(0.8, hover, ugv)
         assert w.phases[0] is PairPhase.LANDED
         outbound, _ = w.tick(0.85, hover, ugv)
-        acks = [ob for ob in outbound if ob.msg_type is MsgType.TOUCHDOWN_ACK]
-        assert [ob.dst for ob in acks] <= ["uav0"]
+        acks = [dst for msg_type, dst, _ in outbound if msg_type is MsgType.TOUCHDOWN_ACK]
+        assert acks <= ["uav0"]
 
         after_self = w.assemble_constraints(0.9)["uav0"]
         after_other = w.assemble_constraints(0.9)["uav1"]
@@ -370,8 +370,8 @@ class TestDispatch:
         w = make_watcher(2)
         outbound, _ = w.tick(0.0, *spread_poses(2))
         per_dst = {}
-        for ob in outbound:
-            per_dst.setdefault(ob.dst, []).append(ob.msg_type)
+        for msg_type, dst, _ in outbound:
+            per_dst.setdefault(dst, []).append(msg_type)
         assert set(per_dst) == {"uav0", "ugv0", "uav1", "ugv1"}
         for types in per_dst.values():
             assert types == [MsgType.POSE_UPDATE, MsgType.SETPOINT_UPDATE,
