@@ -90,7 +90,7 @@ def _object_bytes(field) -> int:
 # sequences field by field, wire_bytes() where an object defines it, 64
 # otherwise.
 WIRE_SIZES = {np.ndarray: lambda field: field.size * 8, type(None): lambda field: 0,
-              int: lambda field: 8, float: lambda field: 8, bool: lambda field: 8,
+              int: lambda field: 8, float: lambda field: 8,
               str: lambda field: len(field.encode()),
               tuple: lambda field: sum(map(_field_bytes, field)),
               list: lambda field: sum(map(_field_bytes, field)), object: _object_bytes}

@@ -199,7 +199,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 bus.send(msg_type, WATCHER_ID, dst, payload, t)
             watcher_records += records
             t_str = fmt9(t)
-            for rec in records:  # then the rows of each family
+            for rec in records:  # row counts per family, in column order
                 k = rec.kind_counts
                 watcher_lines.append(
                     f"{t_str},{rec.agent_id},{rec.phase},{rec.active_count},"

@@ -354,13 +354,6 @@ class Watcher:
         self._pending.append((MsgType.LANDING_SIGNAL, self._names[pair][0], pair))
         return True
 
-    # -- geometry helpers ---------------------------------------------------
-
-    def hover_point(self, pair: int) -> np.ndarray:
-        p = self._platforms[pair].copy()
-        p[2] += self.params.hover_clearance
-        return p
-
     # -- proximity gating ---------------------------------------------------
 
     def proximal_set(self, agent_id: str) -> set[str]:

@@ -34,7 +34,8 @@
 * WaypointTrack.sample's walk over one track's legs in Python floats,
   from before tracks were sampled as one TrackTable.
 * The watcher's per-agent fan-out: a copied pose, a setpoint sampled
-  from the agent's own track, a matrix and a record built per agent, its proximal set
+  from the agent's own track (or its pair's hover point, hover_point), a
+  matrix and a record built per agent, its proximal set
   sorted from proximal_set, from before the tick's updates, setpoints,
   proximal sets and records were built from its arrays.
 * The unicycle's inverse offset map on one heading and one offset
@@ -907,6 +908,14 @@ def waypoint_sample(track, t: float) -> tuple[np.ndarray, np.ndarray]:
     return start + length * direction, direction * track.speed
 
 
+def hover_point(w, pair: int) -> np.ndarray:
+    """The watcher's per-pair hover point: the pair's platform centre raised
+    by the hover clearance."""
+    p = w._platforms[pair].copy()
+    p[2] += w.params.hover_clearance
+    return p
+
+
 def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
     """The 6N updates and the records of the watcher's current tick, one
     agent at a time: a copied pose, the (position, rate) setpoint from the
@@ -922,7 +931,7 @@ def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
             setpoint = waypoint_sample(w.tracks[agent_id], now)
             if agent_id.startswith("uav") and phase is not PairPhase.TASK:
                 rate = np.zeros(3) if worst else np.array([v_ugv[i, 0], v_ugv[i, 1], 0.0])
-                setpoint = (w.hover_point(i), rate)
+                setpoint = (hover_point(w, i), rate)
             matrix = assemble_per_row(w, agent_id, now)
             updates += [(MsgType.POSE_UPDATE, agent_id, pose.copy()),
                         (MsgType.SETPOINT_UPDATE, agent_id, setpoint),

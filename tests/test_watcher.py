@@ -11,6 +11,8 @@ from airground.netsim import MsgType
 from airground.watcher import (PairPhase, VelocityEstimator, Watcher,
                                WaypointTrack)
 
+from oracles import hover_point
+
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
     funnel_sharpness=1.0, funnel_height=0.5, hover_clearance=0.2,
@@ -278,7 +280,7 @@ class TestLandingProtocol:
         assert signals == ["uav0"]
         setpoints = {dst: payload for msg_type, dst, payload in outbound
                      if msg_type is MsgType.SETPOINT_UPDATE}
-        hover = w.hover_point(0)
+        hover = hover_point(w, 0)
         assert np.allclose(setpoints["uav0"][0], hover)
 
     def test_duplicate_signal_idempotent(self):
