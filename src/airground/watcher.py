@@ -201,14 +201,14 @@ class TrackTable:
     def __init__(self, tracks: list[WaypointTrack]):
         legs = [track._legs or [(track.waypoints[0], 0.0, math.inf)] for track in tracks]
         width = max(map(len, legs)) + 1
-        self._starts, self._directions = np.zeros((2, len(tracks) * width,
-                                                   max(len(leg[0][0]) for leg in legs)))
+        # Per row: the leg's start, then its direction.
+        self._legs = np.zeros((len(tracks) * width, 2, max(len(leg[0][0]) for leg in legs)))
         self._lengths = np.full((len(tracks), width), np.nan)
         for k, track_legs in enumerate(legs):
             for j, (start, direction, length) in zip([*range(len(track_legs)), width - 1],
                                                      track_legs + track_legs[-1:]):
-                self._starts[k * width + j, :len(start)] = start
-                self._directions[k * width + j, :len(start)] = direction
+                row = self._legs[k * width + j, :, :len(start)]
+                row[0], row[1] = start, direction
                 self._lengths[k, j] = length
         # Per track: walk speed, loop length and rate speed.
         self._speed, self._total, self._rate = np.array(
@@ -223,9 +223,8 @@ class TrackTable:
         for k in range(1, s.shape[1] - 1):
             np.subtract(s[:, k - 1], self._lengths[:, k - 1], out=s[:, k])
         rows = (s <= self._lengths).argmax(axis=1) + self._blocks  # NaN is never <=
-        directions = self._directions.take(rows, axis=0)
-        return (self._starts.take(rows, axis=0) + s.take(rows)[:, None] * directions,
-                directions * self._rate)
+        legs = self._legs.take(rows, axis=0)
+        return legs[:, 0] + s.take(rows)[:, None] * legs[:, 1], legs[:, 1] * self._rate
 
 
 @dataclass(slots=True)
@@ -244,7 +243,7 @@ def _gated(gates: np.ndarray, first) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """The (i, j) entries of gates that are on, row-major so that i is
     sorted, and the slot of each: first (or first[i]) plus its rank among
     agent i's entries."""
-    i, j = np.divmod(np.flatnonzero(gates), len(gates))
+    i, j = np.nonzero(gates)
     if not len(i):
         return i, j, i
     return i, j, (first[i] if np.ndim(first) else first) + np.arange(len(i)) - np.searchsorted(i, i)
@@ -364,7 +363,7 @@ class Watcher:
         """Every agent's proximal set as a sorted tuple, agents in tick order
         (uav0, ugv0, uav1, ...), from one gate matrix: a row per agent and a
         column per other agent, columns in lexicographic id order."""
-        if not (self._aa.any() or self._gg.any() or self._ago.any()):
+        if not any(map(any, self._row_counts)):  # no gate is on
             return [()] * (2 * self.n_pairs)
         gates = np.concatenate((self._aa, self._ago, self._gg), axis=None).take(self._prox_cells)
         on = np.flatnonzero(gates)   # row-major: by agent, then by column
