@@ -6,9 +6,10 @@ minima, statuses and times, then the watcher records and link counters.
 summarize_dir, behind `airground summarize`, is the independent re-check:
 it parses the logs back, recomputes every barrier value from the logged
 states (never trusted from the controller), requires each line's min_h to
-agree within 1e-9 -- else the log was tampered with or the physics
-diverged -- and feeds the same fold.  Both paths see the rounded states the
-producer committed to disk.
+equal the recomputed value or lie within 1e-9 of it -- else the log was
+tampered with or the physics diverged; a NaN never agrees -- and feeds the
+same fold.  Both paths see the rounded states the producer committed to
+disk.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .barriers import (eval_landing, eval_workspace, offset_points,
                        pairwise_sq_distances)
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
-from .logfmt import fmt9_all
+from .logfmt import fmt9_round_trip
 
 TRAJECTORY_FILE = "trajectory.csv"
 WATCHER_FILE = "watcher.csv"
@@ -172,10 +173,10 @@ class TrajectoryWriter:
 
     A tick holds every roster agent's raw logged (x, y, z, theta), applied
     input (ux, uy, uz) and status.  Ticks are formatted a block of at most
-    BLOCK_SAMPLES agent samples at a time: one pass formats every number at
-    9 significant digits, the rounded states are parsed back -- the values
-    a reader of the file sees -- and the min_h column is evaluated from
-    them."""
+    BLOCK_SAMPLES agent samples at a time: fmt9_round_trip formats each
+    distinct number of the block once at 9 significant digits and parses
+    the rounded states back -- the values a reader of the file sees -- and
+    the min_h column is evaluated from them and formatted the same way."""
 
     def __init__(self, roster: Roster):
         m = len(roster.ids)
@@ -204,18 +205,15 @@ class TrajectoryWriter:
         ticks, m = len(self._times), len(self.roster.ids)
         if not ticks:
             return
-        text = fmt9_all(self._numbers[:ticks].ravel().tolist())
-        samples = ticks * m
-        x, y, z, theta = (np.fromiter(map(float, text[k::7]), float, samples
-                                      ).reshape(ticks, m) for k in range(4))
+        text, rounded = fmt9_round_trip(self._numbers[:ticks])
         statuses = self._statuses
-        landed = np.fromiter(map("landed".__eq__, statuses), bool, samples)
-        h = fmt9_all(min_h(self._times, statuses, x, y, z, theta,
-                           landed.reshape(ticks, m)).ravel().tolist())
+        landed = np.fromiter(map("landed".__eq__, statuses), bool, ticks * m)
+        h, _ = fmt9_round_trip(min_h(self._times, statuses, *rounded.transpose(2, 0, 1)[:4],
+                                     landed.reshape(ticks, m)))
         times = [t for t in self._times for _ in range(m)]
         self._chunks.append("\n".join(map(",".join, zip(
-            times, self._prefixes * ticks, *(text[k::7] for k in range(7)),
-            statuses, h))) + "\n")
+            times, self._prefixes * ticks, *text.reshape(-1, 7).T.tolist(),
+            statuses, h.ravel().tolist()))) + "\n")
         self._times, self._statuses = [], []
 
     def write(self, path: str) -> None:
@@ -377,20 +375,20 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
             return
         linenos, times, _, _, *states, statuses, logged = zip(*block)
         ids, kinds = layout
-        width, m = len(ids), len(roster.ids)
+        width = len(ids)
         states.append([status == "landed" for status in statuses])
         per_agent, family, dist = tick_barriers(cfg, roster, *(
             np.array(v).reshape(-1, width)[:, last] for v in states))
         # The column was written at 9 significant digits; push the
         # recomputed values through the same format before comparing.
-        rounded = list(map(float, fmt9_all(per_agent.ravel().tolist())))
-        for k, (lineno, h) in enumerate(zip(linenos, logged)):
-            expected = rounded[k // width * m + columns[k % width]]
-            if check and not (math.isinf(expected) and math.isinf(h)):
-                if abs(expected - h) > 1e-9:
-                    raise LogIntegrityError(
-                        f"{traj_path}:{lineno}: logged min_h {h!r} "
-                        f"disagrees with recomputed {expected!r}")
+        expected, h = fmt9_round_trip(per_agent)[1][:, columns].ravel(), np.array(logged)
+        with np.errstate(invalid="ignore"):   # inf - inf
+            agree = (expected == h) | (np.abs(expected - h) <= 1e-9)
+        if check and not agree.all():
+            k = int(agree.argmin())   # the first line that disagrees
+            raise LogIntegrityError(
+                f"{traj_path}:{linenos[k]}: logged min_h {logged[k]!r} "
+                f"disagrees with recomputed {float(expected[k])!r}")
         fold.barriers(family, dist)
         fold.ticks(times[::width], ids, kinds, statuses)
         block = []

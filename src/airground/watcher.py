@@ -17,6 +17,11 @@ The watcher is the only component that sees every agent.  Each tick it:
    sampled from one TrackTable and the records' proximal sets read off one
    gate matrix with lexicographic columns.
 
+Gates flip far less often than the fleet moves: what follows from them alone
+(row slots and counts, the capacity verdict, kind counts, proximal sets and
+row layouts) is rebuilt only when their contents change, in _gate_tables;
+the A/b blocks, poses and setpoints are built fresh every tick.
+
 Landing orchestration: a landing signal flips the pair to the `landing`
 phase, which switches the UAV's setpoint stream from its task track to the
 moving platform.  Touchdown is declared after the UAV holds within tight
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,7 +235,8 @@ class TrackTable:
 
 @dataclass(slots=True)
 class WatcherRecord:
-    """One per-tick, per-agent decision snapshot for the run log."""
+    """One per-tick, per-agent decision snapshot for the run log (records
+    made under the same gates share one kind_counts dict)."""
 
     time: float
     agent_id: str
@@ -249,9 +256,40 @@ def _gated(gates: np.ndarray, first) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return i, j, (first[i] if np.ndim(first) else first) + np.arange(len(i)) - np.searchsorted(i, i)
 
 
+class _GateTables(NamedTuple):
+    """What Watcher._gate_tables derives from the gates alone; lists run in tick order."""
+
+    key: bytes                          # the gates _aa, _ago, _gg, flattened
+    overflow: str | None                # CapacityError's message, if any agent overflows
+    active: list[int]                   # active row counts
+    # For _scatter: _gated of _ago, _aa and _gg, and each pair's landing slot.
+    cross: tuple
+    aerial: tuple
+    ground: tuple
+    landing: np.ndarray
+    layout: partial                     # ConstraintMatrix's layout callable
+    kind_counts: list[dict[str, int]]   # rows per kind, in RowKind order
+    proximal: list[tuple[str, ...]]     # sorted proximal sets
+
+
 # The wall rows that open every UAV and every UGV matrix.
 _UAV_WALLS = [RowKind.WORKSPACE] * 5
 _UGV_WALLS = [RowKind.WORKSPACE] * 4
+
+
+def _row_layout(uav_ids: np.ndarray, ugv_ids: np.ndarray, ago: np.ndarray, aa: np.ndarray,
+                gg: np.ndarray, agent_id: str) -> tuple[list[RowKind], list[str | None]]:
+    """The kinds and other agents of agent_id's rows under the gates ago, aa
+    and gg, in Watcher.assemble_constraints' order.  Not a method: the
+    watcher keeps its layout, which must not keep the watcher alive."""
+    pair = int(agent_id[3:])
+    if agent_id.startswith("ugv"):
+        ground = ugv_ids[gg[pair]].tolist()
+        return _UGV_WALLS + [RowKind.UGV_UGV] * len(ground), [None] * 4 + ground
+    cross, aerial = ugv_ids[ago[pair]].tolist(), uav_ids[aa[pair]].tolist()
+    return (_UAV_WALLS + [RowKind.UAV_OTHER_UGV] * len(cross) + [RowKind.LANDING]
+            + [RowKind.UAV_UAV] * len(aerial),
+            [None] * 5 + cross + [f"ugv{pair}"] + aerial)
 
 
 class Watcher:
@@ -328,9 +366,7 @@ class Watcher:
             template = np.zeros((n_pairs, capacity, dim))
             template[:, :len(walls)] = walls
             self._templates.append(template)
-        # Gated row counts per pair from the last assembly: cross-layer,
-        # aerial and ground rows.
-        self._row_counts: tuple[list[int], list[int], list[int]] = ([], [], [])
+        self._tables: _GateTables | None = None
         self._est_uav = VelocityEstimator(n_pairs, 3, opts.smoothing)
         self._est_ugv_body = VelocityEstimator(n_pairs, 2, opts.smoothing)
         self._est_ugv_offset = VelocityEstimator(n_pairs, 2, opts.smoothing)
@@ -357,19 +393,41 @@ class Watcher:
 
     def proximal_set(self, agent_id: str) -> set[str]:
         """Other agents currently gated active against agent_id."""
-        return set(self._proximal_sets()[self._ids.index(agent_id)])
+        return set(self._gate_tables().proximal[self._ids.index(agent_id)])
 
-    def _proximal_sets(self) -> list[tuple[str, ...]]:
-        """Every agent's proximal set as a sorted tuple, agents in tick order
-        (uav0, ugv0, uav1, ...), from one gate matrix: a row per agent and a
-        column per other agent, columns in lexicographic id order."""
-        if not any(map(any, self._row_counts)):  # no gate is on
-            return [()] * (2 * self.n_pairs)
-        gates = np.concatenate((self._aa, self._ago, self._gg), axis=None).take(self._prox_cells)
-        on = np.flatnonzero(gates)   # row-major: by agent, then by column
-        ids = self._prox_ids[on % len(self._prox_ids)].tolist()
-        ends = on.searchsorted(self._prox_ends).tolist()
-        return [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]
+    def _gate_tables(self) -> _GateTables:
+        """The tables derived from the current gates, rebuilt only when their
+        contents differ from the last build's.  Rows follow
+        assemble_constraints' order.  Proximal sets are read off one gate
+        matrix: a row per agent and a column per other agent, columns in
+        lexicographic id order."""
+        gates = np.concatenate((self._aa, self._ago, self._gg), axis=None)
+        key = gates.tobytes()
+        if self._tables is not None and self._tables.key == key:
+            return self._tables
+        n, cap = self.n_pairs, self.capacity
+        aa, ago, gg = gates.reshape(3, n, n)   # a copy: later ticks cannot move it
+        n_ago, n_aa, n_gg = ago.sum(axis=1), aa.sum(axis=1), gg.sum(axis=1)
+        active = [r for pair in zip((6 + n_ago + n_aa).tolist(), (4 + n_gg).tolist()) for r in pair]
+        overflow = next((f"{agent_id}: {rows} active rows exceed capacity {cap}"
+                         for agent_id, rows in zip(self._ids, active) if rows > cap), None)
+        kind_counts = []
+        for c, r, g in zip(n_ago.tolist(), n_aa.tolist(), n_gg.tolist()):
+            uav_counts = {"uav_uav": r, "uav_other_ugv": c, "landing": 1, "workspace": 5}
+            ugv_counts = {"ugv_ugv": g, "workspace": 4}
+            kind_counts += ({k: v for k, v in uav_counts.items() if v},
+                            {k: v for k, v in ugv_counts.items() if v})
+        proximal = [()] * (2 * n)
+        if gates.any():
+            on = np.flatnonzero(gates.take(self._prox_cells))  # by agent, then by column
+            ids = self._prox_ids[on % len(self._prox_ids)].tolist()
+            ends = on.searchsorted(self._prox_ends).tolist()
+            proximal = [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]
+        self._tables = _GateTables(
+            key, overflow, active, _gated(ago, 5), _gated(aa, 6 + n_ago), _gated(gg, 4),
+            5 + n_ago, partial(_row_layout, self._uav_ids, self._ugv_ids, ago, aa, gg),
+            kind_counts, proximal)
+        return self._tables
 
     def _hysteresis(self, active: np.ndarray, distance: np.ndarray,
                     radius: float, allowed: np.ndarray) -> np.ndarray:
@@ -434,51 +492,31 @@ class Watcher:
         ascending order.  Each matrix is a view into one fresh, zero-padded
         block per vehicle kind, copied from that kind's wall template and
         never reused: agents and in-flight messages still hold earlier
-        ones."""
+        ones.  Which rows go where comes from _gate_tables."""
         n, cap = self.n_pairs, self.capacity
-        n_ago, n_aa, n_gg = (g.sum(axis=1) for g in (self._ago, self._aa, self._gg))
-        self._row_counts = cross, aerial, ground = n_ago.tolist(), n_aa.tolist(), n_gg.tolist()
-        if max(cross) + max(aerial) + 6 > cap or max(ground) + 4 > cap:
-            for names, c, r, g in zip(self._names, cross, aerial, ground):
-                for agent_id, rows in zip(names, (6 + c + r, 4 + g)):
-                    if rows > cap:
-                        raise CapacityError(
-                            f"{agent_id}: {rows} active rows exceed capacity {cap}")
+        tables = self._gate_tables()
+        if tables.overflow:
+            raise CapacityError(tables.overflow)
         # Per vehicle kind: A and b, with the wall rows in place.
         uav, ugv = blocks = [(template.copy(), np.zeros((n, cap))) for template in self._templates]
         for (a, b), pos, is_uav in ((uav, self._uav, True), (ugv, self._offsets, False)):
             walls = build_workspace_rows(pos, self.params, is_uav)
             b[:, :len(walls)] = walls.b
         decks = self._ugv[:, :2]
-        self._scatter(uav, RowKind.UAV_OTHER_UGV, *_gated(self._ago, 5),
+        self._scatter(uav, RowKind.UAV_OTHER_UGV, *tables.cross,
                       self._uav, decks, self._est_ugv_body)
-        self._scatter(uav, RowKind.LANDING, self._pairs, self._pairs, 5 + n_ago,
+        self._scatter(uav, RowKind.LANDING, self._pairs, self._pairs, tables.landing,
                       self._uav, decks, self._est_ugv_body)
-        self._scatter(uav, RowKind.UAV_UAV, *_gated(self._aa, 6 + n_ago),
+        self._scatter(uav, RowKind.UAV_UAV, *tables.aerial,
                       self._uav, self._uav, self._est_uav)
-        self._scatter(ugv, RowKind.UGV_UGV, *_gated(self._gg, 4),
+        self._scatter(ugv, RowKind.UGV_UGV, *tables.ground,
                       self._offsets, self._offsets, self._est_ugv_offset)
         # kinds and other_ids come from this tick's gates when first read.
-        layout = repeat(partial(self._row_layout, self._ago, self._aa, self._gg))
         matrices = [None] * (2 * n)
-        for k, ((a, b), ids, counts) in enumerate(
-                ((uav, self._uav_ids, 6 + n_ago + n_aa), (ugv, self._ugv_ids, 4 + n_gg))):
+        for k, ((a, b), ids) in enumerate(((uav, self._uav_ids), (ugv, self._ugv_ids))):
             matrices[k::2] = map(ConstraintMatrix, ids, repeat(now), a, b, repeat(None),
-                                 repeat(None), counts.tolist(), layout)
+                                 repeat(None), tables.active[k::2], repeat(tables.layout))
         return dict(zip(self._ids, matrices))
-
-    def _row_layout(self, ago: np.ndarray, aa: np.ndarray, gg: np.ndarray,
-                    agent_id: str) -> tuple[list[RowKind], list[str | None]]:
-        """The kinds and other agents of agent_id's rows under the gates
-        ago, aa and gg, in assemble_constraints' order."""
-        pair = int(agent_id[3:])
-        if agent_id.startswith("ugv"):
-            ground = self._ugv_ids[gg[pair]].tolist()
-            return _UGV_WALLS + [RowKind.UGV_UGV] * len(ground), [None] * 4 + ground
-        cross, aerial = self._ugv_ids[ago[pair]].tolist(), self._uav_ids[aa[pair]].tolist()
-        return (_UAV_WALLS + [RowKind.UAV_OTHER_UGV] * len(cross) + [RowKind.LANDING]
-                + [RowKind.UAV_UAV] * len(aerial),
-                [None] * 5 + cross + [f"ugv{pair}"] + aerial)
 
     def _scatter(self, block, kind: RowKind, i: np.ndarray, j: np.ndarray, slot,
                  own: np.ndarray, other: np.ndarray, estimator: VelocityEstimator) -> None:
@@ -548,18 +586,9 @@ class Watcher:
             updates[3 * k + 1::6] = zip(repeat(MsgType.SETPOINT_UPDATE), ids, setpoints)
             updates[3 * k + 2::6] = zip(repeat(MsgType.CONSTRAINT_UPDATE), ids, matrices[k::2])
         outbound, self._pending = self._pending + updates, []
-        # Row counts per kind in RowKind order, kinds without rows left out.
-        counts = []
-        for c, r, g in zip(*self._row_counts):
-            uav_counts = {"uav_uav": r, "uav_other_ugv": c, "landing": 1, "workspace": 5}
-            if not r:
-                del uav_counts["uav_uav"]
-            if not c:
-                del uav_counts["uav_other_ugv"]
-            counts += uav_counts, {"ugv_ugv": g, "workspace": 4} if g else {"workspace": 4}
+        tables = self._tables   # as assemble_constraints just used them
         phases = [self.phases[i].value for i in range(n)]
-        records = [WatcherRecord(now, agent_id, matrix.active_count, kind_counts, phase, proximal)
-                   for agent_id, matrix, kind_counts, phase, proximal
-                   in zip(self._ids, matrices, counts, [p for p in phases for _ in (0, 1)],
-                          self._proximal_sets())]
+        records = list(map(WatcherRecord, repeat(now), self._ids, tables.active,
+                           tables.kind_counts, [p for p in phases for _ in (0, 1)],
+                           tables.proximal))
         return outbound, records

@@ -274,6 +274,22 @@ class TestSummarize:
             f.write("\n".join(lines) + "\n")
         assert main(["summarize", out_dir]) == 1
 
+    def test_summarize_nan_min_h_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
+        out_dir = str(tmp_path / "out")
+        assert main(["run", cfg, "--out-dir", out_dir]) == 0
+        traj = os.path.join(out_dir, "trajectory.csv")
+        with open(traj) as f:
+            lines = f.read().splitlines()
+        parts = lines[20].split(",")
+        parts[11] = "nan"
+        lines[20] = ",".join(parts)
+        with open(traj, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["summarize", out_dir]) == 1
+        assert "trajectory.csv:21: logged min_h nan" in capsys.readouterr().err
+
     def test_summarize_missing_dir_fails(self):
         assert main(["summarize", "/nonexistent/run"]) == 1
 

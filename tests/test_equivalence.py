@@ -3,16 +3,19 @@ assembly, velocity estimation and the fleet's kinematic steps, the QP entry
 points over project_with_box and the projection's direct first step, the
 control units of a kind held as arrays and filtered as one batch, the
 reuse of a filtered command, the schedule that ticks only the units whose
-output can change, and the block trajectory writer, against the code they
-replaced (tests/oracles.py): equal results, bit for bit."""
+output can change, the watcher's gate tables reused across ticks, and the
+block trajectory writer with its distinct-value formatting, against the
+code they replaced (tests/oracles.py, or fmt9 per value): equal results,
+bit for bit."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from airground import qp
 from airground.agents import (UAV, UGV, AgentControlUnit, Command, Gains,
@@ -20,7 +23,7 @@ from airground.agents import (UAV, UGV, AgentControlUnit, Command, Gains,
 from airground.barriers import (Bounds, ConstraintRow, RowKind, SafetyParams,
                                 offset_points)
 from airground.errors import CapacityError
-from airground.logfmt import fmt9
+from airground.logfmt import fmt9, fmt9_round_trip
 from airground.netsim import MsgType
 from airground.qp import (QpStatus, _project, filter_velocity, solve,
                           solve_relaxed)
@@ -403,11 +406,34 @@ def fanout_runs(draw):
     return n, track_dict, ticks
 
 
+def assert_fanout_matches_oracle(w, now, outbound, records):
+    """A tick's updates (order, types, destinations and payload bits), their
+    wire sizes and its records equal the per-agent fan-out's."""
+    want_updates, want_records = per_agent_fanout(w, now)
+    pending = outbound[:len(outbound) - 6 * w.n_pairs]
+    assert all(msg_type in (MsgType.LANDING_SIGNAL, MsgType.TOUCHDOWN_ACK)
+               for msg_type, _, _ in pending)
+    updates = outbound[len(pending):]
+    assert [update[:2] for update in updates] == [want[:2] for want in want_updates]
+    for (msg_type, _, got), (_, _, want) in zip(updates, want_updates):
+        assert _payload_bytes(got) == payload_bytes_by_isinstance(want)
+        if msg_type is MsgType.POSE_UPDATE:
+            assert got.tobytes() == want.tobytes()
+        elif msg_type is MsgType.SETPOINT_UPDATE:
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        else:
+            assert (got.a.tobytes(), got.b.tobytes()) == (want.a.tobytes(), want.b.tobytes())
+            assert (got.agent_id, got.timestamp, got.active_count) == (
+                want.agent_id, want.timestamp, want.active_count)
+            assert (got.kinds, got.other_ids) == (want.kinds, want.other_ids)
+    assert records == want_records
+    assert ([list(r.kind_counts.items()) for r in records]
+            == [list(r.kind_counts.items()) for r in want_records])
+
+
 @settings(max_examples=60, deadline=None)
 @given(fanout_runs())
 def test_fanout_matches_per_agent_oracle(case):
-    """Each tick's updates (order, types, destinations and payload bits),
-    their wire sizes and its records equal the per-agent fan-out's."""
     n, track_dict, ticks = case
     w = Watcher(n, PARAMS, 2 * n + 4, track_dict)
     for k, (uav, ugv, phases, signal) in enumerate(ticks):
@@ -416,26 +442,57 @@ def test_fanout_matches_per_agent_oracle(case):
         if signal is not None:
             w.handle_landing_signal(signal, now)
         outbound, records = w.tick(now, uav, ugv)
-        want_updates, want_records = per_agent_fanout(w, now)
-        pending = outbound[:len(outbound) - 6 * n]
-        assert all(msg_type in (MsgType.LANDING_SIGNAL, MsgType.TOUCHDOWN_ACK)
-                   for msg_type, _, _ in pending)
-        updates = outbound[len(pending):]
-        assert [update[:2] for update in updates] == [want[:2] for want in want_updates]
-        for (msg_type, _, got), (_, _, want) in zip(updates, want_updates):
-            assert _payload_bytes(got) == payload_bytes_by_isinstance(want)
-            if msg_type is MsgType.POSE_UPDATE:
-                assert got.tobytes() == want.tobytes()
-            elif msg_type is MsgType.SETPOINT_UPDATE:
-                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-            else:
-                assert (got.a.tobytes(), got.b.tobytes()) == (want.a.tobytes(), want.b.tobytes())
-                assert (got.agent_id, got.timestamp, got.active_count) == (
-                    want.agent_id, want.timestamp, want.active_count)
-                assert (got.kinds, got.other_ids) == (want.kinds, want.other_ids)
-        assert records == want_records
-        assert ([list(r.kind_counts.items()) for r in records]
-                == [list(r.kind_counts.items()) for r in want_records])
+        assert_fanout_matches_oracle(w, now, outbound, records)
+
+
+def test_gate_tables_rebuilt_only_when_a_gate_flips():
+    """uav1 crosses uav0's hysteresis band, a ground gate and then a
+    cross-layer gate flip alone, pair 0 lands, then pair 2 moves in until
+    uav1 overflows its capacity.  Every tick matches the per-agent fan-out;
+    the gate tables are rebuilt exactly on the ticks whose gates flipped;
+    and the first overflowing tick raises the per-row oracle's
+    CapacityError after a tick that reused its tables, as does the next."""
+    w = Watcher(3, PARAMS, 8, static_tracks(3), touchdown_hold=0.09)
+    on_at = PARAMS.uav_separation + w.activation_margin  # off again beyond on_at + 0.1
+    ugv = np.array([[0.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, -5.0, 0.0]])
+    far, hover, near = [0.0, -5.0, 1.6], [0.0, 0.0, 0.2], [0.3, 0.0, 0.9]
+    # (uav0, uav1, ugv1's y, whether this tick's gates differ from the last's)
+    ticks = [([0.0, 0.0, 1.6], [on_at + 0.9, 0.0, 1.6], 5.0, True),
+             ([0.0, 0.0, 1.6], [on_at + 0.05, 0.0, 1.6], 5.0, False),
+             ([0.0, 0.0, 1.6], [on_at - 0.05, 0.0, 1.6], 5.0, True),
+             ([0.0, 0.0, 1.6], [on_at + 0.05, 0.0, 1.6], 5.0, False),
+             ([0.0, 0.0, 1.6], [on_at + 0.09, 0.0, 1.6], 5.0, False),
+             ([0.0, 0.0, 1.6], [on_at + 0.15, 0.0, 1.6], 5.0, True),
+             ([0.0, 0.0, 1.6], [on_at + 0.05, 0.0, 1.6], 5.0, False),
+             ([0.0, 0.0, 1.6], [on_at + 0.05, 0.0, 1.6], 1.5, True),   # ugv0-ugv1 only
+             ([0.0, 0.0, 1.6], [0.9, 0.0, 0.9], 1.5, True),            # uav1-ugv0 only
+             (hover, near, 1.5, True),   # landing signal; touchdown clock starts
+             (hover, near, 1.5, False),
+             (hover, near, 1.5, True),   # touchdown: uav0's aerial rows retire
+             (hover, near, 1.5, False)]
+    for k, (uav0, uav1, ugv1_y, flips) in enumerate(ticks):
+        now = 0.05 * k
+        if k == 9:
+            w.handle_landing_signal(0, now)
+        ugv[1, 1] = ugv1_y
+        before = w._tables
+        outbound, records = w.tick(now, np.array([uav0, uav1, far]), ugv)
+        assert (w._tables is not before) == flips, k
+        assert_fanout_matches_oracle(w, now, outbound, records)
+    assert w.phases[0] is PairPhase.LANDED
+    # Pair 2 joins uav1: two more rows overflow it, on this tick and the next.
+    uav = np.array([hover, near, [0.3, 0.4, 0.9]])
+    ugv[2] = [0.6, 0.5, 0.0]
+    for k in (len(ticks), len(ticks) + 1):
+        before = w._tables
+        with pytest.raises(CapacityError) as exc:
+            w.tick(0.05 * k, uav, ugv)
+        assert (w._tables is not before) == (k == len(ticks))
+        with pytest.raises(CapacityError) as want:
+            for i in range(3):
+                for aid in (f"uav{i}", f"ugv{i}"):
+                    assemble_per_row(w, aid, 0.05 * k)
+        assert str(exc.value) == str(want.value) == "uav1: 9 active rows exceed capacity 8"
 
 
 def test_qp_entry_points_match_stacked_oracle():
@@ -788,6 +845,41 @@ def random_log_values(rng, shape) -> np.ndarray:
     pick = rng.uniform(size=shape) < 0.3
     values[pick] = rng.choice(special, int(pick.sum()))
     return values
+
+
+# fmt9's edge cases as bit patterns: signed zeros, infinities, NaNs of both
+# signs with default, signalling and other payloads, subnormals, 1e300.
+LOG_EDGE_BITS = np.array(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, 1.0 / 3.0]
+).view(np.uint64).tolist() + [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                               0xFFF4000000000123, 0x7FFFFFFFFFFFFFFF]
+
+
+@st.composite
+def log_arrays(draw):
+    """Arrays of 1-3 dimensions filled from a pool of at most six bit
+    patterns, edge cases and arbitrary floats, so values repeat heavily."""
+    pool = draw(st.lists(st.sampled_from(LOG_EDGE_BITS)
+                         | st.floats(width=64).map(lambda v: np.float64(v).view(np.uint64)),
+                         min_size=1, max_size=6))
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=9))
+    index = draw(arrays(np.intp, shape, elements=st.integers(0, len(pool) - 1)))
+    return np.array(pool, dtype=np.uint64).view(float)[index]
+
+
+@example(np.array(LOG_EDGE_BITS * 3, dtype=np.uint64).view(float).reshape(5, 9))
+@settings(max_examples=300, deadline=None)
+@given(log_arrays())
+def test_fmt9_round_trip_matches_fmt9_per_value(values):
+    """Each string is fmt9 of its value and each parsed value has the bits
+    of float(fmt9(value)), in the input's shape."""
+    text, parsed = fmt9_round_trip(values)
+    assert text.shape == parsed.shape == values.shape
+    assert parsed.dtype == float
+    want = [fmt9(v) for v in values.ravel().tolist()]
+    assert text.ravel().tolist() == want
+    assert (parsed.ravel().view(np.uint64).tolist()
+            == np.array(list(map(float, want)), dtype=float).view(np.uint64).tolist())
 
 
 def test_trajectory_writer_matches_per_agent_rows(tmp_path):

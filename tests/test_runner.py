@@ -276,6 +276,24 @@ class TestSummarize:
         with pytest.raises(LogIntegrityError):
             summarize_dir(str(tmp_path))
 
+    @pytest.mark.parametrize("kind, logged", [(None, "nan"), ("rover", "-inf")])
+    def test_non_finite_min_h_disagrees(self, tmp_path, kind, logged):
+        """A logged min_h must equal the recomputed one or lie within 1e-9
+        of it: NaN never does, nor does -inf where an agent without barrier
+        terms (its kind is neither uav nor ugv) recomputes to +inf."""
+        result = run(single_pair(duration=1.0), str(tmp_path))
+        with open(result.trajectory_path) as f:
+            lines = f.read().splitlines()
+        fields = lines[20].split(",")
+        fields[2] = kind or fields[2]
+        fields[11] = logged
+        lines[20] = ",".join(fields)
+        with open(result.trajectory_path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(LogIntegrityError) as err:
+            summarize_dir(str(tmp_path))
+        assert f":21: logged min_h {float(logged)!r}" in str(err.value)
+
     def test_first_bad_line_mid_block_is_reported(self, tmp_path):
         """Lines are evaluated a block of ticks at a time but checked in
         file order: the earliest bad line is reported, ahead of a later
