@@ -14,6 +14,12 @@ turns the unicycle into a single integrator:
     inverse map:   v  =  cos th * xo_dot + sin th * yo_dot
                    om = (-sin th * xo_dot + cos th * yo_dot) / offset
 
+A UGV unit holds the filtered offset-point velocity; the vehicle's inner
+loop (step_ugv) applies the inverse map at its current heading on every
+integration step, so the offset point keeps the filtered velocity while
+the heading turns between solves.  Heading is proprioceptive there
+(odometry or IMU); positions reach a unit only from the watcher.
+
 Wheel speeds follow from v = (R1 + R2)/2, om = (R1 - R2)/(2L).
 """
 
@@ -75,26 +81,34 @@ def nid_forward(theta: float, v: float, omega: float, offset: float) -> np.ndarr
     return np.array([v * c - offset * omega * s, v * s + offset * omega * c])
 
 
+def _twist(c: float, s: float, x: float, y: float, offset: float,
+           turn_rate_limit: float | None) -> tuple[float, float]:
+    """The body twist (v, omega) of offset-point velocity (x, y) at a
+    heading with cosine c and sine s.  An implied turn rate above
+    turn_rate_limit scales the whole offset velocity down uniformly,
+    keeping its direction."""
+    v = c * x + s * y
+    omega = (-s * x + c * y) / offset
+    if turn_rate_limit is not None and abs(omega) > turn_rate_limit:
+        v *= turn_rate_limit / abs(omega)
+        omega = math.copysign(turn_rate_limit, omega)
+    return v, omega
+
+
 def nid_inverse(theta, offset_velocity, offset: float,
                 turn_rate_limit: float | None = None):
     """Convert an offset-point velocity to a body twist (v, omega) at
-    heading theta (inverse of nid_forward).
-
-    An implied turn rate above turn_rate_limit scales the whole offset
-    velocity down uniformly, keeping its direction.  L stacked headings and
-    (L, 2) velocities give (L,) arrays v and omega, each lane bit-identical
-    to its scalar call (which returns floats); cos and sin go through libm.
-    """
+    heading theta (inverse of nid_forward), clamped as _twist does.  L
+    stacked headings and (L, 2) velocities give (L,) arrays v and omega,
+    each lane its scalar call (which returns floats); cos and sin go
+    through libm."""
     ov = np.asarray(offset_velocity, dtype=float)
-    x, y = ov.reshape(-1, 2).T
-    c, s = np.array([(math.cos(a), math.sin(a)) for a in np.ravel(theta).tolist()]).T
-    v = c * x + s * y
-    omega = (-s * x + c * y) / offset
-    over = () if turn_rate_limit is None else (np.abs(omega) > turn_rate_limit).nonzero()[0]
-    if len(over):
-        v[over] *= turn_rate_limit / np.abs(omega[over])
-        omega[over] = np.copysign(turn_rate_limit, omega[over])
-    return (v, omega) if ov.ndim > 1 else (float(v[0]), float(omega[0]))
+    twists = [_twist(math.cos(a), math.sin(a), x, y, offset, turn_rate_limit)
+              for a, (x, y) in zip(np.ravel(theta).tolist(), ov.reshape(-1, 2).tolist())]
+    if ov.ndim == 1:
+        return twists[0]
+    v, omega = np.array(twists).reshape(-1, 2).T
+    return v, omega
 
 
 def wheel_speeds(v: float, omega: float, wheel_base: float) -> tuple[float, float]:
@@ -115,22 +129,28 @@ def step_uav(positions, velocities, dt: float) -> np.ndarray:
     return np.asarray(positions, dtype=float) + dt * np.asarray(velocities, dtype=float)
 
 
-def step_ugv(poses, v, omega, dt: float) -> np.ndarray:
-    """Explicit-Euler unicycle update of (n, 3) UGV poses (x, y, theta) under
-    (n,) body twists; the vehicles stay on the ground plane.
+def step_ugv(poses, offset_velocity, offset: float, turn_rate_limit: float,
+             dt: float) -> np.ndarray:
+    """Explicit-Euler unicycle update of (n, 3) UGV poses (x, y, theta) that
+    hold (n, 2) offset-point velocities; the vehicles stay on the ground
+    plane.
 
-    Each vehicle takes the scalar update x + dt*v*cos(theta), with cos and
-    sin from libm, and its new heading is wrapped into (-pi, pi] twice: the
-    pinned logs were recorded with both wraps, and one wrap is not proven to
-    give the same bits."""
+    This is each vehicle's inner loop: its heading is its own measurement,
+    so the held velocity is mapped to a body twist at the current heading
+    on every step (_twist, with the turn-rate clamp).  cos and sin come
+    from libm once per vehicle and serve both the map and the update
+    x + dt*v*cos(theta); the new heading is wrapped into (-pi, pi] twice:
+    the pinned logs were recorded with both wraps, and one wrap is not
+    proven to give the same bits."""
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
-    twists = zip(np.asarray(poses, dtype=float).tolist(),
-                 np.asarray(v, dtype=float).tolist(),
-                 np.asarray(omega, dtype=float).tolist())
-    return np.array([(x + dt * vk * math.cos(theta), y + dt * vk * math.sin(theta),
-                      wrap_angle(wrap_angle(theta + dt * wk)))
-                     for (x, y, theta), vk, wk in twists]).reshape(-1, 3)
+    out = []
+    for (x, y, theta), (ox, oy) in zip(np.asarray(poses, dtype=float).tolist(),
+                                       np.asarray(offset_velocity, dtype=float).tolist()):
+        c, s = math.cos(theta), math.sin(theta)
+        v, omega = _twist(c, s, ox, oy, offset, turn_rate_limit)
+        out.append((x + dt * v * c, y + dt * v * s, wrap_angle(wrap_angle(theta + dt * omega))))
+    return np.array(out).reshape(-1, 3)
 
 
 @dataclass
@@ -138,8 +158,6 @@ class Command:
     """Actuation output of one control tick."""
 
     u: np.ndarray                      # filter-space velocity (3 UAV / 2 UGV)
-    v: float = 0.0                     # UGV body twist
-    omega: float = 0.0
     hold: bool = False
 
 
@@ -223,7 +241,9 @@ class KindControl:
     tick(now) runs the due units: a landed unit emits zero; a unit whose
     data is missing or older than hold_timeout holds at zero; every other
     unit emits its solution, and those without one are filtered together
-    (_filter).  u, v, omega and status are what each unit last emitted."""
+    (_filter).  u and status are what each unit last emitted: a UGV's u is
+    its offset-point velocity, which step_ugv maps through the vehicle's
+    current heading."""
 
     def __init__(self, ids, kind: str, gains: Gains, params: SafetyParams,
                  hold_timeout: float = 0.25, offset: float = 0.1):
@@ -241,9 +261,8 @@ class KindControl:
         self.setpoint, self.rate = np.zeros((n, dim)), np.zeros((n, dim))
         self.matrices: list = [None] * n
         self.landed, self.solved = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.solution, self.command = np.zeros((2, n, dim + 2))  # rows: u, v, omega
-        cmd = self.command
-        self.u, self.v, self.omega = cmd[:, :dim], cmd[:, dim], cmd[:, -1]
+        self.solution, self.command = np.zeros((2, n, dim))
+        self.u = self.command
         self.sol_status, self.status = np.full(n, "optimal", object), np.full(n, "hold", object)
         self.sol_iters, self.sol_violation = np.zeros(n, dtype=int), np.zeros(n)
 
@@ -284,8 +303,7 @@ class KindControl:
 
     def _filter(self, lanes: np.ndarray) -> None:
         """Solve the units `lanes` (an index array) from their slots as
-        arrays: nominal inputs, qp.project_lanes and, for a UGV, one
-        nid_inverse call.  Only lanes its scan rejects take per-lane Python
+        arrays: nominal inputs and qp.project_lanes.  Only lanes its scan rejects take per-lane Python
         (project_with_box, and the slack relaxation where a polytope is
         empty).  A UGV's control point is taken at its heading wrapped into
         (-pi, pi]: the watcher ships noisy poses."""
@@ -319,10 +337,7 @@ class KindControl:
                 raise FilterError(self.ids[k], exc) from exc
             u_nom[lane] = u  # drawn already: u_nom now holds the lane's solution
             self.sol_status[k], self.sol_iters[k], self.sol_violation[k] = info
-        self.solution[lanes, :self.dim] = u_nom
-        if self.kind == UGV:
-            self.solution[lanes, -2], self.solution[lanes, -1] = nid_inverse(
-                pose[:, 2], u_nom, self.offset, self.params.turn_rate_limit)
+        self.solution[lanes] = u_nom
         self.solved[lanes] = True
 
 
@@ -351,6 +366,5 @@ class AgentControlUnit:
         status, u = lane.status[0], lane.u[0].copy()
         held = status in ("hold", "landed")
         info = (0, 0.0) if held else (lane.sol_iters.item(0), lane.sol_violation.item(0))
-        return (Command(u=u, v=float(lane.v[0]), omega=float(lane.omega[0]),
-                        hold=status == "hold"),
+        return (Command(u=u, hold=status == "hold"),
                 TickTelemetry(now, self.agent_id, status, status == "hold", u, *info))

@@ -3,7 +3,9 @@
 Within one time instant the order is fixed: operator events, then network
 deliveries, then the watcher tick (followed by a second delivery drain so
 zero-latency traffic lands in the same instant), then the control ticks,
-then kinematic integration.  The control units of a vehicle kind are one
+then kinematic integration, in which each UGV maps its unit's held
+offset-point velocity through its current heading (agents.step_ugv).  The
+control units of a vehicle kind are one
 agents.KindControl, written by the message router from a per-agent table
 of unit index, received mask and slot handlers; a control tick runs
 only the units whose output can change, filtering those without a cached
@@ -47,17 +49,18 @@ class RunResult:
     relaxed_events: int = 0
 
 
-def _integrate(uav, ugv, velocity, u, v, omega, landed: np.ndarray,
+def _integrate(uav, ugv, velocity, u, ugv_u, landed: np.ndarray,
                cfg: ScenarioConfig):
     """One dt of kinematics for the whole fleet.
 
-    UGV poses (x, y, theta) move under their body twists v, omega.  A UAV
+    UGV poses (x, y, theta) move under their held offset-point velocities
+    ugv_u, mapped through each vehicle's current heading (step_ugv).  A UAV
     flies its tracked velocity: a first-order lag toward its command u when
     uav_velocity_lag > 0, else the command itself.  The landed UAVs (the
     (n,) mask landed) ride their platforms at hover clearance above the
     deck, with zero tracked velocity.  Returns the new UAV positions, UGV
     poses and tracked velocities."""
-    ugv = step_ugv(ugv, v, omega, cfg.dt)
+    ugv = step_ugv(ugv, ugv_u, cfg.ugv_offset, cfg.safety.turn_rate_limit, cfg.dt)
     if cfg.uav_velocity_lag > 0.0:
         alpha = cfg.dt / cfg.uav_velocity_lag
         velocity = velocity + alpha * (u - velocity)
@@ -84,7 +87,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     uav_velocity = np.zeros((n, 3))
 
     # The control units of each kind, indexed by pair; their latest
-    # commands (uavs.u, ugvs.v, ugvs.omega) drive the integration.
+    # commands (uavs.u, ugvs.u) drive the integration.
     tracks: dict[str, WaypointTrack] = {}
     for i in range(n):
         tracks[f"uav{i}"] = WaypointTrack(cfg.uavs[i].waypoints, cfg.uavs[i].speed)
@@ -225,8 +228,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 writer.flush(min_h)
 
         if step < total:
-            uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, uavs.u, ugvs.v,
-                                                ugvs.omega, uavs.landed, cfg)
+            uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, uavs.u, ugvs.u,
+                                                uavs.landed, cfg)
 
     writer.flush(min_h)
     trajectory_path = os.path.join(out_dir, TRAJECTORY_FILE)

@@ -9,7 +9,7 @@
   before the watcher kept one estimator per family.
 * The per-unit control unit, one object per agent with its slot objects,
   its UgvState view and nid_offset control point, nominal controller,
-  projection and twist, from before a vehicle kind's
+  and projection, from before a vehicle kind's
   units were held as arrays and filtered as one batch; the control unit
   that solved its safety filter on every control tick, from before it
   reused the solution until an input slot was replaced; and its per-slot
@@ -21,7 +21,9 @@
   before the rows were formatted a block at a time.
 * The per-vehicle kinematic steps on state objects, and the simulator's
   per-agent integration loop over them, from before the fleet was stepped
-  as arrays.
+  as arrays; a UGV holding an offset-point velocity steps as the scalar
+  inverse offset map at its current heading followed by the Euler step
+  (step_ugv_held).
 * The watcher's per-row constraint assembly: one scalar barrier row object
   per gated pair, copied into each agent's matrix, from before every
   family's rows were built in one array pass per tick; and its per-agent
@@ -436,7 +438,7 @@ class _Slot:
 
 class ScalarControlUnit:
     """One agent's control unit as an object: slots, a cached solution,
-    and the nominal controller, projection and twist of that one unit."""
+    and the nominal controller and projection of that one unit."""
 
     def __init__(self, agent_id: str, kind: str, gains: Gains,
                  params: SafetyParams, hold_timeout: float = 0.25,
@@ -454,7 +456,7 @@ class ScalarControlUnit:
         self._pose = _Slot()
         self._setpoint = _Slot()
         self._matrix = _Slot()
-        self._solved: tuple | None = None   # (u, v, omega, status, iters, violation)
+        self._solved: tuple | None = None   # (u, status, iters, violation)
 
     @property
     def speed_limit(self) -> float:
@@ -503,9 +505,9 @@ class ScalarControlUnit:
 
         if self._solved is None:
             self._solved = self._solve()
-        u, v, omega, status, iterations, violation = self._solved
+        u, status, iterations, violation = self._solved
         u = u.copy()  # callers get their own array; the cached one stays intact
-        return (Command(u=u, v=v, omega=omega),
+        return (Command(u=u),
                 TickTelemetry(now, self.agent_id, status, False, u,
                               iterations, violation))
 
@@ -532,11 +534,7 @@ class ScalarControlUnit:
             u, iterations = sol.u_star, sol.iterations
             violation = sol.max_violation
             status = sol.status.value
-        if self.kind == UAV:
-            return u, 0.0, 0.0, status, iterations, violation
-        v, omega = nid_inverse_scalar(ugv_view.theta, u, ugv_view.offset,
-                                      turn_rate_limit=self.params.turn_rate_limit)
-        return u, v, omega, status, iterations, violation
+        return u, status, iterations, violation
 
 
 class UncachedControlUnit(ScalarControlUnit):
@@ -572,11 +570,9 @@ class UncachedControlUnit(ScalarControlUnit):
         matrix = self._matrix.value
         if self.kind == UAV:
             current = pose
-            ugv_view = None
         else:
-            ugv_view = UgvState(pose[0], pose[1], pose[2], offset=self.offset,
-                                wheel_base=self.wheel_base)
-            current = nid_offset(ugv_view)
+            current = nid_offset(UgvState(pose[0], pose[1], pose[2], offset=self.offset,
+                                          wheel_base=self.wheel_base))
         u_nom = nominal_velocity(current, setpoint, rate, self.gains, self.speed_limit)
         n_active = matrix.active_count
         u, iterations = qp.project_with_box(
@@ -589,13 +585,8 @@ class UncachedControlUnit(ScalarControlUnit):
             u, iterations = sol.u_star, sol.iterations
             violation = sol.max_violation
             status = sol.status.value
-        telemetry = TickTelemetry(now, self.agent_id, status, False, u,
-                                  iterations, violation)
-        if self.kind == UAV:
-            return Command(u=u), telemetry
-        v, omega = nid_inverse_scalar(ugv_view.theta, u, ugv_view.offset,
-                                      turn_rate_limit=self.params.turn_rate_limit)
-        return Command(u=u, v=v, omega=omega), telemetry
+        return Command(u=u), TickTelemetry(now, self.agent_id, status, False, u,
+                                           iterations, violation)
 
 
 def per_slot_stale(now: float, stamps, hold_timeout: float) -> bool:
@@ -655,18 +646,29 @@ def step_ugv(state: UgvState, v: float, omega: float, dt: float) -> UgvState:
     )
 
 
+def step_ugv_held(state: UgvState, offset_velocity, turn_rate_limit: float,
+                  dt: float) -> UgvState:
+    """One dt of a UGV holding an offset-point velocity: the body twist at
+    its current heading (nid_inverse_scalar), then the Euler step."""
+    v, omega = nid_inverse_scalar(state.theta, offset_velocity, state.offset,
+                                  turn_rate_limit)
+    return step_ugv(state, v, omega, dt)
+
+
 def integrate_per_agent(uav_states: dict[str, UavState],
                         ugv_states: dict[str, UgvState],
                         uav_velocity: dict[str, np.ndarray],
                         commands: dict[str, Command], landed: dict[str, bool],
-                        dt: float, lag: float, deck_z: float) -> None:
-    """One dt of the simulator's per-agent integration, in place: every UGV,
-    then every UAV (riding its platform at deck_z once landed)."""
+                        dt: float, lag: float, deck_z: float,
+                        turn_rate_limit: float) -> None:
+    """One dt of the simulator's per-agent integration, in place: every UGV
+    under its held offset-point velocity, then every UAV (riding its
+    platform at deck_z once landed)."""
     n = len(uav_states)
     for i in range(n):
         gid = f"ugv{i}"
-        cmd = commands[gid]
-        ugv_states[gid] = step_ugv(ugv_states[gid], cmd.v, cmd.omega, dt)
+        ugv_states[gid] = step_ugv_held(ugv_states[gid], commands[gid].u,
+                                        turn_rate_limit, dt)
     for i in range(n):
         uid = f"uav{i}"
         if landed[uid]:

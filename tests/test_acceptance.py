@@ -89,7 +89,7 @@ def test_c02_star_topology_law(tmp_path):
                                      "drop": 0.02})
     result = run(cfg, str(tmp_path), trace=True)
     metrics = summarize_dir(str(tmp_path))
-    check_metrics(str(tmp_path), result, "887fbad7b8989d3ef8045b015ad53d571ed67c4916153f2e0b7e1c3a40f9c67c")
+    check_metrics(str(tmp_path), result, "ec80d0177be1164c9401fa71879a800e3f5948296d32b1c4d76c291cff46d41d")
     n_agents = 2 * cfg.n_pairs
     ok = (metrics.active_links == n_agents
           and metrics.agent_to_agent_messages == 0)
@@ -321,7 +321,7 @@ def test_c10_determinism(tmp_path):
                                 network={"latency": 0.03, "jitter": 0.01,
                                          "drop": 0.05})
         result = run(cfg, str(tmp_path / tag), trace=True)
-        check_metrics(str(tmp_path / tag), result, "3a842190e17cfbab04bc7d5dd0cd819e76733f17cba29db02438af8a4c892aba")
+        check_metrics(str(tmp_path / tag), result, "aa68d8181e9ac3de30e2bc85e46849245b0ae88a5974d67bae2f19a58e64e15a")
         with open(result.trajectory_path, "rb") as f:
             traj = f.read()
         with open(result.trace_path, "rb") as f:

@@ -15,7 +15,8 @@ from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row, offset_points)
 from airground.errors import InvalidInputError
 
-from oracles import from_rows, nid_inverse_scalar, per_slot_stale
+from oracles import (UgvState, from_rows, nid_inverse_scalar, per_slot_stale,
+                     step_ugv_held)
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -127,6 +128,34 @@ def test_stacked_nid_inverse_matches_scalar_calls(case):
             assert omega[l].tobytes() == np.float64(want[1]).tobytes()
 
 
+# Headings on and next to +-pi, at zero, and anywhere in (-pi, pi].
+STEP_HEADINGS = st.sampled_from([math.pi, math.nextafter(math.pi, 0.0), -math.pi + 1e-12,
+                                 math.nextafter(-math.pi, 0.0), 0.0, -0.0, -1e-300]) \
+    | st.floats(-math.pi, math.pi).filter(lambda a: a > -math.pi)
+# Held (zero) velocities, speeds within the box, and sideways velocities
+# whose implied turn rate is far beyond the clamp.
+OFFSET_VELOCITIES = st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]) \
+    | st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)) \
+    | st.tuples(st.floats(-0.1, 0.1), st.sampled_from([-5.0, 5.0]) | st.floats(-5.0, 5.0))
+
+
+@given(st.lists(st.tuples(st.floats(-9.0, 9.0), st.floats(-9.0, 9.0), STEP_HEADINGS,
+                          OFFSET_VELOCITIES), min_size=1, max_size=8),
+       st.sampled_from([0.1, 0.25]), st.sampled_from([4.0, 1.5, 100.0]),
+       st.sampled_from([0.01, 0.005, 0.05]), st.integers(1, 4))
+def test_step_ugv_matches_scalar_oracle(vehicles, offset, limit, dt, steps):
+    """step_ugv equals the scalar inverse offset map at each vehicle's
+    current heading followed by the Euler step (step_ugv_held), bit for
+    bit, over a few steps that hold the same offset velocities."""
+    velocity = np.array([v[3] for v in vehicles])
+    states = [UgvState(x, y, theta, offset=offset) for x, y, theta, _ in vehicles]
+    poses = np.array([(s.x, s.y, s.theta) for s in states])  # headings wrapped
+    for _ in range(steps):
+        poses = step_ugv(poses, velocity, offset, limit, dt)
+        states = [step_ugv_held(st_, ov, limit, dt) for st_, ov in zip(states, velocity)]
+        assert poses.tobytes() == np.array([(s.x, s.y, s.theta) for s in states]).tobytes()
+
+
 class TestWheelMap:
     def test_straight(self):
         assert wheel_speeds(1.0, 0.0, 0.2) == (1.0, 1.0)
@@ -162,19 +191,32 @@ class TestKinematicSteps:
 
     def test_ugv_hold(self):
         poses = np.array([[1.0, 2.0, 0.5], [-3.0, 0.0, -2.0]])
-        poses2 = step_ugv(poses, np.zeros(2), np.zeros(2), 0.1)
+        poses2 = step_ugv(poses, np.zeros((2, 2)), 0.1, 4.0, 0.1)
         assert np.array_equal(poses2, poses)
 
     def test_ugv_straight(self):
         poses = step_ugv(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, math.pi / 2]]),
-                         np.array([1.0, 0.5]), np.zeros(2), 0.1)
+                         np.array([[1.0, 0.0], [0.0, 0.5]]), 0.1, 4.0, 0.1)
         assert poses[0] == pytest.approx([0.1, 0.0, 0.0])
         assert poses[1] == pytest.approx([1.0, 1.05, math.pi / 2])
+
+    def test_held_velocity_follows_the_heading(self):
+        """A UGV holding a sideways offset velocity turns toward it, so the
+        forward speed it takes grows step by step."""
+        poses = np.array([[0.0, 0.0, 0.0]])
+        speeds = []
+        for _ in range(5):
+            before = poses.copy()
+            poses = step_ugv(poses, np.array([[0.0, 0.3]]), 0.1, 4.0, 0.1)
+            speeds.append(math.dist(before[0, :2], poses[0, :2]))
+        assert speeds[0] == 0.0 and all(a < b for a, b in zip(speeds, speeds[1:]))
 
     def test_heading_wraps_into_half_open_interval(self):
         poses = np.array([[0.0, 0.0, math.pi - 0.01], [0.0, 0.0, -math.pi + 0.01]])
         # push the first past pi and the second past -pi
-        poses2 = step_ugv(poses, np.zeros(2), np.array([0.2, -0.2]), 0.1)
+        ov = np.array([nid_forward(theta, 0.0, omega, 0.1)
+                       for theta, omega in zip(poses[:, 2], (0.2, -0.2))])
+        poses2 = step_ugv(poses, ov, 0.1, 4.0, 0.1)
         assert np.all((-math.pi < poses2[:, 2]) & (poses2[:, 2] <= math.pi))
         assert poses2[0, 2] == pytest.approx(-math.pi + 0.01, abs=1e-12)
         assert poses2[1, 2] == pytest.approx(math.pi - 0.01, abs=1e-12)
@@ -183,7 +225,7 @@ class TestKinematicSteps:
         with pytest.raises(InvalidInputError):
             step_uav(np.zeros((1, 3)), np.zeros((1, 3)), 0.0)
         with pytest.raises(InvalidInputError):
-            step_ugv(np.zeros((1, 3)), np.zeros(1), np.zeros(1), -0.01)
+            step_ugv(np.zeros((1, 3)), np.zeros((1, 2)), 0.1, 4.0, -0.01)
 
     def test_wrap_convention(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
@@ -259,16 +301,19 @@ class TestControlUnit:
         cmd, _ = unit.tick(0.0)
         assert np.all(np.abs(cmd.u) <= PARAMS.uav_speed_limit + 1e-12)
 
-    def test_ugv_unit_converts_to_twist(self):
+    def test_ugv_unit_holds_offset_velocity(self):
         unit = AgentControlUnit("ugv0", UGV, Gains.of(1.0, 2), PARAMS,
                                 hold_timeout=0.25, offset=0.1)
         unit.on_pose((0.0, 0.0, 0.0), 0.0)
         unit.on_setpoint((1.0, 0.0), (0, 0), 0.0)
         unit.on_constraints(empty_matrix("ugv0", dim=2), 0.0)
         cmd, tele = unit.tick(0.0)
-        # offset point starts at (0.1, 0): nominal pulls +x, pure forward.
-        assert cmd.v == pytest.approx(0.6)  # clamped to the UGV box
-        assert cmd.omega == pytest.approx(0.0, abs=1e-12)
+        # offset point starts at (0.1, 0): nominal pulls +x, clamped to the
+        # UGV box, which the vehicle drives as pure forward motion.
+        assert cmd.u.tolist() == [0.6, 0.0]
+        v, omega = nid_inverse(0.0, cmd.u, 0.1, PARAMS.turn_rate_limit)
+        assert v == pytest.approx(0.6)
+        assert omega == pytest.approx(0.0, abs=1e-12)
 
     def test_landed_mode_emits_zero(self):
         unit = self.make_uav()

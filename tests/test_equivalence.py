@@ -630,8 +630,7 @@ def test_cached_control_unit_matches_per_tick_oracle():
                 reused += was_solved and got.status in ("optimal", "relaxed")
                 assert got_cmd.u.tobytes() == want_cmd.u.tobytes()
                 assert got.u_applied.tobytes() == want.u_applied.tobytes()
-                assert (got_cmd.v, got_cmd.omega, got_cmd.hold) == (
-                    want_cmd.v, want_cmd.omega, want_cmd.hold)
+                assert got_cmd.hold == want_cmd.hold
                 assert (got.time, got.status, got.stale, got.qp_iterations,
                         got.max_violation) == (
                     want.time, want.status, want.stale, want.qp_iterations,
@@ -680,8 +679,7 @@ def test_scheduled_units_match_per_tick_oracle():
                 for k, oracle in enumerate(oracles):
                     want_cmd, want = oracle.tick(t)
                     assert control.u[k].tobytes() == want_cmd.u.tobytes()
-                    assert (control.v[k], control.omega[k], control.status[k]) == (
-                        want_cmd.v, want_cmd.omega, want.status)
+                    assert control.status[k] == want.status
     assert skipped > 1000
 
 
@@ -750,7 +748,7 @@ _HOME = ((0.0, 0.0, 1.0), False, (1.0, 0.0, 1.0), (0.0,) * 3)
 @given(lane_fleets())
 def test_batched_instant_matches_scalar_units(fleet):
     """One control instant of a kind's units, ticked together, equals the
-    per-unit reference ticked unit by unit: commands, twists, statuses,
+    per-unit reference ticked unit by unit: commands, statuses,
     iteration counts and slack, bit for bit, for landed, stale, cached,
     relaxed and fresh units in batches of 1 to 12 lanes.  A unit reaches
     project_with_box exactly when the reference's first feasibility check
@@ -795,8 +793,6 @@ def test_batched_instant_matches_scalar_units(fleet):
     for k, unit in enumerate(scalar):
         cmd, tele = unit.tick(t1)
         assert control.u[k].tobytes() == cmd.u.tobytes()
-        assert control.v[k].tobytes() == np.float64(cmd.v).tobytes()
-        assert control.omega[k].tobytes() == np.float64(cmd.omega).tobytes()
         assert control.status[k] == tele.status
         if tele.status not in ("hold", "landed"):
             assert (control.sol_iters[k], control.sol_violation[k]) == (
@@ -935,17 +931,20 @@ def test_trajectory_writer_matches_per_agent_rows(tmp_path):
 def test_fleet_integration_matches_per_agent_oracle():
     """The runner's fleet step (step_ugv, the UAV tracking lag, step_uav and
     the landed UAVs riding their platforms) against the per-agent loop over
-    state objects, for 40 steps of random twists: every pose, position and
-    tracked velocity equal, bit for bit.  Headings start on and next to
-    +-pi and the turn rates carry them across it."""
+    state objects, for 40 steps of random commands: every pose, position
+    and tracked velocity equal, bit for bit.  Headings start on and next to
+    +-pi and the turn rates carry them across it; the UGVs' offset-point
+    velocities often imply turn rates beyond the clamp."""
     rng = np.random.default_rng(3)
     edges = [math.pi, math.nextafter(math.pi, 0.0), -math.pi + 1e-12,
              math.nextafter(-math.pi, 0.0) + 2 * math.pi, 0.0, -1e-300]
     crossed = 0
-    for n, lag, dt in ((1, 0.0, 0.01), (6, 0.0, 0.01), (6, 0.1, 0.01),
-                       (17, 0.05, 0.005), (17, 0.3, 0.02)):
+    for n, lag, dt, limit in ((1, 0.0, 0.01, 40.0), (6, 0.0, 0.01, 4.0),
+                              (6, 0.1, 0.01, 40.0), (17, 0.05, 0.005, 40.0),
+                              (17, 0.3, 0.02, 4.0)):
         cfg = SimpleNamespace(dt=dt, uav_velocity_lag=lag, platform_height=0.25,
-                              safety=SimpleNamespace(hover_clearance=0.2))
+                              ugv_offset=0.1, safety=SimpleNamespace(
+                                  hover_clearance=0.2, turn_rate_limit=limit))
         deck_z = cfg.platform_height + cfg.safety.hover_clearance
         headings = rng.uniform(-math.pi, math.pi, n)
         headings[:min(n, len(edges))] = edges[:n]
@@ -954,25 +953,23 @@ def test_fleet_integration_matches_per_agent_oracle():
                                [wrap_angle(a) for a in headings.tolist()]))
         velocity = np.zeros((n, 3))
         uav_states = {f"uav{i}": UavState(p=uav[i].copy()) for i in range(n)}
-        ugv_states = {f"ugv{i}": UgvState(*ugv[i].tolist()) for i in range(n)}
+        ugv_states = {f"ugv{i}": UgvState(*ugv[i].tolist(), offset=0.1) for i in range(n)}
         uav_velocity = {f"uav{i}": np.zeros(3) for i in range(n)}
         landed = np.zeros(n, dtype=bool)
         for step in range(40):
             u = rng.uniform(-1.0, 1.0, (n, 3))
-            v = rng.uniform(-0.6, 0.6, n)
-            omega = rng.choice([-1.0, 1.0], n) * rng.uniform(0.0, 40.0, n)
+            ugv_u = rng.uniform(-5.0, 5.0, (n, 2))
+            ugv_u[rng.uniform(size=n) < 0.1] = 0.0   # held units
             if step in (5, 25):  # touchdowns; a landed UAV stays landed
                 landed[(step // 20) * (n // 2)] = True
             commands = {f"uav{i}": Command(u=u[i].copy()) for i in range(n)}
-            commands.update({f"ugv{i}": Command(u=np.zeros(2), v=v[i].item(),
-                                                omega=omega[i].item())
-                             for i in range(n)})
+            commands.update({f"ugv{i}": Command(u=ugv_u[i].copy()) for i in range(n)})
             before = ugv[:, 2].copy()
-            uav, ugv, velocity = _integrate(uav, ugv, velocity, u, v, omega,
+            uav, ugv, velocity = _integrate(uav, ugv, velocity, u, ugv_u,
                                             landed.copy(), cfg)
             integrate_per_agent(uav_states, ugv_states, uav_velocity, commands,
                                 {f"uav{i}": bool(landed[i]) for i in range(n)},
-                                dt, lag, deck_z)
+                                dt, lag, deck_z, limit)
             crossed += int(np.sum(np.abs(ugv[:, 2] - before) > math.pi))
             for i in range(n):
                 st = ugv_states[f"ugv{i}"]

@@ -22,7 +22,14 @@ units keep the latest stamp, before the watcher's fan-out was built from
 its arrays and the bus sized payloads by type.  The metrics.json
 digests were recorded while run() still re-read its own logs through
 summarize_dir, before it built its metrics in the loop; every run also
-checks that summarize_dir, the independent re-check, agrees with them.  A
+checks that summarize_dir, the independent re-check, agrees with them.
+
+Two bug fixes re-recorded digests on purpose.  When a UGV began to hold
+its filtered offset-point velocity and map it through its current heading
+at every integration step, instead of holding one body twist between
+solves, the trajectory.csv and metrics.json digests of every run whose
+UGVs turn were re-recorded (all but the two landings, whose platforms
+drive straight); no watcher.csv or trace.log changed.  A
 change that alters any logged byte of these runs -- a reordered constraint row, a
 last-ulp difference in a recomputed min_h, one message more or less on the
 bus -- fails here.  A change that is meant to alter the logs (a bug fix) must say
@@ -105,7 +112,7 @@ def overtaken_deliveries(trace_path: str) -> tuple[int, int]:
 GOLDEN = {
     "crossing_three_5s": (
         crossing_three_5s,
-        "29fafc1a41e1158d4f31be37f8e9cb4b92b13896895d4e96cab73a59287436a2",
+        "05691c1dc2e459ab0e4f2de03f4e928a229ff914b149b836ba0697c4eecad096",
         "bd639830838265febd31362d8eca1fd755170ddd38778882edbbda8d8ea32610",
         None,
     ),
@@ -117,19 +124,19 @@ GOLDEN = {
     ),
     "grid_16pairs": (
         lambda: grid_scenario(16, seed=1, duration=0.5),
-        "c00e627b56e6f4921091d2b4db6851fd52eb878e04ea452f6c0af14f75c43de7",
+        "5ea03f44d81755cf9fabea18aad07536381abd176295385d2bc26d0ee4631473",
         "c3eea8008808281658c591557e5844be5074ab8b35fac3bc0891702520064f21",
         None,
     ),
     "noisy_crossing_5s": (
         noisy_crossing,
-        "5e5ecb4f5372d0ec877343fe44c5fc7fd360bc6b3daf805373e19610c39e8d02",
+        "f6a4b7a66326736492aaa429da65e0c9aacb7f9f91bc6ed4ca8c14b59da5cc79",
         "79c8dc66b003ae637434abd638959d63dba5c433b2ea46a651a6f9312d96d989",
         "8485b3325bd136ff5caf247288ac9a5971db129e549ca5aff01296b5f45266c5",
     ),
     "lossy_crossing_100hz_5s": (
         lossy_crossing_100hz,
-        "f7f837f6e75f017fff996333d132b34e00efcd5225c64fadf39dfe640f49a3e1",
+        "b9ddacb5653770690b7e76f01db6ec31ae2f578f37abf8ecfb724fe2856af682",
         "d11ef98bb950ae2c1e584c6d5ead98b81f568a4f9057fa29503461be82a519cd",
         "e2e8e3a6212574249087b117b38f3d3193383e456de63d53b81eaf9380d7c616",
     ),
@@ -141,37 +148,37 @@ GOLDEN = {
     ),
     "noisy_grid_12pairs": (
         lambda: grid_scenario(12, seed=1, duration=0.5, localization_noise=0.02),
-        "25fc774ace4fe29a20965485734a04d71e882646ce37908ce6deb03089246595",
+        "5867d6f0012ff4d0308d1872219da237ec6a7ebd5d408594bb4065feb5dbc5b0",
         "a0ef26012ab8851020cb52fb062223be9685755a7549120192107a0f14dd3ffe",
         "5e5eb31948be4cd0dc19ab90ce514e50475061f2c4ee29755da27d2bf3d955a4",
     ),
     "clustered_6s": (
         lambda: clustered_scenario(duration=6.0),
-        "6326e40dd4013d3c8d4049fa72ef1d27f579bad743747a9ba2f9d7c78fcc8160",
+        "4614dcede096b64dc6b05605902010237e6011f8e3f44f531f245401f177f0f0",
         "a9f2dc37b63e993e45a37e4f9146ac04cb456e377bd88328a9dac7c089e3ae07",
         None,
     ),
     "clustered_raised_platform": (
         lambda: clustered_scenario(duration=3.0, platform_height=0.1),
-        "785e5c0d488c2c9d1a4ab31af36f5e4b552176dce7b5c7384dc023c06db7aa1a",
+        "2af39f47d2e3f39d969f8f5821fff82cc8e3aee5bdfb6b6b804a83dc0b4ce2b2",
         "42a076a3173533d44776b1e193405edf18b21c35fa78f28a4a1f34ceceaabcba",
         "5fa80288e33aad41e79b269c76cc49e4a21ba05f4796fdb465d345f5777a0eaf",
     ),
     "drop_only_crossing_5s": (
         drop_only_crossing,
-        "64c11b6004f7bc142613decb79fb17b9be460d8f185e73d28a04310b68751a49",
+        "5c1cadcb7b2125d63c3123610c6834d03e1dab38b4aadbf34ec7275cdaff8dc2",
         "e00ed3611983b63b92bed721361801f361fffcbcfba2805d395d6753adde3324",
         "f2aaf1f65441b01cf300f733b997bd036139a47d394c12c4e19ea59a0870b76d",
     ),
     "jitter_only_crossing_5s": (
         jitter_only_crossing,
-        "a247eb152a83ff4f78cd4884c522892b8b9e7fabc98c56af0d216e839e96b089",
+        "ad878d01a82de3c8979d7c93a5361bd670d4044516cc9fe1fd64e1adf21cd2e4",
         "eedc88442c82cc89a425a4ffbc185c8322cad7b005c68dbed7eee6e1ff7f9677",
         "62d35accac4cc2de4637418e42bbb4ce6207445090b82c2566aebbcb6f2435dc",
     ),
     "overtaking_crossing_5s": (
         overtaking_crossing,
-        "89a6b79e6b0141c823b30fd90a34c99135d62535df0ba9e5b6957cbba594d8ca",
+        "5bfa2d6d79b78e2aa7889393d337a48fc078a9fae3d9e35b94d35e39e7ca6603",
         "e5c745eb38d34c405d2d727b4a8caa3c232ac2df8a14d5e4b9168e6c9bb3d60f",
         "4f5837fd352e39070ac05e1bf1673a68f5f86fc2cb2ac1367c0475a6b2c5c1fc",
     ),
@@ -180,18 +187,18 @@ GOLDEN = {
 
 # name -> metrics.json
 METRICS = {
-    "clustered_6s": "d08b41c17fc84e85afff3bad459a0a5416523c3127c1dd6ded91a8fc4c9b48b5",
-    "clustered_raised_platform": "23a35aa9b7d3a0e6a6acc03586951d0f6a5930f4548de16b77f9f296338f4ad1",
-    "crossing_three_5s": "9b5cb4ba2f296a682e931119d7c8d1bca63c2656c135d1aa8058c8cff3521199",
-    "drop_only_crossing_5s": "477c9e1437295dde590d85ef9fc17d35e3b9b477c015342ede25a9485389d7fc",
-    "grid_16pairs": "bb54a2239386c9a3af7638fb30f7f0297590bd269ade82906d656880557f271a",
-    "jitter_only_crossing_5s": "7b7b69991a4b16f998b9fe6152a6e86fcdcd73b564886ed30b6565ee484fa8c9",
+    "clustered_6s": "e79f60895755fefbb3caf5211a5833c507cabdc1901a557009427808413a07f1",
+    "clustered_raised_platform": "9541ffc8d1f26ccfa28116417f910e3f1d243a9c0f5fdfd30cba2b8b4e709387",
+    "crossing_three_5s": "8e72a922dbbc3207df66ec6dfd49200f85b98e7c8c1f8b5fe5caf7e12938b607",
+    "drop_only_crossing_5s": "acd56ba0e4a5311984eb63d8bd5e44af5846823430798de1c83fb665302ca134",
+    "grid_16pairs": "d0f8ab609d3c5ad95384b14c68baf6e053d1997ab32601d8d127097e1da14eb9",
+    "jitter_only_crossing_5s": "837557ba275836ab29c5cb76ad913bdef55a5bce7aed50ca163d68f2f6f6c21f",
     "landing_2pairs": "802cc87683f86f7d6643e06f9edc84a12b13e130bb3cd6a81908f290943e87a8",
-    "lossy_crossing_100hz_5s": "28fb3760908cdd7a13ac58242e2a0f225f346ef548fc3e9f935f30c946140544",
+    "lossy_crossing_100hz_5s": "3214d67364aa6a597941f1f52858f75664fd8eed167b3b6077d02d9b2cd151ec",
     "lossy_landing_100hz": "9ea7092d6dfd02fc024ff185c1bff81125a95e0561dc1c212caa7ee35166e591",
-    "noisy_crossing_5s": "bf41854bd4edec57a6352585fb5db65738c708a8dcaf35923a1c6e31b2ad974a",
-    "noisy_grid_12pairs": "d3adeb78c97af475861cb46c312d4aa7d76a233e92a28ffb7c65e6e173a82d5e",
-    "overtaking_crossing_5s": "f6d79b99920d2c85330135e14dfeb0e90f128a51fdf7a16bdc7d54f12b65f6e1",
+    "noisy_crossing_5s": "e1aeea121f9244734d98b40ec38070fb21856dc6723e6920c7bb9d3898fd4d31",
+    "noisy_grid_12pairs": "07b3964cbeece4d2e4e5582a1e8d7ce7c8c80a8489a07eccf980e17fe9b3d07f",
+    "overtaking_crossing_5s": "2253c44c798e62703d3f22d4a4bdf944e15c9c6e0496e332f15d45a68ea5cd21",
 }
 
 
