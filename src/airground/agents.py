@@ -1,6 +1,8 @@
 """Control units: nominal tracking controller, safety-filter invocation,
 the unicycle offset transform, and the kinematic step models.
 
+Each unit acts on the latest coordination update the watcher sent it: one
+message per watcher tick carrying its pose, setpoint and constraint matrix.
 The units of one vehicle kind are held as arrays (KindControl) and the due
 ones (TickSchedule) are ticked together, those without a solution filtered
 as one batch; AgentControlUnit is the same code for a single unit.
@@ -180,26 +182,25 @@ class FilterError(RuntimeError):
         self.agent_id, self.cause = agent_id, cause
 
 
-def data_stale(now: float, oldest_stamp, hold_timeout):
-    """The staleness rule: inputs whose oldest slot is stamped oldest_stamp
-    (-inf while a slot is empty) are too old to act on at now.  It also
-    applies element by element to arrays.
+def data_stale(now: float, stamp, hold_timeout):
+    """The staleness rule: an update stamped stamp (-inf before the first)
+    is too old to act on at now.  It also applies element by element to
+    arrays.
 
-    Rounding of now - s is monotone in s, so this is exactly "now - s >
-    hold_timeout for some slot stamp s", and a test against the earliest
+    Rounding of now - s is monotone in s, so a test against the earliest
     stamp of many units decides it for all of them when it fails."""
-    return now - oldest_stamp > hold_timeout
+    return now - stamp > hold_timeout
 
 
 class TickSchedule:
     """Which of n control units must tick at a control instant.
 
-    A unit's tick output is a function of its three slots, its landed flag
-    and whether its data is stale.  Between two of its ticks that output
-    can change only if the unit received a message (the mask received), or
-    if the data its last tick acted on went stale since (fresh holds the
-    oldest stamp of that data, +inf after a hold or landed tick).  Every
-    other unit would repeat its last command, status and u, and is
+    A unit's tick output is a function of its latest update, its landed
+    flag and whether that update is stale.  Between two of its ticks that
+    output can change only if the unit received a message (the mask
+    received), or if the update its last tick acted on went stale since
+    (fresh holds that update's stamp, +inf after a hold or landed tick).
+    Every other unit would repeat its last command, status and u, and is
     skipped.  hold_timeout is one timeout for all units or one per unit."""
 
     def __init__(self, n: int, hold_timeout):
@@ -220,7 +221,7 @@ class TickSchedule:
 
     def ticked(self, units: np.ndarray, stamps: np.ndarray) -> None:
         """Record what the ticks of the units masked acted on, from (n,)
-        stamps: the oldest stamp of fresh data, +inf for a hold or landing."""
+        stamps: the stamp of a fresh update, +inf for a hold or landing."""
         np.copyto(self.fresh, stamps, where=units)
         self._earliest = self.fresh.min()
 
@@ -228,18 +229,18 @@ class TickSchedule:
 class KindControl:
     """The control units of one vehicle kind, as arrays indexed by unit.
 
-    Each unit keeps the latest pose, setpoint (with its rate) and constraint
-    matrix it has received, one slot each, stamped in stamps[:, 0..2]: a
-    message stamped older than its slot is ignored, and any other replaces
-    the slot and drops the unit's solution.  The filtered command is a
-    function of the three slots alone, so it is solved once per replaced
-    slot (solution, sol_status, sol_iters, sol_violation) and reused on the
-    ticks in between.  The watcher owns the landing phases; a UAV
+    Each unit keeps the latest update it has received in one slot: the
+    pose, setpoint (with its rate) and constraint matrix of one watcher
+    tick, stamped in stamps.  An update stamped older than the unit's is ignored; any other
+    replaces all four fields and drops the unit's solution.  The filtered
+    command is a function of the update alone, so it is solved once per
+    update (solution, sol_status, sol_iters, sol_violation) and reused on
+    the ticks in between.  The watcher owns the landing phases; a UAV
     unit only learns that it has landed, from the touchdown
     acknowledgement, and then emits zero.
 
-    tick(now) runs the due units: a landed unit emits zero; a unit whose
-    data is missing or older than hold_timeout holds at zero; every other
+    tick(now) runs the due units: a landed unit emits zero; a unit with no
+    update, or one older than hold_timeout, holds at zero; every other
     unit emits its solution, and those without one are filtered together
     (_filter).  u and status are what each unit last emitted: a UGV's u is
     its offset-point velocity, which step_ugv maps through the vehicle's
@@ -256,28 +257,19 @@ class KindControl:
         self.params, self.hold_timeout, self.offset = params, hold_timeout, offset
         self.speed_limit = params.uav_speed_limit if kind == UAV else params.ugv_speed_limit
         self.schedule = TickSchedule(n, hold_timeout)
-        self.stamps = np.full((n, 3), -np.inf)   # pose, setpoint, matrix
+        self.stamps = np.full(n, -np.inf)
         self.pose = np.zeros((n, 3))             # UAV position, UGV (x, y, theta)
         self.setpoint, self.rate = np.zeros((n, dim)), np.zeros((n, dim))
         self.matrices: list = [None] * n
         self.landed, self.solved = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.solution, self.command = np.zeros((2, n, dim))
-        self.u = self.command
+        self.solution, self.u = np.zeros((2, n, dim))
         self.sol_status, self.status = np.full(n, "optimal", object), np.full(n, "hold", object)
         self.sol_iters, self.sol_violation = np.zeros(n, dtype=int), np.zeros(n)
 
-    def on_pose(self, k: int, pose, stamp: float) -> None:
-        if stamp >= self.stamps[k, 0]:
-            self.stamps[k, 0], self.pose[k], self.solved[k] = stamp, pose, False
-
-    def on_setpoint(self, k: int, position, rate, stamp: float) -> None:
-        if stamp >= self.stamps[k, 1]:
-            self.stamps[k, 1], self.solved[k] = stamp, False
-            self.setpoint[k], self.rate[k] = position, rate
-
-    def on_constraints(self, k: int, matrix, stamp: float) -> None:
-        if stamp >= self.stamps[k, 2]:
-            self.stamps[k, 2], self.matrices[k], self.solved[k] = stamp, matrix, False
+    def on_update(self, k: int, pose, position, rate, matrix, stamp: float) -> None:
+        if stamp >= self.stamps[k]:
+            self.stamps[k], self.pose[k], self.solved[k] = stamp, pose, False
+            self.setpoint[k], self.rate[k], self.matrices[k] = position, rate, matrix
 
     def on_touchdown_ack(self, k: int) -> None:
         if self.kind == UAV:
@@ -288,24 +280,23 @@ class KindControl:
         due = self.schedule.due(now)
         if not np.count_nonzero(due):
             return 0
-        oldest = self.stamps.min(axis=1)
-        live = ~(self.landed | data_stale(now, oldest, self.hold_timeout))
+        live = ~(self.landed | data_stale(now, self.stamps, self.hold_timeout))
         on = due & live
         self._filter((on & ~self.solved).nonzero()[0])
-        np.copyto(self.command, self.solution, where=on[:, None])
+        np.copyto(self.u, self.solution, where=on[:, None])
         np.copyto(self.status, self.sol_status, where=on)
         held = (due & ~live).nonzero()[0]
         if len(held):
-            self.command[held] = 0.0
+            self.u[held] = 0.0
             self.status[held] = _HELD[self.landed[held].astype(int)]
-        self.schedule.ticked(due, np.where(live, oldest, np.inf))
+        self.schedule.ticked(due, np.where(live, self.stamps, np.inf))
         return int(np.count_nonzero(due))
 
     def _filter(self, lanes: np.ndarray) -> None:
-        """Solve the units `lanes` (an index array) from their slots as
-        arrays: nominal inputs and qp.project_lanes.  Only lanes its scan rejects take per-lane Python
-        (project_with_box, and the slack relaxation where a polytope is
-        empty).  A UGV's control point is taken at its heading wrapped into
+        """Solve the units `lanes` (an index array) from their updates as
+        arrays: nominal inputs and qp.project_lanes.  Only lanes its scan
+        rejects take per-lane Python (project_with_box, and the slack
+        relaxation where a polytope is empty).  A UGV's control point is taken at its heading wrapped into
         (-pi, pi]: the watcher ships noisy poses."""
         if not len(lanes):
             return
@@ -350,10 +341,9 @@ class AgentControlUnit:
                  offset: float = 0.1):
         self.agent_id, self.kind = agent_id, kind
         self.lane = lane = KindControl([agent_id], kind, gains, params, hold_timeout, offset)
-        # on_pose(pose, stamp), on_setpoint, on_constraints, on_touchdown_ack()
-        self.on_pose, self.on_setpoint, self.on_constraints, self.on_touchdown_ack = (
-            partial(handler, 0) for handler in (lane.on_pose, lane.on_setpoint,
-                                                lane.on_constraints, lane.on_touchdown_ack))
+        # on_update(pose, position, rate, matrix, stamp), on_touchdown_ack()
+        self.on_update = partial(lane.on_update, 0)
+        self.on_touchdown_ack = partial(lane.on_touchdown_ack, 0)
 
     @property
     def landed(self) -> bool:

@@ -2,6 +2,9 @@
 
 All cross-node traffic travels between the coordinator and an agent; there
 are no agent-to-agent links, and an attempt to use one is a hard failure.
+The coordinator sends each agent one UPDATE per watcher tick, carrying its
+pose, setpoint and constraint matrix together, so a drop or a delay always
+takes all three; the only other message is the touchdown acknowledgement.
 Each directed link owns an RNG stream derived from the scenario seed and the
 link's name, so adding links never perturbs the draws of existing ones.
 
@@ -38,10 +41,7 @@ _BLOCK = 256  # uniforms a link draws from its stream at a time
 
 
 class MsgType(Enum):
-    POSE_UPDATE = "pose"
-    SETPOINT_UPDATE = "setpoint"
-    CONSTRAINT_UPDATE = "constraints"
-    LANDING_SIGNAL = "landing_signal"
+    UPDATE = "update"                # (pose, setpoint position, rate, matrix)
     TOUCHDOWN_ACK = "touchdown_ack"
 
 

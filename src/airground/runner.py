@@ -5,10 +5,11 @@ deliveries, then the watcher tick (followed by a second delivery drain so
 zero-latency traffic lands in the same instant), then the control ticks,
 then kinematic integration, in which each UGV maps its unit's held
 offset-point velocity through its current heading (agents.step_ugv).  The
-control units of a vehicle kind are one
-agents.KindControl, written by the message router from a per-agent table
-of unit index, received mask and slot handlers; a control tick runs
-only the units whose output can change, filtering those without a cached
+control units of a vehicle kind are one agents.KindControl, written by the
+message router from a per-agent table of unit index, received mask and
+handlers, one handler call per message: the watcher's one update per agent
+per tick, or a touchdown acknowledgement.  A control tick runs only the
+units whose output can change, filtering those without a cached
 solution as one batch, and the others hold their last command.  All
 randomness flows from the scenario seed through named substreams, so a
 config+seed pair reproduces its logs byte for byte.
@@ -96,9 +97,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                        cfg.hold_timeout)
     ugvs = KindControl(agent_ids[1::2], UGV, Gains.of(cfg.gains_ugv, 2), cfg.safety,
                        cfg.hold_timeout, offset=cfg.ugv_offset)
-    # Per agent: its unit's index, received mask and slot handlers.
-    routes = {aid: (i, control.schedule.received, control.on_pose, control.on_setpoint,
-                    control.on_constraints, control.on_touchdown_ack)
+    # Per agent: its unit's index, received mask and handlers.
+    routes = {aid: (i, control.schedule.received, control.on_update, control.on_touchdown_ack)
               for control in (uavs, ugvs) for i, aid in enumerate(control.ids)}
 
     max_latency = cfg.network.base_latency + cfg.network.jitter
@@ -139,19 +139,12 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     total = round(cfg.duration / cfg.dt)
 
     def route(messages):
-        # A LANDING_SIGNAL needs no action here: the watcher has already
-        # switched the UAV's setpoint stream to the platform.
         for msg in messages:
-            i, received, on_pose, on_setpoint, on_constraints, on_touchdown_ack = routes[msg.dst]
+            i, received, on_update, on_touchdown_ack = routes[msg.dst]
             received[i] = True
-            msg_type = msg.msg_type
-            if msg_type is MsgType.POSE_UPDATE:
-                on_pose(i, msg.payload, msg.send_time)
-            elif msg_type is MsgType.SETPOINT_UPDATE:
-                on_setpoint(i, *msg.payload, msg.send_time)
-            elif msg_type is MsgType.CONSTRAINT_UPDATE:
-                on_constraints(i, msg.payload, msg.send_time)
-            elif msg_type is MsgType.TOUCHDOWN_ACK:
+            if msg.msg_type is MsgType.UPDATE:
+                on_update(i, *msg.payload, msg.send_time)
+            else:
                 on_touchdown_ack(i)
 
     def min_h(times, statuses, *block):

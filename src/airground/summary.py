@@ -329,8 +329,8 @@ def _csv_rows(path: str, header: str, width: int):
 
 def _parse_trajectory(path: str):
     """Yields (line_number, time_str, agent_id, kind, x, y, z, theta,
-    status, logged min_h) per record; the time and the state must be
-    finite."""
+    status, logged min_h) per record; the kind must be uav or ugv, and the
+    time and the state finite."""
     isfinite = math.isfinite
     for lineno, parts in _csv_rows(path, TRAJECTORY_HEADER, 12):
         try:
@@ -339,6 +339,9 @@ def _parse_trajectory(path: str):
             logged = float(parts[11])
         except ValueError as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}")
+        if parts[2] not in ("uav", "ugv"):
+            raise InvalidInputError(f"{path}:{lineno}: kind must be uav or ugv, "
+                                    f"got {parts[2]!r}")
         if not isfinite(t):
             raise InvalidInputError(f"{path}:{lineno}: time must be finite, "
                                     f"got {parts[0]}")

@@ -12,10 +12,11 @@ The watcher is the only component that sees every agent.  Each tick it:
    UGV j -- that are refreshed in one array pass per tick,
 4. assembles every agent's fixed-capacity, zero-padded constraint matrix
    in one array pass per barrier family (row order on assemble_constraints),
-5. returns each agent's pose, setpoint and matrix as (msg_type, dst,
-   payload) tuples for the star bus, with the setpoints of all agents
-   sampled from one TrackTable and the records' proximal sets read off one
-   gate matrix with lexicographic columns.
+5. returns one update per agent for the star bus, a (MsgType.UPDATE, dst,
+   (pose, position, rate, matrix)) tuple carrying its pose, setpoint and
+   matrix together, with the setpoints of all agents sampled from one
+   TrackTable and the records' proximal sets read off one gate matrix with
+   lexicographic columns.
 
 Gates flip far less often than the fleet moves: what follows from them alone
 (row slots and counts, the capacity verdict, kind counts, proximal sets and
@@ -326,10 +327,9 @@ class Watcher:
         self._touch_hold = opts.touchdown_hold
 
         self.phases = {i: PairPhase.TASK for i in range(n_pairs)}
-        self._names = [(f"uav{i}", f"ugv{i}") for i in range(n_pairs)]
         self._uav_ids = np.array([f"uav{i}" for i in range(n_pairs)], dtype=object)
         self._ugv_ids = np.array([f"ugv{i}" for i in range(n_pairs)], dtype=object)
-        self._ids = [agent_id for names in self._names for agent_id in names]
+        self._ids = [agent_id for i in range(n_pairs) for agent_id in (f"uav{i}", f"ugv{i}")]
         self._setpoint_tracks = TrackTable([tracks[agent_id] for agent_id in self._ids])
         # Proximal sets list their ids in lexicographic order (uav0, uav1,
         # uav10, ..., ugv0, ...): row a of _prox_cells holds, per id in
@@ -376,8 +376,8 @@ class Watcher:
     def handle_landing_signal(self, pair: int, now: float) -> bool:
         """Flip one pair into the landing phase; duplicate signals are no-ops.
 
-        Effects (setpoint switch, notification message) materialize on the
-        next tick.  Returns False for rejected signals.
+        The setpoint switch reaches the UAV with its next tick's update.
+        Returns False for rejected signals.
         """
         if pair not in self.phases:
             return False
@@ -386,7 +386,6 @@ class Watcher:
         if self.phases[pair] is PairPhase.LANDING:
             return True  # idempotent
         self.phases[pair] = PairPhase.LANDING
-        self._pending.append((MsgType.LANDING_SIGNAL, self._names[pair][0], pair))
         return True
 
     # -- proximity gating ---------------------------------------------------
@@ -557,9 +556,10 @@ class Watcher:
         (n, 3) UGV poses (x, y, theta), indexed by pair; returns the
         (msg_type, dst, payload) messages to send and the records.
 
-        Each agent gets its pose (a row of this tick's copy of the fleet),
-        its setpoint as (position, rate) and its matrix, in that order, and
-        agents come in tick order (uav0, ugv0, uav1, ...)."""
+        Each agent gets one update (pose, position, rate, matrix): its pose
+        (a row of this tick's copy of the fleet), its setpoint and its
+        matrix.  Touchdown acknowledgements come first, then the updates in
+        tick order (uav0, ugv0, uav1, ...)."""
         n = self.n_pairs
         self._uav = np.array(uav, dtype=float).reshape(n, 3)
         self._ugv = ugv = np.array(ugv, dtype=float).reshape(n, 3)
@@ -576,15 +576,11 @@ class Watcher:
 
         matrices = list(self.assemble_constraints(now).values())
         positions, rates = self._setpoints(now)
-        # Six updates per pair: the UAV's pose, setpoint and matrix, then
-        # the UGV's.
-        updates = [None] * (6 * n)
-        for k, (ids, poses, setpoints) in enumerate((
-                (self._uav_ids, self._uav, zip(positions[0::2], rates[0::2])),
-                (self._ugv_ids, ugv, zip(positions[1::2, :2], rates[1::2, :2])))):
-            updates[3 * k::6] = zip(repeat(MsgType.POSE_UPDATE), ids, poses)
-            updates[3 * k + 1::6] = zip(repeat(MsgType.SETPOINT_UPDATE), ids, setpoints)
-            updates[3 * k + 2::6] = zip(repeat(MsgType.CONSTRAINT_UPDATE), ids, matrices[k::2])
+        updates = [None] * (2 * n)
+        for k, (ids, poses, dim) in enumerate(((self._uav_ids, self._uav, 3),
+                                                (self._ugv_ids, ugv, 2))):
+            updates[k::2] = zip(repeat(MsgType.UPDATE), ids, zip(
+                poses, positions[k::2, :dim], rates[k::2, :dim], matrices[k::2]))
         outbound, self._pending = self._pending + updates, []
         tables = self._tables   # as assemble_constraints just used them
         phases = [self.phases[i].value for i in range(n)]

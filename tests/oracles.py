@@ -7,7 +7,7 @@
   one core.
 * The per-agent velocity estimator, with its stale-history fallback, from
   before the watcher kept one estimator per family.
-* The per-unit control unit, one object per agent with its slot objects,
+* The per-unit control unit, one object per agent with its update slot,
   its UgvState view and nid_offset control point, nominal controller,
   and projection, from before a vehicle kind's
   units were held as arrays and filtered as one batch; the control unit
@@ -453,9 +453,7 @@ class ScalarControlUnit:
         self.offset = offset
         self.wheel_base = wheel_base
         self.landed = False
-        self._pose = _Slot()
-        self._setpoint = _Slot()
-        self._matrix = _Slot()
+        self._update = _Slot()              # (pose, position, rate, matrix)
         self._solved: tuple | None = None   # (u, status, iters, violation)
 
     @property
@@ -463,21 +461,11 @@ class ScalarControlUnit:
         return (self.params.uav_speed_limit if self.kind == UAV
                 else self.params.ugv_speed_limit)
 
-    def on_pose(self, pose, stamp: float) -> None:
-        if stamp >= self._pose.stamp:
-            self._pose = _Slot(np.asarray(pose, dtype=float), stamp)
-            self._solved = None
-
-    def on_setpoint(self, position, rate, stamp: float) -> None:
-        if stamp >= self._setpoint.stamp:
-            self._setpoint = _Slot(
-                (np.asarray(position, dtype=float), np.asarray(rate, dtype=float)), stamp
-            )
-            self._solved = None
-
-    def on_constraints(self, matrix, stamp: float) -> None:
-        if stamp >= self._matrix.stamp:
-            self._matrix = _Slot(matrix, stamp)
+    def on_update(self, pose, position, rate, matrix, stamp: float) -> None:
+        if stamp >= self._update.stamp:
+            self._update = _Slot((np.asarray(pose, dtype=float),
+                                  np.asarray(position, dtype=float),
+                                  np.asarray(rate, dtype=float), matrix), stamp)
             self._solved = None
 
     def on_touchdown_ack(self) -> None:
@@ -487,11 +475,8 @@ class ScalarControlUnit:
     def _zero(self) -> np.ndarray:
         return np.zeros(3 if self.kind == UAV else 2)
 
-    def oldest_stamp(self) -> float:
-        return min(self._pose.stamp, self._setpoint.stamp, self._matrix.stamp)
-
     def _data_stale(self, now: float) -> bool:
-        return data_stale(now, self.oldest_stamp(), self.hold_timeout)
+        return data_stale(now, self._update.stamp, self.hold_timeout)
 
     def tick(self, now: float) -> tuple[Command, TickTelemetry]:
         if self.landed:
@@ -512,9 +497,7 @@ class ScalarControlUnit:
                               iterations, violation))
 
     def _solve(self) -> tuple:
-        pose = self._pose.value
-        setpoint, rate = self._setpoint.value
-        matrix = self._matrix.value
+        pose, setpoint, rate, matrix = self._update.value
         if self.kind == UAV:
             current = pose
             ugv_view = None
@@ -541,20 +524,6 @@ class UncachedControlUnit(ScalarControlUnit):
     """A control unit that runs the nominal controller and the QP filter on
     every tick that is neither landed nor stale."""
 
-    def on_pose(self, pose, stamp: float) -> None:
-        if stamp >= self._pose.stamp:
-            self._pose = _Slot(np.asarray(pose, dtype=float), stamp)
-
-    def on_setpoint(self, position, rate, stamp: float) -> None:
-        if stamp >= self._setpoint.stamp:
-            self._setpoint = _Slot(
-                (np.asarray(position, dtype=float), np.asarray(rate, dtype=float)), stamp
-            )
-
-    def on_constraints(self, matrix, stamp: float) -> None:
-        if stamp >= self._matrix.stamp:
-            self._matrix = _Slot(matrix, stamp)
-
     def tick(self, now: float) -> tuple[Command, TickTelemetry]:
         if self.landed:
             u = self._zero()
@@ -565,9 +534,7 @@ class UncachedControlUnit(ScalarControlUnit):
             return (Command(u=u, hold=True),
                     TickTelemetry(now, self.agent_id, "hold", True, u))
 
-        pose = self._pose.value
-        setpoint, rate = self._setpoint.value
-        matrix = self._matrix.value
+        pose, setpoint, rate, matrix = self._update.value
         if self.kind == UAV:
             current = pose
         else:
@@ -919,8 +886,9 @@ def hover_point(w, pair: int) -> np.ndarray:
 
 
 def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
-    """The 6N updates and the records of the watcher's current tick, one
-    agent at a time: a copied pose, the (position, rate) setpoint from the
+    """The 2N updates and the records of the watcher's current tick, one
+    agent at a time: an update of a copied pose, the position and rate of
+    the setpoint from the
     agent's own track by waypoint_sample (a landing or landed pair's UAV chases
     its platform's hover point instead), the per-row matrix, and a record
     whose proximal set is tuple(sorted(proximal_set(agent))).  Row counts
@@ -935,9 +903,7 @@ def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
                 rate = np.zeros(3) if worst else np.array([v_ugv[i, 0], v_ugv[i, 1], 0.0])
                 setpoint = (hover_point(w, i), rate)
             matrix = assemble_per_row(w, agent_id, now)
-            updates += [(MsgType.POSE_UPDATE, agent_id, pose.copy()),
-                        (MsgType.SETPOINT_UPDATE, agent_id, setpoint),
-                        (MsgType.CONSTRAINT_UPDATE, agent_id, matrix)]
+            updates.append((MsgType.UPDATE, agent_id, (pose.copy(), *setpoint, matrix)))
             records.append(WatcherRecord(
                 time=now, agent_id=agent_id, active_count=matrix.active_count,
                 kind_counts=per_agent_kind_counts(matrix.kinds), phase=phase.value,

@@ -89,7 +89,7 @@ def test_c02_star_topology_law(tmp_path):
                                      "drop": 0.02})
     result = run(cfg, str(tmp_path), trace=True)
     metrics = summarize_dir(str(tmp_path))
-    check_metrics(str(tmp_path), result, "ec80d0177be1164c9401fa71879a800e3f5948296d32b1c4d76c291cff46d41d")
+    check_metrics(str(tmp_path), result, "90eeebe85d7608bfa6362a9e5874d9d05371e740302b43f8c17dc62ca9be6a0a")
     n_agents = 2 * cfg.n_pairs
     ok = (metrics.active_links == n_agents
           and metrics.agent_to_agent_messages == 0)
@@ -321,7 +321,7 @@ def test_c10_determinism(tmp_path):
                                 network={"latency": 0.03, "jitter": 0.01,
                                          "drop": 0.05})
         result = run(cfg, str(tmp_path / tag), trace=True)
-        check_metrics(str(tmp_path / tag), result, "aa68d8181e9ac3de30e2bc85e46849245b0ae88a5974d67bae2f19a58e64e15a")
+        check_metrics(str(tmp_path / tag), result, "7a60e772e9b061c43e11c7e897b7368b1512f36903c893725539e53d81976684")
         with open(result.trajectory_path, "rb") as f:
             traj = f.read()
         with open(result.trace_path, "rb") as f:

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from airground import qp
-from airground.agents import (UAV, UGV, AgentControlUnit, Gains,
+from airground.agents import (UAV, UGV, AgentControlUnit, Gains, KindControl,
                               TickSchedule, data_stale, nid_forward,
                               nid_inverse,
                               nominal_velocity, step_ugv, step_uav,
@@ -14,6 +14,7 @@ from airground.agents import (UAV, UGV, AgentControlUnit, Gains,
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row, offset_points)
 from airground.errors import InvalidInputError
+from airground.netsim import WATCHER_ID, LinkModel, MsgType, StarBus
 
 from oracles import (UgvState, from_rows, nid_inverse_scalar, per_slot_stale,
                      step_ugv_held)
@@ -240,9 +241,7 @@ class TestControlUnit:
                                 hold_timeout=0.25)
 
     def feed(self, unit, t, pose, setpoint, rate, matrix):
-        unit.on_pose(pose, t)
-        unit.on_setpoint(setpoint, rate, t)
-        unit.on_constraints(matrix, t)
+        unit.on_update(pose, setpoint, rate, matrix, t)
 
     def test_holds_without_data(self):
         unit = self.make_uav()
@@ -301,16 +300,18 @@ class TestControlUnit:
         cmd, _ = unit.tick(0.0)
         assert np.all(np.abs(cmd.u) <= PARAMS.uav_speed_limit + 1e-12)
 
-    def test_ugv_unit_holds_offset_velocity(self):
+    def test_ugv_unit_converts_to_twist(self):
+        """A UGV unit emits its offset-point velocity; the vehicle's step
+        turns it into a body twist at its heading."""
         unit = AgentControlUnit("ugv0", UGV, Gains.of(1.0, 2), PARAMS,
                                 hold_timeout=0.25, offset=0.1)
-        unit.on_pose((0.0, 0.0, 0.0), 0.0)
-        unit.on_setpoint((1.0, 0.0), (0, 0), 0.0)
-        unit.on_constraints(empty_matrix("ugv0", dim=2), 0.0)
+        unit.on_update((0.0, 0.0, 0.0), (1.0, 0.0), (0, 0), empty_matrix("ugv0", dim=2), 0.0)
         cmd, tele = unit.tick(0.0)
         # offset point starts at (0.1, 0): nominal pulls +x, clamped to the
         # UGV box, which the vehicle drives as pure forward motion.
         assert cmd.u.tolist() == [0.6, 0.0]
+        pose = step_ugv(np.zeros((1, 3)), cmd.u[None], 0.1, PARAMS.turn_rate_limit, 0.1)
+        assert pose[0].tolist() == pytest.approx([0.06, 0.0, 0.0])
         v, omega = nid_inverse(0.0, cmd.u, 0.1, PARAMS.turn_rate_limit)
         assert v == pytest.approx(0.6)
         assert omega == pytest.approx(0.0, abs=1e-12)
@@ -327,9 +328,13 @@ class TestControlUnit:
 
     def test_latest_wins_ignores_reordered_pose(self):
         unit = self.make_uav()
-        unit.on_pose((1, 1, 1), 0.10)
-        unit.on_pose((9, 9, 9), 0.05)  # older message arriving late
-        assert np.allclose(unit.lane.pose[0], [1, 1, 1])
+        matrix = empty_matrix(t=0.10)
+        self.feed(unit, 0.10, (1, 1, 1), (2, 2, 2), (0.1, 0, 0), matrix)
+        self.feed(unit, 0.05, (9, 9, 9), (9, 9, 9), (9, 9, 9), empty_matrix(t=0.05))  # late
+        lane = unit.lane
+        assert lane.pose[0].tolist() == [1, 1, 1] and lane.setpoint[0].tolist() == [2, 2, 2]
+        assert lane.rate[0].tolist() == [0.1, 0, 0] and lane.matrices[0] is matrix
+        assert lane.stamps.tolist() == [0.10]
 
     def test_solves_once_per_slot_replacement(self, monkeypatch):
         calls = []
@@ -345,28 +350,59 @@ class TestControlUnit:
         for t in (0.0, 0.02, 0.04):
             unit.tick(t)
         assert len(calls) == 1
-        replacements = [
-            lambda t: unit.on_pose((0.1, 0, 1), t),
-            lambda t: unit.on_setpoint((2, 1, 1), (0, 0, 0), t),
-            lambda t: unit.on_constraints(empty_matrix(t=t), t),
-            lambda t: unit.on_pose((0.2, 0, 1), 0.06),  # equal stamp, new value
+        replacements = [  # the update's stamp, and what it carries
+            (0.06, ((0.1, 0, 1), (2, 0, 1), (0, 0, 0), empty_matrix(t=0.06))),
+            (0.08, ((0.1, 0, 1), (2, 1, 1), (0, 0, 0), empty_matrix(t=0.08))),
+            (0.08, ((0.2, 0, 1), (2, 1, 1), (0, 0, 0), empty_matrix(t=0.08))),  # equal stamp
         ]
-        for k, replace in enumerate(replacements):
+        for k, (stamp, update) in enumerate(replacements):
             calls.clear()
-            t = 0.06 + 0.02 * k
-            replace(0.06)
+            t = 0.08 + 0.02 * k
+            unit.on_update(*update, stamp)
             unit.tick(t)
             assert len(calls) == 1  # the first tick after the replacement
             unit.tick(t + 0.01)
             assert len(calls) == 1  # and none on the next
         calls.clear()
-        unit.on_pose((9, 9, 9), 0.05)            # older stamps are ignored
-        unit.on_setpoint((9, 9, 9), (0, 0, 0), 0.0)
-        unit.on_constraints(empty_matrix(t=0.0), 0.0)
+        self.feed(unit, 0.05, (9, 9, 9), (9, 9, 9), (0, 0, 0), empty_matrix(t=0.05))  # older
         cmd, tele = unit.tick(0.2)
         assert calls == [] and tele.status == "optimal"
         cmd, tele = unit.tick(0.4)               # stale: hold, no solve
         assert calls == [] and tele.status == "hold"
+
+    def test_dropped_update_leaves_the_unit_untouched(self):
+        """An update the link drops never reaches the unit: its pose,
+        setpoint, rate, matrix and stamp stay those of the last kept update,
+        and it holds once that stamp is older than hold_timeout."""
+        bus = StarBus(["uav0"], LinkModel(0.0, 0.0, 0.5), seed=5)
+        control = KindControl(["uav0"], UAV, Gains.of(1.0, 3), PARAMS, hold_timeout=0.12)
+        fields = lambda: (control.stamps.tobytes(), control.pose.tobytes(),  # noqa: E731
+                          control.setpoint.tobytes(), control.rate.tobytes(),
+                          control.matrices[0])
+        kept, drops, holds = None, 0, 0
+        for k in range(80):
+            t = 0.05 * k
+            matrix = empty_matrix(t=t)
+            update = (np.array([0.01 * k, 0.0, 1.0]), np.array([2.0, 0.1 * k, 1.0]),
+                      np.full(3, 0.01 * k), matrix)
+            before = fields()
+            sent = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update, t)
+            for msg in bus.deliver_due(t):
+                control.schedule.received[0] = True
+                control.on_update(0, *msg.payload, msg.send_time)
+            if sent is None:
+                drops += 1
+                after = fields()
+                assert after[:4] == before[:4] and after[4] is before[4]
+            else:
+                kept = t
+                assert control.stamps[0] == t and control.matrices[0] is matrix
+                assert control.pose[0].tobytes() == update[0].tobytes()
+            control.tick(t)
+            stale = kept is None or t - kept > 0.12
+            assert (control.status[0] == "hold") == stale
+            holds += stale
+        assert drops > 10 and holds > 2
 
     def test_returned_command_cannot_change_the_next(self):
         unit = self.make_uav()
@@ -380,7 +416,7 @@ class TestControlUnit:
         assert tele.u_applied.tobytes() == expected
 
 
-# Slot stamps: empty (-inf), a few shared values that make ties, or any.
+# Update stamps: none (-inf), a few shared values that make ties, or any.
 STAMPS = st.one_of(st.just(-math.inf), st.sampled_from([0.0, 0.1, 0.3, 2.5]),
                    st.floats(0.0, 50.0))
 UNITS = st.lists(st.tuples(st.tuples(STAMPS, STAMPS, STAMPS),
@@ -395,9 +431,11 @@ def due_units(schedule: TickSchedule, now: float) -> list[int]:
 class TestStaleness:
     @given(units=UNITS, pick=st.integers(0, 11), ulps=st.integers(-4, 4))
     def test_due_and_stale_match_per_slot_test(self, units, pick, ulps):
-        """The oldest-stamp rule, in each unit and in the schedule's screen
-        over a fleet, decides exactly as testing every slot does, at times
-        within a few ulps of a slot's stamp plus its unit's timeout."""
+        """A unit fed up to three updates in any order keeps the latest
+        stamp in its one slot.  The staleness rule on that stamp, in each
+        unit and in the schedule's screen over a fleet, decides exactly as
+        the slot test on the latest update does, at times within a few ulps
+        of an update's stamp plus its unit's timeout."""
         edges = [s + timeout for stamps, timeout in units for s in stamps
                  if s > -math.inf] or [0.0]
         now = edges[pick % len(edges)]
@@ -407,16 +445,12 @@ class TestStaleness:
         for stamps, timeout in units:
             unit = AgentControlUnit("uav0", UAV, Gains.of(1.0, 3), PARAMS,
                                     hold_timeout=timeout)
-            pose, setpoint, matrix = stamps
-            if pose > -math.inf:
-                unit.on_pose((0, 0, 1), pose)
-            if setpoint > -math.inf:
-                unit.on_setpoint((0, 0, 1), (0, 0, 0), setpoint)
-            if matrix > -math.inf:
-                unit.on_constraints(empty_matrix(t=matrix), matrix)
-            oldest.append(unit.lane.stamps[0].min())
+            for stamp in stamps:  # updates in any order: the latest stays
+                if stamp > -math.inf:
+                    unit.on_update((0, 0, 1), (0, 0, 1), (0, 0, 0), empty_matrix(t=stamp), stamp)
+            oldest.append(unit.lane.stamps[0])
         timeouts = np.array([timeout for _, timeout in units])
-        want = [per_slot_stale(now, stamps, timeout) for stamps, timeout in units]
+        want = [per_slot_stale(now, [max(stamps)], timeout) for stamps, timeout in units]
         assert [bool(data_stale(now, s, t)) for s, t in zip(oldest, timeouts)] == want
         schedule = TickSchedule(len(units), timeouts)
         assert due_units(schedule, -math.inf) == list(range(len(units)))

@@ -28,3 +28,28 @@ NAMES = [(owner, attr) for owner, attr, _, _ in tracing.TARGETS] + list(tracing.
                          ids=[f"{owner.__name__}.{attr}" for owner, attr in NAMES])
 def test_traced_name_is_owned_where_the_tracer_looks(owner, attr):
     assert attr in owner.__dict__
+
+
+def test_traced_run_enters_the_step_and_send_spans(tmp_path):
+    """A traced lossy crossing steps the fleet through runner.step_ugv and
+    sends every message through StarBus.send: both spans are entered, and
+    the tracer's sent and dropped counts equal the run's link statistics."""
+    from airground import run
+
+    from scenario_helpers import crossing_scenario
+
+    cfg = crossing_scenario(3, seed=5, duration=1.0,
+                            network={"latency": 0.02, "jitter": 0.005, "drop": 0.2})
+    tracer = tracing.Tracer("lossy")
+    tracer.install()
+    try:
+        result = tracer.call(run, cfg, str(tmp_path))
+    finally:
+        tracer.restore()
+    assert tracer.restored() and not tracer.missing
+    stats = tracer.stats()
+    steps = round(cfg.duration / cfg.dt)
+    assert stats["agents.step"].count == 2 * steps   # step_uav and step_ugv
+    links = result.link_stats.values()
+    assert stats["netsim.send"].count == tracer.counters.sent == sum(s.sent for s in links)
+    assert tracer.counters.dropped == sum(s.dropped for s in links) > 0

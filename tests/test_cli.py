@@ -290,6 +290,31 @@ class TestSummarize:
         assert main(["summarize", out_dir]) == 1
         assert "trajectory.csv:21: logged min_h nan" in capsys.readouterr().err
 
+    def test_summarize_unknown_kind_fails(self, tmp_path, capsys):
+        """An agent logged with a kind other than uav or ugv would drop out
+        of every family minimum; its first line is reported instead, even
+        when its min_h column is made to agree."""
+        cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
+        out_dir = str(tmp_path / "out")
+        assert main(["run", cfg, "--out-dir", out_dir]) == 0
+        traj = os.path.join(out_dir, "trajectory.csv")
+        with open(traj) as f:
+            lines = f.read().splitlines()
+        first = None
+        for k, line in enumerate(lines[1:], start=2):
+            parts = line.split(",")
+            if parts[1] == "ugv0":
+                parts[2], parts[11] = "rover", "inf"
+                lines[k - 1] = ",".join(parts)
+                first = first or k
+        with open(traj, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"trajectory.csv:{first}: kind must be uav or ugv, got 'rover'" in err
+        assert "Traceback" not in err
+
     def test_summarize_missing_dir_fails(self):
         assert main(["summarize", "/nonexistent/run"]) == 1
 

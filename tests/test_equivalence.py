@@ -296,8 +296,8 @@ def test_array_assembly_matches_per_row_oracle(case):
                     assert str(exc) == str(want)
                     return
             raise AssertionError(f"the oracle fits every agent: {exc}")
-        shipped = [payload for msg_type, _, payload in outbound
-                   if msg_type is MsgType.CONSTRAINT_UPDATE]
+        shipped = [payload[3] for msg_type, _, payload in outbound
+                   if msg_type is MsgType.UPDATE]
         assert [m.agent_id for m in shipped] == ids
         for got in shipped:
             want = assemble_per_row(w, got.agent_id, now)
@@ -334,12 +334,14 @@ def tracks(draw):
 @st.composite
 def track_times(draw, track_list):
     """Finite times at leg ends and whole loops of the first moving track,
-    huge times, zero and ordinary ones: times the scalar walk accepts."""
+    huge times, zero and ordinary ones: times the scalar walk accepts, so
+    that every track's speed times t is finite (a subnormal first speed
+    puts leg ends near the largest float)."""
     legs = next((t._legs for t in track_list if t._legs), [])
     ends = np.cumsum([0.0] + [leg[2] for leg in legs]).tolist()
     speed = next((t.speed for t in track_list if t._legs), 1.0)
     at_end = [e / speed + k * ends[-1] / speed for e in ends for k in (0, 1, 3)] if legs else []
-    at_end = [t for t in at_end if math.isfinite(t)]  # a subnormal speed puts them at inf
+    at_end = [t for t in at_end if all(math.isfinite(track.speed * t) for track in track_list)]
     return draw(st.lists(st.sampled_from(at_end + [0.0, 1e6, 1e15, 1e300, 7.25])
                          | st.floats(0.0, 100.0), min_size=1, max_size=6))
 
@@ -410,22 +412,18 @@ def assert_fanout_matches_oracle(w, now, outbound, records):
     """A tick's updates (order, types, destinations and payload bits), their
     wire sizes and its records equal the per-agent fan-out's."""
     want_updates, want_records = per_agent_fanout(w, now)
-    pending = outbound[:len(outbound) - 6 * w.n_pairs]
-    assert all(msg_type in (MsgType.LANDING_SIGNAL, MsgType.TOUCHDOWN_ACK)
-               for msg_type, _, _ in pending)
+    pending = outbound[:len(outbound) - 2 * w.n_pairs]
+    assert all(msg_type is MsgType.TOUCHDOWN_ACK for msg_type, _, _ in pending)
     updates = outbound[len(pending):]
     assert [update[:2] for update in updates] == [want[:2] for want in want_updates]
-    for (msg_type, _, got), (_, _, want) in zip(updates, want_updates):
+    for (_, _, got), (_, _, want) in zip(updates, want_updates):
         assert _payload_bytes(got) == payload_bytes_by_isinstance(want)
-        if msg_type is MsgType.POSE_UPDATE:
-            assert got.tobytes() == want.tobytes()
-        elif msg_type is MsgType.SETPOINT_UPDATE:
-            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        else:
-            assert (got.a.tobytes(), got.b.tobytes()) == (want.a.tobytes(), want.b.tobytes())
-            assert (got.agent_id, got.timestamp, got.active_count) == (
-                want.agent_id, want.timestamp, want.active_count)
-            assert (got.kinds, got.other_ids) == (want.kinds, want.other_ids)
+        assert [x.tobytes() for x in got[:3]] == [x.tobytes() for x in want[:3]]
+        got, want = got[3], want[3]
+        assert (got.a.tobytes(), got.b.tobytes()) == (want.a.tobytes(), want.b.tobytes())
+        assert (got.agent_id, got.timestamp, got.active_count) == (
+            want.agent_id, want.timestamp, want.active_count)
+        assert (got.kinds, got.other_ids) == (want.kinds, want.other_ids)
     assert records == want_records
     assert ([list(r.kind_counts.items()) for r in records]
             == [list(r.kind_counts.items()) for r in want_records])
@@ -557,59 +555,50 @@ def random_matrix(rng, agent_id: str, dim: int, stamp: float,
 def message_run(rng, kind: str, hold_timeout: float):
     """A seeded sequence of (time, messages) for one control unit at 100 Hz.
 
-    Messages arrive with up to 50 ms of latency, so some carry stamps older
-    than their slot's and are ignored; some repeat the slot's stamp with a
-    new value; two silent gaps outlast hold_timeout; one matrix in five is
-    infeasible; a touchdown acknowledgement comes at 80% of the run."""
+    Updates arrive with up to 50 ms of latency, so some carry stamps older
+    than the unit's and are ignored, and up to two land at one instant; some
+    repeat the unit's stamp with new values; two silent gaps outlast
+    hold_timeout; one matrix in five is infeasible; a touchdown
+    acknowledgement comes at 80% of the run."""
     dim = 3 if kind == UAV else 2
     n_ticks = 400
     gaps = {int(rng.integers(40, 120)), int(rng.integers(200, 280))}
-    stamps = {"pose": -math.inf, "setpoint": -math.inf, "matrix": -math.inf}
+    latest = -math.inf
     silent_until = -1
     for k in range(n_ticks):
         t = k * 0.01
         if k in gaps:
             silent_until = k + round(hold_timeout / 0.01) + int(rng.integers(2, 10))
         messages = []
-        if k > silent_until:
-            for slot in ("pose", "setpoint", "matrix"):
-                draw = rng.uniform()
-                if draw < 0.6:
-                    continue
-                if draw < 0.7 and stamps[slot] > -math.inf:
-                    stamp = stamps[slot]                    # equal stamp
-                elif draw < 0.8 and stamps[slot] > -math.inf:
-                    stamp = stamps[slot] - 0.01             # older: ignored
-                else:
-                    stamp = t - float(rng.uniform(0.0, 0.05))
-                stamps[slot] = max(stamps[slot], stamp)
-                if slot == "pose":
-                    value = (rng.uniform(-3.0, 3.0, 3),)  # x, y, z or theta
-                elif slot == "setpoint":
-                    value = (rng.uniform(-3.0, 3.0, dim),
-                             rng.uniform(-0.3, 0.3, dim))
-                else:
-                    value = (random_matrix(rng, f"{kind}0", dim, stamp,
-                                           rng.uniform() < 0.2),)
-                messages.append((slot, value, stamp))
+        for _ in range(2 if k > silent_until else 0):
+            draw = rng.uniform()
+            if draw < 0.5:
+                continue
+            if draw < 0.6 and latest > -math.inf:
+                stamp = latest                              # equal stamp
+            elif draw < 0.7 and latest > -math.inf:
+                stamp = latest - 0.01                       # older: ignored
+            else:
+                stamp = t - float(rng.uniform(0.0, 0.05))
+            latest = max(latest, stamp)
+            update = (rng.uniform(-3.0, 3.0, 3),            # x, y, z or theta
+                      rng.uniform(-3.0, 3.0, dim), rng.uniform(-0.3, 0.3, dim),
+                      random_matrix(rng, f"{kind}0", dim, stamp, rng.uniform() < 0.2))
+            messages.append(("update", update, stamp))
         if k == int(0.8 * n_ticks):
             messages.append(("touchdown", (), t))
         yield t, messages
 
 
-def deliver(unit, slot, value, stamp) -> None:
-    if slot == "pose":
-        unit.on_pose(*value, stamp)
-    elif slot == "setpoint":
-        unit.on_setpoint(*value, stamp)
-    elif slot == "matrix":
-        unit.on_constraints(*value, stamp)
+def deliver(unit, what, value, stamp) -> None:
+    if what == "update":
+        unit.on_update(*value, stamp)
     else:
         unit.on_touchdown_ack()
 
 
 def test_cached_control_unit_matches_per_tick_oracle():
-    """Fed the same messages, the unit that solves once per replaced slot
+    """Fed the same messages, the unit that solves once per kept update
     emits exactly the commands and telemetry of the one that solves on
     every tick, including holds, relaxations and the landed state."""
     for seed in range(6):
@@ -641,15 +630,11 @@ def test_cached_control_unit_matches_per_tick_oracle():
             assert reused > 50  # ticks that reused a cached solution
 
 
-def deliver_lane(control, k, slot, value, stamp) -> None:
+def deliver_lane(control, k, what, value, stamp) -> None:
     """What the runner's router does with a message for unit k."""
     control.schedule.received[k] = True
-    if slot == "pose":
-        control.on_pose(k, *value, stamp)
-    elif slot == "setpoint":
-        control.on_setpoint(k, *value, stamp)
-    elif slot == "matrix":
-        control.on_constraints(k, *value, stamp)
+    if what == "update":
+        control.on_update(k, *value, stamp)
     else:
         control.on_touchdown_ack(k)
 
@@ -769,10 +754,8 @@ def test_batched_instant_matches_scalar_units(fleet):
         matrix = from_rows(ids[k], stamp, 12, dim,
                            [ConstraintRow(a=np.array(a), b=b, kind=RowKind.UAV_UAV)
                             for a, b in rows])
-        messages = [("pose", (pose,), stamp), ("setpoint", (setpoint, rate), stamp),
-                    ("matrix", (matrix,), stamp)]
-        if state == "empty":
-            messages.pop(k % 3)
+        messages = [] if state == "empty" else [
+            ("update", (pose, setpoint, rate, matrix), stamp)]
         if state == "landed":
             messages.append(("touchdown", (), stamp))
         for message in messages:

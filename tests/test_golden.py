@@ -29,7 +29,14 @@ its filtered offset-point velocity and map it through its current heading
 at every integration step, instead of holding one body twist between
 solves, the trajectory.csv and metrics.json digests of every run whose
 UGVs turn were re-recorded (all but the two landings, whose platforms
-drive straight); no watcher.csv or trace.log changed.  A
+drive straight); no watcher.csv or trace.log changed.  When the watcher
+began to send each agent one update per tick, carrying pose, setpoint and
+matrix together with one drop and one jitter draw, in place of three
+messages, and stopped sending the landing signal that no unit acted on,
+every trace.log and traced metrics.json digest was re-recorded, and the
+trajectory.csv and watcher.csv digests of the runs over lossy or jittery
+links; on ideal links the three messages had landed in the same instant,
+so those runs' trajectory.csv and watcher.csv stayed the same.  A
 change that alters any logged byte of these runs -- a reordered constraint row, a
 last-ulp difference in a recomputed min_h, one message more or less on the
 bus -- fails here.  A change that is meant to alter the logs (a bug fix) must say
@@ -112,15 +119,15 @@ def overtaken_deliveries(trace_path: str) -> tuple[int, int]:
 GOLDEN = {
     "crossing_three_5s": (
         crossing_three_5s,
-        "05691c1dc2e459ab0e4f2de03f4e928a229ff914b149b836ba0697c4eecad096",
-        "bd639830838265febd31362d8eca1fd755170ddd38778882edbbda8d8ea32610",
+        "ade4285362ed5d23a2c8f9ba9c776d2668892767fb8817910da6a6e1f8c54ad6",
+        "eedc88442c82cc89a425a4ffbc185c8322cad7b005c68dbed7eee6e1ff7f9677",
         None,
     ),
     "landing_2pairs": (
         lambda: landing_scenario(2, seed=3, ugv_speed=0.4, duration=10.0),
         "6949d3537bfd5073b088aabe2b820ed37a5f7f7c8726c90ec22a0b13666d8561",
         "69dff705949769e177d72e36f50f0b8ab808d20343a32aa59d152f4eff82e6d2",
-        "2f92e6bb2ab1ae93be680012c54c0f509fd30c6e42f853f43b9fc894302b9699",
+        "173b1802437f708e3b8c1d45681b8d9bc2c00de3f9e1856e71f1c8b4c34f185a",
     ),
     "grid_16pairs": (
         lambda: grid_scenario(16, seed=1, duration=0.5),
@@ -130,27 +137,27 @@ GOLDEN = {
     ),
     "noisy_crossing_5s": (
         noisy_crossing,
-        "f6a4b7a66326736492aaa429da65e0c9aacb7f9f91bc6ed4ca8c14b59da5cc79",
+        "55182f1c5b383df41aab8840d0a0eb0735aa8fbd5a355cd0442b803b7061505f",
         "79c8dc66b003ae637434abd638959d63dba5c433b2ea46a651a6f9312d96d989",
-        "8485b3325bd136ff5caf247288ac9a5971db129e549ca5aff01296b5f45266c5",
+        "bec54ef14f001da8da5923737e4a3cc0c36741ead957c93b24aa544c6e425030",
     ),
     "lossy_crossing_100hz_5s": (
         lossy_crossing_100hz,
-        "b9ddacb5653770690b7e76f01db6ec31ae2f578f37abf8ecfb724fe2856af682",
-        "d11ef98bb950ae2c1e584c6d5ead98b81f568a4f9057fa29503461be82a519cd",
-        "e2e8e3a6212574249087b117b38f3d3193383e456de63d53b81eaf9380d7c616",
+        "cde739ec6a630e70bb7d376a4049b3f2e8358f6430b00678069097d260d6e75b",
+        "91a6862c5e49e65ddb4ac7c6f535bed663c71b2e402132cc9fd3a5c3cb28917b",
+        "1ff5916ec46dd9d6cebd255fb38c93aa78242b2bff7ca60ffcacbf8ebb2df5c6",
     ),
     "lossy_landing_100hz": (
         lossy_landing_100hz,
-        "56582ba2bff80275d55900f55b75ca9cf782e89e896903626b4c860928b1af69",
-        "17d6500b2572a67621dbac5dc6c604f46c93ea2385adade4e5b62c6182d0b3f6",
-        "849f7b7adc583b589210de3e1ec552b6663bf28057065d969e761bf8e86c404e",
+        "16d6e5afdaa904244d39983471bbd77fa8283368f1e0fc47d6b122eb13798bc6",
+        "fdc241ef3f78a53265e381914b621d17e28e651708ce9248c0938018302b632a",
+        "ab701b1203c0471887e40b3623f3a83213839ae7771658860f9f0cf341dedb03",
     ),
     "noisy_grid_12pairs": (
         lambda: grid_scenario(12, seed=1, duration=0.5, localization_noise=0.02),
         "5867d6f0012ff4d0308d1872219da237ec6a7ebd5d408594bb4065feb5dbc5b0",
         "a0ef26012ab8851020cb52fb062223be9685755a7549120192107a0f14dd3ffe",
-        "5e5eb31948be4cd0dc19ab90ce514e50475061f2c4ee29755da27d2bf3d955a4",
+        "17021b5d7ddfb2e3068476be7ac54463b72d1420c1b3bbab00f75ba6b38673c8",
     ),
     "clustered_6s": (
         lambda: clustered_scenario(duration=6.0),
@@ -162,25 +169,25 @@ GOLDEN = {
         lambda: clustered_scenario(duration=3.0, platform_height=0.1),
         "2af39f47d2e3f39d969f8f5821fff82cc8e3aee5bdfb6b6b804a83dc0b4ce2b2",
         "42a076a3173533d44776b1e193405edf18b21c35fa78f28a4a1f34ceceaabcba",
-        "5fa80288e33aad41e79b269c76cc49e4a21ba05f4796fdb465d345f5777a0eaf",
+        "18c9abae0d529d6015f3fff24f75bbb1a230f02260b946ab2e3a90257f504947",
     ),
     "drop_only_crossing_5s": (
         drop_only_crossing,
-        "5c1cadcb7b2125d63c3123610c6834d03e1dab38b4aadbf34ec7275cdaff8dc2",
-        "e00ed3611983b63b92bed721361801f361fffcbcfba2805d395d6753adde3324",
-        "f2aaf1f65441b01cf300f733b997bd036139a47d394c12c4e19ea59a0870b76d",
+        "02c87984bbbb48391b9252dfa6780d1ff6f35675379fbc632326ae0d0c4596bc",
+        "9e02305374f3f7ed9f96d369a6300d6bb836bb59819926f9afe9f0d29af60f2f",
+        "ebd8c60de97e9df062ba4c73a72c264d3d430d46ee9e5189c3f4728eefeea218",
     ),
     "jitter_only_crossing_5s": (
         jitter_only_crossing,
-        "ad878d01a82de3c8979d7c93a5361bd670d4044516cc9fe1fd64e1adf21cd2e4",
+        "ce06cf9a09c0af27268d9e573a66f24c4cb612408679209f59d4f57e852b769a",
         "eedc88442c82cc89a425a4ffbc185c8322cad7b005c68dbed7eee6e1ff7f9677",
-        "62d35accac4cc2de4637418e42bbb4ce6207445090b82c2566aebbcb6f2435dc",
+        "1cf8960a57e5f6b0679d645d54333c792246210a0f798c3409e7cc9a1caf154e",
     ),
     "overtaking_crossing_5s": (
         overtaking_crossing,
-        "5bfa2d6d79b78e2aa7889393d337a48fc078a9fae3d9e35b94d35e39e7ca6603",
-        "e5c745eb38d34c405d2d727b4a8caa3c232ac2df8a14d5e4b9168e6c9bb3d60f",
-        "4f5837fd352e39070ac05e1bf1673a68f5f86fc2cb2ac1367c0475a6b2c5c1fc",
+        "c6bf8c0b2c85e637d422abc0a937f77644e99f96c1830fae13042ad74a438729",
+        "a38a2002d9418affdac3c40ee4b90a8a6825f20f6fc5bfcdb9991bf8853275bc",
+        "25b5f60f12e3fcbe316f5bee38d8588580022fc4f3d73749266c6138d78b68e7",
     ),
 }
 
@@ -188,17 +195,17 @@ GOLDEN = {
 # name -> metrics.json
 METRICS = {
     "clustered_6s": "e79f60895755fefbb3caf5211a5833c507cabdc1901a557009427808413a07f1",
-    "clustered_raised_platform": "9541ffc8d1f26ccfa28116417f910e3f1d243a9c0f5fdfd30cba2b8b4e709387",
-    "crossing_three_5s": "8e72a922dbbc3207df66ec6dfd49200f85b98e7c8c1f8b5fe5caf7e12938b607",
-    "drop_only_crossing_5s": "acd56ba0e4a5311984eb63d8bd5e44af5846823430798de1c83fb665302ca134",
+    "clustered_raised_platform": "dfbd9f9e9b1a0374eac5a672e6614eb7eb47f614bff4050c5e3e3abcc5f33b80",
+    "crossing_three_5s": "d591e85b90477321202074a3397f04b9c80939d8501f5743998d45635a59be11",
+    "drop_only_crossing_5s": "67656adb69dfc693fca6f2856ab6745e39c24c6098ba2321c2086cf4a9642c39",
     "grid_16pairs": "d0f8ab609d3c5ad95384b14c68baf6e053d1997ab32601d8d127097e1da14eb9",
-    "jitter_only_crossing_5s": "837557ba275836ab29c5cb76ad913bdef55a5bce7aed50ca163d68f2f6f6c21f",
-    "landing_2pairs": "802cc87683f86f7d6643e06f9edc84a12b13e130bb3cd6a81908f290943e87a8",
-    "lossy_crossing_100hz_5s": "3214d67364aa6a597941f1f52858f75664fd8eed167b3b6077d02d9b2cd151ec",
-    "lossy_landing_100hz": "9ea7092d6dfd02fc024ff185c1bff81125a95e0561dc1c212caa7ee35166e591",
-    "noisy_crossing_5s": "e1aeea121f9244734d98b40ec38070fb21856dc6723e6920c7bb9d3898fd4d31",
-    "noisy_grid_12pairs": "07b3964cbeece4d2e4e5582a1e8d7ce7c8c80a8489a07eccf980e17fe9b3d07f",
-    "overtaking_crossing_5s": "2253c44c798e62703d3f22d4a4bdf944e15c9c6e0496e332f15d45a68ea5cd21",
+    "jitter_only_crossing_5s": "2ec63dab9b0981734e862e434ac1453d0b7482f88d1f55e9e624ab2b3166dc18",
+    "landing_2pairs": "f523082e1df063985ec891d816431d361b0f0f1fca19f2b634fb9017f5ae94d9",
+    "lossy_crossing_100hz_5s": "cbf9c7e1f7228e31891a04a01ade09c632ac7af351fb9c33be8b52c5444ecf08",
+    "lossy_landing_100hz": "7b2b16c7c0148670734e22f0f4eff1417529120973e90b107eb4a15656150ba7",
+    "noisy_crossing_5s": "eb3b97a3e9f533ca8f0cac8466a084e5d3487ff7734a73c9a3314efe9d2fcbe9",
+    "noisy_grid_12pairs": "515952eefd579e4360b5451581ab450a816f4157296176f670ab998f5a5e8964",
+    "overtaking_crossing_5s": "98b50ee4ca40968d8d46b57bad62a0e4ecc6d7a9dcb9f37b4ef63b565519a7fd",
 }
 
 
@@ -217,7 +224,7 @@ def test_logs_match_recorded_digests(tmp_path, name):
     if name == "landing_2pairs":  # the digests must cover the landed path
         assert len(result.touchdown_times) == 2
         with open(result.trace_path) as f:
-            assert "type=landing_signal" in f.read()
+            assert f.read().count("send t=") == 2 * 2 * 201 + 2  # updates, acks
     if name == "clustered_6s":  # and the slack relaxation
         assert result.relaxed_events > 0
     if name == "clustered_raised_platform":  # every family, platform raised
@@ -230,7 +237,7 @@ def test_logs_match_recorded_digests(tmp_path, name):
         assert result.relaxed_events > 0
     if name == "lossy_landing_100hz":  # holds and touchdowns, unit by unit
         assert {"hold", "optimal", "landed"} <= set(result.metrics.status_counts)
-        assert result.touchdown_times == {0: 6.0, 1: 6.25}
+        assert result.touchdown_times == {0: 5.7, 1: 6.1000000000000005}
     if name == "lossy_crossing_100hz_5s":  # and holds between reused ticks
         with open(result.trajectory_path) as f:
             statuses = [line.split(",")[10] for line in f.read().splitlines()[1:]]
@@ -240,7 +247,7 @@ def test_logs_match_recorded_digests(tmp_path, name):
     if name == "jitter_only_crossing_5s":  # every message kept
         assert all(s.dropped == 0 for s in result.link_stats.values())
     if name == "overtaking_crossing_5s":  # stale stamps and same-instant repeats
-        assert overtaken_deliveries(result.trace_path) == (293, 91)
+        assert overtaken_deliveries(result.trace_path) == (91, 32)
     assert sha256(result.trajectory_path) == trajectory
     assert sha256(result.watcher_path) == watcher
     if trace is not None:

@@ -22,31 +22,31 @@ def make_bus(latency=0.0, jitter=0.0, drop=0.0, seed=1, trace=None):
 class TestTopology:
     def test_star_links_accepted_both_directions(self):
         bus = make_bus()
-        assert bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav0", None, 0.0)
+        assert bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", None, 0.0)
         assert bus.send(MsgType.TOUCHDOWN_ACK, "uav0", WATCHER_ID, None, 0.0)
 
     def test_agent_to_agent_rejected(self):
         bus = make_bus()
         with pytest.raises(TopologyViolationError):
-            bus.send(MsgType.POSE_UPDATE, "uav0", "ugv0", None, 0.0)
+            bus.send(MsgType.UPDATE, "uav0", "ugv0", None, 0.0)
 
     def test_unknown_node_rejected(self):
         bus = make_bus()
         with pytest.raises(TopologyViolationError):
-            bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav9", None, 0.0)
+            bus.send(MsgType.UPDATE, WATCHER_ID, "uav9", None, 0.0)
 
 
 class TestDelivery:
     def test_zero_latency_delivers_same_instant(self):
         bus = make_bus()
-        bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav0", 42, 0.05)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", 42, 0.05)
         out = bus.deliver_due(0.05)
         assert len(out) == 1 and out[0].payload == 42
         assert out[0].deliver_time == out[0].send_time == 0.05
 
     def test_latency_defers_delivery(self):
         bus = make_bus(latency=0.03)
-        bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav0", None, 0.0)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", None, 0.0)
         assert bus.deliver_due(0.02) == []
         assert len(bus.deliver_due(0.03)) == 1
 
@@ -55,9 +55,9 @@ class TestDelivery:
 
     def test_tie_order_by_seq_then_link(self):
         bus = make_bus()
-        bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "ugv1", "b1", 0.0)
-        bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav0", "a2", 0.0)
-        bus.send(MsgType.SETPOINT_UPDATE, WATCHER_ID, "ugv1", "b2", 0.0)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", "b1", 0.0)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", "a2", 0.0)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", "b2", 0.0)
         out = bus.deliver_due(0.0)
         # Same deliver_time everywhere: seq breaks ties, then link id.
         assert [(m.seq, m.dst) for m in out] == [(1, "uav0"), (1, "ugv1"), (2, "ugv1")]
@@ -66,7 +66,7 @@ class TestDelivery:
         bus = make_bus(latency=0.05, jitter=0.04, seed=3)
         stamps = []
         for k in range(30):
-            msg = bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav0", k, 0.01 * k)
+            msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", k, 0.01 * k)
             stamps.append(msg.deliver_time)
         out = bus.deliver_due(10.0)
         payloads = [m.payload for m in out]
@@ -77,7 +77,7 @@ class TestDelivery:
         bus = make_bus(drop=0.3, seed=9)
         seqs = []
         for k in range(50):
-            msg = bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav0", k, 0.0)
+            msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", k, 0.0)
             if msg is not None:
                 seqs.append(msg.seq)
         assert seqs == sorted(seqs)
@@ -90,7 +90,7 @@ class TestDeterminism:
             bus = make_bus(latency=0.02, jitter=0.01, drop=0.1, seed=seed)
             out = []
             for k in range(200):
-                msg = bus.send(MsgType.POSE_UPDATE, WATCHER_ID,
+                msg = bus.send(MsgType.UPDATE, WATCHER_ID,
                                AGENTS[k % 4], k, 0.01 * k)
                 out.append(None if msg is None else (msg.seq, msg.deliver_time))
             return out
@@ -105,8 +105,8 @@ class TestDeterminism:
             out = []
             for k in range(100):
                 if extra_traffic:
-                    bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "ugv1", k, 0.01 * k)
-                msg = bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav0", k, 0.01 * k)
+                    bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", k, 0.01 * k)
+                msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", k, 0.01 * k)
                 out.append(None if msg is None else msg.deliver_time)
             return out
 
@@ -117,7 +117,7 @@ class TestStatsAndTrace:
     def test_conservation_per_link(self):
         bus = make_bus(latency=0.01, drop=0.25, seed=2)
         for k in range(300):
-            bus.send(MsgType.POSE_UPDATE, WATCHER_ID, AGENTS[k % 4], None, 0.001 * k)
+            bus.send(MsgType.UPDATE, WATCHER_ID, AGENTS[k % 4], None, 0.001 * k)
         bus.deliver_due(0.1)
         stats = bus.link_stats()
         in_flight = bus.pending()
@@ -135,7 +135,7 @@ class TestStatsAndTrace:
     def test_active_link_count(self):
         bus = make_bus()
         for aid in AGENTS:
-            bus.send(MsgType.POSE_UPDATE, WATCHER_ID, aid, None, 0.0)
+            bus.send(MsgType.UPDATE, WATCHER_ID, aid, None, 0.0)
         assert len(bus.link_stats()) == 4  # one link per agent: 2N with N=2
 
     def test_full_mesh_link_count_baseline(self):
@@ -148,7 +148,7 @@ class TestStatsAndTrace:
         trace = []
         bus = make_bus(drop=0.5, seed=4, trace=trace)
         for k in range(40):
-            bus.send(MsgType.POSE_UPDATE, WATCHER_ID, "uav0", None, 0.01 * k)
+            bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", None, 0.01 * k)
         bus.deliver_due(10.0)
         kinds = {line.split()[0] for line in trace}
         assert kinds == {"send", "drop", "deliver"}
@@ -208,7 +208,7 @@ def test_block_draws_match_scalar_draws(seed, latency, jitter, drop, schedule):
     now = 0.0
     for k in range(n):
         src, dst = LINKS[0 if k % 2 else others[k]]
-        msg_type = MsgType.POSE_UPDATE if src == WATCHER_ID else MsgType.TOUCHDOWN_ACK
+        msg_type = MsgType.UPDATE if src == WATCHER_ID else MsgType.TOUCHDOWN_ACK
         got = bus.send(msg_type, src, dst, PAYLOADS[payloads[k]], now)
         want = ref.send(msg_type, src, dst, PAYLOADS[payloads[k]], now)
         assert (got is None) == (want is None)

@@ -276,11 +276,12 @@ class TestSummarize:
         with pytest.raises(LogIntegrityError):
             summarize_dir(str(tmp_path))
 
-    @pytest.mark.parametrize("kind, logged", [(None, "nan"), ("rover", "-inf")])
+    @pytest.mark.parametrize("kind, logged", [(None, "nan"), (None, "-inf")])
     def test_non_finite_min_h_disagrees(self, tmp_path, kind, logged):
         """A logged min_h must equal the recomputed one or lie within 1e-9
-        of it: NaN never does, nor does -inf where an agent without barrier
-        terms (its kind is neither uav nor ugv) recomputes to +inf."""
+        of it: NaN never does, nor does -inf.  (An agent without barrier
+        terms, which would recompute to +inf, cannot be logged: a kind
+        other than uav or ugv is rejected when the line is parsed.)"""
         result = run(single_pair(duration=1.0), str(tmp_path))
         with open(result.trajectory_path) as f:
             lines = f.read().splitlines()
@@ -510,3 +511,27 @@ class TestTraceOrdering:
                 t = float(fields["t"])
                 assert t >= last.get(key, -1.0)
                 last[key] = t
+
+    def test_two_n_updates_per_watcher_tick(self, tmp_path):
+        """Over ideal links the watcher sends each of the 2N agents exactly
+        one update per tick, and the only other traffic is one touchdown
+        acknowledgement per landing; every message is delivered."""
+        cfg = landing_scenario(2, seed=3, ugv_speed=0.4, duration=10.0)
+        result = run(cfg, str(tmp_path), trace=True)
+        ticks = len({rec.time for rec in result.watcher_records})
+        sends = {}
+        with open(result.trace_path) as f:
+            for line in f:
+                if line.startswith("send "):
+                    fields = dict(part.split("=", 1) for part in line.split()[1:])
+                    key = (fields["t"], fields["dst"], fields["type"])
+                    sends[key] = sends.get(key, 0) + 1
+        updates = [key for key in sends if key[2] == "update"]
+        acks = [key for key in sends if key[2] == "touchdown_ack"]
+        assert set(sends.values()) == {1}  # at most one per agent, type and tick
+        assert len(updates) == 2 * cfg.n_pairs * ticks
+        assert len(acks) == len(result.touchdown_times) == 2
+        assert {key[2] for key in sends} == {"update", "touchdown_ack"}
+        stats = result.link_stats.values()
+        assert sum(s.sent for s in stats) == len(updates) + len(acks)
+        assert sum(s.delivered for s in stats) == len(updates) + len(acks)

@@ -272,24 +272,28 @@ class TestLandingProtocol:
         return w, poses
 
     def test_signal_switches_phase_and_setpoint(self):
+        """The signal sends nothing of its own: the UAV learns of it from the
+        setpoint in its next update, which chases the platform's hover point."""
         w, poses = self.landing_watcher()
+        before = {dst: payload[1] for _, dst, payload in w.tick(1.0, *poses)[0]}
         assert w.handle_landing_signal(0, 1.0)
         assert w.phases[0] is PairPhase.LANDING
         outbound, _ = w.tick(1.05, *poses)
-        signals = [dst for msg_type, dst, _ in outbound if msg_type is MsgType.LANDING_SIGNAL]
-        assert signals == ["uav0"]
-        setpoints = {dst: payload for msg_type, dst, payload in outbound
-                     if msg_type is MsgType.SETPOINT_UPDATE}
-        hover = hover_point(w, 0)
-        assert np.allclose(setpoints["uav0"][0], hover)
+        assert [msg_type for msg_type, _, _ in outbound] == [MsgType.UPDATE] * 4
+        setpoints = {dst: payload[1] for _, dst, payload in outbound}
+        assert np.allclose(setpoints["uav0"], hover_point(w, 0))
+        assert not np.allclose(before["uav0"], setpoints["uav0"])
+        for other in ("ugv0", "uav1", "ugv1"):  # a static track: unchanged
+            assert setpoints[other].tobytes() == before[other].tobytes()
 
     def test_duplicate_signal_idempotent(self):
         w, poses = self.landing_watcher()
         assert w.handle_landing_signal(0, 1.0)
         assert w.handle_landing_signal(0, 1.2)
+        assert w.phases[0] is PairPhase.LANDING
         outbound, _ = w.tick(1.25, *poses)
-        signals = [ob for ob in outbound if ob[0] is MsgType.LANDING_SIGNAL]
-        assert len(signals) == 1
+        assert [msg_type for msg_type, _, _ in outbound] == [MsgType.UPDATE] * 4
+        assert np.allclose(outbound[0][2][1], hover_point(w, 0))
 
     def test_unknown_pair_rejected(self):
         w, _ = self.landing_watcher()
@@ -368,16 +372,22 @@ class TestLandingProtocol:
 
 
 class TestDispatch:
-    def test_three_updates_per_agent_per_tick(self):
+    def test_one_update_per_agent_per_tick(self):
+        """Each agent gets exactly one update, in tick order, carrying its
+        pose, setpoint position and rate, and matrix together."""
         w = make_watcher(2)
-        outbound, _ = w.tick(0.0, *spread_poses(2))
-        per_dst = {}
-        for msg_type, dst, _ in outbound:
-            per_dst.setdefault(dst, []).append(msg_type)
-        assert set(per_dst) == {"uav0", "ugv0", "uav1", "ugv1"}
-        for types in per_dst.values():
-            assert types == [MsgType.POSE_UPDATE, MsgType.SETPOINT_UPDATE,
-                             MsgType.CONSTRAINT_UPDATE]
+        uav, ugv = spread_poses(2)
+        outbound, _ = w.tick(0.0, uav, ugv)
+        assert [(msg_type, dst) for msg_type, dst, _ in outbound] == [
+            (MsgType.UPDATE, aid) for aid in ("uav0", "ugv0", "uav1", "ugv1")]
+        matrices = w.assemble_constraints(0.0)
+        for (_, dst, (pose, position, rate, matrix)), want in zip(
+                outbound, (uav[0], ugv[0], uav[1], ugv[1])):
+            dim = 3 if dst.startswith("uav") else 2
+            assert pose.tobytes() == want.tobytes()
+            assert position.shape == rate.shape == (dim,)
+            assert matrix.agent_id == dst and matrix.a.shape[1] == dim
+            assert matrix.active_count == matrices[dst].active_count
 
     def test_records_cover_every_agent(self):
         w = make_watcher(3)
