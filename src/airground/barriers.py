@@ -409,7 +409,8 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d2 = None
     for k in range(a.shape[-1]):
         dk = a[..., :, None, k] - b[..., None, :, k]
-        d2 = dk * dk if d2 is None else d2 + dk * dk
+        dk *= dk
+        d2 = dk if d2 is None else np.add(d2, dk, out=d2)
     return d2
 
 

@@ -18,9 +18,9 @@ term is the float uniform(-jitter, jitter) returns, so the schedule is the
 same as with one Generator call per draw.
 
 Delivery is a deterministic total order: (deliver_time, seq, src, dst).
-A queue entry also carries the message and its link's counters.  Payloads
-are sized by exact type (WIRE_SIZES), a subclass as its nearest listed
-base.
+A queue entry also carries the message and its link's counters.  A link's
+byte count adds each sent message's nominal size (wire_bytes), read off its
+type and its arrays' element counts.
 """
 
 from __future__ import annotations
@@ -81,36 +81,14 @@ class LinkStats:
     bytes: int = 0
 
 
-def _object_bytes(field) -> int:
-    nbytes = getattr(field, "wire_bytes", None)
-    return nbytes() if callable(nbytes) else 64
-
-
-# Nominal payload field sizes by type: 8 bytes per scalar, strings as utf-8,
-# sequences field by field, wire_bytes() where an object defines it, 64
-# otherwise.
-WIRE_SIZES = {np.ndarray: lambda field: field.size * 8, type(None): lambda field: 0,
-              int: lambda field: 8, float: lambda field: 8,
-              str: lambda field: len(field.encode()),
-              tuple: lambda field: sum(map(_field_bytes, field)),
-              list: lambda field: sum(map(_field_bytes, field)), object: _object_bytes}
-
-
-def _field_bytes(field) -> int:
-    """A field's size by its type's entry, or by the first base of its type
-    that has one."""
-    if type(field) is np.ndarray:  # most fields: poses, setpoints
-        return field.size * 8
-    size = WIRE_SIZES.get(type(field))
-    if size is None:  # remembered: the entry depends on the type alone
-        size = WIRE_SIZES[type(field)] = next(
-            WIRE_SIZES[base] for base in type(field).__mro__ if base in WIRE_SIZES)
-    return size(field)
-
-
-def _payload_bytes(payload) -> int:
-    """Nominal wire size: a 16B header plus the payload's fields."""
-    return 16 + _field_bytes(payload)
+def wire_bytes(msg_type: MsgType, payload) -> int:
+    """A message's nominal size: a 16B header and 8 bytes per number, here an
+    acknowledgement's pair index, or an update's pose, setpoint position and
+    rate, and its matrix's A and b behind a 16B header of their own."""
+    if msg_type is MsgType.UPDATE:
+        pose, position, rate, matrix = payload
+        return 32 + 8 * (pose.size + position.size + rate.size + matrix.a.size + matrix.b.size)
+    return 24
 
 
 class _Link:
@@ -181,7 +159,7 @@ class StarBus:
         link.seq = seq = link.seq + 1
         stats = link.stats
         stats.sent += 1
-        stats.bytes += _payload_bytes(payload)
+        stats.bytes += wire_bytes(msg_type, payload)
         model = self.link
         if model.drop_prob > 0.0 and link.uniform() < model.drop_prob:
             stats.dropped += 1

@@ -118,8 +118,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     uav_rows = [rank[f"uav{i}"] for i in range(n)]
     ugv_rows = [rank[f"ugv{i}"] for i in range(n)]
 
-    kinds = tuple(aid[:3] for aid in agent_ids)
-    roster = Roster(tuple(agent_ids), kinds)
+    roster = Roster(tuple(agent_ids), tuple(aid[:3] for aid in agent_ids))
     writer = TrajectoryWriter(roster)
     fold = MetricsFold(n)
     # What each agent's trajectory row logs: (x, y, z, theta), with z = 0
@@ -128,7 +127,10 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     logged = np.zeros((2 * n, 4))
     u_logged = np.zeros((2 * n, 3))
     statuses = ["hold"] * (2 * n)
-    watcher_lines: list[str] = [WATCHER_HEADER]
+    watcher_lines: list[str] = [WATCHER_HEADER]   # the header, then one chunk per tick
+    # A watcher.csv line is its time and a tail that follows from the gate
+    # tables and pair phases alone: (tables, phases, tails) of the last build.
+    tails_of: tuple = (None, None, [])
     watcher_records: list[WatcherRecord] = []
     events = list(cfg.events)
     event_idx = 0
@@ -194,13 +196,15 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             for msg_type, dst, payload in outbound:
                 bus.send(msg_type, WATCHER_ID, dst, payload, t)
             watcher_records += records
+            phases = list(coordinator.phases.values())
+            if coordinator.tables is not tails_of[0] or phases != tails_of[1]:
+                tails_of = coordinator.tables, phases, [  # row counts in column order
+                    f",{rec.agent_id},{rec.phase},{rec.active_count},{k.get('workspace', 0)},"
+                    f"{k.get('uav_other_ugv', 0)},{k.get('landing', 0)},{k.get('uav_uav', 0)},"
+                    f"{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}"
+                    for rec in records for k in [rec.kind_counts]]
             t_str = fmt9(t)
-            for rec in records:  # row counts per family, in column order
-                k = rec.kind_counts
-                watcher_lines.append(
-                    f"{t_str},{rec.agent_id},{rec.phase},{rec.active_count},"
-                    f"{k.get('workspace', 0)},{k.get('uav_other_ugv', 0)},{k.get('landing', 0)},"
-                    f"{k.get('uav_uav', 0)},{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}")
+            watcher_lines.append(t_str + ("\n" + t_str).join(tails_of[2]))
             route(bus.deliver_due(t))  # zero-latency traffic lands this instant
 
         if step % steps_ctrl == 0:

@@ -26,12 +26,13 @@ from .barriers import (eval_landing, eval_workspace, offset_points,
                        pairwise_sq_distances)
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
-from .logfmt import fmt9_round_trip
+from .logfmt import fmt9, fmt9_round_trip
 
 TRAJECTORY_FILE = "trajectory.csv"
 WATCHER_FILE = "watcher.csv"
 TRACE_FILE = "trace.log"
 _TRACE_EVENTS = ("send", "drop", "deliver")
+_STATUSES = frozenset(("optimal", "relaxed", "failed", "hold", "landed"))
 METRICS_FILE = "metrics.json"
 CONFIG_FILE = "resolved_config.yaml"
 
@@ -160,12 +161,11 @@ class Roster:
         self.funnel_pos = np.array([k for k, o in enumerate(own) if o >= 0],
                                    dtype=np.intp)
         self.funnel_own = np.array([o for o in own if o >= 0], dtype=np.intp)
-        # Pair masks: UAV vs another UAV, UAV vs another pair's UGV, UGV vs
-        # another UGV.
-        self.uav_others = ~np.eye(len(uav), dtype=bool)
-        self.other_ugv = np.array([[g != o for g in ugv] for o in own],
-                                  dtype=bool).reshape(len(uav), len(ugv))
-        self.ugv_others = ~np.eye(len(ugv), dtype=bool)
+        # Pairs without a separation term, as positions within self.uav and
+        # self.ugv: each agent and itself, each UAV and its own UGV.
+        self.uav_self, self.ugv_self = np.arange(len(uav)), np.arange(len(ugv))
+        self.own_uav, self.own_ugv = np.array([(k, ugv.index(o)) for k, o in enumerate(own)
+                                               if o in ugv], dtype=np.intp).reshape(-1, 2).T
 
 
 class TrajectoryWriter:
@@ -176,7 +176,7 @@ class TrajectoryWriter:
     BLOCK_SAMPLES agent samples at a time: fmt9_round_trip formats each
     distinct number of the block once at 9 significant digits and parses
     the rounded states back -- the values a reader of the file sees -- and
-    the min_h column is evaluated from them and formatted the same way."""
+    the min_h column is evaluated from them and formatted by fmt9."""
 
     def __init__(self, roster: Roster):
         m = len(roster.ids)
@@ -208,12 +208,12 @@ class TrajectoryWriter:
         text, rounded = fmt9_round_trip(self._numbers[:ticks])
         statuses = self._statuses
         landed = np.fromiter(map("landed".__eq__, statuses), bool, ticks * m)
-        h, _ = fmt9_round_trip(min_h(self._times, statuses, *rounded.transpose(2, 0, 1)[:4],
-                                     landed.reshape(ticks, m)))
+        h = map(fmt9, min_h(self._times, statuses, *rounded.transpose(2, 0, 1)[:4],
+                            landed.reshape(ticks, m)).ravel().tolist())
         times = [t for t in self._times for _ in range(m)]
         self._chunks.append("\n".join(map(",".join, zip(
             times, self._prefixes * ticks, *text.reshape(-1, 7).T.tolist(),
-            statuses, h.ravel().tolist()))) + "\n")
+            statuses, h))) + "\n")
         self._times, self._statuses = [], []
 
     def write(self, path: str) -> None:
@@ -257,11 +257,13 @@ def tick_barriers(cfg: ScenarioConfig, roster: Roster, x: np.ndarray,
                    ) -> np.ndarray:
         # d2 is (T, m, k), inf where a pair has no term.  Rounding is
         # monotone, so the minimum commutes exactly with sqrt and with
-        # "- radius**2": the result is each row's smallest h.
-        low = math.sqrt(float(np.fmin.reduce(d2, axis=None)))
+        # "- radius**2": each row's smallest h, and the block's smallest
+        # distance, come from the row minima.
+        rows = np.fmin.reduce(d2, axis=2)
+        low = math.sqrt(float(np.fmin.reduce(rows, axis=None)))
         if low < dist.get(kind, math.inf):
             dist[kind] = low
-        return record(fam, np.fmin.reduce(d2, axis=2) - radius ** 2)
+        return record(fam, rows - radius ** 2)
 
     def block(columns: np.ndarray, *coords: np.ndarray) -> np.ndarray:
         # (T, k, len(coords)) in C order, which pairwise_sq_distances reads
@@ -283,28 +285,26 @@ def tick_barriers(cfg: ScenarioConfig, roster: Roster, x: np.ndarray,
                 uavs[:, fu], block(roster.funnel_own, x, y, deck), s.funnel_sharpness,
                 s.funnel_height, s.hover_clearance)[0])
             terms.append(funnel)
-        flying = ~landed[:, u]
+        tick, pos = landed[:, u].nonzero()   # the landed UAVs' ticks and positions
         if u.size > 1:
-            ok = flying[:, :, None] & flying[:, None, :] & roster.uav_others
-            terms.append(separation(
-                "uav_uav", "uav_uav",
-                np.where(ok, pairwise_sq_distances(uavs, uavs), math.inf),
-                s.uav_separation))
+            d2 = pairwise_sq_distances(uavs, uavs)
+            d2[:, roster.uav_self, roster.uav_self] = math.inf
+            d2[tick, pos] = d2[tick, :, pos] = math.inf
+            terms.append(separation("uav_uav", "uav_uav", d2, s.uav_separation))
         if g.size:
-            ok = flying[:, :, None] & roster.other_ugv
-            terms.append(separation(
-                "uav_other_ugv", "uav_ugv",
-                np.where(ok, pairwise_sq_distances(uavs, block(g, x, y, deck)), math.inf),
-                s.uav_ugv_separation))
+            d2 = pairwise_sq_distances(uavs, block(g, x, y, deck))
+            d2[:, roster.own_uav, roster.own_ugv] = math.inf
+            d2[tick, pos] = math.inf
+            terms.append(separation("uav_other_ugv", "uav_ugv", d2,
+                                    s.uav_ugv_separation))
         per_agent[:, u] = np.fmin.reduce(terms)
     if g.size:
         offsets = offset_points(block(g, x, y, theta), cfg.ugv_offset)
         terms = [walls(offsets, False)]
         if g.size > 1:
             d2 = pairwise_sq_distances(offsets, offsets)
-            terms.append(separation(
-                "ugv_ugv", "ugv_ugv",
-                np.where(roster.ugv_others, d2, math.inf), s.ugv_separation))
+            d2[:, roster.ugv_self, roster.ugv_self] = math.inf
+            terms.append(separation("ugv_ugv", "ugv_ugv", d2, s.ugv_separation))
         per_agent[:, g] = np.fmin.reduce(terms)
 
     return per_agent, family, dist
@@ -352,13 +352,29 @@ def _parse_trajectory(path: str):
                parts[10], logged)
 
 
+def _parse_watcher(path: str):
+    """Yields (agent_id, active_count) per record, whose row counts must be
+    non-negative integers summing to active_count, checked once per distinct set."""
+    checked: dict[tuple[str, ...], int] = {}
+    for lineno, parts in _csv_rows(path, WATCHER_HEADER, 10):
+        counts = tuple(parts[3:9])
+        if counts not in checked:
+            active, *families = (int(c) if c.isdecimal() else -1 for c in counts)
+            if min(families) < 0 or active != sum(families):
+                raise InvalidInputError(f"{path}:{lineno}: row counts {','.join(counts)} must "
+                                        "be non-negative integers that sum to active_count")
+            checked[counts] = active
+        yield parts[1], checked[counts]
+
+
 def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
     """Recompute the safety metrics for a finished run directory.
 
     The trajectory is streamed tick by tick; consecutive ticks with the same
     agents in the same line order are evaluated together in blocks of at
     most BLOCK_SAMPLES lines, and lines are checked in file order, so the
-    first line whose min_h disagrees is the one reported."""
+    first line whose min_h disagrees is the one reported, once the block's
+    statuses are known to be ones the writer logs.  watcher.csv is required."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
     fold = MetricsFold(cfg.n_pairs)
 
@@ -377,6 +393,9 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
         if not block:
             return
         linenos, times, _, _, *states, statuses, logged = zip(*block)
+        if not _STATUSES.issuperset(statuses):
+            k = next(k for k, status in enumerate(statuses) if status not in _STATUSES)
+            raise InvalidInputError(f"{traj_path}:{linenos[k]}: unknown qp_status {statuses[k]!r}")
         ids, kinds = layout
         width = len(ids)
         states.append([status == "landed" for status in statuses])
@@ -426,10 +445,7 @@ def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
         end_tick()
     flush_block()
 
-    watcher_path = os.path.join(out_dir, WATCHER_FILE)
-    if os.path.exists(watcher_path):
-        fold.rows((parts[1], int(parts[3]))
-                  for _, parts in _csv_rows(watcher_path, WATCHER_HEADER, 10))
+    fold.rows(_parse_watcher(os.path.join(out_dir, WATCHER_FILE)))
 
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):

@@ -147,9 +147,6 @@ class ConstraintMatrix:
             for i in range(self.active_count)
         ]
 
-    def wire_bytes(self) -> int:
-        return self.a.size * 8 + self.b.size * 8 + 16
-
 
 class PairPhase(Enum):
     TASK = "task"
@@ -366,7 +363,7 @@ class Watcher:
             template = np.zeros((n_pairs, capacity, dim))
             template[:, :len(walls)] = walls
             self._templates.append(template)
-        self._tables: _GateTables | None = None
+        self.tables: _GateTables | None = None   # one object until a gate flips
         self._est_uav = VelocityEstimator(n_pairs, 3, opts.smoothing)
         self._est_ugv_body = VelocityEstimator(n_pairs, 2, opts.smoothing)
         self._est_ugv_offset = VelocityEstimator(n_pairs, 2, opts.smoothing)
@@ -402,8 +399,8 @@ class Watcher:
         lexicographic id order."""
         gates = np.concatenate((self._aa, self._ago, self._gg), axis=None)
         key = gates.tobytes()
-        if self._tables is not None and self._tables.key == key:
-            return self._tables
+        if self.tables is not None and self.tables.key == key:
+            return self.tables
         n, cap = self.n_pairs, self.capacity
         aa, ago, gg = gates.reshape(3, n, n)   # a copy: later ticks cannot move it
         n_ago, n_aa, n_gg = ago.sum(axis=1), aa.sum(axis=1), gg.sum(axis=1)
@@ -422,11 +419,11 @@ class Watcher:
             ids = self._prox_ids[on % len(self._prox_ids)].tolist()
             ends = on.searchsorted(self._prox_ends).tolist()
             proximal = [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]
-        self._tables = _GateTables(
+        self.tables = _GateTables(
             key, overflow, active, _gated(ago, 5), _gated(aa, 6 + n_ago), _gated(gg, 4),
             5 + n_ago, partial(_row_layout, self._uav_ids, self._ugv_ids, ago, aa, gg),
             kind_counts, proximal)
-        return self._tables
+        return self.tables
 
     def _hysteresis(self, active: np.ndarray, distance: np.ndarray,
                     radius: float, allowed: np.ndarray) -> np.ndarray:
@@ -582,7 +579,7 @@ class Watcher:
             updates[k::2] = zip(repeat(MsgType.UPDATE), ids, zip(
                 poses, positions[k::2, :dim], rates[k::2, :dim], matrices[k::2]))
         outbound, self._pending = self._pending + updates, []
-        tables = self._tables   # as assemble_constraints just used them
+        tables = self.tables   # as assemble_constraints just used them
         phases = [self.phases[i].value for i in range(n)]
         records = list(map(WatcherRecord, repeat(now), self._ids, tables.active,
                            tables.kind_counts, [p for p in phases for _ in (0, 1)],

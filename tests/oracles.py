@@ -818,47 +818,43 @@ def per_agent_kind_counts(kinds: list[RowKind]) -> dict[str, int]:
     return {k.value: kinds.count(k) for k in RowKind if k in kinds}
 
 
-def payload_bytes(payload) -> int:
-    """Nominal wire size: 8 bytes per scalar, strings as utf-8, 16B header."""
-    if payload is None:
-        return 16
-    if isinstance(payload, (int, float)):
-        return 16 + 8
-    if isinstance(payload, str):
-        return 16 + len(payload.encode())
-    if isinstance(payload, np.ndarray):
-        return 16 + payload.size * 8
-    if isinstance(payload, (tuple, list)):
-        return 16 + sum(payload_bytes(item) - 16 for item in payload)
-    nbytes = getattr(payload, "wire_bytes", None)
-    if callable(nbytes):
-        return 16 + nbytes()
-    return 16 + 64
+def _matrix_bytes(matrix) -> int:
+    """ConstraintMatrix.wire_bytes, from before updates were sized by their
+    arrays' shapes."""
+    return matrix.a.size * 8 + matrix.b.size * 8 + 16
 
 
-def field_bytes_by_isinstance(field) -> int:
-    """netsim._field_bytes as one isinstance chain, from before payloads
-    were sized by exact type: 8 bytes per scalar, strings as utf-8,
-    wire_bytes() where the object defines it, 64 otherwise."""
-    if isinstance(field, np.ndarray):
-        return field.size * 8
-    if field is None:
-        return 0
-    if isinstance(field, (int, float)):
-        return 8
-    if isinstance(field, str):
-        return len(field.encode())
-    if isinstance(field, (tuple, list)):
-        return sum(map(field_bytes_by_isinstance, field))
-    nbytes = getattr(field, "wire_bytes", None)
-    return nbytes() if callable(nbytes) else 64
+# netsim's payload sizer from before updates were sized by their arrays'
+# shapes: field sizes by exact type, a subclass as its nearest listed base;
+# 8 bytes per scalar, strings as utf-8, sequences field by field, the
+# matrix's own size, 64 for any other object.
+TYPE_WALK_SIZES = {np.ndarray: lambda field: field.size * 8, type(None): lambda field: 0,
+                   int: lambda field: 8, float: lambda field: 8,
+                   str: lambda field: len(field.encode()),
+                   tuple: lambda field: sum(map(type_walk_field_bytes, field)),
+                   list: lambda field: sum(map(type_walk_field_bytes, field)),
+                   ConstraintMatrix: _matrix_bytes, object: lambda field: 64}
 
 
-def payload_bytes_by_isinstance(payload) -> int:
-    """A 16B header plus field_bytes_by_isinstance of the payload."""
-    if isinstance(payload, tuple):
-        return 16 + sum(map(field_bytes_by_isinstance, payload))
-    return 16 + field_bytes_by_isinstance(payload)
+def type_walk_field_bytes(field) -> int:
+    """A field's size by the entry of its type's first base that has one."""
+    return next(TYPE_WALK_SIZES[base] for base in type(field).__mro__
+                if base in TYPE_WALK_SIZES)(field)
+
+
+def type_walk_payload_bytes(payload) -> int:
+    """Nominal wire size: a 16B header plus the payload's fields."""
+    return 16 + type_walk_field_bytes(payload)
+
+
+def watcher_line(time_s: str, rec) -> str:
+    """The runner's watcher.csv line for one record, from before a tick's
+    lines reused the text after the time: row counts per family in column
+    order, then the proximal set."""
+    k = rec.kind_counts
+    return (f"{time_s},{rec.agent_id},{rec.phase},{rec.active_count},"
+            f"{k.get('workspace', 0)},{k.get('uav_other_ugv', 0)},{k.get('landing', 0)},"
+            f"{k.get('uav_uav', 0)},{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}")
 
 
 def waypoint_sample(track, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -950,7 +946,7 @@ class ScalarDrawBus:
         self._seq[key] = seq
         rng = self._link_rng(src, dst)
         stats.sent += 1
-        stats.bytes += payload_bytes(payload)
+        stats.bytes += type_walk_payload_bytes(payload)
         if self.link.drop_prob > 0.0 and rng.uniform() < self.link.drop_prob:
             stats.dropped += 1
             return None

@@ -11,7 +11,7 @@ from airground import cli
 from airground.cli import main
 from airground.watcher import TrackTable
 
-from scenario_helpers import clustered_scenario, single_pair
+from scenario_helpers import clustered_scenario, crossing_scenario, single_pair
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -313,6 +313,60 @@ class TestSummarize:
         assert main(["summarize", out_dir]) == 1
         err = capsys.readouterr().err
         assert f"trajectory.csv:{first}: kind must be uav or ugv, got 'rover'" in err
+        assert "Traceback" not in err
+
+    def test_summarize_unknown_status_fails(self, tmp_path, capsys):
+        """A status the writer never logs would enter status_counts; the
+        line is reported instead, its min_h still agreeing."""
+        cfg = write_config(tmp_path, crossing_scenario(3, 1, duration=1.0).raw)
+        out_dir = str(tmp_path / "out")
+        assert main(["run", cfg, "--out-dir", out_dir]) == 0
+        traj = os.path.join(out_dir, "trajectory.csv")
+        with open(traj) as f:
+            lines = f.read().splitlines()
+        parts = lines[40].split(",")
+        parts[10] = "bogus"
+        lines[40] = ",".join(parts)
+        with open(traj, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"{traj}:41: unknown qp_status 'bogus'" in err
+        assert "Traceback" not in err
+
+    def test_summarize_missing_watcher_log_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
+        out_dir = str(tmp_path / "out")
+        assert main(["run", cfg, "--out-dir", out_dir]) == 0
+        os.remove(os.path.join(out_dir, "watcher.csv"))
+        capsys.readouterr()
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert "cannot summarize" in err and "watcher.csv" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("column, value", [(3, "-3"), (3, "x"), (3, "12"), (4, "-5"),
+                                               (6, "+1"), (8, "")])
+    def test_summarize_bad_watcher_row_counts_fail(self, tmp_path, capsys, column, value):
+        """Row counts must be non-negative integers with active_count the
+        sum of the five family columns; the first bad line is named."""
+        cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
+        out_dir = str(tmp_path / "out")
+        assert main(["run", cfg, "--out-dir", out_dir]) == 0
+        path = os.path.join(out_dir, "watcher.csv")
+        with open(path) as f:
+            lines = f.read().splitlines()
+        for k in (6, 9):
+            parts = lines[k].split(",")
+            parts[column] = value
+            lines[k] = ",".join(parts)
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:7: row counts " in err
         assert "Traceback" not in err
 
     def test_summarize_missing_dir_fails(self):

@@ -3,8 +3,9 @@ assembly, velocity estimation and the fleet's kinematic steps, the QP entry
 points over project_with_box and the projection's direct first step, the
 control units of a kind held as arrays and filtered as one batch, the
 reuse of a filtered command, the schedule that ticks only the units whose
-output can change, the watcher's gate tables reused across ticks, and the
-block trajectory writer with its distinct-value formatting, against the
+output can change, the watcher's gate tables reused across ticks, the
+block trajectory writer with its distinct-value formatting, the watcher
+log's reused line tails and the bus's shape-read byte counts, against the
 code they replaced (tests/oracles.py, or fmt9 per value): equal results,
 bit for bit."""
 
@@ -24,13 +25,13 @@ from airground.barriers import (Bounds, ConstraintRow, RowKind, SafetyParams,
                                 offset_points)
 from airground.errors import CapacityError
 from airground.logfmt import fmt9, fmt9_round_trip
-from airground.netsim import MsgType
+from airground.netsim import WATCHER_ID, MsgType, StarBus, wire_bytes
 from airground.qp import (QpStatus, _project, filter_velocity, solve,
                           solve_relaxed)
+from airground import runner
 from airground.runner import _integrate, run
-from airground.summary import (BLOCK_SAMPLES, Roster, TrajectoryWriter,
-                               summarize_dir, tick_barriers)
-from airground.netsim import _payload_bytes
+from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, Roster,
+                               TrajectoryWriter, summarize_dir, tick_barriers)
 from airground.watcher import (ConstraintMatrix, PairPhase, TrackTable,
                                VelocityEstimator, Watcher, WaypointTrack)
 
@@ -38,7 +39,7 @@ from oracles import (AgentVelocityEstimator, DictGates, Sample,
                      ScalarControlUnit, UavState, UgvState, UncachedControlUnit,
                      VelQuality,
                      assemble_per_row, from_rows, integrate_per_agent,
-                     payload_bytes_by_isinstance, per_agent_fanout,
+                     per_agent_fanout, type_walk_payload_bytes, watcher_line,
                      waypoint_sample,
                      per_agent_kind_counts,
                      per_agent_trajectory_rows, project_reference,
@@ -142,6 +143,33 @@ def test_single_pair_and_lone_uav():
         want = oracle_block(PHYSICS, ids, x, -x, z, theta, landed)
         assert got[0].tolist() == want[0]
         assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("case", ["none landed", "some landed", "uav without its ugv"])
+def test_barrier_masks_match_scalar_oracle(case):
+    """tick_barriers' in-place masks (self pairs, each UAV and its own UGV,
+    landed UAVs' rows and columns) against the scalar oracle on a packed
+    fleet of seven pairs: every per-agent h, family minimum and distance
+    minimum equal, bit for bit."""
+    rng = np.random.default_rng(23)
+    ids = [f"{kind}{i}" for i in range(7) for kind in ("uav", "ugv")]
+    if case == "uav without its ugv":
+        ids.remove("ugv2")
+        ids.remove("ugv5")
+    shape = (6, len(ids))
+    x, y = rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape)
+    z, theta = rng.uniform(0.0, 1.5, shape), rng.uniform(-4.0, 4.0, shape)
+    uav = np.array([aid.startswith("uav") for aid in ids])
+    landed = np.zeros(shape, dtype=bool)
+    if case != "none landed":
+        landed[1:] = (rng.uniform(size=(5, len(ids))) < 0.3) & uav
+        landed[-2:, ids.index("uav0")] = landed[-1, ids.index("uav2")] = True
+    roster = Roster(tuple(ids), tuple(aid[:3] for aid in ids))
+    per_agent, family, dist = tick_barriers(PHYSICS, roster, x, y, z, theta, landed)
+    want_agent, want_family, want_dist = oracle_block(PHYSICS, ids, x, y, z, theta, landed)
+    assert per_agent.tobytes() == np.array(want_agent).tobytes()
+    assert (family, dist) == (want_family, want_dist)
+    assert set(family) == {"workspace", "landing", "uav_uav", "uav_other_ugv", "ugv_ugv"}
 
 
 def test_summarize_follows_roster_changes(tmp_path):
@@ -417,7 +445,7 @@ def assert_fanout_matches_oracle(w, now, outbound, records):
     updates = outbound[len(pending):]
     assert [update[:2] for update in updates] == [want[:2] for want in want_updates]
     for (_, _, got), (_, _, want) in zip(updates, want_updates):
-        assert _payload_bytes(got) == payload_bytes_by_isinstance(want)
+        assert wire_bytes(MsgType.UPDATE, got) == type_walk_payload_bytes(want)
         assert [x.tobytes() for x in got[:3]] == [x.tobytes() for x in want[:3]]
         got, want = got[3], want[3]
         assert (got.a.tobytes(), got.b.tobytes()) == (want.a.tobytes(), want.b.tobytes())
@@ -427,6 +455,49 @@ def assert_fanout_matches_oracle(w, now, outbound, records):
     assert records == want_records
     assert ([list(r.kind_counts.items()) for r in records]
             == [list(r.kind_counts.items()) for r in want_records])
+
+
+def landing_crossing():
+    """8 s of three crossing pairs over a lossy link whose gates flip, and
+    whose pair 1 lands (touchdown near 5.75 s)."""
+    return crossing_scenario(3, 4, duration=8.0,
+                             events=[{"time": 1.0, "type": "landing", "pair": 1}],
+                             network={"latency": 0.02, "jitter": 0.005, "drop": 0.05})
+
+
+def test_watcher_log_matches_per_record_lines(tmp_path):
+    """Every watcher.csv line, its tail reused from the last tick whose gate
+    tables or pair phases differed, equals the per-record formatting."""
+    result = run(landing_crossing(), str(tmp_path))
+    records = result.watcher_records
+    lines = (tmp_path / "watcher.csv").read_text().splitlines()
+    assert lines == [WATCHER_HEADER] + [watcher_line(fmt9(rec.time), rec) for rec in records]
+    ticks = [records[k:k + 6] for k in range(0, len(records), 6)]
+    phases = [[rec.phase for rec in tick] for tick in ticks]
+    flips = [a[0].kind_counts is not b[0].kind_counts for a, b in zip(ticks, ticks[1:])]
+    assert any(flip and p == q for flip, p, q in zip(flips, phases, phases[1:]))
+    assert any(not flip and p != q for flip, p, q in zip(flips, phases, phases[1:]))
+    assert {phase for tick in phases for phase in tick} == {"task", "landing", "landed"}
+
+
+def test_link_bytes_match_type_walk(tmp_path, monkeypatch):
+    """Each link's byte count, read off message types and array shapes,
+    equals the type walk over every payload sent on it, acknowledgements
+    and dropped updates included."""
+    walked, types = {}, set()
+
+    class WalkedBus(StarBus):
+        def send(self, msg_type, src, dst, payload, now):
+            agent = dst if src == WATCHER_ID else src
+            walked[agent] = walked.get(agent, 0) + type_walk_payload_bytes(payload)
+            types.add(msg_type)
+            return super().send(msg_type, src, dst, payload, now)
+
+    monkeypatch.setattr(runner, "StarBus", WalkedBus)
+    result = run(landing_crossing(), str(tmp_path))
+    assert {agent: s.bytes for agent, s in result.link_stats.items()} == walked
+    assert types == set(MsgType)
+    assert sum(s.dropped for s in result.link_stats.values()) > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,19 +544,19 @@ def test_gate_tables_rebuilt_only_when_a_gate_flips():
         if k == 9:
             w.handle_landing_signal(0, now)
         ugv[1, 1] = ugv1_y
-        before = w._tables
+        before = w.tables
         outbound, records = w.tick(now, np.array([uav0, uav1, far]), ugv)
-        assert (w._tables is not before) == flips, k
+        assert (w.tables is not before) == flips, k
         assert_fanout_matches_oracle(w, now, outbound, records)
     assert w.phases[0] is PairPhase.LANDED
     # Pair 2 joins uav1: two more rows overflow it, on this tick and the next.
     uav = np.array([hover, near, [0.3, 0.4, 0.9]])
     ugv[2] = [0.6, 0.5, 0.0]
     for k in (len(ticks), len(ticks) + 1):
-        before = w._tables
+        before = w.tables
         with pytest.raises(CapacityError) as exc:
             w.tick(0.05 * k, uav, ugv)
-        assert (w._tables is not before) == (k == len(ticks))
+        assert (w.tables is not before) == (k == len(ticks))
         with pytest.raises(CapacityError) as want:
             for i in range(3):
                 for aid in (f"uav{i}", f"ugv{i}"):
@@ -859,6 +930,36 @@ def test_fmt9_round_trip_matches_fmt9_per_value(values):
     assert text.ravel().tolist() == want
     assert (parsed.ravel().view(np.uint64).tolist()
             == np.array(list(map(float, want)), dtype=float).view(np.uint64).tolist())
+
+
+def _rounding_edges() -> list[float]:
+    """Values on and next to 9-digit rounding boundaries: decimal halfway
+    points (the double nearest each, and its neighbours), halfway points
+    that are exact doubles, and boundaries that carry into a new digit."""
+    halves = [float(f"{d}5e{e}") for d in (123456789, 100000000, 999999999, 314159265)
+              for e in (-320, -310, -20, -9, 0, 5, 290)]
+    exact = [123456789.5, 100000000.5, 999999999.5, 2.0 ** -30 * 3, 0.1 + 0.2]
+    edges = halves + exact
+    return edges + [math.nextafter(v, math.inf) for v in edges] + [
+        math.nextafter(v, -math.inf) for v in edges]
+
+
+FMT9_EDGES = (np.array(LOG_EDGE_BITS, dtype=np.uint64).view(float).tolist()
+              + _rounding_edges() + [-v for v in _rounding_edges()])
+
+
+@example(FMT9_EDGES)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(width=64) | st.sampled_from(FMT9_EDGES), max_size=30))
+def test_fmt9_kernel_matches_str_format(values):
+    """fmt9, and fmt9_round_trip's strings, equal "{:.9g}".format on signed
+    zeros, NaNs of any payload, infinities, subnormals and values on
+    9-digit rounding boundaries."""
+    want = list(map("{:.9g}".format, values))
+    assert list(map(fmt9, values)) == want
+    assert fmt9_round_trip(np.array(values, dtype=float))[0].tolist() == want
+    assert [fmt9(np.float64(v)) for v in values] == want
+    assert fmt9(3) == "3" and fmt9(np.int64(-7)) == "-7"
 
 
 def test_trajectory_writer_matches_per_agent_rows(tmp_path):

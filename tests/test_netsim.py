@@ -1,15 +1,13 @@
-from collections import namedtuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airground.errors import InvalidInputError, TopologyViolationError
-from airground.netsim import _BLOCK, WATCHER_ID, LinkModel, MsgType, StarBus, _payload_bytes
+from airground.netsim import _BLOCK, WATCHER_ID, LinkModel, MsgType, StarBus, wire_bytes
 from airground.watcher import ConstraintMatrix
 
-from oracles import ScalarDrawBus, payload_bytes, payload_bytes_by_isinstance
+from oracles import ScalarDrawBus, type_walk_payload_bytes
 
 
 AGENTS = ["uav0", "ugv0", "uav1", "ugv1"]
@@ -19,34 +17,42 @@ def make_bus(latency=0.0, jitter=0.0, drop=0.0, seed=1, trace=None):
     return StarBus(AGENTS, LinkModel(latency, jitter, drop), seed, trace=trace)
 
 
+def update(tag=0.0, dim=3, capacity=8):
+    """An update payload (pose, position, rate, matrix) whose pose starts
+    with tag."""
+    return (np.array([tag, 0.0, 1.0]), np.zeros(dim), np.zeros(dim),
+            ConstraintMatrix("uav0", 0.0, np.zeros((capacity, dim)), np.zeros(capacity),
+                             [], []))
+
+
 class TestTopology:
     def test_star_links_accepted_both_directions(self):
         bus = make_bus()
-        assert bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", None, 0.0)
+        assert bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.0)
         assert bus.send(MsgType.TOUCHDOWN_ACK, "uav0", WATCHER_ID, None, 0.0)
 
     def test_agent_to_agent_rejected(self):
         bus = make_bus()
         with pytest.raises(TopologyViolationError):
-            bus.send(MsgType.UPDATE, "uav0", "ugv0", None, 0.0)
+            bus.send(MsgType.UPDATE, "uav0", "ugv0", update(), 0.0)
 
     def test_unknown_node_rejected(self):
         bus = make_bus()
         with pytest.raises(TopologyViolationError):
-            bus.send(MsgType.UPDATE, WATCHER_ID, "uav9", None, 0.0)
+            bus.send(MsgType.UPDATE, WATCHER_ID, "uav9", update(), 0.0)
 
 
 class TestDelivery:
     def test_zero_latency_delivers_same_instant(self):
         bus = make_bus()
-        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", 42, 0.05)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(42), 0.05)
         out = bus.deliver_due(0.05)
-        assert len(out) == 1 and out[0].payload == 42
+        assert len(out) == 1 and out[0].payload[0][0] == 42
         assert out[0].deliver_time == out[0].send_time == 0.05
 
     def test_latency_defers_delivery(self):
         bus = make_bus(latency=0.03)
-        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", None, 0.0)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.0)
         assert bus.deliver_due(0.02) == []
         assert len(bus.deliver_due(0.03)) == 1
 
@@ -55,9 +61,9 @@ class TestDelivery:
 
     def test_tie_order_by_seq_then_link(self):
         bus = make_bus()
-        bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", "b1", 0.0)
-        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", "a2", 0.0)
-        bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", "b2", 0.0)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", update(), 0.0)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.0)
+        bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", update(), 0.0)
         out = bus.deliver_due(0.0)
         # Same deliver_time everywhere: seq breaks ties, then link id.
         assert [(m.seq, m.dst) for m in out] == [(1, "uav0"), (1, "ugv1"), (2, "ugv1")]
@@ -66,10 +72,10 @@ class TestDelivery:
         bus = make_bus(latency=0.05, jitter=0.04, seed=3)
         stamps = []
         for k in range(30):
-            msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", k, 0.01 * k)
+            msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(k), 0.01 * k)
             stamps.append(msg.deliver_time)
         out = bus.deliver_due(10.0)
-        payloads = [m.payload for m in out]
+        payloads = [int(m.payload[0][0]) for m in out]
         assert sorted(payloads) == list(range(30))
         assert payloads != list(range(30))  # at least one inversion under jitter
 
@@ -77,7 +83,7 @@ class TestDelivery:
         bus = make_bus(drop=0.3, seed=9)
         seqs = []
         for k in range(50):
-            msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", k, 0.0)
+            msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(k), 0.0)
             if msg is not None:
                 seqs.append(msg.seq)
         assert seqs == sorted(seqs)
@@ -91,7 +97,7 @@ class TestDeterminism:
             out = []
             for k in range(200):
                 msg = bus.send(MsgType.UPDATE, WATCHER_ID,
-                               AGENTS[k % 4], k, 0.01 * k)
+                               AGENTS[k % 4], update(k), 0.01 * k)
                 out.append(None if msg is None else (msg.seq, msg.deliver_time))
             return out
 
@@ -105,8 +111,8 @@ class TestDeterminism:
             out = []
             for k in range(100):
                 if extra_traffic:
-                    bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", k, 0.01 * k)
-                msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", k, 0.01 * k)
+                    bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", update(k), 0.01 * k)
+                msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(k), 0.01 * k)
                 out.append(None if msg is None else msg.deliver_time)
             return out
 
@@ -117,7 +123,7 @@ class TestStatsAndTrace:
     def test_conservation_per_link(self):
         bus = make_bus(latency=0.01, drop=0.25, seed=2)
         for k in range(300):
-            bus.send(MsgType.UPDATE, WATCHER_ID, AGENTS[k % 4], None, 0.001 * k)
+            bus.send(MsgType.UPDATE, WATCHER_ID, AGENTS[k % 4], update(), 0.001 * k)
         bus.deliver_due(0.1)
         stats = bus.link_stats()
         in_flight = bus.pending()
@@ -135,7 +141,7 @@ class TestStatsAndTrace:
     def test_active_link_count(self):
         bus = make_bus()
         for aid in AGENTS:
-            bus.send(MsgType.UPDATE, WATCHER_ID, aid, None, 0.0)
+            bus.send(MsgType.UPDATE, WATCHER_ID, aid, update(), 0.0)
         assert len(bus.link_stats()) == 4  # one link per agent: 2N with N=2
 
     def test_full_mesh_link_count_baseline(self):
@@ -148,7 +154,7 @@ class TestStatsAndTrace:
         trace = []
         bus = make_bus(drop=0.5, seed=4, trace=trace)
         for k in range(40):
-            bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", None, 0.01 * k)
+            bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.01 * k)
         bus.deliver_due(10.0)
         kinds = {line.split()[0] for line in trace}
         assert kinds == {"send", "drop", "deliver"}
@@ -166,26 +172,19 @@ class TestLinkModel:
             make_bus(latency=latency, jitter=jitter)
 
 
-class _Sized:
-    def wire_bytes(self):
-        return 5
-
-
-# One payload of each shape the bus sizes: header only, scalars, a string,
-# arrays, nested sequences, an object with wire_bytes() and one without, and
-# subclasses of sized types, which size as their base.
-PAYLOADS = [None, 7, True, 2.5, "landing", np.zeros(3), (np.zeros(3), np.ones(3)),
-            [1, (2.0, "ab"), None], (0, 1),
-            ConstraintMatrix("uav0", 0.0, np.zeros((8, 3)), np.zeros(8), [], []),
-            object(), np.float64(1.5), np.int64(3), namedtuple("Pair", "a b")(1, 2.0),
-            np.zeros((2, 2)).view(np.matrix), _Sized(), 1 + 2j]
+# Update payloads of both vehicle kinds (a UGV's setpoint has two
+# coordinates) and several capacities, and acknowledgement pair indices.
+UPDATES = [update(0.5, dim, capacity) for dim in (3, 2) for capacity in (6, 8, 13)]
+ACKS = [0, 3, 17]
 LINKS = [(WATCHER_ID, aid) for aid in AGENTS] + [(aid, WATCHER_ID) for aid in AGENTS]
 
 
-def test_wire_sizes_match_recursive_sizes():
-    for payload in PAYLOADS:
-        assert _payload_bytes(payload) == payload_bytes(payload)
-        assert _payload_bytes(payload) == payload_bytes_by_isinstance(payload)
+def test_wire_sizes_match_type_walk():
+    """Sizes read off a message's type and its arrays' shapes equal the
+    type walk over its payload."""
+    for msg_type, payloads in ((MsgType.UPDATE, UPDATES), (MsgType.TOUCHDOWN_ACK, ACKS)):
+        for payload in payloads:
+            assert wire_bytes(msg_type, payload) == type_walk_payload_bytes(payload)
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,13 +203,16 @@ def test_block_draws_match_scalar_draws(seed, latency, jitter, drop, schedule):
     rng = np.random.default_rng(schedule)
     n = 4 * _BLOCK
     others = rng.integers(1, len(LINKS), n)
-    payloads = rng.integers(0, len(PAYLOADS), n)
+    picks = rng.integers(0, len(UPDATES) * len(ACKS), n)
     now = 0.0
     for k in range(n):
         src, dst = LINKS[0 if k % 2 else others[k]]
-        msg_type = MsgType.UPDATE if src == WATCHER_ID else MsgType.TOUCHDOWN_ACK
-        got = bus.send(msg_type, src, dst, PAYLOADS[payloads[k]], now)
-        want = ref.send(msg_type, src, dst, PAYLOADS[payloads[k]], now)
+        if src == WATCHER_ID:
+            msg_type, payload = MsgType.UPDATE, UPDATES[picks[k] % len(UPDATES)]
+        else:
+            msg_type, payload = MsgType.TOUCHDOWN_ACK, ACKS[picks[k] % len(ACKS)]
+        got = bus.send(msg_type, src, dst, payload, now)
+        want = ref.send(msg_type, src, dst, payload, now)
         assert (got is None) == (want is None)
         if got is not None:
             assert (got.seq, got.deliver_time.hex()) == (want.seq, want.deliver_time.hex())
