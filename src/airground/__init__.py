@@ -15,8 +15,7 @@ from .config import ScenarioConfig, config_from_dict, load_config, parse_config
 from .errors import (CapacityError, ConfigError, IncompleteInputError,
                      InvalidInputError, SafetyAbortError,
                      TopologyViolationError)
-from .qp import (QpProblem, QpSolution, QpStatus, filter_velocity,
-                 oracle_solve, solve, solve_relaxed)
+from .qp import QpSolution, solve_relaxed
 from .runner import RunResult, run
 from .summary import MetricsSummary, summarize_dir
 
@@ -27,8 +26,7 @@ __all__ = [
     "build_constraint_row", "eval_landing", "eval_uav_other_ugv",
     "eval_uav_uav", "eval_ugv_ugv", "eval_workspace", "landing_gradient",
     "landing_time_term", "verify_validity",
-    "QpProblem", "QpSolution", "QpStatus", "filter_velocity", "oracle_solve",
-    "solve", "solve_relaxed",
+    "QpSolution", "solve_relaxed",
     "ScenarioConfig", "config_from_dict", "load_config", "parse_config",
     "RunResult", "run", "MetricsSummary", "summarize_dir",
     "CapacityError", "ConfigError", "IncompleteInputError",

@@ -167,7 +167,7 @@ class Command:
 class TickTelemetry:
     time: float
     agent_id: str
-    status: str                        # optimal | relaxed | failed | hold | landed
+    status: str                        # optimal | relaxed | hold | landed
     stale: bool
     u_applied: np.ndarray
     qp_iterations: int = 0
@@ -310,9 +310,9 @@ class KindControl:
         matrices = [self.matrices[k] for k in lanes.tolist()]
         counts = [m.active_count for m in matrices]
         rows = max(counts)  # matrices of one kind share a zero-padded capacity
-        passed, solutions = qp.project_lanes(
-            u_nom, np.array([m.a[:rows] for m in matrices]),
-            np.array([m.b[:rows] for m in matrices]), counts, limit)
+        A = np.array([m.a[:rows] for m in matrices])
+        b = np.array([m.b[:rows] for m in matrices])
+        passed, solutions = qp.project_lanes(u_nom, A, b, counts, limit)
         self.sol_status.put(lanes, "optimal")
         self.sol_iters[lanes], self.sol_violation[lanes] = 1, 0.0
         for lane in (~passed).nonzero()[0].tolist():
@@ -321,9 +321,9 @@ class KindControl:
                 u, iterations = next(solutions)
                 info = ("optimal", iterations, 0.0)
                 if u is None:  # infeasible: escalate to the slack relaxation
-                    sol = qp.solve_relaxed(qp.QpProblem(
-                        u_nominal=u_nom[lane], rows=matrices[lane].active_rows(), box=limit))
-                    u, info = sol.u_star, (sol.status.value, sol.iterations, sol.max_violation)
+                    count = counts[lane]
+                    sol = qp.solve_relaxed(u_nom[lane], A[lane, :count], b[lane, :count], limit)
+                    u, info = sol.u_star, ("relaxed", sol.iterations, sol.max_violation)
             except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise FilterError(self.ids[k], exc) from exc
             u_nom[lane] = u  # drawn already: u_nom now holds the lane's solution

@@ -32,7 +32,7 @@ TRAJECTORY_FILE = "trajectory.csv"
 WATCHER_FILE = "watcher.csv"
 TRACE_FILE = "trace.log"
 _TRACE_EVENTS = ("send", "drop", "deliver")
-_STATUSES = frozenset(("optimal", "relaxed", "failed", "hold", "landed"))
+_STATUSES = frozenset(("optimal", "relaxed", "hold", "landed"))
 METRICS_FILE = "metrics.json"
 CONFIG_FILE = "resolved_config.yaml"
 

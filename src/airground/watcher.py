@@ -43,9 +43,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barriers import (ConstraintRow, RowKind, SafetyParams,
-                       build_constraint_row, build_workspace_rows,
-                       offset_points, pairwise_sq_distances, wall_gradients)
+from .barriers import (RowKind, SafetyParams, build_constraint_row,
+                       build_workspace_rows, offset_points,
+                       pairwise_sq_distances, wall_gradients)
 from .errors import CapacityError, InvalidInputError
 from .netsim import MsgType
 
@@ -139,13 +139,6 @@ class ConstraintMatrix:
     @property
     def other_ids(self) -> list[str | None]:
         return self._laid_out()[1]
-
-    def active_rows(self) -> list[ConstraintRow]:
-        return [
-            ConstraintRow(a=self.a[i], b=float(self.b[i]), kind=self.kinds[i],
-                          other_id=self.other_ids[i])
-            for i in range(self.active_count)
-        ]
 
 
 class PairPhase(Enum):

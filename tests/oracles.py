@@ -2,9 +2,10 @@
 
 * The per-pair Python loops of the fleet-level pairwise geometry, from before
   gates and barriers were evaluated as arrays.
-* The QP entry points that stacked ConstraintRow lists with their own box
-  encoding (interleaved +e_j / -e_j rows) before project_with_box became the
-  one core.
+* The QP entry points that stacked their rows with their own box encoding
+  (interleaved +e_j / -e_j rows) before project_with_box became the one
+  core; and the brute-force enumeration of active sets (oracle_solve), the
+  exact reference every QP entry point is checked against.
 * The per-agent velocity estimator, with its stale-history fallback, from
   before the watcher kept one estimator per family.
 * The per-unit control unit, one object per agent with its update slot,
@@ -50,6 +51,7 @@ for bit.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, fields
@@ -67,8 +69,8 @@ from airground.errors import (CapacityError, IncompleteInputError,
                               InvalidInputError)
 from airground.logfmt import fmt9
 from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
-from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpProblem,
-                          QpSolution, QpStatus, _blocking_step, _project)
+from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpSolution,
+                          _blocking_step, _project)
 from airground.watcher import ConstraintMatrix, PairPhase, WatcherRecord
 
 _PROXIMITY_HYSTERESIS = 0.1
@@ -266,61 +268,34 @@ class DictGates:
         return [None] * 4 + ground
 
 
-def _stack(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
+def _stack(A: np.ndarray, b: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
     """All halfspaces a . u >= -b as arrays: barrier rows first, then the box
     encoded as axis-aligned rows (so minimal invasiveness holds jointly)."""
-    n = problem.dimension()
-    u = np.asarray(problem.u_nominal, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise InvalidInputError("u_nominal must be finite")
-    rows_a = []
-    rows_b = []
-    for row in problem.rows:
-        a = np.asarray(row.a, dtype=float)
-        if a.shape != (n,):
-            raise InvalidInputError(
-                f"row gradient dimension {a.shape} does not match input dimension {n}"
-            )
-        if not (np.all(np.isfinite(a)) and np.isfinite(row.b)):
-            raise InvalidInputError("constraint rows must be finite")
-        rows_a.append(a)
-        rows_b.append(float(row.b))
-    lim = problem.box_limits()
-    eye = np.eye(n)
-    for j in range(n):
-        rows_a.append(eye[j])
-        rows_b.append(lim[j])
-        rows_a.append(-eye[j])
-        rows_b.append(lim[j])
-    return np.array(rows_a), np.array(rows_b)
+    rows_a, rows_b = list(A), list(b)
+    eye = np.eye(A.shape[1])
+    for e in eye:
+        rows_a.append(e)
+        rows_b.append(limit)
+        rows_a.append(-e)
+        rows_b.append(limit)
+    return np.array(rows_a), np.array(rows_b, dtype=float)
 
 
-def stacked_solve(problem: QpProblem) -> QpSolution:
-    """solve() over the interleaved box encoding."""
-    A, b = _stack(problem)
-    z = np.asarray(problem.u_nominal, dtype=float)
-    u, iters = _project(z, A, b)
-    if u is None:
-        return QpSolution(u_star=z.copy(), status=QpStatus.FAILED,
-                          max_violation=float("inf"), iterations=iters)
-    residual = A @ u + b
-    violation = max(0.0, float(-residual.min())) if residual.size else 0.0
-    return QpSolution(u_star=u, status=QpStatus.OPTIMAL,
-                      max_violation=violation, iterations=iters)
+def stacked_project(z: np.ndarray, A: np.ndarray, b: np.ndarray,
+                    limit: float) -> tuple[np.ndarray | None, int]:
+    """project_with_box() over the interleaved box encoding."""
+    return _project(z, *_stack(A, b, limit))
 
 
-def stacked_solve_relaxed(problem: QpProblem,
-                          weight: float = RELAXATION_WEIGHT) -> QpSolution:
+def stacked_solve_relaxed(z: np.ndarray, A: np.ndarray, b: np.ndarray,
+                          limit: float) -> QpSolution:
     """solve_relaxed() lifting the interleaved box encoding."""
-    n = problem.dimension()
-    z = np.asarray(problem.u_nominal, dtype=float)
-    mc = len(problem.rows)
+    mc, n = A.shape
     if mc == 0:
-        base = stacked_solve(problem)
-        return QpSolution(u_star=base.u_star, status=QpStatus.RELAXED,
-                          max_violation=0.0, iterations=base.iterations)
-    sw = np.sqrt(weight)
-    A_rows, b_rows = _stack(problem)
+        u, iters = stacked_project(z, A, b, limit)
+        return QpSolution(u_star=u, max_violation=0.0, iterations=iters)
+    sw = np.sqrt(RELAXATION_WEIGHT)
+    A_rows, b_rows = _stack(A, b, limit)
     dim = n + mc
     A = np.zeros((A_rows.shape[0] + mc, dim))
     b = np.zeros(A_rows.shape[0] + mc)
@@ -334,16 +309,107 @@ def stacked_solve_relaxed(problem: QpProblem,
     if u_lift is None:
         raise RuntimeError("relaxed problem reported infeasible")
     slacks = u_lift[n:] / sw
-    return QpSolution(u_star=u_lift[:n], status=QpStatus.RELAXED,
-                      max_violation=max(0.0, float(slacks.max())), iterations=iters)
+    return QpSolution(u_star=u_lift[:n], max_violation=max(0.0, float(slacks.max())),
+                      iterations=iters)
 
 
-def stacked_filter_velocity(problem: QpProblem) -> QpSolution:
-    """filter_velocity() over the interleaved box encoding."""
-    sol = stacked_solve(problem)
-    if sol.status is QpStatus.FAILED:
-        return stacked_solve_relaxed(problem)
-    return sol
+_COMBO_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _combos(m: int, k: int) -> np.ndarray:
+    key = (m, k)
+    if key not in _COMBO_CACHE:
+        _COMBO_CACHE[key] = np.array(list(itertools.combinations(range(m), k)), dtype=int)
+    return _COMBO_CACHE[key]
+
+
+def oracle_solve(z: np.ndarray, A: np.ndarray, b: np.ndarray,
+                 limit) -> np.ndarray | None:
+    """Exact reference projection of z onto {A u + b >= 0, |u_j| <= limit_j}
+    (limit a scalar or one per axis) by enumerating candidate active sets,
+    or None when that polytope is empty.
+
+    Every subset of up to n rows is treated as equalities; the resulting
+    least-distance point is kept if it satisfies all rows, and the feasible
+    candidate closest to the nominal is returned.  The true projection's
+    active set (reduced to a maximal independent subset) is always among the
+    candidates, so no feasible candidate at all certifies emptiness.
+    Practical up to ~16 rows.
+    """
+    n = len(z)
+    lim = np.broadcast_to(np.asarray(limit, dtype=float), (n,))
+    A = np.concatenate([A, np.eye(n), -np.eye(n)])
+    b = np.concatenate([b, lim, lim])
+    # Normalize row scales so singularity thresholds are geometric.
+    norms = np.linalg.norm(A, axis=1)
+    degenerate = norms < 1e-14
+    if np.any(degenerate) and np.any(b[degenerate] < -_FEAS_TOL):
+        return None
+    keep = np.where(~degenerate)[0]
+    An = A[keep] / norms[keep, None]
+    bn = b[keep] / norms[keep]
+    mk = len(keep)
+
+    scale = max(1.0, float(np.abs(bn).max()) if mk else 1.0)
+    feas_tol = 1e-9 * scale
+    best_u = None
+    best_obj = np.inf
+
+    def consider(us: np.ndarray):
+        nonlocal best_u, best_obj
+        feas = np.all(An @ us.T + bn[:, None] >= -feas_tol, axis=0)
+        if not np.any(feas):
+            return
+        objs = np.einsum("ij,ij->i", us - z, us - z)
+        objs = np.where(feas, objs, np.inf)
+        i = int(np.argmin(objs))
+        if objs[i] < best_obj:
+            best_obj = objs[i]
+            best_u = us[i]
+
+    consider(z[None, :])
+    for k in range(1, min(n, mk) + 1):
+        idx = _combos(mk, k)
+        if idx.size == 0:
+            continue
+        sub_a = An[idx]                       # (S, k, n)
+        sub_b = bn[idx]                       # (S, k)
+        gram = sub_a @ sub_a.transpose(0, 2, 1)
+        if k == 1:
+            det = gram[:, 0, 0]
+        elif k == 2:
+            det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        else:
+            det = (
+                gram[:, 0, 0] * (gram[:, 1, 1] * gram[:, 2, 2] - gram[:, 1, 2] * gram[:, 2, 1])
+                - gram[:, 0, 1] * (gram[:, 1, 0] * gram[:, 2, 2] - gram[:, 1, 2] * gram[:, 2, 0])
+                + gram[:, 0, 2] * (gram[:, 1, 0] * gram[:, 2, 1] - gram[:, 1, 1] * gram[:, 2, 0])
+            )
+        ok = np.abs(det) > 1e-10
+        if not np.any(ok):
+            continue
+        sub_a = sub_a[ok]
+        rhs = -(sub_b[ok] + np.einsum("skn,n->sk", sub_a, z))
+        try:
+            nu = np.linalg.solve(gram[ok], rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # A member slipped past the determinant screen; solve one by one
+            # and drop the genuinely singular subsets.
+            grams = gram[ok]
+            rows = []
+            for s in range(grams.shape[0]):
+                try:
+                    rows.append((s, np.linalg.solve(grams[s], rhs[s])))
+                except np.linalg.LinAlgError:
+                    pass
+            if not rows:
+                continue
+            sel = [s for s, _ in rows]
+            sub_a = sub_a[sel]
+            nu = np.stack([x for _, x in rows])
+        us = z[None, :] + np.einsum("sk,skn->sn", nu, sub_a)
+        consider(us)
+    return best_u
 
 
 class VelQuality(Enum):
@@ -512,11 +578,11 @@ class ScalarControlUnit:
         violation = 0.0
         status = "optimal"
         if u is None:  # infeasible: escalate to the slack relaxation
-            sol = qp.solve_relaxed(qp.QpProblem(
-                u_nominal=u_nom, rows=matrix.active_rows(), box=self.speed_limit))
+            sol = qp.solve_relaxed(u_nom, matrix.a[:n_active], matrix.b[:n_active],
+                                   self.speed_limit)
             u, iterations = sol.u_star, sol.iterations
             violation = sol.max_violation
-            status = sol.status.value
+            status = "relaxed"
         return u, status, iterations, violation
 
 
@@ -547,11 +613,11 @@ class UncachedControlUnit(ScalarControlUnit):
         violation = 0.0
         status = "optimal"
         if u is None:  # infeasible: escalate to the slack relaxation
-            sol = qp.solve_relaxed(qp.QpProblem(
-                u_nominal=u_nom, rows=matrix.active_rows(), box=self.speed_limit))
+            sol = qp.solve_relaxed(u_nom, matrix.a[:n_active], matrix.b[:n_active],
+                                   self.speed_limit)
             u, iterations = sol.u_star, sol.iterations
             violation = sol.max_violation
-            status = sol.status.value
+            status = "relaxed"
         return Command(u=u), TickTelemetry(now, self.agent_id, status, False, u,
                                            iterations, violation)
 

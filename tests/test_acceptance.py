@@ -17,11 +17,11 @@ from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row, eval_landing,
                                 eval_uav_other_ugv, eval_uav_uav,
                                 eval_ugv_ugv, verify_validity)
-from airground.qp import QpStatus, oracle_solve, solve
 from airground.runner import run
 from airground.summary import summarize_dir
 
-from qp_problems import random_problem
+from oracles import oracle_solve
+from qp_problems import filter_lanes, random_problem
 from scenario_helpers import (clustered_scenario, crossing_scenario,
                               landing_scenario, single_pair)
 
@@ -136,34 +136,34 @@ def test_c04_landing_on_moving_platform(tmp_path):
 
 
 def test_c05_qp_oracle_equivalence():
-    """1000 seeded random problems: the filter matches the enumeration
-    oracle within 1e-5 and agrees exactly on feasibility, in under 5 s."""
+    """1000 seeded random problems through the control loop's entry point
+    (project_lanes, then solve_relaxed where a polytope is empty): the
+    filter matches the enumeration oracle within 1e-5 and agrees exactly on
+    feasibility, in under 5 s."""
     rng = np.random.default_rng(777)
     t0 = time.perf_counter()
     worst_gap = 0.0
     worst_obj_gap = 0.0
     flag_mismatches = 0
-    feasible = 0
-    for _ in range(1000):
-        p = random_problem(rng)
-        got = solve(p)
-        want = oracle_solve(p)
-        if got.status != want.status:
+    feasible = relaxed = 0
+    problems = [random_problem(rng) for _ in range(1000)]
+    for (z, A, b, limit), (u, _, was_relaxed) in zip(problems, filter_lanes(problems)):
+        want = oracle_solve(z, A, b, limit)
+        relaxed += was_relaxed
+        if was_relaxed != (want is None):
             flag_mismatches += 1
-        elif want.status is QpStatus.OPTIMAL:
+        elif want is not None:
             feasible += 1
-            worst_gap = max(worst_gap,
-                            float(np.max(np.abs(got.u_star - want.u_star))))
-            z = np.asarray(p.u_nominal)
-            obj_got = float((got.u_star - z) @ (got.u_star - z))
-            obj_want = float((want.u_star - z) @ (want.u_star - z))
+            worst_gap = max(worst_gap, float(np.max(np.abs(u - want))))
+            obj_got = float((u - z) @ (u - z))
+            obj_want = float((want - z) @ (want - z))
             worst_obj_gap = max(worst_obj_gap, obj_got - obj_want)
     elapsed = time.perf_counter() - t0
     ok = (flag_mismatches == 0 and worst_gap <= 1e-5
           and worst_obj_gap <= 1e-8 and elapsed < 5.0)
     report("qp oracle equivalence", ok,
-           f"{feasible} feasible, worst gap {worst_gap:.2e}, objective gap "
-           f"{worst_obj_gap:.2e}, {flag_mismatches} flag mismatches, "
+           f"{feasible} feasible, {relaxed} relaxed, worst gap {worst_gap:.2e}, "
+           f"objective gap {worst_obj_gap:.2e}, {flag_mismatches} flag mismatches, "
            f"{elapsed:.1f}s")
 
 

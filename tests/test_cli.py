@@ -178,6 +178,25 @@ class TestNanInTheFilter:
         assert dump["reason"].startswith("uav0: active-set projection")
 
 
+    def test_relaxation_failure_ends_in_a_safety_abort(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """The clustered fleet's UGVs relax from t=0; a relaxation that
+        raises names its unit and ends the run in a safety abort with a
+        state dump, not a traceback."""
+        def broken(z, A, b, limit):
+            raise RuntimeError("relaxation broke")
+
+        monkeypatch.setattr("airground.qp.solve_relaxed", broken)
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, clustered_scenario(duration=6.0).raw)
+        assert main(["run", path, "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "safety abort: safety filter failed for ugv0 at t=0.0: relaxation broke" in err
+        assert "Traceback" not in err
+        dump = json.loads((out_dir / "state_dump.json").read_text())
+        assert dump["reason"] == "ugv0: relaxation broke"
+
+
 class TestRun:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
@@ -315,9 +334,11 @@ class TestSummarize:
         assert f"trajectory.csv:{first}: kind must be uav or ugv, got 'rover'" in err
         assert "Traceback" not in err
 
-    def test_summarize_unknown_status_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("status", ["bogus", "failed"])
+    def test_summarize_unknown_status_fails(self, tmp_path, capsys, status):
         """A status the writer never logs would enter status_counts; the
-        line is reported instead, its min_h still agreeing."""
+        line is reported instead, its min_h still agreeing.  A filter
+        failure aborts the run, so no line says failed."""
         cfg = write_config(tmp_path, crossing_scenario(3, 1, duration=1.0).raw)
         out_dir = str(tmp_path / "out")
         assert main(["run", cfg, "--out-dir", out_dir]) == 0
@@ -325,14 +346,14 @@ class TestSummarize:
         with open(traj) as f:
             lines = f.read().splitlines()
         parts = lines[40].split(",")
-        parts[10] = "bogus"
+        parts[10] = status
         lines[40] = ",".join(parts)
         with open(traj, "w") as f:
             f.write("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["summarize", out_dir]) == 1
         err = capsys.readouterr().err
-        assert f"{traj}:41: unknown qp_status 'bogus'" in err
+        assert f"{traj}:41: unknown qp_status '{status}'" in err
         assert "Traceback" not in err
 
     def test_summarize_missing_watcher_log_fails(self, tmp_path, capsys):

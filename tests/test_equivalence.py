@@ -26,8 +26,7 @@ from airground.barriers import (Bounds, ConstraintRow, RowKind, SafetyParams,
 from airground.errors import CapacityError
 from airground.logfmt import fmt9, fmt9_round_trip
 from airground.netsim import WATCHER_ID, MsgType, StarBus, wire_bytes
-from airground.qp import (QpStatus, _project, filter_velocity, solve,
-                          solve_relaxed)
+from airground.qp import _project, project_with_box, solve_relaxed
 from airground import runner
 from airground.runner import _integrate, run
 from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, Roster,
@@ -44,8 +43,7 @@ from oracles import (AgentVelocityEstimator, DictGates, Sample,
                      per_agent_kind_counts,
                      per_agent_trajectory_rows, project_reference,
                      scalar_tick_barriers, scalar_view,
-                     stacked_filter_velocity, stacked_solve,
-                     stacked_solve_relaxed)
+                     stacked_project, stacked_solve_relaxed)
 from qp_problems import random_problem
 from scenario_helpers import crossing_scenario
 
@@ -565,19 +563,24 @@ def test_gate_tables_rebuilt_only_when_a_gate_flips():
 
 
 def test_qp_entry_points_match_stacked_oracle():
+    """project_with_box and solve_relaxed give the bits and iteration
+    counts of the interleaved box encoding, on random problems whose
+    polytopes are non-empty or empty, the relaxation using its slack."""
     rng = np.random.default_rng(5)
-    statuses = set()
+    empty = set()
+    slack_used = 0
     for _ in range(2000):
-        p = random_problem(rng)
-        for got, want in ((solve(p), stacked_solve(p)),
-                          (solve_relaxed(p), stacked_solve_relaxed(p)),
-                          (filter_velocity(p), stacked_filter_velocity(p))):
-            assert got.u_star.tobytes() == want.u_star.tobytes()
-            assert got.status is want.status
-            assert got.iterations == want.iterations
-            assert got.max_violation == want.max_violation
-            statuses.add(got.status)
-    assert statuses == set(QpStatus)  # both solve outcomes and the relaxation
+        problem = random_problem(rng)
+        outcomes = [(None if u is None else u.tobytes(), iters)
+                    for u, iters in (project_with_box(*problem), stacked_project(*problem))]
+        assert outcomes[0] == outcomes[1]
+        empty.add(outcomes[0][0] is None)
+        got, want = solve_relaxed(*problem), stacked_solve_relaxed(*problem)
+        assert got.u_star.tobytes() == want.u_star.tobytes()
+        assert got.iterations == want.iterations
+        assert got.max_violation == want.max_violation
+        slack_used += got.max_violation > 0
+    assert empty == {False, True} and slack_used  # both projection outcomes
 
 
 def test_fleet_estimator_matches_per_agent_oracle():

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from airground.barriers import ConstraintRow, RowKind
-from airground.errors import InvalidInputError
-from airground.qp import (QpProblem, QpStatus, _project, _with_box, filter_velocity,
-                          oracle_solve, project_lanes, project_with_box, solve,
+from airground.qp import (_project, _with_box, project_lanes, project_with_box,
                           solve_relaxed)
 
-from qp_problems import random_problem
+from oracles import oracle_solve
+from qp_problems import filter_lanes, random_problem
 
 
-def row(a, b):
-    return ConstraintRow(a=np.asarray(a, dtype=float), b=float(b),
-                         kind=RowKind.UAV_UAV)
+def rows(*pairs):
+    """The (A, b) of the rows a . u >= -b given as (a, b) pairs."""
+    return (np.array([a for a, _ in pairs], dtype=float),
+            np.array([b for _, b in pairs], dtype=float))
+
+
+def no_rows(n):
+    return np.zeros((0, n)), np.zeros(0)
 
 
 def halfspace_projection(z, a, b):
@@ -27,10 +30,9 @@ def halfspace_projection(z, a, b):
 
 class TestOracle:
     def test_unconstrained_interior(self):
-        p = QpProblem(np.array([0.3, -0.2, 0.1]), [], 1.0)
-        sol = oracle_solve(p)
-        assert sol.status is QpStatus.OPTIMAL
-        assert np.allclose(sol.u_star, p.u_nominal)
+        z = np.array([0.3, -0.2, 0.1])
+        u = oracle_solve(z, *no_rows(3), 1.0)
+        assert u is not None and np.allclose(u, z)
 
     def test_single_halfspace_matches_closed_form(self):
         rng = np.random.default_rng(42)
@@ -42,23 +44,19 @@ class TestOracle:
             expected = halfspace_projection(z, a, b)
             if np.any(np.abs(expected) > 1.0):
                 continue  # projection exits the box; closed form no longer applies
-            sol = oracle_solve(QpProblem(z, [row(a, b)], 1.0))
-            assert sol.status is QpStatus.OPTIMAL
-            assert np.allclose(sol.u_star, expected, atol=1e-9)
+            u = oracle_solve(z, *rows((a, b)), 1.0)
+            assert u is not None and np.allclose(u, expected, atol=1e-9)
 
     def test_coordinate_halfspace(self):
-        sol = oracle_solve(QpProblem(np.array([-1.0, 0.0, 0.0]),
-                                     [row([1, 0, 0], 0.0)], 1.0))
-        assert np.allclose(sol.u_star, [0, 0, 0], atol=1e-12)
+        u = oracle_solve(np.array([-1.0, 0.0, 0.0]), *rows(([1, 0, 0], 0.0)), 1.0)
+        assert np.allclose(u, [0, 0, 0], atol=1e-12)
 
     def test_empty_polytope(self):
         # u_x >= 2 cannot be met inside |u| <= 1.
-        sol = oracle_solve(QpProblem(np.zeros(2), [row([1, 0], -2.0)], 1.0))
-        assert sol.status is QpStatus.FAILED
+        assert oracle_solve(np.zeros(2), *rows(([1, 0], -2.0)), 1.0) is None
 
     def test_degenerate_zero_gradient_infeasible(self):
-        sol = oracle_solve(QpProblem(np.zeros(2), [row([0, 0], -0.25)], 1.0))
-        assert sol.status is QpStatus.FAILED
+        assert oracle_solve(np.zeros(2), *rows(([0, 0], -0.25)), 1.0) is None
 
 
 class TestNanStep:
@@ -69,8 +67,7 @@ class TestNanStep:
     def test_nan_nominal(self):
         with np.errstate(invalid="ignore"), \
                 pytest.raises(RuntimeError, match="non-finite step"):
-            project_with_box(np.array([np.nan, 0.0, 0.0]), np.zeros((0, 3)),
-                             np.zeros(0), 1.0)
+            project_with_box(np.array([np.nan, 0.0, 0.0]), *no_rows(3), 1.0)
 
     def test_overflow_with_rows_in_the_working_set(self):
         """Finite data whose products overflow once a row is working; this
@@ -102,20 +99,20 @@ CYCLING = [
 def test_cycling_working_set_reported_empty(A, b):
     u, _ = project_with_box(np.zeros(3), A, b, 1.0)
     assert u is None
-    sol = filter_velocity(QpProblem(np.zeros(3), [row(a, bi) for a, bi in zip(A, b)], 1.0))
-    assert sol.status is QpStatus.RELAXED
+    sol = solve_relaxed(np.zeros(3), A, b, 1.0)
     assert np.all(np.isfinite(sol.u_star)) and np.all(np.abs(sol.u_star) <= 1.0)
 
 
 def test_box_rows_cached_per_dimension_and_limit():
-    """The cached box rows and offsets follow (dimension, limit): two scalar
-    limits alternating in one dimension, another dimension and a per-axis
-    limit each give the arrays built afresh and the projection on them."""
+    """The cached box rows and offsets follow (dimension, limit): two
+    limits alternating in one dimension, another dimension, an int and a
+    numpy scalar limit each give the arrays built afresh and the projection
+    on them."""
     rng = np.random.default_rng(13)
     for limit, n in [(0.6, 3), (1.0, 3), (0.6, 3), (0.6, 2), (1, 3), (1.0, 2),
-                     (np.array([0.6, 1.0, 0.3]), 3), (0.6, 3), (np.float64(1.0), 3)]:
+                     (0.6, 3), (np.float64(1.0), 3)]:
         A, b, z = rng.normal(size=(4, n)), rng.normal(size=4), rng.normal(size=n)
-        lim = np.broadcast_to(np.asarray(limit, dtype=float), (n,))
+        lim = np.full(n, float(limit))
         want = (np.concatenate([A, np.eye(n), -np.eye(n)]), np.concatenate([b, lim, lim]))
         got = _with_box(A, b, limit)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
@@ -125,34 +122,20 @@ def test_box_rows_cached_per_dimension_and_limit():
 
 
 class TestSolve:
+    """project_with_box, and project_lanes as the control loop calls it."""
+
     def test_no_rows_identity(self):
-        p = QpProblem(np.array([0.4, -0.3, 0.2]), [], 1.0)
-        sol = solve(p)
-        assert sol.status is QpStatus.OPTIMAL
-        assert np.array_equal(sol.u_star, p.u_nominal)
+        z = np.array([0.4, -0.3, 0.2])
+        u, _ = project_with_box(z, *no_rows(3), 1.0)
+        assert np.array_equal(u, z)
 
     def test_coordinate_halfspace(self):
-        sol = solve(QpProblem(np.array([-1.0, 0.0, 0.0]), [row([1, 0, 0], 0.0)], 1.0))
-        assert sol.status is QpStatus.OPTIMAL
-        assert np.allclose(sol.u_star, [0, 0, 0], atol=1e-12)
+        u, _ = project_with_box(np.array([-1.0, 0.0, 0.0]), *rows(([1, 0, 0], 0.0)), 1.0)
+        assert np.allclose(u, [0, 0, 0], atol=1e-12)
 
     def test_infeasible_flagged(self):
-        sol = solve(QpProblem(np.zeros(2), [row([1, 0], -2.0)], 1.0))
-        assert sol.status is QpStatus.FAILED
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            solve(QpProblem(np.zeros(3), [row([1, 0], 0.0)], 1.0))
-
-    def test_non_positive_box_rejected(self):
-        with pytest.raises(InvalidInputError):
-            solve(QpProblem(np.zeros(2), [], 0.0))
-
-    @pytest.mark.parametrize("entry", [solve, solve_relaxed, filter_velocity,
-                                       oracle_solve])
-    def test_zero_dimension_rejected(self, entry):
-        with pytest.raises(InvalidInputError):
-            entry(QpProblem(np.zeros(0), [], 1.0))
+        u, _ = project_with_box(np.zeros(2), *rows(([1, 0], -2.0)), 1.0)
+        assert u is None
 
     def test_matches_oracle_on_random_problems(self):
         """The batched entry point the control loop calls, over lanes of
@@ -161,130 +144,96 @@ class TestSolve:
         rng = np.random.default_rng(2024)
         feasible = infeasible = trivial = 0
         problems = [random_problem(rng) for _ in range(400)]
-        for n in (2, 3):
-            lanes = [p for p in problems if p.dimension() == n]
-            counts = [len(p.rows) for p in lanes]
-            A = np.zeros((len(lanes), max(counts), n))
-            b = np.zeros((len(lanes), max(counts)))
-            for l, p in enumerate(lanes):
-                _, A[l, :counts[l]], b[l, :counts[l]] = p.arrays()
-            z = np.array([p.u_nominal for p in lanes])
-            limits = np.array([p.box for p in lanes])
-            passed, rest = project_lanes(z, A, b, counts, limits)
-            got = [(z[l], 1) if ok else next(rest) for l, ok in enumerate(passed.tolist())]
-            for p, (u, iters) in zip(lanes, got):
-                want = oracle_solve(p)
-                assert (u is None) == (want.status is QpStatus.FAILED), p
-                trivial += iters == 1
-                if want.status is QpStatus.OPTIMAL:
-                    feasible += 1
-                    assert np.max(np.abs(u - want.u_star)) <= 1e-5
-                    obj_got = float((u - p.u_nominal) @ (u - p.u_nominal))
-                    obj_want = float((want.u_star - p.u_nominal) @ (want.u_star - p.u_nominal))
-                    assert obj_got <= obj_want + 1e-8
-                else:
-                    infeasible += 1
+        for (z, A, b, limit), (u, iters, relaxed) in zip(problems, filter_lanes(problems)):
+            want = oracle_solve(z, A, b, limit)
+            assert relaxed == (want is None), (z, A, b, limit)
+            if relaxed:
+                infeasible += 1
+                continue
+            feasible += 1
+            trivial += iters == 1
+            assert np.max(np.abs(u - want)) <= 1e-5
+            assert float((u - z) @ (u - z)) <= float((want - z) @ (want - z)) + 1e-8
         # both paths exercised, and lanes passed by the batched scan
         assert feasible > 100 and infeasible > 20 and trivial > 10
 
     def test_minimal_invasiveness(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
-            p = random_problem(rng)
-            u = np.asarray(p.u_nominal)
-            lim = p.box_limits()
-            feasible_nominal = np.all(np.abs(u) <= lim) and all(
-                float(r.a @ u) + r.b >= 0 for r in p.rows)
-            if not feasible_nominal:
+            z, A, b, limit = random_problem(rng)
+            if not (np.all(np.abs(z) <= limit)
+                    and all(float(a @ z) + bi >= 0 for a, bi in zip(A, b))):
                 continue
-            sol = solve(p)
-            assert sol.status is QpStatus.OPTIMAL
-            assert np.max(np.abs(sol.u_star - u)) <= 1e-9
+            u, _ = project_with_box(z, A, b, limit)
+            assert u is not None
+            assert np.max(np.abs(u - z)) <= 1e-9
 
     def test_monotone_safety(self):
         rng = np.random.default_rng(10)
         for _ in range(300):
-            p = random_problem(rng)
-            sol = solve(p)
-            if sol.status is not QpStatus.OPTIMAL:
+            z, A, b, limit = random_problem(rng)
+            u, _ = project_with_box(z, A, b, limit)
+            if u is None:
                 continue
-            for r in p.rows:
-                assert float(r.a @ sol.u_star) + r.b >= -1e-9
-            assert np.all(np.abs(sol.u_star) <= p.box_limits() + 1e-9)
+            assert np.all(A @ u + b >= -1e-9)
+            assert np.all(np.abs(u) <= limit + 1e-9)
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            p = random_problem(rng)
-            first = solve(p)
-            if first.status is not QpStatus.OPTIMAL:
+            z, A, b, limit = random_problem(rng)
+            first, _ = project_with_box(z, A, b, limit)
+            if first is None:
                 continue
-            again = solve(QpProblem(first.u_star, p.rows, p.box))
-            assert np.max(np.abs(again.u_star - first.u_star)) <= 1e-9
+            again, _ = project_with_box(first, A, b, limit)
+            assert np.max(np.abs(again - first)) <= 1e-9
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         problems = [random_problem(rng) for _ in range(50)]
-        first = [solve(p).u_star.tobytes() for p in problems]
-        second = [solve(p).u_star.tobytes() for p in problems]
-        assert first == second
+
+        def outcomes():
+            return [(None if u is None else u.tobytes(), iters)
+                    for u, iters in (project_with_box(*p) for p in problems)]
+        assert outcomes() == outcomes()
 
 
 class TestRelaxed:
     def test_feasible_problem_keeps_near_zero_slack(self):
         # The quadratic penalty is exact only as weight -> inf; at 1e4 a
         # binding row carries a residual slack of order 1/weight.
-        p = QpProblem(np.array([-1.0, 0.0]), [row([1, 0], 0.0)], 1.0)
-        strict = solve(p)
-        relaxed = solve_relaxed(p)
-        assert relaxed.status is QpStatus.RELAXED
+        problem = np.array([-1.0, 0.0]), *rows(([1, 0], 0.0)), 1.0
+        strict, _ = project_with_box(*problem)
+        relaxed = solve_relaxed(*problem)
         assert relaxed.max_violation <= 2e-4
-        assert np.allclose(relaxed.u_star, strict.u_star, atol=2e-4)
+        assert np.allclose(relaxed.u_star, strict, atol=2e-4)
 
     def test_box_limited_slack(self):
         # u_x >= 2 against |u| <= 1: the filter rides the box face and
         # absorbs exactly one unit of violation in the slack.
-        p = QpProblem(np.zeros(2), [row([1, 0], -2.0)], 1.0)
-        sol = solve_relaxed(p)
-        assert sol.status is QpStatus.RELAXED
+        sol = solve_relaxed(np.zeros(2), *rows(([1, 0], -2.0)), 1.0)
         assert sol.u_star[0] == pytest.approx(1.0, abs=1e-6)
         assert sol.max_violation == pytest.approx(1.0, abs=1e-6)
 
     def test_box_limited_slack_against_lifted_oracle(self):
         # Enumerate the lifted (u, s) problem directly as an independent check.
-        p = QpProblem(np.zeros(2), [row([1, 0], -2.0)], 1.0)
-        w = 1e4
-        sw = np.sqrt(w)
-        lifted = QpProblem(
+        sw = np.sqrt(1e4)
+        want = oracle_solve(
             np.zeros(3),
-            [
-                ConstraintRow(a=np.array([1.0, 0.0, 1.0 / sw]), b=-2.0,
-                              kind=RowKind.UAV_UAV),
-                ConstraintRow(a=np.array([0.0, 0.0, 1.0]), b=0.0,
-                              kind=RowKind.UAV_UAV),
-                # the lifted box must not clamp the slack variable
-                ConstraintRow(a=np.array([0.0, 0.0, -1.0]), b=1e6,
-                              kind=RowKind.UAV_UAV),
-            ],
-            np.array([1.0, 1.0, 1e7]),
-        )
-        want = oracle_solve(lifted)
-        assert want.status is QpStatus.OPTIMAL
-        got = solve_relaxed(p)
-        assert got.u_star[0] == pytest.approx(want.u_star[0], abs=1e-6)
-        assert got.max_violation == pytest.approx(want.u_star[2] / sw, abs=1e-6)
+            *rows(([1.0, 0.0, 1.0 / sw], -2.0),
+                  ([0.0, 0.0, 1.0], 0.0),
+                  # the lifted box must not clamp the slack variable
+                  ([0.0, 0.0, -1.0], 1e6)),
+            np.array([1.0, 1.0, 1e7]))
+        assert want is not None
+        got = solve_relaxed(np.zeros(2), *rows(([1, 0], -2.0)), 1.0)
+        assert got.u_star[0] == pytest.approx(want[0], abs=1e-6)
+        assert got.max_violation == pytest.approx(want[2] / sw, abs=1e-6)
 
     def test_symmetric_conflict_splits_evenly(self):
-        p = QpProblem(np.zeros(1), [row([1], -1.0), row([-1], -1.0)], 2.0)
-        sol = solve_relaxed(p)
+        sol = solve_relaxed(np.zeros(1), *rows(([1], -1.0), ([-1], -1.0)), 2.0)
         assert sol.u_star[0] == pytest.approx(0.0, abs=1e-9)
         assert sol.max_violation == pytest.approx(1.0, abs=1e-4)
-
-    def test_filter_velocity_escalates(self):
-        p = QpProblem(np.zeros(2), [row([1, 0], -2.0)], 1.0)
-        sol = filter_velocity(p)
-        assert sol.status is QpStatus.RELAXED
-        assert sol.max_violation > 0.5
 
 
 # Row counts the control loop stacks: every barrier row count up to the

@@ -106,12 +106,13 @@ class TestVelocityEstimator:
         for now, x in ((0.0, 0.0), (0.1, 0.05)):  # the platform moves at 0.5 m/s
             ugv = np.array([[x, 0.0, 0.0]])
             w.tick(now, uav, ugv)
-            landing = w.assemble_constraints(now)["uav0"].active_rows()[-1]
-            assert landing.kind is RowKind.LANDING
+            matrix = w.assemble_constraints(now)["uav0"]
+            last = matrix.active_count - 1
+            assert matrix.kinds[last] is RowKind.LANDING
             expected = build_constraint_row(
                 RowKind.LANDING, uav[0], ugv[0, :2], [0.5, 0.0],
                 PARAMS, worst_case=now == 0.0)
-            assert landing.b == pytest.approx(expected.b, abs=1e-12)
+            assert matrix.b[last] == pytest.approx(expected.b, abs=1e-12)
 
 
 class TestProximalGating:
