@@ -294,6 +294,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         for f in fields(WatcherOptions)})
     if not 0 < watcher.smoothing <= 1:
         v.append(ConfigViolation("BAD_VALUE", "watcher.smoothing must be in (0, 1]"))
+    # A negative margin gates off every separation row, a negative touchdown
+    # window can never be entered and a negative dwell is no time.
+    for key in ("activation_margin", "touchdown_radius_sq", "touchdown_height",
+                "touchdown_hold"):
+        value = getattr(watcher, key)
+        if value is not None and value < 0:
+            v.append(ConfigViolation("BAD_VALUE", f"watcher.{key} must be >= 0, got {value!r}"))
     if watcher.activation_margin is None and watcher_rate > 0 and latency_finite:
         margin = derived_margin(safety.uav_speed_limit, 1.0 / watcher_rate, max_latency)
         if not math.isfinite(margin):

@@ -129,7 +129,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     statuses = ["hold"] * (2 * n)
     watcher_lines: list[str] = [WATCHER_HEADER]   # the header, then one chunk per tick
     # A watcher.csv line is its time and a tail that follows from the gate
-    # tables and pair phases alone: (tables, phases, tails) of the last build.
+    # tables and phase view alone: (tables, view, tails) of the last build.
     tails_of: tuple = (None, None, [])
     watcher_records: list[WatcherRecord] = []
     events = list(cfg.events)
@@ -196,9 +196,10 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             for msg_type, dst, payload in outbound:
                 bus.send(msg_type, WATCHER_ID, dst, payload, t)
             watcher_records += records
-            phases = list(coordinator.phases.values())
-            if coordinator.tables is not tails_of[0] or phases != tails_of[1]:
-                tails_of = coordinator.tables, phases, [  # row counts in column order
+            if (coordinator.tables is not tails_of[0]
+                    or coordinator.phase_view is not tails_of[1]):
+                # Row counts in column order, then the proximal set.
+                tails_of = coordinator.tables, coordinator.phase_view, [
                     f",{rec.agent_id},{rec.phase},{rec.active_count},{k.get('workspace', 0)},"
                     f"{k.get('uav_other_ugv', 0)},{k.get('landing', 0)},{k.get('uav_uav', 0)},"
                     f"{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}"

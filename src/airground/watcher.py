@@ -1,15 +1,18 @@
 """Centralized coordination node.
 
-The watcher is the only component that sees every agent.  Each tick it:
+The watcher is the only component that sees every agent.  Each tick makes
+one stacked pass over the fleet:
 
-1. ingests the fleet's poses as stacked arrays and refreshes one velocity
-   estimator per family (UAVs, UGV bodies, UGV offset points),
+1. it ingests the poses as one fresh (n, 7) fleet array, one row per pair
+   (UAV x, y, z | UGV deck x, y | UGV offset point x, y), with one
+   finiteness check, and pushes it to one velocity estimator whose column
+   slices are the UAV, deck and offset-point velocities,
 2. advances landing phases (signal handling, touchdown detection),
 3. decides which separation constraints are locally relevant to each agent
    (distance gate with a hysteresis band so rows do not chatter), holding
-   the decisions as three boolean gate matrices over the fleet -- UAV i
-   against UAV j, UGV i against UGV j, and UAV i against another pair's
-   UGV j -- that are refreshed in one array pass per tick,
+   the decisions as one (3, n, n) boolean gate stack -- UAV i against UAV
+   j, UAV i against another pair's UGV j, UGV i against UGV j -- refreshed
+   by one distance pass over stacked operands and one hysteresis call,
 4. assembles every agent's fixed-capacity, zero-padded constraint matrix
    in one array pass per barrier family (row order on assemble_constraints),
 5. returns one update per agent for the star bus, a (MsgType.UPDATE, dst,
@@ -18,10 +21,18 @@ The watcher is the only component that sees every agent.  Each tick it:
    TrackTable and the records' proximal sets read off one gate matrix with
    lexicographic columns.
 
-Gates flip far less often than the fleet moves: what follows from them alone
-(row slots and counts, the capacity verdict, kind counts, proximal sets and
-row layouts) is rebuilt only when their contents change, in _gate_tables;
-the A/b blocks, poses and setpoints are built fresh every tick.
+Gates flip far less often than the fleet moves, and phases change less
+often still: what follows from the gates alone (row slots and counts, the
+capacity verdict, kind counts and proximal sets) is rebuilt only when their
+contents change, in _gate_tables, and what follows from the phases alone
+(the landing and chasing pairs, each agent's phase, the gates that may be
+on) only when a phase changes, in _phase_view.
+
+Fresh versus reused arrays: whatever leaves a tick -- the pose rows in the
+payloads, the A/b blocks, the estimator's last positions -- is a new array
+every tick, since agents and in-flight messages still hold earlier ones.
+Only scratch that never escapes is reused: the distance operands, whose
+platform rows keep their deck height from construction.
 
 Landing orchestration: a landing signal flips the pair to the `landing`
 phase, which switches the UAV's setpoint stream from its task track to the
@@ -37,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -73,9 +83,9 @@ def derived_margin(uav_speed_limit: float, period: float, max_latency: float) ->
 
 
 class VelocityEstimator:
-    """Exponentially smoothed finite differences over one family's poses.
+    """Exponentially smoothed finite differences over n agents' poses.
 
-    Tracks n agents as one (n, dim) array, pushed once per watcher tick.  The
+    Tracks them as one (n, dim) array, pushed once per watcher tick.  The
     smoother is seeded with the first difference, so constant-velocity data
     is reproduced exactly from the second sample on.  Until that first
     difference the estimate is worst case: the constraint rows assume the
@@ -112,33 +122,15 @@ class ConstraintMatrix:
     """Fixed-capacity constraint block shipped to one agent.
 
     Rows beyond active_count are identically zero; row order is the order
-    documented on Watcher.assemble_constraints.  kinds and other_ids are
-    the active rows' families and other agents: lists given to the
-    constructor, or derived on first read from layout, a callable of
-    agent_id returning both, which the watcher passes in their place."""
+    documented on Watcher.assemble_constraints."""
 
-    __slots__ = ("agent_id", "timestamp", "a", "b", "active_count", "_rows")
+    __slots__ = ("agent_id", "timestamp", "a", "b", "active_count")
 
     def __init__(self, agent_id: str, timestamp: float, a: np.ndarray, b: np.ndarray,
-                 kinds: list[RowKind], other_ids: list[str | None],
-                 active_count: int | None = None, layout=None):
+                 active_count: int):
         self.agent_id, self.timestamp = agent_id, timestamp
         self.a, self.b = a, b                    # (capacity, dim), (capacity,)
-        self._rows = layout or (list(kinds), list(other_ids))
-        self.active_count = len(kinds) if active_count is None else active_count
-
-    def _laid_out(self) -> tuple[list[RowKind], list[str | None]]:
-        if callable(self._rows):
-            self._rows = self._rows(self.agent_id)
-        return self._rows
-
-    @property
-    def kinds(self) -> list[RowKind]:
-        return self._laid_out()[0]
-
-    @property
-    def other_ids(self) -> list[str | None]:
-        return self._laid_out()[1]
+        self.active_count = active_count
 
 
 class PairPhase(Enum):
@@ -237,50 +229,41 @@ class WatcherRecord:
     proximal: tuple[str, ...] = ()
 
 
-def _gated(gates: np.ndarray, first) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gated(gates: np.ndarray, first, capacity: int) -> tuple | None:
     """The (i, j) entries of gates that are on, row-major so that i is
-    sorted, and the slot of each: first (or first[i]) plus its rank among
-    agent i's entries."""
+    sorted, and the row of each in its kind's (n * capacity) rows: agent
+    i's block at first (or first[i]) plus the entry's rank among agent i's
+    entries.  None when no entry is on."""
     i, j = np.nonzero(gates)
     if not len(i):
-        return i, j, i
-    return i, j, (first[i] if np.ndim(first) else first) + np.arange(len(i)) - np.searchsorted(i, i)
+        return None
+    first = first[i] if np.ndim(first) else first
+    return i, j, i * capacity + first + np.arange(len(i)) - np.searchsorted(i, i)
 
 
 class _GateTables(NamedTuple):
     """What Watcher._gate_tables derives from the gates alone; lists run in tick order."""
 
-    key: bytes                          # the gates _aa, _ago, _gg, flattened
+    key: bytes                          # the gate stack's bytes
     overflow: str | None                # CapacityError's message, if any agent overflows
     active: list[int]                   # active row counts
-    # For _scatter: _gated of _ago, _aa and _gg, and each pair's landing slot.
-    cross: tuple
-    aerial: tuple
-    ground: tuple
+    # For _scatter: _gated of the ago, aa and gg gates, and each UAV's funnel row.
+    cross: tuple | None
+    aerial: tuple | None
+    ground: tuple | None
     landing: np.ndarray
-    layout: partial                     # ConstraintMatrix's layout callable
     kind_counts: list[dict[str, int]]   # rows per kind, in RowKind order
     proximal: list[tuple[str, ...]]     # sorted proximal sets
 
 
-# The wall rows that open every UAV and every UGV matrix.
-_UAV_WALLS = [RowKind.WORKSPACE] * 5
-_UGV_WALLS = [RowKind.WORKSPACE] * 4
+class _PhaseView(NamedTuple):
+    """What Watcher._phase_view derives from the pair phases alone."""
 
-
-def _row_layout(uav_ids: np.ndarray, ugv_ids: np.ndarray, ago: np.ndarray, aa: np.ndarray,
-                gg: np.ndarray, agent_id: str) -> tuple[list[RowKind], list[str | None]]:
-    """The kinds and other agents of agent_id's rows under the gates ago, aa
-    and gg, in Watcher.assemble_constraints' order.  Not a method: the
-    watcher keeps its layout, which must not keep the watcher alive."""
-    pair = int(agent_id[3:])
-    if agent_id.startswith("ugv"):
-        ground = ugv_ids[gg[pair]].tolist()
-        return _UGV_WALLS + [RowKind.UGV_UGV] * len(ground), [None] * 4 + ground
-    cross, aerial = ugv_ids[ago[pair]].tolist(), uav_ids[aa[pair]].tolist()
-    return (_UAV_WALLS + [RowKind.UAV_OTHER_UGV] * len(cross) + [RowKind.LANDING]
-            + [RowKind.UAV_UAV] * len(aerial),
-            [None] * 5 + cross + [f"ugv{pair}"] + aerial)
+    key: tuple                          # the phases, by pair
+    landing: np.ndarray                 # pairs in the landing phase
+    chasing: np.ndarray                 # pairs whose UAV chases its platform
+    phases: list[str]                   # each agent's phase, in tick order
+    allowed: np.ndarray                 # (3, n, n): the gates that may be on
 
 
 class Watcher:
@@ -323,8 +306,8 @@ class Watcher:
         self._setpoint_tracks = TrackTable([tracks[agent_id] for agent_id in self._ids])
         # Proximal sets list their ids in lexicographic order (uav0, uav1,
         # uav10, ..., ugv0, ...): row a of _prox_cells holds, per id in
-        # _prox_ids, the cell of the gates _aa, _ago, _gg (flattened) that
-        # puts agent a, in tick order, against it.
+        # _prox_ids, the cell of the flattened gate stack that puts agent a,
+        # in tick order, against it.
         lex = sorted(range(n_pairs), key=str)
         self._prox_ids = np.concatenate((self._uav_ids[lex], self._ugv_ids[lex]))
         aa, ago, gg = np.arange(3 * n_pairs ** 2).reshape(3, n_pairs, n_pairs)
@@ -334,20 +317,29 @@ class Watcher:
         self._touch_since: dict[int, float | None] = {i: None for i in range(n_pairs)}
         self.touchdown_times: dict[int, float] = {}
         self._pending: list[tuple[MsgType, str, object]] = []
-        # This tick's fleet, indexed by pair: UAV positions, UGV poses
-        # (x, y, theta), UGV offset points and platform centres.
-        self._uav = np.zeros((n_pairs, 3))
+        # This tick's fleet, indexed by pair: UAV positions (x, y, z), UGV
+        # decks (x, y) and UGV offset points (x, y) in one (n, 7) array,
+        # and the UGV poses (x, y, theta).  Both are fresh every tick.
+        self._fleet = np.zeros((n_pairs, 7))
         self._ugv = np.zeros((n_pairs, 3))
-        self._offsets = np.zeros((n_pairs, 2))
-        self._platforms = np.zeros((n_pairs, 3))
-        # Gate matrices, indexed by pair: _aa[i, j] UAV i vs UAV j and
-        # _gg[i, j] UGV i vs UGV j (both symmetric), _ago[i, j] UAV i vs
+        self._est = VelocityEstimator(n_pairs, 7, opts.smoothing)
+        # The operands of the tick's one distance pass, families stacked as
+        # (UAV vs UAV, UAV vs other platform, UGV vs UGV): UAVs, UAVs and
+        # offset points against UAVs, platform centres and offset points,
+        # the offset points at z = 0.  Scratch rewritten every tick; the
+        # platforms' deck height is written once.
+        self._lhs, self._rhs = np.zeros((2, 3, n_pairs, 3))
+        self._rhs[1, :, 2] = platform_height
+        self._platforms = self._rhs[1]
+        self._hover_z = platform_height + params.hover_clearance
+        self._radii = np.array([params.uav_separation, params.uav_ugv_separation,
+                                params.ugv_separation])[:, None, None]
+        # The gate stack, indexed by family and pair: [0][i, j] UAV i vs UAV
+        # j and [2][i, j] UGV i vs UGV j (both symmetric), [1][i, j] UAV i vs
         # UGV j (cross layer, not symmetric).
-        self._aa = np.zeros((n_pairs, n_pairs), dtype=bool)
-        self._gg = np.zeros((n_pairs, n_pairs), dtype=bool)
-        self._ago = np.zeros((n_pairs, n_pairs), dtype=bool)
+        self._gates = np.zeros((3, n_pairs, n_pairs), dtype=bool)
         self._others = ~np.eye(n_pairs, dtype=bool)
-        self._pairs = np.arange(n_pairs)
+        self._row_starts = np.arange(n_pairs) * capacity
         # Per vehicle kind (UAV, UGV), the A block every tick starts from:
         # the constant wall gradients in the first rows, zero padding below.
         self._templates = []
@@ -356,10 +348,8 @@ class Watcher:
             template = np.zeros((n_pairs, capacity, dim))
             template[:, :len(walls)] = walls
             self._templates.append(template)
-        self.tables: _GateTables | None = None   # one object until a gate flips
-        self._est_uav = VelocityEstimator(n_pairs, 3, opts.smoothing)
-        self._est_ugv_body = VelocityEstimator(n_pairs, 2, opts.smoothing)
-        self._est_ugv_offset = VelocityEstimator(n_pairs, 2, opts.smoothing)
+        self.tables: _GateTables | None = None      # one object until a gate flips
+        self.phase_view: _PhaseView | None = None   # one object until a phase changes
 
     # -- event handling -----------------------------------------------------
 
@@ -378,6 +368,24 @@ class Watcher:
         self.phases[pair] = PairPhase.LANDING
         return True
 
+    def _phase_view(self) -> _PhaseView:
+        """The views derived from the current phases, rebuilt only when they
+        differ from the last build's.  Landed UAVs retire from the aerial
+        layer: their rows and columns of the UAV gates and their rows of the
+        cross-layer gates may not be on."""
+        key = tuple(self.phases.values())
+        if self.phase_view is not None and self.phase_view.key == key:
+            return self.phase_view
+        landing = [i for i, phase in enumerate(key) if phase is PairPhase.LANDING]
+        chasing = [i for i, phase in enumerate(key) if phase is not PairPhase.TASK]
+        flying = np.array([phase is not PairPhase.LANDED for phase in key])
+        cross = self._others & flying[:, None]
+        self.phase_view = _PhaseView(
+            key, np.array(landing, dtype=int), np.array(chasing, dtype=int),
+            [phase.value for phase in key for _ in (0, 1)],
+            np.stack((cross & flying, cross, self._others)))
+        return self.phase_view
+
     # -- proximity gating ---------------------------------------------------
 
     def proximal_set(self, agent_id: str) -> set[str]:
@@ -390,13 +398,13 @@ class Watcher:
         assemble_constraints' order.  Proximal sets are read off one gate
         matrix: a row per agent and a column per other agent, columns in
         lexicographic id order."""
-        gates = np.concatenate((self._aa, self._ago, self._gg), axis=None)
+        gates = self._gates
         key = gates.tobytes()
         if self.tables is not None and self.tables.key == key:
             return self.tables
         n, cap = self.n_pairs, self.capacity
-        aa, ago, gg = gates.reshape(3, n, n)   # a copy: later ticks cannot move it
-        n_ago, n_aa, n_gg = ago.sum(axis=1), aa.sum(axis=1), gg.sum(axis=1)
+        aa, ago, gg = gates
+        n_aa, n_ago, n_gg = gates.sum(axis=2)
         active = [r for pair in zip((6 + n_ago + n_aa).tolist(), (4 + n_gg).tolist()) for r in pair]
         overflow = next((f"{agent_id}: {rows} active rows exceed capacity {cap}"
                          for agent_id, rows in zip(self._ids, active) if rows > cap), None)
@@ -413,53 +421,38 @@ class Watcher:
             ends = on.searchsorted(self._prox_ends).tolist()
             proximal = [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]
         self.tables = _GateTables(
-            key, overflow, active, _gated(ago, 5), _gated(aa, 6 + n_ago), _gated(gg, 4),
-            5 + n_ago, partial(_row_layout, self._uav_ids, self._ugv_ids, ago, aa, gg),
-            kind_counts, proximal)
+            key, overflow, active, _gated(ago, 5, cap), _gated(aa, 6 + n_ago, cap),
+            _gated(gg, 4, cap), self._row_starts + 5 + n_ago, kind_counts, proximal)
         return self.tables
 
     def _hysteresis(self, active: np.ndarray, distance: np.ndarray,
-                    radius: float, allowed: np.ndarray) -> np.ndarray:
+                    radius, allowed: np.ndarray) -> np.ndarray:
         """Hysteresis gate, elementwise: an inactive pair activates inside
         radius + margin and an active one deactivates beyond that plus
-        _PROXIMITY_HYSTERESIS."""
+        _PROXIMITY_HYSTERESIS.  radius may be one family's float or the
+        stack's (3, 1, 1) radii."""
         activate_at = radius + self.activation_margin
         return allowed & np.where(active,
                                   distance <= activate_at + _PROXIMITY_HYSTERESIS,
                                   distance < activate_at)
 
-    def _update_gates(self) -> None:
-        """Refresh every gate from this tick's fleet arrays.
-
-        Landed UAVs retire from the aerial layer: their rows and columns of
-        _aa and their rows of _ago are forced off."""
-        p = self.params
-        n = self.n_pairs
-        others = aerial = cross = self._others
-        landed = [i for i in range(n) if self.phases[i] is PairPhase.LANDED]
-        if landed:
-            flying = np.ones(n, dtype=bool)
-            flying[landed] = False
-            aerial = others & flying[:, None] & flying[None, :]
-            cross = others & flying[:, None]
-        d_aa = np.sqrt(pairwise_sq_distances(self._uav, self._uav))
-        d_gg = np.sqrt(pairwise_sq_distances(self._offsets, self._offsets))
-        d_ago = np.sqrt(pairwise_sq_distances(self._uav, self._platforms))
-        self._aa = self._hysteresis(self._aa, d_aa, p.uav_separation, aerial)
-        self._gg = self._hysteresis(self._gg, d_gg, p.ugv_separation, others)
-        self._ago = self._hysteresis(self._ago, d_ago, p.uav_ugv_separation, cross)
+    def _update_gates(self, allowed: np.ndarray) -> None:
+        """Refresh the gate stack from this tick's distance operands in one
+        pass; allowed holds the gates that may be on."""
+        distance = np.sqrt(pairwise_sq_distances(self._lhs, self._rhs))
+        self._gates = self._hysteresis(self._gates, distance, self._radii, allowed)
 
     # -- landing ------------------------------------------------------------
 
-    def _check_touchdowns(self, now: float) -> None:
-        for i in range(self.n_pairs):
-            if self.phases[i] is not PairPhase.LANDING:
-                continue
-            r = self._uav[i] - self._platforms[i]
-            l = float(r[0] * r[0] + r[1] * r[1])
-            inside = (l <= self._touch_l
-                      and r[2] <= self.params.hover_clearance + self._touch_rz)
-            if not inside:
+    def _check_touchdowns(self, now: float, landing: np.ndarray) -> None:
+        """Advance the touchdown clocks of the landing pairs."""
+        if not len(landing):
+            return
+        r = self._fleet[landing, :3] - self._platforms[landing]
+        inside = ((r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] <= self._touch_l)
+                  & (r[:, 2] <= self.params.hover_clearance + self._touch_rz))
+        for i, on in zip(landing.tolist(), inside.tolist()):
+            if not on:
                 self._touch_since[i] = None
                 continue
             if self._touch_since[i] is None:
@@ -486,56 +479,57 @@ class Watcher:
         tables = self._gate_tables()
         if tables.overflow:
             raise CapacityError(tables.overflow)
+        fleet = self._fleet
+        uav, decks, offsets = fleet[:, :3], fleet[:, 3:5], fleet[:, 5:]
+        velocity, worst = self._est.estimate()
         # Per vehicle kind: A and b, with the wall rows in place.
-        uav, ugv = blocks = [(template.copy(), np.zeros((n, cap))) for template in self._templates]
-        for (a, b), pos, is_uav in ((uav, self._uav, True), (ugv, self._offsets, False)):
+        blocks = []
+        for template, pos, is_uav in zip(self._templates, (uav, offsets), (True, False)):
+            a, b = template.copy(), np.zeros((n, cap))
             walls = build_workspace_rows(pos, self.params, is_uav)
             b[:, :len(walls)] = walls.b
-        decks = self._ugv[:, :2]
-        self._scatter(uav, RowKind.UAV_OTHER_UGV, *tables.cross,
-                      self._uav, decks, self._est_ugv_body)
-        self._scatter(uav, RowKind.LANDING, self._pairs, self._pairs, tables.landing,
-                      self._uav, decks, self._est_ugv_body)
-        self._scatter(uav, RowKind.UAV_UAV, *tables.aerial,
-                      self._uav, self._uav, self._est_uav)
-        self._scatter(ugv, RowKind.UGV_UGV, *tables.ground,
-                      self._offsets, self._offsets, self._est_ugv_offset)
-        # kinds and other_ids come from this tick's gates when first read.
+            blocks.append((a, b))
+        uav_block, ugv_block = blocks
+        self._scatter(uav_block, RowKind.LANDING, tables.landing, uav, decks,
+                      velocity[:, 3:5], worst)
+        for block, kind, family, own, other, columns in (
+                (uav_block, RowKind.UAV_OTHER_UGV, tables.cross, uav, decks, slice(3, 5)),
+                (uav_block, RowKind.UAV_UAV, tables.aerial, uav, uav, slice(0, 3)),
+                (ugv_block, RowKind.UGV_UGV, tables.ground, offsets, offsets, slice(5, 7))):
+            if family is not None:
+                i, j, rows = family
+                self._scatter(block, kind, rows, own[i], other[j], velocity[j, columns], worst)
         matrices = [None] * (2 * n)
-        for k, ((a, b), ids) in enumerate(((uav, self._uav_ids), (ugv, self._ugv_ids))):
-            matrices[k::2] = map(ConstraintMatrix, ids, repeat(now), a, b, repeat(None),
-                                 repeat(None), tables.active[k::2], repeat(tables.layout))
+        for k, ((a, b), ids) in enumerate(zip(blocks, (self._uav_ids, self._ugv_ids))):
+            matrices[k::2] = map(ConstraintMatrix, ids, repeat(now), a, b, tables.active[k::2])
         return dict(zip(self._ids, matrices))
 
-    def _scatter(self, block, kind: RowKind, i: np.ndarray, j: np.ndarray, slot,
-                 own: np.ndarray, other: np.ndarray, estimator: VelocityEstimator) -> None:
-        """Build one family's rows, agent i[k] against agent j[k], in one
-        call, and write row k to agent i[k]'s block at slot[k]."""
-        if not len(i):
-            return
-        velocity, worst = estimator.estimate()
-        row = build_constraint_row(kind, own[i], other[j], velocity[j], params=self.params,
+    def _scatter(self, block, kind: RowKind, rows: np.ndarray, own: np.ndarray,
+                 other: np.ndarray, velocity: np.ndarray, worst: bool) -> None:
+        """Build one family's rows, own[k] against other[k], in one call, and
+        write row k to row rows[k] of the block's (n * capacity) rows."""
+        row = build_constraint_row(kind, own, other, velocity, params=self.params,
                                    platform_height=self.platform_height, worst_case=worst)
         a, b = block
-        a[i, slot], b[i, slot] = row.a, row.b
+        a.reshape(-1, a.shape[-1])[rows] = row.a
+        b.reshape(-1)[rows] = row.b
 
     # -- setpoints ----------------------------------------------------------
 
-    def _setpoints(self, now: float) -> tuple[np.ndarray, np.ndarray]:
+    def _setpoints(self, now: float, chasing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every agent's setpoint position and rate, agents in tick order
         (uav0, ugv0, uav1, ...), UGV rows zero-padded to three columns.  A
-        landing or landed pair's UAV chases its moving platform's hover
-        point instead of its track."""
+        chasing pair's UAV (landing or landed) chases its moving platform's
+        hover point instead of its track."""
         positions, rates = self._setpoint_tracks.sample(now)
-        chasing = [i for i, phase in self.phases.items() if phase is not PairPhase.TASK]
-        if chasing:
-            rows = 2 * np.array(chasing)
-            positions[rows] = self._platforms[chasing]
-            positions[rows, 2] += self.params.hover_clearance
+        if len(chasing):
+            rows = 2 * chasing
+            positions[rows, :2] = self._fleet[chasing, 3:5]
+            positions[rows, 2] = self._hover_z
+            v, worst_case = self._est.estimate()
             rates[rows] = 0.0
-            v, worst_case = self._est_ugv_body.estimate()
             if not worst_case:
-                rates[rows, :2] = v[chasing]
+                rates[rows, :2] = v[chasing, 3:5]
         return positions, rates
 
     # -- main tick ----------------------------------------------------------
@@ -551,30 +545,32 @@ class Watcher:
         matrix.  Touchdown acknowledgements come first, then the updates in
         tick order (uav0, ugv0, uav1, ...)."""
         n = self.n_pairs
-        self._uav = np.array(uav, dtype=float).reshape(n, 3)
         self._ugv = ugv = np.array(ugv, dtype=float).reshape(n, 3)
-        if not (np.isfinite(self._uav).all() and np.isfinite(ugv).all()):
+        self._fleet = fleet = np.empty((n, 7))
+        fleet[:, :3] = np.reshape(uav, (n, 3))
+        fleet[:, 3:6] = ugv
+        if not np.isfinite(fleet[:, :6]).all():   # every position and heading
             raise InvalidInputError(f"fleet poses must be finite at t={now}")
-        self._offsets = offset_points(ugv, self.ugv_offset)
-        self._platforms = np.column_stack((ugv[:, :2], np.full(n, self.platform_height)))
-        self._est_uav.push(now, self._uav)
-        self._est_ugv_body.push(now, ugv[:, :2])
-        self._est_ugv_offset.push(now, self._offsets)
+        fleet[:, 5:] = offset_points(ugv, self.ugv_offset)
+        self._est.push(now, fleet)
+        lhs, rhs = self._lhs, self._rhs
+        lhs[:2] = rhs[0] = fleet[:, :3]
+        rhs[1, :, :2] = fleet[:, 3:5]   # the platform centres
+        lhs[2, :, :2] = rhs[2, :, :2] = fleet[:, 5:]
 
-        self._check_touchdowns(now)
-        self._update_gates()
+        self._check_touchdowns(now, self._phase_view().landing)
+        view = self._phase_view()   # a touchdown changes the phases
+        self._update_gates(view.allowed)
 
         matrices = list(self.assemble_constraints(now).values())
-        positions, rates = self._setpoints(now)
+        positions, rates = self._setpoints(now, view.chasing)
         updates = [None] * (2 * n)
-        for k, (ids, poses, dim) in enumerate(((self._uav_ids, self._uav, 3),
+        for k, (ids, poses, dim) in enumerate(((self._uav_ids, fleet[:, :3], 3),
                                                 (self._ugv_ids, ugv, 2))):
             updates[k::2] = zip(repeat(MsgType.UPDATE), ids, zip(
                 poses, positions[k::2, :dim], rates[k::2, :dim], matrices[k::2]))
         outbound, self._pending = self._pending + updates, []
         tables = self.tables   # as assemble_constraints just used them
-        phases = [self.phases[i].value for i in range(n)]
         records = list(map(WatcherRecord, repeat(now), self._ids, tables.active,
-                           tables.kind_counts, [p for p in phases for _ in (0, 1)],
-                           tables.proximal))
+                           tables.kind_counts, view.phases, tables.proximal))
         return outbound, records

@@ -7,7 +7,7 @@
   core; and the brute-force enumeration of active sets (oracle_solve), the
   exact reference every QP entry point is checked against.
 * The per-agent velocity estimator, with its stale-history fallback, from
-  before the watcher kept one estimator per family.
+  before the watcher kept its estimates as one array.
 * The per-unit control unit, one object per agent with its update slot,
   its UgvState view and nid_offset control point, nominal controller,
   and projection, from before a vehicle kind's
@@ -30,6 +30,8 @@
   family's rows were built in one array pass per tick; and its per-agent
   row counts, one list count per row kind, from before they came from the
   gate matrices' row sums.
+* The kinds and other agents of each matrix's rows (row_layout), read off
+  the watcher's gates, from before matrices stopped carrying them.
 * The star bus's per-message draws, one scalar Generator.uniform() call
   per drop or jitter draw, and its recursive wire sizes, from before each
   link drew its uniforms in blocks; and its isinstance chain of payload
@@ -840,43 +842,76 @@ def from_rows(agent_id: str, timestamp: float, capacity: int, dim: int,
         a[i] = row.a
         b[i] = row.b
     return ConstraintMatrix(agent_id=agent_id, timestamp=timestamp, a=a, b=b,
-                            kinds=[r.kind for r in rows],
-                            other_ids=[r.other_id for r in rows])
+                            active_count=len(rows))
 
 
-def assemble_per_row(w, agent_id: str, now: float) -> ConstraintMatrix:
+def tick_state(w) -> SimpleNamespace:
+    """The watcher's current tick, per family, as the per-agent oracles read
+    it: positions (uav, ugv poses, offsets, platforms), velocity estimates
+    with the worst-case flag (v_uav, v_deck, v_offset, worst) and gates
+    (aa, ago, gg)."""
+    velocity, worst = w._est.estimate()
+    aa, ago, gg = w._gates
+    fleet = w._fleet
+    return SimpleNamespace(
+        uav=fleet[:, :3], ugv=w._ugv, offsets=fleet[:, 5:], platforms=w._platforms,
+        v_uav=velocity[:, :3], v_deck=velocity[:, 3:5], v_offset=velocity[:, 5:],
+        worst=worst, aa=aa, ago=ago, gg=gg)
+
+
+def row_layout(w, agent_id: str) -> tuple[list[RowKind], list[str | None]]:
+    """The kinds and other agents of agent_id's rows under the watcher's
+    current gates, in Watcher.assemble_constraints' order, from before
+    matrices stopped carrying them."""
+    s = tick_state(w)
+    pair = int(agent_id[3:])
+    if agent_id.startswith("ugv"):
+        ground = [f"ugv{j}" for j in np.flatnonzero(s.gg[pair]).tolist()]
+        return [RowKind.WORKSPACE] * 4 + [RowKind.UGV_UGV] * len(ground), [None] * 4 + ground
+    cross = [f"ugv{j}" for j in np.flatnonzero(s.ago[pair]).tolist()]
+    aerial = [f"uav{j}" for j in np.flatnonzero(s.aa[pair]).tolist()]
+    return ([RowKind.WORKSPACE] * 5 + [RowKind.UAV_OTHER_UGV] * len(cross) + [RowKind.LANDING]
+            + [RowKind.UAV_UAV] * len(aerial),
+            [None] * 5 + cross + [f"ugv{pair}"] + aerial)
+
+
+def rows_layout(rows: list[ConstraintRow]) -> tuple[list[RowKind], list[str | None]]:
+    """The kinds and other agents of a row list."""
+    return [r.kind for r in rows], [r.other_id for r in rows]
+
+
+def assemble_per_row(w, agent_id: str, now: float) -> tuple[ConstraintMatrix,
+                                                            list[ConstraintRow]]:
     """One agent's matrix from the watcher's current tick state, one row
     object per gated pair: walls, cross-layer or ground rows, landing
-    funnel, aerial rows."""
+    funnel, aerial rows; and the row objects."""
     p = w.params
+    s = tick_state(w)
     rows: list[ConstraintRow] = []
     pair = int(agent_id[3:])
     if agent_id.startswith("uav"):
-        pos = w._uav[pair]
-        v_ugv, worst_ugv = w._est_ugv_body.estimate()
+        pos = s.uav[pair]
         rows.extend(build_workspace_rows(pos, p, is_uav=True))
-        for j in np.flatnonzero(w._ago[pair]).tolist() + [pair]:
+        for j in np.flatnonzero(s.ago[pair]).tolist() + [pair]:
             rows.append(build_constraint_row(
                 RowKind.UAV_OTHER_UGV if j != pair else RowKind.LANDING,
-                pos, w._ugv[j, :2], v_ugv[j], params=p,
+                pos, s.ugv[j, :2], s.v_deck[j], params=p,
                 platform_height=w.platform_height, other_id=f"ugv{j}",
-                worst_case=worst_ugv))
-        v_uav, worst_uav = w._est_uav.estimate()
-        for j in np.flatnonzero(w._aa[pair]).tolist():
+                worst_case=s.worst))
+        for j in np.flatnonzero(s.aa[pair]).tolist():
             rows.append(build_constraint_row(
-                RowKind.UAV_UAV, pos, w._uav[j], v_uav[j], params=p,
-                other_id=f"uav{j}", worst_case=worst_uav))
+                RowKind.UAV_UAV, pos, s.uav[j], s.v_uav[j], params=p,
+                other_id=f"uav{j}", worst_case=s.worst))
         dim = 3
     else:
-        point = w._offsets[pair]
-        v_offset, worst_offset = w._est_ugv_offset.estimate()
+        point = s.offsets[pair]
         rows.extend(build_workspace_rows(point, p, is_uav=False))
-        for j in np.flatnonzero(w._gg[pair]).tolist():
+        for j in np.flatnonzero(s.gg[pair]).tolist():
             rows.append(build_constraint_row(
-                RowKind.UGV_UGV, point, w._offsets[j], v_offset[j], params=p,
-                other_id=f"ugv{j}", worst_case=worst_offset))
+                RowKind.UGV_UGV, point, s.offsets[j], s.v_offset[j], params=p,
+                other_id=f"ugv{j}", worst_case=s.worst))
         dim = 2
-    return from_rows(agent_id, now, w.capacity, dim, rows)
+    return from_rows(agent_id, now, w.capacity, dim, rows), rows
 
 
 def per_agent_kind_counts(kinds: list[RowKind]) -> dict[str, int]:
@@ -942,7 +977,7 @@ def waypoint_sample(track, t: float) -> tuple[np.ndarray, np.ndarray]:
 def hover_point(w, pair: int) -> np.ndarray:
     """The watcher's per-pair hover point: the pair's platform centre raised
     by the hover clearance."""
-    p = w._platforms[pair].copy()
+    p = tick_state(w).platforms[pair].copy()
     p[2] += w.params.hover_clearance
     return p
 
@@ -954,21 +989,22 @@ def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
     agent's own track by waypoint_sample (a landing or landed pair's UAV chases
     its platform's hover point instead), the per-row matrix, and a record
     whose proximal set is tuple(sorted(proximal_set(agent))).  Row counts
-    come from the per-row matrix's kinds."""
+    come from the per-row oracle's row kinds."""
     updates, records = [], []
-    v_ugv, worst = w._est_ugv_body.estimate()
+    s = tick_state(w)
     for i in range(w.n_pairs):
         phase = w.phases[i]
-        for agent_id, pose in ((f"uav{i}", w._uav[i]), (f"ugv{i}", w._ugv[i])):
+        for agent_id, pose in ((f"uav{i}", s.uav[i]), (f"ugv{i}", s.ugv[i])):
             setpoint = waypoint_sample(w.tracks[agent_id], now)
             if agent_id.startswith("uav") and phase is not PairPhase.TASK:
-                rate = np.zeros(3) if worst else np.array([v_ugv[i, 0], v_ugv[i, 1], 0.0])
+                rate = (np.zeros(3) if s.worst
+                        else np.array([s.v_deck[i, 0], s.v_deck[i, 1], 0.0]))
                 setpoint = (hover_point(w, i), rate)
-            matrix = assemble_per_row(w, agent_id, now)
+            matrix, rows = assemble_per_row(w, agent_id, now)
             updates.append((MsgType.UPDATE, agent_id, (pose.copy(), *setpoint, matrix)))
             records.append(WatcherRecord(
                 time=now, agent_id=agent_id, active_count=matrix.active_count,
-                kind_counts=per_agent_kind_counts(matrix.kinds), phase=phase.value,
+                kind_counts=per_agent_kind_counts(rows_layout(rows)[0]), phase=phase.value,
                 proximal=tuple(sorted(w.proximal_set(agent_id)))))
     return updates, records
 

@@ -121,6 +121,27 @@ class TestHugeJitter:
         assert "Traceback" not in err
 
 
+class TestWatcherOptions:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("line", ["activation_margin: -5.0", "touchdown_radius_sq: -0.01",
+                                      "touchdown_height: -0.02", "touchdown_hold: -0.5"])
+    def test_negative_watcher_option_exits_two(self, tmp_path, capsys, command, line):
+        """A negative activation margin sends no separation row at all, and a
+        negative touchdown window never lands: the config is rejected."""
+        with open(os.path.join(SCENARIOS, "crossing_three.yaml")) as f:
+            data = yaml.safe_load(f)
+        key, value = line.split(": ")
+        data.setdefault("watcher", {})[key] = float(value)
+        args = [command, write_config(tmp_path, data, "negative.yaml")]
+        if command == "run":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"[BAD_VALUE] watcher.{key} must be >= 0, got {value}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestNanInTheFilter:
     def test_overflowing_gains_end_in_a_safety_abort(self, tmp_path, capsys,
                                                      monkeypatch):

@@ -246,6 +246,23 @@ class TestRejections:
                                        watcher={"activation_margin": 2.0}))
         assert cfg.watcher.activation_margin == 2.0
 
+    @pytest.mark.parametrize("key, value", [
+        ("activation_margin", -5.0), ("activation_margin", -1e-9),
+        ("touchdown_radius_sq", -0.01), ("touchdown_height", -0.02),
+        ("touchdown_hold", -0.5)])
+    def test_negative_watcher_options_rejected(self, key, value):
+        """A negative margin gates off every separation row, a negative
+        touchdown window cannot be entered and a negative dwell is no time."""
+        assert self._violations(variant(watcher={key: value})) == [
+            ("BAD_VALUE", f"watcher.{key} must be >= 0, got {value!r}")]
+
+    @pytest.mark.parametrize("key", ["activation_margin", "touchdown_radius_sq",
+                                     "touchdown_height", "touchdown_hold"])
+    def test_zero_and_null_watcher_options_accepted(self, key):
+        assert getattr(config_from_dict(variant(watcher={key: 0.0})).watcher, key) == 0.0
+        assert config_from_dict(variant(watcher={"activation_margin": None})
+                                ).watcher.activation_margin is None
+
     @staticmethod
     def _violations(data):
         with pytest.raises(ConfigError) as err:

@@ -3,11 +3,11 @@ assembly, velocity estimation and the fleet's kinematic steps, the QP entry
 points over project_with_box and the projection's direct first step, the
 control units of a kind held as arrays and filtered as one batch, the
 reuse of a filtered command, the schedule that ticks only the units whose
-output can change, the watcher's gate tables reused across ticks, the
-block trajectory writer with its distinct-value formatting, the watcher
-log's reused line tails and the bus's shape-read byte counts, against the
-code they replaced (tests/oracles.py, or fmt9 per value): equal results,
-bit for bit."""
+output can change, the watcher's stacked gate pass and its gate tables
+reused across ticks, the block trajectory writer with its distinct-value
+formatting, the watcher log's reused line tails and the bus's shape-read
+byte counts, against the code they replaced (tests/oracles.py, or fmt9
+per value): equal results, bit for bit."""
 
 import math
 from types import SimpleNamespace
@@ -38,7 +38,8 @@ from oracles import (AgentVelocityEstimator, DictGates, Sample,
                      ScalarControlUnit, UavState, UgvState, UncachedControlUnit,
                      VelQuality,
                      assemble_per_row, from_rows, integrate_per_agent,
-                     per_agent_fanout, type_walk_payload_bytes, watcher_line,
+                     per_agent_fanout, row_layout, rows_layout,
+                     type_walk_payload_bytes, watcher_line,
                      waypoint_sample,
                      per_agent_kind_counts,
                      per_agent_trajectory_rows, project_reference,
@@ -220,8 +221,10 @@ def static_tracks(n):
 def gate_runs(draw):
     """1-4 pairs packed so that most pair distances sit near the activation
     radius, then 1-6 ticks of small moves with random landed phases.  One
-    UAV pair is placed exactly on the activation or deactivation radius."""
+    UAV pair is placed exactly on the activation or deactivation radius; the
+    platforms sit at one of three deck heights."""
     n = draw(st.integers(1, 4))
+    platform_height = draw(st.sampled_from([0.0, 0.1, 0.45]))
     coord = st.floats(-1.4, 1.4)
     base_uav = draw(arrays(float, (n, 3), elements=coord)) + [0.0, 0.0, 1.6]
     base_ugv = draw(arrays(float, (n, 3), elements=coord))
@@ -233,14 +236,66 @@ def gate_runs(draw):
         edge = draw(st.sampled_from([-1e-9, 0.0, 1e-9, 0.1, 0.1 + 1e-9]))
         landed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         ticks.append((uav, ugv, edge, landed))
-    return n, ticks
+    return n, platform_height, ticks
 
 
+# Hand-picked runs of the fused tick, as (n, platform_height, ticks) with
+# ticks of (uav, ugv, landed).  The gate and assembly tests move uav1 to
+# uav0's activation radius plus an edge; the fan-out test keeps it.
+
+def lone_pair_run():
+    """N=1: one pair descending onto its raised platform, landed last."""
+    uav, ugv = np.array([[0.2, -0.1, 1.2]]), np.array([[0.0, 0.0, 0.3]])
+    return 1, 0.1, [(uav, ugv, [False]),
+                    (uav - [0.1, 0.05, 0.5], ugv + [0.02, 0.0, 0.01], [False]),
+                    (uav - [0.2, 0.1, 0.9], ugv + [0.04, 0.0, 0.02], [True])]
+
+
+def mid_landing_run():
+    """Three clustered pairs whose pair 1 lands on the third of four ticks:
+    the gates that may be on change mid-sequence."""
+    phi = 2 * math.pi * np.arange(3) / 3
+    uav = np.column_stack((0.5 * np.cos(phi), 0.5 * np.sin(phi), np.full(3, 0.9)))
+    ugv = np.column_stack((0.6 * np.cos(phi), 0.6 * np.sin(phi), phi))
+    landed = [[False] * 3, [False] * 3, [False, True, False], [False, True, False]]
+    return 3, 0.0, [(uav + 0.01 * k, ugv - 0.01 * k, flags) for k, flags in enumerate(landed)]
+
+
+def ground_flip_run():
+    """Two pairs whose UAVs stay far above every platform and beyond their
+    own band while the UGV offset points close from 2.0 m to 1.5 m and part
+    again: only the ground gate flips, on then off."""
+    uav = np.array([[0.0, 0.0, 1.6], [3.0, 0.0, 1.6]])
+    return 2, 0.0, [(uav.copy(), np.array([[0.0, 0.0, 0.0], [x, 0.0, 0.0]]), [False, False])
+                    for x in (2.0, 1.5, 1.55, 2.0)]
+
+
+def noisy_deck_run():
+    """Four pairs packed around raised platforms, every pose coordinate
+    jittered by localization noise (sigma 0.05) on each of four ticks."""
+    rng = np.random.default_rng(19)
+    phi = 2 * math.pi * np.arange(4) / 4
+    uav = np.column_stack((0.7 * np.cos(phi), 0.7 * np.sin(phi), np.full(4, 0.9)))
+    ugv = np.column_stack((0.8 * np.cos(phi), 0.8 * np.sin(phi), phi))
+    return 4, 0.45, [(uav + rng.normal(0.0, 0.05, (4, 3)), ugv + rng.normal(0.0, 0.05, (4, 3)),
+                      [False] * 4) for _ in range(4)]
+
+
+def with_edges(run, edge):
+    """A hand-picked run in gate_runs' form."""
+    n, platform_height, ticks = run()
+    return n, platform_height, [(uav, ugv, edge, landed) for uav, ugv, landed in ticks]
+
+
+@example(with_edges(lone_pair_run, 0.0))
+@example(with_edges(mid_landing_run, -1e-9))
+@example(with_edges(ground_flip_run, 0.1 + 1e-9))
+@example(with_edges(noisy_deck_run, 0.05))
 @settings(max_examples=200, deadline=None)
 @given(gate_runs())
 def test_gate_matrices_match_dict_oracle(case):
-    n, ticks = case
-    w = Watcher(n, PARAMS, 2 * n + 4, static_tracks(n))
+    n, platform_height, ticks = case
+    w = Watcher(n, PARAMS, 2 * n + 4, static_tracks(n), platform_height=platform_height)
     oracle = DictGates(n, PARAMS, w.activation_margin, w.ugv_offset,
                        w.platform_height)
     activate_at = PARAMS.uav_separation + w.activation_margin
@@ -259,8 +314,44 @@ def test_gate_matrices_match_dict_oracle(case):
             aid = rec.agent_id
             assert w.proximal_set(aid) == oracle.proximal_set(aid)
             assert rec.proximal == tuple(sorted(oracle.proximal_set(aid)))
-            matrix = w.assemble_constraints(now)[aid]
-            assert matrix.other_ids == oracle.row_order(aid)
+            assert row_layout(w, aid)[1] == oracle.row_order(aid)
+
+
+@st.composite
+def hysteresis_stacks(draw):
+    """An activation margin, then per family of 1-5 pairs: distances at, one
+    ulp either side of and between the family's activate and deactivate
+    radii (or anywhere up to a metre beyond), current gates and allowed
+    masks."""
+    n = draw(st.integers(1, 5))
+    margin = draw(st.sampled_from([0.0, 0.3, 0.6, 1.7]) | st.floats(0.0, 3.0))
+    distances = []
+    for radius in (PARAMS.uav_separation, PARAMS.uav_ugv_separation, PARAMS.ugv_separation):
+        on = radius + margin
+        off = on + 0.1
+        edges = [x for edge in (on, off) for x in
+                 (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))]
+        near = st.sampled_from(edges + [(on + off) / 2, 0.0]) | st.floats(0.0, off + 1.0)
+        distances.append(draw(arrays(float, (n, n), elements=near)))
+    return (margin, np.array(distances), draw(arrays(bool, (3, n, n))),
+            draw(arrays(bool, (3, n, n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hysteresis_stacks())
+def test_stacked_hysteresis_matches_per_family_calls(case):
+    """One hysteresis call on the (3, n, n) stack with its (3, 1, 1) radii
+    equals the three per-family calls with their float radii, bit for bit."""
+    margin, distance, active, allowed = case
+    n = distance.shape[1]
+    w = Watcher(n, PARAMS, 2 * n + 4, static_tracks(n), activation_margin=margin)
+    radii = (PARAMS.uav_separation, PARAMS.uav_ugv_separation, PARAMS.ugv_separation)
+    assert w._radii.ravel().tolist() == list(radii)   # the stack's (aa, ago, gg) order
+    stacked = w._hysteresis(active, distance, w._radii, allowed)
+    per_family = [w._hysteresis(active[k], distance[k], radius, allowed[k])
+                  for k, radius in enumerate(radii)]
+    assert stacked.dtype == bool and stacked.shape == (3, n, n)
+    assert stacked.tobytes() == np.stack(per_family).tobytes()
 
 
 @st.composite
@@ -294,6 +385,16 @@ def _clustered_ticks(n, landed):
     return [(uav, ugv, 0.05, landed), (uav + 0.01, ugv + 0.01, 0.05, landed)]
 
 
+def with_capacity(run, edge):
+    """A hand-picked run in assembly_runs' form, every agent within capacity."""
+    n, platform_height, ticks = with_edges(run, edge)
+    return n, platform_height, 2 * n + 4, ticks
+
+
+@example(with_capacity(lone_pair_run, 0.0))
+@example(with_capacity(mid_landing_run, -1e-9))
+@example(with_capacity(ground_flip_run, 0.1 + 1e-9))
+@example(with_capacity(noisy_deck_run, 0.05))
 # ugv0 (3 gated ground rows) overflows capacity 6 before uav1 (uav0 is landed).
 @example((4, 0.1, 6, _clustered_ticks(4, [True, False, False, False])))
 # six clustered pairs on a raised platform, at the largest capacity drawn
@@ -326,20 +427,20 @@ def test_array_assembly_matches_per_row_oracle(case):
                    if msg_type is MsgType.UPDATE]
         assert [m.agent_id for m in shipped] == ids
         for got in shipped:
-            want = assemble_per_row(w, got.agent_id, now)
+            want, rows = assemble_per_row(w, got.agent_id, now)
             assert got.a.tobytes() == want.a.tobytes()
             assert got.b.tobytes() == want.b.tobytes()
-            assert got.kinds == want.kinds
-            assert got.other_ids == want.other_ids
+            assert row_layout(w, got.agent_id) == rows_layout(rows)
             assert got.active_count == want.active_count
             assert got.timestamp == want.timestamp
         # Row counts from the gate row sums, with the keys and key order of
         # one count per kind; a proximal set computed only where a gate is
         # on, equal to the one computed for every agent.
         assert [r.agent_id for r in records] == ids
-        for rec, matrix in zip(records, shipped):
+        for rec in records:
+            kinds, _ = row_layout(w, rec.agent_id)
             assert (list(rec.kind_counts.items())
-                    == list(per_agent_kind_counts(matrix.kinds).items()))
+                    == list(per_agent_kind_counts(kinds).items()))
             assert rec.proximal == tuple(sorted(w.proximal_set(rec.agent_id)))
 
 
@@ -415,6 +516,7 @@ def fanout_runs(draw):
     occasional landing signal.  The first tick's platform rates are worst
     case."""
     n = draw(st.integers(1, 5) | st.just(12))
+    platform_height = draw(st.sampled_from([0.0, 0.1, 0.45]))
     track_dict = {}
     for i in range(n):
         for kind, dim in (("uav", 3), ("ugv", 2)):
@@ -431,7 +533,7 @@ def fanout_runs(draw):
         signal = draw(st.none() | st.integers(0, n - 1))
         ticks.append((base_uav + draw(arrays(float, (n, 3), elements=move)),
                       base_ugv + draw(arrays(float, (n, 3), elements=move)), phases, signal))
-    return n, track_dict, ticks
+    return n, platform_height, track_dict, ticks
 
 
 def assert_fanout_matches_oracle(w, now, outbound, records):
@@ -449,7 +551,8 @@ def assert_fanout_matches_oracle(w, now, outbound, records):
         assert (got.a.tobytes(), got.b.tobytes()) == (want.a.tobytes(), want.b.tobytes())
         assert (got.agent_id, got.timestamp, got.active_count) == (
             want.agent_id, want.timestamp, want.active_count)
-        assert (got.kinds, got.other_ids) == (want.kinds, want.other_ids)
+        _, want_rows = assemble_per_row(w, got.agent_id, now)
+        assert row_layout(w, got.agent_id) == rows_layout(want_rows)
     assert records == want_records
     assert ([list(r.kind_counts.items()) for r in records]
             == [list(r.kind_counts.items()) for r in want_records])
@@ -498,11 +601,34 @@ def test_link_bytes_match_type_walk(tmp_path, monkeypatch):
     assert sum(s.dropped for s in result.link_stats.values()) > 0
 
 
+def with_phases(run):
+    """A hand-picked run on moving tracks, its landed pairs passing through
+    the landing phase first (a landing signal on the tick before)."""
+    n, platform_height, ticks = run()
+    track_dict = {}
+    for i in range(n):
+        track_dict[f"uav{i}"] = WaypointTrack([np.array([0.0, 0.0, 1.0]),
+                                               np.array([1.0, 0.5 * i, 1.5])], 0.5)
+        track_dict[f"ugv{i}"] = WaypointTrack([np.array([0.0, -1.0]),
+                                               np.array([0.5 * i, 1.0])], 0.3)
+    runs = []
+    for k, (uav, ugv, landed) in enumerate(ticks):
+        soon = ticks[k + 1][2] if k + 1 < len(ticks) else landed
+        phases = [PairPhase.LANDED if down else PairPhase.TASK for down in landed]
+        signal = next((i for i in range(n) if soon[i] and not landed[i]), None)
+        runs.append((uav, ugv, phases, signal))
+    return n, platform_height, track_dict, runs
+
+
+@example(with_phases(lone_pair_run))
+@example(with_phases(mid_landing_run))
+@example(with_phases(ground_flip_run))
+@example(with_phases(noisy_deck_run))
 @settings(max_examples=60, deadline=None)
 @given(fanout_runs())
 def test_fanout_matches_per_agent_oracle(case):
-    n, track_dict, ticks = case
-    w = Watcher(n, PARAMS, 2 * n + 4, track_dict)
+    n, platform_height, track_dict, ticks = case
+    w = Watcher(n, PARAMS, 2 * n + 4, track_dict, platform_height=platform_height)
     for k, (uav, ugv, phases, signal) in enumerate(ticks):
         now = 0.05 * k + 0.025
         w.phases.update(enumerate(phases))

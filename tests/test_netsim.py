@@ -21,8 +21,7 @@ def update(tag=0.0, dim=3, capacity=8):
     """An update payload (pose, position, rate, matrix) whose pose starts
     with tag."""
     return (np.array([tag, 0.0, 1.0]), np.zeros(dim), np.zeros(dim),
-            ConstraintMatrix("uav0", 0.0, np.zeros((capacity, dim)), np.zeros(capacity),
-                             [], []))
+            ConstraintMatrix("uav0", 0.0, np.zeros((capacity, dim)), np.zeros(capacity), 0))
 
 
 class TestTopology:

@@ -11,7 +11,7 @@ from airground.netsim import MsgType
 from airground.watcher import (PairPhase, VelocityEstimator, Watcher,
                                WaypointTrack)
 
-from oracles import hover_point
+from oracles import hover_point, row_layout
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -108,7 +108,7 @@ class TestVelocityEstimator:
             w.tick(now, uav, ugv)
             matrix = w.assemble_constraints(now)["uav0"]
             last = matrix.active_count - 1
-            assert matrix.kinds[last] is RowKind.LANDING
+            assert row_layout(w, "uav0")[0][last] is RowKind.LANDING
             expected = build_constraint_row(
                 RowKind.LANDING, uav[0], ugv[0, :2], [0.5, 0.0],
                 PARAMS, worst_case=now == 0.0)
@@ -204,22 +204,22 @@ class TestAssembly:
     def test_row_order_uav(self):
         w = make_watcher(3)
         w.tick(0.0, *clustered_poses(3))
-        matrix = w.assemble_constraints(0.0)["uav0"]
-        kinds = [k.value for k in matrix.kinds]
-        assert kinds == (["workspace"] * 5
-                         + ["uav_other_ugv"] * 2
-                         + ["landing"]
-                         + ["uav_uav"] * 2)
+        kinds, other_ids = row_layout(w, "uav0")
+        assert [k.value for k in kinds] == (["workspace"] * 5
+                                            + ["uav_other_ugv"] * 2
+                                            + ["landing"]
+                                            + ["uav_uav"] * 2)
+        assert w.assemble_constraints(0.0)["uav0"].active_count == len(kinds)
         # within a family, neighbors are ordered by pair index
-        assert matrix.other_ids[5:7] == ["ugv1", "ugv2"]
-        assert matrix.other_ids[8:10] == ["uav1", "uav2"]
+        assert other_ids[5:7] == ["ugv1", "ugv2"]
+        assert other_ids[8:10] == ["uav1", "uav2"]
 
     def test_row_order_ugv(self):
         w = make_watcher(3)
         w.tick(0.0, *clustered_poses(3))
-        matrix = w.assemble_constraints(0.0)["ugv1"]
-        kinds = [k.value for k in matrix.kinds]
-        assert kinds == ["workspace"] * 4 + ["ugv_ugv"] * 2
+        kinds, _ = row_layout(w, "ugv1")
+        assert [k.value for k in kinds] == ["workspace"] * 4 + ["ugv_ugv"] * 2
+        assert w.assemble_constraints(0.0)["ugv1"].active_count == len(kinds)
 
     def test_zero_padding_beyond_active_rows(self):
         w = make_watcher(3, capacity=16)
@@ -261,8 +261,7 @@ class TestAssembly:
     def test_landing_row_survives_any_distance(self):
         w = make_watcher(2)
         w.tick(0.0, *spread_poses(2, spacing=500.0))
-        matrix = w.assemble_constraints(0.0)["uav1"]
-        assert RowKind.LANDING in matrix.kinds
+        assert RowKind.LANDING in row_layout(w, "uav1")[0]
 
 
 class TestLandingProtocol:
@@ -323,6 +322,18 @@ class TestLandingProtocol:
         assert w.phases[0] is PairPhase.LANDED
         assert w.touchdown_times[0] == pytest.approx(0.56)
 
+    def test_touchdown_reads_this_ticks_platform(self):
+        """A UAV hovering over a platform that moves 0.2 m per tick is inside
+        the 0.1 m window only against the platform's pose of the same tick."""
+        w, _ = self.landing_watcher()
+        w.handle_landing_signal(0, 0.0)
+        for k in range(1, 13):
+            uav, ugv = self.hover_poses(w)
+            uav[0, 0] = ugv[0, 0] = 0.2 * k
+            w.tick(0.05 * k, uav, ugv)
+        assert w.phases[0] is PairPhase.LANDED
+        assert w.touchdown_times[0] == pytest.approx(0.55)
+
     def test_transient_dip_does_not_land(self):
         w, far = self.landing_watcher()
         w.handle_landing_signal(0, 0.0)
@@ -361,12 +372,12 @@ class TestLandingProtocol:
         after_other = w.assemble_constraints(0.9)["uav1"]
         # The landed UAV keeps walls + funnel only: one aerial row and one
         # cross-layer row retire from its matrix.
-        self_kinds = [k.value for k in after_self.kinds]
+        self_kinds = [k.value for k in row_layout(w, "uav0")[0]]
         assert self_kinds == ["workspace"] * 5 + ["landing"]
         assert before_self.active_count - after_self.active_count == 2
         # The flying UAV drops its row against the docked UAV but keeps the
         # row against the carrier vehicle.
-        other_kinds = [k.value for k in after_other.kinds]
+        other_kinds = [k.value for k in row_layout(w, "uav1")[0]]
         assert "uav_uav" not in other_kinds
         assert "uav_other_ugv" in other_kinds
         assert before_other.active_count - after_other.active_count == 1
