@@ -7,14 +7,11 @@ so the fleet's collision, landing-funnel and workspace constraints stay
 forward invariant.
 """
 
-from .barriers import (Bounds, ConstraintRow, RowKind, SafetyParams,
-                       build_constraint_row, eval_landing, eval_uav_other_ugv,
-                       eval_uav_uav, eval_ugv_ugv, eval_workspace,
-                       landing_gradient, landing_time_term, verify_validity)
+from .barriers import (Bounds, RowKind, SafetyParams, build_constraint_row,
+                       eval_landing, wall_heights)
 from .config import ScenarioConfig, config_from_dict, load_config, parse_config
-from .errors import (CapacityError, ConfigError, IncompleteInputError,
-                     InvalidInputError, SafetyAbortError,
-                     TopologyViolationError)
+from .errors import (CapacityError, ConfigError, InvalidInputError,
+                     SafetyAbortError, TopologyViolationError)
 from .qp import QpSolution, solve_relaxed
 from .runner import RunResult, run
 from .summary import MetricsSummary, summarize_dir
@@ -22,14 +19,12 @@ from .summary import MetricsSummary, summarize_dir
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bounds", "ConstraintRow", "RowKind", "SafetyParams",
-    "build_constraint_row", "eval_landing", "eval_uav_other_ugv",
-    "eval_uav_uav", "eval_ugv_ugv", "eval_workspace", "landing_gradient",
-    "landing_time_term", "verify_validity",
+    "Bounds", "RowKind", "SafetyParams", "build_constraint_row",
+    "eval_landing", "wall_heights",
     "QpSolution", "solve_relaxed",
     "ScenarioConfig", "config_from_dict", "load_config", "parse_config",
     "RunResult", "run", "MetricsSummary", "summarize_dir",
-    "CapacityError", "ConfigError", "IncompleteInputError",
-    "InvalidInputError", "SafetyAbortError", "TopologyViolationError",
+    "CapacityError", "ConfigError", "InvalidInputError",
+    "SafetyAbortError", "TopologyViolationError",
     "__version__",
 ]

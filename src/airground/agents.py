@@ -21,8 +21,6 @@ loop (step_ugv) applies the inverse map at its current heading on every
 integration step, so the offset point keeps the filtered velocity while
 the heading turns between solves.  Heading is proprioceptive there
 (odometry or IMU); positions reach a unit only from the watcher.
-
-Wheel speeds follow from v = (R1 + R2)/2, om = (R1 - R2)/(2L).
 """
 
 from __future__ import annotations
@@ -111,17 +109,6 @@ def nid_inverse(theta, offset_velocity, offset: float,
         return twists[0]
     v, omega = np.array(twists).reshape(-1, 2).T
     return v, omega
-
-
-def wheel_speeds(v: float, omega: float, wheel_base: float) -> tuple[float, float]:
-    """Right/left wheel velocities for a body twist."""
-    if wheel_base <= 0:
-        raise InvalidInputError("wheel_base must be positive")
-    return v + wheel_base * omega, v - wheel_base * omega
-
-
-def twist_from_wheels(r1: float, r2: float, wheel_base: float) -> tuple[float, float]:
-    return (r1 + r2) / 2.0, (r1 - r2) / (2.0 * wheel_base)
 
 
 def step_uav(positions, velocities, dt: float) -> np.ndarray:

@@ -20,12 +20,12 @@ The separation barriers are time-varying because the other agent moves; their
 explicit time derivative enters b through the other agent's velocity estimate.
 Workspace rows are time-invariant.
 
-The barrier functions also take stacked inputs with a leading row axis and
-then evaluate all rows in one array pass, each bit-identical to its 1-D
-call; the watcher builds a whole family's rows per tick that way.  x.T[k] is
-coordinate k: a scalar for one row, a column for stacked rows.
-eval_workspace, eval_landing and offset_points take any leading shape, so
-the post-run summary evaluates (T, k, .) blocks of ticks with them too.
+Every function takes stacked arrays and returns arrays: build_constraint_row
+and build_workspace_rows take (m, dim) positions, one row per pair or agent,
+and the watcher builds a whole family's rows per tick in one call.
+wall_heights, eval_landing and offset_points take any leading shape, so the
+post-run summary evaluates (T, k, .) blocks of ticks with them too.  Each
+entry is bit-identical to the scalar expression for its row.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import IncompleteInputError, InvalidInputError
+from .errors import InvalidInputError
 
 DEFAULT_BARRIER_GAIN = 1.0
 
@@ -81,10 +81,6 @@ class Bounds:
             elif not lo < hi:
                 problems.append(f"{axis} bounds must satisfy min < max, got [{lo}, {hi}]")
         return problems
-
-    def horizontal_diag_sq(self) -> float:
-        return (self.x_max - self.x_min) ** 2 + (self.y_max - self.y_min) ** 2
-
 
 @dataclass(frozen=True)
 class SafetyParams:
@@ -137,32 +133,11 @@ class SafetyParams:
         return self
 
 
-@dataclass
-class ConstraintRow:
-    """One linearized barrier condition ``a . u >= -b`` on an agent's velocity.
-
-    a is the barrier gradient w.r.t. the agent's own position (3 entries for a
-    UAV row, 2 for a UGV row); b = kappa*h + dh/dt.  h_value is kept for
-    diagnostics only and never enters the filter.
-    """
-
-    a: np.ndarray
-    b: float
-    kind: RowKind
-    other_id: str | None = None
-    h_value: float = 0.0
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x . y over the last axis, one value per leading index, as a batched
     matmul: each value is bit-identical to float(x_k @ y_k) for its row,
     which an axis-by-axis sum or np.einsum is not."""
     return (x[..., None, :] @ y[..., :, None]).T[0, 0]
-
-
-def _out(value):
-    """A 0-d result as the Python float a 1-D call returns; arrays as is."""
-    return value if getattr(value, "ndim", 0) else float(value)
 
 
 def _sphere(d, separation: float):
@@ -172,23 +147,8 @@ def _sphere(d, separation: float):
     return _dot(d, d) - separation * separation
 
 
-def eval_uav_uav(p_i, p_j, separation: float) -> float:
-    """Sphere barrier between two centers: |p_i - p_j|^2 - separation^2.
-
-    One function serves all three separation families: UAV centers, planar
-    UGV offset points, and a UAV against another pair's UGV embedded in 3D
-    at its platform height.
-    """
-    p_i = _require_finite("p_i", p_i)
-    p_j = _require_finite("p_j", p_j)
-    return _out(_sphere(p_i - p_j, separation))
-
-
-eval_ugv_ugv = eval_uav_other_ugv = eval_uav_uav
-
-
 def _funnel(r, sharpness: float, height: float, clearance: float):
-    """eval_landing's (h, l, k) at finite offsets r, unwrapped."""
+    """eval_landing's (h, l, k) at finite offsets r."""
     if sharpness <= 0 or height <= 0:
         raise InvalidInputError("funnel sharpness and height must be positive")
     rx, ry, rz = r[..., 0], r[..., 1], r[..., 2]
@@ -200,44 +160,24 @@ def _funnel(r, sharpness: float, height: float, clearance: float):
 
 
 def eval_landing(p_uav, p_ugv_3d, sharpness: float, height: float,
-                 clearance: float) -> tuple[float, float, float]:
-    """Funnel barrier above the paired vehicle.
+                 clearance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Funnel barrier above the paired vehicle, for (..., 3) positions.
 
     With r = p_uav - p_ugv_3d and l = r_x^2 + r_y^2:
 
         h = r_z - height*sharpness*l*exp(-sharpness*l) - clearance
 
-    Returns (h, l, k) where k = 2*height*sharpness*(sharpness*l - 1) *
-    exp(-sharpness*l) is the surface slope factor reused by the gradient and
-    the time term.  exp goes through libm, element by element.
+    Returns the (...) arrays (h, l, k) where k = 2*height*sharpness*
+    (sharpness*l - 1) * exp(-sharpness*l) is the surface slope factor the
+    row's gradient (k*r_x, k*r_y, 1) and time term -k*(r_x*vx + r_y*vy)
+    reuse.  exp goes through libm, element by element.
     """
     p_uav = _require_finite("p_uav", p_uav)
     p_ugv_3d = _require_finite("p_ugv_3d", p_ugv_3d)
-    h, l, k = _funnel(p_uav - p_ugv_3d, sharpness, height, clearance)
-    return _out(h), _out(l), _out(k)
+    return _funnel(p_uav - p_ugv_3d, sharpness, height, clearance)
 
 
-def _funnel_gradient(r, k) -> np.ndarray:
-    return np.array([k * r.T[0], k * r.T[1], np.ones_like(r.T[0])]).T
-
-
-def landing_gradient(r, k: float) -> np.ndarray:
-    """Spatial gradient of the funnel barrier: (k*r_x, k*r_y, 1)."""
-    return _funnel_gradient(_require_finite("r", r), k)
-
-
-def _funnel_time_term(r, k, v):
-    return -k * (r.T[0] * v.T[0] + r.T[1] * v.T[1])
-
-
-def landing_time_term(r, k: float, ugv_velocity) -> float:
-    """Explicit dh/dt of the funnel under platform motion: -k*(r_x*vx + r_y*vy)."""
-    r = _require_finite("r", r)
-    v = _require_finite("ugv_velocity", ugv_velocity)
-    return _out(_funnel_time_term(r, k, v))
-
-
-# The read-only gradient of each wall face, in eval_workspace's face order.
+# The read-only gradient of each wall face, in wall_heights' face order.
 _WALLS = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
                    [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
 _WALLS.flags.writeable = False
@@ -245,35 +185,25 @@ _WALLS.flags.writeable = False
 
 def wall_gradients(is_uav: bool, dim: int) -> np.ndarray:
     """The read-only (faces, dim) unit gradients of an agent's wall rows,
-    in eval_workspace's face order."""
+    in wall_heights' face order."""
     return _WALLS[:5 if is_uav else 4, :dim]
 
 
-def _wall_heights(p: np.ndarray, bounds: Bounds, is_uav: bool) -> np.ndarray:
-    """(..., faces) wall heights of finite positions p, in face order: upper
-    walls at even faces (bound - x), lower walls at odd ones (x - bound),
-    each entry bit-identical to that scalar expression."""
+def wall_heights(p, bounds: Bounds, is_uav: bool) -> np.ndarray:
+    """(..., faces) wall barriers of (..., dim) positions: upper walls at
+    even faces (bound - x), lower walls at odd ones (x - bound), each entry
+    bit-identical to that scalar expression.
+
+    UAVs get five faces (both x walls, both y walls, ceiling); the floor is
+    covered by the landing funnel, which never deactivates.  UGVs get four
+    planar faces evaluated at the offset point.
+    """
+    p = _require_finite("p", p)
     upper = 3 if is_uav else 2  # x and y walls, plus the ceiling for a UAV
     h = np.empty(p.shape[:-1] + (upper + 2,))
     h[..., 0::2] = (bounds.x_max, bounds.y_max, bounds.z_max)[:upper] - p[..., :upper]
     h[..., 1::2] = p[..., :2] - (bounds.x_min, bounds.y_min)
     return h
-
-
-def eval_workspace(p, bounds: Bounds, is_uav: bool) -> list[tuple[float, np.ndarray]]:
-    """Wall barriers for one agent: list of (h, unit gradient) pairs.
-
-    UAVs get five rows (both x walls, both y walls, ceiling); the floor is
-    covered by the landing funnel, which never deactivates.  UGVs get four
-    planar rows evaluated at the offset point.  The gradients are shared
-    read-only constants, broadcast to p's leading shape for stacked positions.
-    """
-    p = _require_finite("p", p)
-    h = _wall_heights(p, bounds, is_uav)
-    grads = wall_gradients(is_uav, p.shape[-1])
-    faces = len(grads)
-    grads = np.broadcast_to(grads, p.shape[:-1] + grads.shape)
-    return [(_out(h[..., face]), grads[..., face, :]) for face in range(faces)]
 
 
 def offset_points(poses, offset: float) -> np.ndarray:
@@ -290,32 +220,21 @@ def offset_points(poses, offset: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WallRows:
-    """The wall rows of one agent, or of a stack of agents, in face order.
-
-    a is the shared read-only (faces, dim) gradients; b = kappa * h and h
-    are (..., faces).  rows[face] is that face's ConstraintRow, holding
-    every stacked agent, and len(rows) is the number of faces."""
+    """The wall rows of a stack of agents, in face order: a is the shared
+    read-only (faces, dim) gradients, b = kappa * h is (m, faces), and
+    len(rows) is the number of faces."""
 
     a: np.ndarray
     b: np.ndarray
-    h: np.ndarray
 
     def __len__(self) -> int:
         return len(self.a)
 
-    def __getitem__(self, face: int) -> ConstraintRow:
-        h = self.h[..., face]
-        return ConstraintRow(a=np.broadcast_to(self.a[face], h.shape + self.a.shape[1:]),
-                             b=_out(self.b[..., face]), kind=RowKind.WORKSPACE,
-                             h_value=_out(h))
-
 
 def build_workspace_rows(p, params: SafetyParams, is_uav: bool) -> WallRows:
-    """All wall rows for one agent, or for (m, dim) stacked positions, in
-    one array pass."""
-    p = _require_finite("p", p)
-    h = _wall_heights(p, params.bounds, is_uav)
-    return WallRows(a=wall_gradients(is_uav, p.shape[-1]), b=params.barrier_gain * h, h=h)
+    """The wall rows of (m, dim) stacked positions, in one array pass."""
+    return WallRows(a=wall_gradients(is_uav, np.shape(p)[-1]),
+                    b=params.barrier_gain * wall_heights(p, params.bounds, is_uav))
 
 
 # Separation radius of each sphere family, by SafetyParams field.
@@ -329,73 +248,61 @@ _SPHERE_RADIUS = {
 def build_constraint_row(
     kind: RowKind,
     self_state,
-    other_state=None,
-    other_velocity=None,
-    params: SafetyParams | None = None,
+    other_state,
+    other_velocity,
     *,
+    params: SafetyParams,
     platform_height: float = 0.0,
-    other_id: str | None = None,
     worst_case: bool = False,
-) -> ConstraintRow:
-    """Assemble one pairwise row ``a . u >= -b`` (a sphere family or the
-    landing funnel); wall rows come from build_workspace_rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One family's pairwise rows ``a . u >= -b`` (a sphere family or the
+    landing funnel) for m stacked pairs; wall rows come from
+    build_workspace_rows.
 
-    self_state is the agent's own position (3D for UAV rows, 2D offset point
-    for UGV rows); other_state/other_velocity describe the other agent.  UGV
-    positions are planar and get embedded at platform_height where 3D
-    geometry is needed.
-
-    The states and velocity may carry a leading row axis: m stacked pairs
-    give one ConstraintRow whose a is (m, dim) and whose b and h_value are
-    (m,) arrays, each row bit-identical to the 1-D call on that pair, which
-    returns a (dim,) a and float b and h_value.
+    self_state is (m, dim): the agents' own positions, 3D for UAV rows, 2D
+    offset points for UGV rows.  other_state and other_velocity are (m, .)
+    and describe the other agents; a UGV deck is planar and is lifted to
+    platform_height for the UAV_OTHER_UGV and LANDING rows.  Returns
+    (a, b, h): the (m, dim) gradients, b = kappa*h + dh/dt and the barrier
+    values h, each (m,).
 
     With worst_case=True the velocity estimate is replaced by the most
     adversarial motion allowed by the speed bounds (used when the estimate is
     stale): dh/dt = -2*|r|*v_max for the spheres, -|k|*sqrt(l)*v_max for the
     funnel.
     """
-    if params is None:
-        raise InvalidInputError("params is required")
-    if kind is not RowKind.LANDING and kind not in _SPHERE_RADIUS:
-        raise InvalidInputError(f"no pairwise row for kind {kind!r}")
-    if other_state is None:
-        raise IncompleteInputError(f"{kind.value} row requires the other agent's state")
-    if other_velocity is None and not worst_case:
-        raise IncompleteInputError(
-            f"{kind.value} row is time-varying and requires a velocity estimate"
-        )
-
-    p_i = np.asarray(self_state, dtype=float)
-    p_j = np.asarray(other_state, dtype=float)
+    r = np.array(self_state, dtype=float)
+    other = np.asarray(other_state, dtype=float)
     if kind is RowKind.UAV_OTHER_UGV or kind is RowKind.LANDING:
-        p_j = np.concatenate((p_j, np.full(p_j.shape[:-1] + (1,), platform_height)), axis=-1)
+        r[:, :2] -= other
+        r[:, 2] -= platform_height
+    else:
+        r -= other
     # r is finite only where both positions are (and their difference does
     # not overflow), so one check covers everything derived from them.
-    r = _require_finite("position difference", p_i - p_j)
+    r = _require_finite("position difference", r)
+    if not worst_case:
+        v = _require_finite("other velocity", other_velocity)
+    rx, ry = r[:, 0], r[:, 1]
     if kind is RowKind.LANDING:
         h, l, k = _funnel(r, params.funnel_sharpness, params.funnel_height,
                           params.hover_clearance)
-        a = _funnel_gradient(r, k)
+        a = k[:, None] * r  # (k*r_x, k*r_y, 1)
+        a[:, 2] = 1.0
         if worst_case:
             dh_dt = -np.abs(k) * np.sqrt(l) * params.uav_speed_limit
         else:
-            dh_dt = _funnel_time_term(r, k, _require_finite("ugv_velocity", other_velocity))
+            dh_dt = -k * (rx * v[:, 0] + ry * v[:, 1])
     else:
         h = _sphere(r, getattr(params, _SPHERE_RADIUS[kind]))
         a = 2.0 * r
         if worst_case:
             dh_dt = -2.0 * np.sqrt(_dot(r, r)) * params.uav_speed_limit
+        elif kind is RowKind.UAV_OTHER_UGV:  # the platform stays flat
+            dh_dt = -2.0 * (rx * v[:, 0] + ry * v[:, 1])
         else:
-            v = _require_finite("other velocity", other_velocity)
-            if kind is RowKind.UAV_OTHER_UGV:  # the platform stays flat
-                dh_dt = -2.0 * (r.T[0] * v.T[0] + r.T[1] * v.T[1])
-            else:
-                dh_dt = -2.0 * _dot(r, v)
-
-    kappa = params.barrier_gain
-    return ConstraintRow(a=a, b=_out(kappa * h + dh_dt), kind=kind, other_id=other_id,
-                         h_value=_out(h))
+            dh_dt = -2.0 * _dot(r, v)
+    return a, params.barrier_gain * h + dh_dt, h
 
 
 def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,19 +325,3 @@ def libm(fn, values: np.ndarray) -> np.ndarray:
     """fn applied per element through libm, not numpy's vector kernels,
     which may differ in the last ulp from the scalar path."""
     return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
-
-
-def verify_validity(row: ConstraintRow, admissible_bound: float) -> bool:
-    """Check the barrier condition is satisfiable inside the admissible box.
-
-    Over the box |u_j| <= admissible_bound the supremum of a . u is
-    admissible_bound * |a|_1, so the row is achievable iff
-
-        admissible_bound * |a|_1 + b >= 0
-
-    (b already contains kappa*h + dh/dt).
-    """
-    if admissible_bound < 0 or not math.isfinite(admissible_bound):
-        raise InvalidInputError("admissible_bound must be finite and >= 0")
-    reach = admissible_bound * float(np.abs(row.a).sum())
-    return reach + row.b >= 0.0

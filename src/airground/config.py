@@ -187,7 +187,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     wheel_base = _number(v, data, "wheel_base", 0.2)
     noise = _number(v, data, "localization_noise", 0.0)
     velocity_lag = _number(v, data, "uav_velocity_lag", 0.0)
-    perturb = bool(_get(data, "perturb_setpoints", False))
+    perturb = _get(data, "perturb_setpoints")
+    if perturb is None:
+        perturb = False
+    elif not isinstance(perturb, bool):
+        v.append(ConfigViolation(
+            "BAD_VALUE", f"perturb_setpoints must be true or false, got {perturb!r}"))
+        perturb = False
 
     if seed < 0:  # numpy's SeedSequence takes non-negative integers only
         v.append(ConfigViolation("BAD_VALUE", f"seed must be >= 0, got {seed}"))

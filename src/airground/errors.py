@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """Raised when a public entry point receives non-finite or mis-shaped data."""
 
 
-class IncompleteInputError(ValueError):
-    """Raised when a required input (e.g. a velocity estimate) is missing."""
-
-
 class TopologyViolationError(RuntimeError):
     """Raised on an attempt to send a message outside the star topology."""
 

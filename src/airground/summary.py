@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import (eval_landing, eval_workspace, offset_points,
-                       pairwise_sq_distances)
+from .barriers import (eval_landing, offset_points, pairwise_sq_distances,
+                       wall_heights)
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import fmt9, fmt9_round_trip
@@ -250,8 +250,8 @@ def tick_barriers(cfg: ScenarioConfig, roster: Roster, x: np.ndarray,
         return h
 
     def walls(p: np.ndarray, is_uav: bool) -> np.ndarray:
-        return record("workspace", np.fmin.reduce(
-            [h for h, _ in eval_workspace(p, s.bounds, is_uav)]))
+        return record("workspace",
+                      np.fmin.reduce(wall_heights(p, s.bounds, is_uav), axis=-1))
 
     def separation(fam: str, kind: str, d2: np.ndarray, radius: float
                    ) -> np.ndarray:

@@ -168,24 +168,20 @@ class WaypointTrack:
                     self._legs.append((a, d / length, length))
         self._total = sum(leg[2] for leg in self._legs)
 
-    def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Setpoint position and rate at time t: a one-track TrackTable."""
-        position, rate = TrackTable([self]).sample(t)
-        return position[0], rate[0]
-
 
 class TrackTable:
-    """WaypointTracks sampled in one array pass, each row bit for bit its
-    track's sample(t) (zero-padded to the widest track's dimensions).
+    """WaypointTracks sampled in one array pass, one row per track
+    (zero-padded to the widest track's dimensions).
 
     Row j of a track's block holds its leg j, and the block's last row its
     last leg again, with NaN lengths between.  sample(t) walks every
-    track's legs at once as sample does, fmod then s -= length leg by leg,
-    takes the first leg with s <= length (the last row, at s = its length,
-    when rounding leaves s beyond every leg), and forms start + s*direction
-    and direction*speed.  A static track is one leg of infinite length and
-    zero direction walked at speed -0.0: start + (-0.0 * 0.0) is start,
-    even -0.0, for t >= 0, and its rate 0.0 * 0.0 is +0.0."""
+    track's legs at once, s = fmod(speed*t, loop length) then s -= length
+    leg by leg, takes the first leg with s <= length (the last row, at
+    s = its length, when rounding leaves s beyond every leg), and forms
+    start + s*direction and direction*speed.  A static track is one leg of
+    infinite length and zero direction walked at speed -0.0: start +
+    (-0.0 * 0.0) is start, even -0.0, for t >= 0, and its rate 0.0 * 0.0
+    is +0.0."""
 
     def __init__(self, tracks: list[WaypointTrack]):
         legs = [track._legs or [(track.waypoints[0], 0.0, math.inf)] for track in tracks]
@@ -508,11 +504,12 @@ class Watcher:
                  other: np.ndarray, velocity: np.ndarray, worst: bool) -> None:
         """Build one family's rows, own[k] against other[k], in one call, and
         write row k to row rows[k] of the block's (n * capacity) rows."""
-        row = build_constraint_row(kind, own, other, velocity, params=self.params,
-                                   platform_height=self.platform_height, worst_case=worst)
+        row_a, row_b, _ = build_constraint_row(
+            kind, own, other, velocity, params=self.params,
+            platform_height=self.platform_height, worst_case=worst)
         a, b = block
-        a.reshape(-1, a.shape[-1])[rows] = row.a
-        b.reshape(-1)[rows] = row.b
+        a.reshape(-1, a.shape[-1])[rows] = row_a
+        b.reshape(-1)[rows] = row_b
 
     # -- setpoints ----------------------------------------------------------
 

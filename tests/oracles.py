@@ -25,6 +25,10 @@
   as arrays; a UGV holding an offset-point velocity steps as the scalar
   inverse offset map at its current heading followed by the Euler step
   (step_ugv_held).
+* The scalar barrier functions, one pair or one agent per call (eval_sphere,
+  eval_landing, landing_gradient, landing_time_term, and the row builders
+  build_workspace_rows and build_constraint_row with their ConstraintRow
+  record), from before the barriers module took stacked arrays only.
 * The watcher's per-row constraint assembly: one scalar barrier row object
   per gated pair, copied into each agent's matrix, from before every
   family's rows were built in one array pass per tick; and its per-agent
@@ -36,7 +40,7 @@
   per drop or jitter draw, and its recursive wire sizes, from before each
   link drew its uniforms in blocks; and its isinstance chain of payload
   sizes, from before payloads were sized by exact type.
-* WaypointTrack.sample's walk over one track's legs in Python floats,
+* The walk over one WaypointTrack's legs in Python floats (waypoint_sample),
   from before tracks were sampled as one TrackTable.
 * The watcher's per-agent fan-out: a copied pose, a setpoint sampled
   from the agent's own track (or its pair's hover point, hover_point), a
@@ -66,9 +70,8 @@ from airground import qp
 from airground.agents import (UAV, UGV, Command, Gains, TickTelemetry,
                               data_stale, nominal_velocity,
                               wrap_angle)
-from airground.barriers import ConstraintRow, RowKind, SafetyParams
-from airground.errors import (CapacityError, IncompleteInputError,
-                              InvalidInputError)
+from airground.barriers import RowKind, SafetyParams
+from airground.errors import CapacityError, InvalidInputError
 from airground.logfmt import fmt9
 from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
 from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpSolution,
@@ -719,6 +722,19 @@ def integrate_per_agent(uav_states: dict[str, UavState],
             uav_states[uid] = step_uav(uav_states[uid], commands[uid].u, dt)
 
 
+@dataclass
+class ConstraintRow:
+    """One linearized barrier condition ``a . u >= -b`` on an agent's velocity:
+    a is the barrier gradient w.r.t. the agent's own position, b = kappa*h +
+    dh/dt, and h_value the barrier value."""
+
+    a: np.ndarray
+    b: float
+    kind: RowKind
+    other_id: str | None = None
+    h_value: float = 0.0
+
+
 def _require_finite(name: str, value) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
@@ -787,19 +803,11 @@ _SPHERE_RADIUS = {
 }
 
 
-def build_constraint_row(kind: RowKind, self_state, other_state=None,
-                         other_velocity=None, params: SafetyParams | None = None,
-                         *, platform_height: float = 0.0,
+def build_constraint_row(kind: RowKind, self_state, other_state, other_velocity, *,
+                         params: SafetyParams, platform_height: float = 0.0,
                          other_id: str | None = None,
                          worst_case: bool = False) -> ConstraintRow:
     """One pairwise row of one agent, from scalar barrier evaluations."""
-    if params is None:
-        raise InvalidInputError("params is required")
-    if other_state is None:
-        raise IncompleteInputError(f"{kind.value} row requires the other agent's state")
-    if other_velocity is None and not worst_case:
-        raise IncompleteInputError(
-            f"{kind.value} row is time-varying and requires a velocity estimate")
     p_i = _require_finite("self position", self_state)
     if kind is RowKind.UAV_UAV or kind is RowKind.UGV_UGV:
         p_j = _require_finite("other position", other_state)
@@ -959,9 +967,8 @@ def watcher_line(time_s: str, rec) -> str:
 
 
 def waypoint_sample(track, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """WaypointTrack.sample walking one track's legs in Python floats, from
-    before tracks were sampled as a TrackTable: the setpoint position and
-    rate at time t."""
+    """One track's legs walked in Python floats, from before tracks were
+    sampled as a TrackTable: the setpoint position and rate at time t."""
     if not track._legs or track._total == 0.0:
         w = track.waypoints[0]
         return w.copy(), np.zeros_like(w)

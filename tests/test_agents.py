@@ -10,14 +10,13 @@ from airground.agents import (UAV, UGV, AgentControlUnit, Gains, KindControl,
                               TickSchedule, data_stale, nid_forward,
                               nid_inverse,
                               nominal_velocity, step_ugv, step_uav,
-                              twist_from_wheels, wheel_speeds, wrap_angle)
-from airground.barriers import (Bounds, RowKind, SafetyParams,
-                                build_constraint_row, offset_points)
+                              wrap_angle)
+from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import InvalidInputError
 from airground.netsim import WATCHER_ID, LinkModel, MsgType, StarBus
 
-from oracles import (UgvState, from_rows, nid_inverse_scalar, per_slot_stale,
-                     step_ugv_held)
+from oracles import (UgvState, build_constraint_row, from_rows,
+                     nid_inverse_scalar, per_slot_stale, step_ugv_held)
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -157,22 +156,6 @@ def test_step_ugv_matches_scalar_oracle(vehicles, offset, limit, dt, steps):
         assert poses.tobytes() == np.array([(s.x, s.y, s.theta) for s in states]).tobytes()
 
 
-class TestWheelMap:
-    def test_straight(self):
-        assert wheel_speeds(1.0, 0.0, 0.2) == (1.0, 1.0)
-
-    def test_spin_in_place(self):
-        r1, r2 = wheel_speeds(0.0, 1.0, 0.2)
-        assert (r1, r2) == pytest.approx((0.2, -0.2))
-
-    @given(st.floats(-2, 2), st.floats(-5, 5), st.floats(0.05, 0.5))
-    def test_round_trip_exact(self, v, omega, half_track):
-        r1, r2 = wheel_speeds(v, omega, half_track)
-        v2, om2 = twist_from_wheels(r1, r2, half_track)
-        assert v2 == pytest.approx(v, abs=1e-12)
-        assert om2 == pytest.approx(omega, abs=1e-12)
-
-
 class TestKinematicSteps:
     def test_uav_zero_input(self):
         p = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 1.0]])
@@ -267,7 +250,7 @@ class TestControlUnit:
     def test_feasible_nominal_passes_through(self):
         unit = self.make_uav()
         rows = [build_constraint_row(RowKind.UAV_UAV, (2, 0, 1), (0, 0, 1),
-                                     (0, 0, 0), PARAMS)]
+                                     (0, 0, 0), params=PARAMS)]
         matrix = from_rows("uav0", 0.0, 8, 3, rows)
         self.feed(unit, 0.0, (2, 0, 1), (2.5, 0, 1), (0, 0, 0), matrix)
         cmd, tele = unit.tick(0.0)
@@ -283,7 +266,7 @@ class TestControlUnit:
         v_j = np.array([0.4, 0.0, 0.0])
         for step in range(400):
             t = step * dt
-            row = build_constraint_row(RowKind.UAV_UAV, p_i, p_j, v_j, PARAMS)
+            row = build_constraint_row(RowKind.UAV_UAV, p_i, p_j, v_j, params=PARAMS)
             matrix = from_rows("uav0", t, 8, 3, [row])
             self.feed(unit, t, p_i, (-2.0, 0, 1.0), (0, 0, 0), matrix)
             cmd, tele = unit.tick(t)

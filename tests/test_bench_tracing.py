@@ -33,7 +33,10 @@ def test_traced_name_is_owned_where_the_tracer_looks(owner, attr):
 def test_traced_run_enters_the_step_and_send_spans(tmp_path):
     """A traced lossy crossing steps the fleet through runner.step_ugv and
     sends every message through StarBus.send: both spans are entered, and
-    the tracer's sent and dropped counts equal the run's link statistics."""
+    the tracer's sent and dropped counts equal the run's link statistics.
+    Its built rows count each pairwise row call once and each wall call by
+    its faces: a watcher tick makes one UAV (5 faces) and one UGV (4 faces)
+    wall call, 7 more than its two calls."""
     from airground import run
 
     from scenario_helpers import crossing_scenario
@@ -53,3 +56,6 @@ def test_traced_run_enters_the_step_and_send_spans(tmp_path):
     links = result.link_stats.values()
     assert stats["netsim.send"].count == tracer.counters.sent == sum(s.sent for s in links)
     assert tracer.counters.dropped == sum(s.dropped for s in links) > 0
+    watcher_ticks = stats["watcher.tick"].count
+    assert watcher_ticks > 0
+    assert tracer.counters.rows_built == stats["barriers.row"].count + 7 * watcher_ticks

@@ -449,3 +449,10 @@ class TestSymmetricDeadlock:
         w0 = cfg.uavs[0].waypoints[0]
         assert np.linalg.norm(w0 - np.array([2.0, 0.0, 1.0])) == pytest.approx(
             1e-3, rel=1e-6)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_non_boolean_perturbation_rejected(self, value):
+        # A truthy string would otherwise nudge every waypoint.
+        data = variant(perturb_setpoints=value)
+        assert "BAD_VALUE" in codes_of(data)
+        assert not config_from_dict(variant(perturb_setpoints=None)).perturb_setpoints

@@ -21,8 +21,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from airground import qp
 from airground.agents import (UAV, UGV, AgentControlUnit, Command, Gains,
                               KindControl, wrap_angle)
-from airground.barriers import (Bounds, ConstraintRow, RowKind, SafetyParams,
-                                offset_points)
+from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import CapacityError
 from airground.logfmt import fmt9, fmt9_round_trip
 from airground.netsim import WATCHER_ID, MsgType, StarBus, wire_bytes
@@ -34,7 +33,7 @@ from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, Roster,
 from airground.watcher import (ConstraintMatrix, PairPhase, TrackTable,
                                VelocityEstimator, Watcher, WaypointTrack)
 
-from oracles import (AgentVelocityEstimator, DictGates, Sample,
+from oracles import (AgentVelocityEstimator, ConstraintRow, DictGates, Sample,
                      ScalarControlUnit, UavState, UgvState, UncachedControlUnit,
                      VelQuality,
                      assemble_per_row, from_rows, integrate_per_agent,
@@ -479,7 +478,7 @@ def track_times(draw, track_list):
 def test_track_table_matches_waypoint_samples(case):
     """Every row of one table sample is its track's scalar sample at t, bit
     for bit, with -0.0 waypoints and zero rates kept, in the track's
-    dimensions; so is WaypointTrack.sample, a one-track table."""
+    dimensions."""
     track_list, times = case
     table = TrackTable(track_list)
     for t in times:
@@ -489,8 +488,6 @@ def test_track_table_matches_waypoint_samples(case):
             dim = len(want_position)
             assert positions[k, :dim].tobytes() == want_position.tobytes()
             assert rates[k, :dim].tobytes() == want_rate.tobytes()
-            assert [x.tobytes() for x in track.sample(t)] == [want_position.tobytes(),
-                                                              want_rate.tobytes()]
 
 
 def test_track_table_keeps_signed_zeros_and_static_tracks():

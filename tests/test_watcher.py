@@ -8,8 +8,8 @@ from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row)
 from airground.errors import CapacityError, InvalidInputError
 from airground.netsim import MsgType
-from airground.watcher import (PairPhase, VelocityEstimator, Watcher,
-                               WaypointTrack)
+from airground.watcher import (PairPhase, TrackTable, VelocityEstimator,
+                               Watcher, WaypointTrack)
 
 from oracles import hover_point, row_layout
 
@@ -109,10 +109,10 @@ class TestVelocityEstimator:
             matrix = w.assemble_constraints(now)["uav0"]
             last = matrix.active_count - 1
             assert row_layout(w, "uav0")[0][last] is RowKind.LANDING
-            expected = build_constraint_row(
-                RowKind.LANDING, uav[0], ugv[0, :2], [0.5, 0.0],
-                PARAMS, worst_case=now == 0.0)
-            assert matrix.b[last] == pytest.approx(expected.b, abs=1e-12)
+            _, expected, _ = build_constraint_row(
+                RowKind.LANDING, uav, ugv[:, :2], [[0.5, 0.0]],
+                params=PARAMS, worst_case=now == 0.0)
+            assert matrix.b[last] == pytest.approx(expected[0], abs=1e-12)
 
 
 class TestProximalGating:
@@ -409,21 +409,27 @@ class TestDispatch:
 
 
 class TestWaypointTrack:
+    @staticmethod
+    def sample(track, t):
+        """One track's setpoint position and rate at time t."""
+        position, rate = TrackTable([track]).sample(t)
+        return position[0], rate[0]
+
     def test_static_track(self):
         track = WaypointTrack([np.array([1.0, 2.0])])
-        pos, rate = track.sample(3.0)
+        pos, rate = self.sample(track, 3.0)
         assert np.allclose(pos, [1, 2])
         assert np.allclose(rate, 0)
 
     def test_constant_speed_traversal(self):
         track = WaypointTrack([np.array([0.0, 0.0]), np.array([2.0, 0.0])],
                               speed=0.5)
-        pos, rate = track.sample(2.0)
+        pos, rate = self.sample(track, 2.0)
         assert np.allclose(pos, [1.0, 0.0])
         assert np.allclose(rate, [0.5, 0.0])
 
     def test_cycles_back(self):
         track = WaypointTrack([np.array([0.0, 0.0]), np.array([1.0, 0.0])],
                               speed=1.0)
-        pos, _ = track.sample(2.5)  # full loop is 2.0 long
+        pos, _ = self.sample(track, 2.5)  # full loop is 2.0 long
         assert np.allclose(pos, [0.5, 0.0])
