@@ -2,10 +2,11 @@
 the unicycle offset transform, and the kinematic step models.
 
 Each unit acts on the latest coordination update the watcher sent it: one
-message per watcher tick carrying its pose, setpoint and constraint matrix.
-The units of one vehicle kind are held as arrays (KindControl) and the due
-ones (TickSchedule) are ticked together, those without a solution filtered
-as one batch; AgentControlUnit is the same code for a single unit.
+message per watcher tick carrying its pose, setpoint and constraint rows
+as plain arrays.  The units of one vehicle kind are held as arrays
+(KindControl) and ticked together, only when a message arrived or an
+update went stale, those without a solution filtered as one batch through
+qp.project_lanes; AgentControlUnit is the same code for a single unit.
 
 A UAV is treated as a velocity-controlled point in 3D.  A UGV is a
 differential-drive unicycle; its filter runs on the offset point located
@@ -75,12 +76,6 @@ def nominal_velocity(current, setpoint, setpoint_rate, gains: Gains,
     return u.clip(-speed_limit, speed_limit)
 
 
-def nid_forward(theta: float, v: float, omega: float, offset: float) -> np.ndarray:
-    """Offset-point velocity produced by a body twist (inverse of nid_inverse)."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([v * c - offset * omega * s, v * s + offset * omega * c])
-
-
 def _twist(c: float, s: float, x: float, y: float, offset: float,
            turn_rate_limit: float | None) -> tuple[float, float]:
     """The body twist (v, omega) of offset-point velocity (x, y) at a
@@ -92,22 +87,6 @@ def _twist(c: float, s: float, x: float, y: float, offset: float,
     if turn_rate_limit is not None and abs(omega) > turn_rate_limit:
         v *= turn_rate_limit / abs(omega)
         omega = math.copysign(turn_rate_limit, omega)
-    return v, omega
-
-
-def nid_inverse(theta, offset_velocity, offset: float,
-                turn_rate_limit: float | None = None):
-    """Convert an offset-point velocity to a body twist (v, omega) at
-    heading theta (inverse of nid_forward), clamped as _twist does.  L
-    stacked headings and (L, 2) velocities give (L,) arrays v and omega,
-    each lane its scalar call (which returns floats); cos and sin go
-    through libm."""
-    ov = np.asarray(offset_velocity, dtype=float)
-    twists = [_twist(math.cos(a), math.sin(a), x, y, offset, turn_rate_limit)
-              for a, (x, y) in zip(np.ravel(theta).tolist(), ov.reshape(-1, 2).tolist())]
-    if ov.ndim == 1:
-        return twists[0]
-    v, omega = np.array(twists).reshape(-1, 2).T
     return v, omega
 
 
@@ -179,59 +158,32 @@ def data_stale(now: float, stamp, hold_timeout):
     return now - stamp > hold_timeout
 
 
-class TickSchedule:
-    """Which of n control units must tick at a control instant.
-
-    A unit's tick output is a function of its latest update, its landed
-    flag and whether that update is stale.  Between two of its ticks that
-    output can change only if the unit received a message (the mask
-    received), or if the update its last tick acted on went stale since
-    (fresh holds that update's stamp, +inf after a hold or landed tick).
-    Every other unit would repeat its last command, status and u, and is
-    skipped.  hold_timeout is one timeout for all units or one per unit."""
-
-    def __init__(self, n: int, hold_timeout):
-        self.hold_timeout = hold_timeout
-        self.received = np.ones(n, dtype=bool)   # nothing ticked yet
-        self.fresh = np.full(n, np.inf)
-        self._earliest, self._shortest = np.inf, np.min(hold_timeout)
-
-    def due(self, now: float) -> np.ndarray:
-        """The (n,) mask of the units to tick at now."""
-        due = self.received.copy()
-        # No unit went stale unless the earliest fresh stamp, judged by the
-        # shortest timeout, did.
-        if data_stale(now, self._earliest, self._shortest):
-            due |= data_stale(now, self.fresh, self.hold_timeout)
-        self.received.fill(False)
-        return due
-
-    def ticked(self, units: np.ndarray, stamps: np.ndarray) -> None:
-        """Record what the ticks of the units masked acted on, from (n,)
-        stamps: the stamp of a fresh update, +inf for a hold or landing."""
-        np.copyto(self.fresh, stamps, where=units)
-        self._earliest = self.fresh.min()
-
-
 class KindControl:
     """The control units of one vehicle kind, as arrays indexed by unit.
 
     Each unit keeps the latest update it has received in one slot: the
-    pose, setpoint (with its rate) and constraint matrix of one watcher
-    tick, stamped in stamps.  An update stamped older than the unit's is ignored; any other
-    replaces all four fields and drops the unit's solution.  The filtered
-    command is a function of the update alone, so it is solved once per
-    update (solution, sol_status, sol_iters, sol_violation) and reused on
-    the ticks in between.  The watcher owns the landing phases; a UAV
-    unit only learns that it has landed, from the touchdown
-    acknowledgement, and then emits zero.
+    pose, setpoint (with its rate) and constraint rows (a, b and count, row
+    views of the watcher's block) of one watcher tick, stamped in stamps.
+    An update stamped older than the unit's is ignored; any other replaces
+    the slot and drops the unit's solution.  The filtered command is a
+    function of the update alone, so it is solved once per update (u,
+    status, sol_iters, sol_violation) and reused on the ticks in between.
+    The watcher owns the landing phases; a UAV unit only learns that it has
+    landed, from the touchdown acknowledgement, and then emits zero.
 
-    tick(now) runs the due units: a landed unit emits zero; a unit with no
-    update, or one older than hold_timeout, holds at zero; every other
-    unit emits its solution, and those without one are filtered together
-    (_filter).  u and status are what each unit last emitted: a UGV's u is
-    its offset-point velocity, which step_ugv maps through the vehicle's
-    current heading."""
+    A unit's output is a function of its slot, its landed flag and whether
+    its update is stale, so the kind's outputs can change between two ticks
+    only if a message arrived (dirty) or the oldest stamp among its live
+    units went stale since the last tick that ran.  Any other tick returns
+    at once.  One that runs emits zero from the landed units (status
+    landed) and from those with no update or one older than hold_timeout
+    (hold); every other unit emits its solution, and those without one are
+    filtered together (_filter).  A unit turns unsolved only through
+    on_update, and a held unit comes back only through a new update, so u
+    and status hold the solution as well as what each unit last emitted.  A
+    UGV's u is its offset-point velocity, which step_ugv maps through the
+    vehicle's current heading.  hold_timeout is one timeout for all units
+    or one per unit."""
 
     def __init__(self, ids, kind: str, gains: Gains, params: SafetyParams,
                  hold_timeout: float = 0.25, offset: float = 0.1):
@@ -243,48 +195,52 @@ class KindControl:
         self.ids, self.kind, self.dim, self.gains = list(ids), kind, dim, gains
         self.params, self.hold_timeout, self.offset = params, hold_timeout, offset
         self.speed_limit = params.uav_speed_limit if kind == UAV else params.ugv_speed_limit
-        self.schedule = TickSchedule(n, hold_timeout)
         self.stamps = np.full(n, -np.inf)
         self.pose = np.zeros((n, 3))             # UAV position, UGV (x, y, theta)
         self.setpoint, self.rate = np.zeros((n, dim)), np.zeros((n, dim))
-        self.matrices: list = [None] * n
+        self.a, self.b = [None] * n, [None] * n  # (capacity, dim) and (capacity,)
+        self.count = np.zeros(n, dtype=int)
         self.landed, self.solved = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.solution, self.u = np.zeros((2, n, dim))
-        self.sol_status, self.status = np.full(n, "optimal", object), np.full(n, "hold", object)
+        self.u, self.status = np.zeros((n, dim)), np.full(n, "hold", object)
         self.sol_iters, self.sol_violation = np.zeros(n, dtype=int), np.zeros(n)
+        self.dirty = True                        # nothing ticked yet
+        self._oldest, self._shortest = np.inf, np.min(hold_timeout)
 
-    def on_update(self, k: int, pose, position, rate, matrix, stamp: float) -> None:
+    def on_update(self, k: int, pose, position, rate, a, b, count: int,
+                  stamp: float) -> None:
+        self.dirty = True
         if stamp >= self.stamps[k]:
             self.stamps[k], self.pose[k], self.solved[k] = stamp, pose, False
-            self.setpoint[k], self.rate[k], self.matrices[k] = position, rate, matrix
+            self.setpoint[k], self.rate[k] = position, rate
+            self.a[k], self.b[k], self.count[k] = a, b, count
 
     def on_touchdown_ack(self, k: int) -> None:
+        self.dirty = True
         if self.kind == UAV:
             self.landed[k] = True
 
-    def tick(self, now: float) -> int:
-        """Tick the due units; returns how many ticked."""
-        due = self.schedule.due(now)
-        if not np.count_nonzero(due):
-            return 0
+    def tick(self, now: float) -> bool:
+        """Bring every unit's output up to date at now; returns whether any
+        could have changed."""
+        # No unit went stale unless the oldest live stamp, judged by the
+        # shortest timeout, did.
+        if not self.dirty and not data_stale(now, self._oldest, self._shortest):
+            return False
+        self.dirty = False
         live = ~(self.landed | data_stale(now, self.stamps, self.hold_timeout))
-        on = due & live
-        self._filter((on & ~self.solved).nonzero()[0])
-        np.copyto(self.u, self.solution, where=on[:, None])
-        np.copyto(self.status, self.sol_status, where=on)
-        held = (due & ~live).nonzero()[0]
+        self._filter((live & ~self.solved).nonzero()[0])
+        held = (~live).nonzero()[0]
         if len(held):
             self.u[held] = 0.0
             self.status[held] = _HELD[self.landed[held].astype(int)]
-        self.schedule.ticked(due, np.where(live, self.stamps, np.inf))
-        return int(np.count_nonzero(due))
+        self._oldest = self.stamps.min(where=live, initial=np.inf)
+        return True
 
     def _filter(self, lanes: np.ndarray) -> None:
         """Solve the units `lanes` (an index array) from their updates as
-        arrays: nominal inputs and qp.project_lanes.  Only lanes its scan
-        rejects take per-lane Python (project_with_box, and the slack
-        relaxation where a polytope is empty).  A UGV's control point is taken at its heading wrapped into
-        (-pi, pi]: the watcher ships noisy poses."""
+        arrays: nominal inputs and qp.project_lanes.  A UGV's control point
+        is taken at its heading wrapped into (-pi, pi]: the watcher ships
+        noisy poses."""
         if not len(lanes):
             return
         limit, pose = self.speed_limit, self.pose[lanes]
@@ -294,28 +250,23 @@ class KindControl:
             current = offset_points(pose, self.offset)
         u_nom = nominal_velocity(current, self.setpoint[lanes], self.rate[lanes],
                                  self.gains, limit)
-        matrices = [self.matrices[k] for k in lanes.tolist()]
-        counts = [m.active_count for m in matrices]
-        rows = max(counts)  # matrices of one kind share a zero-padded capacity
-        A = np.array([m.a[:rows] for m in matrices])
-        b = np.array([m.b[:rows] for m in matrices])
-        passed, solutions = qp.project_lanes(u_nom, A, b, counts, limit)
-        self.sol_status.put(lanes, "optimal")
+        counts = self.count[lanes]
+        rows = counts.max()  # blocks of one kind share a zero-padded capacity
+        index = lanes.tolist()
+        A = np.array([self.a[k][:rows] for k in index])
+        b = np.array([self.b[k][:rows] for k in index])
+        passed, rejected = qp.project_lanes(u_nom, A, b, counts, limit)
+        self.status.put(lanes, "optimal")
         self.sol_iters[lanes], self.sol_violation[lanes] = 1, 0.0
         for lane in (~passed).nonzero()[0].tolist():
-            k = lanes[lane]
+            k = index[lane]
             try:
-                u, iterations = next(solutions)
-                info = ("optimal", iterations, 0.0)
-                if u is None:  # infeasible: escalate to the slack relaxation
-                    count = counts[lane]
-                    sol = qp.solve_relaxed(u_nom[lane], A[lane, :count], b[lane, :count], limit)
-                    u, info = sol.u_star, ("relaxed", sol.iterations, sol.max_violation)
+                solved = next(rejected)
             except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise FilterError(self.ids[k], exc) from exc
-            u_nom[lane] = u  # drawn already: u_nom now holds the lane's solution
-            self.sol_status[k], self.sol_iters[k], self.sol_violation[k] = info
-        self.solution[lanes] = u_nom
+            # u_nom was read already: it now takes the lane's solution
+            u_nom[lane], self.status[k], self.sol_iters[k], self.sol_violation[k] = solved
+        self.u[lanes] = u_nom
         self.solved[lanes] = True
 
 
@@ -328,7 +279,7 @@ class AgentControlUnit:
                  offset: float = 0.1):
         self.agent_id, self.kind = agent_id, kind
         self.lane = lane = KindControl([agent_id], kind, gains, params, hold_timeout, offset)
-        # on_update(pose, position, rate, matrix, stamp), on_touchdown_ack()
+        # on_update(pose, position, rate, a, b, count, stamp), on_touchdown_ack()
         self.on_update = partial(lane.on_update, 0)
         self.on_touchdown_ack = partial(lane.on_touchdown_ack, 0)
 
@@ -338,7 +289,7 @@ class AgentControlUnit:
 
     def tick(self, now: float) -> tuple[Command, TickTelemetry]:
         lane = self.lane
-        lane.schedule.received[0] = True
+        lane.dirty = True
         lane.tick(now)
         status, u = lane.status[0], lane.u[0].copy()
         held = status in ("hold", "landed")

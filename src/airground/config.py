@@ -100,7 +100,7 @@ def _number(v: list[ConfigViolation], section: dict, key: str, default,
             cast=float, where: str = ""):
     """section[key] converted by cast; the default when the key is absent or
     null, and also (reported as BAD_VALUE) when the value is malformed, NaN
-    or infinite, or for cast int a boolean or a number with a fraction."""
+    or infinite, a boolean, or for cast int a number with a fraction."""
     raw = section.get(key)
     if raw is None:
         return default
@@ -108,7 +108,7 @@ def _number(v: list[ConfigViolation], section: dict, key: str, default,
         value = cast(raw)
     except (TypeError, ValueError, OverflowError):
         value = math.nan
-    if not math.isfinite(value):
+    if not math.isfinite(value) or cast is float and isinstance(raw, bool):
         v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be a number, got {raw!r}"))
         return default
     if cast is int and (isinstance(raw, bool) or isinstance(raw, float) and raw != value):
@@ -131,7 +131,7 @@ def _section(v: list[ConfigViolation], data: dict, key: str, kind=dict, *,
 
 def _as_floats(value, n: int, finite: bool = True):
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (n,):
+    if arr.shape != (n,) or bool in map(type, value):  # YAML true is not 1.0
         raise ValueError(f"expected {n} numbers, got {value!r}")
     # Checked element by element: on a few numbers, several times faster
     # than a NumPy reduction, and a scenario has hundreds of these vectors.
@@ -257,7 +257,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     for kind, dim in (("uav", 3), ("ugv", 2)):
         raw_g = gains.get(kind, 1.0)
         try:
-            gain[kind] = _as_floats(raw_g if np.ndim(raw_g) else np.full(dim, raw_g), dim)
+            gain[kind] = _as_floats(raw_g if np.ndim(raw_g) else [raw_g] * dim, dim)
         except (ValueError, TypeError):
             v.append(ConfigViolation(
                 "BAD_VALUE", f"gains.{kind} must be a number or {dim} numbers"))

@@ -3,10 +3,11 @@
 All cross-node traffic travels between the coordinator and an agent; there
 are no agent-to-agent links, and an attempt to use one is a hard failure.
 The coordinator sends each agent one UPDATE per watcher tick, carrying its
-pose, setpoint and constraint matrix together, so a drop or a delay always
-takes all three; the only other message is the touchdown acknowledgement.
-Each directed link owns an RNG stream derived from the scenario seed and the
-link's name, so adding links never perturbs the draws of existing ones.
+pose, setpoint and constraint rows together as plain arrays, so a drop or a
+delay always takes all three; the only other message is the touchdown
+acknowledgement.  Each directed link owns an RNG stream derived from the
+scenario seed and the link's name, so adding links never perturbs the draws
+of existing ones.
 
 A link reads its stream as uniforms in [0, 1), in send order: one drop draw
 per message when drop_prob > 0 (the message is dropped when the draw is
@@ -41,7 +42,7 @@ _BLOCK = 256  # uniforms a link draws from its stream at a time
 
 
 class MsgType(Enum):
-    UPDATE = "update"                # (pose, setpoint position, rate, matrix)
+    UPDATE = "update"                # (pose, setpoint position, rate, a, b, count)
     TOUCHDOWN_ACK = "touchdown_ack"
 
 
@@ -84,10 +85,11 @@ class LinkStats:
 def wire_bytes(msg_type: MsgType, payload) -> int:
     """A message's nominal size: a 16B header and 8 bytes per number, here an
     acknowledgement's pair index, or an update's pose, setpoint position and
-    rate, and its matrix's A and b behind a 16B header of their own."""
+    rate, and its constraint rows' A and b behind a 16B header of their own
+    (which carries the active row count)."""
     if msg_type is MsgType.UPDATE:
-        pose, position, rate, matrix = payload
-        return 32 + 8 * (pose.size + position.size + rate.size + matrix.a.size + matrix.b.size)
+        pose, position, rate, a, b, _ = payload
+        return 32 + 8 * (pose.size + position.size + rate.size + a.size + b.size)
     return 24
 
 

@@ -11,10 +11,11 @@ test suite cross-checks against a brute-force enumeration of active sets
 (tests/oracles.py).
 
 Every entry point takes arrays: the nominal input z, the barrier rows
-A u + b >= 0 and a scalar box limit.  The control loop calls project_lanes
-on a batch of lanes; a lane whose polytope is empty escalates to the
-slack-relaxed form (solve_relaxed) on the same arrays, so the loop always has
-a defined, observable degradation path.
+A u + b >= 0 and a scalar box limit.  project_lanes is the control loop's
+one entry point, on a batch of lanes: it projects each lane its scan rejects
+(project_with_box), and a lane whose polytope is empty escalates to the
+slack-relaxed form (solve_relaxed) on the same arrays, so the loop always
+has a defined, observable degradation path.
 """
 
 from __future__ import annotations
@@ -172,29 +173,41 @@ def project_with_box(z: np.ndarray, A: np.ndarray, b: np.ndarray,
 
 
 def project_lanes(z: np.ndarray, A: np.ndarray, b: np.ndarray, counts,
-                  limit):
-    """project_with_box for L lanes: (passed, solutions).
+                  limit: float):
+    """The filter on L lanes, as the control loop calls it: (passed, rejected).
 
     z is (L, n); lane l's rows are the first counts[l] of the (L, k, n) A and
-    (L, k) b, zeros below; limit is one box limit or one per lane.  One scan
+    (L, k) b, zeros below; limit is the box limit of every lane.  One scan
     runs _project's first check on every lane, box rows included: stacked
     products equal the 2-D ones bit for bit, and fl(f + tol) >= 0 iff f >=
-    -tol.  passed masks the lanes it passes, whose result is (z[l], 1);
-    solutions yields each other lane's project_with_box on its own rows."""
+    -tol.  passed masks the lanes it passes, whose input z[l] stands with
+    one iteration.  rejected yields (u, status, iterations, slack) for each
+    other lane in order: project_with_box on its own rows, or solve_relaxed
+    where that finds the polytope empty."""
     L, k, n = A.shape
     A_all = np.empty((L, k + 2 * n, n))
     A_all[:, :k] = A
     A_all[:, k:] = _box(n, 1.0)[0]
     b_all = np.empty((L, k + 2 * n))
     b_all[:, :k] = b
-    per_lane = np.ndim(limit) > 0
-    b_all[:, k:] = limit[:, None] if per_lane else limit
+    b_all[:, k:] = limit
     tol = _FEAS_TOL * np.abs(A_all).max(axis=2, initial=1.0)
     f = (A_all @ z[:, :, None])[:, :, 0] + b_all
     passed = (f + tol >= 0).all(axis=1)
-    return passed, (project_with_box(z[l], A[l, :counts[l]], b[l, :counts[l]],
-                                     limit[l] if per_lane else limit)
-                    for l in (~passed).nonzero()[0].tolist())
+
+    def rejected():
+        # project_with_box and solve_relaxed are module globals, looked up
+        # on each call, where tracers wrap them.
+        for l in (~passed).nonzero()[0].tolist():
+            z_l, A_l, b_l = z[l], A[l, :counts[l]], b[l, :counts[l]]
+            u, iterations = project_with_box(z_l, A_l, b_l, limit)
+            if u is not None:
+                yield u, "optimal", iterations, 0.0
+            else:  # the polytope is empty: the slack relaxation
+                sol = solve_relaxed(z_l, A_l, b_l, limit)
+                yield sol.u_star, "relaxed", sol.iterations, sol.max_violation
+
+    return passed, rejected()
 
 
 def solve_relaxed(z: np.ndarray, A: np.ndarray, b: np.ndarray,

@@ -6,13 +6,13 @@ zero-latency traffic lands in the same instant), then the control ticks,
 then kinematic integration, in which each UGV maps its unit's held
 offset-point velocity through its current heading (agents.step_ugv).  The
 control units of a vehicle kind are one agents.KindControl, written by the
-message router from a per-agent table of unit index, received mask and
-handlers, one handler call per message: the watcher's one update per agent
-per tick, or a touchdown acknowledgement.  A control tick runs only the
-units whose output can change, filtering those without a cached
-solution as one batch, and the others hold their last command.  All
-randomness flows from the scenario seed through named substreams, so a
-config+seed pair reproduces its logs byte for byte.
+message router from a per-agent table of unit index and handlers, one
+handler call per message: the watcher's one update per agent per tick, or
+a touchdown acknowledgement.  A kind's control tick runs only when a
+message reached it or one of its updates went stale, and then filters the
+units without a cached solution as one batch; otherwise every unit holds
+its last command.  All randomness flows from the scenario seed through
+named substreams, so a config+seed pair reproduces its logs byte for byte.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                        cfg.hold_timeout)
     ugvs = KindControl(agent_ids[1::2], UGV, Gains.of(cfg.gains_ugv, 2), cfg.safety,
                        cfg.hold_timeout, offset=cfg.ugv_offset)
-    # Per agent: its unit's index, received mask and handlers.
-    routes = {aid: (i, control.schedule.received, control.on_update, control.on_touchdown_ack)
+    # Per agent: its unit's index and handlers.
+    routes = {aid: (i, control.on_update, control.on_touchdown_ack)
               for control in (uavs, ugvs) for i, aid in enumerate(control.ids)}
 
     max_latency = cfg.network.base_latency + cfg.network.jitter
@@ -142,8 +142,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
 
     def route(messages):
         for msg in messages:
-            i, received, on_update, on_touchdown_ack = routes[msg.dst]
-            received[i] = True
+            i, on_update, on_touchdown_ack = routes[msg.dst]
             if msg.msg_type is MsgType.UPDATE:
                 on_update(i, *msg.payload, msg.send_time)
             else:
@@ -210,7 +209,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
 
         if step % steps_ctrl == 0:
             try:
-                ticked = uavs.tick(t) + ugvs.tick(t)
+                ticked = uavs.tick(t) | ugvs.tick(t)
             except FilterError as exc:
                 raise abort(step, t, str(exc), f"safety filter failed for "
                             f"{exc.agent_id} at t={t}: {exc.cause}")

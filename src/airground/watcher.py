@@ -13,11 +13,13 @@ one stacked pass over the fleet:
    the decisions as one (3, n, n) boolean gate stack -- UAV i against UAV
    j, UAV i against another pair's UGV j, UGV i against UGV j -- refreshed
    by one distance pass over stacked operands and one hysteresis call,
-4. assembles every agent's fixed-capacity, zero-padded constraint matrix
-   in one array pass per barrier family (row order on assemble_constraints),
+4. assembles every agent's fixed-capacity, zero-padded constraint rows as
+   one A and b block per vehicle kind, in one array pass per barrier
+   family (row order on assemble_constraints),
 5. returns one update per agent for the star bus, a (MsgType.UPDATE, dst,
-   (pose, position, rate, matrix)) tuple carrying its pose, setpoint and
-   matrix together, with the setpoints of all agents sampled from one
+   (pose, position, rate, a, b, count)) tuple carrying its pose, setpoint
+   and constraint rows (views of its kind's blocks, with the active row
+   count) together, with the setpoints of all agents sampled from one
    TrackTable and the records' proximal sets read off one gate matrix with
    lexicographic columns.
 
@@ -116,21 +118,6 @@ class VelocityEstimator:
     def estimate(self) -> tuple[np.ndarray, bool]:
         """The (n, dim) velocities and whether they are still worst case."""
         return self._value, self._worst_case
-
-
-class ConstraintMatrix:
-    """Fixed-capacity constraint block shipped to one agent.
-
-    Rows beyond active_count are identically zero; row order is the order
-    documented on Watcher.assemble_constraints."""
-
-    __slots__ = ("agent_id", "timestamp", "a", "b", "active_count")
-
-    def __init__(self, agent_id: str, timestamp: float, a: np.ndarray, b: np.ndarray,
-                 active_count: int):
-        self.agent_id, self.timestamp = agent_id, timestamp
-        self.a, self.b = a, b                    # (capacity, dim), (capacity,)
-        self.active_count = active_count
 
 
 class PairPhase(Enum):
@@ -460,17 +447,18 @@ class Watcher:
 
     # -- constraint assembly ------------------------------------------------
 
-    def assemble_constraints(self, now: float) -> dict[str, ConstraintMatrix]:
-        """Build every agent's matrix, keyed uav0, ugv0, uav1, ..., in one
-        array pass per barrier family.
+    def assemble_constraints(self) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+        """Build every agent's constraint rows in one array pass per barrier
+        family: per vehicle kind (UAV, then UGV), its (n, capacity, dim) A,
+        (n, capacity) b and each agent's active row count, indexed by pair.
 
         A UAV's rows are its walls, cross-layer rows against other pairs'
         UGVs, its landing funnel and its aerial rows; a UGV's are its walls
         and ground rows.  Gated rows follow the other pair's index in
-        ascending order.  Each matrix is a view into one fresh, zero-padded
-        block per vehicle kind, copied from that kind's wall template and
-        never reused: agents and in-flight messages still hold earlier
-        ones.  Which rows go where comes from _gate_tables."""
+        ascending order, and rows beyond an agent's count are zero.  Each
+        block is fresh, copied from that kind's wall template and never
+        reused: agents and in-flight messages still hold earlier ones.
+        Which rows go where comes from _gate_tables."""
         n, cap = self.n_pairs, self.capacity
         tables = self._gate_tables()
         if tables.overflow:
@@ -495,10 +483,7 @@ class Watcher:
             if family is not None:
                 i, j, rows = family
                 self._scatter(block, kind, rows, own[i], other[j], velocity[j, columns], worst)
-        matrices = [None] * (2 * n)
-        for k, ((a, b), ids) in enumerate(zip(blocks, (self._uav_ids, self._ugv_ids))):
-            matrices[k::2] = map(ConstraintMatrix, ids, repeat(now), a, b, tables.active[k::2])
-        return dict(zip(self._ids, matrices))
+        return [(a, b, tables.active[k::2]) for k, (a, b) in enumerate(blocks)]
 
     def _scatter(self, block, kind: RowKind, rows: np.ndarray, own: np.ndarray,
                  other: np.ndarray, velocity: np.ndarray, worst: bool) -> None:
@@ -537,10 +522,11 @@ class Watcher:
         (n, 3) UGV poses (x, y, theta), indexed by pair; returns the
         (msg_type, dst, payload) messages to send and the records.
 
-        Each agent gets one update (pose, position, rate, matrix): its pose
-        (a row of this tick's copy of the fleet), its setpoint and its
-        matrix.  Touchdown acknowledgements come first, then the updates in
-        tick order (uav0, ugv0, uav1, ...)."""
+        Each agent gets one update (pose, position, rate, a, b, count): its
+        pose (a row of this tick's copy of the fleet), its setpoint and its
+        constraint rows, row views of assemble_constraints' blocks.
+        Touchdown acknowledgements come first, then the updates in tick
+        order (uav0, ugv0, uav1, ...)."""
         n = self.n_pairs
         self._ugv = ugv = np.array(ugv, dtype=float).reshape(n, 3)
         self._fleet = fleet = np.empty((n, 7))
@@ -559,13 +545,13 @@ class Watcher:
         view = self._phase_view()   # a touchdown changes the phases
         self._update_gates(view.allowed)
 
-        matrices = list(self.assemble_constraints(now).values())
+        blocks = self.assemble_constraints()
         positions, rates = self._setpoints(now, view.chasing)
         updates = [None] * (2 * n)
-        for k, (ids, poses, dim) in enumerate(((self._uav_ids, fleet[:, :3], 3),
-                                                (self._ugv_ids, ugv, 2))):
+        for k, (ids, poses, dim, (a, b, counts)) in enumerate(zip(
+                (self._uav_ids, self._ugv_ids), (fleet[:, :3], ugv), (3, 2), blocks)):
             updates[k::2] = zip(repeat(MsgType.UPDATE), ids, zip(
-                poses, positions[k::2, :dim], rates[k::2, :dim], matrices[k::2]))
+                poses, positions[k::2, :dim], rates[k::2, :dim], a, b, counts))
         outbound, self._pending = self._pending + updates, []
         tables = self.tables   # as assemble_constraints just used them
         records = list(map(WatcherRecord, repeat(now), self._ids, tables.active,

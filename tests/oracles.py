@@ -48,7 +48,10 @@
   sorted from proximal_set, from before the tick's updates, setpoints,
   proximal sets and records were built from its arrays.
 * The unicycle's inverse offset map on one heading and one offset
-  velocity, from before nid_inverse took a lane axis.
+  velocity (nid_inverse), and the offset-point velocity of a body twist
+  (nid_forward), which the package dropped once only tests called them.
+* The constraint matrix object an update carried (Matrix, without its
+  agent id and stamp), from before updates carried its arrays and count.
 
 The equivalence tests require the package to reproduce them exactly, bit
 for bit.
@@ -63,6 +66,7 @@ import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +80,7 @@ from airground.logfmt import fmt9
 from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
 from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpSolution,
                           _blocking_step, _project)
-from airground.watcher import ConstraintMatrix, PairPhase, WatcherRecord
+from airground.watcher import PairPhase, WatcherRecord
 
 _PROXIMITY_HYSTERESIS = 0.1
 
@@ -524,7 +528,7 @@ class ScalarControlUnit:
         self.offset = offset
         self.wheel_base = wheel_base
         self.landed = False
-        self._update = _Slot()              # (pose, position, rate, matrix)
+        self._update = _Slot()              # (pose, position, rate, Matrix)
         self._solved: tuple | None = None   # (u, status, iters, violation)
 
     @property
@@ -532,11 +536,11 @@ class ScalarControlUnit:
         return (self.params.uav_speed_limit if self.kind == UAV
                 else self.params.ugv_speed_limit)
 
-    def on_update(self, pose, position, rate, matrix, stamp: float) -> None:
+    def on_update(self, pose, position, rate, a, b, count: int, stamp: float) -> None:
         if stamp >= self._update.stamp:
             self._update = _Slot((np.asarray(pose, dtype=float),
                                   np.asarray(position, dtype=float),
-                                  np.asarray(rate, dtype=float), matrix), stamp)
+                                  np.asarray(rate, dtype=float), Matrix(a, b, count)), stamp)
             self._solved = None
 
     def on_touchdown_ack(self) -> None:
@@ -687,9 +691,8 @@ def step_ugv(state: UgvState, v: float, omega: float, dt: float) -> UgvState:
 def step_ugv_held(state: UgvState, offset_velocity, turn_rate_limit: float,
                   dt: float) -> UgvState:
     """One dt of a UGV holding an offset-point velocity: the body twist at
-    its current heading (nid_inverse_scalar), then the Euler step."""
-    v, omega = nid_inverse_scalar(state.theta, offset_velocity, state.offset,
-                                  turn_rate_limit)
+    its current heading (nid_inverse), then the Euler step."""
+    v, omega = nid_inverse(state.theta, offset_velocity, state.offset, turn_rate_limit)
     return step_ugv(state, v, omega, dt)
 
 
@@ -838,8 +841,26 @@ def build_constraint_row(kind: RowKind, self_state, other_state, other_velocity,
     return ConstraintRow(a=a, b=kappa * h + dh_dt, kind=kind, other_id=other_id, h_value=h)
 
 
-def from_rows(agent_id: str, timestamp: float, capacity: int, dim: int,
-              rows: list[ConstraintRow]) -> ConstraintMatrix:
+class Matrix(NamedTuple):
+    """One agent's constraint rows: the zero-padded (capacity, dim) A and
+    (capacity,) b, and the active row count.  An update carries them as
+    its last three fields (a Matrix unpacks into them)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    active_count: int
+
+
+def agent_matrices(w) -> dict[str, Matrix]:
+    """Watcher.assemble_constraints' per-kind blocks as one Matrix per
+    agent, keyed uav0, ugv0, uav1, ..."""
+    kinds = w.assemble_constraints()
+    return {f"{kind}{i}": Matrix(a[i], b[i], counts[i])
+            for i in range(w.n_pairs) for kind, (a, b, counts) in zip(("uav", "ugv"), kinds)}
+
+
+def from_rows(agent_id: str, capacity: int, dim: int,
+              rows: list[ConstraintRow]) -> Matrix:
     """Copy rows into a fresh zero-padded matrix."""
     if len(rows) > capacity:
         raise CapacityError(
@@ -849,8 +870,7 @@ def from_rows(agent_id: str, timestamp: float, capacity: int, dim: int,
     for i, row in enumerate(rows):
         a[i] = row.a
         b[i] = row.b
-    return ConstraintMatrix(agent_id=agent_id, timestamp=timestamp, a=a, b=b,
-                            active_count=len(rows))
+    return Matrix(a, b, len(rows))
 
 
 def tick_state(w) -> SimpleNamespace:
@@ -888,8 +908,7 @@ def rows_layout(rows: list[ConstraintRow]) -> tuple[list[RowKind], list[str | No
     return [r.kind for r in rows], [r.other_id for r in rows]
 
 
-def assemble_per_row(w, agent_id: str, now: float) -> tuple[ConstraintMatrix,
-                                                            list[ConstraintRow]]:
+def assemble_per_row(w, agent_id: str) -> tuple[Matrix, list[ConstraintRow]]:
     """One agent's matrix from the watcher's current tick state, one row
     object per gated pair: walls, cross-layer or ground rows, landing
     funnel, aerial rows; and the row objects."""
@@ -919,7 +938,7 @@ def assemble_per_row(w, agent_id: str, now: float) -> tuple[ConstraintMatrix,
                 RowKind.UGV_UGV, point, s.offsets[j], s.v_offset[j], params=p,
                 other_id=f"ugv{j}", worst_case=s.worst))
         dim = 2
-    return from_rows(agent_id, now, w.capacity, dim, rows), rows
+    return from_rows(agent_id, w.capacity, dim, rows), rows
 
 
 def per_agent_kind_counts(kinds: list[RowKind]) -> dict[str, int]:
@@ -928,8 +947,8 @@ def per_agent_kind_counts(kinds: list[RowKind]) -> dict[str, int]:
 
 
 def _matrix_bytes(matrix) -> int:
-    """ConstraintMatrix.wire_bytes, from before updates were sized by their
-    arrays' shapes."""
+    """A constraint matrix object's wire size, from before updates were
+    sized by their arrays' shapes."""
     return matrix.a.size * 8 + matrix.b.size * 8 + 16
 
 
@@ -942,7 +961,7 @@ TYPE_WALK_SIZES = {np.ndarray: lambda field: field.size * 8, type(None): lambda 
                    str: lambda field: len(field.encode()),
                    tuple: lambda field: sum(map(type_walk_field_bytes, field)),
                    list: lambda field: sum(map(type_walk_field_bytes, field)),
-                   ConstraintMatrix: _matrix_bytes, object: lambda field: 64}
+                   Matrix: _matrix_bytes, object: lambda field: 64}
 
 
 def type_walk_field_bytes(field) -> int:
@@ -952,7 +971,11 @@ def type_walk_field_bytes(field) -> int:
 
 
 def type_walk_payload_bytes(payload) -> int:
-    """Nominal wire size: a 16B header plus the payload's fields."""
+    """Nominal wire size: a 16B header plus the payload's fields.  An
+    update's (pose, position, rate, a, b, count) is sized as it was shipped
+    then, its rows and count as one matrix object."""
+    if isinstance(payload, tuple) and len(payload) == 6:
+        payload = (*payload[:3], Matrix(*payload[3:]))
     return 16 + type_walk_field_bytes(payload)
 
 
@@ -1007,8 +1030,8 @@ def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
                 rate = (np.zeros(3) if s.worst
                         else np.array([s.v_deck[i, 0], s.v_deck[i, 1], 0.0]))
                 setpoint = (hover_point(w, i), rate)
-            matrix, rows = assemble_per_row(w, agent_id, now)
-            updates.append((MsgType.UPDATE, agent_id, (pose.copy(), *setpoint, matrix)))
+            matrix, rows = assemble_per_row(w, agent_id)
+            updates.append((MsgType.UPDATE, agent_id, (pose.copy(), *setpoint, *matrix)))
             records.append(WatcherRecord(
                 time=now, agent_id=agent_id, active_count=matrix.active_count,
                 kind_counts=per_agent_kind_counts(rows_layout(rows)[0]), phase=phase.value,
@@ -1080,11 +1103,17 @@ class ScalarDrawBus:
         return dict(sorted(self._stats.items()))
 
 
-def nid_inverse_scalar(theta: float, offset_velocity, offset: float,
-                       turn_rate_limit: float | None = None) -> tuple[float, float]:
-    """agents.nid_inverse on one heading: the body twist (v, omega) of an
-    offset-point velocity, scaled down uniformly where the turn rate
-    exceeds turn_rate_limit."""
+def nid_forward(theta: float, v: float, omega: float, offset: float) -> np.ndarray:
+    """Offset-point velocity produced by a body twist (inverse of nid_inverse)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([v * c - offset * omega * s, v * s + offset * omega * c])
+
+
+def nid_inverse(theta: float, offset_velocity, offset: float,
+                turn_rate_limit: float | None = None) -> tuple[float, float]:
+    """The body twist (v, omega) of an offset-point velocity at heading
+    theta (inverse of nid_forward), scaled down uniformly where the turn
+    rate exceeds turn_rate_limit."""
     ov = np.asarray(offset_velocity, dtype=float)
     c, s = math.cos(theta), math.sin(theta)
     v = c * ov[0] + s * ov[1]

@@ -3,7 +3,7 @@ filter, shared by the unit and acceptance suites."""
 
 import numpy as np
 
-from airground.qp import project_lanes, solve_relaxed
+from airground.qp import project_lanes
 
 
 def random_problem(rng: np.random.Generator):
@@ -28,11 +28,21 @@ def random_problem(rng: np.random.Generator):
     return z, A, b, limit
 
 
-def filter_lanes(problems) -> list:
-    """Each problem's (u, iterations, relaxed) as KindControl._filter
-    reaches it: one project_lanes batch per dimension, zero-padded to its
-    largest row count, with per-lane limits, and solve_relaxed on the
-    lane's own rows where the polytope is empty."""
+def filter_problem(z, A, b, limit: float, rows: int = 12) -> tuple:
+    """One problem's (u, status, iterations, slack) through the control
+    loop's entry point: a one-lane project_lanes batch, its rows
+    zero-padded to rows as a vehicle kind's capacity pads them."""
+    m, n = A.shape
+    A_pad, b_pad = np.zeros((1, rows, n)), np.zeros((1, rows))
+    A_pad[0, :m], b_pad[0, :m] = A, b
+    passed, rejected = project_lanes(z[None], A_pad, b_pad, [m], limit)
+    return (z, "optimal", 1, 0.0) if passed[0] else next(rejected)
+
+
+def filter_lanes(problems, limit: float) -> list:
+    """filter_problem on many problems at one box limit (each problem's own
+    limit is left out): one project_lanes batch per dimension, its lanes
+    zero-padded to the batch's largest row count."""
     results = [None] * len(problems)
     for n in (2, 3):
         lanes = [i for i, (z, _, _, _) in enumerate(problems) if len(z) == n]
@@ -44,14 +54,7 @@ def filter_lanes(problems) -> list:
         for l, i in enumerate(lanes):
             A[l, :counts[l]], b[l, :counts[l]] = problems[i][1:3]
         z = np.array([problems[i][0] for i in lanes])
-        limits = np.array([problems[i][3] for i in lanes])
-        passed, solutions = project_lanes(z, A, b, counts, limits)
+        passed, rejected = project_lanes(z, A, b, counts, limit)
         for l, i in enumerate(lanes):
-            u, iterations = (z[l], 1) if passed[l] else next(solutions)
-            relaxed = u is None
-            if relaxed:
-                c = counts[l]
-                sol = solve_relaxed(z[l], A[l, :c], b[l, :c], limits[l])
-                u, iterations = sol.u_star, sol.iterations
-            results[i] = (u, iterations, relaxed)
+            results[i] = (z[l], "optimal", 1, 0.0) if passed[l] else next(rejected)
     return results

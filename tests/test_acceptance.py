@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from airground.agents import nid_forward, nid_inverse
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row)
+from airground.qp import project_lanes
 from airground.runner import run
 from airground.summary import summarize_dir
 
-from oracles import oracle_solve
-from qp_problems import filter_lanes, random_problem
+from oracles import nid_forward, nid_inverse, oracle_solve
+from qp_problems import random_problem
 from scenario_helpers import (clustered_scenario, crossing_scenario,
                               landing_scenario, single_pair)
 
@@ -134,19 +134,22 @@ def test_c04_landing_on_moving_platform(tmp_path):
 
 
 def test_c05_qp_oracle_equivalence():
-    """1000 seeded random problems through the control loop's entry point
-    (project_lanes, then solve_relaxed where a polytope is empty): the
-    filter matches the enumeration oracle within 1e-5 and agrees exactly on
-    feasibility, in under 5 s."""
+    """1000 seeded random problems through the control loop's entry point,
+    qp.project_lanes (which relaxes a lane whose polytope is empty), one
+    lane per call: the filter matches the enumeration oracle within 1e-5
+    and agrees exactly on feasibility, in under 5 s."""
     rng = np.random.default_rng(777)
     t0 = time.perf_counter()
     worst_gap = 0.0
     worst_obj_gap = 0.0
     flag_mismatches = 0
     feasible = relaxed = 0
-    problems = [random_problem(rng) for _ in range(1000)]
-    for (z, A, b, limit), (u, _, was_relaxed) in zip(problems, filter_lanes(problems)):
+    for _ in range(1000):
+        z, A, b, limit = random_problem(rng)
+        passed, rejected = project_lanes(z[None], A[None], b[None], [len(b)], limit)
+        u, status, _, _ = (z, "optimal", 1, 0.0) if passed[0] else next(rejected)
         want = oracle_solve(z, A, b, limit)
+        was_relaxed = status == "relaxed"
         relaxed += was_relaxed
         if was_relaxed != (want is None):
             flag_mismatches += 1

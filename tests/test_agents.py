@@ -2,21 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from airground import qp
 from airground.agents import (UAV, UGV, AgentControlUnit, Gains, KindControl,
-                              TickSchedule, data_stale, nid_forward,
-                              nid_inverse,
-                              nominal_velocity, step_ugv, step_uav,
+                              data_stale, nominal_velocity, step_ugv, step_uav,
                               wrap_angle)
 from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import InvalidInputError
 from airground.netsim import WATCHER_ID, LinkModel, MsgType, StarBus
 
-from oracles import (UgvState, build_constraint_row, from_rows,
-                     nid_inverse_scalar, per_slot_stale, step_ugv_held)
+from oracles import (UgvState, build_constraint_row, from_rows, nid_forward,
+                     nid_inverse, per_slot_stale, step_ugv_held)
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -26,8 +24,8 @@ PARAMS = SafetyParams(
 )
 
 
-def empty_matrix(agent_id="uav0", dim=3, t=0.0):
-    return from_rows(agent_id, t, capacity=8, dim=dim, rows=[])
+def empty_matrix(agent_id="uav0", dim=3):
+    return from_rows(agent_id, capacity=8, dim=dim, rows=[])
 
 
 class TestNominalController:
@@ -83,49 +81,6 @@ class TestOffsetTransform:
         v2, om2 = nid_inverse(theta, ov, offset)
         assert v2 == pytest.approx(v, abs=1e-12)
         assert om2 == pytest.approx(omega, abs=1e-12)
-
-
-# Turn rates at the limit 4.0 and one ulp either side, and signed zeros.
-EDGE_OMEGAS = [sign * w for sign in (1.0, -1.0) for w in
-               (4.0, math.nextafter(4.0, 0.0), math.nextafter(4.0, math.inf), 0.0)]
-# Headings at and beyond +-pi, and signed zeros.
-HEADINGS = st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 4.0),
-                            math.nextafter(-math.pi, -4.0), 3.5, -3.5, 7.0, -9.5,
-                            0.0, -0.0]) | st.floats(-10.0, 10.0)
-
-
-@st.composite
-def twist_lanes(draw):
-    """Stacked (theta, offset velocity) lanes for one offset.  An edge lane
-    has heading +-0.0, so its implied turn rate is exactly y / offset, and
-    the offset is a power of two, so y = omega * offset hits each edge turn
-    rate exactly."""
-    offset = draw(st.sampled_from([0.5, 0.25, 1.0, 0.1]))
-    lanes = []
-    for _ in range(draw(st.integers(1, 9))):
-        if draw(st.booleans()):
-            theta = draw(st.sampled_from([0.0, -0.0]))
-            y = draw(st.sampled_from(EDGE_OMEGAS)) * offset
-        else:
-            theta, y = draw(HEADINGS), draw(st.floats(-3.0, 3.0))
-        lanes.append((theta, (draw(st.floats(-3.0, 3.0)), y)))
-    return offset, draw(st.sampled_from([4.0, None])), lanes
-
-
-@example((0.5, 4.0, [(0.0, (1.0, w * 0.5)) for w in EDGE_OMEGAS]
-          + [(theta, (0.3, -0.7)) for theta in (math.pi, -math.pi, 3.5, -9.5)]))
-@given(twist_lanes())
-def test_stacked_nid_inverse_matches_scalar_calls(case):
-    """nid_inverse on L stacked lanes gives each lane the bits of its scalar
-    call and of the one-heading reference, clamped or not."""
-    offset, limit, lanes = case
-    theta = np.array([t for t, _ in lanes])
-    v, omega = nid_inverse(theta, np.array([ov for _, ov in lanes]), offset, limit)
-    assert v.shape == omega.shape == (len(lanes),)
-    for l, (t, ov) in enumerate(lanes):
-        for want in (nid_inverse(t, ov, offset, limit), nid_inverse_scalar(t, ov, offset, limit)):
-            assert v[l].tobytes() == np.float64(want[0]).tobytes()
-            assert omega[l].tobytes() == np.float64(want[1]).tobytes()
 
 
 # Headings on and next to +-pi, at zero, and anywhere in (-pi, pi].
@@ -224,7 +179,7 @@ class TestControlUnit:
                                 hold_timeout=0.25)
 
     def feed(self, unit, t, pose, setpoint, rate, matrix):
-        unit.on_update(pose, setpoint, rate, matrix, t)
+        unit.on_update(pose, setpoint, rate, *matrix, t)
 
     def test_holds_without_data(self):
         unit = self.make_uav()
@@ -251,7 +206,7 @@ class TestControlUnit:
         unit = self.make_uav()
         rows = [build_constraint_row(RowKind.UAV_UAV, (2, 0, 1), (0, 0, 1),
                                      (0, 0, 0), params=PARAMS)]
-        matrix = from_rows("uav0", 0.0, 8, 3, rows)
+        matrix = from_rows("uav0", 8, 3, rows)
         self.feed(unit, 0.0, (2, 0, 1), (2.5, 0, 1), (0, 0, 0), matrix)
         cmd, tele = unit.tick(0.0)
         assert np.allclose(cmd.u, [0.5, 0, 0])  # moving away: untouched
@@ -267,7 +222,7 @@ class TestControlUnit:
         for step in range(400):
             t = step * dt
             row = build_constraint_row(RowKind.UAV_UAV, p_i, p_j, v_j, params=PARAMS)
-            matrix = from_rows("uav0", t, 8, 3, [row])
+            matrix = from_rows("uav0", 8, 3, [row])
             self.feed(unit, t, p_i, (-2.0, 0, 1.0), (0, 0, 0), matrix)
             cmd, tele = unit.tick(t)
             assert float(row.a @ cmd.u) + row.b >= -1e-9
@@ -288,7 +243,7 @@ class TestControlUnit:
         turns it into a body twist at its heading."""
         unit = AgentControlUnit("ugv0", UGV, Gains.of(1.0, 2), PARAMS,
                                 hold_timeout=0.25, offset=0.1)
-        unit.on_update((0.0, 0.0, 0.0), (1.0, 0.0), (0, 0), empty_matrix("ugv0", dim=2), 0.0)
+        unit.on_update((0.0, 0.0, 0.0), (1.0, 0.0), (0, 0), *empty_matrix("ugv0", dim=2), 0.0)
         cmd, tele = unit.tick(0.0)
         # offset point starts at (0.1, 0): nominal pulls +x, clamped to the
         # UGV box, which the vehicle drives as pure forward motion.
@@ -311,12 +266,14 @@ class TestControlUnit:
 
     def test_latest_wins_ignores_reordered_pose(self):
         unit = self.make_uav()
-        matrix = empty_matrix(t=0.10)
+        matrix = from_rows("uav0", 8, 3, [build_constraint_row(
+            RowKind.UAV_UAV, (2, 0, 1), (0, 0, 1), (0, 0, 0), params=PARAMS)])
         self.feed(unit, 0.10, (1, 1, 1), (2, 2, 2), (0.1, 0, 0), matrix)
-        self.feed(unit, 0.05, (9, 9, 9), (9, 9, 9), (9, 9, 9), empty_matrix(t=0.05))  # late
+        self.feed(unit, 0.05, (9, 9, 9), (9, 9, 9), (9, 9, 9), empty_matrix())  # late
         lane = unit.lane
         assert lane.pose[0].tolist() == [1, 1, 1] and lane.setpoint[0].tolist() == [2, 2, 2]
-        assert lane.rate[0].tolist() == [0.1, 0, 0] and lane.matrices[0] is matrix
+        assert lane.rate[0].tolist() == [0.1, 0, 0]
+        assert lane.a[0] is matrix.a and lane.b[0] is matrix.b and lane.count.tolist() == [1]
         assert lane.stamps.tolist() == [0.10]
 
     def test_solves_once_per_slot_replacement(self, monkeypatch):
@@ -334,9 +291,9 @@ class TestControlUnit:
             unit.tick(t)
         assert len(calls) == 1
         replacements = [  # the update's stamp, and what it carries
-            (0.06, ((0.1, 0, 1), (2, 0, 1), (0, 0, 0), empty_matrix(t=0.06))),
-            (0.08, ((0.1, 0, 1), (2, 1, 1), (0, 0, 0), empty_matrix(t=0.08))),
-            (0.08, ((0.2, 0, 1), (2, 1, 1), (0, 0, 0), empty_matrix(t=0.08))),  # equal stamp
+            (0.06, ((0.1, 0, 1), (2, 0, 1), (0, 0, 0), *empty_matrix())),
+            (0.08, ((0.1, 0, 1), (2, 1, 1), (0, 0, 0), *empty_matrix())),
+            (0.08, ((0.2, 0, 1), (2, 1, 1), (0, 0, 0), *empty_matrix())),  # equal stamp
         ]
         for k, (stamp, update) in enumerate(replacements):
             calls.clear()
@@ -347,7 +304,7 @@ class TestControlUnit:
             unit.tick(t + 0.01)
             assert len(calls) == 1  # and none on the next
         calls.clear()
-        self.feed(unit, 0.05, (9, 9, 9), (9, 9, 9), (0, 0, 0), empty_matrix(t=0.05))  # older
+        self.feed(unit, 0.05, (9, 9, 9), (9, 9, 9), (0, 0, 0), empty_matrix())  # older
         cmd, tele = unit.tick(0.2)
         assert calls == [] and tele.status == "optimal"
         cmd, tele = unit.tick(0.4)               # stale: hold, no solve
@@ -355,23 +312,22 @@ class TestControlUnit:
 
     def test_dropped_update_leaves_the_unit_untouched(self):
         """An update the link drops never reaches the unit: its pose,
-        setpoint, rate, matrix and stamp stay those of the last kept update,
+        setpoint, rate, rows and stamp stay those of the last kept update,
         and it holds once that stamp is older than hold_timeout."""
         bus = StarBus(["uav0"], LinkModel(0.0, 0.0, 0.5), seed=5)
         control = KindControl(["uav0"], UAV, Gains.of(1.0, 3), PARAMS, hold_timeout=0.12)
         fields = lambda: (control.stamps.tobytes(), control.pose.tobytes(),  # noqa: E731
                           control.setpoint.tobytes(), control.rate.tobytes(),
-                          control.matrices[0])
+                          control.a[0])
         kept, drops, holds = None, 0, 0
         for k in range(80):
             t = 0.05 * k
-            matrix = empty_matrix(t=t)
+            matrix = empty_matrix()
             update = (np.array([0.01 * k, 0.0, 1.0]), np.array([2.0, 0.1 * k, 1.0]),
-                      np.full(3, 0.01 * k), matrix)
+                      np.full(3, 0.01 * k), *matrix)
             before = fields()
             sent = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update, t)
             for msg in bus.deliver_due(t):
-                control.schedule.received[0] = True
                 control.on_update(0, *msg.payload, msg.send_time)
             if sent is None:
                 drops += 1
@@ -379,7 +335,7 @@ class TestControlUnit:
                 assert after[:4] == before[:4] and after[4] is before[4]
             else:
                 kept = t
-                assert control.stamps[0] == t and control.matrices[0] is matrix
+                assert control.stamps[0] == t and control.a[0] is matrix.a
                 assert control.pose[0].tobytes() == update[0].tobytes()
             control.tick(t)
             stale = kept is None or t - kept > 0.12
@@ -407,50 +363,59 @@ UNITS = st.lists(st.tuples(st.tuples(STAMPS, STAMPS, STAMPS),
                  min_size=1, max_size=4)
 
 
-def due_units(schedule: TickSchedule, now: float) -> list[int]:
-    return schedule.due(now).nonzero()[0].tolist()
-
-
 class TestStaleness:
     @given(units=UNITS, pick=st.integers(0, 11), ulps=st.integers(-4, 4))
-    def test_due_and_stale_match_per_slot_test(self, units, pick, ulps):
+    def test_held_units_match_per_slot_test(self, units, pick, ulps):
         """A unit fed up to three updates in any order keeps the latest
         stamp in its one slot.  The staleness rule on that stamp, in each
-        unit and in the schedule's screen over a fleet, decides exactly as
-        the slot test on the latest update does, at times within a few ulps
-        of an update's stamp plus its unit's timeout."""
+        unit, decides exactly as the slot test on the latest update does,
+        at times within a few ulps of an update's stamp plus its unit's
+        timeout.  A kind of those units, ticked at each such time up to
+        then, holds exactly the stale units after every tick, whether the
+        tick ran or returned at once."""
         edges = [s + timeout for stamps, timeout in units for s in stamps
                  if s > -math.inf] or [0.0]
         now = edges[pick % len(edges)]
         for _ in range(abs(ulps)):
             now = math.nextafter(now, math.copysign(math.inf, ulps))
+        timeouts = np.array([timeout for _, timeout in units])
+        control = KindControl([f"uav{k}" for k in range(len(units))], UAV, Gains.of(1.0, 3),
+                              PARAMS, timeouts)
         oldest = []
-        for stamps, timeout in units:
+        for k, (stamps, timeout) in enumerate(units):
             unit = AgentControlUnit("uav0", UAV, Gains.of(1.0, 3), PARAMS,
                                     hold_timeout=timeout)
             for stamp in stamps:  # updates in any order: the latest stays
                 if stamp > -math.inf:
-                    unit.on_update((0, 0, 1), (0, 0, 1), (0, 0, 0), empty_matrix(t=stamp), stamp)
+                    update = ((0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), stamp)
+                    unit.on_update(*update)
+                    control.on_update(k, *update)
             oldest.append(unit.lane.stamps[0])
-        timeouts = np.array([timeout for _, timeout in units])
         want = [per_slot_stale(now, [max(stamps)], timeout) for stamps, timeout in units]
         assert [bool(data_stale(now, s, t)) for s, t in zip(oldest, timeouts)] == want
-        schedule = TickSchedule(len(units), timeouts)
-        assert due_units(schedule, -math.inf) == list(range(len(units)))
-        # as if each last acted on fresh data
-        schedule.ticked(np.ones(len(units), dtype=bool), np.array(oldest))
-        assert due_units(schedule, now) == [k for k, stale in enumerate(want) if stale]
+        for t in sorted({e for e in edges if e < now}) + [now]:
+            control.tick(t)
+            assert [status == "hold" for status in control.status] == [
+                per_slot_stale(t, [max(stamps)], timeout) for stamps, timeout in units]
 
-    def test_only_received_or_newly_stale_units_are_due(self):
-        schedule = TickSchedule(3, 0.25)
-        assert due_units(schedule, 0.0) == [0, 1, 2]   # every unit's first tick
-        # unit 0 held, unit 1 acted on data stamped 0.0, unit 2 landed
-        schedule.ticked(np.ones(3, dtype=bool), np.array([math.inf, 0.0, math.inf]))
-        assert due_units(schedule, 0.25) == []
-        schedule.received[2] = True
-        assert due_units(schedule, 0.26) == [1, 2]     # 1 went stale, 2 got a message
-        schedule.ticked(np.array([False, True, False]), np.full(3, math.inf))
-        assert due_units(schedule, 1.0) == []
+    def test_kind_ticks_only_on_a_message_or_a_newly_stale_update(self):
+        control = KindControl(["uav0", "uav1", "uav2"], UAV, Gains.of(1.0, 3), PARAMS, 0.25)
+        assert control.tick(0.0)                       # every unit's first tick
+        assert control.status.tolist() == ["hold"] * 3
+        control.on_update(1, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), 0.0)
+        control.on_touchdown_ack(2)
+        assert control.tick(0.0)                       # two messages arrived
+        assert control.status.tolist() == ["hold", "optimal", "landed"]
+        assert not control.tick(0.25)                  # unit 1's update is still fresh
+        assert control.tick(0.26)                      # and now it is stale
+        assert control.status.tolist() == ["hold", "hold", "landed"]
+        assert not control.tick(1.0)                   # no live unit is left to go stale
+        control.on_update(1, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), -1.0)
+        assert control.tick(1.0)                       # a message, if an ignored one
+        assert control.status.tolist() == ["hold", "hold", "landed"]
+        control.on_update(0, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), 1.0)
+        assert control.tick(1.0)
+        assert control.status.tolist() == ["optimal", "hold", "landed"]
 
 
 class TestConvergenceRate:

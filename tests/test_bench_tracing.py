@@ -59,3 +59,24 @@ def test_traced_run_enters_the_step_and_send_spans(tmp_path):
     watcher_ticks = stats["watcher.tick"].count
     assert watcher_ticks > 0
     assert tracer.counters.rows_built == stats["barriers.row"].count + 7 * watcher_ticks
+
+
+def test_traced_run_spans_every_projection_and_relaxation(tmp_path):
+    """The clustered fleet's UGVs relax from t=0.  The control loop reaches
+    both solvers through qp.project_lanes, which looks them up as module
+    globals: each empty polytope the projection reports is a relaxation
+    span, and every relaxation follows a projection span."""
+    from airground import run
+
+    from scenario_helpers import clustered_scenario
+
+    tracer = tracing.Tracer("relaxing")
+    tracer.install()
+    try:
+        tracer.call(run, clustered_scenario(duration=3.0), str(tmp_path))
+    finally:
+        tracer.restore()
+    assert tracer.restored() and not tracer.missing
+    stats = tracer.stats()
+    assert tracer.counters.qp_infeasible == stats["qp.relax"].count > 0
+    assert stats["qp.project"].count >= stats["qp.relax"].count

@@ -337,6 +337,28 @@ class TestRejections:
         if key != "pairs":  # a rejected pair count also mismatches the agents
             assert len(found) == 1
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("duration", True, "duration must be a number, got True"),
+        ("network__drop", True, "network.drop must be a number, got True"),
+        ("safety__barrier_gain", False, "safety.barrier_gain must be a number, got False"),
+        ("gains__ugv", True, "gains.ugv must be a number or 2 numbers"),
+        ("gains__uav", [1.0, True, 1.0], "gains.uav must be a number or 3 numbers"),
+        ("workspace__z", [False, 3], "workspace: expected 2 numbers, got [False, 3]")])
+    def test_booleans_are_not_numbers(self, key, value, message):
+        """YAML true would otherwise read as 1.0: a 1 s run for duration
+        true, a blackout for network.drop true, a spawn at x = 1."""
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(variant(**{key: value}))
+        assert ("BAD_VALUE", message) in [(x.code, x.message) for x in err.value.violations]
+
+    def test_boolean_start_is_not_a_number(self):
+        data = variant()
+        data["agents"][0]["uav"]["start"] = [True, 0, 1]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert ("BAD_VALUE", "agents[0].uav.start must be 3 numbers (x,y,z)") in [
+            (x.code, x.message) for x in err.value.violations]
+
     def test_integral_floats_accepted_as_integers(self):
         cfg = config_from_dict(variant(seed=3.0, capacity=12.0, pairs=2.0))
         assert (cfg.seed, cfg.capacity, cfg.n_pairs) == (3, 12, 2)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from airground.errors import InvalidInputError, TopologyViolationError
 from airground.netsim import _BLOCK, WATCHER_ID, LinkModel, MsgType, StarBus, wire_bytes
-from airground.watcher import ConstraintMatrix
 
 from oracles import ScalarDrawBus, type_walk_payload_bytes
 
@@ -18,10 +17,10 @@ def make_bus(latency=0.0, jitter=0.0, drop=0.0, seed=1, trace=None):
 
 
 def update(tag=0.0, dim=3, capacity=8):
-    """An update payload (pose, position, rate, matrix) whose pose starts
-    with tag."""
+    """An update payload (pose, position, rate, a, b, count) whose pose
+    starts with tag."""
     return (np.array([tag, 0.0, 1.0]), np.zeros(dim), np.zeros(dim),
-            ConstraintMatrix("uav0", 0.0, np.zeros((capacity, dim)), np.zeros(capacity), 0))
+            np.zeros((capacity, dim)), np.zeros(capacity), 0)
 
 
 class TestTopology:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from airground.qp import (_project, _with_box, project_lanes, project_with_box,
-                          solve_relaxed)
+from airground.qp import _project, _with_box, project_with_box, solve_relaxed
 
 from oracles import oracle_solve
-from qp_problems import filter_lanes, random_problem
+from qp_problems import filter_lanes, filter_problem, random_problem
 
 
 def rows(*pairs):
@@ -138,17 +137,19 @@ class TestSolve:
         assert u is None
 
     def test_matches_oracle_on_random_problems(self):
-        """The batched entry point the control loop calls, over lanes of
-        random problems zero-padded to a common row count, against the
-        brute-force oracle, problem by problem."""
+        """The entry point the control loop calls, on random problems each
+        zero-padded to a kind's capacity, against the brute-force oracle,
+        problem by problem: an empty polytope comes back relaxed."""
         rng = np.random.default_rng(2024)
         feasible = infeasible = trivial = 0
-        problems = [random_problem(rng) for _ in range(400)]
-        for (z, A, b, limit), (u, iters, relaxed) in zip(problems, filter_lanes(problems)):
+        for _ in range(400):
+            z, A, b, limit = random_problem(rng)
+            u, status, iters, _ = filter_problem(z, A, b, limit)
             want = oracle_solve(z, A, b, limit)
-            assert relaxed == (want is None), (z, A, b, limit)
-            if relaxed:
+            assert (status == "relaxed") == (want is None), (z, A, b, limit)
+            if want is None:
                 infeasible += 1
+                assert np.all(np.abs(u) <= limit + 1e-9)
                 continue
             feasible += 1
             trivial += iters == 1
@@ -156,6 +157,29 @@ class TestSolve:
             assert float((u - z) @ (u - z)) <= float((want - z) @ (want - z)) + 1e-8
         # both paths exercised, and lanes passed by the batched scan
         assert feasible > 100 and infeasible > 20 and trivial > 10
+
+    def test_batches_match_one_lane_calls(self):
+        """Lanes of random problems of one dimension, zero-padded to their
+        largest row count and filtered as one batch, give each lane the
+        bits, status, iterations and slack of its own one-lane call and of
+        project_with_box or solve_relaxed on its rows, and every lane the
+        oracle's feasibility verdict."""
+        rng = np.random.default_rng(2025)
+        problems = [random_problem(rng) for _ in range(300)]
+        statuses = set()
+        for (z, A, b, _), got in zip(problems, filter_lanes(problems, 1.0)):
+            u, iters = project_with_box(z, A, b, 1.0)
+            if u is None:
+                sol = solve_relaxed(z, A, b, 1.0)
+                want = (sol.u_star, "relaxed", sol.iterations, sol.max_violation)
+            else:
+                want = (u, "optimal", iters, 0.0)
+            one_lane = filter_problem(z, A, b, 1.0, rows=len(b))
+            for result in (got, one_lane):
+                assert (result[0].tobytes(), *result[1:]) == (want[0].tobytes(), *want[1:])
+            assert (want[1] == "relaxed") == (oracle_solve(z, A, b, 1.0) is None)
+            statuses.add(want[1])
+        assert statuses == {"optimal", "relaxed"}
 
     def test_minimal_invasiveness(self):
         rng = np.random.default_rng(9)

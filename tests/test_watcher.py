@@ -11,7 +11,7 @@ from airground.netsim import MsgType
 from airground.watcher import (PairPhase, TrackTable, VelocityEstimator,
                                Watcher, WaypointTrack)
 
-from oracles import hover_point, row_layout
+from oracles import agent_matrices, hover_point, row_layout
 
 PARAMS = SafetyParams(
     uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
@@ -106,7 +106,7 @@ class TestVelocityEstimator:
         for now, x in ((0.0, 0.0), (0.1, 0.05)):  # the platform moves at 0.5 m/s
             ugv = np.array([[x, 0.0, 0.0]])
             w.tick(now, uav, ugv)
-            matrix = w.assemble_constraints(now)["uav0"]
+            matrix = agent_matrices(w)["uav0"]
             last = matrix.active_count - 1
             assert row_layout(w, "uav0")[0][last] is RowKind.LANDING
             _, expected, _ = build_constraint_row(
@@ -209,7 +209,7 @@ class TestAssembly:
                                             + ["uav_other_ugv"] * 2
                                             + ["landing"]
                                             + ["uav_uav"] * 2)
-        assert w.assemble_constraints(0.0)["uav0"].active_count == len(kinds)
+        assert agent_matrices(w)["uav0"].active_count == len(kinds)
         # within a family, neighbors are ordered by pair index
         assert other_ids[5:7] == ["ugv1", "ugv2"]
         assert other_ids[8:10] == ["uav1", "uav2"]
@@ -219,12 +219,12 @@ class TestAssembly:
         w.tick(0.0, *clustered_poses(3))
         kinds, _ = row_layout(w, "ugv1")
         assert [k.value for k in kinds] == ["workspace"] * 4 + ["ugv_ugv"] * 2
-        assert w.assemble_constraints(0.0)["ugv1"].active_count == len(kinds)
+        assert agent_matrices(w)["ugv1"].active_count == len(kinds)
 
     def test_zero_padding_beyond_active_rows(self):
         w = make_watcher(3, capacity=16)
         w.tick(0.0, *spread_poses(3))
-        matrix = w.assemble_constraints(0.0)["uav0"]
+        matrix = agent_matrices(w)["uav0"]
         assert matrix.active_count == 6
         assert np.all(matrix.a[6:] == 0.0)
         assert np.all(matrix.b[6:] == 0.0)
@@ -353,8 +353,8 @@ class TestLandingProtocol:
         w = make_watcher(n)
         uav, ugv = clustered_poses(n, uav_side=0.9, ugv_side=1.25, z=0.3)
         w.tick(0.0, uav, ugv)
-        before_self = w.assemble_constraints(0.0)["uav0"]
-        before_other = w.assemble_constraints(0.0)["uav1"]
+        before_self = agent_matrices(w)["uav0"]
+        before_other = agent_matrices(w)["uav1"]
         assert before_self.active_count == 2 * n + 4
         assert before_other.active_count == 2 * n + 4
 
@@ -368,8 +368,8 @@ class TestLandingProtocol:
         acks = [dst for msg_type, dst, _ in outbound if msg_type is MsgType.TOUCHDOWN_ACK]
         assert acks <= ["uav0"]
 
-        after_self = w.assemble_constraints(0.9)["uav0"]
-        after_other = w.assemble_constraints(0.9)["uav1"]
+        after_self = agent_matrices(w)["uav0"]
+        after_other = agent_matrices(w)["uav1"]
         # The landed UAV keeps walls + funnel only: one aerial row and one
         # cross-layer row retire from its matrix.
         self_kinds = [k.value for k in row_layout(w, "uav0")[0]]
@@ -386,20 +386,22 @@ class TestLandingProtocol:
 class TestDispatch:
     def test_one_update_per_agent_per_tick(self):
         """Each agent gets exactly one update, in tick order, carrying its
-        pose, setpoint position and rate, and matrix together."""
+        pose, setpoint position and rate, and constraint rows together."""
         w = make_watcher(2)
         uav, ugv = spread_poses(2)
         outbound, _ = w.tick(0.0, uav, ugv)
         assert [(msg_type, dst) for msg_type, dst, _ in outbound] == [
             (MsgType.UPDATE, aid) for aid in ("uav0", "ugv0", "uav1", "ugv1")]
-        matrices = w.assemble_constraints(0.0)
-        for (_, dst, (pose, position, rate, matrix)), want in zip(
+        matrices = agent_matrices(w)
+        for (_, dst, (pose, position, rate, a, b, count)), want in zip(
                 outbound, (uav[0], ugv[0], uav[1], ugv[1])):
             dim = 3 if dst.startswith("uav") else 2
             assert pose.tobytes() == want.tobytes()
             assert position.shape == rate.shape == (dim,)
-            assert matrix.agent_id == dst and matrix.a.shape[1] == dim
-            assert matrix.active_count == matrices[dst].active_count
+            assert a.shape == (w.capacity, dim) and b.shape == (w.capacity,)
+            assert a.tobytes() == matrices[dst].a.tobytes()
+            assert b.tobytes() == matrices[dst].b.tobytes()
+            assert count == matrices[dst].active_count
 
     def test_records_cover_every_agent(self):
         w = make_watcher(3)
