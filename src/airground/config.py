@@ -6,11 +6,17 @@ CAPACITY, SPAWN_INFEASIBLE, SYMMETRIC_DEADLOCK, BAD_EVENT, BAD_VALUE,
 MISSING_FIELD).  The spawn checks inflate the required clearances by twice
 the unicycle control-point offset so that offset-space safety implies
 body-frame safety from the first tick.
+
+dump_yaml writes a scenario back out with the bytes of
+yaml.safe_dump(data, sort_keys=True): plain data in one text pass, and
+anything else through PyYAML.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -26,8 +32,10 @@ from .watcher import WatcherOptions, derived_margin
 _GOLDEN_ANGLE = 2.399963229728653
 
 # libyaml's parser and emitter where PyYAML was built with them; each
-# matches its Python counterpart (the same dicts, the same text) and is
-# several times faster.
+# matches its Python counterpart on scenario data (the same dicts, the same
+# text) and is several times faster.  The dumper writes what dump_yaml's
+# plain-data pass does not (numpy scalars, tuples, quoted strings, shared
+# containers), and it is the reference the tests hold that pass to.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
@@ -85,7 +93,121 @@ class ScenarioConfig:
         return round(1.0 / (self.dt * self.watcher_rate))
 
     def to_yaml(self) -> str:
-        return yaml.dump(self.raw, Dumper=YAML_DUMPER, sort_keys=True)
+        """The scenario as given (raw), as resolved_config.yaml holds it."""
+        return dump_yaml(self.raw)
+
+
+class _NotPlain(Exception):
+    """Raised by _plain_yaml on data it leaves to PyYAML."""
+
+
+# A string written plain: an identifier that PyYAML's resolver reads back as
+# a string, so not one of on, yes, null, true and their kin.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,63}\Z")
+_RESOLVER = yaml.resolver.Resolver()
+
+
+@functools.lru_cache(maxsize=4096)
+def _plain_str(text: str) -> bool:
+    return (_IDENTIFIER.match(text) is not None
+            and _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
+            == _RESOLVER.DEFAULT_SCALAR_TAG)
+
+
+def _scalar(x, seen: set[int]) -> str:
+    """x as SafeRepresenter writes it, for a float, str, bool, int, None or
+    an empty list or dict."""
+    t = type(x)
+    if t is float:
+        if x != x:
+            return ".nan"
+        if x == math.inf or x == -math.inf:
+            return ".inf" if x > 0 else "-.inf"
+        text = repr(x).lower()
+        if "." not in text and "e" in text:  # 1e+17 is not a YAML float
+            return text.replace("e", ".0e", 1)
+        return text
+    if t is str:
+        if _plain_str(x):
+            return x
+    elif t is bool:
+        return "true" if x else "false"
+    elif t is int:
+        return str(x)
+    elif x is None:
+        return "null"
+    elif (t is dict or t is list) and id(x) not in seen:
+        seen.add(id(x))
+        return "{}" if t is dict else "[]"
+    raise _NotPlain
+
+
+def _plain_yaml(data) -> str | None:
+    """yaml.safe_dump(data, sort_keys=True)'s text, written in one pass, for
+    plain data: dicts with str keys, lists, floats, ints, bools, None and
+    identifier strings, with no list or dict reached twice.  None for any
+    other data."""
+    parts: list[str] = []
+    put = parts.append
+    seen: set[int] = set()   # PyYAML anchors a container it meets twice
+
+    def block(x, indent: int, lead: str) -> None:
+        """Writes the non-empty dict or list x at indent; lead starts its
+        first line (the indent, or the dashes of the items it opens)."""
+        if id(x) in seen:
+            raise _NotPlain
+        seen.add(id(x))
+        pad = " " * indent
+        if type(x) is dict:
+            if not all(type(key) is str for key in x):
+                raise _NotPlain
+            inner = " " * (indent + 2)
+            for key in sorted(x):
+                if not _plain_str(key):
+                    raise _NotPlain
+                value = x[key]
+                t = type(value)
+                if t is dict and value:
+                    put(f"{lead}{key}:\n")
+                    block(value, indent + 2, inner)
+                elif t is list and value:   # a sequence under a key is not indented
+                    put(f"{lead}{key}:\n")
+                    block(value, indent, pad)
+                else:
+                    put(f"{lead}{key}: {_scalar(value, seen)}\n")
+                lead = pad
+        else:
+            for item in x:
+                t = type(item)
+                if (t is dict or t is list) and item:
+                    block(item, indent + 2, lead + "- ")
+                else:
+                    put(f"{lead}- {_scalar(item, seen)}\n")
+                lead = pad
+
+    if type(data) is not dict and type(data) is not list:
+        return None   # PyYAML ends a document that is one scalar with '...'
+    try:
+        if data:
+            block(data, 0, "")
+        else:
+            put(_scalar(data, seen) + "\n")
+    except _NotPlain:
+        return None
+    return "".join(parts)
+
+
+def dump_yaml(data) -> str:
+    """The text of yaml.safe_dump(data, sort_keys=True): written by
+    _plain_yaml where it can, else by PyYAML.  Raises InvalidInputError,
+    naming the value, on data PyYAML's safe representer cannot write."""
+    text = _plain_yaml(data)
+    if text is not None:
+        return text
+    try:
+        return yaml.dump(data, Dumper=YAML_DUMPER, sort_keys=True)
+    except yaml.YAMLError as exc:
+        raise InvalidInputError(f"cannot write the scenario as YAML: {exc}") from exc
 
 
 def _get(data: dict, key: str, default=None, *, required=False, violations=None):

@@ -7,7 +7,9 @@ pose, setpoint and constraint rows together as plain arrays, so a drop or a
 delay always takes all three; the only other message is the touchdown
 acknowledgement.  Each directed link owns an RNG stream derived from the
 scenario seed and the link's name, so adding links never perturbs the draws
-of existing ones.
+of existing ones.  A link seeds its stream on its first draw, so a link
+that never draws (an ideal one) builds no Generator; the bus checks the
+seed once, when it is made.
 
 A link reads its stream as uniforms in [0, 1), in send order: one drop draw
 per message when drop_prob > 0 (the message is dropped when the draw is
@@ -96,13 +98,15 @@ def wire_bytes(msg_type: MsgType, payload) -> int:
 class _Link:
     """One directed link: its agent's counters (shared with the reverse
     direction), its RNG stream read _BLOCK uniforms at a time, and its last
-    sequence number."""
+    sequence number.  The stream's Generator is built from entropy (the
+    seed and the link's tag) on the first draw."""
 
-    __slots__ = ("stats", "rng", "draws", "next_draw", "seq")
+    __slots__ = ("stats", "entropy", "rng", "draws", "next_draw", "seq")
 
-    def __init__(self, stats: LinkStats, rng: np.random.Generator):
+    def __init__(self, stats: LinkStats, entropy: list[int]):
         self.stats = stats
-        self.rng = rng
+        self.entropy = entropy
+        self.rng: np.random.Generator | None = None
         self.draws: list[float] = []
         self.next_draw = 0
         self.seq = 0
@@ -111,6 +115,8 @@ class _Link:
         """The stream's next uniform in [0, 1)."""
         k = self.next_draw
         if k == len(self.draws):
+            if self.rng is None:
+                self.rng = np.random.default_rng(np.random.SeedSequence(self.entropy))
             self.draws = self.rng.random(_BLOCK).tolist()
             k = 0
         self.next_draw = k + 1
@@ -123,6 +129,10 @@ class StarBus:
     def __init__(self, agent_ids: list[str], link: LinkModel, seed: int,
                  trace: list[str] | None = None):
         link.validate()
+        try:  # what each link's SeedSequence will take, checked up front
+            np.random.SeedSequence([seed, 0])
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}") from exc
         self.link = link
         self.agents = set(agent_ids)
         self.trace = trace
@@ -150,8 +160,8 @@ class StarBus:
         """The record of a star link's first message in this direction."""
         agent = self._check_link(src, dst)
         tag = zlib.crc32(f"{src}->{dst}".encode())
-        rng = np.random.default_rng(np.random.SeedSequence([self._seed, tag]))
-        link = self._links[src, dst] = _Link(self._stats.setdefault(agent, LinkStats()), rng)
+        link = self._links[src, dst] = _Link(self._stats.setdefault(agent, LinkStats()),
+                                             [self._seed, tag])
         return link
 
     def send(self, msg_type: MsgType, src: str, dst: str, payload,

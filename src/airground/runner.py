@@ -76,6 +76,9 @@ def _integrate(uav, ugv, velocity, u, ugv_u, landed: np.ndarray,
 
 
 def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
+    # Rendered before any output is opened, so a scenario that YAML cannot
+    # write (InvalidInputError) fails here rather than after the run.
+    config_text = cfg.to_yaml()
     os.makedirs(out_dir, exist_ok=True)
     n = cfg.n_pairs
     agent_ids = cfg.agent_ids()
@@ -240,7 +243,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         with open(trace_path, "w") as f:
             f.write("\n".join(trace_lines) + ("\n" if trace_lines else ""))
     with open(os.path.join(out_dir, CONFIG_FILE), "w") as f:
-        f.write(cfg.to_yaml())
+        f.write(config_text)
 
     # The metrics come from the loop; `airground summarize` (summarize_dir)
     # re-derives them from the files above as an independent check.

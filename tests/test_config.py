@@ -1,16 +1,19 @@
 import copy
 import glob
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airground.barriers import SafetyParams
-from airground.config import (config_from_dict, load_config, load_yaml,
-                              parse_config)
-from airground.errors import ConfigError
+from airground.config import (_plain_yaml, config_from_dict, dump_yaml, load_config,
+                              load_yaml, parse_config)
+from airground.errors import ConfigError, InvalidInputError
 
 from scenario_helpers import grid_scenario
 from test_golden import GOLDEN
@@ -107,8 +110,9 @@ class TestAcceptedConfigs:
         configs = [load_config(path) for path in
                    sorted(glob.glob(os.path.join(SCENARIOS, "*.yaml")))]
         configs += [build() for build, *_ in GOLDEN.values()]
-        configs += [grid_scenario(n, seed=2) for n in (4, 16, 64)]
+        configs += [grid_scenario(n, seed=2) for n in (4, 16, 64, 256)]
         for cfg in configs:
+            assert _plain_yaml(cfg.raw) is not None  # every scenario is plain data
             assert cfg.to_yaml() == yaml.safe_dump(cfg.raw, sort_keys=True)
 
     def test_parse_config_from_text(self):
@@ -478,3 +482,110 @@ class TestSymmetricDeadlock:
         data = variant(perturb_setpoints=value)
         assert "BAD_VALUE" in codes_of(data)
         assert not config_from_dict(variant(perturb_setpoints=None)).perturb_setpoints
+
+
+# -- dump_yaml against PyYAML ----------------------------------------------------
+
+C_DUMPER = getattr(yaml, "CSafeDumper", None)
+# Strings the resolver reads as something else, or that need quotes.
+SPECIAL = ["on", "yes", "No", "null", "true", "False", "1.5", "0x1F", "a b", "",
+           "-a", "\u00e9", "\u65e5\u672c", "Z" * 65]
+PLAIN_KEYS = st.sampled_from(["a", "b", "pairs", "uav_speed_limit", "_x", "x1",
+                              "Zz", "onion", "yesterday", "Z" * 64])
+PLAIN_SCALARS = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(2**64, 2**80) | st.integers(-2**80, -2**64)
+    | st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e16, 1e17, 1e20, 1.5e-7,
+                                      math.inf, -math.inf, math.nan])
+    | PLAIN_KEYS)
+
+
+def nested(scalars, keys):
+    return st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(keys, inner, max_size=4), max_leaves=24)
+
+
+PLAIN_DOCUMENTS = st.dictionaries(PLAIN_KEYS, nested(PLAIN_SCALARS, PLAIN_KEYS),
+                                  max_size=5) | st.lists(nested(PLAIN_SCALARS, PLAIN_KEYS),
+                                                         max_size=4)
+
+
+def pyyaml_texts(data) -> list[str]:
+    texts = [yaml.safe_dump(data, sort_keys=True)]
+    if C_DUMPER is not None:
+        texts.append(yaml.dump(data, Dumper=C_DUMPER, sort_keys=True))
+    return texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(PLAIN_DOCUMENTS)
+def test_plain_emitter_writes_what_pyyaml_writes(data):
+    """On plain data (nested lists and maps, empty ones, -0.0, subnormals,
+    +-inf, nan, ints past 2**64) the one-pass emitter runs and writes the
+    bytes of yaml.safe_dump and of libyaml's emitter."""
+    text = _plain_yaml(data)
+    assert text is not None
+    assert [text] * len(pyyaml_texts(data)) == pyyaml_texts(data)
+    assert dump_yaml(data) == text
+
+
+@st.composite
+def mixed_documents(draw):
+    """A plain document with one non-plain value put in at a random place:
+    a resolver-special or non-identifier string (as a value or a key), a
+    tuple, an int-keyed map, or a container reached twice by identity.
+    Returns the document and that value's kind."""
+    data = {"head": draw(nested(PLAIN_SCALARS, PLAIN_KEYS))}
+    shared = draw(st.lists(PLAIN_SCALARS, max_size=2) | st.dictionaries(PLAIN_KEYS, PLAIN_SCALARS,
+                                                                      max_size=2))
+    odd = draw(st.sampled_from(SPECIAL).map(lambda s: ("str", s))
+               # libyaml writes an empty key as '' where PyYAML writes ? ''
+               | st.sampled_from([s for s in SPECIAL if s]).map(lambda s: ("key", {s: 1.0}))
+               | st.just(("tuple", (1.0, "a")))
+               | st.just(("int keys", {2: "b", 1: None}))
+               | st.just(("shared", [shared, {"again": shared}])))
+    # Down a random path of fresh containers, so it sits at any depth.
+    node = data
+    for step in draw(st.lists(st.sampled_from(["map", "list"]), max_size=3)):
+        child = {} if step == "map" else []
+        if isinstance(node, dict):
+            node["n"] = child
+        else:
+            node.append(child)
+        node = child
+    if isinstance(node, dict):
+        node["odd"] = odd[1]
+    else:
+        node.append(odd[1])
+    return data, odd[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_documents())
+def test_non_plain_data_falls_back_to_pyyaml(case):
+    """Special strings, tuples, non-str keys and shared containers are left
+    to PyYAML, whose anchors and quotes come out unchanged."""
+    data, kind = case
+    assert _plain_yaml(data) is None
+    text = dump_yaml(data)
+    assert [text] * len(pyyaml_texts(data)) == pyyaml_texts(data)
+    assert ("&id001" in text) == (kind == "shared")
+
+
+def test_special_strings_and_shared_containers_take_pyyaml():
+    for text in SPECIAL:
+        assert _plain_yaml({"k": text}) is None, text
+        assert _plain_yaml({text: 1}) is None, text
+        assert dump_yaml({"k": [text]}) == yaml.safe_dump({"k": [text]}, sort_keys=True)
+    for shared in ([], {}, [1.0], {"a": 1}):
+        data = {"a": shared, "b": [shared]}
+        assert _plain_yaml(data) is None
+        assert "&id001" in dump_yaml(data)
+    # Equal but distinct containers are plain.
+    assert _plain_yaml({"a": [1.0], "b": [[1.0]]}) == "a:\n- 1.0\nb:\n- - 1.0\n"
+
+
+def test_unwritable_value_names_itself():
+    with pytest.raises(InvalidInputError, match=r"0\.6"):
+        dump_yaml({"speed": np.float64(0.6)})

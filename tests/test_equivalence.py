@@ -744,14 +744,16 @@ def random_matrix(rng, agent_id: str, dim: int, infeasible: bool) -> Matrix:
     return from_rows(agent_id, 8, dim, rows)
 
 
-def message_run(rng, kind: str, hold_timeout: float):
+def message_run(rng, kind: str, hold_timeout: float, quiet: float = 0.0):
     """A seeded sequence of (time, messages) for one control unit at 100 Hz.
 
     Updates arrive with up to 50 ms of latency, so some carry stamps older
     than the unit's and are ignored, and up to two land at one instant; some
     repeat the unit's stamp with new values; two silent gaps outlast
     hold_timeout; one matrix in five is infeasible; a touchdown
-    acknowledgement comes at 80% of the run."""
+    acknowledgement comes at 80% of the run.  With quiet > 0, each tick
+    with traffic also starts, with probability quiet, a silent span of 5 to
+    40 ticks, which may outlast hold_timeout."""
     dim = 3 if kind == UAV else 2
     n_ticks = 400
     gaps = {int(rng.integers(40, 120)), int(rng.integers(200, 280))}
@@ -761,6 +763,8 @@ def message_run(rng, kind: str, hold_timeout: float):
         t = k * 0.01
         if k in gaps:
             silent_until = k + round(hold_timeout / 0.01) + int(rng.integers(2, 10))
+        elif quiet > 0.0 and k > silent_until and rng.uniform() < quiet:
+            silent_until = k + int(rng.integers(5, 41))
         messages = []
         for _ in range(2 if k > silent_until else 0):
             draw = rng.uniform()
@@ -836,30 +840,34 @@ def test_scheduled_units_match_per_tick_oracle():
     exactly the commands and statuses of per-unit objects ticked on every
     control tick, through stale gaps, ignored old stamps, relaxations and a
     touchdown."""
-    skipped = 0
-    for seed in range(4):
-        for kind, timeout in ((UAV, 0.12), (UGV, 0.09)):
-            dim = 3 if kind == UAV else 2
-            ids = [f"{kind}{k}" for k in range(3)]
-            control = KindControl(ids, kind, Gains.of(1.0, dim), PARAMS, timeout)
-            oracles = [UncachedControlUnit(aid, kind, Gains.of(1.0, dim), PARAMS, timeout)
-                       for aid in ids]
-            runs = [message_run(np.random.default_rng([seed, k]), kind, timeout)
-                    for k in range(3)]
-            for ticks in zip(*runs):
-                t = ticks[0][0]
-                for k, (_, messages) in enumerate(ticks):
-                    for message in messages:
-                        deliver_lane(control, k, *message)
-                        deliver(oracles[k], *message)
-                skipped += not control.tick(t)
-                for k, oracle in enumerate(oracles):
-                    want_cmd, want = oracle.tick(t)
-                    assert control.u[k].tobytes() == want_cmd.u.tobytes()
-                    assert control.status[k] == want.status
-    # Kind ticks that returned at once: most ticks bring one of the three
-    # units a message, so only about 3% of the 3200 are skipped.
-    assert skipped > 100
+    skipped = {0.0: 0, 0.25: 0}
+    for quiet in skipped:
+        for seed in range(4):
+            for kind, timeout in ((UAV, 0.12), (UGV, 0.09)):
+                dim = 3 if kind == UAV else 2
+                ids = [f"{kind}{k}" for k in range(3)]
+                control = KindControl(ids, kind, Gains.of(1.0, dim), PARAMS, timeout)
+                oracles = [UncachedControlUnit(aid, kind, Gains.of(1.0, dim), PARAMS,
+                                               timeout) for aid in ids]
+                runs = [message_run(np.random.default_rng([seed, k]), kind, timeout, quiet)
+                        for k in range(3)]
+                for ticks in zip(*runs):
+                    t = ticks[0][0]
+                    for k, (_, messages) in enumerate(ticks):
+                        for message in messages:
+                            deliver_lane(control, k, *message)
+                            deliver(oracles[k], *message)
+                    skipped[quiet] += not control.tick(t)
+                    for k, oracle in enumerate(oracles):
+                        want_cmd, want = oracle.tick(t)
+                        assert control.u[k].tobytes() == want_cmd.u.tobytes()
+                        assert control.status[k] == want.status
+    # Kind ticks that returned at once, of 3200 per pattern: most ticks
+    # bring one of the three units a message, so only about 3% are skipped
+    # without quiet spans; with them, the stale-stamp screen decides more
+    # than a third.
+    assert skipped[0.0] > 100
+    assert skipped[0.25] > 3200 / 3
 
 
 # Tolerance of a row whose largest gradient entry is at most 1.
@@ -929,7 +937,9 @@ def test_batched_instant_matches_scalar_units(fleet):
     """One control instant of a kind's units, ticked together, equals the
     per-unit reference ticked unit by unit: commands, statuses,
     iteration counts and slack, bit for bit, for landed, stale, cached,
-    relaxed and fresh units in batches of 1 to 12 lanes.  A unit reaches
+    relaxed and fresh units in batches of 1 to 12 lanes.  A cached unit
+    got its update before an earlier tick and reuses that tick's solution;
+    every other unit's update arrives in between.  A unit reaches
     project_with_box exactly when the reference's first feasibility check
     rejected its nominal input."""
     kind, units = fleet
@@ -940,6 +950,7 @@ def test_batched_instant_matches_scalar_units(fleet):
     scalar = [ScalarControlUnit(aid, kind, Gains.of(1.3, dim), PARAMS, timeout, offset)
               for aid in ids]
     control.tick(t0)                        # every unit's first tick: a hold
+    later = []                              # what the other units get after t0
     for k, (state, pose, at_setpoint, setpoint, rate, rows) in enumerate(units):
         if at_setpoint:
             point = np.array(pose) if kind == UAV else offset_points(np.array(pose), offset)
@@ -953,15 +964,21 @@ def test_batched_instant_matches_scalar_units(fleet):
         if state == "landed":
             messages.append(("touchdown", (), stamp))
         for message in messages:
-            deliver_lane(control, k, *message)
             deliver(scalar[k], *message)
+            if state == "cached":
+                deliver_lane(control, k, *message)
+            else:
+                later.append((k, message))
     scans = []
     project = qp.project_with_box
     qp.project_with_box = lambda *args: scans.append(args) or project(*args)
     try:
-        control.tick(t0)                    # the live units solve here ...
-        control.dirty = True
-        control.tick(t1)                    # ... and reuse their solutions here
+        control.tick(t0)                    # the cached units solve here ...
+        for k, message in later:
+            deliver_lane(control, k, *message)
+        # ... and only they still hold a solution at t1
+        assert control.solved.tolist() == [unit[0] == "cached" for unit in units]
+        control.tick(t1)
     finally:
         qp.project_with_box = project
     rejected = 0

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import airground.runner as runner_mod
 from airground.errors import InvalidInputError, TopologyViolationError
 from airground.netsim import _BLOCK, WATCHER_ID, LinkModel, MsgType, StarBus, wire_bytes
 
 from oracles import ScalarDrawBus, type_walk_payload_bytes
+from scenario_helpers import single_pair
 
 
 AGENTS = ["uav0", "ugv0", "uav1", "ugv1"]
@@ -175,6 +177,33 @@ class TestLinkModel:
 UPDATES = [update(0.5, dim, capacity) for dim in (3, 2) for capacity in (6, 8, 13)]
 ACKS = [0, 3, 17]
 LINKS = [(WATCHER_ID, aid) for aid in AGENTS] + [(aid, WATCHER_ID) for aid in AGENTS]
+
+
+class TestLazyStreams:
+    def test_ideal_links_build_no_generator(self, monkeypatch, tmp_path):
+        """A link seeds its stream on its first draw: a run on ideal links
+        (no drop, no jitter) builds no Generator, and a jittered one builds
+        one per link."""
+        buses = []
+
+        class Bus(StarBus):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                buses.append(self)
+
+        monkeypatch.setattr(runner_mod, "StarBus", Bus)
+        for network, drawn in (({"latency": 0.0, "jitter": 0.0, "drop": 0.0}, False),
+                               ({"latency": 0.02, "jitter": 0.005, "drop": 0.0}, True)):
+            runner_mod.run(single_pair(duration=0.5, network=network),
+                           str(tmp_path / str(drawn)))
+            links = buses.pop()._links
+            assert len(links) == 2  # the watcher's links to uav0 and ugv0
+            assert {link.rng is not None for link in links.values()} == {drawn}
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, None])
+    def test_bad_seed_raises_on_ideal_links(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            make_bus(seed=seed)
 
 
 def test_wire_sizes_match_type_walk():

@@ -61,6 +61,23 @@ class TestBasicRuns:
             assert (tmp_path / name).exists()
 
 
+    def test_unwritable_config_fails_before_any_output(self, tmp_path):
+        """A scenario given through the Python API with a value YAML cannot
+        write (here a NumPy scalar) fails before the first step, naming
+        the value, and leaves no log behind."""
+        from airground.config import config_from_dict, load_mapping
+        path = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "crossing_three.yaml")
+        with open(path) as f:
+            data = load_mapping(f.read())
+        data["agents"][0]["uav"]["speed"] = np.float64(0.6)
+        cfg = config_from_dict(data)
+        out_dir = tmp_path / "out"
+        with pytest.raises(InvalidInputError, match="0.6"):
+            run(cfg, str(out_dir))
+        assert not out_dir.exists()
+
+
 class TestCrossingArrival:
     def test_two_uavs_swap_sides_and_reach_setpoints(self, tmp_path):
         from scenario_helpers import base_dict
