@@ -86,6 +86,10 @@ class ScenarioConfig:
             ids.append(f"ugv{i}")
         return ids
 
+    def total_steps(self) -> int:
+        """The run's last step: steps 0 to total_steps(), each dt apart."""
+        return round(self.duration / self.dt)
+
     def steps_per_control(self) -> int:
         return round(1.0 / (self.dt * self.control_rate))
 

@@ -33,7 +33,7 @@ from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
 # run() no longer calls summarize_dir; bench/ still looks it up on this module.
 from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
                       WATCHER_FILE, WATCHER_HEADER, MetricsFold, MetricsSummary,
-                      Roster, TrajectoryWriter, summarize_dir, tick_barriers)
+                      TrajectoryWriter, summarize_dir, tick_barriers)
 from .watcher import Watcher, WatcherRecord, WaypointTrack
 
 
@@ -121,8 +121,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     uav_rows = [rank[f"uav{i}"] for i in range(n)]
     ugv_rows = [rank[f"ugv{i}"] for i in range(n)]
 
-    roster = Roster(tuple(agent_ids), tuple(aid[:3] for aid in agent_ids))
-    writer = TrajectoryWriter(roster)
+    writer = TrajectoryWriter(agent_ids)
     fold = MetricsFold(n)
     # What each agent's trajectory row logs: (x, y, z, theta), with z = 0
     # for a UGV and theta = 0 for a UAV, the applied input padded to 3 with
@@ -141,7 +140,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
 
     steps_ctrl = cfg.steps_per_control()
     steps_watch = cfg.steps_per_watcher()
-    total = round(cfg.duration / cfg.dt)
+    total = cfg.total_steps()
 
     def route(messages):
         for msg in messages:
@@ -159,9 +158,9 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                 and np.isfinite(np.array(times, dtype=float)).all()):
             raise abort(step, t, "non-finite logged state",
                         f"non-finite state logged by t={t}")
-        per_agent, family, dist = tick_barriers(cfg, roster, *block)
+        per_agent, family, dist = tick_barriers(cfg, *block)
         fold.barriers(family, dist)
-        fold.ticks(times, roster.ids, roster.kinds, statuses)
+        fold.ticks(times, statuses)
         return per_agent
 
     def abort(step, t, reason, message):

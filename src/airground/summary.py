@@ -4,12 +4,13 @@ that turns a run's data into its MetricsSummary.
 run() feeds the fold from the loop: each flushed trajectory block's barrier
 minima, statuses and times, then the watcher records and link counters.
 summarize_dir, behind `airground summarize`, is the independent re-check:
-it parses the logs back, recomputes every barrier value from the logged
-states (never trusted from the controller), requires each line's min_h to
-equal the recomputed value or lie within 1e-9 of it -- else the log was
-tampered with or the physics diverged; a NaN never agrees -- and feeds the
-same fold.  Both paths see the rounded states the producer committed to
-disk.
+it parses the logs back in the one layout the run's config fixes (every
+tick of the schedule, one line per agent in agent_ids order), recomputes
+every barrier value from the logged states (never trusted from the
+controller), requires each line's min_h to equal the recomputed value or
+lie within 1e-9 of it -- else the log was tampered with or the physics
+diverged; a NaN never agrees -- and feeds the same fold.  Both paths see
+the rounded states the producer committed to disk.
 """
 
 from __future__ import annotations
@@ -104,24 +105,20 @@ class MetricsFold:
                 if value < low.get(key, math.inf):
                     low[key] = value
 
-    def ticks(self, times, ids, kinds, statuses) -> None:
-        """Consecutive ticks with one status per agent of ids (and kinds):
-        tick k is logged at time string times[k] with the statuses
-        statuses[k*m:(k+1)*m], m = len(ids)."""
-        s, m = self.summary, len(ids)
+    def ticks(self, times, statuses) -> None:
+        """Consecutive ticks of the whole fleet: tick k is logged at time
+        string times[k] with the statuses statuses[k*m:(k+1)*m] of the m
+        agents in agent_ids order (uav0, ugv0, uav1, ...)."""
+        s, m = self.summary, 2 * self._n_pairs
         s.ticks += len(times)
         s.duration = max(s.duration, *map(float, times))
         for status in dict.fromkeys(statuses):  # distinct, first seen first
             s.status_counts[status] = s.status_counts.get(status, 0) + statuses.count(status)
-        first: dict[int, int] = {}   # pair -> its first landed tick here
         if "landed" in statuses:
-            for c in range(m):
-                column = statuses[c::m] if kinds[c] == "uav" else ()
+            for pair in range(self._n_pairs):
+                column = statuses[2 * pair::m]
                 if "landed" in column:
-                    pair, k = int(ids[c][3:]), column.index("landed")
-                    first[pair] = min(k, first.get(pair, k))
-        for pair, k in first.items():
-            self._landed.setdefault(pair, float(times[k]))
+                    self._landed.setdefault(pair, float(times[column.index("landed")]))
 
     def rows(self, counts) -> None:
         """Watcher records as (agent id, active row count) pairs."""
@@ -140,51 +137,22 @@ class MetricsFold:
         return self.summary
 
 
-class Roster:
-    """The agents of one tick, in log order, and the index arrays that
-    tick_barriers needs for them.
-
-    A UAV's own UGV is the roster entry whose id shares its pair suffix,
-    whatever that entry's kind."""
-
-    def __init__(self, ids: tuple[str, ...], kinds: tuple[str, ...]):
-        self.ids = ids
-        self.kinds = kinds
-        self.column = {aid: c for c, aid in enumerate(ids)}
-        uav = [c for c, k in enumerate(kinds) if k == "uav"]
-        ugv = [c for c, k in enumerate(kinds) if k == "ugv"]
-        own = [self.column.get("ugv" + ids[c][3:], -1) for c in uav]
-        self.uav = np.array(uav, dtype=np.intp)
-        self.ugv = np.array(ugv, dtype=np.intp)
-        # Landing funnel: positions within self.uav that have an own UGV,
-        # and that UGV's column.
-        self.funnel_pos = np.array([k for k, o in enumerate(own) if o >= 0],
-                                   dtype=np.intp)
-        self.funnel_own = np.array([o for o in own if o >= 0], dtype=np.intp)
-        # Pairs without a separation term, as positions within self.uav and
-        # self.ugv: each agent and itself, each UAV and its own UGV.
-        self.uav_self, self.ugv_self = np.arange(len(uav)), np.arange(len(ugv))
-        self.own_uav, self.own_ugv = np.array([(k, ugv.index(o)) for k, o in enumerate(own)
-                                               if o in ugv], dtype=np.intp).reshape(-1, 2).T
-
-
 class TrajectoryWriter:
-    """The trajectory.csv writer, for control ticks of one roster.
+    """The trajectory.csv writer, for control ticks of the agents named by ids.
 
-    A tick holds every roster agent's raw logged (x, y, z, theta), applied
+    A tick holds every agent's raw logged (x, y, z, theta), applied
     input (ux, uy, uz) and status.  Ticks are formatted a block of at most
     BLOCK_SAMPLES agent samples at a time: fmt9_round_trip formats each
     distinct number of the block once at 9 significant digits and parses
     the rounded states back -- the values a reader of the file sees -- and
     the min_h column is evaluated from them and formatted by fmt9."""
 
-    def __init__(self, roster: Roster):
-        m = len(roster.ids)
-        self.roster = roster
+    def __init__(self, ids):
+        m = len(ids)
         self._numbers = np.empty((max(1, BLOCK_SAMPLES // m), m, 7))
         self._times: list[str] = []
         self._statuses: list[str] = []      # flat, tick by tick
-        self._prefixes = [f"{aid},{kind}" for aid, kind in zip(roster.ids, roster.kinds)]
+        self._prefixes = [f"{aid},{aid[:3]}" for aid in ids]
         self._chunks = [TRAJECTORY_HEADER + "\n"]
 
     def add_tick(self, time_s: str, states, u, statuses) -> None:
@@ -202,7 +170,7 @@ class TrajectoryWriter:
         """Format the buffered ticks.  min_h maps the block's T time strings,
         its T*M statuses (tick by tick) and its rounded (T, M) x, y, z,
         theta and landed arrays to its (T, M) per-agent min h."""
-        ticks, m = len(self._times), len(self.roster.ids)
+        ticks, m = len(self._times), self._numbers.shape[1]
         if not ticks:
             return
         text, rounded = fmt9_round_trip(self._numbers[:ticks])
@@ -222,24 +190,24 @@ class TrajectoryWriter:
             f.writelines(self._chunks)
 
 
-def tick_barriers(cfg: ScenarioConfig, roster: Roster, x: np.ndarray,
-                  y: np.ndarray, z: np.ndarray, theta: np.ndarray,
-                  landed: np.ndarray
+def tick_barriers(cfg: ScenarioConfig, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                  theta: np.ndarray, landed: np.ndarray
                   ) -> tuple[np.ndarray, dict[str, float], dict[str, float]]:
-    """Evaluate every barrier family over a block of ticks of one roster.
+    """Evaluate every barrier family over a block of ticks of the fleet.
 
-    x, y, z, theta and landed are (T, M) arrays, one row per tick and one
-    column per roster agent.  Returns the (T, M) per-agent minimum h (inf
-    for an agent with no barrier term), and the per-family minimum h and
-    per-kind minimum distance over the whole block.  Landed UAVs retire
-    from the aerial separation families but keep their wall and funnel
-    terms, mirroring the coordinator's row retirement.  NaN terms are
-    ignored, like a failed comparison in a scalar minimum.  Walls, funnel
-    and UGV offset points come from the barriers module, whose functions
-    the watcher's rows use too.
+    x, y, z, theta and landed are (T, 2n) arrays, one row per tick and one
+    column per agent in agent_ids order: UAV i in column 2i, its own UGV in
+    column 2i + 1.  Returns the (T, 2n) per-agent minimum h, and the
+    per-family minimum h and per-kind minimum distance over the whole
+    block; a family with no term (uav_uav at N=1) is left out.  Landed
+    UAVs retire from the aerial separation families but keep their wall
+    and funnel terms, mirroring the coordinator's row retirement.  NaN
+    terms are ignored, like a failed comparison in a scalar minimum.
+    Walls, funnel and UGV offset points come from the barriers module,
+    whose functions the watcher's rows use too.
     """
     s = cfg.safety
-    per_agent = np.full(x.shape, math.inf)
+    per_agent = np.empty(x.shape)
     family: dict[str, float] = {}
     dist: dict[str, float] = {}
 
@@ -255,7 +223,7 @@ def tick_barriers(cfg: ScenarioConfig, roster: Roster, x: np.ndarray,
 
     def separation(fam: str, kind: str, d2: np.ndarray, radius: float
                    ) -> np.ndarray:
-        # d2 is (T, m, k), inf where a pair has no term.  Rounding is
+        # d2 is (T, n, n), inf where a pair has no term.  Rounding is
         # monotone, so the minimum commutes exactly with sqrt and with
         # "- radius**2": each row's smallest h, and the block's smallest
         # distance, come from the row minima.
@@ -265,58 +233,60 @@ def tick_barriers(cfg: ScenarioConfig, roster: Roster, x: np.ndarray,
             dist[kind] = low
         return record(fam, rows - radius ** 2)
 
-    def block(columns: np.ndarray, *coords: np.ndarray) -> np.ndarray:
-        # (T, k, len(coords)) in C order, which pairwise_sq_distances reads
-        # fastest; np.stack of indexed columns may not be.
-        out = np.empty((x.shape[0], columns.size, len(coords)))
+    def block(columns: slice, *coords: np.ndarray) -> np.ndarray:
+        # (T, n, len(coords)) in C order, which pairwise_sq_distances reads
+        # fastest; np.stack of strided columns may not be.
+        out = np.empty((x.shape[0], x.shape[1] // 2, len(coords)))
         for i, c in enumerate(coords):
             out[..., i] = c[:, columns]
         return out
 
+    uav, ugv = slice(0, None, 2), slice(1, None, 2)
+    own = np.arange(x.shape[1] // 2)   # the diagonal: self pairs, each UAV and its own UGV
     deck = np.full(x.shape, cfg.platform_height)
-    u, g = roster.uav, roster.ugv
-    if u.size:
-        uavs = block(u, x, y, z)
-        terms = [walls(uavs, True)]
-        if roster.funnel_pos.size:
-            fu = roster.funnel_pos
-            funnel = np.full(uavs.shape[:2], math.inf)
-            funnel[:, fu] = record("landing", eval_landing(
-                uavs[:, fu], block(roster.funnel_own, x, y, deck), s.funnel_sharpness,
-                s.funnel_height, s.hover_clearance)[0])
-            terms.append(funnel)
-        tick, pos = landed[:, u].nonzero()   # the landed UAVs' ticks and positions
-        if u.size > 1:
-            d2 = pairwise_sq_distances(uavs, uavs)
-            d2[:, roster.uav_self, roster.uav_self] = math.inf
-            d2[tick, pos] = d2[tick, :, pos] = math.inf
-            terms.append(separation("uav_uav", "uav_uav", d2, s.uav_separation))
-        if g.size:
-            d2 = pairwise_sq_distances(uavs, block(g, x, y, deck))
-            d2[:, roster.own_uav, roster.own_ugv] = math.inf
-            d2[tick, pos] = math.inf
-            terms.append(separation("uav_other_ugv", "uav_ugv", d2,
-                                    s.uav_ugv_separation))
-        per_agent[:, u] = np.fmin.reduce(terms)
-    if g.size:
-        offsets = offset_points(block(g, x, y, theta), cfg.ugv_offset)
-        terms = [walls(offsets, False)]
-        if g.size > 1:
-            d2 = pairwise_sq_distances(offsets, offsets)
-            d2[:, roster.ugv_self, roster.ugv_self] = math.inf
-            terms.append(separation("ugv_ugv", "ugv_ugv", d2, s.ugv_separation))
-        per_agent[:, g] = np.fmin.reduce(terms)
+    uavs, decks = block(uav, x, y, z), block(ugv, x, y, deck)
+    terms = [walls(uavs, True), record("landing", eval_landing(
+        uavs, decks, s.funnel_sharpness, s.funnel_height, s.hover_clearance)[0])]
+    tick, pos = landed[:, uav].nonzero()   # the landed UAVs' ticks and positions
+    d2 = pairwise_sq_distances(uavs, uavs)
+    d2[:, own, own] = d2[tick, pos] = d2[tick, :, pos] = math.inf
+    terms.append(separation("uav_uav", "uav_uav", d2, s.uav_separation))
+    d2 = pairwise_sq_distances(uavs, decks)
+    d2[:, own, own] = d2[tick, pos] = math.inf
+    terms.append(separation("uav_other_ugv", "uav_ugv", d2, s.uav_ugv_separation))
+    per_agent[:, uav] = np.fmin.reduce(terms)
+    offsets = offset_points(block(ugv, x, y, theta), cfg.ugv_offset)
+    d2 = pairwise_sq_distances(offsets, offsets)
+    d2[:, own, own] = math.inf
+    per_agent[:, ugv] = np.fmin(
+        walls(offsets, False),
+        separation("ugv_ugv", "ugv_ugv", d2, s.ugv_separation))
 
     return per_agent, family, dist
 
 
-def _csv_rows(path: str, header: str, width: int):
+def _layout(cfg: ScenarioConfig, steps: int, width: int):
+    """The leading fields of each line of a log written every steps-th
+    step of the run, in order: per tick, one line per agent in agent_ids
+    order, led by the tick's time and the agent's id, then its kind when
+    width is 3."""
+    keys = [[aid, aid[:3]][:width - 1] for aid in cfg.agent_ids()]
+    for step in range(0, cfg.total_steps() + 1, steps):
+        t = fmt9(step * cfg.dt)
+        for key in keys:
+            yield [t, *key]
+
+
+def _csv_rows(path: str, header: str, width: int, layout):
     """Yields (line_number, fields) per data line of a log with a fixed
-    header and field count; blank and whitespace-only lines are skipped."""
+    header and field count; blank and whitespace-only lines are skipped.
+    Line by line, the leading fields must be the next entry of layout,
+    and the log must end with the layout's last entry."""
     with open(path, "r") as f:
         first = f.readline().rstrip("\n")
         if first != header:
             raise InvalidInputError(f"{path}:1: unexpected header {first!r}")
+        lineno = 1
         for lineno, line in enumerate(f, start=2):
             if line.isspace():
                 continue
@@ -324,39 +294,42 @@ def _csv_rows(path: str, header: str, width: int):
             if len(parts) != width:
                 raise InvalidInputError(f"{path}:{lineno}: expected {width} fields, "
                                         f"got {len(parts)}")
+            want = next(layout, None)
+            if want is None:
+                raise InvalidInputError(f"{path}:{lineno}: expected the end of the log")
+            if parts[:len(want)] != want:
+                raise InvalidInputError(f"{path}:{lineno}: expected {','.join(want)}, "
+                                        f"got {','.join(parts[:len(want)])}")
             yield lineno, parts
+    want = next(layout, None)
+    if want is not None:
+        raise InvalidInputError(f"{path}: ends after line {lineno}, "
+                                f"expected {','.join(want)} next")
 
 
-def _parse_trajectory(path: str):
-    """Yields (line_number, time_str, agent_id, kind, x, y, z, theta,
-    status, logged min_h) per record; the kind must be uav or ugv, and the
-    time and the state finite."""
+def _parse_trajectory(path: str, layout):
+    """Yields (line_number, time_str, x, y, z, theta, status, logged min_h)
+    per record of a trajectory.csv laid out as layout says; the state must
+    be finite."""
     isfinite = math.isfinite
-    for lineno, parts in _csv_rows(path, TRAJECTORY_HEADER, 12):
+    for lineno, parts in _csv_rows(path, TRAJECTORY_HEADER, 12, layout):
         try:
-            t = float(parts[0])
             x, y, z, theta = float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])
             logged = float(parts[11])
         except ValueError as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}")
-        if parts[2] not in ("uav", "ugv"):
-            raise InvalidInputError(f"{path}:{lineno}: kind must be uav or ugv, "
-                                    f"got {parts[2]!r}")
-        if not isfinite(t):
-            raise InvalidInputError(f"{path}:{lineno}: time must be finite, "
-                                    f"got {parts[0]}")
         if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(theta)):
             raise InvalidInputError(f"{path}:{lineno}: state must be finite, "
                                     f"got {','.join(parts[3:7])}")
-        yield (lineno, parts[0], parts[1], parts[2], x, y, z, theta,
-               parts[10], logged)
+        yield lineno, parts[0], x, y, z, theta, parts[10], logged
 
 
-def _parse_watcher(path: str):
-    """Yields (agent_id, active_count) per record, whose row counts must be
-    non-negative integers summing to active_count, checked once per distinct set."""
+def _parse_watcher(path: str, layout):
+    """Yields (agent_id, active_count) per record of a watcher.csv laid out
+    as layout says, whose row counts must be non-negative integers summing
+    to active_count, checked once per distinct set."""
     checked: dict[tuple[str, ...], int] = {}
-    for lineno, parts in _csv_rows(path, WATCHER_HEADER, 10):
+    for lineno, parts in _csv_rows(path, WATCHER_HEADER, 10, layout):
         counts = tuple(parts[3:9])
         if counts not in checked:
             active, *families = (int(c) if c.isdecimal() else -1 for c in counts)
@@ -367,85 +340,63 @@ def _parse_watcher(path: str):
         yield parts[1], checked[counts]
 
 
-def summarize_dir(out_dir: str, check: bool = True) -> MetricsSummary:
+def summarize_dir(out_dir: str) -> MetricsSummary:
     """Recompute the safety metrics for a finished run directory.
 
-    The trajectory is streamed tick by tick; consecutive ticks with the same
-    agents in the same line order are evaluated together in blocks of at
-    most BLOCK_SAMPLES lines, and lines are checked in file order, so the
-    first line whose min_h disagrees is the one reported, once the block's
-    statuses are known to be ones the writer logs.  watcher.csv is required."""
+    resolved_config.yaml fixes each log's layout (_layout): a line whose
+    time, agent or kind is not the one run() writes at its place, or a log
+    that ends early, is reported with its file.  The trajectory is
+    evaluated in blocks of whole ticks, at most BLOCK_SAMPLES lines, and
+    lines are checked in file order, so the first line whose min_h
+    disagrees is the one reported, once the block's statuses are known to
+    be ones the writer logs.  watcher.csv is required."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
     fold = MetricsFold(cfg.n_pairs)
+    m = 2 * cfg.n_pairs
+    size = max(1, BLOCK_SAMPLES // m) * m
 
     traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
-    tick: list[tuple] = []     # the current tick's lines, as parsed
-    block: list[tuple] = []    # the lines of the block's complete ticks
-    layout: tuple = ()         # the agent ids and kinds of a tick's lines
-    # The layout's roster; a repeated agent's last line in a tick gives its
-    # state, but every line is checked and counted.
-    roster: Roster | None = None
-    columns: list[int] = []    # the roster column of each line of a tick
-    last: list[int] = []       # the last line of each roster agent in a tick
 
-    def flush_block():
-        nonlocal block
-        if not block:
+    def check_block(lines):
+        if not lines:
             return
-        linenos, times, _, _, *states, statuses, logged = zip(*block)
+        linenos, times, *states, statuses, logged = zip(*lines)
         if not _STATUSES.issuperset(statuses):
             k = next(k for k, status in enumerate(statuses) if status not in _STATUSES)
             raise InvalidInputError(f"{traj_path}:{linenos[k]}: unknown qp_status {statuses[k]!r}")
-        ids, kinds = layout
-        width = len(ids)
         states.append([status == "landed" for status in statuses])
-        per_agent, family, dist = tick_barriers(cfg, roster, *(
-            np.array(v).reshape(-1, width)[:, last] for v in states))
+        per_agent, family, dist = tick_barriers(cfg, *(np.array(v).reshape(-1, m)
+                                                       for v in states))
         # The column was written at 9 significant digits; push the
         # recomputed values through the same format before comparing.
-        expected, h = fmt9_round_trip(per_agent)[1][:, columns].ravel(), np.array(logged)
+        expected, h = fmt9_round_trip(per_agent)[1].ravel(), np.array(logged)
         with np.errstate(invalid="ignore"):   # inf - inf
             agree = (expected == h) | (np.abs(expected - h) <= 1e-9)
-        if check and not agree.all():
+        if not agree.all():
             k = int(agree.argmin())   # the first line that disagrees
             raise LogIntegrityError(
                 f"{traj_path}:{linenos[k]}: logged min_h {logged[k]!r} "
                 f"disagrees with recomputed {float(expected[k])!r}")
         fold.barriers(family, dist)
-        fold.ticks(times[::width], ids, kinds, statuses)
-        block = []
+        fold.ticks(times[::m], statuses)
 
-    def end_tick():
-        nonlocal layout, roster, columns, last
-        _, _, ids, kinds, *_ = zip(*tick)
-        if (ids, kinds) != layout:
-            flush_block()
-            layout = ids, kinds
-            agents = dict(zip(ids, kinds))
-            roster = Roster(tuple(agents), tuple(agents.values()))
-            columns = [roster.column[aid] for aid in ids]
-            last = list({aid: k for k, aid in enumerate(ids)}.values())
-        elif len(block) + len(tick) > max(BLOCK_SAMPLES, len(tick)):
-            flush_block()
-        block.extend(tick)
-        tick.clear()
-
+    block: list[tuple] = []   # the parsed lines of the block so far
     try:
-        for line in _parse_trajectory(traj_path):
-            if tick and line[1] != tick[0][1]:
-                end_tick()
-            tick.append(line)
+        for line in _parse_trajectory(traj_path, _layout(cfg, cfg.steps_per_control(), 3)):
+            block.append(line)
+            if len(block) == size:
+                block, full = [], block
+                check_block(full)
     except ValueError:
         # A bad state earlier in the file is reported before a malformed
-        # line; only complete ticks are evaluated, since the malformed
-        # line's tick lacks the rest of its agents.
-        flush_block()
+        # or misplaced line, or the end of a log cut short; only complete
+        # ticks are evaluated.
+        check_block(block[:len(block) - len(block) % m])
         raise
-    if tick:
-        end_tick()
-    flush_block()
+    check_block(block)
 
-    fold.rows(_parse_watcher(os.path.join(out_dir, WATCHER_FILE)))
+    fold.rows(_parse_watcher(os.path.join(out_dir, WATCHER_FILE),
+                             _layout(cfg, cfg.steps_per_watcher(), 2)))
 
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):

@@ -331,8 +331,8 @@ class TestSummarize:
         assert "trajectory.csv:21: logged min_h nan" in capsys.readouterr().err
 
     def test_summarize_unknown_kind_fails(self, tmp_path, capsys):
-        """An agent logged with a kind other than uav or ugv would drop out
-        of every family minimum; its first line is reported instead, even
+        """An agent logged with a kind other than its own would drop out
+        of its family minima; its first line is reported instead, even
         when its min_h column is made to agree."""
         cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
         out_dir = str(tmp_path / "out")
@@ -352,7 +352,7 @@ class TestSummarize:
         capsys.readouterr()
         assert main(["summarize", out_dir]) == 1
         err = capsys.readouterr().err
-        assert f"trajectory.csv:{first}: kind must be uav or ugv, got 'rover'" in err
+        assert f"trajectory.csv:{first}: expected 0,ugv0,ugv, got 0,ugv0,rover" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("status", ["bogus", "failed"])

@@ -28,8 +28,8 @@ from airground.netsim import WATCHER_ID, MsgType, StarBus, wire_bytes
 from airground.qp import _project, project_with_box, solve_relaxed
 from airground import runner
 from airground.runner import _integrate, run
-from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, Roster,
-                               TrajectoryWriter, summarize_dir, tick_barriers)
+from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, TrajectoryWriter,
+                               tick_barriers)
 from airground.watcher import (PairPhase, TrackTable, VelocityEstimator,
                                Watcher, WaypointTrack)
 
@@ -92,15 +92,16 @@ def oracle_block(cfg, ids, x, y, z, theta, landed):
     return per_agent, family, dist
 
 
+def pair_ids(n: int) -> list[str]:
+    """A fleet of n pairs in agent_ids order: uav0, ugv0, uav1, ..."""
+    return [f"{kind}{i}" for i in range(n) for kind in ("uav", "ugv")]
+
+
 @st.composite
 def fleet_blocks(draw):
-    """A roster of 1-5 pairs where a pair may lack its UAV or its UGV, and a
-    block of 1-4 ticks of states, some UAVs landed."""
-    n = draw(st.integers(1, 5))
-    members = draw(st.lists(st.sampled_from(["both", "uav", "ugv"]),
-                            min_size=n, max_size=n))
-    ids = [f"{kind}{i}" for i, m in enumerate(members)
-           for kind in ("uav", "ugv") if m in ("both", kind)]
+    """A fleet of 1-5 pairs and a block of 1-4 ticks of states, some UAVs
+    landed."""
+    ids = pair_ids(draw(st.integers(1, 5)))
     shape = (draw(st.integers(1, 4)), len(ids))
     # A coarse grid makes exact coincidences (zero distances) likely too.
     horizontal = st.one_of(st.floats(-9.0, 9.0), st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
@@ -119,8 +120,7 @@ def test_block_barriers_match_scalar_oracle(block, platform_height, ugv_offset):
     moves the UGV walls and ground separation."""
     ids, x, y, z, theta, landed = block
     cfg = physics(platform_height, ugv_offset)
-    roster = Roster(tuple(ids), tuple(aid[:3] for aid in ids))
-    per_agent, family, dist = tick_barriers(cfg, roster, x, y, z, theta, landed)
+    per_agent, family, dist = tick_barriers(cfg, x, y, z, theta, landed)
     want_agent, want_family, want_dist = oracle_block(cfg, ids, x, y, z, theta,
                                                       landed)
     assert per_agent.tolist() == want_agent
@@ -128,32 +128,30 @@ def test_block_barriers_match_scalar_oracle(block, platform_height, ugv_offset):
     assert dist == want_dist
 
 
-def test_single_pair_and_lone_uav():
-    """N=1, and a UAV whose own UGV is absent, which drops its funnel term."""
-    for ids in (["uav0", "ugv0"], ["uav0"], ["uav3", "ugv1"]):
-        shape = (2, len(ids))
-        x = np.linspace(-1.0, 1.0, shape[0] * shape[1]).reshape(shape)
-        z = np.full(shape, 1.0)
-        theta = np.full(shape, 0.3)
-        landed = np.array([[False] * len(ids), [True] * len(ids)])
-        roster = Roster(tuple(ids), tuple(a[:3] for a in ids))
-        got = tick_barriers(PHYSICS, roster, x, -x, z, theta, landed)
-        want = oracle_block(PHYSICS, ids, x, -x, z, theta, landed)
-        assert got[0].tolist() == want[0]
-        assert got[1:] == want[1:]
+def test_single_pair():
+    """N=1: no separation term, so no uav_uav, uav_other_ugv or ugv_ugv
+    entry, as in the scalar oracle."""
+    ids = pair_ids(1)
+    shape = (2, len(ids))
+    x = np.linspace(-1.0, 1.0, shape[0] * shape[1]).reshape(shape)
+    z = np.full(shape, 1.0)
+    theta = np.full(shape, 0.3)
+    landed = np.array([[False] * len(ids), [True] * len(ids)])
+    got = tick_barriers(PHYSICS, x, -x, z, theta, landed)
+    want = oracle_block(PHYSICS, ids, x, -x, z, theta, landed)
+    assert got[0].tolist() == want[0]
+    assert got[1:] == want[1:]
+    assert set(got[1]) == {"workspace", "landing"} and got[2] == {}
 
 
-@pytest.mark.parametrize("case", ["none landed", "some landed", "uav without its ugv"])
+@pytest.mark.parametrize("case", ["none landed", "some landed"])
 def test_barrier_masks_match_scalar_oracle(case):
     """tick_barriers' in-place masks (self pairs, each UAV and its own UGV,
     landed UAVs' rows and columns) against the scalar oracle on a packed
     fleet of seven pairs: every per-agent h, family minimum and distance
     minimum equal, bit for bit."""
     rng = np.random.default_rng(23)
-    ids = [f"{kind}{i}" for i in range(7) for kind in ("uav", "ugv")]
-    if case == "uav without its ugv":
-        ids.remove("ugv2")
-        ids.remove("ugv5")
+    ids = pair_ids(7)
     shape = (6, len(ids))
     x, y = rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape)
     z, theta = rng.uniform(0.0, 1.5, shape), rng.uniform(-4.0, 4.0, shape)
@@ -162,50 +160,11 @@ def test_barrier_masks_match_scalar_oracle(case):
     if case != "none landed":
         landed[1:] = (rng.uniform(size=(5, len(ids))) < 0.3) & uav
         landed[-2:, ids.index("uav0")] = landed[-1, ids.index("uav2")] = True
-    roster = Roster(tuple(ids), tuple(aid[:3] for aid in ids))
-    per_agent, family, dist = tick_barriers(PHYSICS, roster, x, y, z, theta, landed)
+    per_agent, family, dist = tick_barriers(PHYSICS, x, y, z, theta, landed)
     want_agent, want_family, want_dist = oracle_block(PHYSICS, ids, x, y, z, theta, landed)
     assert per_agent.tobytes() == np.array(want_agent).tobytes()
     assert (family, dist) == (want_family, want_dist)
     assert set(family) == {"workspace", "landing", "uav_uav", "uav_other_ugv", "ugv_ugv"}
-
-
-def test_summarize_follows_roster_changes(tmp_path):
-    """Agents leave the log mid-run and come back: every tick is still
-    checked against its own roster, and the metrics match the oracle."""
-    cfg = crossing_scenario(3, seed=4, duration=4.0)
-    run(cfg, str(tmp_path))
-    path = tmp_path / "trajectory.csv"
-    header, *lines = path.read_text().splitlines()
-    ticks: dict[str, list[list[str]]] = {}
-    for line in lines:
-        fields = line.split(",")
-        ticks.setdefault(fields[0], []).append(fields)
-
-    def present(t: float, aid: str) -> bool:
-        if aid == "ugv1":
-            return not 1.0 <= t < 2.0
-        if aid == "uav2":
-            return t < 3.0
-        return True
-
-    view = scalar_view(cfg)
-    out, family, dist = [header], {}, {}
-    for t_str, rows in ticks.items():
-        rows = [r for r in rows if present(float(t_str), r[1])]
-        snapshot = {r[1]: Sample(r[2], float(r[3]), float(r[4]), float(r[5]),
-                                 float(r[6]), r[10]) for r in rows}
-        per_agent, fam, d = scalar_tick_barriers(view, snapshot)
-        merge_min(family, fam)
-        merge_min(dist, d)
-        for r in rows:
-            out.append(",".join(r[:11] + [fmt9(per_agent[r[1]])]))
-    path.write_text("\n".join(out) + "\n")
-
-    summary = summarize_dir(str(tmp_path))
-    assert summary.ticks == len(ticks)
-    assert summary.family_min_h == family
-    assert summary.min_pair_distance == dist
 
 
 def static_tracks(n):
@@ -1115,7 +1074,7 @@ def test_trajectory_writer_matches_per_agent_rows(tmp_path):
                         ("uav", "ugv", "uav", "ugv", "uav")),
                        (("ugv3",), ("ugv",))):
         m = len(ids)
-        writer = TrajectoryWriter(Roster(ids, kinds))
+        writer = TrajectoryWriter(ids)
         n_ticks = 3 * (BLOCK_SAMPLES // m) + 7
         expected, block = [], []
         for tick in range(n_ticks):

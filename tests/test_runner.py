@@ -2,15 +2,19 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 import airground.runner as runner_mod
+from airground.cli import main
 from airground.errors import InvalidInputError, SafetyAbortError
+from airground.logfmt import fmt9
 from airground.runner import run
 from airground.summary import BLOCK_SAMPLES, LogIntegrityError, summarize_dir
 
+from oracles import Sample, scalar_tick_barriers, scalar_view
 from scenario_helpers import (clustered_scenario, crossing_scenario,
                               landing_scenario, single_pair)
 
@@ -265,20 +269,57 @@ class TestSummarize:
         if case == "relaxed":
             assert m.status_counts["relaxed"] > 0
 
-    def test_repeated_agent_line(self, tmp_path):
-        """A tick that logs an agent twice: the later line gives its state,
-        and both lines are checked and counted."""
-        result = run(single_pair(duration=1.0), str(tmp_path))
-        with open(result.trajectory_path) as f:
-            lines = f.read().splitlines()
-        lines.insert(5, lines[5])
-        with open(result.trajectory_path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-        again = summarize_dir(str(tmp_path))
-        status = lines[5].split(",")[10]
-        assert again.ticks == result.metrics.ticks
-        assert again.status_counts[status] == result.metrics.status_counts[status] + 1
-        assert again.family_min_h == result.metrics.family_min_h
+    # Each edit leaves every min_h agreeing with the states of its own tick,
+    # so only the layout the config fixes tells the log apart from run()'s.
+    # trajectory.csv's 201 ticks here are file lines 2-7, 8-13, ..., 1202-1207
+    # (6 agents, every 0.02 s); tick 6 is lines 38-43, as it is in
+    # watcher.csv (every 0.05 s), and tick 7 lines 44-49.
+    EDITS = {
+        "delete a line": "trajectory.csv:40:",
+        "duplicate a line": "trajectory.csv:41:",
+        "swap two lines of a tick": "trajectory.csv:40:",
+        "cut the last tick short": "trajectory.csv: ends after line 1206,",
+        "drop the last whole tick": "trajectory.csv: ends after line 1201,",
+        "retime one tick": "trajectory.csv:44:",
+        "drop uav2 from t=2 s on": "trajectory.csv:606:",
+        "delete a watcher.csv line": "watcher.csv:40:",
+    }
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_edited_log_names_its_line(self, tmp_path, edit):
+        """A line out of the place run() writes it at, or a log that ends
+        early, ends summarize with exit code 1, naming the file and line."""
+        cfg = crossing_scenario(3, seed=4, duration=4.0)
+        run(cfg, str(tmp_path))
+        name = "watcher.csv" if "watcher" in edit else "trajectory.csv"
+        lines = (tmp_path / name).read_text().splitlines()
+        k = 39   # lines[k] is file line 40, the third line of tick 6
+        if edit in ("delete a line", "delete a watcher.csv line"):
+            del lines[k]
+        elif edit == "duplicate a line":
+            lines.insert(k, lines[k])
+        elif edit == "swap two lines of a tick":
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        elif edit == "cut the last tick short":
+            del lines[-1]
+        elif edit == "drop the last whole tick":
+            del lines[-6:]
+        elif edit == "retime one tick":
+            for j in range(43, 49):   # tick 7, at 0.14 s, logged at 0.13 s
+                lines[j] = lines[j].replace("0.14,", "0.13,", 1)
+        else:   # the other agents' min_h recomputed without uav2
+            view, out = scalar_view(cfg), lines[:1]
+            for start in range(1, len(lines), 6):
+                rows = [line.split(",") for line in lines[start:start + 6]]
+                rows = [r for r in rows if r[1] != "uav2" or float(r[0]) < 2.0]
+                per_agent = scalar_tick_barriers(view, {
+                    r[1]: Sample(r[2], *map(float, r[3:7]), r[10]) for r in rows})[0]
+                out += [",".join(r[:11] + [fmt9(per_agent[r[1]])]) for r in rows]
+            lines = out
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=re.escape(self.EDITS[edit])):
+            summarize_dir(str(tmp_path))
+        assert main(["summarize", str(tmp_path)]) == 1
 
     def test_tampered_state_detected(self, tmp_path):
         cfg = single_pair(duration=1.0)
@@ -297,8 +338,8 @@ class TestSummarize:
     def test_non_finite_min_h_disagrees(self, tmp_path, kind, logged):
         """A logged min_h must equal the recomputed one or lie within 1e-9
         of it: NaN never does, nor does -inf.  (An agent without barrier
-        terms, which would recompute to +inf, cannot be logged: a kind
-        other than uav or ugv is rejected when the line is parsed.)"""
+        terms, which would recompute to +inf, cannot be logged: a line's
+        agent and kind must be the ones the config puts there.)"""
         result = run(single_pair(duration=1.0), str(tmp_path))
         with open(result.trajectory_path) as f:
             lines = f.read().splitlines()
