@@ -267,7 +267,7 @@ def build_constraint_row(
     values h, each (m,).
 
     With worst_case=True the velocity estimate is replaced by the most
-    adversarial motion allowed by the speed bounds (used only before the
+    adversarial motion within the speed bounds (used only before the
     watcher's VelocityEstimator has its first difference): dh/dt =
     -2*|r|*v_max for the spheres, -|k|*sqrt(l)*v_max for the funnel.
     """

@@ -34,6 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a scenario config")
     p_val.add_argument("config_file")
+    p_val.set_defaults(seed=None, duration=None)
 
     p_sum = sub.add_parser("summarize",
                            help="recompute safety metrics from a run directory")
@@ -54,41 +55,6 @@ def _load(path: str, seed: int | None, duration: float | None):
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.command == "validate":
-        try:
-            config_mod.load_config(args.config_file)
-        except ConfigError as exc:
-            for violation in exc.violations:
-                print(f"[{violation.code}] {violation.message}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return 2
-        print("config OK")
-        return 0
-
-    if args.command == "run":
-        try:
-            cfg = _load(args.config_file, args.seed, args.duration)
-        except ConfigError as exc:
-            for violation in exc.violations:
-                print(f"[{violation.code}] {violation.message}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return 2
-        try:
-            result = runner.run(cfg, args.out_dir, trace=args.trace)
-        except SafetyAbortError as exc:
-            print(f"safety abort: {exc}", file=sys.stderr)
-            return 3
-        except OSError as exc:  # e.g. --out-dir names a file, or lies under one
-            print(f"cannot write to output directory {args.out_dir}: {exc}", file=sys.stderr)
-            return 2
-        print(f"run complete: {result.trajectory_path}")
-        print(result.metrics.to_json())
-        return 0
-
     if args.command == "summarize":
         try:
             metrics = summary.summarize_dir(args.out_dir)
@@ -101,7 +67,29 @@ def main(argv: list[str] | None = None) -> int:
         print(metrics.to_json())
         return 0
 
-    return 1
+    try:   # validate or run
+        cfg = _load(args.config_file, args.seed, args.duration)
+    except ConfigError as exc:
+        for violation in exc.violations:
+            print(f"[{violation.code}] {violation.message}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "validate":
+        print("config OK")
+        return 0
+    try:
+        result = runner.run(cfg, args.out_dir, trace=args.trace)
+    except SafetyAbortError as exc:
+        print(f"safety abort: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # e.g. --out-dir names a file, or lies under one
+        print(f"cannot write to output directory {args.out_dir}: {exc}", file=sys.stderr)
+        return 2
+    print(f"run complete: {result.trajectory_path}")
+    print(result.metrics.to_json())
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ has a defined, observable degradation path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,19 +138,12 @@ def _active_set(z: np.ndarray, A: np.ndarray, b: np.ndarray, max_iter: int,
     raise RuntimeError("active-set projection did not converge")
 
 
-_BOX_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=64)   # callers may pass many distinct limits
 def _box(n: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
     """The box |u_j| <= limit as the rows [I; -I] and their offsets,
     read-only; built once per (n, limit)."""
-    box = _BOX_CACHE.get((n, limit))
-    if box is None:
-        box = np.concatenate([np.eye(n), -np.eye(n)]), np.full(2 * n, float(limit))
-        box[0].flags.writeable = box[1].flags.writeable = False
-        if len(_BOX_CACHE) >= 64:  # callers may pass many distinct limits
-            _BOX_CACHE.clear()
-        _BOX_CACHE[n, limit] = box
+    box = np.concatenate([np.eye(n), -np.eye(n)]), np.full(2 * n, float(limit))
+    box[0].flags.writeable = box[1].flags.writeable = False
     return box
 
 

@@ -130,13 +130,12 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     u_logged = np.zeros((2 * n, 3))
     statuses = ["hold"] * (2 * n)
     watcher_lines: list[str] = [WATCHER_HEADER]   # the header, then one chunk per tick
-    # A watcher.csv line is its time and a tail that follows from the gate
-    # tables and phase view alone: (tables, view, tails) of the last build.
-    tails_of: tuple = (None, None, [])
+    # A watcher.csv line is its time and a tail that follows from the
+    # watcher's gate tables alone: (tables, tails) of the last build.
+    tails_of: tuple = (None, [])
     watcher_records: list[WatcherRecord] = []
     events = list(cfg.events)
     event_idx = 0
-    relaxed_events = 0
 
     steps_ctrl = cfg.steps_per_control()
     steps_watch = cfg.steps_per_watcher()
@@ -197,16 +196,15 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             for msg_type, dst, payload in outbound:
                 bus.send(msg_type, WATCHER_ID, dst, payload, t)
             watcher_records += records
-            if (coordinator.tables is not tails_of[0]
-                    or coordinator.phase_view is not tails_of[1]):
+            if coordinator.tables is not tails_of[0]:
                 # Row counts in column order, then the proximal set.
-                tails_of = coordinator.tables, coordinator.phase_view, [
+                tails_of = coordinator.tables, [
                     f",{rec.agent_id},{rec.phase},{rec.active_count},{k.get('workspace', 0)},"
                     f"{k.get('uav_other_ugv', 0)},{k.get('landing', 0)},{k.get('uav_uav', 0)},"
                     f"{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}"
                     for rec in records for k in [rec.kind_counts]]
             t_str = fmt9(t)
-            watcher_lines.append(t_str + ("\n" + t_str).join(tails_of[2]))
+            watcher_lines.append(t_str + ("\n" + t_str).join(tails_of[1]))
             route(bus.deliver_due(t))  # zero-latency traffic lands this instant
 
         if step % steps_ctrl == 0:
@@ -218,7 +216,6 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             if ticked:
                 u_logged[0::2], u_logged[1::2, :2] = uavs.u, ugvs.u
                 statuses[0::2], statuses[1::2] = uavs.status, ugvs.status
-            relaxed_events += statuses.count("relaxed")
             logged[0::2, :3] = uav
             logged[1::2, :2] = ugv[:, :2]
             logged[1::2, 3] = ugv[:, 2]
@@ -249,7 +246,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     fold.rows((rec.agent_id, rec.active_count) for rec in watcher_records)
     link_stats = bus.link_stats()
     if trace:  # what the trace records: every link touches the watcher
-        fold.links(len(link_stats), 0, sum(s.sent for s in link_stats.values()),
+        fold.links(len(link_stats), sum(s.sent for s in link_stats.values()),
                    sum(s.dropped for s in link_stats.values()))
     metrics = fold.result()
     with open(os.path.join(out_dir, METRICS_FILE), "w") as f:
@@ -260,5 +257,5 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         watcher_path=watcher_path, trace_path=trace_path,
         touchdown_times=dict(coordinator.touchdown_times),
         watcher_records=watcher_records, link_stats=link_stats,
-        relaxed_events=relaxed_events,
+        relaxed_events=metrics.status_counts.get("relaxed", 0),
     )

@@ -126,9 +126,10 @@ class MetricsFold:
             hist = self.summary.row_count_histogram.setdefault(agent, {})
             hist[count] = hist.get(count, 0) + k
 
-    def links(self, active: int, a2a: int, sent: int, dropped: int) -> None:
+    def links(self, active: int, sent: int, dropped: int) -> None:
+        """The trace's counts; every message travels on a watcher link."""
         s = self.summary
-        s.active_links, s.agent_to_agent_messages = active, a2a
+        s.active_links, s.agent_to_agent_messages = active, 0
         s.messages_sent, s.messages_dropped = sent, dropped
 
     def result(self) -> MetricsSummary:
@@ -401,7 +402,7 @@ def summarize_dir(out_dir: str) -> MetricsSummary:
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):
         links: set[str] = set()
-        a2a = sent = dropped = 0
+        sent = dropped = 0
         with open(trace_path, "r") as f:
             for lineno, line in enumerate(f, start=1):
                 tokens = line.split()
@@ -418,12 +419,12 @@ def summarize_dir(out_dir: str) -> MetricsSummary:
                     raise InvalidInputError(f"{trace_path}:{lineno}: expected a send, drop "
                                             f"or deliver event with src and dst")
                 src, dst = fields["src"], fields["dst"]
+                if (src == "watcher") == (dst == "watcher"):
+                    raise InvalidInputError(f"{trace_path}:{lineno}: expected a message "
+                                            f"to or from the watcher, got {src} to {dst}")
                 sent += event != "deliver"  # a dropped message was sent too
                 dropped += event == "drop"
-                if "watcher" not in (src, dst):
-                    a2a += 1
-                else:
-                    links.add(dst if src == "watcher" else src)
-        fold.links(len(links), a2a, sent, dropped)
+                links.add(dst if src == "watcher" else src)
+        fold.links(len(links), sent, dropped)
 
     return fold.result()

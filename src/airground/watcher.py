@@ -24,11 +24,11 @@ one stacked pass over the fleet:
    lexicographic columns.
 
 Gates flip far less often than the fleet moves, and phases change less
-often still: what follows from the gates alone (row slots and counts, the
-capacity verdict, kind counts and proximal sets) is rebuilt only when their
-contents change, in _gate_tables, and what follows from the phases alone
-(the landing and chasing pairs, each agent's phase, the gates that may be
-on) only when a phase changes, in _phase_view.
+often still: what follows from them (row slots and counts, the capacity
+verdict, kind counts, proximal sets, the chasing pairs and each agent's
+phase) is rebuilt only when the gates or the phases change, in
+_gate_tables.  The pair phases are one (n,) int8 array of TASK, LANDING
+and LANDED.
 
 Fresh versus reused arrays: whatever leaves a tick -- the pose rows in the
 payloads, the A/b blocks, the estimator's last positions -- is a new array
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
 
@@ -120,10 +119,9 @@ class VelocityEstimator:
         return self._value, self._worst_case
 
 
-class PairPhase(Enum):
-    TASK = "task"
-    LANDING = "landing"
-    LANDED = "landed"
+# Pair phases, as stored in Watcher.phases, and their names in the log.
+TASK, LANDING, LANDED = 0, 1, 2
+PHASE_NAMES = ("task", "landing", "landed")
 
 
 @dataclass
@@ -202,7 +200,7 @@ class TrackTable:
 @dataclass(slots=True)
 class WatcherRecord:
     """One per-tick, per-agent decision snapshot for the run log (records
-    made under the same gates share one kind_counts dict)."""
+    made under the same gate tables share one kind_counts dict)."""
 
     time: float
     agent_id: str
@@ -225,9 +223,9 @@ def _gated(gates: np.ndarray, first, capacity: int) -> tuple | None:
 
 
 class _GateTables(NamedTuple):
-    """What Watcher._gate_tables derives from the gates alone; lists run in tick order."""
+    """What Watcher._gate_tables derives from the gates and phases; lists run in tick order."""
 
-    key: bytes                          # the gate stack's bytes
+    key: bytes                          # the gate stack's bytes, then the phases'
     overflow: str | None                # CapacityError's message, if any agent overflows
     active: list[int]                   # active row counts
     # For _scatter: _gated of the ago, aa and gg gates, and each UAV's funnel row.
@@ -237,16 +235,8 @@ class _GateTables(NamedTuple):
     landing: np.ndarray
     kind_counts: list[dict[str, int]]   # rows per kind, in RowKind order
     proximal: list[tuple[str, ...]]     # sorted proximal sets
-
-
-class _PhaseView(NamedTuple):
-    """What Watcher._phase_view derives from the pair phases alone."""
-
-    key: tuple                          # the phases, by pair
-    landing: np.ndarray                 # pairs in the landing phase
     chasing: np.ndarray                 # pairs whose UAV chases its platform
-    phases: list[str]                   # each agent's phase, in tick order
-    allowed: np.ndarray                 # (3, n, n): the gates that may be on
+    phases: list[str]                   # each agent's phase name
 
 
 class Watcher:
@@ -274,7 +264,6 @@ class Watcher:
         self.tracks = tracks
         self.platform_height = platform_height
         self.ugv_offset = ugv_offset
-        self.period = period
         self.activation_margin = opts.activation_margin
         if self.activation_margin is None:
             self.activation_margin = derived_margin(params.uav_speed_limit, period, max_latency)
@@ -282,7 +271,7 @@ class Watcher:
         self._touch_rz = opts.touchdown_height
         self._touch_hold = opts.touchdown_hold
 
-        self.phases = {i: PairPhase.TASK for i in range(n_pairs)}
+        self.phases = np.full(n_pairs, TASK, dtype=np.int8)
         self._uav_ids = np.array([f"uav{i}" for i in range(n_pairs)], dtype=object)
         self._ugv_ids = np.array([f"ugv{i}" for i in range(n_pairs)], dtype=object)
         self._ids = [agent_id for i in range(n_pairs) for agent_id in (f"uav{i}", f"ugv{i}")]
@@ -297,7 +286,7 @@ class Watcher:
         self._prox_cells = np.stack((np.hstack((aa, ago)), np.hstack((ago.T, gg))),
                                     axis=1)[:, :, lex + [n_pairs + k for k in lex]].ravel()
         self._prox_ends = np.arange(1, 2 * n_pairs + 1) * 2 * n_pairs  # each row's end
-        self._touch_since: dict[int, float | None] = {i: None for i in range(n_pairs)}
+        self._touch_since = np.full(n_pairs, np.nan)   # NaN: outside the window
         self.touchdown_times: dict[int, float] = {}
         self._pending: list[tuple[MsgType, str, object]] = []
         # This tick's fleet, indexed by pair: UAV positions (x, y, z), UGV
@@ -331,8 +320,7 @@ class Watcher:
             template = np.zeros((n_pairs, capacity, dim))
             template[:, :len(walls)] = walls
             self._templates.append(template)
-        self.tables: _GateTables | None = None      # one object until a gate flips
-        self.phase_view: _PhaseView | None = None   # one object until a phase changes
+        self.tables: _GateTables | None = None   # one object until a gate or phase changes
 
     # -- event handling -----------------------------------------------------
 
@@ -342,32 +330,12 @@ class Watcher:
         The setpoint switch reaches the UAV with its next tick's update.
         Returns False for rejected signals.
         """
-        if pair not in self.phases:
+        if not 0 <= pair < self.n_pairs:
             return False
-        if self.phases[pair] is PairPhase.LANDED:
+        if self.phases[pair] == LANDED:
             return False  # already down; warn-level no-op
-        if self.phases[pair] is PairPhase.LANDING:
-            return True  # idempotent
-        self.phases[pair] = PairPhase.LANDING
+        self.phases[pair] = LANDING  # idempotent while landing
         return True
-
-    def _phase_view(self) -> _PhaseView:
-        """The views derived from the current phases, rebuilt only when they
-        differ from the last build's.  Landed UAVs retire from the aerial
-        layer: their rows and columns of the UAV gates and their rows of the
-        cross-layer gates may not be on."""
-        key = tuple(self.phases.values())
-        if self.phase_view is not None and self.phase_view.key == key:
-            return self.phase_view
-        landing = [i for i, phase in enumerate(key) if phase is PairPhase.LANDING]
-        chasing = [i for i, phase in enumerate(key) if phase is not PairPhase.TASK]
-        flying = np.array([phase is not PairPhase.LANDED for phase in key])
-        cross = self._others & flying[:, None]
-        self.phase_view = _PhaseView(
-            key, np.array(landing, dtype=int), np.array(chasing, dtype=int),
-            [phase.value for phase in key for _ in (0, 1)],
-            np.stack((cross & flying, cross, self._others)))
-        return self.phase_view
 
     # -- proximity gating ---------------------------------------------------
 
@@ -376,13 +344,13 @@ class Watcher:
         return set(self._gate_tables().proximal[self._ids.index(agent_id)])
 
     def _gate_tables(self) -> _GateTables:
-        """The tables derived from the current gates, rebuilt only when their
-        contents differ from the last build's.  Rows follow
+        """The tables derived from the current gates and phases, rebuilt
+        only when either differs from the last build's.  Rows follow
         assemble_constraints' order.  Proximal sets are read off one gate
         matrix: a row per agent and a column per other agent, columns in
         lexicographic id order."""
-        gates = self._gates
-        key = gates.tobytes()
+        gates, phases = self._gates, self.phases
+        key = gates.tobytes() + phases.tobytes()
         if self.tables is not None and self.tables.key == key:
             return self.tables
         n, cap = self.n_pairs, self.capacity
@@ -405,43 +373,55 @@ class Watcher:
             proximal = [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]
         self.tables = _GateTables(
             key, overflow, active, _gated(ago, 5, cap), _gated(aa, 6 + n_ago, cap),
-            _gated(gg, 4, cap), self._row_starts + 5 + n_ago, kind_counts, proximal)
+            _gated(gg, 4, cap), self._row_starts + 5 + n_ago, kind_counts, proximal,
+            (phases != TASK).nonzero()[0],
+            [PHASE_NAMES[phase] for phase in phases.tolist() for _ in (0, 1)])
         return self.tables
 
-    def _hysteresis(self, active: np.ndarray, distance: np.ndarray,
-                    radius, allowed: np.ndarray) -> np.ndarray:
+    def _hysteresis(self, active: np.ndarray, distance: np.ndarray, radius) -> np.ndarray:
         """Hysteresis gate, elementwise: an inactive pair activates inside
         radius + margin and an active one deactivates beyond that plus
         _PROXIMITY_HYSTERESIS.  radius may be one family's float or the
         stack's (3, 1, 1) radii."""
         activate_at = radius + self.activation_margin
-        return allowed & np.where(active,
-                                  distance <= activate_at + _PROXIMITY_HYSTERESIS,
-                                  distance < activate_at)
+        return np.where(active, distance <= activate_at + _PROXIMITY_HYSTERESIS,
+                        distance < activate_at)
 
-    def _update_gates(self, allowed: np.ndarray) -> None:
+    def _update_gates(self) -> None:
         """Refresh the gate stack from this tick's distance operands in one
-        pass; allowed holds the gates that may be on."""
+        pass.  The diagonal is off (a pair is never gated against itself),
+        and landed UAVs retire from the aerial layer: their rows and
+        columns of the UAV gates and their rows of the cross-layer gates
+        are off."""
         distance = np.sqrt(pairwise_sq_distances(self._lhs, self._rhs))
-        self._gates = self._hysteresis(self._gates, distance, self._radii, allowed)
+        gates = self._hysteresis(self._gates, distance, self._radii)
+        gates &= self._others
+        landed = (self.phases == LANDED).nonzero()[0]
+        if len(landed):
+            gates[:2, landed] = False      # their UAV and cross-layer rows
+            gates[0, :, landed] = False    # their UAV columns
+        self._gates = gates
 
     # -- landing ------------------------------------------------------------
 
-    def _check_touchdowns(self, now: float, landing: np.ndarray) -> None:
-        """Advance the touchdown clocks of the landing pairs."""
+    def _check_touchdowns(self, now: float) -> None:
+        """Advance the touchdown clocks of the landing pairs; a clock that
+        has run for the dwell time lands its pair."""
+        landing = (self.phases == LANDING).nonzero()[0]
         if not len(landing):
             return
         r = self._fleet[landing, :3] - self._platforms[landing]
         inside = ((r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] <= self._touch_l)
                   & (r[:, 2] <= self.params.hover_clearance + self._touch_rz))
-        for i, on in zip(landing.tolist(), inside.tolist()):
+        clocks = self._touch_since
+        for i, on, since in zip(landing.tolist(), inside.tolist(), clocks[landing].tolist()):
             if not on:
-                self._touch_since[i] = None
+                clocks[i] = math.nan
                 continue
-            if self._touch_since[i] is None:
-                self._touch_since[i] = now
-            if now - self._touch_since[i] >= self._touch_hold:
-                self.phases[i] = PairPhase.LANDED
+            if math.isnan(since):   # the pair just entered the window
+                clocks[i] = since = now
+            if now - since >= self._touch_hold:
+                self.phases[i] = LANDED
                 self.touchdown_times[i] = now
                 self._pending.append((MsgType.TOUCHDOWN_ACK, f"uav{i}", i))
 
@@ -541,19 +521,18 @@ class Watcher:
         rhs[1, :, :2] = fleet[:, 3:5]   # the platform centres
         lhs[2, :, :2] = rhs[2, :, :2] = fleet[:, 5:]
 
-        self._check_touchdowns(now, self._phase_view().landing)
-        view = self._phase_view()   # a touchdown changes the phases
-        self._update_gates(view.allowed)
+        self._check_touchdowns(now)
+        self._update_gates()
 
         blocks = self.assemble_constraints()
-        positions, rates = self._setpoints(now, view.chasing)
+        tables = self.tables   # as assemble_constraints just used them
+        positions, rates = self._setpoints(now, tables.chasing)
         updates = [None] * (2 * n)
         for k, (ids, poses, dim, (a, b, counts)) in enumerate(zip(
                 (self._uav_ids, self._ugv_ids), (fleet[:, :3], ugv), (3, 2), blocks)):
             updates[k::2] = zip(repeat(MsgType.UPDATE), ids, zip(
                 poses, positions[k::2, :dim], rates[k::2, :dim], a, b, counts))
         outbound, self._pending = self._pending + updates, []
-        tables = self.tables   # as assemble_constraints just used them
         records = list(map(WatcherRecord, repeat(now), self._ids, tables.active,
-                           tables.kind_counts, view.phases, tables.proximal))
+                           tables.kind_counts, tables.phases, tables.proximal))
         return outbound, records

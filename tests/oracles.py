@@ -80,7 +80,7 @@ from airground.logfmt import fmt9
 from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
 from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpSolution,
                           _blocking_step, _project)
-from airground.watcher import PairPhase, WatcherRecord
+from airground.watcher import PHASE_NAMES, TASK, WatcherRecord
 
 _PROXIMITY_HYSTERESIS = 0.1
 
@@ -1026,7 +1026,7 @@ def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
         phase = w.phases[i]
         for agent_id, pose in ((f"uav{i}", s.uav[i]), (f"ugv{i}", s.ugv[i])):
             setpoint = waypoint_sample(w.tracks[agent_id], now)
-            if agent_id.startswith("uav") and phase is not PairPhase.TASK:
+            if agent_id.startswith("uav") and phase != TASK:
                 rate = (np.zeros(3) if s.worst
                         else np.array([s.v_deck[i, 0], s.v_deck[i, 1], 0.0]))
                 setpoint = (hover_point(w, i), rate)
@@ -1034,8 +1034,8 @@ def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
             updates.append((MsgType.UPDATE, agent_id, (pose.copy(), *setpoint, *matrix)))
             records.append(WatcherRecord(
                 time=now, agent_id=agent_id, active_count=matrix.active_count,
-                kind_counts=per_agent_kind_counts(rows_layout(rows)[0]), phase=phase.value,
-                proximal=tuple(sorted(w.proximal_set(agent_id)))))
+                kind_counts=per_agent_kind_counts(rows_layout(rows)[0]),
+                phase=PHASE_NAMES[phase], proximal=tuple(sorted(w.proximal_set(agent_id)))))
     return updates, records
 
 

@@ -445,7 +445,8 @@ class TestSummarize:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad", ["bogus t=1", "send t=1 src=watcher",
-                                     "deliver t=1 dst=uav0", "bogus t=1 src=uav0 dst=ugv0"])
+                                     "deliver t=1 dst=uav0", "bogus t=1 src=uav0 dst=ugv0",
+                                     "send t=1 src=uav0 dst=ugv0 type=update seq=1 due=1"])
     def test_trace_line_without_known_event_or_endpoints_fails(self, tmp_path, capsys,
                                                                bad):
         out_dir, trace, lines = self.traced_run(tmp_path, capsys)

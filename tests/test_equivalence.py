@@ -30,8 +30,8 @@ from airground import runner
 from airground.runner import _integrate, run
 from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, TrajectoryWriter,
                                tick_barriers)
-from airground.watcher import (PairPhase, TrackTable, VelocityEstimator,
-                               Watcher, WaypointTrack)
+from airground.watcher import (LANDED, LANDING, TASK, TrackTable,
+                               VelocityEstimator, Watcher, WaypointTrack)
 
 from oracles import (AgentVelocityEstimator, ConstraintRow, DictGates, Matrix, Sample,
                      ScalarControlUnit, UavState, UgvState, UncachedControlUnit,
@@ -264,7 +264,7 @@ def test_gate_matrices_match_dict_oracle(case):
         for i in range(n):
             poses[f"uav{i}"] = uav[i].copy()
             poses[f"ugv{i}"] = ugv[i].copy()
-            w.phases[i] = PairPhase.LANDED if landed[i] else PairPhase.TASK
+            w.phases[i] = LANDED if landed[i] else TASK
         now = 0.05 * k
         _, records = w.tick(now, uav, ugv)
         oracle.update(poses, landed)
@@ -279,8 +279,7 @@ def test_gate_matrices_match_dict_oracle(case):
 def hysteresis_stacks(draw):
     """An activation margin, then per family of 1-5 pairs: distances at, one
     ulp either side of and between the family's activate and deactivate
-    radii (or anywhere up to a metre beyond), current gates and allowed
-    masks."""
+    radii (or anywhere up to a metre beyond) and current gates."""
     n = draw(st.integers(1, 5))
     margin = draw(st.sampled_from([0.0, 0.3, 0.6, 1.7]) | st.floats(0.0, 3.0))
     distances = []
@@ -291,8 +290,7 @@ def hysteresis_stacks(draw):
                  (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))]
         near = st.sampled_from(edges + [(on + off) / 2, 0.0]) | st.floats(0.0, off + 1.0)
         distances.append(draw(arrays(float, (n, n), elements=near)))
-    return (margin, np.array(distances), draw(arrays(bool, (3, n, n))),
-            draw(arrays(bool, (3, n, n))))
+    return margin, np.array(distances), draw(arrays(bool, (3, n, n)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,13 +298,13 @@ def hysteresis_stacks(draw):
 def test_stacked_hysteresis_matches_per_family_calls(case):
     """One hysteresis call on the (3, n, n) stack with its (3, 1, 1) radii
     equals the three per-family calls with their float radii, bit for bit."""
-    margin, distance, active, allowed = case
+    margin, distance, active = case
     n = distance.shape[1]
     w = Watcher(n, PARAMS, 2 * n + 4, static_tracks(n), activation_margin=margin)
     radii = (PARAMS.uav_separation, PARAMS.uav_ugv_separation, PARAMS.ugv_separation)
     assert w._radii.ravel().tolist() == list(radii)   # the stack's (aa, ago, gg) order
-    stacked = w._hysteresis(active, distance, w._radii, allowed)
-    per_family = [w._hysteresis(active[k], distance[k], radius, allowed[k])
+    stacked = w._hysteresis(active, distance, w._radii)
+    per_family = [w._hysteresis(active[k], distance[k], radius)
                   for k, radius in enumerate(radii)]
     assert stacked.dtype == bool and stacked.shape == (3, n, n)
     assert stacked.tobytes() == np.stack(per_family).tobytes()
@@ -367,7 +365,7 @@ def test_array_assembly_matches_per_row_oracle(case):
         if n > 1:
             uav[1] = uav[0] + [activate_at + edge, 0.0, 0.0]
         for i in range(n):
-            w.phases[i] = PairPhase.LANDED if landed[i] else PairPhase.TASK
+            w.phases[i] = LANDED if landed[i] else TASK
         now = 0.05 * k
         ids = [aid for i in range(n) for aid in (f"uav{i}", f"ugv{i}")]
         try:
@@ -484,7 +482,7 @@ def fanout_runs(draw):
     ticks = []
     for _ in range(draw(st.integers(1, 4))):
         move = st.floats(-0.12, 0.12)
-        phases = draw(st.lists(st.sampled_from(list(PairPhase)), min_size=n, max_size=n))
+        phases = draw(st.lists(st.sampled_from([TASK, LANDING, LANDED]), min_size=n, max_size=n))
         signal = draw(st.none() | st.integers(0, n - 1))
         ticks.append((base_uav + draw(arrays(float, (n, 3), elements=move)),
                       base_ugv + draw(arrays(float, (n, 3), elements=move)), phases, signal))
@@ -520,16 +518,19 @@ def landing_crossing():
 
 def test_watcher_log_matches_per_record_lines(tmp_path):
     """Every watcher.csv line, its tail reused from the last tick whose gate
-    tables or pair phases differed, equals the per-record formatting."""
+    tables differed, equals the per-record formatting.  The run has ticks
+    whose gates alone change the records and ticks whose phases alone do."""
     result = run(landing_crossing(), str(tmp_path))
     records = result.watcher_records
     lines = (tmp_path / "watcher.csv").read_text().splitlines()
     assert lines == [WATCHER_HEADER] + [watcher_line(fmt9(rec.time), rec) for rec in records]
     ticks = [records[k:k + 6] for k in range(0, len(records), 6)]
     phases = [[rec.phase for rec in tick] for tick in ticks]
-    flips = [a[0].kind_counts is not b[0].kind_counts for a, b in zip(ticks, ticks[1:])]
-    assert any(flip and p == q for flip, p, q in zip(flips, phases, phases[1:]))
-    assert any(not flip and p != q for flip, p, q in zip(flips, phases, phases[1:]))
+    gated = [[(rec.active_count, rec.kind_counts, rec.proximal) for rec in tick]
+             for tick in ticks]
+    steps = list(zip(gated, gated[1:], phases, phases[1:]))
+    assert any(g != h and p == q for g, h, p, q in steps)
+    assert any(g == h and p != q for g, h, p, q in steps)
     assert {phase for tick in phases for phase in tick} == {"task", "landing", "landed"}
 
 
@@ -566,7 +567,7 @@ def with_phases(run):
     runs = []
     for k, (uav, ugv, landed) in enumerate(ticks):
         soon = ticks[k + 1][2] if k + 1 < len(ticks) else landed
-        phases = [PairPhase.LANDED if down else PairPhase.TASK for down in landed]
+        phases = [LANDED if down else TASK for down in landed]
         signal = next((i for i in range(n) if soon[i] and not landed[i]), None)
         runs.append((uav, ugv, phases, signal))
     return n, platform_height, track_dict, runs
@@ -583,25 +584,27 @@ def test_fanout_matches_per_agent_oracle(case):
     w = Watcher(n, PARAMS, 2 * n + 4, track_dict, platform_height=platform_height)
     for k, (uav, ugv, phases, signal) in enumerate(ticks):
         now = 0.05 * k + 0.025
-        w.phases.update(enumerate(phases))
+        w.phases[:] = phases
         if signal is not None:
             w.handle_landing_signal(signal, now)
         outbound, records = w.tick(now, uav, ugv)
         assert_fanout_matches_oracle(w, now, outbound, records)
 
 
-def test_gate_tables_rebuilt_only_when_a_gate_flips():
+def test_gate_tables_rebuilt_only_when_a_gate_or_phase_changes():
     """uav1 crosses uav0's hysteresis band, a ground gate and then a
-    cross-layer gate flip alone, pair 0 lands, then pair 2 moves in until
-    uav1 overflows its capacity.  Every tick matches the per-agent fan-out;
-    the gate tables are rebuilt exactly on the ticks whose gates flipped;
-    and the first overflowing tick raises the per-row oracle's
-    CapacityError after a tick that reused its tables, as does the next."""
+    cross-layer gate flip alone, pair 0 gets a landing signal that flips
+    no gate and then lands, then pair 2 moves in until uav1 overflows its
+    capacity.  Every tick matches the per-agent fan-out; the gate tables
+    are rebuilt exactly on the ticks whose gates or phases changed; and
+    the first overflowing tick raises the per-row oracle's CapacityError
+    after a tick that reused its tables, as does the next."""
     w = Watcher(3, PARAMS, 8, static_tracks(3), touchdown_hold=0.09)
     on_at = PARAMS.uav_separation + w.activation_margin  # off again beyond on_at + 0.1
     ugv = np.array([[0.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, -5.0, 0.0]])
     far, hover, near = [0.0, -5.0, 1.6], [0.0, 0.0, 0.2], [0.3, 0.0, 0.9]
-    # (uav0, uav1, ugv1's y, whether this tick's gates differ from the last's)
+    # (uav0, uav1, ugv1's y, whether this tick's gates or phases differ
+    # from the last's)
     ticks = [([0.0, 0.0, 1.6], [on_at + 0.9, 0.0, 1.6], 5.0, True),
              ([0.0, 0.0, 1.6], [on_at + 0.05, 0.0, 1.6], 5.0, False),
              ([0.0, 0.0, 1.6], [on_at - 0.05, 0.0, 1.6], 5.0, True),
@@ -611,20 +614,24 @@ def test_gate_tables_rebuilt_only_when_a_gate_flips():
              ([0.0, 0.0, 1.6], [on_at + 0.05, 0.0, 1.6], 5.0, False),
              ([0.0, 0.0, 1.6], [on_at + 0.05, 0.0, 1.6], 1.5, True),   # ugv0-ugv1 only
              ([0.0, 0.0, 1.6], [0.9, 0.0, 0.9], 1.5, True),            # uav1-ugv0 only
+             (hover, near, 1.5, True),
              (hover, near, 1.5, True),   # landing signal; touchdown clock starts
              (hover, near, 1.5, False),
              (hover, near, 1.5, True),   # touchdown: uav0's aerial rows retire
              (hover, near, 1.5, False)]
-    for k, (uav0, uav1, ugv1_y, flips) in enumerate(ticks):
+    for k, (uav0, uav1, ugv1_y, changes) in enumerate(ticks):
         now = 0.05 * k
-        if k == 9:
+        if k == 10:
             w.handle_landing_signal(0, now)
         ugv[1, 1] = ugv1_y
-        before = w.tables
+        before, gates = w.tables, w._gates
         outbound, records = w.tick(now, np.array([uav0, uav1, far]), ugv)
-        assert (w.tables is not before) == flips, k
+        assert (w.tables is not before) == changes, k
+        if k == 10:   # the phase alone changed
+            assert w._gates.tobytes() == gates.tobytes()
+            assert [rec.phase for rec in records[:2]] == ["landing", "landing"]
         assert_fanout_matches_oracle(w, now, outbound, records)
-    assert w.phases[0] is PairPhase.LANDED
+    assert w.phases[0] == LANDED
     # Pair 2 joins uav1: two more rows overflow it, on this tick and the next.
     uav = np.array([hover, near, [0.3, 0.4, 0.9]])
     ugv[2] = [0.6, 0.5, 0.0]

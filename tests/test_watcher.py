@@ -8,7 +8,7 @@ from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row)
 from airground.errors import CapacityError, InvalidInputError
 from airground.netsim import MsgType
-from airground.watcher import (PairPhase, TrackTable, VelocityEstimator,
+from airground.watcher import (LANDED, LANDING, TrackTable, VelocityEstimator,
                                Watcher, WaypointTrack)
 
 from oracles import agent_matrices, hover_point, row_layout
@@ -277,7 +277,7 @@ class TestLandingProtocol:
         w, poses = self.landing_watcher()
         before = {dst: payload[1] for _, dst, payload in w.tick(1.0, *poses)[0]}
         assert w.handle_landing_signal(0, 1.0)
-        assert w.phases[0] is PairPhase.LANDING
+        assert w.phases[0] == LANDING
         outbound, _ = w.tick(1.05, *poses)
         assert [msg_type for msg_type, _, _ in outbound] == [MsgType.UPDATE] * 4
         setpoints = {dst: payload[1] for _, dst, payload in outbound}
@@ -290,7 +290,7 @@ class TestLandingProtocol:
         w, poses = self.landing_watcher()
         assert w.handle_landing_signal(0, 1.0)
         assert w.handle_landing_signal(0, 1.2)
-        assert w.phases[0] is PairPhase.LANDING
+        assert w.phases[0] == LANDING
         outbound, _ = w.tick(1.25, *poses)
         assert [msg_type for msg_type, _, _ in outbound] == [MsgType.UPDATE] * 4
         assert np.allclose(outbound[0][2][1], hover_point(w, 0))
@@ -301,9 +301,9 @@ class TestLandingProtocol:
 
     def test_signal_for_landed_pair_is_noop(self):
         w, poses = self.landing_watcher()
-        w.phases[0] = PairPhase.LANDED
+        w.phases[0] = LANDED
         assert not w.handle_landing_signal(0, 2.0)
-        assert w.phases[0] is PairPhase.LANDED
+        assert w.phases[0] == LANDED
 
     def hover_poses(self, w, pair=0):
         uav, ugv = spread_poses(2, spacing=10.0)
@@ -315,11 +315,11 @@ class TestLandingProtocol:
         w.handle_landing_signal(0, 0.0)
         poses = self.hover_poses(w)
         w.tick(0.05, *poses)
-        assert w.phases[0] is PairPhase.LANDING  # just arrived
+        assert w.phases[0] == LANDING  # just arrived
         w.tick(0.30, *poses)
-        assert w.phases[0] is PairPhase.LANDING  # dwell not yet over
+        assert w.phases[0] == LANDING  # dwell not yet over
         w.tick(0.56, *poses)
-        assert w.phases[0] is PairPhase.LANDED
+        assert w.phases[0] == LANDED
         assert w.touchdown_times[0] == pytest.approx(0.56)
 
     def test_touchdown_reads_this_ticks_platform(self):
@@ -331,7 +331,7 @@ class TestLandingProtocol:
             uav, ugv = self.hover_poses(w)
             uav[0, 0] = ugv[0, 0] = 0.2 * k
             w.tick(0.05 * k, uav, ugv)
-        assert w.phases[0] is PairPhase.LANDED
+        assert w.phases[0] == LANDED
         assert w.touchdown_times[0] == pytest.approx(0.55)
 
     def test_transient_dip_does_not_land(self):
@@ -344,9 +344,9 @@ class TestLandingProtocol:
         w.tick(0.15, *outside)  # left the funnel mouth
         w.tick(0.20, *inside)
         w.tick(0.60, *inside)   # only 0.4 s of continuous dwell
-        assert w.phases[0] is PairPhase.LANDING
+        assert w.phases[0] == LANDING
         w.tick(0.75, *inside)
-        assert w.phases[0] is PairPhase.LANDED
+        assert w.phases[0] == LANDED
 
     def test_touchdown_emits_ack_and_retires_rows(self):
         n = 2
@@ -363,7 +363,7 @@ class TestLandingProtocol:
         hover[0] = *ugv[0, :2], w.platform_height + PARAMS.hover_clearance
         w.tick(0.2, hover, ugv)
         w.tick(0.8, hover, ugv)
-        assert w.phases[0] is PairPhase.LANDED
+        assert w.phases[0] == LANDED
         outbound, _ = w.tick(0.85, hover, ugv)
         acks = [dst for msg_type, dst, _ in outbound if msg_type is MsgType.TOUCHDOWN_ACK]
         assert acks <= ["uav0"]
