@@ -41,22 +41,6 @@ UGV = "ugv"
 _HELD = np.array(["hold", "landed"], dtype=object)  # a held unit's status, by landed flag
 
 
-@dataclass(frozen=True)
-class Gains:
-    """Positive diagonal tracking gains (1/s)."""
-
-    diag: np.ndarray
-
-    @staticmethod
-    def of(value, dim: int) -> "Gains":
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(dim, float(arr))
-        if arr.shape != (dim,) or np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-            raise InvalidInputError(f"gains must be positive per axis, got {value!r}")
-        return Gains(diag=arr)
-
-
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     r = math.fmod(theta + math.pi, 2.0 * math.pi)
@@ -65,14 +49,14 @@ def wrap_angle(theta: float) -> float:
     return r - math.pi
 
 
-def nominal_velocity(current, setpoint, setpoint_rate, gains: Gains,
+def nominal_velocity(current, setpoint, setpoint_rate, gains: np.ndarray,
                      speed_limit: float) -> np.ndarray:
     """Proportional tracking input -K*(p - p_des) + p_des_dot, clamped to the
-    per-axis admissible box."""
+    per-axis admissible box; gains holds the diagonal of K."""
     current = np.asarray(current, dtype=float)
     setpoint = np.asarray(setpoint, dtype=float)
     rate = np.asarray(setpoint_rate, dtype=float)
-    u = -gains.diag * (current - setpoint) + rate
+    u = -gains * (current - setpoint) + rate
     return u.clip(-speed_limit, speed_limit)
 
 
@@ -182,16 +166,19 @@ class KindControl:
     on_update, and a held unit comes back only through a new update, so u
     and status hold the solution as well as what each unit last emitted.  A
     UGV's u is its offset-point velocity, which step_ugv maps through the
-    vehicle's current heading.  hold_timeout is one timeout for all units
-    or one per unit."""
+    vehicle's current heading.  gains are the (dim,) per-axis tracking
+    gains (1/s) and hold_timeout the one timeout of every unit."""
 
-    def __init__(self, ids, kind: str, gains: Gains, params: SafetyParams,
+    def __init__(self, ids, kind: str, gains: np.ndarray, params: SafetyParams,
                  hold_timeout: float = 0.25, offset: float = 0.1):
         if kind not in (UAV, UGV):
             raise InvalidInputError(f"kind must be 'uav' or 'ugv', got {kind!r}")
         if offset <= 0:
             raise InvalidInputError("offset must be positive")
         n, dim = len(ids), 3 if kind == UAV else 2
+        gains = np.asarray(gains, dtype=float)
+        if gains.shape != (dim,) or not ((0.0 < gains) & (gains < math.inf)).all():
+            raise InvalidInputError(f"gains must be {dim} positive finite numbers, got {gains}")
         self.ids, self.kind, self.dim, self.gains = list(ids), kind, dim, gains
         self.params, self.hold_timeout, self.offset = params, hold_timeout, offset
         self.speed_limit = params.uav_speed_limit if kind == UAV else params.ugv_speed_limit
@@ -204,7 +191,7 @@ class KindControl:
         self.u, self.status = np.zeros((n, dim)), np.full(n, "hold", object)
         self.sol_iters, self.sol_violation = np.zeros(n, dtype=int), np.zeros(n)
         self.dirty = True                        # nothing ticked yet
-        self._oldest, self._shortest = np.inf, np.min(hold_timeout)
+        self._oldest = np.inf
 
     def on_update(self, k: int, pose, position, rate, a, b, count: int,
                   stamp: float) -> None:
@@ -222,9 +209,8 @@ class KindControl:
     def tick(self, now: float) -> bool:
         """Bring every unit's output up to date at now; returns whether any
         could have changed."""
-        # No unit went stale unless the oldest live stamp, judged by the
-        # shortest timeout, did.
-        if not self.dirty and not data_stale(now, self._oldest, self._shortest):
+        # No unit went stale unless the oldest live stamp did.
+        if not self.dirty and not data_stale(now, self._oldest, self.hold_timeout):
             return False
         self.dirty = False
         live = ~(self.landed | data_stale(now, self.stamps, self.hold_timeout))
@@ -274,7 +260,7 @@ class AgentControlUnit:
     """One distributed control unit with a per-unit interface: a one-lane
     KindControl, ticked on every call."""
 
-    def __init__(self, agent_id: str, kind: str, gains: Gains,
+    def __init__(self, agent_id: str, kind: str, gains: np.ndarray,
                  params: SafetyParams, hold_timeout: float = 0.25,
                  offset: float = 0.1):
         self.agent_id, self.kind = agent_id, kind

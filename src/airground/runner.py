@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (UAV, UGV, FilterError, Gains, KindControl, step_ugv,
-                     step_uav, wrap_angle)
+from .agents import (UAV, UGV, FilterError, KindControl, step_ugv, step_uav,
+                     wrap_angle)
 from .config import ScenarioConfig
 from .errors import CapacityError, InvalidInputError, SafetyAbortError
 from .logfmt import fmt9
@@ -34,7 +34,7 @@ from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
 from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
                       WATCHER_FILE, WATCHER_HEADER, MetricsFold, MetricsSummary,
                       TrajectoryWriter, summarize_dir, tick_barriers)
-from .watcher import Watcher, WatcherRecord, WaypointTrack
+from .watcher import Watcher, WatcherRecord
 
 
 @dataclass
@@ -92,21 +92,17 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
 
     # The control units of each kind, indexed by pair; their latest
     # commands (uavs.u, ugvs.u) drive the integration.
-    tracks: dict[str, WaypointTrack] = {}
-    for i in range(n):
-        tracks[f"uav{i}"] = WaypointTrack(cfg.uavs[i].waypoints, cfg.uavs[i].speed)
-        tracks[f"ugv{i}"] = WaypointTrack(cfg.ugvs[i].waypoints, cfg.ugvs[i].speed)
-    uavs = KindControl(agent_ids[0::2], UAV, Gains.of(cfg.gains_uav, 3), cfg.safety,
-                       cfg.hold_timeout)
-    ugvs = KindControl(agent_ids[1::2], UGV, Gains.of(cfg.gains_ugv, 2), cfg.safety,
-                       cfg.hold_timeout, offset=cfg.ugv_offset)
+    uavs = KindControl(agent_ids[0::2], UAV, cfg.gains_uav, cfg.safety, cfg.hold_timeout)
+    ugvs = KindControl(agent_ids[1::2], UGV, cfg.gains_ugv, cfg.safety, cfg.hold_timeout,
+                       offset=cfg.ugv_offset)
     # Per agent: its unit's index and handlers.
     routes = {aid: (i, control.on_update, control.on_touchdown_ack)
               for control in (uavs, ugvs) for i, aid in enumerate(control.ids)}
 
     max_latency = cfg.network.base_latency + cfg.network.jitter
     coordinator = Watcher(
-        n, cfg.safety, cfg.capacity, tracks,
+        n, cfg.safety, cfg.capacity,
+        [(s.waypoints, s.speed) for pair in zip(cfg.uavs, cfg.ugvs) for s in pair],
         platform_height=cfg.platform_height, ugv_offset=cfg.ugv_offset,
         period=1.0 / cfg.watcher_rate, max_latency=max_latency,
         **vars(cfg.watcher))
@@ -178,7 +174,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
         t = step * cfg.dt
 
         while event_idx < len(events) and events[event_idx].time <= t + 1e-12:
-            coordinator.handle_landing_signal(events[event_idx].pair, t)
+            coordinator.handle_landing_signal(events[event_idx].pair)
             event_idx += 1
 
         route(bus.deliver_due(t))

@@ -401,8 +401,11 @@ def summarize_dir(out_dir: str) -> MetricsSummary:
 
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):
-        links: set[str] = set()
-        sent = dropped = 0
+        # Per (src, dst) link the last seq sent or dropped, which the next
+        # follows by one; (src, dst, seq) of each message in flight.
+        last_seq: dict[tuple[str, str], int] = {}
+        in_flight: set[tuple[str, str, str | None]] = set()
+        dropped = 0
         with open(trace_path, "r") as f:
             for lineno, line in enumerate(f, start=1):
                 tokens = line.split()
@@ -422,9 +425,21 @@ def summarize_dir(out_dir: str) -> MetricsSummary:
                 if (src == "watcher") == (dst == "watcher"):
                     raise InvalidInputError(f"{trace_path}:{lineno}: expected a message "
                                             f"to or from the watcher, got {src} to {dst}")
-                sent += event != "deliver"  # a dropped message was sent too
+                key = src, dst, fields.get("seq")
+                if event == "deliver":
+                    if key not in in_flight:
+                        raise InvalidInputError(f"{trace_path}:{lineno}: expected a message in "
+                                                f"flight from {src} to {dst}, got seq={key[2]}")
+                    in_flight.remove(key)
+                    continue
+                last_seq[src, dst] = seq = last_seq.get((src, dst), 0) + 1
+                if key[2] != str(seq):
+                    raise InvalidInputError(f"{trace_path}:{lineno}: expected seq={seq} "
+                                            f"from {src} to {dst}, got seq={key[2]}")
+                if event == "send":
+                    in_flight.add(key)
                 dropped += event == "drop"
-                links.add(dst if src == "watcher" else src)
-        fold.links(len(links), sent, dropped)
+        fold.links(len({dst if src == "watcher" else src for src, dst in last_seq}),
+                   sum(last_seq.values()), dropped)  # a dropped message was sent too
 
     return fold.result()

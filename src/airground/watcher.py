@@ -20,8 +20,9 @@ one stacked pass over the fleet:
    (pose, position, rate, a, b, count)) tuple carrying its pose, setpoint
    and constraint rows (views of its kind's blocks, with the active row
    count) together, with the setpoints of all agents sampled from one
-   TrackTable and the records' proximal sets read off one gate matrix with
-   lexicographic columns.
+   TrackTable, built once from each agent's (waypoints, speed) pair as the
+   scenario config parsed it, and the records' proximal sets read off one
+   gate matrix with lexicographic columns.
 
 Gates flip far less often than the fleet moves, and phases change less
 often still: what follows from them (row slots and counts, the capacity
@@ -124,39 +125,14 @@ TASK, LANDING, LANDED = 0, 1, 2
 PHASE_NAMES = ("task", "landing", "landed")
 
 
-@dataclass
-class WaypointTrack:
-    """Piecewise-linear setpoint carrot traversed at constant speed.
-
-    A single waypoint (or zero speed) is a static setpoint.  Multi-waypoint
-    tracks cycle forever, which is how ground tasks keep running while their
-    UAV lands.
-    """
-
-    waypoints: list[np.ndarray]
-    speed: float = 0.0
-
-    def __post_init__(self):
-        self.waypoints = [np.asarray(w, dtype=float) for w in self.waypoints]
-        if not self.waypoints:
-            raise InvalidInputError("a track needs at least one waypoint")
-        if self.speed < 0:
-            raise InvalidInputError("track speed must be non-negative")
-        self._legs = []
-        n = len(self.waypoints)
-        if n > 1 and self.speed > 0:
-            for i in range(n):
-                a = self.waypoints[i]
-                d = self.waypoints[(i + 1) % n] - a
-                length = float(np.linalg.norm(d))
-                if length > 0:
-                    self._legs.append((a, d / length, length))
-        self._total = sum(leg[2] for leg in self._legs)
-
-
 class TrackTable:
-    """WaypointTracks sampled in one array pass, one row per track
-    (zero-padded to the widest track's dimensions).
+    """Piecewise-linear setpoint tracks traversed at constant speed, sampled
+    in one array pass, one row per track (zero-padded to the widest
+    track's dimensions).
+
+    A track is a (waypoints, speed) pair: one waypoint (or zero speed) is
+    a static setpoint, and more cycle forever, so ground tasks keep running
+    while their UAV lands.  Each leg's length is one np.linalg.norm call.
 
     Row j of a track's block holds its leg j, and the block's last row its
     last leg again, with NaN lengths between.  sample(t) walks every
@@ -168,23 +144,37 @@ class TrackTable:
     (-0.0 * 0.0) is start, even -0.0, for t >= 0, and its rate 0.0 * 0.0
     is +0.0."""
 
-    def __init__(self, tracks: list[WaypointTrack]):
-        legs = [track._legs or [(track.waypoints[0], 0.0, math.inf)] for track in tracks]
+    def __init__(self, tracks):
+        legs, speeds = [], []
+        for waypoints, speed in tracks:
+            points = [np.asarray(w, dtype=float) for w in waypoints]
+            if not points:
+                raise InvalidInputError("a track needs at least one waypoint")
+            if speed < 0:
+                raise InvalidInputError("track speed must be non-negative")
+            track_legs = []
+            if len(points) > 1 and speed > 0:
+                for a, b in zip(points, points[1:] + points[:1]):
+                    d = b - a
+                    length = float(np.linalg.norm(d))
+                    if length > 0:
+                        track_legs.append((a, d / length, length))
+            # Per track: walk speed, loop length and rate speed.
+            speeds.append((speed, sum(leg[2] for leg in track_legs), speed) if track_legs
+                          else (-0.0, math.inf, 0.0))
+            legs.append(track_legs or [(points[0], 0.0, math.inf)])
         width = max(map(len, legs)) + 1
         # Per row: the leg's start, then its direction.
-        self._legs = np.zeros((len(tracks) * width, 2, max(len(leg[0][0]) for leg in legs)))
-        self._lengths = np.full((len(tracks), width), np.nan)
+        self._legs = np.zeros((len(legs) * width, 2, max(len(leg[0][0]) for leg in legs)))
+        self._lengths = np.full((len(legs), width), np.nan)
         for k, track_legs in enumerate(legs):
             for j, (start, direction, length) in zip([*range(len(track_legs)), width - 1],
                                                      track_legs + track_legs[-1:]):
                 row = self._legs[k * width + j, :, :len(start)]
                 row[0], row[1] = start, direction
                 self._lengths[k, j] = length
-        # Per track: walk speed, loop length and rate speed.
-        self._speed, self._total, self._rate = np.array(
-            [(t.speed, t._total, t.speed) if t._legs else (-0.0, math.inf, 0.0) for t in tracks],
-            dtype=float).T[:, :, None]
-        self._blocks = np.arange(0, len(tracks) * width, width)
+        self._speed, self._total, self._rate = np.array(speeds, dtype=float).T[:, :, None]
+        self._blocks = np.arange(0, len(legs) * width, width)
 
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The (tracks, dim) setpoint positions and rates at time t."""
@@ -247,7 +237,7 @@ class Watcher:
         n_pairs: int,
         params: SafetyParams,
         capacity: int,
-        tracks: dict[str, WaypointTrack],
+        tracks,
         *,
         platform_height: float = 0.0,
         ugv_offset: float = 0.1,
@@ -255,13 +245,13 @@ class Watcher:
         max_latency: float = 0.0,
         **options,
     ):
-        """options are WatcherOptions fields; absent ones take its defaults."""
+        """tracks holds each agent's (waypoints, speed) pair in tick order;
+        options are WatcherOptions fields, absent ones take its defaults."""
         params.require_valid()
         opts = WatcherOptions(**options)
         self.n_pairs = n_pairs
         self.params = params
         self.capacity = capacity
-        self.tracks = tracks
         self.platform_height = platform_height
         self.ugv_offset = ugv_offset
         self.activation_margin = opts.activation_margin
@@ -275,7 +265,7 @@ class Watcher:
         self._uav_ids = np.array([f"uav{i}" for i in range(n_pairs)], dtype=object)
         self._ugv_ids = np.array([f"ugv{i}" for i in range(n_pairs)], dtype=object)
         self._ids = [agent_id for i in range(n_pairs) for agent_id in (f"uav{i}", f"ugv{i}")]
-        self._setpoint_tracks = TrackTable([tracks[agent_id] for agent_id in self._ids])
+        self._setpoint_tracks = TrackTable(tracks)
         # Proximal sets list their ids in lexicographic order (uav0, uav1,
         # uav10, ..., ugv0, ...): row a of _prox_cells holds, per id in
         # _prox_ids, the cell of the flattened gate stack that puts agent a,
@@ -324,7 +314,7 @@ class Watcher:
 
     # -- event handling -----------------------------------------------------
 
-    def handle_landing_signal(self, pair: int, now: float) -> bool:
+    def handle_landing_signal(self, pair: int) -> bool:
         """Flip one pair into the landing phase; duplicate signals are no-ops.
 
         The setpoint switch reaches the UAV with its next tick's update.

@@ -40,8 +40,9 @@
   per drop or jitter draw, and its recursive wire sizes, from before each
   link drew its uniforms in blocks; and its isinstance chain of payload
   sizes, from before payloads were sized by exact type.
-* The walk over one WaypointTrack's legs in Python floats (waypoint_sample),
-  from before tracks were sampled as one TrackTable.
+* The legs of one (waypoints, speed) track as the WaypointTrack record
+  built them (waypoint_legs), and the walk over them in Python floats
+  (waypoint_sample), from before tracks were sampled as one TrackTable.
 * The watcher's per-agent fan-out: a copied pose, a setpoint sampled
   from the agent's own track (or its pair's hover point, hover_point), a
   matrix and a record built per agent, its proximal set
@@ -71,9 +72,8 @@ from typing import NamedTuple
 import numpy as np
 
 from airground import qp
-from airground.agents import (UAV, UGV, Command, Gains, TickTelemetry,
-                              data_stale, nominal_velocity,
-                              wrap_angle)
+from airground.agents import (UAV, UGV, Command, TickTelemetry, data_stale,
+                              nominal_velocity, wrap_angle)
 from airground.barriers import RowKind, SafetyParams
 from airground.errors import CapacityError, InvalidInputError
 from airground.logfmt import fmt9
@@ -515,7 +515,7 @@ class ScalarControlUnit:
     """One agent's control unit as an object: slots, a cached solution,
     and the nominal controller and projection of that one unit."""
 
-    def __init__(self, agent_id: str, kind: str, gains: Gains,
+    def __init__(self, agent_id: str, kind: str, gains: np.ndarray,
                  params: SafetyParams, hold_timeout: float = 0.25,
                  offset: float = 0.1, wheel_base: float = 0.2):
         if kind not in (UAV, UGV):
@@ -989,19 +989,43 @@ def watcher_line(time_s: str, rec) -> str:
             f"{k.get('uav_uav', 0)},{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}")
 
 
+def waypoint_legs(track) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """One (waypoints, speed) track's legs as the WaypointTrack record built
+    them, from before a TrackTable built its tracks' legs: (start,
+    direction, length) from each waypoint to the next, the last back to the
+    first, one np.linalg.norm per leg, zero-length legs skipped; none for a
+    single waypoint or zero speed."""
+    waypoints, speed = track
+    points = [np.asarray(w, dtype=float) for w in waypoints]
+    legs = []
+    n = len(points)
+    if n > 1 and speed > 0:
+        for i in range(n):
+            a = points[i]
+            d = points[(i + 1) % n] - a
+            length = float(np.linalg.norm(d))
+            if length > 0:
+                legs.append((a, d / length, length))
+    return legs
+
+
 def waypoint_sample(track, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One track's legs walked in Python floats, from before tracks were
-    sampled as a TrackTable: the setpoint position and rate at time t."""
-    if not track._legs or track._total == 0.0:
-        w = track.waypoints[0]
+    """One (waypoints, speed) track's legs walked in Python floats, from
+    before tracks were sampled as a TrackTable: the setpoint position and
+    rate at time t."""
+    waypoints, speed = track
+    legs = waypoint_legs(track)
+    total = sum(leg[2] for leg in legs)
+    if not legs or total == 0.0:
+        w = np.asarray(waypoints[0], dtype=float)
         return w.copy(), np.zeros_like(w)
-    s = math.fmod(track.speed * t, track._total)
-    for start, direction, length in track._legs:
+    s = math.fmod(speed * t, total)
+    for start, direction, length in legs:
         if s <= length:
-            return start + s * direction, direction * track.speed
+            return start + s * direction, direction * speed
         s -= length
-    start, direction, length = track._legs[-1]
-    return start + length * direction, direction * track.speed
+    start, direction, length = legs[-1]
+    return start + length * direction, direction * speed
 
 
 def hover_point(w, pair: int) -> np.ndarray:
@@ -1012,11 +1036,11 @@ def hover_point(w, pair: int) -> np.ndarray:
     return p
 
 
-def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
+def per_agent_fanout(w, tracks, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
     """The 2N updates and the records of the watcher's current tick, one
     agent at a time: an update of a copied pose, the position and rate of
-    the setpoint from the
-    agent's own track by waypoint_sample (a landing or landed pair's UAV chases
+    the setpoint from the agent's own (waypoints, speed) pair in tracks
+    (tick order, as the watcher was built with) by waypoint_sample (a landing or landed pair's UAV chases
     its platform's hover point instead), the per-row matrix, and a record
     whose proximal set is tuple(sorted(proximal_set(agent))).  Row counts
     come from the per-row oracle's row kinds."""
@@ -1024,8 +1048,9 @@ def per_agent_fanout(w, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
     s = tick_state(w)
     for i in range(w.n_pairs):
         phase = w.phases[i]
-        for agent_id, pose in ((f"uav{i}", s.uav[i]), (f"ugv{i}", s.ugv[i])):
-            setpoint = waypoint_sample(w.tracks[agent_id], now)
+        for agent_id, pose, track in ((f"uav{i}", s.uav[i], tracks[2 * i]),
+                                      (f"ugv{i}", s.ugv[i], tracks[2 * i + 1])):
+            setpoint = waypoint_sample(track, now)
             if agent_id.startswith("uav") and phase != TASK:
                 rate = (np.zeros(3) if s.worst
                         else np.array([s.v_deck[i, 0], s.v_deck[i, 1], 0.0]))

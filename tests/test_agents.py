@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from airground import qp
-from airground.agents import (UAV, UGV, AgentControlUnit, Gains, KindControl,
-                              data_stale, nominal_velocity, step_ugv, step_uav,
-                              wrap_angle)
+from airground.agents import (UAV, UGV, AgentControlUnit, KindControl, data_stale,
+                              nominal_velocity, step_ugv, step_uav, wrap_angle)
 from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import InvalidInputError
 from airground.netsim import WATCHER_ID, LinkModel, MsgType, StarBus
@@ -30,19 +29,19 @@ def empty_matrix(agent_id="uav0", dim=3):
 
 class TestNominalController:
     def test_equilibrium(self):
-        u = nominal_velocity((1, 2, 3), (1, 2, 3), (0, 0, 0), Gains.of(1.0, 3), 1.0)
+        u = nominal_velocity((1, 2, 3), (1, 2, 3), (0, 0, 0), np.full(3, 1.0), 1.0)
         assert np.allclose(u, 0)
 
     def test_unit_gain_step(self):
-        u = nominal_velocity((1, 0, 0), (0, 0, 0), (0, 0, 0), Gains.of(1.0, 3), 5.0)
+        u = nominal_velocity((1, 0, 0), (0, 0, 0), (0, 0, 0), np.full(3, 1.0), 5.0)
         assert np.allclose(u, [-1, 0, 0])
 
     def test_saturation(self):
-        u = nominal_velocity((10, 0, 0), (0, 0, 0), (0, 0, 0), Gains.of(1.0, 3), 1.0)
+        u = nominal_velocity((10, 0, 0), (0, 0, 0), (0, 0, 0), np.full(3, 1.0), 1.0)
         assert np.allclose(u, [-1, 0, 0])
 
     def test_feedforward_rate(self):
-        u = nominal_velocity((0, 0), (0, 0), (0.3, -0.2), Gains.of(2.0, 2), 1.0)
+        u = nominal_velocity((0, 0), (0, 0), (0.3, -0.2), np.full(2, 2.0), 1.0)
         assert np.allclose(u, [0.3, -0.2])
 
 
@@ -175,7 +174,7 @@ class TestKinematicSteps:
 
 class TestControlUnit:
     def make_uav(self):
-        return AgentControlUnit("uav0", UAV, Gains.of(1.0, 3), PARAMS,
+        return AgentControlUnit("uav0", UAV, np.full(3, 1.0), PARAMS,
                                 hold_timeout=0.25)
 
     def feed(self, unit, t, pose, setpoint, rate, matrix):
@@ -241,7 +240,7 @@ class TestControlUnit:
     def test_ugv_unit_converts_to_twist(self):
         """A UGV unit emits its offset-point velocity; the vehicle's step
         turns it into a body twist at its heading."""
-        unit = AgentControlUnit("ugv0", UGV, Gains.of(1.0, 2), PARAMS,
+        unit = AgentControlUnit("ugv0", UGV, np.full(2, 1.0), PARAMS,
                                 hold_timeout=0.25, offset=0.1)
         unit.on_update((0.0, 0.0, 0.0), (1.0, 0.0), (0, 0), *empty_matrix("ugv0", dim=2), 0.0)
         cmd, tele = unit.tick(0.0)
@@ -315,7 +314,7 @@ class TestControlUnit:
         setpoint, rate, rows and stamp stay those of the last kept update,
         and it holds once that stamp is older than hold_timeout."""
         bus = StarBus(["uav0"], LinkModel(0.0, 0.0, 0.5), seed=5)
-        control = KindControl(["uav0"], UAV, Gains.of(1.0, 3), PARAMS, hold_timeout=0.12)
+        control = KindControl(["uav0"], UAV, np.full(3, 1.0), PARAMS, hold_timeout=0.12)
         fields = lambda: (control.stamps.tobytes(), control.pose.tobytes(),  # noqa: E731
                           control.setpoint.tobytes(), control.rate.tobytes(),
                           control.a[0])
@@ -358,48 +357,44 @@ class TestControlUnit:
 # Update stamps: none (-inf), a few shared values that make ties, or any.
 STAMPS = st.one_of(st.just(-math.inf), st.sampled_from([0.0, 0.1, 0.3, 2.5]),
                    st.floats(0.0, 50.0))
-UNITS = st.lists(st.tuples(st.tuples(STAMPS, STAMPS, STAMPS),
-                           st.sampled_from([0.05, 0.1, 0.12, 0.25]) | st.floats(1e-3, 1.0)),
-                 min_size=1, max_size=4)
+UNITS = st.lists(st.tuples(STAMPS, STAMPS, STAMPS), min_size=1, max_size=4)
+TIMEOUTS = st.sampled_from([0.05, 0.1, 0.12, 0.25]) | st.floats(1e-3, 1.0)
 
 
 class TestStaleness:
-    @given(units=UNITS, pick=st.integers(0, 11), ulps=st.integers(-4, 4))
-    def test_held_units_match_per_slot_test(self, units, pick, ulps):
+    @given(units=UNITS, timeout=TIMEOUTS, pick=st.integers(0, 11), ulps=st.integers(-4, 4))
+    def test_held_units_match_per_slot_test(self, units, timeout, pick, ulps):
         """A unit fed up to three updates in any order keeps the latest
         stamp in its one slot.  The staleness rule on that stamp, in each
         unit, decides exactly as the slot test on the latest update does,
-        at times within a few ulps of an update's stamp plus its unit's
-        timeout.  A kind of those units, ticked at each such time up to
+        at times within a few ulps of an update's stamp plus the units'
+        one timeout.  A kind of those units, ticked at each such time up to
         then, holds exactly the stale units after every tick, whether the
         tick ran or returned at once."""
-        edges = [s + timeout for stamps, timeout in units for s in stamps
-                 if s > -math.inf] or [0.0]
+        edges = [s + timeout for stamps in units for s in stamps if s > -math.inf] or [0.0]
         now = edges[pick % len(edges)]
         for _ in range(abs(ulps)):
             now = math.nextafter(now, math.copysign(math.inf, ulps))
-        timeouts = np.array([timeout for _, timeout in units])
-        control = KindControl([f"uav{k}" for k in range(len(units))], UAV, Gains.of(1.0, 3),
-                              PARAMS, timeouts)
+        control = KindControl([f"uav{k}" for k in range(len(units))], UAV, np.full(3, 1.0),
+                              PARAMS, timeout)
         oldest = []
-        for k, (stamps, timeout) in enumerate(units):
-            unit = AgentControlUnit("uav0", UAV, Gains.of(1.0, 3), PARAMS,
-                                    hold_timeout=timeout)
+        for k, stamps in enumerate(units):
+            unit = AgentControlUnit("uav0", UAV, np.full(3, 1.0), PARAMS, hold_timeout=timeout)
             for stamp in stamps:  # updates in any order: the latest stays
                 if stamp > -math.inf:
                     update = ((0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), stamp)
                     unit.on_update(*update)
                     control.on_update(k, *update)
             oldest.append(unit.lane.stamps[0])
-        want = [per_slot_stale(now, [max(stamps)], timeout) for stamps, timeout in units]
-        assert [bool(data_stale(now, s, t)) for s, t in zip(oldest, timeouts)] == want
+        want = [per_slot_stale(now, [max(stamps)], timeout) for stamps in units]
+        assert [bool(data_stale(now, s, timeout)) for s in oldest] == want
         for t in sorted({e for e in edges if e < now}) + [now]:
             control.tick(t)
             assert [status == "hold" for status in control.status] == [
-                per_slot_stale(t, [max(stamps)], timeout) for stamps, timeout in units]
+                per_slot_stale(t, [max(stamps)], timeout) for stamps in units]
 
     def test_kind_ticks_only_on_a_message_or_a_newly_stale_update(self):
-        control = KindControl(["uav0", "uav1", "uav2"], UAV, Gains.of(1.0, 3), PARAMS, 0.25)
+        control = KindControl(["uav0", "uav1", "uav2"], UAV, np.full(3, 1.0), PARAMS, 0.25)
         assert control.tick(0.0)                       # every unit's first tick
         assert control.status.tolist() == ["hold"] * 3
         control.on_update(1, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), 0.0)
@@ -418,11 +413,28 @@ class TestStaleness:
         assert control.status.tolist() == ["optimal", "hold", "landed"]
 
 
+class TestGains:
+    @pytest.mark.parametrize("kind, gains", [
+        (UAV, [1.0, 1.0]), (UGV, [1.0, 1.0, 1.0]), (UAV, 1.0), (UAV, [[1.0, 1.0, 1.0]]),
+        (UAV, [1.0, 0.0, 1.0]), (UGV, [1.0, -2.0]), (UAV, [1.0, -0.0, 1.0]),
+        (UAV, [1.0, math.inf, 1.0]), (UGV, [math.nan, 1.0]), (UGV, [1.0, -math.inf])],
+        ids=["uav-2", "ugv-3", "scalar", "uav-1x3", "zero", "negative", "minus-zero",
+             "inf", "nan", "minus-inf"])
+    def test_kind_control_rejects_gains_of_the_wrong_shape_or_sign_or_not_finite(
+            self, kind, gains):
+        """Gains are one positive finite number per axis, checked once where
+        the units are built, for a kind and for a single unit."""
+        with pytest.raises(InvalidInputError, match="gains must be"):
+            KindControl([f"{kind}0"], kind, gains, PARAMS)
+        with pytest.raises(InvalidInputError, match="gains must be"):
+            AgentControlUnit(f"{kind}0", kind, gains, PARAMS)
+
+
 class TestConvergenceRate:
     def test_exponential_tracking_without_saturation(self):
         # Single UAV, no binding constraints: the tracking error must decay
         # at least at rate min(K)/2 measured by the log-slope.
-        gains = Gains.of(2.0, 3)
+        gains = np.full(3, 2.0)
         dt = 0.001
         p = np.array([0.3, -0.2, 1.2])
         target = np.array([0.0, 0.0, 1.0])

@@ -414,8 +414,8 @@ class TestSummarize:
     def test_summarize_missing_dir_fails(self):
         assert main(["summarize", "/nonexistent/run"]) == 1
 
-    def traced_run(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, single_pair(duration=1.0).raw)
+    def traced_run(self, tmp_path, capsys, raw=None):
+        cfg = write_config(tmp_path, raw or single_pair(duration=1.0).raw)
         out_dir = str(tmp_path / "out")
         assert main(["run", cfg, "--out-dir", out_dir, "--trace"]) == 0
         capsys.readouterr()
@@ -456,6 +456,34 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert "cannot summarize" in err
         assert f"{trace}:{len(lines) + 1}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("event, edit", [("send", "delete"), ("send", "duplicate"),
+                                             ("drop", "delete"), ("deliver", "duplicate")])
+    def test_trace_edit_breaking_a_links_sequence_fails(self, tmp_path, capsys, event, edit):
+        """On each link the send and drop lines carry seq=1, 2, 3, ... in
+        file order, and a deliver line names a message sent on its link and
+        still in flight.  Deleting the first send or drop line of a lossy
+        run, or duplicating the first send or deliver line, is reported at
+        the first line that breaks this: the deleted line's next on its link,
+        or the duplicate."""
+        raw = crossing_scenario(3, 4, duration=1.0, network={
+            "latency": 0.02, "jitter": 0.005, "drop": 0.05}).raw
+        out_dir, trace, lines = self.traced_run(tmp_path, capsys, raw)
+        assert main(["summarize", out_dir]) == 0
+        capsys.readouterr()
+        k = next(k for k, line in enumerate(lines) if line.startswith(event + " "))
+        if edit == "delete":
+            link = lines.pop(k).split()[2:4]   # src=..., dst=...
+            bad = next(j for j in range(k, len(lines)) if lines[j].split()[2:4] == link)
+        else:
+            lines.insert(k, lines[k])
+            bad = k + 1
+        with open(trace, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"{trace}:{bad + 1}: expected " in err
         assert "Traceback" not in err
 
     def test_whitespace_lines_in_csv_logs_are_skipped(self, tmp_path, capsys):

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from airground import qp
-from airground.agents import (UAV, UGV, AgentControlUnit, Command, Gains,
-                              KindControl, wrap_angle)
+from airground.agents import (UAV, UGV, AgentControlUnit, Command, KindControl,
+                              wrap_angle)
 from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import CapacityError
 from airground.logfmt import fmt9, fmt9_round_trip
@@ -31,7 +31,7 @@ from airground.runner import _integrate, run
 from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, TrajectoryWriter,
                                tick_barriers)
 from airground.watcher import (LANDED, LANDING, TASK, TrackTable,
-                               VelocityEstimator, Watcher, WaypointTrack)
+                               VelocityEstimator, Watcher)
 
 from oracles import (AgentVelocityEstimator, ConstraintRow, DictGates, Matrix, Sample,
                      ScalarControlUnit, UavState, UgvState, UncachedControlUnit,
@@ -39,7 +39,7 @@ from oracles import (AgentVelocityEstimator, ConstraintRow, DictGates, Matrix, S
                      assemble_per_row, from_rows, integrate_per_agent,
                      per_agent_fanout, row_layout, rows_layout,
                      type_walk_payload_bytes, watcher_line,
-                     waypoint_sample,
+                     waypoint_legs, waypoint_sample,
                      per_agent_kind_counts,
                      per_agent_trajectory_rows, project_reference,
                      scalar_tick_barriers, scalar_view,
@@ -168,11 +168,8 @@ def test_barrier_masks_match_scalar_oracle(case):
 
 
 def static_tracks(n):
-    tracks = {}
-    for i in range(n):
-        tracks[f"uav{i}"] = WaypointTrack([np.array([0.0, 0.0, 1.0])])
-        tracks[f"ugv{i}"] = WaypointTrack([np.array([0.0, 0.0])])
-    return tracks
+    """n pairs' (waypoints, speed) tracks in tick order, each one static point."""
+    return [([np.array([0.0, 0.0, 1.0])], 0.0), ([np.array([0.0, 0.0])], 0.0)] * n
 
 
 @st.composite
@@ -410,7 +407,7 @@ def tracks(draw):
     dim = draw(st.sampled_from([2, 3]))
     waypoints = draw(st.lists(st.tuples(*[GRID_POINT] * dim), min_size=1, max_size=4))
     speed = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 0.3]) | st.floats(0.0, 5.0))
-    return WaypointTrack([np.array(w) for w in waypoints], speed)
+    return [np.array(w) for w in waypoints], speed
 
 
 @st.composite
@@ -419,11 +416,11 @@ def track_times(draw, track_list):
     huge times, zero and ordinary ones: times the scalar walk accepts, so
     that every track's speed times t is finite (a subnormal first speed
     puts leg ends near the largest float)."""
-    legs = next((t._legs for t in track_list if t._legs), [])
+    legs, speed = next(((waypoint_legs(track), track[1]) for track in track_list
+                        if waypoint_legs(track)), ([], 1.0))
     ends = np.cumsum([0.0] + [leg[2] for leg in legs]).tolist()
-    speed = next((t.speed for t in track_list if t._legs), 1.0)
     at_end = [e / speed + k * ends[-1] / speed for e in ends for k in (0, 1, 3)] if legs else []
-    at_end = [t for t in at_end if all(math.isfinite(track.speed * t) for track in track_list)]
+    at_end = [t for t in at_end if all(math.isfinite(v * t) for _, v in track_list)]
     return draw(st.lists(st.sampled_from(at_end + [0.0, 1e6, 1e15, 1e300, 7.25])
                          | st.floats(0.0, 100.0), min_size=1, max_size=6))
 
@@ -447,11 +444,10 @@ def test_track_table_matches_waypoint_samples(case):
 
 
 def test_track_table_keeps_signed_zeros_and_static_tracks():
-    track_list = [WaypointTrack([np.array([-0.0, 0.0, -0.0])]),
-                  WaypointTrack([np.array([-0.0, 1.0])], speed=2.0),
-                  WaypointTrack([np.array([1.0, 1.0]), np.array([1.0, 1.0])], speed=1.0),
-                  WaypointTrack([np.array([0.0, 0.0]), np.array([0.0, 0.0]),
-                                 np.array([2.0, 0.0])], speed=1.0)]
+    track_list = [([np.array([-0.0, 0.0, -0.0])], 0.0),
+                  ([np.array([-0.0, 1.0])], 2.0),
+                  ([np.array([1.0, 1.0]), np.array([1.0, 1.0])], 1.0),
+                  ([np.array([0.0, 0.0]), np.array([0.0, 0.0]), np.array([2.0, 0.0])], 1.0)]
     positions, rates = TrackTable(track_list).sample(2.0)
     for k, track in enumerate(track_list):
         want_position, want_rate = waypoint_sample(track, 2.0)
@@ -470,12 +466,11 @@ def fanout_runs(draw):
     case."""
     n = draw(st.integers(1, 5) | st.just(12))
     platform_height = draw(st.sampled_from([0.0, 0.1, 0.45]))
-    track_dict = {}
+    track_list = []
     for i in range(n):
-        for kind, dim in (("uav", 3), ("ugv", 2)):
-            track = draw(tracks())
-            waypoints = [np.resize(w, dim) for w in track.waypoints]
-            track_dict[f"{kind}{i}"] = WaypointTrack(waypoints, track.speed)
+        for dim in (3, 2):
+            waypoints, speed = draw(tracks())
+            track_list.append(([np.resize(w, dim) for w in waypoints], speed))
     coord = st.floats(-1.4, 1.4)
     base_uav = draw(arrays(float, (n, 3), elements=coord)) + [0.0, 0.0, 1.6]
     base_ugv = draw(arrays(float, (n, 3), elements=coord))
@@ -486,13 +481,14 @@ def fanout_runs(draw):
         signal = draw(st.none() | st.integers(0, n - 1))
         ticks.append((base_uav + draw(arrays(float, (n, 3), elements=move)),
                       base_ugv + draw(arrays(float, (n, 3), elements=move)), phases, signal))
-    return n, platform_height, track_dict, ticks
+    return n, platform_height, track_list, ticks
 
 
-def assert_fanout_matches_oracle(w, now, outbound, records):
+def assert_fanout_matches_oracle(w, tracks, now, outbound, records):
     """A tick's updates (order, types, destinations and payload bits), their
-    wire sizes and its records equal the per-agent fan-out's."""
-    want_updates, want_records = per_agent_fanout(w, now)
+    wire sizes and its records equal the per-agent fan-out's on the
+    watcher's (waypoints, speed) tracks."""
+    want_updates, want_records = per_agent_fanout(w, tracks, now)
     pending = outbound[:len(outbound) - 2 * w.n_pairs]
     assert all(msg_type is MsgType.TOUCHDOWN_ACK for msg_type, _, _ in pending)
     updates = outbound[len(pending):]
@@ -558,19 +554,17 @@ def with_phases(run):
     """A hand-picked run on moving tracks, its landed pairs passing through
     the landing phase first (a landing signal on the tick before)."""
     n, platform_height, ticks = run()
-    track_dict = {}
+    track_list = []
     for i in range(n):
-        track_dict[f"uav{i}"] = WaypointTrack([np.array([0.0, 0.0, 1.0]),
-                                               np.array([1.0, 0.5 * i, 1.5])], 0.5)
-        track_dict[f"ugv{i}"] = WaypointTrack([np.array([0.0, -1.0]),
-                                               np.array([0.5 * i, 1.0])], 0.3)
+        track_list += [([np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.5 * i, 1.5])], 0.5),
+                       ([np.array([0.0, -1.0]), np.array([0.5 * i, 1.0])], 0.3)]
     runs = []
     for k, (uav, ugv, landed) in enumerate(ticks):
         soon = ticks[k + 1][2] if k + 1 < len(ticks) else landed
         phases = [LANDED if down else TASK for down in landed]
         signal = next((i for i in range(n) if soon[i] and not landed[i]), None)
         runs.append((uav, ugv, phases, signal))
-    return n, platform_height, track_dict, runs
+    return n, platform_height, track_list, runs
 
 
 @example(with_phases(lone_pair_run))
@@ -580,15 +574,15 @@ def with_phases(run):
 @settings(max_examples=60, deadline=None)
 @given(fanout_runs())
 def test_fanout_matches_per_agent_oracle(case):
-    n, platform_height, track_dict, ticks = case
-    w = Watcher(n, PARAMS, 2 * n + 4, track_dict, platform_height=platform_height)
+    n, platform_height, track_list, ticks = case
+    w = Watcher(n, PARAMS, 2 * n + 4, track_list, platform_height=platform_height)
     for k, (uav, ugv, phases, signal) in enumerate(ticks):
         now = 0.05 * k + 0.025
         w.phases[:] = phases
         if signal is not None:
-            w.handle_landing_signal(signal, now)
+            w.handle_landing_signal(signal)
         outbound, records = w.tick(now, uav, ugv)
-        assert_fanout_matches_oracle(w, now, outbound, records)
+        assert_fanout_matches_oracle(w, track_list, now, outbound, records)
 
 
 def test_gate_tables_rebuilt_only_when_a_gate_or_phase_changes():
@@ -622,7 +616,7 @@ def test_gate_tables_rebuilt_only_when_a_gate_or_phase_changes():
     for k, (uav0, uav1, ugv1_y, changes) in enumerate(ticks):
         now = 0.05 * k
         if k == 10:
-            w.handle_landing_signal(0, now)
+            w.handle_landing_signal(0)
         ugv[1, 1] = ugv1_y
         before, gates = w.tables, w._gates
         outbound, records = w.tick(now, np.array([uav0, uav1, far]), ugv)
@@ -630,7 +624,7 @@ def test_gate_tables_rebuilt_only_when_a_gate_or_phase_changes():
         if k == 10:   # the phase alone changed
             assert w._gates.tobytes() == gates.tobytes()
             assert [rec.phase for rec in records[:2]] == ["landing", "landing"]
-        assert_fanout_matches_oracle(w, now, outbound, records)
+        assert_fanout_matches_oracle(w, static_tracks(3), now, outbound, records)
     assert w.phases[0] == LANDED
     # Pair 2 joins uav1: two more rows overflow it, on this tick and the next.
     uav = np.array([hover, near, [0.3, 0.4, 0.9]])
@@ -766,7 +760,7 @@ def test_cached_control_unit_matches_per_tick_oracle():
     for seed in range(6):
         for kind in (UAV, UGV):
             dim = 3 if kind == UAV else 2
-            args = (f"{kind}0", kind, Gains.of(1.0, dim), PARAMS, 0.12)
+            args = (f"{kind}0", kind, np.full(dim, 1.0), PARAMS, 0.12)
             cached = AgentControlUnit(*args)
             oracle = UncachedControlUnit(*args)
             seen = []
@@ -812,8 +806,8 @@ def test_scheduled_units_match_per_tick_oracle():
             for kind, timeout in ((UAV, 0.12), (UGV, 0.09)):
                 dim = 3 if kind == UAV else 2
                 ids = [f"{kind}{k}" for k in range(3)]
-                control = KindControl(ids, kind, Gains.of(1.0, dim), PARAMS, timeout)
-                oracles = [UncachedControlUnit(aid, kind, Gains.of(1.0, dim), PARAMS,
+                control = KindControl(ids, kind, np.full(dim, 1.0), PARAMS, timeout)
+                oracles = [UncachedControlUnit(aid, kind, np.full(dim, 1.0), PARAMS,
                                                timeout) for aid in ids]
                 runs = [message_run(np.random.default_rng([seed, k]), kind, timeout, quiet)
                         for k in range(3)]
@@ -912,8 +906,8 @@ def test_batched_instant_matches_scalar_units(fleet):
     dim = 3 if kind == UAV else 2
     timeout, offset, t0, t1 = 0.2, 0.1, 1.0, 1.05
     ids = [f"{kind}{k}" for k in range(len(units))]
-    control = KindControl(ids, kind, Gains.of(1.3, dim), PARAMS, timeout, offset)
-    scalar = [ScalarControlUnit(aid, kind, Gains.of(1.3, dim), PARAMS, timeout, offset)
+    control = KindControl(ids, kind, np.full(dim, 1.3), PARAMS, timeout, offset)
+    scalar = [ScalarControlUnit(aid, kind, np.full(dim, 1.3), PARAMS, timeout, offset)
               for aid in ids]
     control.tick(t0)                        # every unit's first tick: a hold
     later = []                              # what the other units get after t0

@@ -9,7 +9,7 @@ from airground.barriers import (Bounds, RowKind, SafetyParams,
 from airground.errors import CapacityError, InvalidInputError
 from airground.netsim import MsgType
 from airground.watcher import (LANDED, LANDING, TrackTable, VelocityEstimator,
-                               Watcher, WaypointTrack)
+                               Watcher)
 
 from oracles import agent_matrices, hover_point, row_layout
 
@@ -22,11 +22,8 @@ PARAMS = SafetyParams(
 
 
 def static_tracks(n):
-    tracks = {}
-    for i in range(n):
-        tracks[f"uav{i}"] = WaypointTrack([np.array([0.0, 0.0, 1.0])])
-        tracks[f"ugv{i}"] = WaypointTrack([np.array([0.0, 0.0])])
-    return tracks
+    """n pairs' (waypoints, speed) tracks in tick order, each one static point."""
+    return [([np.array([0.0, 0.0, 1.0])], 0.0), ([np.array([0.0, 0.0])], 0.0)] * n
 
 
 def make_watcher(n, capacity=None, **kwargs):
@@ -276,7 +273,7 @@ class TestLandingProtocol:
         setpoint in its next update, which chases the platform's hover point."""
         w, poses = self.landing_watcher()
         before = {dst: payload[1] for _, dst, payload in w.tick(1.0, *poses)[0]}
-        assert w.handle_landing_signal(0, 1.0)
+        assert w.handle_landing_signal(0)
         assert w.phases[0] == LANDING
         outbound, _ = w.tick(1.05, *poses)
         assert [msg_type for msg_type, _, _ in outbound] == [MsgType.UPDATE] * 4
@@ -288,8 +285,8 @@ class TestLandingProtocol:
 
     def test_duplicate_signal_idempotent(self):
         w, poses = self.landing_watcher()
-        assert w.handle_landing_signal(0, 1.0)
-        assert w.handle_landing_signal(0, 1.2)
+        assert w.handle_landing_signal(0)
+        assert w.handle_landing_signal(0)
         assert w.phases[0] == LANDING
         outbound, _ = w.tick(1.25, *poses)
         assert [msg_type for msg_type, _, _ in outbound] == [MsgType.UPDATE] * 4
@@ -297,12 +294,12 @@ class TestLandingProtocol:
 
     def test_unknown_pair_rejected(self):
         w, _ = self.landing_watcher()
-        assert not w.handle_landing_signal(7, 0.0)
+        assert not w.handle_landing_signal(7)
 
     def test_signal_for_landed_pair_is_noop(self):
         w, poses = self.landing_watcher()
         w.phases[0] = LANDED
-        assert not w.handle_landing_signal(0, 2.0)
+        assert not w.handle_landing_signal(0)
         assert w.phases[0] == LANDED
 
     def hover_poses(self, w, pair=0):
@@ -312,7 +309,7 @@ class TestLandingProtocol:
 
     def test_touchdown_requires_dwell(self):
         w, _ = self.landing_watcher()
-        w.handle_landing_signal(0, 0.0)
+        w.handle_landing_signal(0)
         poses = self.hover_poses(w)
         w.tick(0.05, *poses)
         assert w.phases[0] == LANDING  # just arrived
@@ -326,7 +323,7 @@ class TestLandingProtocol:
         """A UAV hovering over a platform that moves 0.2 m per tick is inside
         the 0.1 m window only against the platform's pose of the same tick."""
         w, _ = self.landing_watcher()
-        w.handle_landing_signal(0, 0.0)
+        w.handle_landing_signal(0)
         for k in range(1, 13):
             uav, ugv = self.hover_poses(w)
             uav[0, 0] = ugv[0, 0] = 0.2 * k
@@ -336,7 +333,7 @@ class TestLandingProtocol:
 
     def test_transient_dip_does_not_land(self):
         w, far = self.landing_watcher()
-        w.handle_landing_signal(0, 0.0)
+        w.handle_landing_signal(0)
         inside = self.hover_poses(w)
         w.tick(0.05, *inside)
         outside = inside[0].copy(), inside[1]
@@ -358,7 +355,7 @@ class TestLandingProtocol:
         assert before_self.active_count == 2 * n + 4
         assert before_other.active_count == 2 * n + 4
 
-        w.handle_landing_signal(0, 0.1)
+        w.handle_landing_signal(0)
         hover = uav.copy()
         hover[0] = *ugv[0, :2], w.platform_height + PARAMS.hover_clearance
         w.tick(0.2, hover, ugv)
@@ -410,28 +407,35 @@ class TestDispatch:
             [f"uav{i}" for i in range(3)] + [f"ugv{i}" for i in range(3)])
 
 
-class TestWaypointTrack:
+class TestTrackTable:
     @staticmethod
     def sample(track, t):
-        """One track's setpoint position and rate at time t."""
+        """One (waypoints, speed) track's setpoint position and rate at time t."""
         position, rate = TrackTable([track]).sample(t)
         return position[0], rate[0]
 
     def test_static_track(self):
-        track = WaypointTrack([np.array([1.0, 2.0])])
-        pos, rate = self.sample(track, 3.0)
+        pos, rate = self.sample(([np.array([1.0, 2.0])], 0.0), 3.0)
         assert np.allclose(pos, [1, 2])
         assert np.allclose(rate, 0)
 
     def test_constant_speed_traversal(self):
-        track = WaypointTrack([np.array([0.0, 0.0]), np.array([2.0, 0.0])],
-                              speed=0.5)
-        pos, rate = self.sample(track, 2.0)
+        pos, rate = self.sample(([np.array([0.0, 0.0]), np.array([2.0, 0.0])], 0.5), 2.0)
         assert np.allclose(pos, [1.0, 0.0])
         assert np.allclose(rate, [0.5, 0.0])
 
     def test_cycles_back(self):
-        track = WaypointTrack([np.array([0.0, 0.0]), np.array([1.0, 0.0])],
-                              speed=1.0)
+        track = ([np.array([0.0, 0.0]), np.array([1.0, 0.0])], 1.0)
         pos, _ = self.sample(track, 2.5)  # full loop is 2.0 long
         assert np.allclose(pos, [0.5, 0.0])
+
+    @pytest.mark.parametrize("bad, message", [
+        (([], 1.0), "a track needs at least one waypoint"),
+        (([np.array([0.0, 0.0]), np.array([1.0, 0.0])], -0.5),
+         "track speed must be non-negative")])
+    def test_rejects_an_empty_track_and_a_negative_speed(self, bad, message):
+        """Either bad track is rejected wherever it sits in the table."""
+        good = ([np.array([0.0, 0.0, 1.0])], 0.0)
+        for tracks in ([bad], [good, bad]):
+            with pytest.raises(InvalidInputError, match=message):
+                TrackTable(tracks)
