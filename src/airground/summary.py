@@ -20,6 +20,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .barriers import (eval_landing, offset_points, pairwise_sq_distances,
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import fmt9, fmt9_round_trip
+from .netsim import WATCHER_ID
 
 TRAJECTORY_FILE = "trajectory.csv"
 WATCHER_FILE = "watcher.csv"
@@ -266,180 +268,272 @@ def tick_barriers(cfg: ScenarioConfig, x: np.ndarray, y: np.ndarray, z: np.ndarr
     return per_agent, family, dist
 
 
-def _layout(cfg: ScenarioConfig, steps: int, width: int):
-    """The leading fields of each line of a log written every steps-th
-    step of the run, in order: per tick, one line per agent in agent_ids
-    order, led by the tick's time and the agent's id, then its kind when
-    width is 3."""
-    keys = [[aid, aid[:3]][:width - 1] for aid in cfg.agent_ids()]
-    for step in range(0, cfg.total_steps() + 1, steps):
-        t = fmt9(step * cfg.dt)
-        for key in keys:
-            yield [t, *key]
+def _blocks(path: str, header: str, width: int, cfg: ScenarioConfig, steps: int):
+    """Reads a log written every steps-th step of the run, a block of at most
+    BLOCK_SAMPLES lines of whole ticks at a time, and checks it against the
+    layout the config fixes: after the header, per tick of the schedule,
+    one line of width fields per agent in agent_ids order, led by the tick's
+    time and the agent's id, then its kind when width is 12.  Blank and
+    whitespace-only lines are skipped; the last line may lack its newline.
 
+    Yields (fields, linenos, times, error) per block: the fields of the
+    block's lines up to its first bad one, width per line; their line
+    numbers; the time strings of the block's ticks; and the
+    InvalidInputError naming that bad line (one with the wrong number of
+    fields, or out of its place) or the end of a log cut short, or the
+    UnicodeDecodeError of text that is not UTF-8, else None.  No block
+    follows an error: the caller raises it once it has checked the lines
+    before it."""
+    ids = cfg.agent_ids()
+    m, lead = len(ids), 3 if width == 12 else 2
+    per_block = max(1, BLOCK_SAMPLES // m)
+    size = per_block * m
+    keys = [[aid, aid[:3]][:lead - 1] for aid in ids]
+    key_columns = [[key[j] for key in keys] * per_block for j in range(lead - 1)]
+    schedule = range(0, cfg.total_steps() + 1, steps)
+    total = len(schedule) * m   # the layout's lines
 
-def _csv_rows(path: str, header: str, width: int, layout):
-    """Yields (line_number, fields) per data line of a log with a fixed
-    header and field count; blank and whitespace-only lines are skipped.
-    Line by line, the leading fields must be the next entry of layout,
-    and the log must end with the layout's last entry."""
     with open(path, "r") as f:
         first = f.readline().rstrip("\n")
         if first != header:
             raise InvalidInputError(f"{path}:1: unexpected header {first!r}")
-        lineno = 1
-        for lineno, line in enumerate(f, start=2):
-            if line.isspace():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != width:
-                raise InvalidInputError(f"{path}:{lineno}: expected {width} fields, "
-                                        f"got {len(parts)}")
-            want = next(layout, None)
-            if want is None:
-                raise InvalidInputError(f"{path}:{lineno}: expected the end of the log")
-            if parts[:len(want)] != want:
-                raise InvalidInputError(f"{path}:{lineno}: expected {','.join(want)}, "
-                                        f"got {','.join(parts[:len(want)])}")
-            yield lineno, parts
-    want = next(layout, None)
-    if want is not None:
-        raise InvalidInputError(f"{path}: ends after line {lineno}, "
-                                f"expected {','.join(want)} next")
+        lineno, pos = 1, 0   # the last line read; the layout's lines checked
+        while True:
+            lines: list[str] = []
+            linenos: range | list[int] = []
+            error: ValueError | None = None
+            while len(lines) < size and error is None:
+                chunk: list[str] = []
+                try:   # keeps the lines read before text that is not UTF-8
+                    chunk.extend(islice(f, size - len(lines)))
+                except UnicodeDecodeError as exc:
+                    error = exc
+                if not chunk:
+                    break
+                numbers = range(lineno + 1, lineno + 1 + len(chunk))
+                lineno += len(chunk)
+                if any(map(str.isspace, chunk)):
+                    keep = [not line.isspace() for line in chunk]
+                    chunk, numbers = list(compress(chunk, keep)), list(compress(numbers, keep))
+                lines, linenos = ((lines + chunk, [*linenos, *numbers]) if lines
+                                  else (chunk, numbers))
+            n = len(lines)
+            commas = list(map(str.count, lines, repeat(",")))
+            if commas.count(width - 1) != n:
+                n = next(k for k, c in enumerate(commas) if c != width - 1)
+                error = InvalidInputError(f"{path}:{linenos[n]}: expected {width} fields, "
+                                          f"got {commas[n] + 1}")
+            fields = ",".join(lines[:n]).replace("\n", "").split(",") if n else []
+            if pos + n > total:
+                n = total - pos
+                error = InvalidInputError(f"{path}:{linenos[n]}: expected the end of the log")
+                del fields[n * width:]
+            t0 = pos // m
+            times = [fmt9(step * cfg.dt) for step in schedule[t0:t0 + per_block]]
+            got = [fields[j::width] for j in range(lead)]
+            want = [list(chain.from_iterable(zip(*[times] * m))), *key_columns]
+            if any(column != expected[:n] for column, expected in zip(got, want)):
+                n, have, entry = next((k, *rows) for k, rows in enumerate(
+                    zip(zip(*got), zip(*want))) if rows[0] != rows[1])
+                error = InvalidInputError(f"{path}:{linenos[n]}: expected {','.join(entry)}, "
+                                          f"got {','.join(have)}")
+                del fields[n * width:]
+            pos += n
+            eof = len(lines) < size
+            if error is None and eof and pos < total:
+                want = [fmt9(schedule[pos // m] * cfg.dt), *keys[pos % m]]
+                error = InvalidInputError(f"{path}: ends after line {lineno}, "
+                                          f"expected {','.join(want)} next")
+            yield fields, linenos, times, error
+            if error is not None or eof:
+                return
+            del fields, got   # one block's fields are held at a time
 
 
-def _parse_trajectory(path: str, layout):
-    """Yields (line_number, time_str, x, y, z, theta, status, logged min_h)
-    per record of a trajectory.csv laid out as layout says; the state must
-    be finite."""
-    isfinite = math.isfinite
-    for lineno, parts in _csv_rows(path, TRAJECTORY_HEADER, 12, layout):
+def _check_trajectory(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
+    """Checks trajectory.csv block by block and folds it.  Per line, in
+    file order: its field count and place (_blocks), its x, y, z, theta
+    and min_h as float() reads them, a finite state.  Before a bad line, or
+    the end of a log cut short, is reported, the complete ticks before it
+    are evaluated: their statuses must be ones the writer logs, then each
+    line's min_h must equal the value recomputed from the block's states or
+    lie within 1e-9 of it, the first line that does not being reported."""
+    m = 2 * cfg.n_pairs
+    for fields, linenos, times, error in _blocks(path, TRAJECTORY_HEADER, 12, cfg,
+                                                 cfg.steps_per_control()):
+        n = len(fields) // 12
         try:
-            x, y, z, theta = float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])
-            logged = float(parts[11])
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}:{lineno}: {exc}")
-        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(theta)):
-            raise InvalidInputError(f"{path}:{lineno}: state must be finite, "
-                                    f"got {','.join(parts[3:7])}")
-        yield lineno, parts[0], x, y, z, theta, parts[10], logged
+            values = _numbers(fields, n)
+        except ValueError:
+            n, exc = next((k, exc) for k in range(n) for j in _NUMERIC
+                          if (exc := _float_error(fields[12 * k + j])))
+            error = InvalidInputError(f"{path}:{linenos[n]}: {exc}")
+            values = _numbers(fields, n)
+        finite = np.isfinite(values[:4]).all(axis=0)
+        if not finite.all():
+            n = int(finite.argmin())
+            error = InvalidInputError(f"{path}:{linenos[n]}: state must be finite, "
+                                      f"got {','.join(fields[12 * n + 3:12 * n + 7])}")
+        ticks = n // m
+        if ticks:
+            statuses = fields[10:12 * ticks * m:12]
+            if not _STATUSES.issuperset(statuses):
+                k = next(k for k, status in enumerate(statuses) if status not in _STATUSES)
+                raise InvalidInputError(f"{path}:{linenos[k]}: unknown qp_status {statuses[k]!r}")
+            landed = np.fromiter(map("landed".__eq__, statuses), bool, ticks * m)
+            x, y, z, theta, logged = values[:, :ticks * m].reshape(5, ticks, m)
+            per_agent, family, dist = tick_barriers(cfg, x, y, z, theta,
+                                                    landed.reshape(ticks, m))
+            # The column was written at 9 significant digits; push the
+            # recomputed values through the same format before comparing.
+            expected = fmt9_round_trip(per_agent)[1]
+            with np.errstate(invalid="ignore"):   # inf - inf
+                agree = (expected == logged) | (np.abs(expected - logged) <= 1e-9)
+            if not agree.all():
+                k = int(agree.argmin())   # the first line that disagrees
+                raise LogIntegrityError(
+                    f"{path}:{linenos[k]}: logged min_h {float(logged.flat[k])!r} "
+                    f"disagrees with recomputed {float(expected.flat[k])!r}")
+            fold.barriers(family, dist)
+            fold.ticks(times[:ticks], statuses)
+        if error is not None:
+            raise error
+        del fields   # before _blocks splits the next block
 
 
-def _parse_watcher(path: str, layout):
-    """Yields (agent_id, active_count) per record of a watcher.csv laid out
-    as layout says, whose row counts must be non-negative integers summing
-    to active_count, checked once per distinct set."""
+_NUMERIC = (3, 4, 5, 6, 11)   # trajectory.csv's x, y, z, theta and min_h
+
+
+def _numbers(fields: list[str], n: int) -> np.ndarray:
+    """The (5, n) x, y, z, theta and min_h of the first n lines of a block
+    of trajectory.csv fields, as float() reads them."""
+    columns = (fields[j:12 * n:12] for j in _NUMERIC)
+    return np.fromiter(map(float, chain(*columns)), float, 5 * n).reshape(5, n)
+
+
+def _float_error(text: str) -> ValueError | None:
+    """What float(text) raises, if anything."""
+    try:
+        float(text)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
+    """Checks watcher.csv block by block and folds its (agent id, active
+    row count) records.  Per line, in file order: its field count and place
+    (_blocks), then its row counts, which must be non-negative integers
+    summing to active_count, checked once per distinct set."""
     checked: dict[tuple[str, ...], int] = {}
-    for lineno, parts in _csv_rows(path, WATCHER_HEADER, 10, layout):
-        counts = tuple(parts[3:9])
-        if counts not in checked:
-            active, *families = (int(c) if c.isdecimal() else -1 for c in counts)
+    for fields, linenos, _, error in _blocks(path, WATCHER_HEADER, 10, cfg,
+                                             cfg.steps_per_watcher()):
+        counts = list(zip(*(fields[j::10] for j in range(3, 9))))
+        for key in dict.fromkeys(counts):   # distinct, first seen first
+            if key in checked:
+                continue
+            active, *families = (int(c) if c.isdecimal() else -1 for c in key)
             if min(families) < 0 or active != sum(families):
-                raise InvalidInputError(f"{path}:{lineno}: row counts {','.join(counts)} must "
-                                        "be non-negative integers that sum to active_count")
-            checked[counts] = active
-        yield parts[1], checked[counts]
+                raise InvalidInputError(
+                    f"{path}:{linenos[counts.index(key)]}: row counts {','.join(key)} must "
+                    "be non-negative integers that sum to active_count")
+            checked[key] = active
+        fold.rows(zip(fields[1::10], map(checked.__getitem__, counts)))
+        if error is not None:
+            raise error
+
+
+def _check_trace(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
+    """Checks trace.log line by line and folds its link counts.  Every
+    message travels on a watcher link, whose send and drop lines carry
+    seq=1, 2, 3, ... in file order; a deliver line names a message sent on
+    its link and still in flight.  At the end of the trace, each message
+    due well before the end of the run must have been delivered, and each
+    watcher-to-agent link must carry one update (sent or dropped) per
+    watcher tick."""
+    # Per (src, dst) link the last seq sent or dropped, which the next
+    # follows by one; per message in flight, (src, dst, seq) -> (the line
+    # of its send, its due time); per link, its update send and drop lines.
+    last_seq: dict[tuple[str, str], int] = {}
+    in_flight: dict[tuple[str, str, str | None], tuple[int, str | None]] = {}
+    updates: Counter[str] = Counter()
+    dropped = 0
+    with open(path, "r") as f:
+        for lineno, line in enumerate(f, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            event, fields = tokens[0], {}
+            for token in tokens[1:]:
+                key, eq, value = token.partition("=")
+                if not eq:
+                    raise InvalidInputError(f"{path}:{lineno}: expected key=value, got {token!r}")
+                fields[key] = value
+            if event not in _TRACE_EVENTS or not fields.keys() >= {"src", "dst"}:
+                raise InvalidInputError(f"{path}:{lineno}: expected a send, drop "
+                                        f"or deliver event with src and dst")
+            src, dst = fields["src"], fields["dst"]
+            if (src == WATCHER_ID) == (dst == WATCHER_ID):
+                raise InvalidInputError(f"{path}:{lineno}: expected a message "
+                                        f"to or from the watcher, got {src} to {dst}")
+            key = src, dst, fields.get("seq")
+            if event == "deliver":
+                if in_flight.pop(key, None) is None:
+                    raise InvalidInputError(f"{path}:{lineno}: expected a message in "
+                                            f"flight from {src} to {dst}, got seq={key[2]}")
+                continue
+            last_seq[src, dst] = seq = last_seq.get((src, dst), 0) + 1
+            if key[2] != str(seq):
+                raise InvalidInputError(f"{path}:{lineno}: expected seq={seq} "
+                                        f"from {src} to {dst}, got seq={key[2]}")
+            if event == "send":
+                in_flight[key] = lineno, fields.get("due")
+            dropped += event == "drop"
+            if src == WATCHER_ID and fields.get("type") == "update":
+                updates[dst] += 1
+    # run() sends only at steps, and drains the bus at every step, once more
+    # after the watcher's sends; so a message is still in flight at the end
+    # exactly when its deliver time exceeds end, the last step's time.  The
+    # trace logs that time at 9 significant digits, within 5e-9 of it
+    # relatively: a message in flight at the end is logged due above
+    # end - dt/2 unless 5e-9 * end > dt/2, a run of over 1e8 steps.  So a
+    # message logged due by end - dt/2 was delivered, and its deliver line
+    # is missing; one due in the last half step may not have been, and a
+    # deleted deliver line of such a message goes unseen.
+    end = cfg.total_steps() * cfg.dt
+    for (src, dst, seq), (lineno, due) in in_flight.items():
+        try:
+            late = not float(due) > end - cfg.dt / 2   # NaN too
+        except (TypeError, ValueError):   # no due=, or not a number
+            late = True
+        if late:
+            raise InvalidInputError(f"{path}:{lineno}: expected a deliver line for "
+                                    f"seq={seq} from {src} to {dst}, due={due}")
+    ticks = len(range(0, cfg.total_steps() + 1, cfg.steps_per_watcher()))
+    links = dict.fromkeys([*cfg.agent_ids(), *(d for s, d in last_seq if s == WATCHER_ID)])
+    for dst in links:
+        if updates[dst] != ticks:
+            raise InvalidInputError(f"{path}: expected {ticks} update send or drop lines "
+                                    f"from {WATCHER_ID} to {dst}, got {updates[dst]}")
+    fold.links(len({dst if src == WATCHER_ID else src for src, dst in last_seq}),
+               sum(last_seq.values()), dropped)  # a dropped message was sent too
 
 
 def summarize_dir(out_dir: str) -> MetricsSummary:
     """Recompute the safety metrics for a finished run directory.
 
-    resolved_config.yaml fixes each log's layout (_layout): a line whose
+    resolved_config.yaml fixes each log's layout (_blocks): a line whose
     time, agent or kind is not the one run() writes at its place, or a log
-    that ends early, is reported with its file.  The trajectory is
-    evaluated in blocks of whole ticks, at most BLOCK_SAMPLES lines, and
-    lines are checked in file order, so the first line whose min_h
-    disagrees is the one reported, once the block's statuses are known to
-    be ones the writer logs.  watcher.csv is required."""
+    that ends early, is reported with its file and line.  Each log is read
+    and checked a block of at most BLOCK_SAMPLES lines at a time, in file
+    order, so the first bad line is the one reported (_check_trajectory,
+    _check_watcher).  watcher.csv is required; trace.log is checked when
+    present (_check_trace)."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
     fold = MetricsFold(cfg.n_pairs)
-    m = 2 * cfg.n_pairs
-    size = max(1, BLOCK_SAMPLES // m) * m
-
-    traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
-
-    def check_block(lines):
-        if not lines:
-            return
-        linenos, times, *states, statuses, logged = zip(*lines)
-        if not _STATUSES.issuperset(statuses):
-            k = next(k for k, status in enumerate(statuses) if status not in _STATUSES)
-            raise InvalidInputError(f"{traj_path}:{linenos[k]}: unknown qp_status {statuses[k]!r}")
-        states.append([status == "landed" for status in statuses])
-        per_agent, family, dist = tick_barriers(cfg, *(np.array(v).reshape(-1, m)
-                                                       for v in states))
-        # The column was written at 9 significant digits; push the
-        # recomputed values through the same format before comparing.
-        expected, h = fmt9_round_trip(per_agent)[1].ravel(), np.array(logged)
-        with np.errstate(invalid="ignore"):   # inf - inf
-            agree = (expected == h) | (np.abs(expected - h) <= 1e-9)
-        if not agree.all():
-            k = int(agree.argmin())   # the first line that disagrees
-            raise LogIntegrityError(
-                f"{traj_path}:{linenos[k]}: logged min_h {logged[k]!r} "
-                f"disagrees with recomputed {float(expected[k])!r}")
-        fold.barriers(family, dist)
-        fold.ticks(times[::m], statuses)
-
-    block: list[tuple] = []   # the parsed lines of the block so far
-    try:
-        for line in _parse_trajectory(traj_path, _layout(cfg, cfg.steps_per_control(), 3)):
-            block.append(line)
-            if len(block) == size:
-                block, full = [], block
-                check_block(full)
-    except ValueError:
-        # A bad state earlier in the file is reported before a malformed
-        # or misplaced line, or the end of a log cut short; only complete
-        # ticks are evaluated.
-        check_block(block[:len(block) - len(block) % m])
-        raise
-    check_block(block)
-
-    fold.rows(_parse_watcher(os.path.join(out_dir, WATCHER_FILE),
-                             _layout(cfg, cfg.steps_per_watcher(), 2)))
-
+    _check_trajectory(cfg, os.path.join(out_dir, TRAJECTORY_FILE), fold)
+    _check_watcher(cfg, os.path.join(out_dir, WATCHER_FILE), fold)
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):
-        # Per (src, dst) link the last seq sent or dropped, which the next
-        # follows by one; (src, dst, seq) of each message in flight.
-        last_seq: dict[tuple[str, str], int] = {}
-        in_flight: set[tuple[str, str, str | None]] = set()
-        dropped = 0
-        with open(trace_path, "r") as f:
-            for lineno, line in enumerate(f, start=1):
-                tokens = line.split()
-                if not tokens:
-                    continue
-                event, fields = tokens[0], {}
-                for token in tokens[1:]:
-                    key, eq, value = token.partition("=")
-                    if not eq:
-                        raise InvalidInputError(
-                            f"{trace_path}:{lineno}: expected key=value, got {token!r}")
-                    fields[key] = value
-                if event not in _TRACE_EVENTS or not fields.keys() >= {"src", "dst"}:
-                    raise InvalidInputError(f"{trace_path}:{lineno}: expected a send, drop "
-                                            f"or deliver event with src and dst")
-                src, dst = fields["src"], fields["dst"]
-                if (src == "watcher") == (dst == "watcher"):
-                    raise InvalidInputError(f"{trace_path}:{lineno}: expected a message "
-                                            f"to or from the watcher, got {src} to {dst}")
-                key = src, dst, fields.get("seq")
-                if event == "deliver":
-                    if key not in in_flight:
-                        raise InvalidInputError(f"{trace_path}:{lineno}: expected a message in "
-                                                f"flight from {src} to {dst}, got seq={key[2]}")
-                    in_flight.remove(key)
-                    continue
-                last_seq[src, dst] = seq = last_seq.get((src, dst), 0) + 1
-                if key[2] != str(seq):
-                    raise InvalidInputError(f"{trace_path}:{lineno}: expected seq={seq} "
-                                            f"from {src} to {dst}, got seq={key[2]}")
-                if event == "send":
-                    in_flight.add(key)
-                dropped += event == "drop"
-        fold.links(len({dst if src == "watcher" else src for src, dst in last_seq}),
-                   sum(last_seq.values()), dropped)  # a dropped message was sent too
-
+        _check_trace(cfg, trace_path, fold)
     return fold.result()

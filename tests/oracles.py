@@ -53,9 +53,14 @@
   (nid_forward), which the package dropped once only tests called them.
 * The constraint matrix object an update carried (Matrix, without its
   agent id and stamp), from before updates carried its arrays and count.
+* summarize's line-at-a-time reader of trajectory.csv and watcher.csv
+  (summarize_logs_per_line): a generator of each log's layout, one CSV
+  line parsed, checked and yielded at a time, the trajectory's lines
+  gathered into blocks of BLOCK_SAMPLES for the barrier recheck, from
+  before the logs were read and checked a block at a time.
 
 The equivalence tests require the package to reproduce them exactly, bit
-for bit.
+for bit (the summarize reader: the same metrics, or the same error).
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
 import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -71,12 +77,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from airground import qp
+from airground import qp, summary
 from airground.agents import (UAV, UGV, Command, TickTelemetry, data_stale,
                               nominal_velocity, wrap_angle)
 from airground.barriers import RowKind, SafetyParams
+from airground.config import load_config
 from airground.errors import CapacityError, InvalidInputError
-from airground.logfmt import fmt9
+from airground.logfmt import fmt9, fmt9_round_trip
 from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
 from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpSolution,
                           _blocking_step, _project)
@@ -1226,3 +1233,129 @@ def _reference_active_set(z, A, b, max_iter: int, max_rows, dep_tol: float):
             del work[blocker]
             lam = np.delete(lam, blocker)
     raise RuntimeError("active-set projection did not converge")
+
+
+def _layout(cfg, steps: int, width: int):
+    """The leading fields of each line of a log written every steps-th
+    step of the run, in order: per tick, one line per agent in agent_ids
+    order, led by the tick's time and the agent's id, then its kind when
+    width is 3."""
+    keys = [[aid, aid[:3]][:width - 1] for aid in cfg.agent_ids()]
+    for step in range(0, cfg.total_steps() + 1, steps):
+        t = fmt9(step * cfg.dt)
+        for key in keys:
+            yield [t, *key]
+
+
+def _csv_rows(path: str, header: str, width: int, layout):
+    """Yields (line_number, fields) per data line of a log with a fixed
+    header and field count; blank and whitespace-only lines are skipped.
+    Line by line, the leading fields must be the next entry of layout,
+    and the log must end with the layout's last entry."""
+    with open(path, "r") as f:
+        first = f.readline().rstrip("\n")
+        if first != header:
+            raise InvalidInputError(f"{path}:1: unexpected header {first!r}")
+        lineno = 1
+        for lineno, line in enumerate(f, start=2):
+            if line.isspace():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != width:
+                raise InvalidInputError(f"{path}:{lineno}: expected {width} fields, "
+                                        f"got {len(parts)}")
+            want = next(layout, None)
+            if want is None:
+                raise InvalidInputError(f"{path}:{lineno}: expected the end of the log")
+            if parts[:len(want)] != want:
+                raise InvalidInputError(f"{path}:{lineno}: expected {','.join(want)}, "
+                                        f"got {','.join(parts[:len(want)])}")
+            yield lineno, parts
+    want = next(layout, None)
+    if want is not None:
+        raise InvalidInputError(f"{path}: ends after line {lineno}, "
+                                f"expected {','.join(want)} next")
+
+
+def _parse_trajectory(path: str, layout):
+    """Yields (line_number, time_str, x, y, z, theta, status, logged min_h)
+    per record of a trajectory.csv laid out as layout says; the state must
+    be finite."""
+    isfinite = math.isfinite
+    for lineno, parts in _csv_rows(path, summary.TRAJECTORY_HEADER, 12, layout):
+        try:
+            x, y, z, theta = float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])
+            logged = float(parts[11])
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}")
+        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(theta)):
+            raise InvalidInputError(f"{path}:{lineno}: state must be finite, "
+                                    f"got {','.join(parts[3:7])}")
+        yield lineno, parts[0], x, y, z, theta, parts[10], logged
+
+
+def _parse_watcher(path: str, layout):
+    """Yields (agent_id, active_count) per record of a watcher.csv laid out
+    as layout says, whose row counts must be non-negative integers summing
+    to active_count, checked once per distinct set."""
+    checked: dict[tuple[str, ...], int] = {}
+    for lineno, parts in _csv_rows(path, summary.WATCHER_HEADER, 10, layout):
+        counts = tuple(parts[3:9])
+        if counts not in checked:
+            active, *families = (int(c) if c.isdecimal() else -1 for c in counts)
+            if min(families) < 0 or active != sum(families):
+                raise InvalidInputError(f"{path}:{lineno}: row counts {','.join(counts)} must "
+                                        "be non-negative integers that sum to active_count")
+            checked[counts] = active
+        yield parts[1], checked[counts]
+
+
+def summarize_logs_per_line(out_dir: str):
+    """summarize_dir's check of trajectory.csv and watcher.csv, a line at a
+    time: the MetricsSummary of a run directory without trace.log."""
+    cfg = load_config(os.path.join(out_dir, summary.CONFIG_FILE))
+    fold = summary.MetricsFold(cfg.n_pairs)
+    m = 2 * cfg.n_pairs
+    size = max(1, summary.BLOCK_SAMPLES // m) * m
+    traj_path = os.path.join(out_dir, summary.TRAJECTORY_FILE)
+
+    def check_block(lines):
+        if not lines:
+            return
+        linenos, times, *states, statuses, logged = zip(*lines)
+        if not summary._STATUSES.issuperset(statuses):
+            k = next(k for k, status in enumerate(statuses)
+                     if status not in summary._STATUSES)
+            raise InvalidInputError(f"{traj_path}:{linenos[k]}: unknown qp_status {statuses[k]!r}")
+        states.append([status == "landed" for status in statuses])
+        per_agent, family, dist = summary.tick_barriers(
+            cfg, *(np.array(v).reshape(-1, m) for v in states))
+        expected, h = fmt9_round_trip(per_agent)[1].ravel(), np.array(logged)
+        with np.errstate(invalid="ignore"):   # inf - inf
+            agree = (expected == h) | (np.abs(expected - h) <= 1e-9)
+        if not agree.all():
+            k = int(agree.argmin())   # the first line that disagrees
+            raise summary.LogIntegrityError(
+                f"{traj_path}:{linenos[k]}: logged min_h {logged[k]!r} "
+                f"disagrees with recomputed {float(expected[k])!r}")
+        fold.barriers(family, dist)
+        fold.ticks(times[::m], statuses)
+
+    block: list[tuple] = []   # the parsed lines of the block so far
+    try:
+        for line in _parse_trajectory(traj_path, _layout(cfg, cfg.steps_per_control(), 3)):
+            block.append(line)
+            if len(block) == size:
+                block, full = [], block
+                check_block(full)
+    except ValueError:
+        # A bad state earlier in the file is reported before a malformed
+        # or misplaced line, or the end of a log cut short; only complete
+        # ticks are evaluated.
+        check_block(block[:len(block) - len(block) % m])
+        raise
+    check_block(block)
+
+    fold.rows(_parse_watcher(os.path.join(out_dir, summary.WATCHER_FILE),
+                             _layout(cfg, cfg.steps_per_watcher(), 2)))
+    return fold.result()

@@ -486,6 +486,75 @@ class TestSummarize:
         assert f"{trace}:{bad + 1}: expected " in err
         assert "Traceback" not in err
 
+    def landing_trace(self, tmp_path, capsys):
+        """An 8 s traced landing_demo.yaml run: 161 watcher ticks, and four
+        updates in flight at the end, all sent at t=8."""
+        out_dir = str(tmp_path / "out")
+        assert main(["run", os.path.join(SCENARIOS, "landing_demo.yaml"), "--duration", "8",
+                     "--trace", "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        trace = os.path.join(out_dir, "trace.log")
+        with open(trace) as f:
+            lines = f.read().splitlines()
+        return out_dir, trace, lines
+
+    def test_deleted_last_update_of_a_link_fails(self, tmp_path, capsys):
+        """Each watcher-to-agent link carries one update, sent or dropped,
+        per watcher tick.  Deleting a link's last send line, whose message
+        is still in flight at the end, breaks no seq but leaves the link
+        one update short."""
+        out_dir, trace, lines = self.landing_trace(tmp_path, capsys)
+        k = max(k for k, line in enumerate(lines) if line.startswith("send "))
+        assert lines[k].startswith("send t=8 src=watcher dst=ugv1 type=update seq=161 ")
+        del lines[k]
+        with open(trace, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert (f"{trace}: expected 161 update send or drop lines from watcher to ugv1, "
+                "got 160") in err
+        assert "Traceback" not in err
+
+    def test_deleted_deliver_line_fails(self, tmp_path, capsys):
+        """A message due before the last half step of the run was delivered:
+        with its deliver line deleted, its send line is named."""
+        out_dir, trace, lines = self.landing_trace(tmp_path, capsys)
+        k = lines.index(next(line for line in lines
+                             if line.startswith("deliver t=1.27 src=watcher dst=ugv1 ")))
+        assert " seq=26 " in lines[k]
+        send = next(j for j, line in enumerate(lines) if line.startswith(
+            "send t=1.25 src=watcher dst=ugv1 type=update seq=26 "))
+        del lines[k]
+        with open(trace, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert (f"{trace}:{send + 1}: expected a deliver line for seq=26 from watcher "
+                "to ugv1, due=") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["landing_demo", "bench_crossing_three", "zero_latency"])
+    def test_traced_runs_summarize_without_false_alarms(self, tmp_path, capsys, source):
+        """Messages still in flight at the end of a run, and ones delivered
+        in its last step, are not taken for a missing deliver line."""
+        if source == "landing_demo":
+            out_dir, _, lines = self.landing_trace(tmp_path, capsys)
+            sent = {tuple(line.split()[2:6]) for line in lines if line.startswith("send ")}
+            delivered = {tuple(line.split()[2:6]) for line in lines
+                         if line.startswith("deliver ")}
+            assert len(sent - delivered) == 4
+        elif source == "bench_crossing_three":   # 20 ms latency, 5 ms jitter, 2% drop
+            out_dir = str(tmp_path / "out")
+            assert main(["run", os.path.join(SCENARIOS, "..", "bench", "scenarios",
+                                             "crossing_three.yaml"),
+                         "--trace", "--out-dir", out_dir]) == 0
+        else:
+            out_dir, _, _ = self.traced_run(tmp_path, capsys)
+        capsys.readouterr()
+        assert main(["summarize", out_dir]) == 0
+        with open(os.path.join(out_dir, "metrics.json")) as f:
+            assert capsys.readouterr().out == f.read()
+
     def test_whitespace_lines_in_csv_logs_are_skipped(self, tmp_path, capsys):
         out_dir, _, _ = self.traced_run(tmp_path, capsys)
         assert main(["summarize", out_dir]) == 0

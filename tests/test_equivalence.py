@@ -5,11 +5,12 @@ control units of a kind held as arrays and filtered as one batch, the
 reuse of a filtered command, the kind tick that runs only when its units'
 output can change, the watcher's stacked gate pass and its gate tables
 reused across ticks, the block trajectory writer with its distinct-value
-formatting, the watcher log's reused line tails and the bus's shape-read
-byte counts, against the code they replaced (tests/oracles.py, or fmt9
-per value): equal results, bit for bit."""
+formatting, the watcher log's reused line tails, the bus's shape-read
+byte counts and summarize's block reader, against the code they replaced
+(tests/oracles.py, or fmt9 per value): equal results, bit for bit."""
 
 import math
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,8 +29,8 @@ from airground.netsim import WATCHER_ID, MsgType, StarBus, wire_bytes
 from airground.qp import _project, project_with_box, solve_relaxed
 from airground import runner
 from airground.runner import _integrate, run
-from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, TrajectoryWriter,
-                               tick_barriers)
+from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, LogIntegrityError,
+                               TrajectoryWriter, summarize_dir, tick_barriers)
 from airground.watcher import (LANDED, LANDING, TASK, TrackTable,
                                VelocityEstimator, Watcher)
 
@@ -43,7 +44,8 @@ from oracles import (AgentVelocityEstimator, ConstraintRow, DictGates, Matrix, S
                      per_agent_kind_counts,
                      per_agent_trajectory_rows, project_reference,
                      scalar_tick_barriers, scalar_view,
-                     stacked_project, stacked_solve_relaxed)
+                     stacked_project, stacked_solve_relaxed,
+                     summarize_logs_per_line)
 from qp_problems import random_problem
 from scenario_helpers import crossing_scenario
 
@@ -1162,3 +1164,107 @@ def test_fleet_integration_matches_per_agent_oracle():
             assert np.all(uav[landed, 2] == deck_z)
         assert landed.any() and (n == 1 or not landed.all())
     assert crossed > 20  # headings wrapped across +-pi
+
+
+# A finished run whose logs span more than one reading block: 226 ticks of
+# 6 agents in trajectory.csv (1356 lines, blocks of 510) and 91 in
+# watcher.csv (546 lines).
+EDIT_RUN = dict(pairs=3, seed=4, duration=4.5)
+GARBAGE = ["", "abc", "1e", "0x1", "--1", "1_0", " 2.5 ", "nan", "-nan", "inf", "-inf",
+           "1e400", "-0", "bogus", "failed", "Optimal", "landed", "1\r2", "+1", "3",
+           "1\udcff"]   # a byte that is not UTF-8, written through surrogateescape
+
+
+@pytest.fixture(scope="module")
+def edit_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("edit_run")
+    run(crossing_scenario(EDIT_RUN["pairs"], seed=EDIT_RUN["seed"],
+                          duration=EDIT_RUN["duration"]), str(out))
+    return out
+
+
+@st.composite
+def log_edits(draw):
+    """One file and one edit of it: (name, kind, line index, argument,
+    column).  Line indices lean on the first and last lines of each reading
+    block."""
+    name = draw(st.sampled_from(["trajectory.csv", "watcher.csv"]))
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "field", "number",
+                                 "blank", "no_newline", "cut", "13_11", "status"]))
+    size = (BLOCK_SAMPLES // (2 * EDIT_RUN["pairs"])) * 2 * EDIT_RUN["pairs"]
+    # Line k + 1 of a log is its data line k (line 0 is the header).  Each
+    # block's first and last data lines; an index past the end of a log
+    # falls back to its last line.
+    edges = [1 + b + d for b in range(0, 3 * size, size) for d in (0, size - 1)]
+    k = draw(st.sampled_from(edges) | st.integers(1, 1400))
+    arg = draw(st.sampled_from(GARBAGE) if kind == "field" else
+               st.floats(-1e3, 1e3).map(fmt9) if kind == "number" else
+               st.sampled_from(["", " ", "\t", " \x0c "]) if kind == "blank" else
+               st.integers(0, 120) if kind == "cut" else st.none())
+    column = draw(st.integers(0, 11))
+    return name, kind, k, arg, column
+
+
+def apply_edit(text: str, kind: str, k: int, arg, column: int) -> str:
+    lines = text.splitlines()
+    k = min(k, len(lines) - 1)
+    width = len(lines[0].split(","))
+    if kind == "delete":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    elif kind == "swap" and k + 1 < len(lines):
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    elif kind in ("field", "number", "status"):
+        parts = lines[k].split(",")
+        j = 10 if kind == "status" and width == 12 else column % width
+        parts[j] = "bogus" if kind == "status" else arg
+        lines[k] = ",".join(parts)
+    elif kind == "blank":
+        lines.insert(k, arg)
+    elif kind == "13_11" and k + 1 < len(lines):
+        lines[k] += ",0"   # one field more, then one field fewer
+        lines[k + 1] = ",".join(lines[k + 1].split(",")[:-1])
+    if kind == "cut":   # within line k, after its first arg characters
+        return "\n".join(lines[:k] + [lines[k][:arg]])
+    text = "\n".join(lines) + "\n"
+    return text[:-1] if kind == "no_newline" else text
+
+
+def summarize_outcome(summarize, out_dir: str):
+    try:
+        return summarize(out_dir).to_json()
+    except Exception as exc:   # the class and message must match too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edit=log_edits())
+def test_block_reader_matches_per_line_reader(edit_run, tmp_path_factory, edit):
+    """summarize_dir reads trajectory.csv and watcher.csv a block at a time;
+    on any one edit of a finished run's logs it gives what the line-at-a-time
+    reader gives: the same metrics, or the same exception and message."""
+    name, kind, k, arg, column = edit
+    out = tmp_path_factory.mktemp("edited")
+    for f in ("resolved_config.yaml", "trajectory.csv", "watcher.csv"):
+        shutil.copy(edit_run / f, out / f)
+    (out / name).write_text(apply_edit((edit_run / name).read_text(), kind, k, arg, column),
+                            errors="surrogateescape")
+    want = summarize_outcome(summarize_logs_per_line, str(out))
+    assert summarize_outcome(summarize_dir, str(out)) == want
+    shutil.rmtree(out)
+
+
+def test_bad_line_before_undecodable_text_is_reported(edit_run, tmp_path):
+    """Text that is not UTF-8 ends the read where decoding fails, mid-block;
+    the complete ticks read before it are checked first, so a bad min_h on
+    an earlier line of the block is what both readers report."""
+    for f in ("resolved_config.yaml", "watcher.csv"):
+        shutil.copy(edit_run / f, tmp_path / f)
+    lines = (edit_run / "trajectory.csv").read_text().splitlines()
+    lines[11] = ",".join(lines[11].split(",")[:11] + ["123.5"])
+    lines[300] = lines[300].replace(",", ",\udcff", 1)
+    (tmp_path / "trajectory.csv").write_text("\n".join(lines) + "\n", errors="surrogateescape")
+    want = summarize_outcome(summarize_logs_per_line, str(tmp_path))
+    assert want[0] is LogIntegrityError and ":12: logged min_h 123.5" in want[1]
+    assert summarize_outcome(summarize_dir, str(tmp_path)) == want
