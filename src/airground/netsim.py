@@ -1,7 +1,7 @@
 """Virtual-time star-topology message bus.
 
-All cross-node traffic travels between the coordinator and an agent; there
-are no agent-to-agent links, and an attempt to use one is a hard failure.
+All traffic travels from the coordinator to an agent; a send on any other
+link (agent to agent, or agent to coordinator) is a hard failure.
 The coordinator sends each agent one UPDATE per watcher tick, carrying its
 pose, setpoint and constraint rows together as plain arrays, so a drop or a
 delay always takes all three; the only other message is the touchdown
@@ -96,10 +96,10 @@ def wire_bytes(msg_type: MsgType, payload) -> int:
 
 
 class _Link:
-    """One directed link: its agent's counters (shared with the reverse
-    direction), its RNG stream read _BLOCK uniforms at a time, and its last
-    sequence number.  The stream's Generator is built from entropy (the
-    seed and the link's tag) on the first draw."""
+    """The watcher's link to one agent: its counters, its RNG stream read
+    _BLOCK uniforms at a time, and its last sequence number.  The stream's
+    Generator is built from entropy (the seed and the link's tag) on the
+    first draw."""
 
     __slots__ = ("stats", "entropy", "rng", "draws", "next_draw", "seq")
 
@@ -124,7 +124,7 @@ class _Link:
 
 
 class StarBus:
-    """Event-queued message transport restricted to agent <-> watcher links."""
+    """Event-queued message transport restricted to watcher -> agent links."""
 
     def __init__(self, agent_ids: list[str], link: LinkModel, seed: int,
                  trace: list[str] | None = None):
@@ -136,8 +136,7 @@ class StarBus:
         self.link = link
         self.agents = set(agent_ids)
         self.trace = trace
-        self._links: dict[tuple[str, str], _Link] = {}
-        self._stats: dict[str, LinkStats] = {}
+        self._links: dict[str, _Link] = {}   # by agent, once it is first sent to
         # (deliver_time, seq, src, dst, message, the link's stats); the first
         # four are unique, so messages and stats are never compared.
         self._queue: list[tuple[float, int, str, str, Message, LinkStats]] = []
@@ -146,28 +145,19 @@ class StarBus:
         self._jitter_low = -link.jitter
         self._jitter_range = link.jitter - -link.jitter
 
-    def _check_link(self, src: str, dst: str) -> str:
-        """Returns the agent endpoint naming the star link."""
-        if src == WATCHER_ID and dst in self.agents:
-            return dst
-        if dst == WATCHER_ID and src in self.agents:
-            return src
-        raise TopologyViolationError(
-            f"link {src} -> {dst} is not part of the star topology"
-        )
-
     def _open_link(self, src: str, dst: str) -> _Link:
-        """The record of a star link's first message in this direction."""
-        agent = self._check_link(src, dst)
+        """The record of a star link's first message; only the watcher sends."""
+        if src != WATCHER_ID or dst not in self.agents:
+            raise TopologyViolationError(
+                f"link {src} -> {dst} is not part of the star topology")
         tag = zlib.crc32(f"{src}->{dst}".encode())
-        link = self._links[src, dst] = _Link(self._stats.setdefault(agent, LinkStats()),
-                                             [self._seed, tag])
+        link = self._links[dst] = _Link(LinkStats(), [self._seed, tag])
         return link
 
     def send(self, msg_type: MsgType, src: str, dst: str, payload,
              now: float) -> Message | None:
         """Schedule a message; returns None when the link model drops it."""
-        link = self._links.get((src, dst)) or self._open_link(src, dst)
+        link = (src == WATCHER_ID and self._links.get(dst)) or self._open_link(src, dst)
         link.seq = seq = link.seq + 1
         stats = link.stats
         stats.sent += 1
@@ -208,4 +198,4 @@ class StarBus:
 
     def link_stats(self) -> dict[str, LinkStats]:
         """Per-agent-link counters; only links that carried traffic appear."""
-        return dict(sorted(self._stats.items()))
+        return {agent: link.stats for agent, link in sorted(self._links.items())}

@@ -241,9 +241,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     # re-derives them from the files above as an independent check.
     fold.rows((rec.agent_id, rec.active_count) for rec in watcher_records)
     link_stats = bus.link_stats()
-    if trace:  # what the trace records: every link touches the watcher
-        fold.links(len(link_stats), sum(s.sent for s in link_stats.values()),
-                   sum(s.dropped for s in link_stats.values()))
+    if trace:  # what the trace records
+        fold.links(link_stats)
     metrics = fold.result()
     with open(os.path.join(out_dir, METRICS_FILE), "w") as f:
         f.write(metrics.to_json() + "\n")

@@ -10,7 +10,9 @@ every barrier value from the logged states (never trusted from the
 controller), requires each line's min_h to equal the recomputed value or
 lie within 1e-9 of it -- else the log was tampered with or the physics
 diverged; a NaN never agrees -- and feeds the same fold.  Both paths see
-the rounded states the producer committed to disk.
+the rounded states the producer committed to disk.  A trace.log is checked
+against a replay of the run's bus, whose link counts the fold takes as
+run() takes its own bus's: only netsim knows the trace's format.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .barriers import (eval_landing, offset_points, pairwise_sq_distances,
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import fmt9, fmt9_round_trip
-from .netsim import WATCHER_ID
+from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
+from .watcher import PHASE_NAMES
 
 TRAJECTORY_FILE = "trajectory.csv"
 WATCHER_FILE = "watcher.csv"
 TRACE_FILE = "trace.log"
-_TRACE_EVENTS = ("send", "drop", "deliver")
 _STATUSES = frozenset(("optimal", "relaxed", "hold", "landed"))
 METRICS_FILE = "metrics.json"
 CONFIG_FILE = "resolved_config.yaml"
@@ -128,11 +130,12 @@ class MetricsFold:
             hist = self.summary.row_count_histogram.setdefault(agent, {})
             hist[count] = hist.get(count, 0) + k
 
-    def links(self, active: int, sent: int, dropped: int) -> None:
-        """The trace's counts; every message travels on a watcher link."""
+    def links(self, stats: dict[str, LinkStats]) -> None:
+        """A bus's link_stats(); every message travels on a watcher link."""
         s = self.summary
-        s.active_links, s.agent_to_agent_messages = active, 0
-        s.messages_sent, s.messages_dropped = sent, dropped
+        s.active_links, s.agent_to_agent_messages = len(stats), 0
+        s.messages_sent = sum(link.sent for link in stats.values())
+        s.messages_dropped = sum(link.dropped for link in stats.values())
 
     def result(self) -> MetricsSummary:
         self.summary.landing_outcomes = {
@@ -420,103 +423,93 @@ def _float_error(text: str) -> ValueError | None:
     return None
 
 
-def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
+def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> dict[int, int]:
     """Checks watcher.csv block by block and folds its (agent id, active
     row count) records.  Per line, in file order: its field count and place
-    (_blocks), then its row counts, which must be non-negative integers
-    summing to active_count, checked once per distinct set."""
+    (_blocks), then its phase, one of PHASE_NAMES, then its row counts,
+    which must be non-negative integers summing to active_count; each
+    distinct phase and counts is checked once.  Returns, for each pair that
+    lands, the watcher tick (0, 1, 2, ...) at which its UAV's line first
+    reads landed."""
+    n, m = cfg.n_pairs, 2 * cfg.n_pairs
     checked: dict[tuple[str, ...], int] = {}
+    landed: dict[int, int] = {}
+    tick = 0   # the block's first
     for fields, linenos, _, error in _blocks(path, WATCHER_HEADER, 10, cfg,
                                              cfg.steps_per_watcher()):
-        counts = list(zip(*(fields[j::10] for j in range(3, 9))))
-        for key in dict.fromkeys(counts):   # distinct, first seen first
+        records = list(zip(*(fields[j::10] for j in range(2, 9))))   # phase, counts
+        for key in dict.fromkeys(records):   # distinct, first seen first
             if key in checked:
                 continue
-            active, *families = (int(c) if c.isdecimal() else -1 for c in key)
-            if min(families) < 0 or active != sum(families):
-                raise InvalidInputError(
-                    f"{path}:{linenos[counts.index(key)]}: row counts {','.join(key)} must "
-                    "be non-negative integers that sum to active_count")
-            checked[key] = active
-        fold.rows(zip(fields[1::10], map(checked.__getitem__, counts)))
+            phase, *counts = key
+            active, *families = (int(c) if c.isdecimal() else -1 for c in counts)
+            if phase in PHASE_NAMES and min(families) >= 0 and active == sum(families):
+                checked[key] = active
+                continue
+            where = f"{path}:{linenos[records.index(key)]}"
+            if phase not in PHASE_NAMES:
+                raise InvalidInputError(f"{where}: unknown phase {phase!r}")
+            raise InvalidInputError(f"{where}: row counts {','.join(counts)} must "
+                                    "be non-negative integers that sum to active_count")
+        fold.rows(zip(fields[1::10], map(checked.__getitem__, records)))
+        phases = fields[2::10]
+        if len(landed) < n and "landed" in phases:
+            for pair in range(n):
+                column = phases[2 * pair::m]
+                if pair not in landed and "landed" in column:
+                    landed[pair] = tick + column.index("landed")
         if error is not None:
             raise error
+        tick += len(phases) // m
+    return landed
 
 
-def _check_trace(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
-    """Checks trace.log line by line and folds its link counts.  Every
-    message travels on a watcher link, whose send and drop lines carry
-    seq=1, 2, 3, ... in file order; a deliver line names a message sent on
-    its link and still in flight.  At the end of the trace, each message
-    due well before the end of the run must have been delivered, and each
-    watcher-to-agent link must carry one update (sent or dropped) per
-    watcher tick."""
-    # Per (src, dst) link the last seq sent or dropped, which the next
-    # follows by one; per message in flight, (src, dst, seq) -> (the line
-    # of its send, its due time); per link, its update send and drop lines.
-    last_seq: dict[tuple[str, str], int] = {}
-    in_flight: dict[tuple[str, str, str | None], tuple[int, str | None]] = {}
-    updates: Counter[str] = Counter()
-    dropped = 0
+def _check_trace(cfg: ScenarioConfig, path: str, landed: dict[int, int],
+                 fold: MetricsFold) -> None:
+    """Checks trace.log against a replay of the run's bus and folds the
+    replayed bus's link counts.  The replay drives a StarBus built from the
+    config as run() does: a delivery at every step and, at each watcher
+    tick, one touchdown acknowledgement to the UAV of each pair that lands
+    there (landed, from watcher.csv), in pair order, then one update per
+    agent in agent_ids order and a second delivery.  After each step the
+    lines the bus wrote must be the log's next lines; blank and
+    whitespace-only lines are skipped, and the last line may lack its
+    newline."""
+    ids = cfg.agent_ids()
+    lines: list[str] = []
+    bus = StarBus(ids, cfg.network, cfg.seed, trace=lines)
+    acks: dict[int, list[int]] = {}
+    for pair, tick in sorted(landed.items()):
+        acks.setdefault(tick * cfg.steps_per_watcher(), []).append(pair)
+    # An update's payload arrays only size it (wire_bytes), and no trace
+    # line logs a size: the replay sends empty ones.
+    empty = np.empty(0)
+    update = (empty, empty, empty, empty, empty, 0)
     with open(path, "r") as f:
-        for lineno, line in enumerate(f, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            event, fields = tokens[0], {}
-            for token in tokens[1:]:
-                key, eq, value = token.partition("=")
-                if not eq:
-                    raise InvalidInputError(f"{path}:{lineno}: expected key=value, got {token!r}")
-                fields[key] = value
-            if event not in _TRACE_EVENTS or not fields.keys() >= {"src", "dst"}:
-                raise InvalidInputError(f"{path}:{lineno}: expected a send, drop "
-                                        f"or deliver event with src and dst")
-            src, dst = fields["src"], fields["dst"]
-            if (src == WATCHER_ID) == (dst == WATCHER_ID):
-                raise InvalidInputError(f"{path}:{lineno}: expected a message "
-                                        f"to or from the watcher, got {src} to {dst}")
-            key = src, dst, fields.get("seq")
-            if event == "deliver":
-                if in_flight.pop(key, None) is None:
-                    raise InvalidInputError(f"{path}:{lineno}: expected a message in "
-                                            f"flight from {src} to {dst}, got seq={key[2]}")
-                continue
-            last_seq[src, dst] = seq = last_seq.get((src, dst), 0) + 1
-            if key[2] != str(seq):
-                raise InvalidInputError(f"{path}:{lineno}: expected seq={seq} "
-                                        f"from {src} to {dst}, got seq={key[2]}")
-            if event == "send":
-                in_flight[key] = lineno, fields.get("due")
-            dropped += event == "drop"
-            if src == WATCHER_ID and fields.get("type") == "update":
-                updates[dst] += 1
-    # run() sends only at steps, and drains the bus at every step, once more
-    # after the watcher's sends; so a message is still in flight at the end
-    # exactly when its deliver time exceeds end, the last step's time.  The
-    # trace logs that time at 9 significant digits, within 5e-9 of it
-    # relatively: a message in flight at the end is logged due above
-    # end - dt/2 unless 5e-9 * end > dt/2, a run of over 1e8 steps.  So a
-    # message logged due by end - dt/2 was delivered, and its deliver line
-    # is missing; one due in the last half step may not have been, and a
-    # deleted deliver line of such a message goes unseen.
-    end = cfg.total_steps() * cfg.dt
-    for (src, dst, seq), (lineno, due) in in_flight.items():
-        try:
-            late = not float(due) > end - cfg.dt / 2   # NaN too
-        except (TypeError, ValueError):   # no due=, or not a number
-            late = True
-        if late:
-            raise InvalidInputError(f"{path}:{lineno}: expected a deliver line for "
-                                    f"seq={seq} from {src} to {dst}, due={due}")
-    ticks = len(range(0, cfg.total_steps() + 1, cfg.steps_per_watcher()))
-    links = dict.fromkeys([*cfg.agent_ids(), *(d for s, d in last_seq if s == WATCHER_ID)])
-    for dst in links:
-        if updates[dst] != ticks:
-            raise InvalidInputError(f"{path}: expected {ticks} update send or drop lines "
-                                    f"from {WATCHER_ID} to {dst}, got {updates[dst]}")
-    fold.links(len({dst if src == WATCHER_ID else src for src, dst in last_seq}),
-               sum(last_seq.values()), dropped)  # a dropped message was sent too
+        numbered, lineno = enumerate(f, start=1), 0   # lineno: the last line read
+        for step in range(cfg.total_steps() + 1):
+            t = step * cfg.dt
+            bus.deliver_due(t)
+            if step % cfg.steps_per_watcher() == 0:
+                for pair in acks.get(step, ()):
+                    bus.send(MsgType.TOUCHDOWN_ACK, WATCHER_ID, f"uav{pair}", pair, t)
+                for aid in ids:
+                    bus.send(MsgType.UPDATE, WATCHER_ID, aid, update, t)
+                bus.deliver_due(t)
+            for want in lines:
+                for lineno, got in numbered:
+                    if not got.isspace():
+                        break
+                else:
+                    raise InvalidInputError(f"{path}: ends after line {lineno}, "
+                                            f"expected {want} next")
+                if (got := got.rstrip("\n")) != want:
+                    raise InvalidInputError(f"{path}:{lineno}: expected {want}, got {got}")
+            lines.clear()
+        for lineno, got in numbered:
+            if not got.isspace():
+                raise InvalidInputError(f"{path}:{lineno}: expected the end of the log")
+    fold.links(bus.link_stats())
 
 
 def summarize_dir(out_dir: str) -> MetricsSummary:
@@ -528,12 +521,14 @@ def summarize_dir(out_dir: str) -> MetricsSummary:
     and checked a block of at most BLOCK_SAMPLES lines at a time, in file
     order, so the first bad line is the one reported (_check_trajectory,
     _check_watcher).  watcher.csv is required; trace.log is checked when
-    present (_check_trace)."""
+    present, line for line against a replay of the run's bus that sends the
+    touchdown acks where watcher.csv's phases first read landed
+    (_check_trace)."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
     fold = MetricsFold(cfg.n_pairs)
     _check_trajectory(cfg, os.path.join(out_dir, TRAJECTORY_FILE), fold)
-    _check_watcher(cfg, os.path.join(out_dir, WATCHER_FILE), fold)
+    landed = _check_watcher(cfg, os.path.join(out_dir, WATCHER_FILE), fold)
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):
-        _check_trace(cfg, trace_path, fold)
+        _check_trace(cfg, trace_path, landed, fold)
     return fold.result()

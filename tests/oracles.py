@@ -1088,8 +1088,6 @@ class ScalarDrawBus:
     def _check_link(self, src: str, dst: str) -> str:
         if src == WATCHER_ID and dst in self.agents:
             return dst
-        if dst == WATCHER_ID and src in self.agents:
-            return src
         raise AssertionError(f"link {src} -> {dst} is not part of the star topology")
 
     def _link_rng(self, src: str, dst: str) -> np.random.Generator:
@@ -1296,10 +1294,13 @@ def _parse_trajectory(path: str, layout):
 
 def _parse_watcher(path: str, layout):
     """Yields (agent_id, active_count) per record of a watcher.csv laid out
-    as layout says, whose row counts must be non-negative integers summing
-    to active_count, checked once per distinct set."""
+    as layout says, whose phase must be one of PHASE_NAMES and whose row
+    counts must be non-negative integers summing to active_count, checked
+    once per distinct set."""
     checked: dict[tuple[str, ...], int] = {}
     for lineno, parts in _csv_rows(path, summary.WATCHER_HEADER, 10, layout):
+        if parts[2] not in PHASE_NAMES:
+            raise InvalidInputError(f"{path}:{lineno}: unknown phase {parts[2]!r}")
         counts = tuple(parts[3:9])
         if counts not in checked:
             active, *families = (int(c) if c.isdecimal() else -1 for c in counts)

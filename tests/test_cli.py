@@ -1,17 +1,23 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airground import cli
 from airground.cli import main
+from airground.logfmt import fmt9
 from airground.watcher import TrackTable
 
-from scenario_helpers import clustered_scenario, crossing_scenario, single_pair
+from scenario_helpers import clustered_scenario, crossing_scenario, grid_scenario, single_pair
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -435,13 +441,14 @@ class TestSummarize:
 
     def test_trace_token_without_equals_fails_cleanly(self, tmp_path, capsys):
         out_dir, trace, lines = self.traced_run(tmp_path, capsys)
+        clean = lines[4]
         lines[4] += " garbled"
         with open(trace, "w") as f:
             f.write("\n".join(lines) + "\n")
         assert main(["summarize", out_dir]) == 1
         err = capsys.readouterr().err
         assert "cannot summarize" in err
-        assert f"{trace}:5:" in err and "'garbled'" in err
+        assert f"{trace}:5: expected {clean}, got {clean} garbled" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad", ["bogus t=1", "send t=1 src=watcher",
@@ -461,11 +468,9 @@ class TestSummarize:
     @pytest.mark.parametrize("event, edit", [("send", "delete"), ("send", "duplicate"),
                                              ("drop", "delete"), ("deliver", "duplicate")])
     def test_trace_edit_breaking_a_links_sequence_fails(self, tmp_path, capsys, event, edit):
-        """On each link the send and drop lines carry seq=1, 2, 3, ... in
-        file order, and a deliver line names a message sent on its link and
-        still in flight.  Deleting the first send or drop line of a lossy
-        run, or duplicating the first send or deliver line, is reported at
-        the first line that breaks this: the deleted line's next on its link,
+        """Deleting the first send or drop line of a lossy run, or
+        duplicating the first send or deliver line, is reported at the first
+        line that differs from the replayed bus's: the deleted line's place,
         or the duplicate."""
         raw = crossing_scenario(3, 4, duration=1.0, network={
             "latency": 0.02, "jitter": 0.005, "drop": 0.05}).raw
@@ -474,8 +479,8 @@ class TestSummarize:
         capsys.readouterr()
         k = next(k for k, line in enumerate(lines) if line.startswith(event + " "))
         if edit == "delete":
-            link = lines.pop(k).split()[2:4]   # src=..., dst=...
-            bad = next(j for j in range(k, len(lines)) if lines[j].split()[2:4] == link)
+            del lines[k]
+            bad = k
         else:
             lines.insert(k, lines[k])
             bad = k + 1
@@ -499,38 +504,32 @@ class TestSummarize:
         return out_dir, trace, lines
 
     def test_deleted_last_update_of_a_link_fails(self, tmp_path, capsys):
-        """Each watcher-to-agent link carries one update, sent or dropped,
-        per watcher tick.  Deleting a link's last send line, whose message
-        is still in flight at the end, breaks no seq but leaves the link
-        one update short."""
+        """Deleting the log's last send line, whose message is still in
+        flight at the end, leaves the log one line short of the replay."""
         out_dir, trace, lines = self.landing_trace(tmp_path, capsys)
         k = max(k for k, line in enumerate(lines) if line.startswith("send "))
         assert lines[k].startswith("send t=8 src=watcher dst=ugv1 type=update seq=161 ")
-        del lines[k]
+        deleted = lines.pop(k)
         with open(trace, "w") as f:
             f.write("\n".join(lines) + "\n")
         assert main(["summarize", out_dir]) == 1
         err = capsys.readouterr().err
-        assert (f"{trace}: expected 161 update send or drop lines from watcher to ugv1, "
-                "got 160") in err
+        assert f"{trace}: ends after line 1279, expected {deleted} next" in err
         assert "Traceback" not in err
 
     def test_deleted_deliver_line_fails(self, tmp_path, capsys):
-        """A message due before the last half step of the run was delivered:
-        with its deliver line deleted, its send line is named."""
+        """A deleted deliver line is named at its place, where the next
+        line now stands."""
         out_dir, trace, lines = self.landing_trace(tmp_path, capsys)
         k = lines.index(next(line for line in lines
                              if line.startswith("deliver t=1.27 src=watcher dst=ugv1 ")))
         assert " seq=26 " in lines[k]
-        send = next(j for j, line in enumerate(lines) if line.startswith(
-            "send t=1.25 src=watcher dst=ugv1 type=update seq=26 "))
-        del lines[k]
+        deleted = lines.pop(k)
         with open(trace, "w") as f:
             f.write("\n".join(lines) + "\n")
         assert main(["summarize", out_dir]) == 1
         err = capsys.readouterr().err
-        assert (f"{trace}:{send + 1}: expected a deliver line for seq=26 from watcher "
-                "to ugv1, due=") in err
+        assert f"{trace}:205: expected {deleted}, got {lines[k]}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("source", ["landing_demo", "bench_crossing_three", "zero_latency"])
@@ -555,6 +554,60 @@ class TestSummarize:
         with open(os.path.join(out_dir, "metrics.json")) as f:
             assert capsys.readouterr().out == f.read()
 
+    @pytest.mark.parametrize("log, old, new", [
+        # A deliver line retimed before its message was sent.
+        ("trace.log", "deliver t=1.27 src=watcher dst=ugv1 type=update seq=26 ",
+         "deliver t=0.5 src=watcher dst=ugv1 type=update seq=26 "),
+        # A message the bus cannot carry, appended: agents never send.
+        ("trace.log", None, "drop t=8 src=uav0 dst=watcher type=update seq=1"),
+        # The delivery time of a message still in flight at the end.
+        ("trace.log", "dst=ugv0 type=update seq=161 due=8.0189438",
+         "dst=ugv0 type=update seq=161 due=8.0189439"),
+        # uav0's first landed line: its touchdown ack moves a tick later.
+        ("watcher.csv", ",uav0,landed,", ",uav0,landing,"),
+        ("watcher.csv", ",uav0,landing,", ",uav0,bogus,"),
+    ], ids=["retimed_deliver", "uplink_drop", "due", "landed", "bogus_phase"])
+    def test_landing_trace_edit_fails(self, tmp_path, capsys, log, old, new):
+        """Each edit exits 1 naming a line: trace.log must be the replayed
+        bus's, whose acks go out at the ticks where watcher.csv's phases
+        first read landed, and a phase must be one the watcher logs."""
+        out_dir, trace, events = self.landing_trace(tmp_path, capsys)
+        path = os.path.join(out_dir, log)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        if old is None:
+            lines.append(new)
+            k = len(lines) - 1
+        else:
+            k = next(k for k, line in enumerate(lines) if old in line)
+            lines[k] = lines[k].replace(old, new)
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        if log == "watcher.csv" and "bogus" in new:
+            assert f"{path}:{k + 1}: unknown phase 'bogus'" in err
+        elif log == "watcher.csv":   # the ack's line is where the replay first differs
+            ack = next(j for j, line in enumerate(events)
+                       if " dst=uav0 type=touchdown_ack " in line)
+            assert f"{trace}:{ack + 1}: expected " in err
+        else:
+            assert f"{trace}:{k + 1}: expected " in err
+        assert "Traceback" not in err
+
+    def test_deleted_final_deliver_line_fails(self, tmp_path, capsys):
+        """On ideal links every message is delivered in the step it is
+        sent, the last ones at the end of the run."""
+        out_dir, trace, lines = self.traced_run(tmp_path, capsys,
+                                                grid_scenario(16, 1, duration=3.0).raw)
+        assert lines[-1].startswith("deliver t=3 ")
+        deleted = lines.pop()
+        with open(trace, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"{trace}: ends after line {len(lines)}, expected {deleted} next" in err
+
     def test_whitespace_lines_in_csv_logs_are_skipped(self, tmp_path, capsys):
         out_dir, _, _ = self.traced_run(tmp_path, capsys)
         assert main(["summarize", out_dir]) == 0
@@ -567,6 +620,83 @@ class TestSummarize:
                 f.write("\n".join(lines[:4] + ["   ", "\t"] + lines[4:] + [" "]) + "\n")
         assert main(["summarize", out_dir]) == 0
         assert capsys.readouterr().out == clean
+
+
+@pytest.fixture(scope="module")
+def landing_run(tmp_path_factory):
+    """An 8 s traced landing_demo.yaml run: drops, jitter and two acks."""
+    out_dir = str(tmp_path_factory.mktemp("landing_run"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", os.path.join(SCENARIOS, "landing_demo.yaml"), "--duration", "8",
+                     "--trace", "--out-dir", out_dir]) == 0
+    return out_dir
+
+
+@st.composite
+def trace_edits(draw):
+    """One edit of a trace's lines: (kind, line index, argument, token)."""
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "value", "blank",
+                                 "no_newline", "cut", "append"]))
+    k = draw(st.integers(0, 1400))
+    arg = draw(st.sampled_from(["0", "1", "8", "uav0", "ugv1", "watcher", "update",
+                                "touchdown_ack", ""]) | st.floats(0, 10).map(fmt9)
+               if kind == "value" else
+               st.sampled_from(["", " ", "\t", " \x0c "]) if kind == "blank" else
+               st.integers(0, 80) if kind == "cut" else
+               st.sampled_from(["drop t=8 src=uav0 dst=watcher type=update seq=1",
+                                "send t=8", "bogus", "deliver t=8 src=watcher dst=uav0"])
+               if kind == "append" else st.none())
+    return kind, k, arg, draw(st.integers(0, 7))
+
+
+def edit_trace(lines: list[str], kind: str, k: int, arg, token: int) -> str:
+    lines = list(lines)
+    k = min(k, len(lines) - 1)
+    if kind == "delete":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    elif kind == "swap" and k + 1 < len(lines):
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    elif kind == "value":   # the value of one key=value token
+        tokens = lines[k].split(" ")
+        j = 1 + token % (len(tokens) - 1)
+        tokens[j] = tokens[j].partition("=")[0] + "=" + arg
+        lines[k] = " ".join(tokens)
+    elif kind == "blank":
+        lines.insert(k, arg)
+    elif kind == "cut":
+        lines[k] = lines[k][:arg]
+    elif kind == "append":
+        lines.append(arg)
+    text = "\n".join(lines) + "\n"
+    return text[:-1] if kind == "no_newline" else text
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(edit=trace_edits())
+def test_trace_edits_are_caught(landing_run, tmp_path_factory, edit):
+    """summarize reproduces metrics.json when an edit leaves the trace's
+    non-blank lines as they were, and otherwise exits 1 naming a line of
+    trace.log or its end."""
+    with open(os.path.join(landing_run, "trace.log")) as f:
+        clean = f.read().splitlines()
+    text = edit_trace(clean, *edit)
+    out_dir = str(tmp_path_factory.mktemp("edited"))
+    for name in ("resolved_config.yaml", "trajectory.csv", "watcher.csv", "metrics.json"):
+        shutil.copy(os.path.join(landing_run, name), out_dir)
+    trace = os.path.join(out_dir, "trace.log")
+    with open(trace, "w") as f:
+        f.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["summarize", out_dir])
+    if [line for line in text.split("\n") if line and not line.isspace()] == clean:
+        with open(os.path.join(landing_run, "metrics.json")) as f:
+            assert (status, out.getvalue()) == (0, f.read())
+    else:
+        assert status == 1 and f"cannot summarize: {trace}:" in err.getvalue()
+    shutil.rmtree(out_dir)
 
 
 class TestSafetyAbort:

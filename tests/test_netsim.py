@@ -26,10 +26,12 @@ def update(tag=0.0, dim=3, capacity=8):
 
 
 class TestTopology:
-    def test_star_links_accepted_both_directions(self):
+    def test_only_watcher_to_agent_links_accepted(self):
+        """The watcher sends to each agent; no agent sends to the watcher."""
         bus = make_bus()
         assert bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.0)
-        assert bus.send(MsgType.TOUCHDOWN_ACK, "uav0", WATCHER_ID, None, 0.0)
+        with pytest.raises(TopologyViolationError):
+            bus.send(MsgType.TOUCHDOWN_ACK, "uav0", WATCHER_ID, None, 0.0)
 
     def test_agent_to_agent_rejected(self):
         bus = make_bus()
@@ -176,7 +178,7 @@ class TestLinkModel:
 # coordinates) and several capacities, and acknowledgement pair indices.
 UPDATES = [update(0.5, dim, capacity) for dim in (3, 2) for capacity in (6, 8, 13)]
 ACKS = [0, 3, 17]
-LINKS = [(WATCHER_ID, aid) for aid in AGENTS] + [(aid, WATCHER_ID) for aid in AGENTS]
+LINKS = [(WATCHER_ID, aid) for aid in AGENTS]
 
 
 class TestLazyStreams:
@@ -222,7 +224,8 @@ def test_wire_sizes_match_type_walk():
        schedule=st.integers(0, 2**32 - 1))
 def test_block_draws_match_scalar_draws(seed, latency, jitter, drop, schedule):
     """Every other message goes over one link, so its draws span several
-    blocks; the rest are spread over the other links, both directions.
+    blocks; the rest are spread over the other links, a quarter of all
+    messages being acknowledgements.
     Drop decisions, sequence numbers, delivery-time bits, delivery order
     and link statistics all equal those of one scalar draw per decision."""
     link = LinkModel(latency, jitter, drop)
@@ -231,13 +234,14 @@ def test_block_draws_match_scalar_draws(seed, latency, jitter, drop, schedule):
     n = 4 * _BLOCK
     others = rng.integers(1, len(LINKS), n)
     picks = rng.integers(0, len(UPDATES) * len(ACKS), n)
+    acks = rng.random(n) < 0.25
     now = 0.0
     for k in range(n):
         src, dst = LINKS[0 if k % 2 else others[k]]
-        if src == WATCHER_ID:
-            msg_type, payload = MsgType.UPDATE, UPDATES[picks[k] % len(UPDATES)]
-        else:
+        if acks[k]:
             msg_type, payload = MsgType.TOUCHDOWN_ACK, ACKS[picks[k] % len(ACKS)]
+        else:
+            msg_type, payload = MsgType.UPDATE, UPDATES[picks[k] % len(UPDATES)]
         got = bus.send(msg_type, src, dst, payload, now)
         want = ref.send(msg_type, src, dst, payload, now)
         assert (got is None) == (want is None)
