@@ -9,7 +9,9 @@ body-frame safety from the first tick.
 
 dump_yaml writes a scenario back out with the bytes of
 yaml.safe_dump(data, sort_keys=True): plain data in one text pass, and
-anything else through PyYAML.
+anything else through PyYAML.  load_yaml is its inverse: it reads the text
+of that pass (resolved_config.yaml) in one pass too, and any other text
+with PyYAML.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ class ScenarioConfig:
 
 
 class _NotPlain(Exception):
-    """Raised by _plain_yaml on data it leaves to PyYAML."""
+    """Raised by _plain_yaml on data, and by _read_plain on text, that each
+    leaves to PyYAML."""
 
 
 # A string written plain: an identifier that PyYAML's resolver reads back as
@@ -201,6 +204,85 @@ def _plain_yaml(data) -> str | None:
     return "".join(parts)
 
 
+# The scalars _scalar writes as words, as PyYAML reads them.
+_WORDS = {"null": None, "true": True, "false": False,
+          ".nan": math.nan, ".inf": math.inf, "-.inf": -math.inf}
+_NUMBER_START = frozenset("-0123456789")
+
+
+def _read_scalar(token: str):
+    """The value of a scalar as _scalar writes it; any other token as a
+    value that _scalar writes differently, or not at all."""
+    if token in _WORDS:
+        return _WORDS[token]
+    if token[:1] in _NUMBER_START:
+        return float(token) if "." in token or "e" in token else int(token)
+    if token == "[]" or token == "{}":
+        return [] if token == "[]" else {}
+    return token
+
+
+def _read_plain(text: str):
+    """The data whose _plain_yaml text is text, read in one pass; None for
+    any other text, never an exception.
+
+    Reads the block layout _plain_yaml writes, a line at a time: key:
+    scalar; key: alone, opening a mapping indented two more or a sequence
+    at the same indent; - scalar; and - opening a nested item on the same
+    line.  What it reads is returned only if _plain_yaml writes it back as
+    text, and PyYAML reads such text to equal data: it is yaml.safe_dump's
+    text of plain data (dump_yaml's tests hold _plain_yaml to that).
+    Comments, flow style, quotes, other spellings of a scalar, unsorted or
+    duplicate keys, tabs and CRLF line ends all fail that check."""
+    if text == "{}\n" or text == "[]\n":
+        return {} if text == "{}\n" else []
+    lines = text.split("\n")
+    if lines.pop():   # the text must end with a line end
+        return None
+    end = len(lines)
+    i = 0   # the line being read
+
+    def block(col: int):
+        """The sequence or mapping whose first entry starts at column col
+        of line i, and its later ones at column col of the lines after."""
+        nonlocal i
+        line, pad = lines[i], " " * col
+        if line.startswith("- ", col):
+            seq, dash, item = [], pad + "- ", col + 2
+            while True:
+                if line.startswith("- ", item) or line.find(":", item) >= 0:
+                    seq.append(block(item))
+                else:
+                    seq.append(_read_scalar(line[item:]))
+                    i += 1
+                if i == end or not lines[i].startswith(dash):
+                    return seq
+                line = lines[i]
+        mapping = {}
+        while True:
+            i += 1
+            j = line.find(": ", col)
+            if j >= 0:
+                mapping[line[col:j]] = _read_scalar(line[j + 2:])
+            elif line.endswith(":"):   # a non-empty sequence or mapping
+                mapping[line[col:-1]] = block(col if lines[i].startswith("- ", col) else col + 2)
+            else:
+                raise _NotPlain
+            if i == end:
+                return mapping
+            line = lines[i]
+            if not line.startswith(pad):
+                return mapping
+
+    try:
+        data = block(0)
+        if i == end and _plain_yaml(data) == text:
+            return data
+    except (_NotPlain, ValueError, IndexError, RecursionError):   # IndexError: past the end
+        pass
+    return None
+
+
 def dump_yaml(data) -> str:
     """The text of yaml.safe_dump(data, sort_keys=True): written by
     _plain_yaml where it can, else by PyYAML.  Raises InvalidInputError,
@@ -267,8 +349,12 @@ def _as_floats(value, n: int, finite: bool = True):
 
 
 def load_yaml(text: str):
-    """Parse YAML text into plain Python data (safe tags only)."""
-    return yaml.load(text, Loader=YAML_LOADER)
+    """Parse YAML text into plain Python data (safe tags only): the text
+    dump_yaml writes for plain data, as in resolved_config.yaml, in one
+    pass (_read_plain), and any other text with PyYAML, whose results and
+    errors it gives unchanged."""
+    data = _read_plain(text)
+    return yaml.load(text, Loader=YAML_LOADER) if data is None else data
 
 
 def load_mapping(text: str) -> dict:

@@ -32,7 +32,7 @@ from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import fmt9, fmt9_round_trip
 from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
-from .watcher import PHASE_NAMES
+from .watcher import PHASE_NAMES, TASK
 
 TRAJECTORY_FILE = "trajectory.csv"
 WATCHER_FILE = "watcher.csv"
@@ -427,17 +427,19 @@ def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> dict[in
     """Checks watcher.csv block by block and folds its (agent id, active
     row count) records.  Per line, in file order: its field count and place
     (_blocks), then its phase, one of PHASE_NAMES, then its row counts,
-    which must be non-negative integers summing to active_count; each
-    distinct phase and counts is checked once.  Returns, for each pair that
-    lands, the watcher tick (0, 1, 2, ...) at which its UAV's line first
-    reads landed."""
+    which must be non-negative integers summing to active_count (each
+    distinct phase and counts is checked once), then its pair's phase
+    (_check_phases).  Returns, for each pair that lands, the watcher tick
+    (0, 1, 2, ...) at which its lines first read landed."""
     n, m = cfg.n_pairs, 2 * cfg.n_pairs
     checked: dict[tuple[str, ...], int] = {}
     landed: dict[int, int] = {}
+    last = [PHASE_NAMES[TASK]] * m   # the phases of the last tick read
     tick = 0   # the block's first
     for fields, linenos, _, error in _blocks(path, WATCHER_HEADER, 10, cfg,
                                              cfg.steps_per_watcher()):
         records = list(zip(*(fields[j::10] for j in range(2, 9))))   # phase, counts
+        good = len(records)   # the lines before the first bad record
         for key in dict.fromkeys(records):   # distinct, first seen first
             if key in checked:
                 continue
@@ -446,22 +448,48 @@ def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> dict[in
             if phase in PHASE_NAMES and min(families) >= 0 and active == sum(families):
                 checked[key] = active
                 continue
-            where = f"{path}:{linenos[records.index(key)]}"
-            if phase not in PHASE_NAMES:
-                raise InvalidInputError(f"{where}: unknown phase {phase!r}")
-            raise InvalidInputError(f"{where}: row counts {','.join(counts)} must "
-                                    "be non-negative integers that sum to active_count")
-        fold.rows(zip(fields[1::10], map(checked.__getitem__, records)))
-        phases = fields[2::10]
-        if len(landed) < n and "landed" in phases:
+            good = records.index(key)
+            where = f"{path}:{linenos[good]}"
+            error = (InvalidInputError(f"{where}: unknown phase {phase!r}")
+                     if phase not in PHASE_NAMES else
+                     InvalidInputError(f"{where}: row counts {','.join(counts)} must "
+                                       "be non-negative integers that sum to active_count"))
+            break
+        phases = fields[2:10 * good:10]
+        # A block whose ticks all repeat the last one changes no phase.
+        if phases and (phases[:m] != last or phases[m:] != phases[:-m]):
+            _check_phases(path, linenos, phases, m, last)
             for pair in range(n):
                 column = phases[2 * pair::m]
                 if pair not in landed and "landed" in column:
                     landed[pair] = tick + column.index("landed")
+            last = phases[-m:]
         if error is not None:
             raise error
+        fold.rows(zip(fields[1::10], map(checked.__getitem__, records)))
         tick += len(phases) // m
     return landed
+
+
+def _check_phases(path: str, linenos, phases: list[str], m: int, last: list[str]) -> None:
+    """Checks a block of watcher.csv phases, whole ticks of m lines from
+    its start (a UAV line then its UGV line per pair), against the phases
+    of the tick before it (last): a UGV line must read its UAV line's
+    phase, and a UAV line must not move its pair back along task, landing,
+    landed.  Raises InvalidInputError naming the first line that does."""
+    for start in range(0, len(phases), m):
+        row = phases[start:start + m]
+        if row == last:
+            continue
+        for a, phase in enumerate(row):
+            if a % 2 and phase != row[a - 1]:
+                problem = f"phase {phase!r} differs from {row[a - 1]!r} on its pair's UAV line"
+            elif not a % 2 and PHASE_NAMES.index(phase) < PHASE_NAMES.index(last[a]):
+                problem = f"phase {phase!r} moves its pair back from {last[a]!r}"
+            else:
+                continue
+            raise InvalidInputError(f"{path}:{linenos[start + a]}: {problem}")
+        last = row
 
 
 def _check_trace(cfg: ScenarioConfig, path: str, landed: dict[int, int],

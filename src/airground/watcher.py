@@ -132,7 +132,8 @@ class TrackTable:
 
     A track is a (waypoints, speed) pair: one waypoint (or zero speed) is
     a static setpoint, and more cycle forever, so ground tasks keep running
-    while their UAV lands.  Each leg's length is one np.linalg.norm call.
+    while their UAV lands.  A leg d's length is sqrt(d.dot(d)), the bits
+    np.linalg.norm gives a 1-D float array at a third of its cost.
 
     Row j of a track's block holds its leg j, and the block's last row its
     last leg again, with NaN lengths between.  sample(t) walks every
@@ -156,7 +157,7 @@ class TrackTable:
             if len(points) > 1 and speed > 0:
                 for a, b in zip(points, points[1:] + points[:1]):
                     d = b - a
-                    length = float(np.linalg.norm(d))
+                    length = math.sqrt(d.dot(d))
                     if length > 0:
                         track_legs.append((a, d / length, length))
             # Per track: walk speed, loop length and rate speed.

@@ -1292,13 +1292,16 @@ def _parse_trajectory(path: str, layout):
         yield lineno, parts[0], x, y, z, theta, parts[10], logged
 
 
-def _parse_watcher(path: str, layout):
+def _parse_watcher(path: str, layout, n_pairs: int):
     """Yields (agent_id, active_count) per record of a watcher.csv laid out
     as layout says, whose phase must be one of PHASE_NAMES and whose row
     counts must be non-negative integers summing to active_count, checked
-    once per distinct set."""
+    once per distinct set.  Then a UGV line must read its UAV line's
+    phase, and a UAV line must not move its pair back along task,
+    landing, landed from the tick before."""
     checked: dict[tuple[str, ...], int] = {}
-    for lineno, parts in _csv_rows(path, summary.WATCHER_HEADER, 10, layout):
+    pair_phase = [TASK] * n_pairs   # each pair's phase, as its UAV line last read
+    for k, (lineno, parts) in enumerate(_csv_rows(path, summary.WATCHER_HEADER, 10, layout)):
         if parts[2] not in PHASE_NAMES:
             raise InvalidInputError(f"{path}:{lineno}: unknown phase {parts[2]!r}")
         counts = tuple(parts[3:9])
@@ -1308,6 +1311,15 @@ def _parse_watcher(path: str, layout):
                 raise InvalidInputError(f"{path}:{lineno}: row counts {','.join(counts)} must "
                                         "be non-negative integers that sum to active_count")
             checked[counts] = active
+        pair, is_ugv = divmod(k % (2 * n_pairs), 2)
+        phase, was = PHASE_NAMES.index(parts[2]), PHASE_NAMES[pair_phase[pair]]
+        if is_ugv and phase != pair_phase[pair]:
+            raise InvalidInputError(f"{path}:{lineno}: phase {parts[2]!r} differs from "
+                                    f"{was!r} on its pair's UAV line")
+        if not is_ugv and phase < pair_phase[pair]:
+            raise InvalidInputError(f"{path}:{lineno}: phase {parts[2]!r} moves its pair "
+                                    f"back from {was!r}")
+        pair_phase[pair] = phase
         yield parts[1], checked[counts]
 
 
@@ -1358,5 +1370,5 @@ def summarize_logs_per_line(out_dir: str):
     check_block(block)
 
     fold.rows(_parse_watcher(os.path.join(out_dir, summary.WATCHER_FILE),
-                             _layout(cfg, cfg.steps_per_watcher(), 2)))
+                             _layout(cfg, cfg.steps_per_watcher(), 2), cfg.n_pairs))
     return fold.result()

@@ -563,14 +563,17 @@ class TestSummarize:
         # The delivery time of a message still in flight at the end.
         ("trace.log", "dst=ugv0 type=update seq=161 due=8.0189438",
          "dst=ugv0 type=update seq=161 due=8.0189439"),
-        # uav0's first landed line: its touchdown ack moves a tick later.
-        ("watcher.csv", ",uav0,landed,", ",uav0,landing,"),
+        # Pair 0's first landed lines, on both of its agents' lines: its
+        # touchdown ack moves a tick later.
+        ("watcher.csv", ",uav0,landed,|,ugv0,landed,", ",uav0,landing,|,ugv0,landing,"),
         ("watcher.csv", ",uav0,landing,", ",uav0,bogus,"),
     ], ids=["retimed_deliver", "uplink_drop", "due", "landed", "bogus_phase"])
     def test_landing_trace_edit_fails(self, tmp_path, capsys, log, old, new):
         """Each edit exits 1 naming a line: trace.log must be the replayed
         bus's, whose acks go out at the ticks where watcher.csv's phases
-        first read landed, and a phase must be one the watcher logs."""
+        first read landed, and a phase must be one the watcher logs.  An
+        edit "a|b" to "c|d" puts c for a and d for b, each on the first
+        line that holds it."""
         out_dir, trace, events = self.landing_trace(tmp_path, capsys)
         path = os.path.join(out_dir, log)
         with open(path) as f:
@@ -579,8 +582,9 @@ class TestSummarize:
             lines.append(new)
             k = len(lines) - 1
         else:
-            k = next(k for k, line in enumerate(lines) if old in line)
-            lines[k] = lines[k].replace(old, new)
+            for was, now in zip(old.split("|"), new.split("|")):
+                k = next(k for k, line in enumerate(lines) if was in line)
+                lines[k] = lines[k].replace(was, now)
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
         assert main(["summarize", out_dir]) == 1
@@ -593,6 +597,29 @@ class TestSummarize:
             assert f"{trace}:{ack + 1}: expected " in err
         else:
             assert f"{trace}:{k + 1}: expected " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("agent, which, lineno, problem", [
+        ("ugv0", min, 451, "phase 'task' differs from 'landed' on its pair's UAV line"),
+        ("uav0", max, 642, "phase 'task' moves its pair back from 'landed'"),
+        ("uav1", max, 644, "phase 'task' moves its pair back from 'landed'"),
+    ], ids=["ugv0_first", "uav0_last", "uav1_last"])
+    def test_pair_phase_edit_fails(self, tmp_path, capsys, agent, which, lineno, problem):
+        """A pair's UAV and UGV lines carry one phase, which never moves
+        back: a UGV line's first landed, or a UAV line's last, changed to
+        task in the landing demo's watcher.csv exits 1 naming that line."""
+        out_dir, _, _ = self.landing_trace(tmp_path, capsys)
+        path = os.path.join(out_dir, "watcher.csv")
+        with open(path) as f:
+            lines = f.read().splitlines()
+        k = which(k for k, line in enumerate(lines) if f",{agent},landed," in line)
+        assert k + 1 == lineno
+        lines[k] = lines[k].replace(",landed,", ",task,")
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{lineno}: {problem}" in err
         assert "Traceback" not in err
 
     def test_deleted_final_deliver_line_fails(self, tmp_path, capsys):

@@ -10,9 +10,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airground import run, summarize_dir
 from airground.barriers import SafetyParams
-from airground.config import (_plain_yaml, config_from_dict, dump_yaml, load_config,
-                              load_yaml, parse_config)
+from airground.config import (YAML_LOADER, _plain_yaml, _read_plain, config_from_dict,
+                              dump_yaml, load_config, load_yaml, parse_config)
 from airground.errors import ConfigError, InvalidInputError
 
 from scenario_helpers import grid_scenario
@@ -589,3 +590,132 @@ def test_special_strings_and_shared_containers_take_pyyaml():
 def test_unwritable_value_names_itself():
     with pytest.raises(InvalidInputError, match=r"0\.6"):
         dump_yaml({"speed": np.float64(0.6)})
+
+
+# -- load_yaml against PyYAML ----------------------------------------------------
+
+def same_data(a, b) -> bool:
+    """a and b are equal data of the same types, maps in the same key order,
+    with NaN equal to NaN and -0.0 told from 0.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return list(a) == list(b) and all(same_data(a[key], b[key]) for key in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_data, a, b))
+    return repr(a) == repr(b) if type(a) is float else a == b
+
+
+def no_pyyaml_load(*args, **kwargs):
+    raise AssertionError("yaml.load was called")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(PLAIN_DOCUMENTS)
+def test_plain_text_is_read_without_pyyaml(data):
+    """load_yaml reads the text the one-pass emitter writes in one pass of
+    its own, with PyYAML's load unused: to the data PyYAML reads, which
+    re-emits to the same text."""
+    text = _plain_yaml(data)
+    want = yaml.load(text, Loader=yaml.SafeLoader)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(yaml, "load", no_pyyaml_load)
+        again = load_yaml(text)
+    assert same_data(again, want)
+    assert _plain_yaml(again) == text
+
+
+def respell(token: str, choice: int) -> str:
+    """Another YAML spelling of a scalar, or of a value of another type."""
+    spellings = {"true": ["True", "yes", "TRUE", "on"], "false": ["False", "no", "off"],
+                 "null": ["~", "Null", ""], ".inf": [".Inf", "inf", "+.inf"],
+                 "-.inf": ["-.INF", "-inf"], ".nan": [".NaN", "nan"],
+                 "[]": ["[ ]", "!!seq []"], "{}": ["{ }", "!!map {}"]}.get(token)
+    if spellings is None and token and token[0] in "-0123456789":
+        if "." in token:   # a float: 1.0 as 1., 1.0e0, +1.0 or 1.0_0
+            mantissa, _, exponent = token.partition("e")
+            spellings = [mantissa.rstrip("0") + (f"e{exponent}" if exponent else ""),
+                         token + "e0" if not exponent else token.upper(),
+                         "+" + token if token[0] != "-" else token.replace("-", "-0", 1),
+                         mantissa + "_0" + (f"e{exponent}" if exponent else "")]
+        else:              # an int: +1, 01, 0x1 or 1_0
+            spellings = ["+" + token, "0" + token, hex(int(token)), token + "_0", token + ".0"]
+    if spellings is None:  # a string
+        spellings = [f"'{token}'", f'"{token}"', token.upper(), "!!str " + token]
+    return spellings[choice % len(spellings)]
+
+
+@st.composite
+def edited_plain_texts(draw):
+    """The plain text of a document with one edit: a line re-indented, two
+    lines swapped, a scalar re-spelled, a trailing comment or space, flow
+    style, a tab, a duplicated line (a key given twice), CRLF line ends or
+    a BOM."""
+    data = draw(PLAIN_DOCUMENTS | st.sampled_from([BASE]))
+    text = _plain_yaml(data)
+    lines = text.splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    kind = draw(st.sampled_from(["indent", "swap", "respell", "comment", "space", "flow",
+                                 "tab", "duplicate", "crlf", "bom"]))
+    if kind == "indent":
+        lines[k] = (" " * draw(st.integers(1, 4)) + line if draw(st.booleans())
+                    else line[draw(st.integers(1, 2)):] if line.startswith(" ") else " " + line)
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[k], lines[j] = lines[j], line
+    elif kind == "respell":
+        head, sep, token = line.rpartition(": ") if ": " in line else line.rpartition("- ")
+        lines[k] = head + sep + respell(token, draw(st.integers(0, 4)))
+    elif kind == "comment":
+        lines[k] = line + draw(st.sampled_from([" # note", "  #", "#x"]))
+    elif kind == "space":
+        lines[k] = line + " "
+    elif kind == "flow":
+        if draw(st.booleans()):
+            return yaml.safe_dump(data, default_flow_style=True, sort_keys=True)
+        head, sep, token = line.rpartition(": ") if ": " in line else line.rpartition("- ")
+        lines[k] = head + sep + draw(st.sampled_from(["[{0}]", "[{0}, {0}]", "{{a: {0}}}"])
+                                     ).format(token)
+    elif kind == "tab":
+        at = draw(st.integers(0, len(line)))
+        lines[k] = line[:at] + "\t" + line[at:]
+    elif kind == "duplicate":
+        lines.insert(k, line)
+    text = "\n".join(lines) + "\n"
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    return "\ufeff" + text if kind == "bom" else text
+
+
+def yaml_outcome(load, text: str):
+    try:
+        return True, load(text)
+    except yaml.YAMLError:
+        return False, None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edited_plain_texts())
+def test_edited_plain_text_reads_as_pyyaml_reads_it(text):
+    """One edit to a plain text either keeps it plain, and the one-pass
+    reader gives what both of PyYAML's safe loaders give, or sends it to
+    PyYAML: load_yaml's data is always what PyYAML's load with YAML_LOADER
+    gives, or both raise YAMLError.  (libyaml's loader and the Python one
+    differ on some non-plain text: libyaml reads a tab inside a plain
+    scalar where the Python loader raises.)"""
+    ok, data = yaml_outcome(load_yaml, text)
+    want_ok, want = yaml_outcome(lambda t: yaml.load(t, Loader=YAML_LOADER), text)
+    assert ok == want_ok and same_data(data, want)
+    if _read_plain(text) is not None:
+        assert same_data(data, yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_summarize_reads_a_grid_runs_config_without_pyyaml(tmp_path):
+    """resolved_config.yaml, as a grid run writes it, is read in one pass:
+    summarize_dir reproduces metrics.json with PyYAML's load unused."""
+    run(grid_scenario(16, seed=2, duration=0.5), str(tmp_path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(yaml, "load", no_pyyaml_load)
+        summary = summarize_dir(str(tmp_path))
+    assert summary.to_json() + "\n" == (tmp_path / "metrics.json").read_text()

@@ -10,6 +10,7 @@ byte counts and summarize's block reader, against the code they replaced
 (tests/oracles.py, or fmt9 per value): equal results, bit for bit."""
 
 import math
+import os
 import shutil
 from types import SimpleNamespace
 
@@ -19,11 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from airground import qp
+from airground import config_from_dict, load_config, qp
 from airground.agents import (UAV, UGV, AgentControlUnit, Command, KindControl,
                               wrap_angle)
 from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
-from airground.errors import CapacityError
+from airground.errors import CapacityError, InvalidInputError
 from airground.logfmt import fmt9, fmt9_round_trip
 from airground.netsim import WATCHER_ID, MsgType, StarBus, wire_bytes
 from airground.qp import _project, project_with_box, solve_relaxed
@@ -31,7 +32,7 @@ from airground import runner
 from airground.runner import _integrate, run
 from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, LogIntegrityError,
                                TrajectoryWriter, summarize_dir, tick_barriers)
-from airground.watcher import (LANDED, LANDING, TASK, TrackTable,
+from airground.watcher import (LANDED, LANDING, PHASE_NAMES, TASK, TrackTable,
                                VelocityEstimator, Watcher)
 
 from oracles import (AgentVelocityEstimator, ConstraintRow, DictGates, Matrix, Sample,
@@ -48,6 +49,8 @@ from oracles import (AgentVelocityEstimator, ConstraintRow, DictGates, Matrix, S
                      summarize_logs_per_line)
 from qp_problems import random_problem
 from scenario_helpers import crossing_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def physics(platform_height: float = 0.0, ugv_offset: float = 0.1) -> SimpleNamespace:
@@ -443,6 +446,28 @@ def test_track_table_matches_waypoint_samples(case):
             dim = len(want_position)
             assert positions[k, :dim].tobytes() == want_position.tobytes()
             assert rates[k, :dim].tobytes() == want_rate.tobytes()
+
+
+def test_track_leg_lengths_are_the_bits_of_linalg_norm():
+    """TrackTable takes a leg d's length as math.sqrt(d.dot(d)), which is
+    how np.linalg.norm computes a 1-D float norm: the same bits on random
+    legs of magnitudes 1e-200 to 1e200, with subnormal and infinite
+    components, squares that underflow to zero and ones that overflow to
+    inf, and as the tables' leg lengths against waypoint_legs."""
+    rng = np.random.default_rng(11)
+    legs = rng.standard_normal((20000, 3)) * 10.0 ** rng.uniform(-200, 200, (20000, 1))
+    legs[:100, 0] = 5e-324 * rng.integers(1, 1000, 100)
+    legs[100:120, rng.integers(0, 3, 20)] = np.inf
+    tracks = [([np.zeros(3), d], 1.0) for d in legs[::40]]
+    with np.errstate(over="ignore", invalid="ignore"):   # inf squares, inf / inf
+        lengths = [math.sqrt(d.dot(d)) for d in legs]
+        norms = [np.linalg.norm(d) for d in legs]
+        table = TrackTable(tracks)
+        want = [waypoint_legs(track) for track in tracks]
+    assert np.isinf(lengths).sum() > 1000 and lengths.count(0.0) > 1000
+    assert np.array(lengths).tobytes() == np.array(norms).tobytes()
+    assert table._lengths[:, 0].tolist() == [legs[0][2] if legs else math.inf
+                                             for legs in want]
 
 
 def test_track_table_keeps_signed_zeros_and_static_tracks():
@@ -1268,3 +1293,41 @@ def test_bad_line_before_undecodable_text_is_reported(edit_run, tmp_path):
     want = summarize_outcome(summarize_logs_per_line, str(tmp_path))
     assert want[0] is LogIntegrityError and ":12: logged min_h 123.5" in want[1]
     assert summarize_outcome(summarize_dir, str(tmp_path)) == want
+
+
+@pytest.fixture(scope="module")
+def landing_run(tmp_path_factory):
+    """An 8 s landing_demo.yaml run: both pairs land, so its watcher.csv
+    reads every phase."""
+    out = tmp_path_factory.mktemp("landing_run")
+    raw = load_config(os.path.join(SCENARIOS, "landing_demo.yaml")).raw
+    run(config_from_dict(dict(raw, duration=8.0)), str(out))
+    return out
+
+
+def test_phase_edits_match_per_line_reader(landing_run, tmp_path):
+    """A pair's two lines carry one phase, which never moves back: each
+    agent's line where its phase changes, and its last line, set to either
+    other phase is reported by both readers, at the same line with the same
+    message."""
+    for name in ("resolved_config.yaml", "trajectory.csv"):
+        shutil.copy(landing_run / name, tmp_path / name)
+    lines = (landing_run / "watcher.csv").read_text().splitlines()
+    m = 2 * load_config(str(landing_run / "resolved_config.yaml")).n_pairs
+    phases = [line.split(",")[2] for line in lines]
+    picks = [k for k in range(1 + m, len(lines)) if phases[k] != phases[k - m]]
+    assert len(picks) == 2 * m   # each agent: task to landing, landing to landed
+    picks += range(len(lines) - m, len(lines))
+    for k in picks:
+        for phase in PHASE_NAMES:
+            if phase == phases[k]:
+                continue
+            edited = lines.copy()
+            edited[k] = edited[k].replace(f",{phases[k]},", f",{phase},", 1)
+            (tmp_path / "watcher.csv").write_text("\n".join(edited) + "\n")
+            want = summarize_outcome(summarize_logs_per_line, str(tmp_path))
+            # The edited line, or the UGV line after an edited UAV line.
+            named = [k + 1, k + 2] if (k - 1) % 2 == 0 else [k + 1]
+            assert want[0] is InvalidInputError
+            assert any(f"watcher.csv:{lineno}: phase " in want[1] for lineno in named)
+            assert summarize_outcome(summarize_dir, str(tmp_path)) == want
