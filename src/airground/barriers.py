@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConfigViolation, InvalidInputError, ParameterRecord
 
 DEFAULT_BARRIER_GAIN = 1.0
 
@@ -69,7 +69,7 @@ class Bounds:
     z_min: float
     z_max: float
 
-    def validate(self) -> list[str]:
+    def validate(self) -> list[ConfigViolation]:
         problems = []
         for lo, hi, axis in (
             (self.x_min, self.x_max, "x"),
@@ -77,13 +77,14 @@ class Bounds:
             (self.z_min, self.z_max, "z"),
         ):
             if not (math.isfinite(lo) and math.isfinite(hi)):
-                problems.append(f"{axis} bounds must be finite")
+                problems.append(ConfigViolation("BAD_VALUE", f"{axis} bounds must be finite"))
             elif not lo < hi:
-                problems.append(f"{axis} bounds must satisfy min < max, got [{lo}, {hi}]")
+                problems.append(ConfigViolation(
+                    "BAD_VALUE", f"{axis} bounds must satisfy min < max, got [{lo}, {hi}]"))
         return problems
 
 @dataclass(frozen=True)
-class SafetyParams:
+class SafetyParams(ParameterRecord):
     """All safety radii, funnel shape, gain and actuation bounds for a scenario.
 
     uav_separation < uav_ugv_separation < ugv_separation is required so the
@@ -103,34 +104,28 @@ class SafetyParams:
     ugv_speed_limit: float = 0.6     # per-axis UGV offset-velocity bound (m/s)
     turn_rate_limit: float = 4.0     # UGV angular rate bound (rad/s)
 
-    def validate(self) -> list[str]:
+    def validate(self) -> list[ConfigViolation]:
+        """Every rule these parameters break, each with its code."""
         problems = []
         if not (self.ugv_separation > self.uav_ugv_separation > self.uav_separation > 0):
-            problems.append(
-                "separation radii must satisfy ugv > uav_ugv > uav > 0, got "
-                f"({self.ugv_separation}, {self.uav_ugv_separation}, {self.uav_separation})"
-            )
+            problems.append(ConfigViolation(
+                "RADIUS_ORDER", "separation radii must satisfy ugv > uav_ugv > uav > 0, got "
+                f"({self.ugv_separation}, {self.uav_ugv_separation}, {self.uav_separation})"))
         if not (0 < self.ugv_speed_limit < self.uav_speed_limit):
-            problems.append(
-                "speed limits must satisfy 0 < ugv_speed_limit < uav_speed_limit, got "
-                f"({self.ugv_speed_limit}, {self.uav_speed_limit})"
-            )
+            problems.append(ConfigViolation(
+                "SPEED_BOUND", "speed limits must satisfy 0 < ugv_speed_limit < "
+                f"uav_speed_limit, got ({self.ugv_speed_limit}, {self.uav_speed_limit})"))
         if self.funnel_sharpness <= 0 or self.funnel_height <= 0:
-            problems.append("funnel_sharpness and funnel_height must be positive")
+            problems.append(ConfigViolation(
+                "BAD_VALUE", "funnel_sharpness and funnel_height must be positive"))
         if self.hover_clearance < 0:
-            problems.append("hover_clearance must be non-negative")
+            problems.append(ConfigViolation("BAD_VALUE", "hover_clearance must be non-negative"))
         if self.barrier_gain <= 0:
-            problems.append("barrier_gain must be positive")
+            problems.append(ConfigViolation("BAD_VALUE", "barrier_gain must be positive"))
         if self.turn_rate_limit <= 0:
-            problems.append("turn_rate_limit must be positive")
+            problems.append(ConfigViolation("BAD_VALUE", "turn_rate_limit must be positive"))
         problems.extend(self.bounds.validate())
         return problems
-
-    def require_valid(self) -> "SafetyParams":
-        problems = self.validate()
-        if problems:
-            raise InvalidInputError("; ".join(problems))
-        return self
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -29,17 +29,28 @@ from .barriers import (Bounds, SafetyParams, eval_landing, offset_points,
                        pairwise_sq_distances)
 from .errors import ConfigError, ConfigViolation, InvalidInputError
 from .netsim import LinkModel
-from .watcher import WatcherOptions, derived_margin
+from .watcher import WatcherOptions, derived_margin, smoothing_violations
 
 _GOLDEN_ANGLE = 2.399963229728653
 
-# libyaml's parser and emitter where PyYAML was built with them; each
-# matches its Python counterpart on scenario data (the same dicts, the same
-# text) and is several times faster.  The dumper writes what dump_yaml's
-# plain-data pass does not (numpy scalars, tuples, quoted strings, shared
-# containers), and it is the reference the tests hold that pass to.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# The bounds a number read by _number can be held to, in its message's words.
+POSITIVE, NON_NEGATIVE = "positive", ">= 0"
+
+# The plain top-level numbers, in the order they are read: (key, default,
+# cast, bound).
+_FIELDS = (
+    ("dt", 0.01, float, POSITIVE),
+    ("duration", 10.0, float, NON_NEGATIVE),
+    ("seed", 0, int, NON_NEGATIVE),   # numpy's SeedSequence takes no negative seed
+    ("control_rate", 50.0, float, POSITIVE),
+    ("watcher_rate", 20.0, float, POSITIVE),
+    ("hold_timeout", 0.25, float, POSITIVE),
+    ("platform_height", 0.0, float, None),
+    ("ugv_offset", 0.1, float, POSITIVE),
+    ("wheel_base", 0.2, float, POSITIVE),
+    ("localization_noise", 0.0, float, NON_NEGATIVE),
+    ("uav_velocity_lag", 0.0, float, NON_NEGATIVE),
+)
 
 
 @dataclass
@@ -291,37 +302,41 @@ def dump_yaml(data) -> str:
     if text is not None:
         return text
     try:
-        return yaml.dump(data, Dumper=YAML_DUMPER, sort_keys=True)
+        return yaml.safe_dump(data, sort_keys=True)
     except yaml.YAMLError as exc:
         raise InvalidInputError(f"cannot write the scenario as YAML: {exc}") from exc
 
 
-def _get(data: dict, key: str, default=None, *, required=False, violations=None):
-    if key in data:
-        return data[key]
-    if required and violations is not None:
-        violations.append(ConfigViolation("MISSING_FIELD", f"missing required field '{key}'"))
-    return default
+def _require(v: list[ConfigViolation], data: dict, key: str) -> None:
+    if key not in data:
+        v.append(ConfigViolation("MISSING_FIELD", f"missing required field '{key}'"))
 
 
 def _number(v: list[ConfigViolation], section: dict, key: str, default,
-            cast=float, where: str = ""):
+            cast=float, bound=None, where: str = "", code: str = "BAD_VALUE"):
     """section[key] converted by cast; the default when the key is absent or
     null, and also (reported as BAD_VALUE) when the value is malformed, NaN
-    or infinite, a boolean, or for cast int a number with a fraction."""
-    raw = section.get(key)
+    or infinite, a boolean, or for cast int a number with a fraction.  A
+    number outside bound (None, POSITIVE or NON_NEGATIVE), a default too,
+    is reported under code, naming the value as given, and returned."""
+    raw = value = section.get(key)
     if raw is None:
-        return default
-    try:
-        value = cast(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not math.isfinite(value) or cast is float and isinstance(raw, bool):
-        v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be a number, got {raw!r}"))
-        return default
-    if cast is int and (isinstance(raw, bool) or isinstance(raw, float) and raw != value):
-        v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be an integer, got {raw!r}"))
-        return default  # int() would have truncated it
+        value = default
+    else:
+        try:
+            value = cast(raw)
+            finite = cast is int or math.isfinite(value)
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite or cast is float and isinstance(raw, bool):
+            v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be a number, got {raw!r}"))
+            value = default
+        elif cast is int and (isinstance(raw, bool) or isinstance(raw, float) and raw != value):
+            v.append(ConfigViolation("BAD_VALUE", f"{where}{key} must be an integer, got {raw!r}"))
+            value = default  # int() would have truncated it
+    if bound is not None and value is not None and not (
+            value > 0 if bound == POSITIVE else value >= 0):
+        v.append(ConfigViolation(code, f"{where}{key} must be {bound}, got {raw!r}"))
     return value
 
 
@@ -329,7 +344,9 @@ def _section(v: list[ConfigViolation], data: dict, key: str, kind=dict, *,
              required: bool = False):
     """data[key] as a dict (or list), empty when absent or null; a value of
     any other type is reported as BAD_VALUE."""
-    value = _get(data, key, kind(), required=required, violations=v) or kind()
+    if required:
+        _require(v, data, key)
+    value = data.get(key) or kind()
     if not isinstance(value, kind):
         noun = "mapping" if kind is dict else "list"
         v.append(ConfigViolation("BAD_VALUE", f"{key} must be a {noun}, got {value!r}"))
@@ -354,7 +371,7 @@ def load_yaml(text: str):
     pass (_read_plain), and any other text with PyYAML, whose results and
     errors it gives unchanged."""
     data = _read_plain(text)
-    return yaml.load(text, Loader=YAML_LOADER) if data is None else data
+    return yaml.safe_load(text) if data is None else data
 
 
 def load_mapping(text: str) -> dict:
@@ -382,24 +399,15 @@ def load_config(path: str) -> ScenarioConfig:
 def config_from_dict(data: dict) -> ScenarioConfig:
     v: list[ConfigViolation] = []
 
-    _get(data, "pairs", required=True, violations=v)
+    _require(v, data, "pairs")
     reported = len(v)
     n_pairs = _number(v, data, "pairs", 0, int)
     if n_pairs <= 0 and len(v) == reported:
         v.append(ConfigViolation("BAD_VALUE", f"pairs must be >= 1, got {n_pairs}"))
 
-    dt = _number(v, data, "dt", 0.01)
-    duration = _number(v, data, "duration", 10.0)
-    seed = _number(v, data, "seed", 0, int)
-    control_rate = _number(v, data, "control_rate", 50.0)
-    watcher_rate = _number(v, data, "watcher_rate", 20.0)
-    hold_timeout = _number(v, data, "hold_timeout", 0.25)
-    platform_height = _number(v, data, "platform_height", 0.0)
-    ugv_offset = _number(v, data, "ugv_offset", 0.1)
-    wheel_base = _number(v, data, "wheel_base", 0.2)
-    noise = _number(v, data, "localization_noise", 0.0)
-    velocity_lag = _number(v, data, "uav_velocity_lag", 0.0)
-    perturb = _get(data, "perturb_setpoints")
+    top = {key: _number(v, data, key, default, cast, bound)
+           for key, default, cast, bound in _FIELDS}
+    perturb = data.get("perturb_setpoints")
     if perturb is None:
         perturb = False
     elif not isinstance(perturb, bool):
@@ -407,28 +415,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             "BAD_VALUE", f"perturb_setpoints must be true or false, got {perturb!r}"))
         perturb = False
 
-    if seed < 0:  # numpy's SeedSequence takes non-negative integers only
-        v.append(ConfigViolation("BAD_VALUE", f"seed must be >= 0, got {seed}"))
-    if dt <= 0:
-        v.append(ConfigViolation("BAD_VALUE", f"dt must be positive, got {dt}"))
-    if duration < 0:
-        v.append(ConfigViolation("BAD_VALUE", f"duration must be >= 0, got {duration}"))
-    if ugv_offset <= 0:
-        v.append(ConfigViolation("BAD_VALUE", "ugv_offset must be positive"))
-    if wheel_base <= 0:
-        v.append(ConfigViolation("BAD_VALUE", "wheel_base must be positive"))
-    if hold_timeout <= 0:
-        v.append(ConfigViolation("BAD_VALUE", "hold_timeout must be positive"))
-    if noise < 0:
-        v.append(ConfigViolation("BAD_VALUE", "localization_noise must be >= 0"))
-    if velocity_lag < 0:
-        v.append(ConfigViolation("BAD_VALUE", "uav_velocity_lag must be >= 0"))
-    for name, rate in (("control_rate", control_rate), ("watcher_rate", watcher_rate)):
-        if rate <= 0:
-            v.append(ConfigViolation("BAD_VALUE", f"{name} must be positive"))
-        elif dt > 0:
-            steps = 1.0 / (dt * rate)
-            if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+    dt, watcher_rate = top["dt"], top["watcher_rate"]
+    for name in ("control_rate", "watcher_rate"):
+        rate = top[name]
+        if rate > 0 and dt > 0:
+            period = dt * rate   # can underflow to 0, and its inverse overflow to inf
+            steps = 1.0 / period if period > 0 else math.inf
+            if math.isinf(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
                 v.append(ConfigViolation(
                     "BAD_VALUE",
                     f"{name}={rate} Hz does not divide the dt={dt} grid evenly",
@@ -437,11 +430,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     ws = _section(v, data, "workspace")
     try:
         # Non-finite bounds are left to Bounds.validate, which names the axis.
-        bx = _as_floats(ws.get("x", [-6.0, 6.0]), 2, finite=False)
-        by = _as_floats(ws.get("y", [-6.0, 6.0]), 2, finite=False)
-        bz = _as_floats(ws.get("z", [0.0, 3.0]), 2, finite=False)
-        bounds = Bounds(float(bx[0]), float(bx[1]), float(by[0]), float(by[1]),
-                        float(bz[0]), float(bz[1]))
+        bx, by, bz = [_as_floats(ws.get(axis, default), 2, finite=False).tolist() for axis, default
+                      in (("x", [-6.0, 6.0]), ("y", [-6.0, 6.0]), ("z", [0.0, 3.0]))]
+        bounds = Bounds(*bx, *by, *bz)
     except (ValueError, TypeError) as exc:
         v.append(ConfigViolation("BAD_VALUE", f"workspace: {exc}"))
         bounds = Bounds(-6.0, 6.0, -6.0, 6.0, 0.0, 3.0)
@@ -450,10 +441,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     safety = SafetyParams(bounds=bounds, **{
         f.name: _number(v, saf, f.name, f.default, where="safety.")
         for f in fields(SafetyParams) if f.name != "bounds"})
-    for problem in safety.validate():
-        code = "RADIUS_ORDER" if "separation radii" in problem else (
-            "SPEED_BOUND" if "speed limits" in problem else "BAD_VALUE")
-        v.append(ConfigViolation(code, problem))
+    v += safety.validate()
 
     min_capacity = 2 * n_pairs + 4 if n_pairs > 0 else 4
     capacity = _number(v, data, "capacity", min_capacity, int)
@@ -485,41 +473,24 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 f"safety filter's terms over the workspace reach {reach}, must be finite"))
 
     net = _section(v, data, "network")
-    network = LinkModel(
-        base_latency=_number(v, net, "latency", 0.0, where="network."),
-        jitter=_number(v, net, "jitter", 0.0, where="network."),
-        drop_prob=_number(v, net, "drop", 0.0, where="network."),
-    )
-    max_latency = network.base_latency + network.jitter
-    latency_finite = math.isfinite(2.0 * network.jitter) and math.isfinite(max_latency)
-    if network.base_latency < 0 or network.jitter < 0:
-        v.append(ConfigViolation("BAD_VALUE", "network latency and jitter must be >= 0"))
-    elif not latency_finite:
-        v.append(ConfigViolation(
-            "BAD_VALUE", "network jitter is too large: 2*jitter and latency+jitter "
-            f"must be finite, got latency {network.base_latency!r}, jitter {network.jitter!r}"))
-    if not 0.0 <= network.drop_prob <= 1.0:
-        v.append(ConfigViolation("BAD_VALUE", "network drop must be in [0, 1]"))
-    elif network.drop_prob >= 1.0:
-        network = LinkModel(network.base_latency, network.jitter, 0.9999999999)
+    network = LinkModel(*[_number(v, net, key, 0.0, where="network.")
+                          for key in ("latency", "jitter", "drop")])
+    v += network.validate()
 
     wv = _section(v, data, "watcher")
     if "velocity_stale_after" in wv:
         warnings.warn("watcher.velocity_stale_after is no longer read and will be "
                       "rejected in a future version; remove it", FutureWarning, stacklevel=2)
+    # Every option but smoothing is >= 0: a negative margin gates off every
+    # separation row, a negative touchdown window can never be entered and
+    # a negative dwell is no time.
     watcher = WatcherOptions(**{
-        f.name: _number(v, wv, f.name, f.default, where="watcher.")
+        f.name: _number(v, wv, f.name, f.default, where="watcher.",
+                        bound=None if f.name == "smoothing" else NON_NEGATIVE)
         for f in fields(WatcherOptions)})
-    if not 0 < watcher.smoothing <= 1:
-        v.append(ConfigViolation("BAD_VALUE", "watcher.smoothing must be in (0, 1]"))
-    # A negative margin gates off every separation row, a negative touchdown
-    # window can never be entered and a negative dwell is no time.
-    for key in ("activation_margin", "touchdown_radius_sq", "touchdown_height",
-                "touchdown_hold"):
-        value = getattr(watcher, key)
-        if value is not None and value < 0:
-            v.append(ConfigViolation("BAD_VALUE", f"watcher.{key} must be >= 0, got {value!r}"))
-    if watcher.activation_margin is None and watcher_rate > 0 and latency_finite:
+    v += smoothing_violations(watcher.smoothing)
+    if watcher.activation_margin is None and watcher_rate > 0 and network.delays_finite():
+        max_latency = network.base_latency + network.jitter
         margin = derived_margin(safety.uav_speed_limit, 1.0 / watcher_rate, max_latency)
         if not math.isfinite(margin):
             v.append(ConfigViolation("BAD_VALUE", (
@@ -597,10 +568,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if etype != "landing":
             v.append(ConfigViolation("BAD_EVENT", f"events[{i}]: unknown type {etype!r}"))
             continue
-        time = _number(v, entry, "time", -1.0, where=f"events[{i}].")
+        # pair first, so that its BAD_VALUE comes before time's BAD_EVENT
         pair = _number(v, entry, "pair", -1, int, where=f"events[{i}].")
-        if time < 0:
-            v.append(ConfigViolation("BAD_EVENT", f"events[{i}]: time must be >= 0"))
+        time = _number(v, entry, "time", -1.0, bound=NON_NEGATIVE, where=f"events[{i}].",
+                       code="BAD_EVENT")
         if not 0 <= pair < max(n_pairs, 1):
             v.append(ConfigViolation("BAD_EVENT", f"events[{i}]: pair {pair} out of range"))
         else:
@@ -608,20 +579,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     events.sort(key=lambda e: (e.time, e.pair))
 
     if n_pairs > 0 and len(uavs) == n_pairs and len(ugvs) == n_pairs:
-        _validate_spawn(v, safety, uavs, ugvs, ugv_offset, platform_height)
+        _validate_spawn(v, safety, uavs, ugvs, top["ugv_offset"], top["platform_height"])
 
     if v:
         raise ConfigError(v)
 
     return ScenarioConfig(
-        n_pairs=n_pairs, dt=dt, duration=duration, seed=seed, capacity=capacity,
-        control_rate=control_rate, watcher_rate=watcher_rate,
-        hold_timeout=hold_timeout, platform_height=platform_height,
-        ugv_offset=ugv_offset, wheel_base=wheel_base, localization_noise=noise,
-        uav_velocity_lag=velocity_lag,
-        safety=safety, gains_uav=g_uav, gains_ugv=g_ugv, network=network,
-        watcher=watcher, uavs=uavs, ugvs=ugvs, events=events,
-        perturb_setpoints=perturb, raw=data,
+        n_pairs=n_pairs, capacity=capacity, **top, safety=safety, gains_uav=g_uav,
+        gains_ugv=g_ugv, network=network, watcher=watcher, uavs=uavs, ugvs=ugvs,
+        events=events, perturb_setpoints=perturb, raw=data,
     )
 
 
@@ -637,7 +603,7 @@ def _filter_reach(safety: SafetyParams, gain: float) -> float:
     diag = math.dist((b.x_min, b.y_min, b.z_min), (b.x_max, b.y_max, b.z_max))
     speed = max(safety.uav_speed_limit, safety.ugv_speed_limit)
     return max(gain * diag + speed,
-               safety.barrier_gain * diag ** 2 + 12.0 * diag * speed)
+               safety.barrier_gain * (diag * diag) + 12.0 * diag * speed)
 
 
 def _inside(bounds: Bounds, x: float, y: float, z: float | None = None) -> bool:
@@ -681,11 +647,14 @@ def _validate_spawn(v: list[ConfigViolation], safety: SafetyParams,
     # Every pairwise distance in two array passes.  Aerial: each UAV start
     # against [UAV starts | platforms | UAV first waypoints].  Ground: [UGV
     # offset points | UGV starts] against [offset points | first waypoints].
-    air = np.sqrt(pairwise_sq_distances(uav_starts, np.concatenate(
-        (uav_starts, platforms, [spec.waypoints[0] for spec in uavs]))))
-    ground = np.sqrt(pairwise_sq_distances(
-        np.concatenate((offsets, ugv_starts[:, :2])),
-        np.concatenate((offsets, [spec.waypoints[0] for spec in ugvs]))))
+    # A distance past the float range (a huge platform_height or ugv_offset)
+    # is inf, which every check below reads correctly.
+    with np.errstate(over="ignore"):
+        air = np.sqrt(pairwise_sq_distances(uav_starts, np.concatenate(
+            (uav_starts, platforms, [spec.waypoints[0] for spec in uavs]))))
+        ground = np.sqrt(pairwise_sq_distances(
+            np.concatenate((offsets, ugv_starts[:, :2])),
+            np.concatenate((offsets, [spec.waypoints[0] for spec in ugvs]))))
     d_uav, d_cross, d_ugv = air[:, :n], air[:, n:2 * n], ground[:n, :n]
     need_uav = safety.uav_separation + pad
     need_ugv = safety.ugv_separation + pad

@@ -28,6 +28,17 @@ class ConfigViolation:
         return f"ConfigViolation({self.code}: {self.message})"
 
 
+class ParameterRecord:
+    """A record of parameters whose validate() lists each rule they break, as a ConfigViolation."""
+
+    def require_valid(self):
+        """self, when validate() lists nothing; else InvalidInputError naming each."""
+        problems = self.validate()
+        if problems:
+            raise InvalidInputError("; ".join(p.message for p in problems))
+        return self
+
+
 class ConfigError(Exception):
     """Scenario config rejected; carries every violation found, not just the first."""
 

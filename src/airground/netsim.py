@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, TopologyViolationError
+from .errors import ConfigViolation, InvalidInputError, ParameterRecord, TopologyViolationError
 from .logfmt import fmt9
 
 WATCHER_ID = "watcher"
@@ -60,20 +60,33 @@ class Message:
 
 
 @dataclass(frozen=True)
-class LinkModel:
+class LinkModel(ParameterRecord):
     base_latency: float = 0.0
     jitter: float = 0.0        # uniform half-width added to the latency
     drop_prob: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # drop_prob 1.0 (drop everything) is stored as 0.9999999999: the value a
+        # scenario's network.drop of 1.0 runs with, which fixes its outputs.
+        if self.drop_prob == 1.0:
+            object.__setattr__(self, "drop_prob", 0.9999999999)
+
+    def delays_finite(self) -> bool:
+        """Whether every delivery time stays finite: 2*jitter and latency+jitter do."""
+        return math.isfinite(2.0 * self.jitter) and math.isfinite(self.base_latency + self.jitter)
+
+    def validate(self) -> list[ConfigViolation]:
+        """Every rule this link model breaks, in a scenario's network terms."""
+        problems = []
         if self.base_latency < 0 or self.jitter < 0:
-            raise InvalidInputError("latency and jitter must be non-negative")
-        if not (math.isfinite(2.0 * self.jitter)
-                and math.isfinite(self.base_latency + self.jitter)):
-            raise InvalidInputError("latency and jitter must keep every delivery "
-                                    "time finite (2*jitter and latency+jitter)")
+            problems.append(ConfigViolation("BAD_VALUE", "network latency and jitter must be >= 0"))
+        elif not self.delays_finite():
+            problems.append(ConfigViolation(
+                "BAD_VALUE", "network jitter is too large: 2*jitter and latency+jitter must "
+                f"be finite, got latency {self.base_latency!r}, jitter {self.jitter!r}"))
         if not 0.0 <= self.drop_prob < 1.0:
-            raise InvalidInputError("drop_prob must be in [0, 1)")
+            problems.append(ConfigViolation("BAD_VALUE", "network drop must be in [0, 1]"))
+        return problems
 
 
 @dataclass
@@ -128,7 +141,7 @@ class StarBus:
 
     def __init__(self, agent_ids: list[str], link: LinkModel, seed: int,
                  trace: list[str] | None = None):
-        link.validate()
+        link.require_valid()
         try:  # what each link's SeedSequence will take, checked up front
             np.random.SeedSequence([seed, 0])
         except (TypeError, ValueError) as exc:

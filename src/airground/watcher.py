@@ -13,9 +13,9 @@ one stacked pass over the fleet:
    the decisions as one (3, n, n) boolean gate stack -- UAV i against UAV
    j, UAV i against another pair's UGV j, UGV i against UGV j -- refreshed
    by one distance pass over stacked operands and one hysteresis call,
-4. assembles every agent's fixed-capacity, zero-padded constraint rows as
-   one A and b block per vehicle kind, in one array pass per barrier
-   family (row order on assemble_constraints),
+4. assembles every agent's zero-padded constraint rows, min(capacity,
+   2n+4) of them, as one A and b block per vehicle kind, in one array
+   pass per barrier family (row order on assemble_constraints),
 5. returns one update per agent for the star bus, a (MsgType.UPDATE, dst,
    (pose, position, rate, a, b, count)) tuple carrying its pose, setpoint
    and constraint rows (views of its kind's blocks, with the active row
@@ -58,7 +58,7 @@ import numpy as np
 from .barriers import (RowKind, SafetyParams, build_constraint_row,
                        build_workspace_rows, offset_points,
                        pairwise_sq_distances, wall_gradients)
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, ConfigViolation, InvalidInputError
 from .netsim import MsgType
 
 _PROXIMITY_HYSTERESIS = 0.1  # extra meters before an active pair deactivates
@@ -78,6 +78,12 @@ class WatcherOptions:
     touchdown_hold: float = 0.5        # dwell inside the window before touchdown (s)
 
 
+def smoothing_violations(smoothing: float) -> list[ConfigViolation]:
+    """The velocity estimator's one rule, 0 < smoothing <= 1: [] when it holds."""
+    return [] if 0.0 < smoothing <= 1.0 else [ConfigViolation(
+        "BAD_VALUE", f"watcher.smoothing must be in (0, 1], got {smoothing!r}")]
+
+
 def derived_margin(uav_speed_limit: float, period: float, max_latency: float) -> float:
     """The default activation margin: worst-case closing distance over one
     update interval, padded."""
@@ -95,8 +101,8 @@ class VelocityEstimator:
     """
 
     def __init__(self, n: int, dim: int, smoothing: float = WatcherOptions.smoothing):
-        if not 0.0 < smoothing <= 1.0:
-            raise InvalidInputError("smoothing must be in (0, 1]")
+        if problems := smoothing_violations(smoothing):
+            raise InvalidInputError(problems[0].message)
         self._smoothing = smoothing
         self._last_pos: np.ndarray | None = None
         self._last_time = -math.inf
@@ -201,16 +207,16 @@ class WatcherRecord:
     proximal: tuple[str, ...] = ()
 
 
-def _gated(gates: np.ndarray, first, capacity: int) -> tuple | None:
+def _gated(gates: np.ndarray, first, width: int) -> tuple | None:
     """The (i, j) entries of gates that are on, row-major so that i is
-    sorted, and the row of each in its kind's (n * capacity) rows: agent
+    sorted, and the row of each in its kind's (n * width) rows: agent
     i's block at first (or first[i]) plus the entry's rank among agent i's
     entries.  None when no entry is on."""
     i, j = np.nonzero(gates)
     if not len(i):
         return None
     first = first[i] if np.ndim(first) else first
-    return i, j, i * capacity + first + np.arange(len(i)) - np.searchsorted(i, i)
+    return i, j, i * width + first + np.arange(len(i)) - np.searchsorted(i, i)
 
 
 class _GateTables(NamedTuple):
@@ -302,13 +308,16 @@ class Watcher:
         # UGV j (cross layer, not symmetric).
         self._gates = np.zeros((3, n_pairs, n_pairs), dtype=bool)
         self._others = ~np.eye(n_pairs, dtype=bool)
-        self._row_starts = np.arange(n_pairs) * capacity
+        # An agent's block has capacity rows, or 2n+4 where capacity is larger:
+        # a UAV gated against every other pair holds 2n+4 rows, no agent more.
+        self._width = width = min(capacity, 2 * n_pairs + 4)
+        self._row_starts = np.arange(n_pairs) * width
         # Per vehicle kind (UAV, UGV), the A block every tick starts from:
         # the constant wall gradients in the first rows, zero padding below.
         self._templates = []
         for is_uav, dim in ((True, 3), (False, 2)):
             walls = wall_gradients(is_uav, dim)
-            template = np.zeros((n_pairs, capacity, dim))
+            template = np.zeros((n_pairs, width, dim))
             template[:, :len(walls)] = walls
             self._templates.append(template)
         self.tables: _GateTables | None = None   # one object until a gate or phase changes
@@ -344,7 +353,7 @@ class Watcher:
         key = gates.tobytes() + phases.tobytes()
         if self.tables is not None and self.tables.key == key:
             return self.tables
-        n, cap = self.n_pairs, self.capacity
+        n, cap, width = self.n_pairs, self.capacity, self._width
         aa, ago, gg = gates
         n_aa, n_ago, n_gg = gates.sum(axis=2)
         active = [r for pair in zip((6 + n_ago + n_aa).tolist(), (4 + n_gg).tolist()) for r in pair]
@@ -363,8 +372,8 @@ class Watcher:
             ends = on.searchsorted(self._prox_ends).tolist()
             proximal = [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]
         self.tables = _GateTables(
-            key, overflow, active, _gated(ago, 5, cap), _gated(aa, 6 + n_ago, cap),
-            _gated(gg, 4, cap), self._row_starts + 5 + n_ago, kind_counts, proximal,
+            key, overflow, active, _gated(ago, 5, width), _gated(aa, 6 + n_ago, width),
+            _gated(gg, 4, width), self._row_starts + 5 + n_ago, kind_counts, proximal,
             (phases != TASK).nonzero()[0],
             [PHASE_NAMES[phase] for phase in phases.tolist() for _ in (0, 1)])
         return self.tables
@@ -420,8 +429,8 @@ class Watcher:
 
     def assemble_constraints(self) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
         """Build every agent's constraint rows in one array pass per barrier
-        family: per vehicle kind (UAV, then UGV), its (n, capacity, dim) A,
-        (n, capacity) b and each agent's active row count, indexed by pair.
+        family: per vehicle kind (UAV, then UGV), its (n, width, dim) A,
+        (n, width) b and each agent's active row count, indexed by pair.
 
         A UAV's rows are its walls, cross-layer rows against other pairs'
         UGVs, its landing funnel and its aerial rows; a UGV's are its walls
@@ -430,7 +439,7 @@ class Watcher:
         block is fresh, copied from that kind's wall template and never
         reused: agents and in-flight messages still hold earlier ones.
         Which rows go where comes from _gate_tables."""
-        n, cap = self.n_pairs, self.capacity
+        n, width = self.n_pairs, self._width
         tables = self._gate_tables()
         if tables.overflow:
             raise CapacityError(tables.overflow)
@@ -440,7 +449,7 @@ class Watcher:
         # Per vehicle kind: A and b, with the wall rows in place.
         blocks = []
         for template, pos, is_uav in zip(self._templates, (uav, offsets), (True, False)):
-            a, b = template.copy(), np.zeros((n, cap))
+            a, b = template.copy(), np.zeros((n, width))
             walls = build_workspace_rows(pos, self.params, is_uav)
             b[:, :len(walls)] = walls.b
             blocks.append((a, b))
@@ -459,7 +468,7 @@ class Watcher:
     def _scatter(self, block, kind: RowKind, rows: np.ndarray, own: np.ndarray,
                  other: np.ndarray, velocity: np.ndarray, worst: bool) -> None:
         """Build one family's rows, own[k] against other[k], in one call, and
-        write row k to row rows[k] of the block's (n * capacity) rows."""
+        write row k to row rows[k] of the block's (n * width) rows."""
         row_a, row_b, _ = build_constraint_row(
             kind, own, other, velocity, params=self.params,
             platform_height=self.platform_height, worst_case=worst)

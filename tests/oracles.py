@@ -1076,7 +1076,7 @@ class ScalarDrawBus:
     time: uniform() for a drop and uniform(-jitter, jitter) for a jitter."""
 
     def __init__(self, agent_ids: list[str], link: LinkModel, seed: int):
-        link.validate()
+        link.require_valid()
         self.link = link
         self.agents = set(agent_ids)
         self._seq: dict[tuple[str, str], int] = {}

@@ -522,14 +522,18 @@ class TestSafetyParams:
         bad = SafetyParams(
             uav_separation=0.8, uav_ugv_separation=0.7, ugv_separation=1.0,
             funnel_sharpness=1.0, funnel_height=1.0, hover_clearance=0.1)
-        assert any("separation radii" in p for p in bad.validate())
+        assert [(p.code, p.message) for p in bad.validate()] == [(
+            "RADIUS_ORDER", "separation radii must satisfy ugv > uav_ugv > uav > 0, got "
+            "(1.0, 0.7, 0.8)")]
 
     def test_speed_ordering_enforced(self):
         bad = SafetyParams(
             uav_separation=0.5, uav_ugv_separation=0.7, ugv_separation=1.0,
             funnel_sharpness=1.0, funnel_height=1.0, hover_clearance=0.1,
             uav_speed_limit=0.5, ugv_speed_limit=0.6)
-        assert any("speed limits" in p for p in bad.validate())
+        assert [(p.code, p.message) for p in bad.validate()] == [(
+            "SPEED_BOUND", "speed limits must satisfy 0 < ugv_speed_limit < uav_speed_limit, "
+            "got (0.6, 0.5)")]
 
     def test_valid_params_pass(self):
         assert PARAMS.validate() == []

@@ -263,6 +263,27 @@ class TestRun:
         assert resolved["duration"] == 0.5
 
 
+    @pytest.mark.parametrize("scenario, duration", [("hover_pair.yaml", "1"),
+                                                    ("crossing_three.yaml", "4")])
+    @pytest.mark.parametrize("capacity", ["1.0e+30", "11"])
+    def test_capacity_above_the_rows_needed_writes_the_default_logs(
+            self, tmp_path, capsys, scenario, duration, capacity):
+        """No agent holds more than 2N+4 rows, so the blocks are padded to
+        that under any larger capacity: a run with capacity 1e30 exits 0 and
+        writes the logs of the default-capacity run."""
+        with open(os.path.join(SCENARIOS, scenario)) as f:
+            text = f.read()
+        logs = {}
+        for name, extra in (("default", ""), ("large", f"capacity: {capacity}\n")):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text + extra)
+            out_dir = tmp_path / name
+            assert main(["run", str(path), "--duration", duration,
+                         "--out-dir", str(out_dir)]) == 0
+            logs[name] = [(out_dir / log).read_bytes()
+                          for log in ("trajectory.csv", "watcher.csv")]
+        assert logs["large"] == logs["default"]
+
     @pytest.mark.parametrize("command", ["validate", "run", "run --seed"])
     def test_negative_seed_exits_two(self, tmp_path, capsys, command):
         """A seed numpy cannot take is a config violation, from the scenario

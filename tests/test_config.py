@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from airground import run, summarize_dir
 from airground.barriers import SafetyParams
-from airground.config import (YAML_LOADER, _plain_yaml, _read_plain, config_from_dict,
-                              dump_yaml, load_config, load_yaml, parse_config)
+from airground.config import (_plain_yaml, config_from_dict, dump_yaml, load_config,
+                              load_yaml, parse_config)
 from airground.errors import ConfigError, InvalidInputError
 
 from scenario_helpers import grid_scenario
@@ -106,8 +106,8 @@ class TestAcceptedConfigs:
             assert load_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader), path
 
     def test_resolved_config_dumps_alike_with_either_yaml_emitter(self):
-        """to_yaml uses libyaml's emitter where PyYAML has it; it must write
-        the bytes the Python emitter writes."""
+        """to_yaml's one-pass writer takes every scenario and writes the
+        bytes PyYAML's safe_dump writes."""
         configs = [load_config(path) for path in
                    sorted(glob.glob(os.path.join(SCENARIOS, "*.yaml")))]
         configs += [build() for build, *_ in GOLDEN.values()]
@@ -317,7 +317,7 @@ class TestRejections:
             config_from_dict(data)
         found = [(x.code, x.message) for x in err.value.violations]
         assert ("BAD_VALUE", message) in found
-        assert ("BAD_VALUE", "hold_timeout must be positive") in found
+        assert ("BAD_VALUE", "hold_timeout must be positive, got -1.0") in found
 
     @pytest.mark.parametrize("seed", [-1, -5, -2**70])
     def test_negative_seed_rejected(self, seed):
@@ -485,9 +485,160 @@ class TestSymmetricDeadlock:
         assert not config_from_dict(variant(perturb_setpoints=None)).perturb_setpoints
 
 
+# -- every number read with a bound, against one set of values -----------------
+
+FIELD_VALUES = [0, -1.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, True, "x", [1.0], None]
+
+# (path, default, cast, bound): the top-level table, the network section
+# (read unbounded: its rules are LinkModel's), the watcher section and an
+# event's time, whose bound is reported as BAD_EVENT.
+READ_FIELDS = [
+    ("dt", 0.01, float, "positive"),
+    ("duration", 10.0, float, ">= 0"),
+    ("seed", 0, int, ">= 0"),
+    ("control_rate", 50.0, float, "positive"),
+    ("watcher_rate", 20.0, float, "positive"),
+    ("hold_timeout", 0.25, float, "positive"),
+    ("platform_height", 0.0, float, None),
+    ("ugv_offset", 0.1, float, "positive"),
+    ("wheel_base", 0.2, float, "positive"),
+    ("localization_noise", 0.0, float, ">= 0"),
+    ("uav_velocity_lag", 0.0, float, ">= 0"),
+    ("network.latency", 0.0, float, None),
+    ("network.jitter", 0.0, float, None),
+    ("network.drop", 0.0, float, None),
+    ("watcher.activation_margin", None, float, ">= 0"),
+    ("watcher.smoothing", 0.7, float, None),
+    ("watcher.touchdown_radius_sq", 0.01, float, ">= 0"),
+    ("watcher.touchdown_height", 0.02, float, ">= 0"),
+    ("watcher.touchdown_hold", 0.5, float, ">= 0"),
+    ("events[0].time", -1.0, float, ">= 0"),
+]
+
+
+def off_grid(name, rate, dt):
+    return ("BAD_VALUE", f"{name}={rate} Hz does not divide the dt={dt} grid evenly")
+
+
+def inf_margin(latency):
+    return ("BAD_VALUE", "the derived watcher activation_margin is inf, must be finite: "
+            f"latency+jitter {latency!r}, uav_speed_limit 1.0")
+
+
+NEGATIVE_LINK = ("BAD_VALUE", "network latency and jitter must be >= 0")
+DROP_RANGE = ("BAD_VALUE", "network drop must be in [0, 1]")
+
+# The violations of a value that its field's own bound lets through, or
+# that has no bound, from the other rules that read it: the rate grid, the
+# link rules, the smoothing range, the derived margin and the spawn checks.
+OTHER_RULES = {
+    ("dt", 5e-324): [off_grid("control_rate", 50.0, 5e-324),
+                     off_grid("watcher_rate", 20.0, 5e-324)],
+    ("dt", 1e308): [off_grid("control_rate", 50.0, 1e308), off_grid("watcher_rate", 20.0, 1e308)],
+    ("control_rate", 5e-324): [off_grid("control_rate", 5e-324, 0.01)],
+    ("control_rate", 1e308): [off_grid("control_rate", 1e308, 0.01)],
+    ("watcher_rate", 5e-324): [off_grid("watcher_rate", 5e-324, 0.01),
+                               inf_margin(0.0)],
+    ("watcher_rate", 1e308): [off_grid("watcher_rate", 1e308, 0.01)],
+    ("platform_height", 1e308): [
+        ("SPAWN_INFEASIBLE", f"uav{i} spawns outside its landing funnel safe set (h=-1e+308)")
+        for i in (0, 1)],
+    ("ugv_offset", 1e308): [
+        ("SPAWN_INFEASIBLE", "ugv0 spawns outside the workspace"),
+        ("SPAWN_INFEASIBLE", "ugv1 spawns outside the workspace"),
+        ("SPAWN_INFEASIBLE", "uav0/uav1 spawn 4.272 m apart; need > inf"),
+        ("SPAWN_INFEASIBLE", "ugv0/ugv1 spawn inf m apart; need > inf"),
+        ("SPAWN_INFEASIBLE", "uav0/ugv1 spawn 4.583 m apart; need > inf"),
+        ("SPAWN_INFEASIBLE", "uav1/ugv0 spawn 5.408 m apart; need > inf")],
+    ("network.latency", -1.0): [NEGATIVE_LINK],
+    ("network.latency", 1e308): [inf_margin(1e308)],
+    ("network.jitter", -1.0): [NEGATIVE_LINK],
+    ("network.jitter", 1e308): [(
+        "BAD_VALUE", "network jitter is too large: 2*jitter and latency+jitter must be "
+        "finite, got latency 0.0, jitter 1e+308")],
+    ("network.drop", -1.0): [DROP_RANGE],
+    ("network.drop", 1e308): [DROP_RANGE],
+    **{("watcher.smoothing", value): [
+        ("BAD_VALUE", f"watcher.smoothing must be in (0, 1], got {float(value)!r}")]
+       for value in (0, -1.0, 1e308)},
+}
+
+
+def read_back(cfg, path):
+    """The value cfg holds for the field at path."""
+    section, _, key = path.rpartition(".")
+    if section == "events[0]":
+        return cfg.events[0].time
+    if section == "network":
+        return getattr(cfg.network, {"latency": "base_latency", "drop": "drop_prob"}.get(key, key))
+    return getattr(cfg.watcher if section else cfg, key)
+
+
+@pytest.mark.parametrize("value", FIELD_VALUES, ids=repr)
+@pytest.mark.parametrize("path, default, cast, bound", READ_FIELDS, ids=lambda f: f)
+def test_every_read_number_is_kept_or_reported(path, default, cast, bound, value):
+    """Each value is either read as itself (or the field's default, for
+    null), or rejected with exactly its expected violations: a value that is
+    no number, or no integer, is reported and replaced by the default; the
+    value read is then held to the field's bound, naming the value as
+    given; other rules that read it report after.  Nothing but ConfigError
+    leaves config_from_dict."""
+    data = variant(events=[{"time": 1.0, "pair": 0}])
+    section, _, key = path.rpartition(".")
+    node = data["events"][0] if section == "events[0]" else data.setdefault(section, {}) \
+        if section else data
+    node[key] = value
+    want = []
+    number = type(value) in (int, float) and math.isfinite(value)
+    if value is None:
+        read = default
+    elif cast is int and (type(value) is bool or number and value != int(value)):
+        want.append(("BAD_VALUE", f"{path} must be an integer, got {value!r}"))
+        read = default
+    elif not number:
+        want.append(("BAD_VALUE", f"{path} must be a number, got {value!r}"))
+        read = default
+    else:
+        read = cast(value)
+    if bound is not None and read is not None and not (
+            read > 0 if bound == "positive" else read >= 0):
+        code = "BAD_EVENT" if section == "events[0]" else "BAD_VALUE"
+        want.append((code, f"{path} must be {bound}, got {value!r}"))
+    if number:
+        want += OTHER_RULES.get((path, value), [])
+    if want:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert [(x.code, x.message) for x in err.value.violations] == want
+    else:
+        got = read_back(config_from_dict(data), path)
+        assert got == read and type(got) is type(read)
+
+
+def test_integers_past_the_float_range_are_read():
+    """An int too large for a float is no float, and is an integer: it is
+    reported, or read, instead of raising OverflowError."""
+    huge = 10 ** 400
+    assert config_from_dict(variant(seed=huge)).seed == huge
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(variant(dt=huge, capacity=-huge))
+    assert [(x.code, x.message) for x in err.value.violations] == [
+        ("BAD_VALUE", f"dt must be a number, got {huge!r}"),
+        ("CAPACITY", f"capacity {-huge} is below the 8 rows a UAV can need with 2 pairs")]
+
+
+def test_workspace_past_the_float_range_is_a_violation():
+    """A workspace whose diagonal squared overflows gives an infinite filter
+    reach, reported like any other, not an OverflowError."""
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(variant(workspace={"x": [-1e200, 1e200]}))
+    assert [(x.code, x.message) for x in err.value.violations] == [(
+        "BAD_VALUE", "speed limits, gains and barrier_gain are too large: the safety "
+        "filter's terms over the workspace reach inf, must be finite")]
+
+
 # -- dump_yaml against PyYAML ----------------------------------------------------
 
-C_DUMPER = getattr(yaml, "CSafeDumper", None)
 # Strings the resolver reads as something else, or that need quotes.
 SPECIAL = ["on", "yes", "No", "null", "true", "False", "1.5", "0x1F", "a b", "",
            "-a", "\u00e9", "\u65e5\u672c", "Z" * 65]
@@ -512,22 +663,15 @@ PLAIN_DOCUMENTS = st.dictionaries(PLAIN_KEYS, nested(PLAIN_SCALARS, PLAIN_KEYS),
                                                          max_size=4)
 
 
-def pyyaml_texts(data) -> list[str]:
-    texts = [yaml.safe_dump(data, sort_keys=True)]
-    if C_DUMPER is not None:
-        texts.append(yaml.dump(data, Dumper=C_DUMPER, sort_keys=True))
-    return texts
-
-
 @settings(max_examples=100, deadline=None)
 @given(PLAIN_DOCUMENTS)
 def test_plain_emitter_writes_what_pyyaml_writes(data):
     """On plain data (nested lists and maps, empty ones, -0.0, subnormals,
     +-inf, nan, ints past 2**64) the one-pass emitter runs and writes the
-    bytes of yaml.safe_dump and of libyaml's emitter."""
+    bytes of yaml.safe_dump."""
     text = _plain_yaml(data)
     assert text is not None
-    assert [text] * len(pyyaml_texts(data)) == pyyaml_texts(data)
+    assert text == yaml.safe_dump(data, sort_keys=True)
     assert dump_yaml(data) == text
 
 
@@ -541,8 +685,7 @@ def mixed_documents(draw):
     shared = draw(st.lists(PLAIN_SCALARS, max_size=2) | st.dictionaries(PLAIN_KEYS, PLAIN_SCALARS,
                                                                       max_size=2))
     odd = draw(st.sampled_from(SPECIAL).map(lambda s: ("str", s))
-               # libyaml writes an empty key as '' where PyYAML writes ? ''
-               | st.sampled_from([s for s in SPECIAL if s]).map(lambda s: ("key", {s: 1.0}))
+               | st.sampled_from(SPECIAL).map(lambda s: ("key", {s: 1.0}))
                | st.just(("tuple", (1.0, "a")))
                | st.just(("int keys", {2: "b", 1: None}))
                | st.just(("shared", [shared, {"again": shared}])))
@@ -570,7 +713,7 @@ def test_non_plain_data_falls_back_to_pyyaml(case):
     data, kind = case
     assert _plain_yaml(data) is None
     text = dump_yaml(data)
-    assert [text] * len(pyyaml_texts(data)) == pyyaml_texts(data)
+    assert text == yaml.safe_dump(data, sort_keys=True)
     assert ("&id001" in text) == (kind == "shared")
 
 
@@ -699,16 +842,23 @@ def yaml_outcome(load, text: str):
 @given(edited_plain_texts())
 def test_edited_plain_text_reads_as_pyyaml_reads_it(text):
     """One edit to a plain text either keeps it plain, and the one-pass
-    reader gives what both of PyYAML's safe loaders give, or sends it to
-    PyYAML: load_yaml's data is always what PyYAML's load with YAML_LOADER
-    gives, or both raise YAMLError.  (libyaml's loader and the Python one
-    differ on some non-plain text: libyaml reads a tab inside a plain
-    scalar where the Python loader raises.)"""
+    reader gives what PyYAML's safe loader gives, or sends it to PyYAML:
+    load_yaml's data is always what yaml.safe_load gives, or both raise
+    YAMLError."""
     ok, data = yaml_outcome(load_yaml, text)
-    want_ok, want = yaml_outcome(lambda t: yaml.load(t, Loader=YAML_LOADER), text)
+    want_ok, want = yaml_outcome(yaml.safe_load, text)
     assert ok == want_ok and same_data(data, want)
-    if _read_plain(text) is not None:
-        assert same_data(data, yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_tab_inside_a_key_is_not_yaml_on_any_build():
+    """The scenario parser is PyYAML's Python SafeLoader whether or not
+    PyYAML was built with libyaml, whose loader reads this text as a
+    mapping with the key 'a\\tgents' (so the scenario would miss agents)."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(BASE).replace("agents:", "a\tgents:"))
+    [violation] = err.value.violations
+    assert violation.code == "BAD_VALUE"
+    assert violation.message.startswith("not valid YAML: ")
 
 
 def test_summarize_reads_a_grid_runs_config_without_pyyaml(tmp_path):

@@ -173,6 +173,17 @@ class TestLinkModel:
         with pytest.raises(InvalidInputError, match="finite"):
             make_bus(latency=latency, jitter=jitter)
 
+    def test_the_bus_takes_a_scenarios_link_rules(self):
+        """A link model holds the rules a scenario's network section is
+        checked by: a drop of 1.0 is kept as 0.9999999999 and accepted,
+        and the bus raises every other violation of them, in their words."""
+        assert LinkModel(drop_prob=1.0).drop_prob == 0.9999999999
+        make_bus(drop=1.0)
+        with pytest.raises(InvalidInputError) as err:
+            make_bus(latency=-0.1, drop=1.5)
+        assert str(err.value) == ("network latency and jitter must be >= 0; "
+                                  "network drop must be in [0, 1]")
+
 
 # Update payloads of both vehicle kinds (a UGV's setpoint has two
 # coordinates) and several capacities, and acknowledgement pair indices.
