@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from . import qp
-from .barriers import SafetyParams, offset_points
+from .barriers import SafetyParams, mask_index, offset_points
 from .errors import InvalidInputError
 
 UAV = "uav"
@@ -60,20 +60,6 @@ def nominal_velocity(current, setpoint, setpoint_rate, gains: np.ndarray,
     return u.clip(-speed_limit, speed_limit)
 
 
-def _twist(c: float, s: float, x: float, y: float, offset: float,
-           turn_rate_limit: float | None) -> tuple[float, float]:
-    """The body twist (v, omega) of offset-point velocity (x, y) at a
-    heading with cosine c and sine s.  An implied turn rate above
-    turn_rate_limit scales the whole offset velocity down uniformly,
-    keeping its direction."""
-    v = c * x + s * y
-    omega = (-s * x + c * y) / offset
-    if turn_rate_limit is not None and abs(omega) > turn_rate_limit:
-        v *= turn_rate_limit / abs(omega)
-        omega = math.copysign(turn_rate_limit, omega)
-    return v, omega
-
-
 def step_uav(positions, velocities, dt: float) -> np.ndarray:
     """Explicit-Euler update of (n, 3) UAV positions under (n, 3) velocities."""
     if dt <= 0:
@@ -88,19 +74,25 @@ def step_ugv(poses, offset_velocity, offset: float, turn_rate_limit: float,
     plane.
 
     This is each vehicle's inner loop: its heading is its own measurement,
-    so the held velocity is mapped to a body twist at the current heading
-    on every step (_twist, with the turn-rate clamp).  cos and sin come
-    from libm once per vehicle and serve both the map and the update
-    x + dt*v*cos(theta); the new heading is wrapped into (-pi, pi] twice:
-    the pinned logs were recorded with both wraps, and one wrap is not
-    proven to give the same bits."""
+    so the held velocity is mapped to a body twist (v, omega) at the
+    current heading on every step.  An implied turn rate above
+    turn_rate_limit scales the whole offset velocity down uniformly,
+    keeping its direction.  cos and sin come from libm once per vehicle and
+    serve both the map and the update x + dt*v*cos(theta); the new heading
+    is wrapped into (-pi, pi] twice: the pinned logs were recorded with
+    both wraps, and one wrap is not proven to give the same bits."""
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
+    cos, sin, copysign = math.cos, math.sin, math.copysign
     out = []
     for (x, y, theta), (ox, oy) in zip(np.asarray(poses, dtype=float).tolist(),
                                        np.asarray(offset_velocity, dtype=float).tolist()):
-        c, s = math.cos(theta), math.sin(theta)
-        v, omega = _twist(c, s, ox, oy, offset, turn_rate_limit)
+        c, s = cos(theta), sin(theta)
+        v = c * ox + s * oy
+        omega = (-s * ox + c * oy) / offset
+        if abs(omega) > turn_rate_limit:
+            v *= turn_rate_limit / abs(omega)
+            omega = copysign(turn_rate_limit, omega)
         out.append((x + dt * v * c, y + dt * v * s, wrap_angle(wrap_angle(theta + dt * omega))))
     return np.array(out).reshape(-1, 3)
 
@@ -154,6 +146,10 @@ class KindControl:
     status, sol_iters, sol_violation) and reused on the ticks in between.
     The watcher owns the landing phases; a UAV unit only learns that it has
     landed, from the touchdown acknowledgement, and then emits zero.
+    Landing is terminal, so a landed unit ignores every update: its slot
+    and dirty stay as they were.  landed_rows indexes the landed units for
+    the integration step: None while none has landed, slice(None) once all
+    have, their index array in between; only an acknowledgement changes it.
 
     A unit's output is a function of its slot, its landed flag and whether
     its update is stale, so the kind's outputs can change between two ticks
@@ -188,6 +184,7 @@ class KindControl:
         self.a, self.b = [None] * n, [None] * n  # (capacity, dim) and (capacity,)
         self.count = np.zeros(n, dtype=int)
         self.landed, self.solved = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        self.landed_rows: np.ndarray | slice | None = None
         self.u, self.status = np.zeros((n, dim)), np.full(n, "hold", object)
         self.sol_iters, self.sol_violation = np.zeros(n, dtype=int), np.zeros(n)
         self.dirty = True                        # nothing ticked yet
@@ -195,6 +192,8 @@ class KindControl:
 
     def on_update(self, k: int, pose, position, rate, a, b, count: int,
                   stamp: float) -> None:
+        if self.landed[k]:
+            return
         self.dirty = True
         if stamp >= self.stamps[k]:
             self.stamps[k], self.pose[k], self.solved[k] = stamp, pose, False
@@ -205,6 +204,7 @@ class KindControl:
         self.dirty = True
         if self.kind == UAV:
             self.landed[k] = True
+            self.landed_rows = mask_index(self.landed)
 
     def tick(self, now: float) -> bool:
         """Bring every unit's output up to date at now; returns whether any

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class Bounds:
     y_max: float
     z_min: float
     z_max: float
+
+    def __post_init__(self):
+        # wall_heights' operands, built once: the upper x, y and z bounds and
+        # the lower x and y bounds.
+        object.__setattr__(self, "upper", np.array((self.x_max, self.y_max, self.z_max)))
+        object.__setattr__(self, "lower", np.array((self.x_min, self.y_min)))
 
     def validate(self) -> list[ConfigViolation]:
         problems = []
@@ -196,21 +203,20 @@ def wall_heights(p, bounds: Bounds, is_uav: bool) -> np.ndarray:
     p = _require_finite("p", p)
     upper = 3 if is_uav else 2  # x and y walls, plus the ceiling for a UAV
     h = np.empty(p.shape[:-1] + (upper + 2,))
-    h[..., 0::2] = (bounds.x_max, bounds.y_max, bounds.z_max)[:upper] - p[..., :upper]
-    h[..., 1::2] = p[..., :2] - (bounds.x_min, bounds.y_min)
+    h[..., 0::2] = bounds.upper[:upper] - p[..., :upper]
+    h[..., 1::2] = p[..., :2] - bounds.lower
     return h
 
 
 def offset_points(poses, offset: float) -> np.ndarray:
     """UGV control points of (..., 3) poses (x, y, theta), as (..., 2)
     points (x + offset*cos(theta), y + offset*sin(theta)); cos and sin go
-    through libm, element by element."""
+    through libm, element by element, into one array."""
     poses = _require_finite("poses", poses)
-    theta = poses[..., 2]
-    points = np.empty(poses.shape[:-1] + (2,))
-    points[..., 0] = poses[..., 0] + offset * libm(math.cos, theta)
-    points[..., 1] = poses[..., 1] + offset * libm(math.sin, theta)
-    return points
+    theta = poses[..., 2].ravel().tolist()
+    m = len(theta)
+    cos_sin = np.fromiter(chain(map(math.cos, theta), map(math.sin, theta)), float, 2 * m)
+    return poses[..., :2] + offset * cos_sin.reshape(2, m).T.reshape(poses.shape[:-1] + (2,))
 
 
 @dataclass(frozen=True)
@@ -316,7 +322,15 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
+def mask_index(mask: np.ndarray) -> np.ndarray | slice | None:
+    """An index of the set entries of a 1-D boolean mask that writes them
+    the cheapest way: None when none is set, slice(None) when all are, and
+    their index array otherwise."""
+    rows = mask.nonzero()[0]
+    return None if not len(rows) else slice(None) if len(rows) == len(mask) else rows
+
+
 def libm(fn, values: np.ndarray) -> np.ndarray:
     """fn applied per element through libm, not numpy's vector kernels,
     which may differ in the last ulp from the scalar path."""
-    return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)

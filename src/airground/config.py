@@ -36,6 +36,9 @@ _GOLDEN_ANGLE = 2.399963229728653
 # The bounds a number read by _number can be held to, in its message's words.
 POSITIVE, NON_NEGATIVE = "positive", ">= 0"
 
+# The most steps a run may take: the largest count a float holds exactly.
+MAX_STEPS = 2.0 ** 53
+
 # The plain top-level numbers, in the order they are read: (key, default,
 # cast, bound).
 _FIELDS = (
@@ -426,6 +429,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                     "BAD_VALUE",
                     f"{name}={rate} Hz does not divide the dt={dt} grid evenly",
                 ))
+    # A run counts its steps in floats: past 2**53 they are no longer exact,
+    # and far before that the run never ends.
+    duration = top["duration"]
+    if dt > 0 and not (steps := duration / dt) <= MAX_STEPS:
+        v.append(ConfigViolation(
+            "BAD_VALUE", f"duration={duration} is {steps} steps of dt={dt}, must be at most 2**53"))
 
     ws = _section(v, data, "workspace")
     try:
@@ -466,8 +475,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if np.any(g_uav <= 0) or np.any(g_ugv <= 0):
         v.append(ConfigViolation("BAD_VALUE", "gains must be positive"))
     elif not bounds.validate():
-        reach = _filter_reach(safety, max(g_uav.tolist() + g_ugv.tolist()))
-        if not math.isfinite(reach):
+        b = bounds
+        diag = math.dist((b.x_min, b.y_min, b.z_min), (b.x_max, b.y_max, b.z_max))
+        if not math.isfinite(diag * diag):
+            v.append(ConfigViolation(
+                "BAD_VALUE", f"workspace is too large: its diagonal squared is {diag * diag}, "
+                "must be finite"))
+        elif not math.isfinite(
+                reach := _filter_reach(safety, max(g_uav.tolist() + g_ugv.tolist()), diag)):
             v.append(ConfigViolation(
                 "BAD_VALUE", "speed limits, gains and barrier_gain are too large: the "
                 f"safety filter's terms over the workspace reach {reach}, must be finite"))
@@ -591,16 +606,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     )
 
 
-def _filter_reach(safety: SafetyParams, gain: float) -> float:
+def _filter_reach(safety: SafetyParams, gain: float, diag: float) -> float:
     """max(K*D + v, kappa*D**2 + 12*D*v): a bound on the terms the safety
     filter computes for agents and setpoints inside the workspace (diagonal
-    D), with v the larger speed limit, K the largest gain and kappa the
-    barrier gain.  A nominal input -K*(p - p_des) + p_des_dot is at most
+    D = diag), with v the larger speed limit, K the largest gain and kappa
+    the barrier gain.  A nominal input -K*(p - p_des) + p_des_dot is at most
     K*D + v before clipping; in a sphere row (a = 2r, |r| <= D), a.u and the
     time term 2r.v_other are each at most 6*D*v over three axes and kappa*h
     at most kappa*D**2, so a.u + b is at most kappa*D**2 + 12*D*v."""
-    b = safety.bounds
-    diag = math.dist((b.x_min, b.y_min, b.z_min), (b.x_max, b.y_max, b.z_max))
     speed = max(safety.uav_speed_limit, safety.ugv_speed_limit)
     return max(gain * diag + speed,
                safety.barrier_gain * (diag * diag) + 12.0 * diag * speed)
@@ -660,9 +673,17 @@ def _validate_spawn(v: list[ConfigViolation], safety: SafetyParams,
     need_ugv = safety.ugv_separation + pad
     need_cross = safety.uav_ugv_separation + pad
     others = ~np.eye(n, dtype=bool)
+    # The pairs held to a separation: none when the pad overflows, which
+    # would report every pair as needing more than inf.
+    checked = others
+    if n > 1 and not math.isfinite(pad):
+        v.append(ConfigViolation(
+            "SPAWN_INFEASIBLE", f"ugv_offset={offset} is too large: the spawn separation "
+            f"pad 2*ugv_offset is {pad}, must be finite"))
+        checked = np.zeros((n, n), dtype=bool)
     close_uav = d_uav <= need_uav
     close_ugv = d_ugv <= need_ugv
-    close = others & (close_uav | close_ugv)
+    close = checked & (close_uav | close_ugv)
     for i, j in (np.argwhere(close).tolist() if close.any() else ()):
         if i > j:
             continue  # symmetric: each pair once, as (i, j) with i < j
@@ -676,7 +697,7 @@ def _validate_spawn(v: list[ConfigViolation], safety: SafetyParams,
                 "SPAWN_INFEASIBLE",
                 f"ugv{i}/ugv{j} spawn {d_ugv[i, j]:.3f} m apart; need > "
                 f"{need_ugv:.3f}"))
-    close = others & (d_cross <= need_cross)
+    close = checked & (d_cross <= need_cross)
     for i, j in (np.argwhere(close).tolist() if close.any() else ()):
         v.append(ConfigViolation(
             "SPAWN_INFEASIBLE",

@@ -4,7 +4,9 @@ Within one time instant the order is fixed: operator events, then network
 deliveries, then the watcher tick (followed by a second delivery drain so
 zero-latency traffic lands in the same instant), then the control ticks,
 then kinematic integration, in which each UGV maps its unit's held
-offset-point velocity through its current heading (agents.step_ugv).  The
+offset-point velocity through its current heading (agents.step_ugv) and
+the landed UAVs ride their decks, written by the index the touchdown
+acknowledgements keep (KindControl.landed_rows).  The
 control units of a vehicle kind are one agents.KindControl, written by the
 message router from a per-agent table of unit index and handlers, one
 handler call per message: the watcher's one update per agent per tick, or
@@ -50,16 +52,17 @@ class RunResult:
     relaxed_events: int = 0
 
 
-def _integrate(uav, ugv, velocity, u, ugv_u, landed: np.ndarray,
-               cfg: ScenarioConfig):
+def _integrate(uav, ugv, velocity, u, ugv_u, landed, cfg: ScenarioConfig):
     """One dt of kinematics for the whole fleet.
 
     UGV poses (x, y, theta) move under their held offset-point velocities
     ugv_u, mapped through each vehicle's current heading (step_ugv).  A UAV
     flies its tracked velocity: a first-order lag toward its command u when
-    uav_velocity_lag > 0, else the command itself.  The landed UAVs (the
-    (n,) mask landed) ride their platforms at hover clearance above the
-    deck, with zero tracked velocity.  Returns the new UAV positions, UGV
+    uav_velocity_lag > 0, else the command itself.  The landed UAVs ride
+    their platforms at hover clearance above the deck, with zero tracked
+    velocity; landed is their index as KindControl.landed_rows keeps it
+    (None while none has landed, slice(None) once all have, so a fully
+    landed fleet is written by slice).  Returns the new UAV positions, UGV
     poses and tracked velocities."""
     ugv = step_ugv(ugv, ugv_u, cfg.ugv_offset, cfg.safety.turn_rate_limit, cfg.dt)
     if cfg.uav_velocity_lag > 0.0:
@@ -67,8 +70,7 @@ def _integrate(uav, ugv, velocity, u, ugv_u, landed: np.ndarray,
         velocity = velocity + alpha * (u - velocity)
         u = velocity
     uav = step_uav(uav, u, cfg.dt)
-    landed = landed.nonzero()[0]
-    if landed.size:
+    if landed is not None:
         velocity[landed] = 0.0
         uav[landed, :2] = ugv[landed, :2]
         uav[landed, 2] = cfg.platform_height + cfg.safety.hover_clearance
@@ -221,7 +223,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
 
         if step < total:
             uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, uavs.u, ugvs.u,
-                                                uavs.landed, cfg)
+                                                uavs.landed_rows, cfg)
 
     writer.flush(min_h)
     trajectory_path = os.path.join(out_dir, TRAJECTORY_FILE)

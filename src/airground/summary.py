@@ -30,7 +30,7 @@ from .barriers import (eval_landing, offset_points, pairwise_sq_distances,
                        wall_heights)
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
-from .logfmt import fmt9, fmt9_round_trip
+from .logfmt import fmt9, fmt9_floats, fmt9_round_trip
 from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
 from .watcher import PHASE_NAMES, TASK
 
@@ -151,7 +151,7 @@ class TrajectoryWriter:
     BLOCK_SAMPLES agent samples at a time: fmt9_round_trip formats each
     distinct number of the block once at 9 significant digits and parses
     the rounded states back -- the values a reader of the file sees -- and
-    the min_h column is evaluated from them and formatted by fmt9."""
+    the min_h column is evaluated from them and formatted by fmt9_floats."""
 
     def __init__(self, ids):
         m = len(ids)
@@ -182,8 +182,8 @@ class TrajectoryWriter:
         text, rounded = fmt9_round_trip(self._numbers[:ticks])
         statuses = self._statuses
         landed = np.fromiter(map("landed".__eq__, statuses), bool, ticks * m)
-        h = map(fmt9, min_h(self._times, statuses, *rounded.transpose(2, 0, 1)[:4],
-                            landed.reshape(ticks, m)).ravel().tolist())
+        h = fmt9_floats(min_h(self._times, statuses, *rounded.transpose(2, 0, 1)[:4],
+                              landed.reshape(ticks, m)).ravel().tolist())
         times = [t for t in self._times for _ in range(m)]
         self._chunks.append("\n".join(map(",".join, zip(
             times, self._prefixes * ticks, *text.reshape(-1, 7).T.tolist(),

@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .barriers import (RowKind, SafetyParams, build_constraint_row,
-                       build_workspace_rows, offset_points,
+                       build_workspace_rows, mask_index, offset_points,
                        pairwise_sq_distances, wall_gradients)
 from .errors import CapacityError, ConfigViolation, InvalidInputError
 from .netsim import MsgType
@@ -232,7 +232,7 @@ class _GateTables(NamedTuple):
     landing: np.ndarray
     kind_counts: list[dict[str, int]]   # rows per kind, in RowKind order
     proximal: list[tuple[str, ...]]     # sorted proximal sets
-    chasing: np.ndarray                 # pairs whose UAV chases its platform
+    chasing: np.ndarray | slice | None  # pairs whose UAV chases its platform (mask_index)
     phases: list[str]                   # each agent's phase name
 
 
@@ -303,6 +303,8 @@ class Watcher:
         self._hover_z = platform_height + params.hover_clearance
         self._radii = np.array([params.uav_separation, params.uav_ugv_separation,
                                 params.ugv_separation])[:, None, None]
+        self._activate_at = self._radii + self.activation_margin
+        self._deactivate_at = self._activate_at + _PROXIMITY_HYSTERESIS
         # The gate stack, indexed by family and pair: [0][i, j] UAV i vs UAV
         # j and [2][i, j] UGV i vs UGV j (both symmetric), [1][i, j] UAV i vs
         # UGV j (cross layer, not symmetric).
@@ -374,18 +376,16 @@ class Watcher:
         self.tables = _GateTables(
             key, overflow, active, _gated(ago, 5, width), _gated(aa, 6 + n_ago, width),
             _gated(gg, 4, width), self._row_starts + 5 + n_ago, kind_counts, proximal,
-            (phases != TASK).nonzero()[0],
+            mask_index(phases != TASK),
             [PHASE_NAMES[phase] for phase in phases.tolist() for _ in (0, 1)])
         return self.tables
 
-    def _hysteresis(self, active: np.ndarray, distance: np.ndarray, radius) -> np.ndarray:
-        """Hysteresis gate, elementwise: an inactive pair activates inside
-        radius + margin and an active one deactivates beyond that plus
-        _PROXIMITY_HYSTERESIS.  radius may be one family's float or the
-        stack's (3, 1, 1) radii."""
-        activate_at = radius + self.activation_margin
-        return np.where(active, distance <= activate_at + _PROXIMITY_HYSTERESIS,
-                        distance < activate_at)
+    def _hysteresis(self, active: np.ndarray, distance: np.ndarray) -> np.ndarray:
+        """Hysteresis gate over the (3, n, n) stack, elementwise: an inactive
+        pair activates inside its family's radius + margin and an active one
+        deactivates beyond that plus _PROXIMITY_HYSTERESIS, thresholds that
+        __init__ adds once."""
+        return np.where(active, distance <= self._deactivate_at, distance < self._activate_at)
 
     def _update_gates(self) -> None:
         """Refresh the gate stack from this tick's distance operands in one
@@ -394,10 +394,10 @@ class Watcher:
         columns of the UAV gates and their rows of the cross-layer gates
         are off."""
         distance = np.sqrt(pairwise_sq_distances(self._lhs, self._rhs))
-        gates = self._hysteresis(self._gates, distance, self._radii)
+        gates = self._hysteresis(self._gates, distance)
         gates &= self._others
-        landed = (self.phases == LANDED).nonzero()[0]
-        if len(landed):
+        landed = mask_index(self.phases == LANDED)
+        if landed is not None:
             gates[:2, landed] = False      # their UAV and cross-layer rows
             gates[0, :, landed] = False    # their UAV columns
         self._gates = gates
@@ -478,20 +478,21 @@ class Watcher:
 
     # -- setpoints ----------------------------------------------------------
 
-    def _setpoints(self, now: float, chasing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _setpoints(self, now: float, chasing) -> tuple[np.ndarray, np.ndarray]:
         """Every agent's setpoint position and rate, agents in tick order
         (uav0, ugv0, uav1, ...), UGV rows zero-padded to three columns.  A
         chasing pair's UAV (landing or landed) chases its moving platform's
-        hover point instead of its track."""
+        hover point instead of its track; chasing indexes those pairs as
+        mask_index does."""
         positions, rates = self._setpoint_tracks.sample(now)
-        if len(chasing):
-            rows = 2 * chasing
-            positions[rows, :2] = self._fleet[chasing, 3:5]
-            positions[rows, 2] = self._hover_z
+        if chasing is not None:
+            uav_positions, uav_rates = positions[0::2], rates[0::2]
+            uav_positions[chasing, :2] = self._fleet[chasing, 3:5]
+            uav_positions[chasing, 2] = self._hover_z
             v, worst_case = self._est.estimate()
-            rates[rows] = 0.0
+            uav_rates[chasing] = 0.0
             if not worst_case:
-                rates[rows, :2] = v[chasing, 3:5]
+                uav_rates[chasing, :2] = v[chasing, 3:5]
         return positions, rates
 
     # -- main tick ----------------------------------------------------------

@@ -412,6 +412,33 @@ class TestStaleness:
         assert control.tick(1.0)
         assert control.status.tolist() == ["optimal", "hold", "landed"]
 
+    def test_a_landed_unit_ignores_its_updates(self):
+        """Landing is terminal: an update sent to a landed unit leaves its
+        slot, its output and the kind's dirty flag as they were, so the kind
+        does not tick for it.  landed_rows indexes the landed units: an
+        index array while some are, a slice once all are."""
+        control = KindControl(["uav0", "uav1"], UAV, np.full(3, 1.0), PARAMS, 0.25)
+        assert control.landed_rows is None
+        control.on_update(0, (0, 0, 1), (1, 0, 1), (0, 0, 0), *empty_matrix(), 0.0)
+        control.on_update(1, (0, 0, 1), (0, 1, 1), (0, 0, 0), *empty_matrix(), 0.0)
+        assert control.tick(0.0)
+        control.on_touchdown_ack(0)
+        assert control.landed_rows.tolist() == [0]
+        assert control.tick(0.1)
+        assert control.status.tolist() == ["landed", "optimal"]
+        flown = control.u[1].tolist()
+        for stamp in (0.1, 0.2):
+            control.on_update(0, (3, 3, 3), (3, 3, 2), (1, 1, 1), *empty_matrix(), stamp)
+            assert not control.tick(stamp)
+            assert control.u.tolist() == [[0.0, 0.0, 0.0], flown]
+            assert control.status.tolist() == ["landed", "optimal"]
+        assert control.stamps[0] == 0.0 and control.pose[0].tolist() == [0, 0, 1]
+        assert control.setpoint[0].tolist() == [1, 0, 1] and control.rate[0].tolist() == [0, 0, 0]
+        control.on_touchdown_ack(1)
+        assert control.landed_rows == slice(None)
+        assert control.tick(0.3)
+        assert control.status.tolist() == ["landed", "landed"]
+
 
 class TestGains:
     @pytest.mark.parametrize("kind, gains", [

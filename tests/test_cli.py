@@ -127,6 +127,36 @@ class TestHugeJitter:
         assert "Traceback" not in err
 
 
+class TestHugeDuration:
+    @pytest.mark.parametrize("command, duration", [
+        ("validate", "1.0e+308"), ("validate", "1.0e+300"), ("run", "1.0e+308")])
+    def test_duration_past_2_to_the_53_steps_exits_two(self, tmp_path, capsys, command,
+                                                        duration):
+        """A duration of more than 2**53 steps of dt is rejected: 1e308 s made
+        run exit 1 with an OverflowError, and 1e300 s ran without end."""
+        with open(os.path.join(SCENARIOS, "hover_pair.yaml")) as f:
+            text = f.read()
+        assert text.count("duration: 10.0") == 1
+        path = tmp_path / "hover_pair.yaml"
+        path.write_text(text.replace("duration: 10.0", f"duration: {duration}"))
+        args = [command, str(path)]
+        if command == "run":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"[BAD_VALUE] duration={float(duration)} is " in err
+        assert "must be at most 2**53" in err
+        assert "Traceback" not in err
+
+    def test_duration_override_past_2_to_the_53_steps_exits_two(self, tmp_path, capsys):
+        """run --duration is held to the same rule as the file's duration."""
+        args = ["run", os.path.join(SCENARIOS, "hover_pair.yaml"), "--duration", "1e308",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "[BAD_VALUE] duration=1e+308 is inf steps of dt=0.01, must be at most 2**53" in err
+
+
 class TestWatcherOptions:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("line", ["activation_margin: -5.0", "touchdown_radius_sq: -0.01",

@@ -533,7 +533,10 @@ DROP_RANGE = ("BAD_VALUE", "network drop must be in [0, 1]")
 # link rules, the smoothing range, the derived margin and the spawn checks.
 OTHER_RULES = {
     ("dt", 5e-324): [off_grid("control_rate", 50.0, 5e-324),
-                     off_grid("watcher_rate", 20.0, 5e-324)],
+                     off_grid("watcher_rate", 20.0, 5e-324),
+                     ("BAD_VALUE", "duration=5.0 is inf steps of dt=5e-324, must be at most 2**53")],
+    ("duration", 1e308): [
+        ("BAD_VALUE", "duration=1e+308 is inf steps of dt=0.01, must be at most 2**53")],
     ("dt", 1e308): [off_grid("control_rate", 50.0, 1e308), off_grid("watcher_rate", 20.0, 1e308)],
     ("control_rate", 5e-324): [off_grid("control_rate", 5e-324, 0.01)],
     ("control_rate", 1e308): [off_grid("control_rate", 1e308, 0.01)],
@@ -546,10 +549,8 @@ OTHER_RULES = {
     ("ugv_offset", 1e308): [
         ("SPAWN_INFEASIBLE", "ugv0 spawns outside the workspace"),
         ("SPAWN_INFEASIBLE", "ugv1 spawns outside the workspace"),
-        ("SPAWN_INFEASIBLE", "uav0/uav1 spawn 4.272 m apart; need > inf"),
-        ("SPAWN_INFEASIBLE", "ugv0/ugv1 spawn inf m apart; need > inf"),
-        ("SPAWN_INFEASIBLE", "uav0/ugv1 spawn 4.583 m apart; need > inf"),
-        ("SPAWN_INFEASIBLE", "uav1/ugv0 spawn 5.408 m apart; need > inf")],
+        ("SPAWN_INFEASIBLE", "ugv_offset=1e+308 is too large: the spawn separation pad "
+         "2*ugv_offset is inf, must be finite")],
     ("network.latency", -1.0): [NEGATIVE_LINK],
     ("network.latency", 1e308): [inf_margin(1e308)],
     ("network.jitter", -1.0): [NEGATIVE_LINK],
@@ -628,13 +629,56 @@ def test_integers_past_the_float_range_are_read():
 
 
 def test_workspace_past_the_float_range_is_a_violation():
-    """A workspace whose diagonal squared overflows gives an infinite filter
-    reach, reported like any other, not an OverflowError."""
+    """A workspace whose diagonal squared overflows is reported as a
+    workspace too large, not as an OverflowError or as a filter reach that
+    blames the gains."""
     with pytest.raises(ConfigError) as err:
         config_from_dict(variant(workspace={"x": [-1e200, 1e200]}))
     assert [(x.code, x.message) for x in err.value.violations] == [(
+        "BAD_VALUE", "workspace is too large: its diagonal squared is inf, must be finite")]
+
+
+def test_filter_reach_past_the_float_range_names_the_gains():
+    """A finite workspace diagonal whose filter terms overflow through the
+    barrier gain still blames the gains."""
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(variant(safety__barrier_gain=1e307))
+    assert [(x.code, x.message) for x in err.value.violations] == [(
         "BAD_VALUE", "speed limits, gains and barrier_gain are too large: the safety "
         "filter's terms over the workspace reach inf, must be finite")]
+
+
+def test_overflowing_spawn_pad_names_ugv_offset():
+    """An ugv_offset whose spawn pad 2*ugv_offset overflows is reported once,
+    naming ugv_offset, and not as every pair needing more than inf; the
+    other spawn checks still run."""
+    data = variant(ugv_offset=1e308)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(data)
+    assert [(x.code, x.message) for x in err.value.violations] == [
+        ("SPAWN_INFEASIBLE", "ugv0 spawns outside the workspace"),
+        ("SPAWN_INFEASIBLE", "ugv1 spawns outside the workspace"),
+        ("SPAWN_INFEASIBLE", "ugv_offset=1e+308 is too large: the spawn separation pad "
+         "2*ugv_offset is inf, must be finite")]
+    # A single pair has no spawn separation to pad.
+    single = variant(ugv_offset=1e308, pairs=1)
+    single["agents"] = single["agents"][:1]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(single)
+    assert [(x.code, x.message) for x in err.value.violations] == [
+        ("SPAWN_INFEASIBLE", "ugv0 spawns outside the workspace")]
+
+
+@pytest.mark.parametrize("duration, steps", [(1e308, "inf"), (1e300, "1e+302")])
+def test_duration_past_2_to_the_53_steps_is_a_violation(duration, steps):
+    """A duration of more than 2**53 steps of dt is reported: 1e308 s made
+    total_steps raise OverflowError, and 1e300 s a run that never ends.
+    2**53 steps exactly still validate."""
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(variant(duration=duration))
+    assert [(x.code, x.message) for x in err.value.violations] == [
+        ("BAD_VALUE", f"duration={duration} is {steps} steps of dt=0.01, must be at most 2**53")]
+    assert config_from_dict(variant(duration=2.0 ** 53 * 0.01)).total_steps() == 2 ** 53
 
 
 # -- dump_yaml against PyYAML ----------------------------------------------------

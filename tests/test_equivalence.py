@@ -299,15 +299,19 @@ def hysteresis_stacks(draw):
 @given(hysteresis_stacks())
 def test_stacked_hysteresis_matches_per_family_calls(case):
     """One hysteresis call on the (3, n, n) stack with its (3, 1, 1) radii
-    equals the three per-family calls with their float radii, bit for bit."""
+    equals, bit for bit, the rule evaluated family by family with that
+    family's float radius."""
     margin, distance, active = case
     n = distance.shape[1]
     w = Watcher(n, PARAMS, 2 * n + 4, static_tracks(n), activation_margin=margin)
     radii = (PARAMS.uav_separation, PARAMS.uav_ugv_separation, PARAMS.ugv_separation)
     assert w._radii.ravel().tolist() == list(radii)   # the stack's (aa, ago, gg) order
-    stacked = w._hysteresis(active, distance, w._radii)
-    per_family = [w._hysteresis(active[k], distance[k], radius)
-                  for k, radius in enumerate(radii)]
+    stacked = w._hysteresis(active, distance)
+    per_family = []
+    for k, radius in enumerate(radii):
+        activate_at = radius + margin
+        per_family.append(np.where(active[k], distance[k] <= activate_at + 0.1,
+                                   distance[k] < activate_at))
     assert stacked.dtype == bool and stacked.shape == (3, n, n)
     assert stacked.tobytes() == np.stack(per_family).tobytes()
 
@@ -826,8 +830,9 @@ def test_scheduled_units_match_per_tick_oracle():
     reached them or an update went stale and filtered as one batch, hold
     exactly the commands and statuses of per-unit objects ticked on every
     control tick, through stale gaps, ignored old stamps, relaxations and a
-    touchdown."""
+    touchdown, and the updates that reach a landed unit after it."""
     skipped = {0.0: 0, 0.25: 0}
+    after_touchdown = 0   # updates that reached a landed unit
     for quiet in skipped:
         for seed in range(4):
             for kind, timeout in ((UAV, 0.12), (UGV, 0.09)):
@@ -842,6 +847,7 @@ def test_scheduled_units_match_per_tick_oracle():
                     t = ticks[0][0]
                     for k, (_, messages) in enumerate(ticks):
                         for message in messages:
+                            after_touchdown += control.landed[k] and message[0] == "update"
                             deliver_lane(control, k, *message)
                             deliver(oracles[k], *message)
                     skipped[quiet] += not control.tick(t)
@@ -855,6 +861,7 @@ def test_scheduled_units_match_per_tick_oracle():
     # than a third.
     assert skipped[0.0] > 100
     assert skipped[0.25] > 3200 / 3
+    assert after_touchdown > 100
 
 
 # Tolerance of a row whose largest gradient entry is at most 1.
@@ -1143,7 +1150,10 @@ def test_fleet_integration_matches_per_agent_oracle():
     state objects, for 40 steps of random commands: every pose, position
     and tracked velocity equal, bit for bit.  Headings start on and next to
     +-pi and the turn rates carry them across it; the UGVs' offset-point
-    velocities often imply turn rates beyond the clamp."""
+    velocities often imply turn rates beyond the clamp.  The landed index
+    is a KindControl's, set by touchdown acknowledgements: none landed,
+    then some (an index array) from step 5 and, from step 32, all of them
+    (a slice)."""
     rng = np.random.default_rng(3)
     edges = [math.pi, math.nextafter(math.pi, 0.0), -math.pi + 1e-12,
              math.nextafter(-math.pi, 0.0) + 2 * math.pi, 0.0, -1e-300]
@@ -1164,18 +1174,24 @@ def test_fleet_integration_matches_per_agent_oracle():
         uav_states = {f"uav{i}": UavState(p=uav[i].copy()) for i in range(n)}
         ugv_states = {f"ugv{i}": UgvState(*ugv[i].tolist(), offset=0.1) for i in range(n)}
         uav_velocity = {f"uav{i}": np.zeros(3) for i in range(n)}
-        landed = np.zeros(n, dtype=bool)
+        uavs = KindControl([f"uav{i}" for i in range(n)], UAV, np.ones(3), PARAMS)
+        landed = uavs.landed
+        phases = set()   # the kinds of landed index the steps saw
         for step in range(40):
             u = rng.uniform(-1.0, 1.0, (n, 3))
             ugv_u = rng.uniform(-5.0, 5.0, (n, 2))
             ugv_u[rng.uniform(size=n) < 0.1] = 0.0   # held units
             if step in (5, 25):  # touchdowns; a landed UAV stays landed
-                landed[(step // 20) * (n // 2)] = True
+                uavs.on_touchdown_ack((step // 20) * (n // 2))
+            if step == 32:       # the rest of the fleet
+                for i in range(n):
+                    uavs.on_touchdown_ack(i)
+            phases.add(type(uavs.landed_rows).__name__)
             commands = {f"uav{i}": Command(u=u[i].copy()) for i in range(n)}
             commands.update({f"ugv{i}": Command(u=ugv_u[i].copy()) for i in range(n)})
             before = ugv[:, 2].copy()
             uav, ugv, velocity = _integrate(uav, ugv, velocity, u, ugv_u,
-                                            landed.copy(), cfg)
+                                            uavs.landed_rows, cfg)
             integrate_per_agent(uav_states, ugv_states, uav_velocity, commands,
                                 {f"uav{i}": bool(landed[i]) for i in range(n)},
                                 dt, lag, deck_z, limit)
@@ -1187,7 +1203,8 @@ def test_fleet_integration_matches_per_agent_oracle():
                 assert velocity[i].tobytes() == uav_velocity[f"uav{i}"].tobytes()
             assert np.all((-math.pi < ugv[:, 2]) & (ugv[:, 2] <= math.pi))
             assert np.all(uav[landed, 2] == deck_z)
-        assert landed.any() and (n == 1 or not landed.all())
+        assert landed.all()
+        assert phases == ({"NoneType", "slice"} if n == 1 else {"NoneType", "ndarray", "slice"})
     assert crossed > 20  # headings wrapped across +-pi
 
 
