@@ -2,8 +2,8 @@
 the unicycle offset transform, and the kinematic step models.
 
 Each unit acts on the latest coordination update the watcher sent it: one
-message per watcher tick carrying its pose, setpoint and constraint rows
-as plain arrays.  The units of one vehicle kind are held as arrays
+message per watcher tick carrying its pose, setpoint, constraint rows and
+its pair's landed bit.  The units of one vehicle kind are held as arrays
 (KindControl) and ticked together, only when a message arrived or an
 update went stale, those without a solution filtered as one batch through
 qp.project_lanes; AgentControlUnit is the same code for a single unit.
@@ -144,12 +144,15 @@ class KindControl:
     the slot and drops the unit's solution.  The filtered command is a
     function of the update alone, so it is solved once per update (u,
     status, sol_iters, sol_violation) and reused on the ticks in between.
-    The watcher owns the landing phases; a UAV unit only learns that it has
-    landed, from the touchdown acknowledgement, and then emits zero.
-    Landing is terminal, so a landed unit ignores every update: its slot
-    and dirty stay as they were.  landed_rows indexes the landed units for
-    the integration step: None while none has landed, slice(None) once all
-    have, their index array in between; only an acknowledgement changes it.
+    The watcher owns the landing phases: a UAV unit lands, and then emits
+    zero, on the first update with its landed bit set to reach it (landing
+    is terminal, so even one that overtook older ones), without writing
+    its slot; a UGV unit ignores the bit.  Until then it flies its last
+    update, or holds once that goes stale, with no fresh row covering it
+    (watcher.Watcher).  A landed unit ignores every update: its slot and
+    dirty stay as they were.  landed_rows indexes the landed units for the
+    integration step: None while none has landed, slice(None) once all
+    have, their index array in between; only a landing changes it.
 
     A unit's output is a function of its slot, its landed flag and whether
     its update is stale, so the kind's outputs can change between two ticks
@@ -191,20 +194,17 @@ class KindControl:
         self._oldest = np.inf
 
     def on_update(self, k: int, pose, position, rate, a, b, count: int,
-                  stamp: float) -> None:
+                  landed: bool, stamp: float) -> None:
         if self.landed[k]:
             return
         self.dirty = True
-        if stamp >= self.stamps[k]:
+        if landed and self.kind == UAV:
+            self.landed[k] = True
+            self.landed_rows = mask_index(self.landed)
+        elif stamp >= self.stamps[k]:
             self.stamps[k], self.pose[k], self.solved[k] = stamp, pose, False
             self.setpoint[k], self.rate[k] = position, rate
             self.a[k], self.b[k], self.count[k] = a, b, count
-
-    def on_touchdown_ack(self, k: int) -> None:
-        self.dirty = True
-        if self.kind == UAV:
-            self.landed[k] = True
-            self.landed_rows = mask_index(self.landed)
 
     def tick(self, now: float) -> bool:
         """Bring every unit's output up to date at now; returns whether any
@@ -265,9 +265,8 @@ class AgentControlUnit:
                  offset: float = 0.1):
         self.agent_id, self.kind = agent_id, kind
         self.lane = lane = KindControl([agent_id], kind, gains, params, hold_timeout, offset)
-        # on_update(pose, position, rate, a, b, count, stamp), on_touchdown_ack()
+        # on_update(pose, position, rate, a, b, count, landed, stamp)
         self.on_update = partial(lane.on_update, 0)
-        self.on_touchdown_ack = partial(lane.on_touchdown_ack, 0)
 
     @property
     def landed(self) -> bool:

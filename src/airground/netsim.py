@@ -2,14 +2,14 @@
 
 All traffic travels from the coordinator to an agent; a send on any other
 link (agent to agent, or agent to coordinator) is a hard failure.
-The coordinator sends each agent one UPDATE per watcher tick, carrying its
-pose, setpoint and constraint rows together as plain arrays, so a drop or a
-delay always takes all three; the only other message is the touchdown
-acknowledgement.  Each directed link owns an RNG stream derived from the
-scenario seed and the link's name, so adding links never perturbs the draws
-of existing ones.  A link seeds its stream on its first draw, so a link
-that never draws (an ideal one) builds no Generator; the bus checks the
-seed once, when it is made.
+The coordinator sends each agent one update per watcher tick, carrying its
+pose, setpoint, constraint rows and its pair's landed bit together, so a
+drop or a delay always takes all of them; there is no other message, and
+trace lines name its type: update.  Each directed link owns an RNG stream
+derived from the scenario seed and the link's name, so adding links never
+perturbs the draws of existing ones.  A link seeds its stream on its first
+draw, so a link that never draws (an ideal one) builds no Generator; the
+bus checks the seed once, when it is made.
 
 A link reads its stream as uniforms in [0, 1), in send order: one drop draw
 per message when drop_prob > 0 (the message is dropped when the draw is
@@ -22,8 +22,7 @@ same as with one Generator call per draw.
 
 Delivery is a deterministic total order: (deliver_time, seq, src, dst).
 A queue entry also carries the message and its link's counters.  A link's
-byte count adds each sent message's nominal size (wire_bytes), read off its
-type and its arrays' element counts.
+byte count adds each sent message's nominal size (wire_bytes).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -43,20 +41,14 @@ WATCHER_ID = "watcher"
 _BLOCK = 256  # uniforms a link draws from its stream at a time
 
 
-class MsgType(Enum):
-    UPDATE = "update"                # (pose, setpoint position, rate, a, b, count)
-    TOUCHDOWN_ACK = "touchdown_ack"
-
-
 @dataclass(slots=True)
 class Message:
-    msg_type: MsgType
     src: str
     dst: str
     send_time: float
     deliver_time: float
     seq: int          # strictly increasing per (src, dst)
-    payload: object = None
+    payload: object = None   # (pose, setpoint position, rate, a, b, count, landed)
 
 
 @dataclass(frozen=True)
@@ -97,15 +89,12 @@ class LinkStats:
     bytes: int = 0
 
 
-def wire_bytes(msg_type: MsgType, payload) -> int:
-    """A message's nominal size: a 16B header and 8 bytes per number, here an
-    acknowledgement's pair index, or an update's pose, setpoint position and
-    rate, and its constraint rows' A and b behind a 16B header of their own
-    (which carries the active row count)."""
-    if msg_type is MsgType.UPDATE:
-        pose, position, rate, a, b, _ = payload
-        return 32 + 8 * (pose.size + position.size + rate.size + a.size + b.size)
-    return 24
+def wire_bytes(payload) -> int:
+    """An update's nominal size: a 16B header (with the landed bit), 8 bytes
+    per number of its pose, setpoint position and rate, and its rows' A and
+    b behind a 16B header of their own (with the active row count)."""
+    pose, position, rate, a, b, _, _ = payload
+    return 32 + 8 * (pose.size + position.size + rate.size + a.size + b.size)
 
 
 class _Link:
@@ -167,30 +156,29 @@ class StarBus:
         link = self._links[dst] = _Link(LinkStats(), [self._seed, tag])
         return link
 
-    def send(self, msg_type: MsgType, src: str, dst: str, payload,
-             now: float) -> Message | None:
-        """Schedule a message; returns None when the link model drops it."""
+    def send(self, src: str, dst: str, payload, now: float) -> Message | None:
+        """Schedule an update; returns None when the link model drops it."""
         link = (src == WATCHER_ID and self._links.get(dst)) or self._open_link(src, dst)
         link.seq = seq = link.seq + 1
         stats = link.stats
         stats.sent += 1
-        stats.bytes += wire_bytes(msg_type, payload)
+        stats.bytes += wire_bytes(payload)
         model = self.link
         if model.drop_prob > 0.0 and link.uniform() < model.drop_prob:
             stats.dropped += 1
             if self.trace is not None:
                 self.trace.append(f"drop t={fmt9(now)} src={src} dst={dst} "
-                                  f"type={msg_type.value} seq={seq}")
+                                  f"type=update seq={seq}")
             return None
         latency = model.base_latency
         if model.jitter > 0.0:
             latency += self._jitter_low + self._jitter_range * link.uniform()
         deliver = max(now, now + latency)
-        msg = Message(msg_type, src, dst, now, deliver, seq, payload)
+        msg = Message(src, dst, now, deliver, seq, payload)
         heapq.heappush(self._queue, (deliver, seq, src, dst, msg, stats))
         if self.trace is not None:
             self.trace.append(f"send t={fmt9(now)} src={src} dst={dst} "
-                              f"type={msg_type.value} seq={seq} due={fmt9(deliver)}")
+                              f"type=update seq={seq} due={fmt9(deliver)}")
         return msg
 
     def deliver_due(self, now: float) -> list[Message]:
@@ -201,7 +189,7 @@ class StarBus:
             stats.delivered += 1
             if self.trace is not None:
                 self.trace.append(f"deliver t={fmt9(now)} src={msg.src} dst={msg.dst} "
-                                  f"type={msg.msg_type.value} seq={msg.seq} "
+                                  f"type=update seq={msg.seq} "
                                   f"sent={fmt9(msg.send_time)}")
             out.append(msg)
         return out

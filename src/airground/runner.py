@@ -5,16 +5,16 @@ deliveries, then the watcher tick (followed by a second delivery drain so
 zero-latency traffic lands in the same instant), then the control ticks,
 then kinematic integration, in which each UGV maps its unit's held
 offset-point velocity through its current heading (agents.step_ugv) and
-the landed UAVs ride their decks, written by the index the touchdown
-acknowledgements keep (KindControl.landed_rows).  The
+the landed UAVs ride their decks, written by the index their units keep
+(KindControl.landed_rows) as the updates' landed bits reach them.  The
 control units of a vehicle kind are one agents.KindControl, written by the
-message router from a per-agent table of unit index and handlers, one
-handler call per message: the watcher's one update per agent per tick, or
-a touchdown acknowledgement.  A kind's control tick runs only when a
-message reached it or one of its updates went stale, and then filters the
-units without a cached solution as one batch; otherwise every unit holds
-its last command.  All randomness flows from the scenario seed through
-named substreams, so a config+seed pair reproduces its logs byte for byte.
+message router from a per-agent table of unit index and handler, one
+handler call per message: the watcher's one update per agent per tick.  A
+kind's control tick runs only when a message reached it or one of its
+updates went stale, and then filters the units without a cached solution
+as one batch; otherwise every unit holds its last command.  All
+randomness flows from the scenario seed through named substreams, so a
+config+seed pair reproduces its logs byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .agents import (UAV, UGV, FilterError, KindControl, step_ugv, step_uav,
 from .config import ScenarioConfig
 from .errors import CapacityError, InvalidInputError, SafetyAbortError
 from .logfmt import fmt9
-from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
+from .netsim import WATCHER_ID, LinkStats, StarBus
 # run() no longer calls summarize_dir; bench/ still looks it up on this module.
 from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
                       WATCHER_FILE, WATCHER_HEADER, MetricsFold, MetricsSummary,
@@ -97,8 +97,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     uavs = KindControl(agent_ids[0::2], UAV, cfg.gains_uav, cfg.safety, cfg.hold_timeout)
     ugvs = KindControl(agent_ids[1::2], UGV, cfg.gains_ugv, cfg.safety, cfg.hold_timeout,
                        offset=cfg.ugv_offset)
-    # Per agent: its unit's index and handlers.
-    routes = {aid: (i, control.on_update, control.on_touchdown_ack)
+    # Per agent: its unit's index and update handler.
+    routes = {aid: (i, control.on_update)
               for control in (uavs, ugvs) for i, aid in enumerate(control.ids)}
 
     max_latency = cfg.network.base_latency + cfg.network.jitter
@@ -141,11 +141,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
 
     def route(messages):
         for msg in messages:
-            i, on_update, on_touchdown_ack = routes[msg.dst]
-            if msg.msg_type is MsgType.UPDATE:
-                on_update(i, *msg.payload, msg.send_time)
-            else:
-                on_touchdown_ack(i)
+            i, on_update = routes[msg.dst]
+            on_update(i, *msg.payload, msg.send_time)
 
     def min_h(times, statuses, *block):
         """The writer's min_h: folds a flushed block into the metrics.  The
@@ -191,8 +188,8 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             except (CapacityError, InvalidInputError) as exc:
                 raise abort(step, t, f"watcher: {exc}",
                             f"watcher failed at t={t}: {exc}")
-            for msg_type, dst, payload in outbound:
-                bus.send(msg_type, WATCHER_ID, dst, payload, t)
+            for dst, payload in outbound:
+                bus.send(WATCHER_ID, dst, payload, t)
             watcher_records += records
             if coordinator.tables is not tails_of[0]:
                 # Row counts in column order, then the proximal set.

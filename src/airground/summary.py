@@ -31,7 +31,7 @@ from .barriers import (eval_landing, offset_points, pairwise_sq_distances,
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import fmt9, fmt9_floats, fmt9_round_trip
-from .netsim import WATCHER_ID, LinkStats, MsgType, StarBus
+from .netsim import WATCHER_ID, LinkStats, StarBus
 from .watcher import PHASE_NAMES, TASK
 
 TRAJECTORY_FILE = "trajectory.csv"
@@ -353,17 +353,20 @@ def _blocks(path: str, header: str, width: int, cfg: ScenarioConfig, steps: int)
             del fields, got   # one block's fields are held at a time
 
 
-def _check_trajectory(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
+def _check_trajectory(cfg: ScenarioConfig, path: str, touchdown: np.ndarray,
+                      fold: MetricsFold) -> None:
     """Checks trajectory.csv block by block and folds it.  Per line, in
     file order: its field count and place (_blocks), its x, y, z, theta
     and min_h as float() reads them, a finite state.  Before a bad line, or
     the end of a log cut short, is reported, the complete ticks before it
-    are evaluated: their statuses must be ones the writer logs, then each
-    line's min_h must equal the value recomputed from the block's states or
-    lie within 1e-9 of it, the first line that does not being reported."""
-    m = 2 * cfg.n_pairs
-    for fields, linenos, times, error in _blocks(path, TRAJECTORY_HEADER, 12, cfg,
-                                                 cfg.steps_per_control()):
+    are evaluated: their statuses must be ones the writer logs, a UAV may
+    read landed only from its pair's touchdown step on (its unit learns of
+    a landing only from an update sent then or later), then each line's
+    min_h must equal the value recomputed from the block's states or lie
+    within 1e-9 of it, the first line that does not being reported."""
+    m, steps = 2 * cfg.n_pairs, cfg.steps_per_control()
+    tick = 0   # the block's first
+    for fields, linenos, times, error in _blocks(path, TRAJECTORY_HEADER, 12, cfg, steps):
         n = len(fields) // 12
         try:
             values = _numbers(fields, n)
@@ -383,10 +386,15 @@ def _check_trajectory(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None
             if not _STATUSES.issuperset(statuses):
                 k = next(k for k, status in enumerate(statuses) if status not in _STATUSES)
                 raise InvalidInputError(f"{path}:{linenos[k]}: unknown qp_status {statuses[k]!r}")
-            landed = np.fromiter(map("landed".__eq__, statuses), bool, ticks * m)
+            landed = np.fromiter(map("landed".__eq__, statuses), bool, ticks * m).reshape(ticks, m)
+            step = np.arange(tick, tick + ticks)[:, None] * steps
+            early = landed[:, 0::2] & (step < touchdown)
+            if early.any():
+                k, pair = divmod(int(early.argmax()), cfg.n_pairs)
+                raise InvalidInputError(f"{path}:{linenos[k * m + 2 * pair]}: uav{pair} reads "
+                                        f"landed before {WATCHER_FILE} lands its pair")
             x, y, z, theta, logged = values[:, :ticks * m].reshape(5, ticks, m)
-            per_agent, family, dist = tick_barriers(cfg, x, y, z, theta,
-                                                    landed.reshape(ticks, m))
+            per_agent, family, dist = tick_barriers(cfg, x, y, z, theta, landed)
             # The column was written at 9 significant digits; push the
             # recomputed values through the same format before comparing.
             expected = fmt9_round_trip(per_agent)[1]
@@ -399,6 +407,7 @@ def _check_trajectory(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None
                     f"disagrees with recomputed {float(expected.flat[k])!r}")
             fold.barriers(family, dist)
             fold.ticks(times[:ticks], statuses)
+            tick += ticks
         if error is not None:
             raise error
         del fields   # before _blocks splits the next block
@@ -423,21 +432,20 @@ def _float_error(text: str) -> ValueError | None:
     return None
 
 
-def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> dict[int, int]:
+def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> np.ndarray:
     """Checks watcher.csv block by block and folds its (agent id, active
     row count) records.  Per line, in file order: its field count and place
     (_blocks), then its phase, one of PHASE_NAMES, then its row counts,
     which must be non-negative integers summing to active_count (each
     distinct phase and counts is checked once), then its pair's phase
-    (_check_phases).  Returns, for each pair that lands, the watcher tick
-    (0, 1, 2, ...) at which its lines first read landed."""
-    n, m = cfg.n_pairs, 2 * cfg.n_pairs
+    (_check_phases).  Returns each pair's touchdown step: the step of the
+    watcher tick at which its lines first read landed, inf if none does."""
+    n, m, steps = cfg.n_pairs, 2 * cfg.n_pairs, cfg.steps_per_watcher()
     checked: dict[tuple[str, ...], int] = {}
-    landed: dict[int, int] = {}
+    touchdown = np.full(n, math.inf)
     last = [PHASE_NAMES[TASK]] * m   # the phases of the last tick read
     tick = 0   # the block's first
-    for fields, linenos, _, error in _blocks(path, WATCHER_HEADER, 10, cfg,
-                                             cfg.steps_per_watcher()):
+    for fields, linenos, _, error in _blocks(path, WATCHER_HEADER, 10, cfg, steps):
         records = list(zip(*(fields[j::10] for j in range(2, 9))))   # phase, counts
         good = len(records)   # the lines before the first bad record
         for key in dict.fromkeys(records):   # distinct, first seen first
@@ -461,14 +469,14 @@ def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> dict[in
             _check_phases(path, linenos, phases, m, last)
             for pair in range(n):
                 column = phases[2 * pair::m]
-                if pair not in landed and "landed" in column:
-                    landed[pair] = tick + column.index("landed")
+                if touchdown[pair] == math.inf and "landed" in column:
+                    touchdown[pair] = (tick + column.index("landed")) * steps
             last = phases[-m:]
         if error is not None:
             raise error
         fold.rows(zip(fields[1::10], map(checked.__getitem__, records)))
         tick += len(phases) // m
-    return landed
+    return touchdown
 
 
 def _check_phases(path: str, linenos, phases: list[str], m: int, last: list[str]) -> None:
@@ -492,37 +500,29 @@ def _check_phases(path: str, linenos, phases: list[str], m: int, last: list[str]
         last = row
 
 
-def _check_trace(cfg: ScenarioConfig, path: str, landed: dict[int, int],
-                 fold: MetricsFold) -> None:
+def _check_trace(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
     """Checks trace.log against a replay of the run's bus and folds the
     replayed bus's link counts.  The replay drives a StarBus built from the
     config as run() does: a delivery at every step and, at each watcher
-    tick, one touchdown acknowledgement to the UAV of each pair that lands
-    there (landed, from watcher.csv), in pair order, then one update per
-    agent in agent_ids order and a second delivery.  After each step the
-    lines the bus wrote must be the log's next lines; blank and
-    whitespace-only lines are skipped, and the last line may lack its
-    newline."""
+    tick, one update per agent in agent_ids order and a second delivery.
+    After each step the lines the bus wrote must be the log's next lines;
+    blank and whitespace-only lines are skipped, and the last line may lack
+    its newline."""
     ids = cfg.agent_ids()
     lines: list[str] = []
     bus = StarBus(ids, cfg.network, cfg.seed, trace=lines)
-    acks: dict[int, list[int]] = {}
-    for pair, tick in sorted(landed.items()):
-        acks.setdefault(tick * cfg.steps_per_watcher(), []).append(pair)
     # An update's payload arrays only size it (wire_bytes), and no trace
-    # line logs a size: the replay sends empty ones.
+    # line logs a size or the landed bit: the replay sends empty ones.
     empty = np.empty(0)
-    update = (empty, empty, empty, empty, empty, 0)
+    update = (empty, empty, empty, empty, empty, 0, False)
     with open(path, "r") as f:
         numbered, lineno = enumerate(f, start=1), 0   # lineno: the last line read
         for step in range(cfg.total_steps() + 1):
             t = step * cfg.dt
             bus.deliver_due(t)
             if step % cfg.steps_per_watcher() == 0:
-                for pair in acks.get(step, ()):
-                    bus.send(MsgType.TOUCHDOWN_ACK, WATCHER_ID, f"uav{pair}", pair, t)
                 for aid in ids:
-                    bus.send(MsgType.UPDATE, WATCHER_ID, aid, update, t)
+                    bus.send(WATCHER_ID, aid, update, t)
                 bus.deliver_due(t)
             for want in lines:
                 for lineno, got in numbered:
@@ -547,16 +547,16 @@ def summarize_dir(out_dir: str) -> MetricsSummary:
     time, agent or kind is not the one run() writes at its place, or a log
     that ends early, is reported with its file and line.  Each log is read
     and checked a block of at most BLOCK_SAMPLES lines at a time, in file
-    order, so the first bad line is the one reported (_check_trajectory,
-    _check_watcher).  watcher.csv is required; trace.log is checked when
-    present, line for line against a replay of the run's bus that sends the
-    touchdown acks where watcher.csv's phases first read landed
-    (_check_trace)."""
+    order, so the first bad line is the one reported (_check_watcher, then
+    _check_trajectory, whose UAVs may read landed only from the ticks where
+    watcher.csv's phases first read landed).  watcher.csv is required;
+    trace.log is checked when present, line for line against a replay of
+    the run's bus (_check_trace)."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
     fold = MetricsFold(cfg.n_pairs)
-    _check_trajectory(cfg, os.path.join(out_dir, TRAJECTORY_FILE), fold)
-    landed = _check_watcher(cfg, os.path.join(out_dir, WATCHER_FILE), fold)
+    touchdown = _check_watcher(cfg, os.path.join(out_dir, WATCHER_FILE), fold)
+    _check_trajectory(cfg, os.path.join(out_dir, TRAJECTORY_FILE), touchdown, fold)
     trace_path = os.path.join(out_dir, TRACE_FILE)
     if os.path.exists(trace_path):
-        _check_trace(cfg, trace_path, landed, fold)
+        _check_trace(cfg, trace_path, fold)
     return fold.result()

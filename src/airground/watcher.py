@@ -16,13 +16,13 @@ one stacked pass over the fleet:
 4. assembles every agent's zero-padded constraint rows, min(capacity,
    2n+4) of them, as one A and b block per vehicle kind, in one array
    pass per barrier family (row order on assemble_constraints),
-5. returns one update per agent for the star bus, a (MsgType.UPDATE, dst,
-   (pose, position, rate, a, b, count)) tuple carrying its pose, setpoint
-   and constraint rows (views of its kind's blocks, with the active row
-   count) together, with the setpoints of all agents sampled from one
-   TrackTable, built once from each agent's (waypoints, speed) pair as the
-   scenario config parsed it, and the records' proximal sets read off one
-   gate matrix with lexicographic columns.
+5. returns one update per agent for the star bus, a (dst, (pose, position,
+   rate, a, b, count, landed)) pair carrying its pose, setpoint, constraint
+   rows (views of its kind's blocks, with the active row count) and its
+   pair's landed bit together, with the setpoints of all agents sampled
+   from one TrackTable, built once from each agent's (waypoints, speed)
+   pair as the scenario config parsed it, and the records' proximal sets
+   read off one gate matrix with lexicographic columns.
 
 Gates flip far less often than the fleet moves, and phases change less
 often still: what follows from them (row slots and counts, the capacity
@@ -42,8 +42,7 @@ phase, which switches the UAV's setpoint stream from its task track to the
 moving platform.  Touchdown is declared after the UAV holds within tight
 horizontal/vertical thresholds for a dwell time; the pair then retires from
 the aerial collision set (every UAV-UAV row involving the landed UAV drops,
-and the landed UAV keeps only its wall and funnel rows).  Other UAVs keep
-their rows against the carrier UGV, which keeps protecting the docked stack.
+and the landed UAV keeps only its wall and funnel rows; see Watcher).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .barriers import (RowKind, SafetyParams, build_constraint_row,
                        build_workspace_rows, mask_index, offset_points,
                        pairwise_sq_distances, wall_gradients)
 from .errors import CapacityError, ConfigViolation, InvalidInputError
-from .netsim import MsgType
 
 _PROXIMITY_HYSTERESIS = 0.1  # extra meters before an active pair deactivates
 
@@ -237,7 +235,13 @@ class _GateTables(NamedTuple):
 
 
 class Watcher:
-    """State and per-tick decision logic of the coordination node."""
+    """State and per-tick decision logic of the coordination node.
+
+    phases is the one landing state; every update carries its pair's bit
+    of it.  Until the first update with the bit set reaches a landed UAV
+    (agents.KindControl), it still flies, retired here: no fresh row covers
+    it, and the other UAVs take it to ride its deck, behind their rows
+    against its carrier UGV, which keep protecting the docked stack."""
 
     def __init__(
         self,
@@ -285,7 +289,6 @@ class Watcher:
         self._prox_ends = np.arange(1, 2 * n_pairs + 1) * 2 * n_pairs  # each row's end
         self._touch_since = np.full(n_pairs, np.nan)   # NaN: outside the window
         self.touchdown_times: dict[int, float] = {}
-        self._pending: list[tuple[MsgType, str, object]] = []
         # This tick's fleet, indexed by pair: UAV positions (x, y, z), UGV
         # decks (x, y) and UGV offset points (x, y) in one (n, 7) array,
         # and the UGV poses (x, y, theta).  Both are fresh every tick.
@@ -423,7 +426,6 @@ class Watcher:
             if now - since >= self._touch_hold:
                 self.phases[i] = LANDED
                 self.touchdown_times[i] = now
-                self._pending.append((MsgType.TOUCHDOWN_ACK, f"uav{i}", i))
 
     # -- constraint assembly ------------------------------------------------
 
@@ -497,17 +499,18 @@ class Watcher:
 
     # -- main tick ----------------------------------------------------------
 
-    def tick(self, now: float, uav, ugv) -> tuple[list[tuple[MsgType, str, object]],
+    def tick(self, now: float, uav, ugv) -> tuple[list[tuple[str, tuple]],
                                                  list[WatcherRecord]]:
         """Run one coordination cycle on the fleet's (n, 3) UAV positions and
         (n, 3) UGV poses (x, y, theta), indexed by pair; returns the
-        (msg_type, dst, payload) messages to send and the records.
+        (dst, payload) updates to send, in tick order (uav0, ugv0, uav1,
+        ...), and the records.
 
-        Each agent gets one update (pose, position, rate, a, b, count): its
-        pose (a row of this tick's copy of the fleet), its setpoint and its
-        constraint rows, row views of assemble_constraints' blocks.
-        Touchdown acknowledgements come first, then the updates in tick
-        order (uav0, ugv0, uav1, ...)."""
+        Each agent gets one update (pose, position, rate, a, b, count,
+        landed): its pose (a row of this tick's copy of the fleet), its
+        setpoint, its constraint rows (row views of assemble_constraints'
+        blocks) and whether its pair is landed, as of this tick's
+        touchdowns."""
         n = self.n_pairs
         self._ugv = ugv = np.array(ugv, dtype=float).reshape(n, 3)
         self._fleet = fleet = np.empty((n, 7))
@@ -523,6 +526,7 @@ class Watcher:
         lhs[2, :, :2] = rhs[2, :, :2] = fleet[:, 5:]
 
         self._check_touchdowns(now)
+        landed = (self.phases == LANDED).tolist()
         self._update_gates()
 
         blocks = self.assemble_constraints()
@@ -531,9 +535,8 @@ class Watcher:
         updates = [None] * (2 * n)
         for k, (ids, poses, dim, (a, b, counts)) in enumerate(zip(
                 (self._uav_ids, self._ugv_ids), (fleet[:, :3], ugv), (3, 2), blocks)):
-            updates[k::2] = zip(repeat(MsgType.UPDATE), ids, zip(
-                poses, positions[k::2, :dim], rates[k::2, :dim], a, b, counts))
-        outbound, self._pending = self._pending + updates, []
+            updates[k::2] = zip(ids, zip(
+                poses, positions[k::2, :dim], rates[k::2, :dim], a, b, counts, landed))
         records = list(map(WatcherRecord, repeat(now), self._ids, tables.active,
                            tables.kind_counts, tables.phases, tables.proximal))
-        return outbound, records
+        return updates, records

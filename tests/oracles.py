@@ -84,10 +84,10 @@ from airground.barriers import RowKind, SafetyParams
 from airground.config import load_config
 from airground.errors import CapacityError, InvalidInputError
 from airground.logfmt import fmt9, fmt9_round_trip
-from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message, MsgType
+from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message
 from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpSolution,
                           _blocking_step, _project)
-from airground.watcher import PHASE_NAMES, TASK, WatcherRecord
+from airground.watcher import LANDED, PHASE_NAMES, TASK, WatcherRecord
 
 _PROXIMITY_HYSTERESIS = 0.1
 
@@ -543,16 +543,15 @@ class ScalarControlUnit:
         return (self.params.uav_speed_limit if self.kind == UAV
                 else self.params.ugv_speed_limit)
 
-    def on_update(self, pose, position, rate, a, b, count: int, stamp: float) -> None:
-        if stamp >= self._update.stamp:
+    def on_update(self, pose, position, rate, a, b, count: int, landed: bool,
+                  stamp: float) -> None:
+        if landed and self.kind == UAV:
+            self.landed = True
+        elif stamp >= self._update.stamp:
             self._update = _Slot((np.asarray(pose, dtype=float),
                                   np.asarray(position, dtype=float),
                                   np.asarray(rate, dtype=float), Matrix(a, b, count)), stamp)
             self._solved = None
-
-    def on_touchdown_ack(self) -> None:
-        if self.kind == UAV:
-            self.landed = True
 
     def _zero(self) -> np.ndarray:
         return np.zeros(3 if self.kind == UAV else 2)
@@ -850,8 +849,9 @@ def build_constraint_row(kind: RowKind, self_state, other_state, other_velocity,
 
 class Matrix(NamedTuple):
     """One agent's constraint rows: the zero-padded (capacity, dim) A and
-    (capacity,) b, and the active row count.  An update carries them as
-    its last three fields (a Matrix unpacks into them)."""
+    (capacity,) b, and the active row count.  An update carries them
+    after its setpoint and before its landed bit (a Matrix unpacks into
+    them)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -979,10 +979,11 @@ def type_walk_field_bytes(field) -> int:
 
 def type_walk_payload_bytes(payload) -> int:
     """Nominal wire size: a 16B header plus the payload's fields.  An
-    update's (pose, position, rate, a, b, count) is sized as it was shipped
-    then, its rows and count as one matrix object."""
-    if isinstance(payload, tuple) and len(payload) == 6:
-        payload = (*payload[:3], Matrix(*payload[3:]))
+    update's (pose, position, rate, a, b, count, landed) is sized as it was
+    shipped then, its rows and count as one matrix object and its landed
+    bit in the header."""
+    if isinstance(payload, tuple) and len(payload) == 7:
+        payload = (*payload[:3], Matrix(*payload[3:6]))
     return 16 + type_walk_field_bytes(payload)
 
 
@@ -1048,9 +1049,10 @@ def per_agent_fanout(w, tracks, now: float) -> tuple[list[tuple], list[WatcherRe
     agent at a time: an update of a copied pose, the position and rate of
     the setpoint from the agent's own (waypoints, speed) pair in tracks
     (tick order, as the watcher was built with) by waypoint_sample (a landing or landed pair's UAV chases
-    its platform's hover point instead), the per-row matrix, and a record
-    whose proximal set is tuple(sorted(proximal_set(agent))).  Row counts
-    come from the per-row oracle's row kinds."""
+    its platform's hover point instead), the per-row matrix and whether the
+    pair is landed, and a record whose proximal set is
+    tuple(sorted(proximal_set(agent))).  Row counts come from the per-row
+    oracle's row kinds."""
     updates, records = [], []
     s = tick_state(w)
     for i in range(w.n_pairs):
@@ -1063,7 +1065,7 @@ def per_agent_fanout(w, tracks, now: float) -> tuple[list[tuple], list[WatcherRe
                         else np.array([s.v_deck[i, 0], s.v_deck[i, 1], 0.0]))
                 setpoint = (hover_point(w, i), rate)
             matrix, rows = assemble_per_row(w, agent_id)
-            updates.append((MsgType.UPDATE, agent_id, (pose.copy(), *setpoint, *matrix)))
+            updates.append((agent_id, (pose.copy(), *setpoint, *matrix, bool(phase == LANDED))))
             records.append(WatcherRecord(
                 time=now, agent_id=agent_id, active_count=matrix.active_count,
                 kind_counts=per_agent_kind_counts(rows_layout(rows)[0]),
@@ -1099,8 +1101,7 @@ class ScalarDrawBus:
             self._rng[key] = rng
         return rng
 
-    def send(self, msg_type: MsgType, src: str, dst: str, payload,
-             now: float) -> Message | None:
+    def send(self, src: str, dst: str, payload, now: float) -> Message | None:
         agent = self._check_link(src, dst)
         stats = self._stats.setdefault(agent, LinkStats())
         key = (src, dst)
@@ -1116,7 +1117,7 @@ class ScalarDrawBus:
         if self.link.jitter > 0.0:
             latency += rng.uniform(-self.link.jitter, self.link.jitter)
         deliver = max(now, now + latency)
-        msg = Message(msg_type=msg_type, src=src, dst=dst, send_time=now,
+        msg = Message(src=src, dst=dst, send_time=now,
                       deliver_time=deliver, seq=seq, payload=payload)
         heapq.heappush(self._queue, (deliver, seq, src, dst, msg))
         return msg

@@ -108,7 +108,8 @@ def test_c03_forward_invariance(tmp_path):
 
 def test_c04_landing_on_moving_platform(tmp_path):
     """10 seeded scenarios, platform speeds 0.30-0.48 m/s: every UAV touches
-    down within 40 s of its signal and the funnel barrier never drops below
+    down within 40 s of its signal, in the watcher's view and in its unit's
+    (a landing_outcomes entry), and the funnel barrier never drops below
     -1e-3 on the way down."""
     worst_h = 0.0
     worst_delay = 0.0
@@ -127,6 +128,9 @@ def test_c04_landing_on_moving_platform(tmp_path):
                 worst_delay = max(worst_delay, touchdown - signal_times[pair])
                 if touchdown - signal_times[pair] > 40.0:
                     failures.append((k, pair, f"late: {touchdown}"))
+            landed = result.metrics.landing_outcomes[pair]
+            if landed is None or landed - signal_times[pair] > 40.0:
+                failures.append((k, pair, f"unit landed: {landed}"))
     ok = not failures and worst_h >= -1e-3
     report("landing on moving platform", ok,
            f"20 landings, slowest {worst_delay:.1f}s after signal, "

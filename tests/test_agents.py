@@ -10,7 +10,7 @@ from airground.agents import (UAV, UGV, AgentControlUnit, KindControl, data_stal
                               nominal_velocity, step_ugv, step_uav, wrap_angle)
 from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import InvalidInputError
-from airground.netsim import WATCHER_ID, LinkModel, MsgType, StarBus
+from airground.netsim import WATCHER_ID, LinkModel, StarBus
 
 from oracles import (UgvState, build_constraint_row, from_rows, nid_forward,
                      nid_inverse, per_slot_stale, step_ugv_held)
@@ -178,7 +178,7 @@ class TestControlUnit:
                                 hold_timeout=0.25)
 
     def feed(self, unit, t, pose, setpoint, rate, matrix):
-        unit.on_update(pose, setpoint, rate, *matrix, t)
+        unit.on_update(pose, setpoint, rate, *matrix, False, t)
 
     def test_holds_without_data(self):
         unit = self.make_uav()
@@ -242,7 +242,8 @@ class TestControlUnit:
         turns it into a body twist at its heading."""
         unit = AgentControlUnit("ugv0", UGV, np.full(2, 1.0), PARAMS,
                                 hold_timeout=0.25, offset=0.1)
-        unit.on_update((0.0, 0.0, 0.0), (1.0, 0.0), (0, 0), *empty_matrix("ugv0", dim=2), 0.0)
+        unit.on_update((0.0, 0.0, 0.0), (1.0, 0.0), (0, 0), *empty_matrix("ugv0", dim=2),
+                       False, 0.0)
         cmd, tele = unit.tick(0.0)
         # offset point starts at (0.1, 0): nominal pulls +x, clamped to the
         # UGV box, which the vehicle drives as pure forward motion.
@@ -254,14 +255,29 @@ class TestControlUnit:
         assert omega == pytest.approx(0.0, abs=1e-12)
 
     def test_landed_mode_emits_zero(self):
+        """The first update with the landed bit lands the unit without
+        writing its slot, even one older than the unit's stamp."""
         unit = self.make_uav()
-        self.feed(unit, 0.0, (0, 0, 1), (2, 0, 1), (0, 0, 0), empty_matrix())
+        self.feed(unit, 0.1, (0, 0, 1), (2, 0, 1), (0, 0, 0), empty_matrix())
         assert not unit.landed
-        unit.on_touchdown_ack()
+        unit.on_update((5, 5, 1), (5, 5, 1), (1, 0, 0), *empty_matrix(), True, 0.05)
         assert unit.landed
-        cmd, tele = unit.tick(0.0)
+        lane = unit.lane
+        assert lane.stamps.tolist() == [0.1] and lane.setpoint[0].tolist() == [2, 0, 1]
+        cmd, tele = unit.tick(0.1)
         assert tele.status == "landed"
         assert np.allclose(cmd.u, 0)
+
+    def test_ugv_unit_ignores_the_landed_bit(self):
+        """A UGV's update carries its pair's landed bit too; the unit takes
+        it as any other update and keeps driving."""
+        unit = AgentControlUnit("ugv0", UGV, np.full(2, 1.0), PARAMS,
+                                hold_timeout=0.25, offset=0.1)
+        unit.on_update((0.0, 0.0, 0.0), (1.0, 0.0), (0, 0), *empty_matrix("ugv0", dim=2),
+                       True, 0.0)
+        assert not unit.landed and unit.lane.landed_rows is None
+        cmd, tele = unit.tick(0.0)
+        assert tele.status == "optimal" and cmd.u.tolist() == [0.6, 0.0]
 
     def test_latest_wins_ignores_reordered_pose(self):
         unit = self.make_uav()
@@ -290,9 +306,9 @@ class TestControlUnit:
             unit.tick(t)
         assert len(calls) == 1
         replacements = [  # the update's stamp, and what it carries
-            (0.06, ((0.1, 0, 1), (2, 0, 1), (0, 0, 0), *empty_matrix())),
-            (0.08, ((0.1, 0, 1), (2, 1, 1), (0, 0, 0), *empty_matrix())),
-            (0.08, ((0.2, 0, 1), (2, 1, 1), (0, 0, 0), *empty_matrix())),  # equal stamp
+            (0.06, ((0.1, 0, 1), (2, 0, 1), (0, 0, 0), *empty_matrix(), False)),
+            (0.08, ((0.1, 0, 1), (2, 1, 1), (0, 0, 0), *empty_matrix(), False)),
+            (0.08, ((0.2, 0, 1), (2, 1, 1), (0, 0, 0), *empty_matrix(), False)),  # equal stamp
         ]
         for k, (stamp, update) in enumerate(replacements):
             calls.clear()
@@ -323,9 +339,9 @@ class TestControlUnit:
             t = 0.05 * k
             matrix = empty_matrix()
             update = (np.array([0.01 * k, 0.0, 1.0]), np.array([2.0, 0.1 * k, 1.0]),
-                      np.full(3, 0.01 * k), *matrix)
+                      np.full(3, 0.01 * k), *matrix, False)
             before = fields()
-            sent = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update, t)
+            sent = bus.send(WATCHER_ID, "uav0", update, t)
             for msg in bus.deliver_due(t):
                 control.on_update(0, *msg.payload, msg.send_time)
             if sent is None:
@@ -382,7 +398,7 @@ class TestStaleness:
             unit = AgentControlUnit("uav0", UAV, np.full(3, 1.0), PARAMS, hold_timeout=timeout)
             for stamp in stamps:  # updates in any order: the latest stays
                 if stamp > -math.inf:
-                    update = ((0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), stamp)
+                    update = ((0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), False, stamp)
                     unit.on_update(*update)
                     control.on_update(k, *update)
             oldest.append(unit.lane.stamps[0])
@@ -397,44 +413,45 @@ class TestStaleness:
         control = KindControl(["uav0", "uav1", "uav2"], UAV, np.full(3, 1.0), PARAMS, 0.25)
         assert control.tick(0.0)                       # every unit's first tick
         assert control.status.tolist() == ["hold"] * 3
-        control.on_update(1, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), 0.0)
-        control.on_touchdown_ack(2)
+        control.on_update(1, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), False, 0.0)
+        control.on_update(2, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), True, 0.0)
         assert control.tick(0.0)                       # two messages arrived
         assert control.status.tolist() == ["hold", "optimal", "landed"]
         assert not control.tick(0.25)                  # unit 1's update is still fresh
         assert control.tick(0.26)                      # and now it is stale
         assert control.status.tolist() == ["hold", "hold", "landed"]
         assert not control.tick(1.0)                   # no live unit is left to go stale
-        control.on_update(1, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), -1.0)
+        control.on_update(1, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), False, -1.0)
         assert control.tick(1.0)                       # a message, if an ignored one
         assert control.status.tolist() == ["hold", "hold", "landed"]
-        control.on_update(0, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), 1.0)
+        control.on_update(0, (0, 0, 1), (0, 0, 1), (0, 0, 0), *empty_matrix(), False, 1.0)
         assert control.tick(1.0)
         assert control.status.tolist() == ["optimal", "hold", "landed"]
 
     def test_a_landed_unit_ignores_its_updates(self):
-        """Landing is terminal: an update sent to a landed unit leaves its
-        slot, its output and the kind's dirty flag as they were, so the kind
-        does not tick for it.  landed_rows indexes the landed units: an
-        index array while some are, a slice once all are."""
+        """Landing is terminal: an update sent to a landed unit, with or
+        without the landed bit, leaves its slot, its output and the kind's
+        dirty flag as they were, so the kind does not tick for it.
+        landed_rows indexes the landed units: an index array while some
+        are, a slice once all are."""
         control = KindControl(["uav0", "uav1"], UAV, np.full(3, 1.0), PARAMS, 0.25)
         assert control.landed_rows is None
-        control.on_update(0, (0, 0, 1), (1, 0, 1), (0, 0, 0), *empty_matrix(), 0.0)
-        control.on_update(1, (0, 0, 1), (0, 1, 1), (0, 0, 0), *empty_matrix(), 0.0)
+        control.on_update(0, (0, 0, 1), (1, 0, 1), (0, 0, 0), *empty_matrix(), False, 0.0)
+        control.on_update(1, (0, 0, 1), (0, 1, 1), (0, 0, 0), *empty_matrix(), False, 0.0)
         assert control.tick(0.0)
-        control.on_touchdown_ack(0)
+        control.on_update(0, (0, 0, 1), (1, 0, 1), (0, 0, 0), *empty_matrix(), True, 0.1)
         assert control.landed_rows.tolist() == [0]
         assert control.tick(0.1)
         assert control.status.tolist() == ["landed", "optimal"]
         flown = control.u[1].tolist()
-        for stamp in (0.1, 0.2):
-            control.on_update(0, (3, 3, 3), (3, 3, 2), (1, 1, 1), *empty_matrix(), stamp)
+        for stamp, landed in ((0.1, False), (0.2, True)):
+            control.on_update(0, (3, 3, 3), (3, 3, 2), (1, 1, 1), *empty_matrix(), landed, stamp)
             assert not control.tick(stamp)
             assert control.u.tolist() == [[0.0, 0.0, 0.0], flown]
             assert control.status.tolist() == ["landed", "optimal"]
         assert control.stamps[0] == 0.0 and control.pose[0].tolist() == [0, 0, 1]
         assert control.setpoint[0].tolist() == [1, 0, 1] and control.rate[0].tolist() == [0, 0, 0]
-        control.on_touchdown_ack(1)
+        control.on_update(1, (0, 0, 1), (0, 1, 1), (0, 0, 0), *empty_matrix(), True, 0.3)
         assert control.landed_rows == slice(None)
         assert control.tick(0.3)
         assert control.status.tolist() == ["landed", "landed"]

@@ -565,7 +565,7 @@ class TestSummarize:
             f.write("\n".join(lines) + "\n")
         assert main(["summarize", out_dir]) == 1
         err = capsys.readouterr().err
-        assert f"{trace}: ends after line 1279, expected {deleted} next" in err
+        assert f"{trace}: ends after line 1275, expected {deleted} next" in err
         assert "Traceback" not in err
 
     def test_deleted_deliver_line_fails(self, tmp_path, capsys):
@@ -614,17 +614,19 @@ class TestSummarize:
         # The delivery time of a message still in flight at the end.
         ("trace.log", "dst=ugv0 type=update seq=161 due=8.0189438",
          "dst=ugv0 type=update seq=161 due=8.0189439"),
-        # Pair 0's first landed lines, on both of its agents' lines: its
-        # touchdown ack moves a tick later.
+        # A pair's first landed lines, on both of its agents' lines: its
+        # touchdown moves a tick later, after its UAV's first landed line.
         ("watcher.csv", ",uav0,landed,|,ugv0,landed,", ",uav0,landing,|,ugv0,landing,"),
+        ("watcher.csv", ",uav1,landed,|,ugv1,landed,", ",uav1,landing,|,ugv1,landing,"),
         ("watcher.csv", ",uav0,landing,", ",uav0,bogus,"),
-    ], ids=["retimed_deliver", "uplink_drop", "due", "landed", "bogus_phase"])
+    ], ids=["retimed_deliver", "uplink_drop", "due", "landed", "landed_pair1",
+            "bogus_phase"])
     def test_landing_trace_edit_fails(self, tmp_path, capsys, log, old, new):
         """Each edit exits 1 naming a line: trace.log must be the replayed
-        bus's, whose acks go out at the ticks where watcher.csv's phases
-        first read landed, and a phase must be one the watcher logs.  An
-        edit "a|b" to "c|d" puts c for a and d for b, each on the first
-        line that holds it."""
+        bus's, a UAV may read landed in trajectory.csv only from the tick
+        where watcher.csv's phases first read landed for its pair, and a
+        phase must be one the watcher logs.  An edit "a|b" to "c|d" puts c
+        for a and d for b, each on the first line that holds it."""
         out_dir, trace, events = self.landing_trace(tmp_path, capsys)
         path = os.path.join(out_dir, log)
         with open(path) as f:
@@ -642,12 +644,37 @@ class TestSummarize:
         err = capsys.readouterr().err
         if log == "watcher.csv" and "bogus" in new:
             assert f"{path}:{k + 1}: unknown phase 'bogus'" in err
-        elif log == "watcher.csv":   # the ack's line is where the replay first differs
-            ack = next(j for j, line in enumerate(events)
-                       if " dst=uav0 type=touchdown_ack " in line)
-            assert f"{trace}:{ack + 1}: expected " in err
+        elif log == "watcher.csv":   # the UAV's first landed line now comes too early
+            uav = old.split(",")[1]
+            trajectory = os.path.join(out_dir, "trajectory.csv")
+            with open(trajectory) as f:
+                first = next(j for j, line in enumerate(f)
+                             if line.split(",")[1:11:9] == [uav, "landed"])
+            assert (f"{trajectory}:{first + 1}: {uav} reads landed before watcher.csv "
+                    "lands its pair") in err
         else:
             assert f"{trace}:{k + 1}: expected " in err
+        assert "Traceback" not in err
+
+    def test_landing_the_watcher_never_logged_fails(self, tmp_path, capsys):
+        """With every landed phase of pair 1 in watcher.csv put back to
+        landing, uav1's first landed line in trajectory.csv is reported."""
+        out_dir, _, _ = self.landing_trace(tmp_path, capsys)
+        watcher = os.path.join(out_dir, "watcher.csv")
+        with open(watcher) as f:
+            lines = f.read().splitlines()
+        with open(watcher, "w") as f:
+            f.writelines((line.replace(",landed,", ",landing,")
+                          if line.split(",")[1] in ("uav1", "ugv1") else line) + "\n"
+                         for line in lines)
+        trajectory = os.path.join(out_dir, "trajectory.csv")
+        with open(trajectory) as f:
+            first = next(j for j, line in enumerate(f)
+                         if line.split(",")[1:11:9] == ["uav1", "landed"])
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert (f"{trajectory}:{first + 1}: uav1 reads landed before watcher.csv "
+                "lands its pair") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("agent, which, lineno, problem", [
@@ -702,7 +729,7 @@ class TestSummarize:
 
 @pytest.fixture(scope="module")
 def landing_run(tmp_path_factory):
-    """An 8 s traced landing_demo.yaml run: drops, jitter and two acks."""
+    """An 8 s traced landing_demo.yaml run: drops, jitter and two landings."""
     out_dir = str(tmp_path_factory.mktemp("landing_run"))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", os.path.join(SCENARIOS, "landing_demo.yaml"), "--duration", "8",

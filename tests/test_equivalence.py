@@ -26,7 +26,7 @@ from airground.agents import (UAV, UGV, AgentControlUnit, Command, KindControl,
 from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import CapacityError, InvalidInputError
 from airground.logfmt import fmt9, fmt9_round_trip
-from airground.netsim import WATCHER_ID, MsgType, StarBus, wire_bytes
+from airground.netsim import WATCHER_ID, StarBus, wire_bytes
 from airground.qp import _project, project_with_box, solve_relaxed
 from airground import runner
 from airground.runner import _integrate, run
@@ -385,8 +385,7 @@ def test_array_assembly_matches_per_row_oracle(case):
                     assert str(exc) == str(want)
                     return
             raise AssertionError(f"the oracle fits every agent: {exc}")
-        shipped = [(dst, Matrix(*payload[3:])) for msg_type, dst, payload in outbound
-                   if msg_type is MsgType.UPDATE]
+        shipped = [(dst, Matrix(*payload[3:6])) for dst, payload in outbound]
         assert [dst for dst, _ in shipped] == ids
         for aid, got in shipped:
             want, rows = assemble_per_row(w, aid)
@@ -516,18 +515,15 @@ def fanout_runs(draw):
 
 
 def assert_fanout_matches_oracle(w, tracks, now, outbound, records):
-    """A tick's updates (order, types, destinations and payload bits), their
+    """A tick's updates (order, destinations and payload bits), their
     wire sizes and its records equal the per-agent fan-out's on the
     watcher's (waypoints, speed) tracks."""
     want_updates, want_records = per_agent_fanout(w, tracks, now)
-    pending = outbound[:len(outbound) - 2 * w.n_pairs]
-    assert all(msg_type is MsgType.TOUCHDOWN_ACK for msg_type, _, _ in pending)
-    updates = outbound[len(pending):]
-    assert [update[:2] for update in updates] == [want[:2] for want in want_updates]
-    for (_, dst, got), (_, _, want) in zip(updates, want_updates):
-        assert wire_bytes(MsgType.UPDATE, got) == type_walk_payload_bytes(want)
+    assert [dst for dst, _ in outbound] == [dst for dst, _ in want_updates]
+    for (dst, got), (_, want) in zip(outbound, want_updates):
+        assert wire_bytes(got) == type_walk_payload_bytes(want)
         assert [x.tobytes() for x in got[:5]] == [x.tobytes() for x in want[:5]]
-        assert got[5] == want[5]   # the active row count
+        assert got[5:] == want[5:]   # the active row count and the landed bit
         _, want_rows = assemble_per_row(w, dst)
         assert row_layout(w, dst) == rows_layout(want_rows)
     assert records == want_records
@@ -562,22 +558,22 @@ def test_watcher_log_matches_per_record_lines(tmp_path):
 
 
 def test_link_bytes_match_type_walk(tmp_path, monkeypatch):
-    """Each link's byte count, read off message types and array shapes,
-    equals the type walk over every payload sent on it, acknowledgements
-    and dropped updates included."""
-    walked, types = {}, set()
+    """Each link's byte count, read off array shapes, equals the type walk
+    over every payload sent on it, updates with the landed bit and dropped
+    updates included."""
+    walked, bits = {}, set()
 
     class WalkedBus(StarBus):
-        def send(self, msg_type, src, dst, payload, now):
+        def send(self, src, dst, payload, now):
             agent = dst if src == WATCHER_ID else src
             walked[agent] = walked.get(agent, 0) + type_walk_payload_bytes(payload)
-            types.add(msg_type)
-            return super().send(msg_type, src, dst, payload, now)
+            bits.add(payload[6])
+            return super().send(src, dst, payload, now)
 
     monkeypatch.setattr(runner, "StarBus", WalkedBus)
     result = run(landing_crossing(), str(tmp_path))
     assert {agent: s.bytes for agent, s in result.link_stats.items()} == walked
-    assert types == set(MsgType)
+    assert bits == {False, True}
     assert sum(s.dropped for s in result.link_stats.values()) > 0
 
 
@@ -741,15 +737,17 @@ def message_run(rng, kind: str, hold_timeout: float, quiet: float = 0.0):
     Updates arrive with up to 50 ms of latency, so some carry stamps older
     than the unit's and are ignored, and up to two land at one instant; some
     repeat the unit's stamp with new values; two silent gaps outlast
-    hold_timeout; one matrix in five is infeasible; a touchdown
-    acknowledgement comes at 80% of the run.  With quiet > 0, each tick
-    with traffic also starts, with probability quiet, a silent span of 5 to
-    40 ticks, which may outlast hold_timeout."""
+    hold_timeout; one matrix in five is infeasible; an update stamped from
+    80% of the run on carries the landed bit, as the watcher's do after a
+    touchdown, and older ones may still arrive after it.  With quiet > 0,
+    each tick with traffic also starts, with probability quiet, a silent
+    span of 5 to 40 ticks, which may outlast hold_timeout."""
     dim = 3 if kind == UAV else 2
     n_ticks = 400
     gaps = {int(rng.integers(40, 120)), int(rng.integers(200, 280))}
     latest = -math.inf
     silent_until = -1
+    touchdown = int(0.8 * n_ticks) * 0.01
     for k in range(n_ticks):
         t = k * 0.01
         if k in gaps:
@@ -770,18 +768,10 @@ def message_run(rng, kind: str, hold_timeout: float, quiet: float = 0.0):
             latest = max(latest, stamp)
             update = (rng.uniform(-3.0, 3.0, 3),            # x, y, z or theta
                       rng.uniform(-3.0, 3.0, dim), rng.uniform(-0.3, 0.3, dim),
-                      *random_matrix(rng, f"{kind}0", dim, rng.uniform() < 0.2))
-            messages.append(("update", update, stamp))
-        if k == int(0.8 * n_ticks):
-            messages.append(("touchdown", (), t))
+                      *random_matrix(rng, f"{kind}0", dim, rng.uniform() < 0.2),
+                      stamp >= touchdown)
+            messages.append((update, stamp))
         yield t, messages
-
-
-def deliver(unit, what, value, stamp) -> None:
-    if what == "update":
-        unit.on_update(*value, stamp)
-    else:
-        unit.on_touchdown_ack()
 
 
 def test_cached_control_unit_matches_per_tick_oracle():
@@ -797,9 +787,9 @@ def test_cached_control_unit_matches_per_tick_oracle():
             seen = []
             reused = 0
             for t, messages in message_run(np.random.default_rng(seed), kind, 0.12):
-                for message in messages:
-                    deliver(cached, *message)
-                    deliver(oracle, *message)
+                for update, stamp in messages:
+                    cached.on_update(*update, stamp)
+                    oracle.on_update(*update, stamp)
                 was_solved = bool(cached.lane.solved[0])
                 got_cmd, got = cached.tick(t)
                 want_cmd, want = oracle.tick(t)
@@ -815,14 +805,6 @@ def test_cached_control_unit_matches_per_tick_oracle():
             assert {"optimal", "relaxed", "hold"} <= set(seen)
             assert ("landed" in seen) == (kind == UAV)
             assert reused > 50  # ticks that reused a cached solution
-
-
-def deliver_lane(control, k, what, value, stamp) -> None:
-    """What the runner's router does with a message for unit k."""
-    if what == "update":
-        control.on_update(k, *value, stamp)
-    else:
-        control.on_touchdown_ack(k)
 
 
 def test_scheduled_units_match_per_tick_oracle():
@@ -846,10 +828,10 @@ def test_scheduled_units_match_per_tick_oracle():
                 for ticks in zip(*runs):
                     t = ticks[0][0]
                     for k, (_, messages) in enumerate(ticks):
-                        for message in messages:
-                            after_touchdown += control.landed[k] and message[0] == "update"
-                            deliver_lane(control, k, *message)
-                            deliver(oracles[k], *message)
+                        for update, stamp in messages:
+                            after_touchdown += control.landed[k]
+                            control.on_update(k, *update, stamp)
+                            oracles[k].on_update(*update, stamp)
                     skipped[quiet] += not control.tick(t)
                     for k, oracle in enumerate(oracles):
                         want_cmd, want = oracle.tick(t)
@@ -953,23 +935,22 @@ def test_batched_instant_matches_scalar_units(fleet):
         matrix = from_rows(ids[k], 12, dim,
                            [ConstraintRow(a=np.array(a), b=b, kind=RowKind.UAV_UAV)
                             for a, b in rows])
-        messages = [] if state == "empty" else [
-            ("update", (pose, setpoint, rate, *matrix), stamp)]
-        if state == "landed":
-            messages.append(("touchdown", (), stamp))
-        for message in messages:
-            deliver(scalar[k], *message)
+        # A landed unit gets an update, then one with the landed bit.
+        bits = {"empty": (), "landed": (False, True)}.get(state, (False,))
+        for landed in bits:
+            update = (pose, setpoint, rate, *matrix, landed)
+            scalar[k].on_update(*update, stamp)
             if state == "cached":
-                deliver_lane(control, k, *message)
+                control.on_update(k, *update, stamp)
             else:
-                later.append((k, message))
+                later.append((k, update, stamp))
     scans = []
     project = qp.project_with_box
     qp.project_with_box = lambda *args: scans.append(args) or project(*args)
     try:
         control.tick(t0)                    # the cached units solve here ...
-        for k, message in later:
-            deliver_lane(control, k, *message)
+        for k, update, stamp in later:
+            control.on_update(k, *update, stamp)
         # ... and only they still hold a solution at t1
         assert control.solved.tolist() == [unit[0] == "cached" for unit in units]
         control.tick(t1)
@@ -1144,6 +1125,10 @@ def test_trajectory_writer_matches_per_agent_rows(tmp_path):
         assert any(",-0," in line for line in lines)
 
 
+# An update with its pair's landed bit: it lands a UAV unit, whatever else it carries.
+LANDED_UPDATE = (np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((0, 3)), np.zeros(0), 0, True)
+
+
 def test_fleet_integration_matches_per_agent_oracle():
     """The runner's fleet step (step_ugv, the UAV tracking lag, step_uav and
     the landed UAVs riding their platforms) against the per-agent loop over
@@ -1151,7 +1136,7 @@ def test_fleet_integration_matches_per_agent_oracle():
     and tracked velocity equal, bit for bit.  Headings start on and next to
     +-pi and the turn rates carry them across it; the UGVs' offset-point
     velocities often imply turn rates beyond the clamp.  The landed index
-    is a KindControl's, set by touchdown acknowledgements: none landed,
+    is a KindControl's, set by updates with the landed bit: none landed,
     then some (an index array) from step 5 and, from step 32, all of them
     (a slice)."""
     rng = np.random.default_rng(3)
@@ -1182,10 +1167,10 @@ def test_fleet_integration_matches_per_agent_oracle():
             ugv_u = rng.uniform(-5.0, 5.0, (n, 2))
             ugv_u[rng.uniform(size=n) < 0.1] = 0.0   # held units
             if step in (5, 25):  # touchdowns; a landed UAV stays landed
-                uavs.on_touchdown_ack((step // 20) * (n // 2))
+                uavs.on_update((step // 20) * (n // 2), *LANDED_UPDATE, 0.0)
             if step == 32:       # the rest of the fleet
                 for i in range(n):
-                    uavs.on_touchdown_ack(i)
+                    uavs.on_update(i, *LANDED_UPDATE, 0.0)
             phases.add(type(uavs.landed_rows).__name__)
             commands = {f"uav{i}": Command(u=u[i].copy()) for i in range(n)}
             commands.update({f"ugv{i}": Command(u=ugv_u[i].copy()) for i in range(n)})

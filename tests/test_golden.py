@@ -24,7 +24,7 @@ digests were recorded while run() still re-read its own logs through
 summarize_dir, before it built its metrics in the loop; every run also
 checks that summarize_dir, the independent re-check, agrees with them.
 
-Two bug fixes re-recorded digests on purpose.  When a UGV began to hold
+Three bug fixes re-recorded digests on purpose.  When a UGV began to hold
 its filtered offset-point velocity and map it through its current heading
 at every integration step, instead of holding one body twist between
 solves, the trajectory.csv and metrics.json digests of every run whose
@@ -36,8 +36,18 @@ messages, and stopped sending the landing signal that no unit acted on,
 every trace.log and traced metrics.json digest was re-recorded, and the
 trajectory.csv and watcher.csv digests of the runs over lossy or jittery
 links; on ideal links the three messages had landed in the same instant,
-so those runs' trajectory.csv and watcher.csv stayed the same.  A
-change that alters any logged byte of these runs -- a reordered constraint row, a
+so those runs' trajectory.csv and watcher.csv stayed the same.  When the
+touchdown acknowledgement gave way to a landed bit on every update, so that
+a dropped acknowledgement no longer left a landed pair's UAV flying, the
+landing runs lost the acknowledgements' sends and draws: the landing
+trace's trace.log and metrics.json (two messages fewer) were re-recorded,
+its trajectory.csv and watcher.csv staying the same, as on ideal links an
+acknowledgement and its tick's update had landed in the same instant; and
+the lossy 100 Hz landing's trajectory.csv, trace.log and metrics.json,
+whose UAV links draw differently after their touchdowns (uav1 now holds
+for two ticks before its landed bit arrives, at the same tick as the
+acknowledgement did), its watcher.csv staying the same.  A change that
+alters any logged byte of these runs -- a reordered constraint row, a
 last-ulp difference in a recomputed min_h, one message more or less on the
 bus -- fails here.  A change that is meant to alter the logs (a bug fix) must say
 so and re-record them.
@@ -127,7 +137,7 @@ GOLDEN = {
         lambda: landing_scenario(2, seed=3, ugv_speed=0.4, duration=10.0),
         "6949d3537bfd5073b088aabe2b820ed37a5f7f7c8726c90ec22a0b13666d8561",
         "69dff705949769e177d72e36f50f0b8ab808d20343a32aa59d152f4eff82e6d2",
-        "173b1802437f708e3b8c1d45681b8d9bc2c00de3f9e1856e71f1c8b4c34f185a",
+        "60fafd380383dd50d778de6b6a9a4b8f5db2c7c627871e91adb87a8b79743c4b",
     ),
     "grid_16pairs": (
         lambda: grid_scenario(16, seed=1, duration=0.5),
@@ -149,9 +159,9 @@ GOLDEN = {
     ),
     "lossy_landing_100hz": (
         lossy_landing_100hz,
-        "16d6e5afdaa904244d39983471bbd77fa8283368f1e0fc47d6b122eb13798bc6",
+        "62ceb7056fa76fddf1b2947a44400030f6be499e99c8e0a665c2a8a6c1345b74",
         "fdc241ef3f78a53265e381914b621d17e28e651708ce9248c0938018302b632a",
-        "ab701b1203c0471887e40b3623f3a83213839ae7771658860f9f0cf341dedb03",
+        "820f0801643e57cac374393f36aeae94264d1ab3ae459486891584d1106c621f",
     ),
     "noisy_grid_12pairs": (
         lambda: grid_scenario(12, seed=1, duration=0.5, localization_noise=0.02),
@@ -200,9 +210,9 @@ METRICS = {
     "drop_only_crossing_5s": "67656adb69dfc693fca6f2856ab6745e39c24c6098ba2321c2086cf4a9642c39",
     "grid_16pairs": "d0f8ab609d3c5ad95384b14c68baf6e053d1997ab32601d8d127097e1da14eb9",
     "jitter_only_crossing_5s": "2ec63dab9b0981734e862e434ac1453d0b7482f88d1f55e9e624ab2b3166dc18",
-    "landing_2pairs": "f523082e1df063985ec891d816431d361b0f0f1fca19f2b634fb9017f5ae94d9",
+    "landing_2pairs": "4a9c8251a2e771d3bb5a79c8f80b8efc21fe3525ab310e8a029231003c0025b2",
     "lossy_crossing_100hz_5s": "cbf9c7e1f7228e31891a04a01ade09c632ac7af351fb9c33be8b52c5444ecf08",
-    "lossy_landing_100hz": "7b2b16c7c0148670734e22f0f4eff1417529120973e90b107eb4a15656150ba7",
+    "lossy_landing_100hz": "8f648592b4d3c609159e875215d579931085a3c6df405e83461daea00a305001",
     "noisy_crossing_5s": "eb3b97a3e9f533ca8f0cac8466a084e5d3487ff7734a73c9a3314efe9d2fcbe9",
     "noisy_grid_12pairs": "515952eefd579e4360b5451581ab450a816f4157296176f670ab998f5a5e8964",
     "overtaking_crossing_5s": "98b50ee4ca40968d8d46b57bad62a0e4ecc6d7a9dcb9f37b4ef63b565519a7fd",
@@ -224,7 +234,7 @@ def test_logs_match_recorded_digests(tmp_path, name):
     if name == "landing_2pairs":  # the digests must cover the landed path
         assert len(result.touchdown_times) == 2
         with open(result.trace_path) as f:
-            assert f.read().count("send t=") == 2 * 2 * 201 + 2  # updates, acks
+            assert f.read().count("send t=") == 2 * 2 * 201  # one update per agent per tick
     if name == "clustered_6s":  # and the slack relaxation
         assert result.relaxed_events > 0
     if name == "clustered_raised_platform":  # every family, platform raised

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import airground.runner as runner_mod
 from airground.errors import InvalidInputError, TopologyViolationError
-from airground.netsim import _BLOCK, WATCHER_ID, LinkModel, MsgType, StarBus, wire_bytes
+from airground.netsim import _BLOCK, WATCHER_ID, LinkModel, StarBus, wire_bytes
 
 from oracles import ScalarDrawBus, type_walk_payload_bytes
 from scenario_helpers import single_pair
@@ -18,43 +18,43 @@ def make_bus(latency=0.0, jitter=0.0, drop=0.0, seed=1, trace=None):
     return StarBus(AGENTS, LinkModel(latency, jitter, drop), seed, trace=trace)
 
 
-def update(tag=0.0, dim=3, capacity=8):
-    """An update payload (pose, position, rate, a, b, count) whose pose
-    starts with tag."""
+def update(tag=0.0, dim=3, capacity=8, landed=False):
+    """An update payload (pose, position, rate, a, b, count, landed) whose
+    pose starts with tag."""
     return (np.array([tag, 0.0, 1.0]), np.zeros(dim), np.zeros(dim),
-            np.zeros((capacity, dim)), np.zeros(capacity), 0)
+            np.zeros((capacity, dim)), np.zeros(capacity), 0, landed)
 
 
 class TestTopology:
     def test_only_watcher_to_agent_links_accepted(self):
         """The watcher sends to each agent; no agent sends to the watcher."""
         bus = make_bus()
-        assert bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.0)
+        assert bus.send(WATCHER_ID, "uav0", update(), 0.0)
         with pytest.raises(TopologyViolationError):
-            bus.send(MsgType.TOUCHDOWN_ACK, "uav0", WATCHER_ID, None, 0.0)
+            bus.send("uav0", WATCHER_ID, update(), 0.0)
 
     def test_agent_to_agent_rejected(self):
         bus = make_bus()
         with pytest.raises(TopologyViolationError):
-            bus.send(MsgType.UPDATE, "uav0", "ugv0", update(), 0.0)
+            bus.send("uav0", "ugv0", update(), 0.0)
 
     def test_unknown_node_rejected(self):
         bus = make_bus()
         with pytest.raises(TopologyViolationError):
-            bus.send(MsgType.UPDATE, WATCHER_ID, "uav9", update(), 0.0)
+            bus.send(WATCHER_ID, "uav9", update(), 0.0)
 
 
 class TestDelivery:
     def test_zero_latency_delivers_same_instant(self):
         bus = make_bus()
-        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(42), 0.05)
+        bus.send(WATCHER_ID, "uav0", update(42), 0.05)
         out = bus.deliver_due(0.05)
         assert len(out) == 1 and out[0].payload[0][0] == 42
         assert out[0].deliver_time == out[0].send_time == 0.05
 
     def test_latency_defers_delivery(self):
         bus = make_bus(latency=0.03)
-        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.0)
+        bus.send(WATCHER_ID, "uav0", update(), 0.0)
         assert bus.deliver_due(0.02) == []
         assert len(bus.deliver_due(0.03)) == 1
 
@@ -63,9 +63,9 @@ class TestDelivery:
 
     def test_tie_order_by_seq_then_link(self):
         bus = make_bus()
-        bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", update(), 0.0)
-        bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.0)
-        bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", update(), 0.0)
+        bus.send(WATCHER_ID, "ugv1", update(), 0.0)
+        bus.send(WATCHER_ID, "uav0", update(), 0.0)
+        bus.send(WATCHER_ID, "ugv1", update(), 0.0)
         out = bus.deliver_due(0.0)
         # Same deliver_time everywhere: seq breaks ties, then link id.
         assert [(m.seq, m.dst) for m in out] == [(1, "uav0"), (1, "ugv1"), (2, "ugv1")]
@@ -74,7 +74,7 @@ class TestDelivery:
         bus = make_bus(latency=0.05, jitter=0.04, seed=3)
         stamps = []
         for k in range(30):
-            msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(k), 0.01 * k)
+            msg = bus.send(WATCHER_ID, "uav0", update(k), 0.01 * k)
             stamps.append(msg.deliver_time)
         out = bus.deliver_due(10.0)
         payloads = [int(m.payload[0][0]) for m in out]
@@ -85,7 +85,7 @@ class TestDelivery:
         bus = make_bus(drop=0.3, seed=9)
         seqs = []
         for k in range(50):
-            msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(k), 0.0)
+            msg = bus.send(WATCHER_ID, "uav0", update(k), 0.0)
             if msg is not None:
                 seqs.append(msg.seq)
         assert seqs == sorted(seqs)
@@ -98,7 +98,7 @@ class TestDeterminism:
             bus = make_bus(latency=0.02, jitter=0.01, drop=0.1, seed=seed)
             out = []
             for k in range(200):
-                msg = bus.send(MsgType.UPDATE, WATCHER_ID,
+                msg = bus.send(WATCHER_ID,
                                AGENTS[k % 4], update(k), 0.01 * k)
                 out.append(None if msg is None else (msg.seq, msg.deliver_time))
             return out
@@ -113,8 +113,8 @@ class TestDeterminism:
             out = []
             for k in range(100):
                 if extra_traffic:
-                    bus.send(MsgType.UPDATE, WATCHER_ID, "ugv1", update(k), 0.01 * k)
-                msg = bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(k), 0.01 * k)
+                    bus.send(WATCHER_ID, "ugv1", update(k), 0.01 * k)
+                msg = bus.send(WATCHER_ID, "uav0", update(k), 0.01 * k)
                 out.append(None if msg is None else msg.deliver_time)
             return out
 
@@ -125,7 +125,7 @@ class TestStatsAndTrace:
     def test_conservation_per_link(self):
         bus = make_bus(latency=0.01, drop=0.25, seed=2)
         for k in range(300):
-            bus.send(MsgType.UPDATE, WATCHER_ID, AGENTS[k % 4], update(), 0.001 * k)
+            bus.send(WATCHER_ID, AGENTS[k % 4], update(), 0.001 * k)
         bus.deliver_due(0.1)
         stats = bus.link_stats()
         in_flight = bus.pending()
@@ -143,7 +143,7 @@ class TestStatsAndTrace:
     def test_active_link_count(self):
         bus = make_bus()
         for aid in AGENTS:
-            bus.send(MsgType.UPDATE, WATCHER_ID, aid, update(), 0.0)
+            bus.send(WATCHER_ID, aid, update(), 0.0)
         assert len(bus.link_stats()) == 4  # one link per agent: 2N with N=2
 
     def test_full_mesh_link_count_baseline(self):
@@ -156,7 +156,7 @@ class TestStatsAndTrace:
         trace = []
         bus = make_bus(drop=0.5, seed=4, trace=trace)
         for k in range(40):
-            bus.send(MsgType.UPDATE, WATCHER_ID, "uav0", update(), 0.01 * k)
+            bus.send(WATCHER_ID, "uav0", update(), 0.01 * k)
         bus.deliver_due(10.0)
         kinds = {line.split()[0] for line in trace}
         assert kinds == {"send", "drop", "deliver"}
@@ -186,9 +186,9 @@ class TestLinkModel:
 
 
 # Update payloads of both vehicle kinds (a UGV's setpoint has two
-# coordinates) and several capacities, and acknowledgement pair indices.
-UPDATES = [update(0.5, dim, capacity) for dim in (3, 2) for capacity in (6, 8, 13)]
-ACKS = [0, 3, 17]
+# coordinates), several capacities, and both landed bits.
+UPDATES = [update(0.5, dim, capacity, landed) for dim in (3, 2) for capacity in (6, 8, 13)
+           for landed in (False, True)]
 LINKS = [(WATCHER_ID, aid) for aid in AGENTS]
 
 
@@ -220,11 +220,11 @@ class TestLazyStreams:
 
 
 def test_wire_sizes_match_type_walk():
-    """Sizes read off a message's type and its arrays' shapes equal the
-    type walk over its payload."""
-    for msg_type, payloads in ((MsgType.UPDATE, UPDATES), (MsgType.TOUCHDOWN_ACK, ACKS)):
-        for payload in payloads:
-            assert wire_bytes(msg_type, payload) == type_walk_payload_bytes(payload)
+    """Sizes read off an update's array shapes equal the type walk over its
+    payload; the landed bit rides in the header and adds nothing."""
+    for payload in UPDATES:
+        assert wire_bytes(payload) == type_walk_payload_bytes(payload)
+    assert wire_bytes(update(landed=True)) == wire_bytes(update())
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,26 +235,21 @@ def test_wire_sizes_match_type_walk():
        schedule=st.integers(0, 2**32 - 1))
 def test_block_draws_match_scalar_draws(seed, latency, jitter, drop, schedule):
     """Every other message goes over one link, so its draws span several
-    blocks; the rest are spread over the other links, a quarter of all
-    messages being acknowledgements.
-    Drop decisions, sequence numbers, delivery-time bits, delivery order
-    and link statistics all equal those of one scalar draw per decision."""
+    blocks; the rest are spread over the other links.  Drop decisions,
+    sequence numbers, delivery-time bits, delivery order and link
+    statistics all equal those of one scalar draw per decision."""
     link = LinkModel(latency, jitter, drop)
     bus, ref = StarBus(AGENTS, link, seed), ScalarDrawBus(AGENTS, link, seed)
     rng = np.random.default_rng(schedule)
     n = 4 * _BLOCK
     others = rng.integers(1, len(LINKS), n)
-    picks = rng.integers(0, len(UPDATES) * len(ACKS), n)
-    acks = rng.random(n) < 0.25
+    picks = rng.integers(0, len(UPDATES), n)
     now = 0.0
     for k in range(n):
         src, dst = LINKS[0 if k % 2 else others[k]]
-        if acks[k]:
-            msg_type, payload = MsgType.TOUCHDOWN_ACK, ACKS[picks[k] % len(ACKS)]
-        else:
-            msg_type, payload = MsgType.UPDATE, UPDATES[picks[k] % len(UPDATES)]
-        got = bus.send(msg_type, src, dst, payload, now)
-        want = ref.send(msg_type, src, dst, payload, now)
+        payload = UPDATES[picks[k]]
+        got = bus.send(src, dst, payload, now)
+        want = ref.send(src, dst, payload, now)
         assert (got is None) == (want is None)
         if got is not None:
             assert (got.seq, got.deliver_time.hex()) == (want.seq, want.deliver_time.hex())

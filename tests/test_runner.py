@@ -3,9 +3,12 @@ import json
 import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import airground.runner as runner_mod
 from airground.cli import main
@@ -17,6 +20,34 @@ from airground.summary import BLOCK_SAMPLES, LogIntegrityError, summarize_dir
 from oracles import Sample, scalar_tick_barriers, scalar_view
 from scenario_helpers import (clustered_scenario, crossing_scenario,
                               landing_scenario, single_pair)
+
+
+def landing_steps(result, cfg):
+    """The steps of a traced run's landings, by pair: where watcher.csv
+    first reads landed; where trace.log first delivers to the pair's UAV an
+    update sent from then on; and where trajectory.csv's UAV line first
+    reads landed."""
+    def step(text):
+        return round(float(text) / cfg.dt)
+
+    touchdown, delivered, landed = {}, {}, {}
+    for row in read_rows(result.watcher_path):
+        if row["phase"] == "landed":
+            touchdown.setdefault(int(row["agent_id"][3:]), step(row["time_s"]))
+    with open(result.trace_path) as f:
+        for line in f:
+            event, *tokens = line.split()
+            fields = dict(token.split("=", 1) for token in tokens)
+            agent = fields["dst"]
+            pair = int(agent[3:])
+            if (event == "deliver" and agent.startswith("uav") and pair in touchdown
+                    and step(fields["sent"]) >= touchdown[pair]):
+                delivered.setdefault(pair, step(fields["t"]))
+    for row in read_rows(result.trajectory_path):
+        if row["qp_status"] == "landed":
+            assert row["kind"] == "uav"
+            landed.setdefault(int(row["agent_id"][3:]), step(row["time_s"]))
+    return touchdown, delivered, landed
 
 
 def read_rows(path):
@@ -178,7 +209,7 @@ class TestLanding:
                         if agents["uav0"]["qp_status"] == "landed"]
         assert landed_ticks, "UAV never reported landed"
         # Skip the transition tick: attachment happens at the integration
-        # step after the ack arrives, exact from the next logged tick on.
+        # step after the landed bit arrives, exact from the next logged tick on.
         clearance = cfg.safety.hover_clearance
         for t in landed_ticks[1:]:
             uav, ugv = by_time[t]["uav0"], by_time[t]["ugv0"]
@@ -197,7 +228,52 @@ class TestLanding:
         result = run(cfg, str(tmp_path))
         outcome = result.metrics.landing_outcomes[0]
         assert outcome is not None
-        assert outcome >= result.touchdown_times[0]  # ack arrives after detection
+        assert outcome >= result.touchdown_times[0]  # the bit arrives after detection
+
+    @pytest.mark.parametrize("seed", [6, 7, 15, 19])
+    def test_a_dropped_touchdown_update_still_lands_the_unit(self, tmp_path, seed):
+        """In these runs the link drops one UAV's update of its touchdown
+        tick; a later update's landed bit lands the unit, so every pair that
+        watcher.csv lands ends with its UAV reading landed in trajectory.csv
+        and has a landing outcome."""
+        cfg = landing_scenario(4, seed, 0.35, duration=20.0,
+                               network={"latency": 0.02, "drop": 0.05})
+        result = run(cfg, str(tmp_path), trace=True)
+        touchdown = landing_steps(result, cfg)[0]
+        assert set(touchdown) == set(result.touchdown_times) == set(range(4))
+        with open(result.trace_path) as f:
+            drops = {tuple(line.split()[1:4]) for line in f if line.startswith("drop ")}
+        assert any((f"t={fmt9(step * cfg.dt)}", "src=watcher", f"dst=uav{pair}") in drops
+                   for pair, step in touchdown.items())
+        last = {row["agent_id"]: row for row in read_rows(result.trajectory_path)}
+        for pair in touchdown:
+            assert last[f"uav{pair}"]["qp_status"] == "landed"
+            assert result.metrics.landing_outcomes[pair] is not None
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**16),
+           drop=st.floats(0.0, 0.3), latency=st.floats(0.0, 0.05),
+           jitter=st.floats(0.0, 0.05))
+    def test_a_unit_lands_on_the_first_landed_update_delivered(self, n, seed, drop,
+                                                               latency, jitter):
+        """A UAV reads landed in trajectory.csv first at the first control
+        tick at or after trace.log's first delivery, on its link, of an
+        update sent at or after the tick where watcher.csv first lands its
+        pair; never before, and never for a pair the watcher does not land."""
+        cfg = landing_scenario(n, seed, 0.35, signal_time=0.0, duration=5.5, network={
+            "latency": latency, "jitter": jitter, "drop": drop})
+        with tempfile.TemporaryDirectory() as out_dir:
+            result = run(cfg, out_dir, trace=True)
+            touchdown, delivered, landed = landing_steps(result, cfg)
+        assert set(landed) <= set(touchdown)
+        per_tick = cfg.steps_per_control()
+        for pair, step in touchdown.items():
+            want = None
+            if pair in delivered:
+                want = -(-delivered[pair] // per_tick) * per_tick
+                assert want >= step
+            assert landed.get(pair) == (want if want is not None and want <= cfg.total_steps()
+                                        else None)
 
 
 class TestNetworkDegradation:
@@ -572,8 +648,8 @@ class TestTraceOrdering:
 
     def test_two_n_updates_per_watcher_tick(self, tmp_path):
         """Over ideal links the watcher sends each of the 2N agents exactly
-        one update per tick, and the only other traffic is one touchdown
-        acknowledgement per landing; every message is delivered."""
+        one update per tick and nothing else, landings included; every
+        message is delivered."""
         cfg = landing_scenario(2, seed=3, ugv_speed=0.4, duration=10.0)
         result = run(cfg, str(tmp_path), trace=True)
         ticks = len({rec.time for rec in result.watcher_records})
@@ -584,12 +660,10 @@ class TestTraceOrdering:
                     fields = dict(part.split("=", 1) for part in line.split()[1:])
                     key = (fields["t"], fields["dst"], fields["type"])
                     sends[key] = sends.get(key, 0) + 1
-        updates = [key for key in sends if key[2] == "update"]
-        acks = [key for key in sends if key[2] == "touchdown_ack"]
-        assert set(sends.values()) == {1}  # at most one per agent, type and tick
-        assert len(updates) == 2 * cfg.n_pairs * ticks
-        assert len(acks) == len(result.touchdown_times) == 2
-        assert {key[2] for key in sends} == {"update", "touchdown_ack"}
+        assert len(result.touchdown_times) == 2
+        assert set(sends.values()) == {1}  # at most one per agent and tick
+        assert {key[2] for key in sends} == {"update"}
+        assert len(sends) == 2 * cfg.n_pairs * ticks
         stats = result.link_stats.values()
-        assert sum(s.sent for s in stats) == len(updates) + len(acks)
-        assert sum(s.delivered for s in stats) == len(updates) + len(acks)
+        assert sum(s.sent for s in stats) == len(sends)
+        assert sum(s.delivered for s in stats) == len(sends)

@@ -7,7 +7,6 @@ from airground import watcher as watcher_module
 from airground.barriers import (Bounds, RowKind, SafetyParams,
                                 build_constraint_row)
 from airground.errors import CapacityError, InvalidInputError
-from airground.netsim import MsgType
 from airground.watcher import (LANDED, LANDING, TrackTable, VelocityEstimator,
                                Watcher)
 
@@ -272,12 +271,12 @@ class TestLandingProtocol:
         """The signal sends nothing of its own: the UAV learns of it from the
         setpoint in its next update, which chases the platform's hover point."""
         w, poses = self.landing_watcher()
-        before = {dst: payload[1] for _, dst, payload in w.tick(1.0, *poses)[0]}
+        before = {dst: payload[1] for dst, payload in w.tick(1.0, *poses)[0]}
         assert w.handle_landing_signal(0)
         assert w.phases[0] == LANDING
         outbound, _ = w.tick(1.05, *poses)
-        assert [msg_type for msg_type, _, _ in outbound] == [MsgType.UPDATE] * 4
-        setpoints = {dst: payload[1] for _, dst, payload in outbound}
+        assert [dst for dst, _ in outbound] == ["uav0", "ugv0", "uav1", "ugv1"]
+        setpoints = {dst: payload[1] for dst, payload in outbound}
         assert np.allclose(setpoints["uav0"], hover_point(w, 0))
         assert not np.allclose(before["uav0"], setpoints["uav0"])
         for other in ("ugv0", "uav1", "ugv1"):  # a static track: unchanged
@@ -289,8 +288,8 @@ class TestLandingProtocol:
         assert w.handle_landing_signal(0)
         assert w.phases[0] == LANDING
         outbound, _ = w.tick(1.25, *poses)
-        assert [msg_type for msg_type, _, _ in outbound] == [MsgType.UPDATE] * 4
-        assert np.allclose(outbound[0][2][1], hover_point(w, 0))
+        assert [dst for dst, _ in outbound] == ["uav0", "ugv0", "uav1", "ugv1"]
+        assert np.allclose(outbound[0][1][1], hover_point(w, 0))
 
     def test_unknown_pair_rejected(self):
         w, _ = self.landing_watcher()
@@ -345,7 +344,9 @@ class TestLandingProtocol:
         w.tick(0.75, *inside)
         assert w.phases[0] == LANDED
 
-    def test_touchdown_emits_ack_and_retires_rows(self):
+    def test_touchdown_sets_landed_bit_and_retires_rows(self):
+        """From its touchdown tick on, both updates of the landed pair carry
+        the landed bit, and only theirs do; its UAV's aerial rows retire."""
         n = 2
         w = make_watcher(n)
         uav, ugv = clustered_poses(n, uav_side=0.9, ugv_side=1.25, z=0.3)
@@ -358,12 +359,10 @@ class TestLandingProtocol:
         w.handle_landing_signal(0)
         hover = uav.copy()
         hover[0] = *ugv[0, :2], w.platform_height + PARAMS.hover_clearance
-        w.tick(0.2, hover, ugv)
-        w.tick(0.8, hover, ugv)
-        assert w.phases[0] == LANDED
-        outbound, _ = w.tick(0.85, hover, ugv)
-        acks = [dst for msg_type, dst, _ in outbound if msg_type is MsgType.TOUCHDOWN_ACK]
-        assert acks <= ["uav0"]
+        bits = [[payload[6] for _, payload in w.tick(t, hover, ugv)[0]]
+                for t in (0.2, 0.8, 0.85)]
+        assert w.touchdown_times == {0: 0.8}
+        assert bits == [[False] * 4, [True, True, False, False], [True, True, False, False]]
 
         after_self = agent_matrices(w)["uav0"]
         after_other = agent_matrices(w)["uav1"]
@@ -383,14 +382,14 @@ class TestLandingProtocol:
 class TestDispatch:
     def test_one_update_per_agent_per_tick(self):
         """Each agent gets exactly one update, in tick order, carrying its
-        pose, setpoint position and rate, and constraint rows together."""
+        pose, setpoint position and rate, constraint rows and its pair's
+        landed bit together."""
         w = make_watcher(2)
         uav, ugv = spread_poses(2)
         outbound, _ = w.tick(0.0, uav, ugv)
-        assert [(msg_type, dst) for msg_type, dst, _ in outbound] == [
-            (MsgType.UPDATE, aid) for aid in ("uav0", "ugv0", "uav1", "ugv1")]
+        assert [dst for dst, _ in outbound] == ["uav0", "ugv0", "uav1", "ugv1"]
         matrices = agent_matrices(w)
-        for (_, dst, (pose, position, rate, a, b, count)), want in zip(
+        for (dst, (pose, position, rate, a, b, count, landed)), want in zip(
                 outbound, (uav[0], ugv[0], uav[1], ugv[1])):
             dim = 3 if dst.startswith("uav") else 2
             assert pose.tobytes() == want.tobytes()
@@ -399,6 +398,7 @@ class TestDispatch:
             assert a.tobytes() == matrices[dst].a.tobytes()
             assert b.tobytes() == matrices[dst].b.tobytes()
             assert count == matrices[dst].active_count
+            assert landed is False
 
     def test_records_cover_every_agent(self):
         w = make_watcher(3)
