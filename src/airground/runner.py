@@ -15,6 +15,15 @@ updates went stale, and then filters the units without a cached solution
 as one batch; otherwise every unit holds its last command.  All
 randomness flows from the scenario seed through named substreams, so a
 config+seed pair reproduces its logs byte for byte.
+
+The logs are written as the loop produces them, so a run holds one
+trajectory block, one watcher.csv chunk and one step's trace lines at a
+time, never a whole log: each goes to a file under its temporary name
+(the log's name + PARTIAL), and the files are renamed to their own names
+only when the loop has completed.  Any other exit (a SafetyAbortError, any
+exception) closes and deletes them, so an aborted run leaves its
+state_dump.json and no log, and a log under its own name is always a
+whole one.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +47,8 @@ from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
                       WATCHER_FILE, WATCHER_HEADER, MetricsFold, MetricsSummary,
                       TrajectoryWriter, summarize_dir, tick_barriers)
 from .watcher import Watcher, WatcherRecord
+
+PARTIAL = ".partial"   # a log's temporary name is its name + PARTIAL
 
 
 @dataclass
@@ -75,6 +87,29 @@ def _integrate(uav, ugv, velocity, u, ugv_u, landed, cfg: ScenarioConfig):
         uav[landed, :2] = ugv[landed, :2]
         uav[landed, 2] = cfg.platform_height + cfg.safety.hover_clearance
     return uav, ugv, velocity
+
+
+def _discard(path: str) -> None:
+    with suppress(FileNotFoundError):
+        os.remove(path)
+
+
+@contextmanager
+def _streamed(paths: list[str]):
+    """Yields a text file open for writing for each of paths, under its
+    temporary name (path + PARTIAL).  When the block completes, closes
+    them and renames each to its path; on any other exit, closes and
+    deletes them."""
+    with ExitStack() as stack:
+        files = []
+        for path in paths:
+            stack.callback(_discard, path + PARTIAL)   # after the file closes
+            files.append(stack.enter_context(open(path + PARTIAL, "w")))
+        yield files
+        for f in files:
+            f.close()
+        for path in paths:
+            os.replace(path + PARTIAL, path)
 
 
 def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
@@ -119,7 +154,6 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     uav_rows = [rank[f"uav{i}"] for i in range(n)]
     ugv_rows = [rank[f"ugv{i}"] for i in range(n)]
 
-    writer = TrajectoryWriter(agent_ids)
     fold = MetricsFold(n)
     # What each agent's trajectory row logs: (x, y, z, theta), with z = 0
     # for a UGV and theta = 0 for a UAV, the applied input padded to 3 with
@@ -127,7 +161,6 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     logged = np.zeros((2 * n, 4))
     u_logged = np.zeros((2 * n, 3))
     statuses = ["hold"] * (2 * n)
-    watcher_lines: list[str] = [WATCHER_HEADER]   # the header, then one chunk per tick
     # A watcher.csv line is its time and a tail that follows from the
     # watcher's gate tables alone: (tables, tails) of the last build.
     tails_of: tuple = (None, [])
@@ -169,70 +202,69 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             json.dump(dump, f, indent=2, sort_keys=True)
         return SafetyAbortError(f"{message} (state dump: {path})")
 
-    for step in range(total + 1):
-        t = step * cfg.dt
+    names = [TRAJECTORY_FILE, WATCHER_FILE] + ([TRACE_FILE] if trace else [])
+    paths = [os.path.join(out_dir, name) for name in names]
+    with _streamed(paths) as (trajectory_out, watcher_out, *trace_out):
+        writer = TrajectoryWriter(agent_ids, trajectory_out)
+        watcher_out.write(WATCHER_HEADER + "\n")
+        for step in range(total + 1):
+            t = step * cfg.dt
 
-        while event_idx < len(events) and events[event_idx].time <= t + 1e-12:
-            coordinator.handle_landing_signal(events[event_idx].pair)
-            event_idx += 1
+            while event_idx < len(events) and events[event_idx].time <= t + 1e-12:
+                coordinator.handle_landing_signal(events[event_idx].pair)
+                event_idx += 1
 
-        route(bus.deliver_due(t))
+            route(bus.deliver_due(t))
 
-        if step % steps_watch == 0:
-            seen_uav, seen_ugv = uav, ugv
-            if cfg.localization_noise > 0.0:
-                noise = noise_rng.normal(0.0, cfg.localization_noise, (2 * n, 3))
-                seen_uav, seen_ugv = uav + noise[uav_rows], ugv + noise[ugv_rows]
-            try:
-                outbound, records = coordinator.tick(t, seen_uav, seen_ugv)
-            except (CapacityError, InvalidInputError) as exc:
-                raise abort(step, t, f"watcher: {exc}",
-                            f"watcher failed at t={t}: {exc}")
-            for dst, payload in outbound:
-                bus.send(WATCHER_ID, dst, payload, t)
-            watcher_records += records
-            if coordinator.tables is not tails_of[0]:
-                # Row counts in column order, then the proximal set.
-                tails_of = coordinator.tables, [
-                    f",{rec.agent_id},{rec.phase},{rec.active_count},{k.get('workspace', 0)},"
-                    f"{k.get('uav_other_ugv', 0)},{k.get('landing', 0)},{k.get('uav_uav', 0)},"
-                    f"{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}"
-                    for rec in records for k in [rec.kind_counts]]
-            t_str = fmt9(t)
-            watcher_lines.append(t_str + ("\n" + t_str).join(tails_of[1]))
-            route(bus.deliver_due(t))  # zero-latency traffic lands this instant
+            if step % steps_watch == 0:
+                seen_uav, seen_ugv = uav, ugv
+                if cfg.localization_noise > 0.0:
+                    noise = noise_rng.normal(0.0, cfg.localization_noise, (2 * n, 3))
+                    seen_uav, seen_ugv = uav + noise[uav_rows], ugv + noise[ugv_rows]
+                try:
+                    outbound, records = coordinator.tick(t, seen_uav, seen_ugv)
+                except (CapacityError, InvalidInputError) as exc:
+                    raise abort(step, t, f"watcher: {exc}",
+                                f"watcher failed at t={t}: {exc}")
+                for dst, payload in outbound:
+                    bus.send(WATCHER_ID, dst, payload, t)
+                watcher_records += records
+                if coordinator.tables is not tails_of[0]:
+                    # Row counts in column order, then the proximal set.
+                    tails_of = coordinator.tables, [
+                        f",{rec.agent_id},{rec.phase},{rec.active_count},{k.get('workspace', 0)},"
+                        f"{k.get('uav_other_ugv', 0)},{k.get('landing', 0)},{k.get('uav_uav', 0)},"
+                        f"{k.get('ugv_ugv', 0)},{';'.join(rec.proximal)}"
+                        for rec in records for k in [rec.kind_counts]]
+                t_str = fmt9(t)
+                watcher_out.write(t_str + ("\n" + t_str).join(tails_of[1]) + "\n")
+                route(bus.deliver_due(t))  # zero-latency traffic lands this instant
 
-        if step % steps_ctrl == 0:
-            try:
-                ticked = uavs.tick(t) | ugvs.tick(t)
-            except FilterError as exc:
-                raise abort(step, t, str(exc), f"safety filter failed for "
-                            f"{exc.agent_id} at t={t}: {exc.cause}")
-            if ticked:
-                u_logged[0::2], u_logged[1::2, :2] = uavs.u, ugvs.u
-                statuses[0::2], statuses[1::2] = uavs.status, ugvs.status
-            logged[0::2, :3] = uav
-            logged[1::2, :2] = ugv[:, :2]
-            logged[1::2, 3] = ugv[:, 2]
-            writer.add_tick(fmt9(t), logged, u_logged, statuses)
-            if writer.full():
-                writer.flush(min_h)
+            if step % steps_ctrl == 0:
+                try:
+                    ticked = uavs.tick(t) | ugvs.tick(t)
+                except FilterError as exc:
+                    raise abort(step, t, str(exc), f"safety filter failed for "
+                                f"{exc.agent_id} at t={t}: {exc.cause}")
+                if ticked:
+                    u_logged[0::2], u_logged[1::2, :2] = uavs.u, ugvs.u
+                    statuses[0::2], statuses[1::2] = uavs.status, ugvs.status
+                logged[0::2, :3] = uav
+                logged[1::2, :2] = ugv[:, :2]
+                logged[1::2, 3] = ugv[:, 2]
+                writer.add_tick(fmt9(t), logged, u_logged, statuses)
+                if writer.full():
+                    writer.flush(min_h)
 
-        if step < total:
-            uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, uavs.u, ugvs.u,
-                                                uavs.landed_rows, cfg)
+            if step < total:
+                uav, ugv, uav_velocity = _integrate(uav, ugv, uav_velocity, uavs.u, ugvs.u,
+                                                    uavs.landed_rows, cfg)
+            if trace_lines:   # the step's sends, drops and deliveries
+                trace_out[0].write("\n".join(trace_lines) + "\n")
+                trace_lines.clear()
 
-    writer.flush(min_h)
-    trajectory_path = os.path.join(out_dir, TRAJECTORY_FILE)
-    writer.write(trajectory_path)
-    watcher_path = os.path.join(out_dir, WATCHER_FILE)
-    with open(watcher_path, "w") as f:
-        f.write("\n".join(watcher_lines) + "\n")
-    trace_path = None
-    if trace_lines is not None:
-        trace_path = os.path.join(out_dir, TRACE_FILE)
-        with open(trace_path, "w") as f:
-            f.write("\n".join(trace_lines) + ("\n" if trace_lines else ""))
+        writer.flush(min_h)
+    trajectory_path, watcher_path, *traced = paths
     with open(os.path.join(out_dir, CONFIG_FILE), "w") as f:
         f.write(config_text)
 
@@ -248,7 +280,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
 
     return RunResult(
         out_dir=out_dir, metrics=metrics, trajectory_path=trajectory_path,
-        watcher_path=watcher_path, trace_path=trace_path,
+        watcher_path=watcher_path, trace_path=traced[0] if traced else None,
         touchdown_times=dict(coordinator.touchdown_times),
         watcher_records=watcher_records, link_stats=link_stats,
         relaxed_events=metrics.status_counts.get("relaxed", 0),

@@ -144,7 +144,9 @@ class MetricsFold:
 
 
 class TrajectoryWriter:
-    """The trajectory.csv writer, for control ticks of the agents named by ids.
+    """The trajectory.csv writer, for control ticks of the agents named by
+    ids, into the open text file out: the header at once, then each block
+    as it is flushed, so the writer holds one block at a time.
 
     A tick holds every agent's raw logged (x, y, z, theta), applied
     input (ux, uy, uz) and status.  Ticks are formatted a block of at most
@@ -153,13 +155,14 @@ class TrajectoryWriter:
     the rounded states back -- the values a reader of the file sees -- and
     the min_h column is evaluated from them and formatted by fmt9_floats."""
 
-    def __init__(self, ids):
+    def __init__(self, ids, out):
         m = len(ids)
         self._numbers = np.empty((max(1, BLOCK_SAMPLES // m), m, 7))
         self._times: list[str] = []
         self._statuses: list[str] = []      # flat, tick by tick
         self._prefixes = [f"{aid},{aid[:3]}" for aid in ids]
-        self._chunks = [TRAJECTORY_HEADER + "\n"]
+        self._out = out
+        out.write(TRAJECTORY_HEADER + "\n")
 
     def add_tick(self, time_s: str, states, u, statuses) -> None:
         """One tick: (M, 4) states, (M, 3) inputs and M statuses."""
@@ -173,9 +176,10 @@ class TrajectoryWriter:
         return len(self._times) == self._numbers.shape[0]
 
     def flush(self, min_h) -> None:
-        """Format the buffered ticks.  min_h maps the block's T time strings,
-        its T*M statuses (tick by tick) and its rounded (T, M) x, y, z,
-        theta and landed arrays to its (T, M) per-agent min h."""
+        """Format the buffered ticks and append them to the file.  min_h
+        maps the block's T time strings, its T*M statuses (tick by tick) and
+        its rounded (T, M) x, y, z, theta and landed arrays to its (T, M)
+        per-agent min h."""
         ticks, m = len(self._times), self._numbers.shape[1]
         if not ticks:
             return
@@ -185,15 +189,10 @@ class TrajectoryWriter:
         h = fmt9_floats(min_h(self._times, statuses, *rounded.transpose(2, 0, 1)[:4],
                               landed.reshape(ticks, m)).ravel().tolist())
         times = [t for t in self._times for _ in range(m)]
-        self._chunks.append("\n".join(map(",".join, zip(
+        self._out.write("\n".join(map(",".join, zip(
             times, self._prefixes * ticks, *text.reshape(-1, 7).T.tolist(),
             statuses, h))) + "\n")
         self._times, self._statuses = [], []
-
-    def write(self, path: str) -> None:
-        """Write the header and every flushed block to path."""
-        with open(path, "w") as f:
-            f.writelines(self._chunks)
 
 
 def tick_barriers(cfg: ScenarioConfig, x: np.ndarray, y: np.ndarray, z: np.ndarray,
@@ -354,16 +353,18 @@ def _blocks(path: str, header: str, width: int, cfg: ScenarioConfig, steps: int)
 
 
 def _check_trajectory(cfg: ScenarioConfig, path: str, touchdown: np.ndarray,
-                      fold: MetricsFold) -> None:
+                      landing: np.ndarray | None, fold: MetricsFold) -> None:
     """Checks trajectory.csv block by block and folds it.  Per line, in
     file order: its field count and place (_blocks), its x, y, z, theta
     and min_h as float() reads them, a finite state.  Before a bad line, or
     the end of a log cut short, is reported, the complete ticks before it
     are evaluated: their statuses must be ones the writer logs, a UAV may
     read landed only from its pair's touchdown step on (its unit learns of
-    a landing only from an update sent then or later), then each line's
-    min_h must equal the value recomputed from the block's states or lie
-    within 1e-9 of it, the first line that does not being reported."""
+    a landing only from an update sent then or later) and, where the
+    landing steps are known (landing, from _check_trace), must read landed
+    exactly from the first control tick at or after its own, then each
+    line's min_h must equal the value recomputed from the block's states or
+    lie within 1e-9 of it, the first line that does not being reported."""
     m, steps = 2 * cfg.n_pairs, cfg.steps_per_control()
     tick = 0   # the block's first
     for fields, linenos, times, error in _blocks(path, TRAJECTORY_HEADER, 12, cfg, steps):
@@ -388,11 +389,21 @@ def _check_trajectory(cfg: ScenarioConfig, path: str, touchdown: np.ndarray,
                 raise InvalidInputError(f"{path}:{linenos[k]}: unknown qp_status {statuses[k]!r}")
             landed = np.fromiter(map("landed".__eq__, statuses), bool, ticks * m).reshape(ticks, m)
             step = np.arange(tick, tick + ticks)[:, None] * steps
-            early = landed[:, 0::2] & (step < touchdown)
-            if early.any():
-                k, pair = divmod(int(early.argmax()), cfg.n_pairs)
-                raise InvalidInputError(f"{path}:{linenos[k * m + 2 * pair]}: uav{pair} reads "
-                                        f"landed before {WATCHER_FILE} lands its pair")
+            uav = landed[:, 0::2]
+            wrong = uav & (step < touchdown)
+            if landing is not None:
+                wrong |= uav != (step >= landing)
+            if wrong.any():
+                k, pair = divmod(int(wrong.argmax()), cfg.n_pairs)
+                reached = f"an update with its pair's landed bit reaches it ({TRACE_FILE})"
+                if step[k, 0] < touchdown[pair]:
+                    problem = f"reads landed before {WATCHER_FILE} lands its pair"
+                elif uav[k, pair]:
+                    problem = f"reads landed before {reached}"
+                else:
+                    problem = (f"does not read landed after {reached} at "
+                               f"t={fmt9(int(landing[pair]) * cfg.dt)}")
+                raise InvalidInputError(f"{path}:{linenos[k * m + 2 * pair]}: uav{pair} {problem}")
             x, y, z, theta, logged = values[:, :ticks * m].reshape(5, ticks, m)
             per_agent, family, dist = tick_barriers(cfg, x, y, z, theta, landed)
             # The column was written at 9 significant digits; push the
@@ -500,14 +511,24 @@ def _check_phases(path: str, linenos, phases: list[str], m: int, last: list[str]
         last = row
 
 
-def _check_trace(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
+def _check_trace(cfg: ScenarioConfig, path: str, touchdown: np.ndarray,
+                 fold: MetricsFold) -> tuple[np.ndarray, Exception | None]:
     """Checks trace.log against a replay of the run's bus and folds the
     replayed bus's link counts.  The replay drives a StarBus built from the
     config as run() does: a delivery at every step and, at each watcher
     tick, one update per agent in agent_ids order and a second delivery.
     After each step the lines the bus wrote must be the log's next lines;
     blank and whitespace-only lines are skipped, and the last line may lack
-    its newline."""
+    its newline.
+
+    The replay sends a UAV's updates with its pair's landed bit from the
+    pair's touchdown step (touchdown, from _check_watcher) on, as the
+    watcher does.  Returns each UAV's landing step, the step at which the
+    first update with the bit reaches it (inf if none does), and the error
+    naming the first line of the log that differs from the replay, or its
+    early end, else None.  The replay runs to the end either way, since it
+    never reads the log: the caller bounds trajectory.csv's landed lines
+    by the landing steps before it raises the error."""
     ids = cfg.agent_ids()
     lines: list[str] = []
     bus = StarBus(ids, cfg.network, cfg.seed, trace=lines)
@@ -515,29 +536,60 @@ def _check_trace(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> None:
     # line logs a size or the landed bit: the replay sends empty ones.
     empty = np.empty(0)
     update = (empty, empty, empty, empty, empty, 0, False)
+    landed = update[:6] + (True,)
+    payloads = [update] * len(ids)
+    landing = np.full(cfg.n_pairs, math.inf)
+    error: Exception | None = None
+
+    def reach(messages, step):
+        for msg in messages:
+            if msg.payload is landed:
+                pair = int(msg.dst[3:])
+                landing[pair] = min(landing[pair], step)
+
     with open(path, "r") as f:
         numbered, lineno = enumerate(f, start=1), 0   # lineno: the last line read
+
+        def compare(wanted, end=False) -> Exception | None:
+            """The error naming the first of the log's next lines that is
+            not wanted's, or its early end; with end, then the first line
+            left."""
+            nonlocal lineno
+            try:
+                for want in wanted:
+                    for lineno, got in numbered:
+                        if not got.isspace():
+                            break
+                    else:
+                        return InvalidInputError(f"{path}: ends after line {lineno}, "
+                                                 f"expected {want} next")
+                    if (got := got.rstrip("\n")) != want:
+                        return InvalidInputError(f"{path}:{lineno}: expected {want}, got {got}")
+                if end:
+                    for lineno, got in numbered:
+                        if not got.isspace():
+                            return InvalidInputError(f"{path}:{lineno}: "
+                                                     "expected the end of the log")
+            except UnicodeDecodeError as exc:
+                return exc
+            return None
+
         for step in range(cfg.total_steps() + 1):
             t = step * cfg.dt
-            bus.deliver_due(t)
+            reach(bus.deliver_due(t), step)
             if step % cfg.steps_per_watcher() == 0:
-                for aid in ids:
-                    bus.send(WATCHER_ID, aid, update, t)
-                bus.deliver_due(t)
-            for want in lines:
-                for lineno, got in numbered:
-                    if not got.isspace():
-                        break
-                else:
-                    raise InvalidInputError(f"{path}: ends after line {lineno}, "
-                                            f"expected {want} next")
-                if (got := got.rstrip("\n")) != want:
-                    raise InvalidInputError(f"{path}:{lineno}: expected {want}, got {got}")
+                for pair in (touchdown == step).nonzero()[0].tolist():
+                    payloads[2 * pair] = landed
+                for aid, payload in zip(ids, payloads):
+                    bus.send(WATCHER_ID, aid, payload, t)
+                reach(bus.deliver_due(t), step)
+            if lines and error is None:
+                error = compare(lines)
             lines.clear()
-        for lineno, got in numbered:
-            if not got.isspace():
-                raise InvalidInputError(f"{path}:{lineno}: expected the end of the log")
+        if error is None:
+            error = compare((), end=True)
     fold.links(bus.link_stats())
+    return landing, error
 
 
 def summarize_dir(out_dir: str) -> MetricsSummary:
@@ -551,12 +603,16 @@ def summarize_dir(out_dir: str) -> MetricsSummary:
     _check_trajectory, whose UAVs may read landed only from the ticks where
     watcher.csv's phases first read landed).  watcher.csv is required;
     trace.log is checked when present, line for line against a replay of
-    the run's bus (_check_trace)."""
+    the run's bus (_check_trace), whose replay then also gives the step at
+    which each UAV must first read landed; its errors are reported after
+    trajectory.csv's."""
     cfg = load_config(os.path.join(out_dir, CONFIG_FILE))
     fold = MetricsFold(cfg.n_pairs)
     touchdown = _check_watcher(cfg, os.path.join(out_dir, WATCHER_FILE), fold)
-    _check_trajectory(cfg, os.path.join(out_dir, TRAJECTORY_FILE), touchdown, fold)
     trace_path = os.path.join(out_dir, TRACE_FILE)
-    if os.path.exists(trace_path):
-        _check_trace(cfg, trace_path, fold)
+    landing, trace_error = (_check_trace(cfg, trace_path, touchdown, fold)
+                            if os.path.exists(trace_path) else (None, None))
+    _check_trajectory(cfg, os.path.join(out_dir, TRAJECTORY_FILE), touchdown, landing, fold)
+    if trace_error is not None:
+        raise trace_error
     return fold.result()

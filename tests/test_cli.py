@@ -210,7 +210,7 @@ class TestNanInTheFilter:
         err = capsys.readouterr().err
         assert "safety abort" in err and "non-finite step" in err
         assert "Traceback" not in err
-        assert (out_dir / "state_dump.json").exists()
+        assert os.listdir(out_dir) == ["state_dump.json"]
 
     def test_nan_nominal_input_ends_in_a_safety_abort(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -227,10 +227,11 @@ class TestNanInTheFilter:
         out_dir = tmp_path / "out"
         path = write_config(tmp_path, single_pair(duration=3.0).raw)
         with np.errstate(invalid="ignore"):
-            assert main(["run", path, "--out-dir", str(out_dir)]) == 3
+            assert main(["run", path, "--out-dir", str(out_dir), "--trace"]) == 3
         err = capsys.readouterr().err
         assert "safety abort: safety filter failed for uav0 at t=1.0" in err
         assert "Traceback" not in err
+        assert os.listdir(out_dir) == ["state_dump.json"]
         dump = json.loads((out_dir / "state_dump.json").read_text())
         assert dump["reason"].startswith("uav0: active-set projection")
 
@@ -250,6 +251,7 @@ class TestNanInTheFilter:
         err = capsys.readouterr().err
         assert "safety abort: safety filter failed for ugv0 at t=0.0: relaxation broke" in err
         assert "Traceback" not in err
+        assert os.listdir(out_dir) == ["state_dump.json"]
         dump = json.loads((out_dir / "state_dump.json").read_text())
         assert dump["reason"] == "ugv0: relaxation broke"
 
@@ -553,6 +555,37 @@ class TestSummarize:
         with open(trace) as f:
             lines = f.read().splitlines()
         return out_dir, trace, lines
+
+    def test_unit_landing_a_tick_late_fails(self, tmp_path, capsys):
+        """With trace.log present, a UAV must read landed from the first
+        control tick at or after the replayed bus first delivers it an
+        update with its pair's landed bit, not later: uav0's first landed
+        line in trajectory.csv, given the status of its line a tick
+        before, exits 1 naming that line and the delivery."""
+        out_dir, trace, events = self.landing_trace(tmp_path, capsys)
+        with open(os.path.join(out_dir, "watcher.csv")) as f:
+            touchdown = next(float(line.split(",")[0]) for line in f
+                             if line.split(",")[1:3] == ["uav0", "landed"])
+        delivered = next(fields["t"] for line in events if line.startswith("deliver ")
+                         for fields in [dict(token.split("=") for token in line.split()[1:])]
+                         if fields["dst"] == "uav0" and float(fields["sent"]) >= touchdown)
+        path = os.path.join(out_dir, "trajectory.csv")
+        with open(path) as f:
+            lines = f.read().splitlines()
+        uav0 = [k for k, line in enumerate(lines) if line.split(",")[1] == "uav0"]
+        j = next(j for j, k in enumerate(uav0) if lines[k].split(",")[10] == "landed")
+        k = uav0[j]
+        fields = lines[k].split(",")
+        fields[10] = lines[uav0[j - 1]].split(",")[10]
+        assert fields[10] != "landed"
+        lines[k] = ",".join(fields)
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert (f"{path}:{k + 1}: uav0 does not read landed after an update with its "
+                f"pair's landed bit reaches it (trace.log) at t={delivered}") in err
+        assert "Traceback" not in err
 
     def test_deleted_last_update_of_a_link_fails(self, tmp_path, capsys):
         """Deleting the log's last send line, whose message is still in

@@ -9,6 +9,7 @@ formatting, the watcher log's reused line tails, the bus's shape-read
 byte counts and summarize's block reader, against the code they replaced
 (tests/oracles.py, or fmt9 per value): equal results, bit for bit."""
 
+import io
 import math
 import os
 import shutil
@@ -30,8 +31,9 @@ from airground.netsim import WATCHER_ID, StarBus, wire_bytes
 from airground.qp import _project, project_with_box, solve_relaxed
 from airground import runner
 from airground.runner import _integrate, run
-from airground.summary import (BLOCK_SAMPLES, WATCHER_HEADER, LogIntegrityError,
-                               TrajectoryWriter, summarize_dir, tick_barriers)
+from airground.summary import (BLOCK_SAMPLES, TRAJECTORY_HEADER, WATCHER_HEADER,
+                               LogIntegrityError, TrajectoryWriter, summarize_dir,
+                               tick_barriers)
 from airground.watcher import (LANDED, LANDING, PHASE_NAMES, TASK, TrackTable,
                                VelocityEstimator, Watcher)
 
@@ -1075,10 +1077,11 @@ def test_fmt9_kernel_matches_str_format(values):
     assert fmt9(3) == "3" and fmt9(np.int64(-7)) == "-7"
 
 
-def test_trajectory_writer_matches_per_agent_rows(tmp_path):
+def test_trajectory_writer_matches_per_agent_rows():
     """The block writer's lines equal the per-agent formatting of the same
     ticks, and its min_h column is evaluated from the same rounded states,
-    for UAV and UGV rosters over several blocks."""
+    for UAV and UGV rosters over several blocks.  The header is written at
+    once, and each block as it is flushed."""
     rng = np.random.default_rng(11)
     statuses = ("optimal", "relaxed", "hold", "landed", "failed")
 
@@ -1090,7 +1093,9 @@ def test_trajectory_writer_matches_per_agent_rows(tmp_path):
                         ("uav", "ugv", "uav", "ugv", "uav")),
                        (("ugv3",), ("ugv",))):
         m = len(ids)
-        writer = TrajectoryWriter(ids)
+        out = io.StringIO()
+        writer = TrajectoryWriter(ids, out)
+        assert out.getvalue() == TRAJECTORY_HEADER + "\n"
         n_ticks = 3 * (BLOCK_SAMPLES // m) + 7
         expected, block = [], []
         for tick in range(n_ticks):
@@ -1116,10 +1121,8 @@ def test_trajectory_writer_matches_per_agent_rows(tmp_path):
                 writer.flush(block_min_h)
                 expected += per_agent_trajectory_rows(block, ids, kinds, min_h)
                 block = []
-        path = tmp_path / "trajectory.csv"
-        writer.write(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[1:] == expected
+                assert out.getvalue().splitlines()[1:] == expected
+        lines = out.getvalue().splitlines()
         assert len(lines) == 1 + n_ticks * m
         assert any(line.endswith(",inf") for line in lines)
         assert any(",-0," in line for line in lines)

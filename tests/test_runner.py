@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from airground.runner import run
 from airground.summary import BLOCK_SAMPLES, LogIntegrityError, summarize_dir
 
 from oracles import Sample, scalar_tick_barriers, scalar_view
-from scenario_helpers import (clustered_scenario, crossing_scenario,
+from scenario_helpers import (clustered_scenario, crossing_scenario, grid_scenario,
                               landing_scenario, single_pair)
 
 
@@ -48,6 +49,12 @@ def landing_steps(result, cfg):
             assert row["kind"] == "uav"
             landed.setdefault(int(row["agent_id"][3:]), step(row["time_s"]))
     return touchdown, delivered, landed
+
+
+def assert_only_state_dump(out_dir):
+    """An aborted run leaves its state dump and nothing else: no log, under
+    its own name or a temporary one."""
+    assert set(os.listdir(out_dir)) == {"state_dump.json"}
 
 
 def read_rows(path):
@@ -259,12 +266,15 @@ class TestLanding:
         """A UAV reads landed in trajectory.csv first at the first control
         tick at or after trace.log's first delivery, on its link, of an
         update sent at or after the tick where watcher.csv first lands its
-        pair; never before, and never for a pair the watcher does not land."""
+        pair; never before, and never for a pair the watcher does not land.
+        summarize, which replays the bus to bound each landing from both
+        sides, reproduces the run's metrics."""
         cfg = landing_scenario(n, seed, 0.35, signal_time=0.0, duration=5.5, network={
             "latency": latency, "jitter": jitter, "drop": drop})
         with tempfile.TemporaryDirectory() as out_dir:
             result = run(cfg, out_dir, trace=True)
             touchdown, delivered, landed = landing_steps(result, cfg)
+            assert summarize_dir(out_dir).to_json() == result.metrics.to_json()
         assert set(landed) <= set(touchdown)
         per_tick = cfg.steps_per_control()
         for pair, step in touchdown.items():
@@ -519,7 +529,8 @@ class TestWatcherFailure:
         cfg = clustered_scenario(duration=1.0)
         cfg.capacity = 6  # validated at 10, the rows a fully proximal UAV needs
         with pytest.raises(SafetyAbortError, match="watcher failed at t=0"):
-            run(cfg, str(tmp_path))
+            run(cfg, str(tmp_path), trace=True)
+        assert_only_state_dump(tmp_path)
         with open(tmp_path / "state_dump.json") as f:
             dump = json.load(f)
         assert dump["step"] == 0
@@ -550,6 +561,7 @@ class TestNonFiniteState:
         self.poison_step(monkeypatch, at_call=52)
         with pytest.raises(SafetyAbortError, match="non-finite state logged"):
             run(crossing_scenario(2, seed=9, duration=0.52), str(tmp_path))
+        assert_only_state_dump(tmp_path)
         dump = json.loads((tmp_path / "state_dump.json").read_text())
         assert dump["step"] == 52 and dump["reason"] == "non-finite logged state"
         assert dump["uavs"]["uav0"][0] == math.inf
@@ -557,9 +569,45 @@ class TestNonFiniteState:
     def test_seen_by_the_watcher(self, tmp_path, monkeypatch):
         self.poison_step(monkeypatch, at_call=30)
         with pytest.raises(SafetyAbortError, match="watcher failed at t=0.3"):
-            run(crossing_scenario(2, seed=9, duration=1.0), str(tmp_path))
+            run(crossing_scenario(2, seed=9, duration=1.0), str(tmp_path), trace=True)
+        assert_only_state_dump(tmp_path)
         dump = json.loads((tmp_path / "state_dump.json").read_text())
         assert "fleet poses must be finite" in dump["reason"]
+
+
+class TestStreamedLogs:
+    def test_memory_does_not_grow_with_the_logs(self, tmp_path):
+        """The logs go to disk as they are produced: from a 2 s to a 6 s run
+        of a 16-pair grid, the traced peak grows by less than 0.75x the
+        growth of trajectory.csv and watcher.csv together.  What does grow
+        is the retained watcher records; holding the logs in memory until
+        the end costs about 1.4x.  A first, short run takes the one-time
+        allocations (caches, lazy imports) out of the two measured."""
+        peaks, sizes = [], []
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            run(grid_scenario(16, 1, duration=0.5), str(tmp_path / "warm-up"))
+            for duration in (2.0, 6.0):
+                cfg = grid_scenario(16, 1, duration=duration)
+                out_dir = tmp_path / f"{duration:g}s"
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run(cfg, str(out_dir))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                sizes.append(sum(os.path.getsize(out_dir / name)
+                                 for name in ("trajectory.csv", "watcher.csv")))
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.75 * (sizes[1] - sizes[0])
+
+    def test_completed_run_leaves_no_temporary_file(self, tmp_path):
+        run(single_pair(duration=1.0), str(tmp_path), trace=True)
+        assert sorted(os.listdir(tmp_path)) == [
+            "metrics.json", "resolved_config.yaml", "trace.log", "trajectory.csv",
+            "watcher.csv"]
 
 
 class TestWatcherLog:
