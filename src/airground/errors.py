@@ -6,7 +6,7 @@ class InvalidInputError(ValueError):
 
 
 class TopologyViolationError(RuntimeError):
-    """Raised on an attempt to send a message outside the star topology."""
+    """Raised on an attempt to send an update to a node outside the fleet."""
 
 
 class CapacityError(RuntimeError):

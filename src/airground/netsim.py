@@ -1,28 +1,27 @@
-"""Virtual-time star-topology message bus.
+"""Virtual-time star-topology delivery queue.
 
-All traffic travels from the coordinator to an agent; a send on any other
-link (agent to agent, or agent to coordinator) is a hard failure.
-The coordinator sends each agent one update per watcher tick, carrying its
-pose, setpoint, constraint rows and its pair's landed bit together, so a
-drop or a delay always takes all of them; there is no other message, and
-trace lines name its type: update.  Each directed link owns an RNG stream
-derived from the scenario seed and the link's name, so adding links never
-perturbs the draws of existing ones.  A link seeds its stream on its first
-draw, so a link that never draws (an ideal one) builds no Generator; the
-bus checks the seed once, when it is made.
+The coordinator (the watcher) is the only sender: it sends each agent one
+update per watcher tick, carrying its pose, setpoint, constraint rows and
+its pair's landed bit together, so a drop or a delay always takes all of
+them.  A send to a node outside the fleet is a hard failure; trace lines
+name the update's type and source: type=update, src=watcher.  Each link
+owns an RNG stream derived from the scenario seed and the link's name, so
+adding links never perturbs the draws of existing ones.  A link seeds its
+stream on its first draw, so a link that never draws (an ideal one)
+builds no Generator; the bus checks the seed once, when it is made.
 
 A link reads its stream as uniforms in [0, 1), in send order: one drop draw
-per message when drop_prob > 0 (the message is dropped when the draw is
-below drop_prob), then one jitter draw u per kept message when jitter > 0,
-which adds -jitter + (jitter - -jitter) * u to the base latency.  The
-uniforms are drawn _BLOCK at a time.  Each one is the value a scalar
-Generator.uniform() returns at that point of the stream, and the jitter
-term is the float uniform(-jitter, jitter) returns, so the schedule is the
-same as with one Generator call per draw.
+per update when drop_prob > 0 (dropped when the draw is below drop_prob,
+so a drop_prob of 1.0 drops every update), then one jitter draw u per kept
+update when jitter > 0, which adds -jitter + (jitter - -jitter) * u to the
+base latency.  The uniforms are drawn _BLOCK at a time.  Each one is the
+value a scalar Generator.uniform() returns at that point of the stream,
+and the jitter term is the float uniform(-jitter, jitter) returns, so the
+schedule is the same as with one Generator call per draw.
 
-Delivery is a deterministic total order: (deliver_time, seq, src, dst).
-A queue entry also carries the message and its link's counters.  A link's
-byte count adds each sent message's nominal size (wire_bytes).
+Delivery is a deterministic total order: (due, seq, dst).  A queue entry
+also carries the send time, the payload and its link's counters.  A link's
+byte count adds each sent update's nominal size (wire_bytes).
 """
 
 from __future__ import annotations
@@ -41,27 +40,11 @@ WATCHER_ID = "watcher"
 _BLOCK = 256  # uniforms a link draws from its stream at a time
 
 
-@dataclass(slots=True)
-class Message:
-    src: str
-    dst: str
-    send_time: float
-    deliver_time: float
-    seq: int          # strictly increasing per (src, dst)
-    payload: object = None   # (pose, setpoint position, rate, a, b, count, landed)
-
-
 @dataclass(frozen=True)
 class LinkModel(ParameterRecord):
     base_latency: float = 0.0
     jitter: float = 0.0        # uniform half-width added to the latency
     drop_prob: float = 0.0
-
-    def __post_init__(self):
-        # drop_prob 1.0 (drop everything) is stored as 0.9999999999: the value a
-        # scenario's network.drop of 1.0 runs with, which fixes its outputs.
-        if self.drop_prob == 1.0:
-            object.__setattr__(self, "drop_prob", 0.9999999999)
 
     def delays_finite(self) -> bool:
         """Whether every delivery time stays finite: 2*jitter and latency+jitter do."""
@@ -76,7 +59,7 @@ class LinkModel(ParameterRecord):
             problems.append(ConfigViolation(
                 "BAD_VALUE", "network jitter is too large: 2*jitter and latency+jitter must "
                 f"be finite, got latency {self.base_latency!r}, jitter {self.jitter!r}"))
-        if not 0.0 <= self.drop_prob < 1.0:
+        if not 0.0 <= self.drop_prob <= 1.0:
             problems.append(ConfigViolation("BAD_VALUE", "network drop must be in [0, 1]"))
         return problems
 
@@ -126,7 +109,7 @@ class _Link:
 
 
 class StarBus:
-    """Event-queued message transport restricted to watcher -> agent links."""
+    """The watcher's delivery queue: one virtual-time link to each agent."""
 
     def __init__(self, agent_ids: list[str], link: LinkModel, seed: int,
                  trace: list[str] | None = None):
@@ -139,26 +122,27 @@ class StarBus:
         self.agents = set(agent_ids)
         self.trace = trace
         self._links: dict[str, _Link] = {}   # by agent, once it is first sent to
-        # (deliver_time, seq, src, dst, message, the link's stats); the first
-        # four are unique, so messages and stats are never compared.
-        self._queue: list[tuple[float, int, str, str, Message, LinkStats]] = []
+        # (due, seq, dst, sent, payload, the link's stats); the first three
+        # are unique, so payloads and stats are never compared.
+        self._queue: list[tuple[float, int, str, float, object, LinkStats]] = []
         self._seed = seed
         # uniform(-jitter, jitter) is -jitter + (jitter - -jitter) * u.
         self._jitter_low = -link.jitter
         self._jitter_range = link.jitter - -link.jitter
 
-    def _open_link(self, src: str, dst: str) -> _Link:
-        """The record of a star link's first message; only the watcher sends."""
-        if src != WATCHER_ID or dst not in self.agents:
+    def _open_link(self, dst: str) -> _Link:
+        """The record of a link's first update; only agents receive."""
+        if dst not in self.agents:
             raise TopologyViolationError(
-                f"link {src} -> {dst} is not part of the star topology")
-        tag = zlib.crc32(f"{src}->{dst}".encode())
+                f"link {WATCHER_ID} -> {dst} is not part of the star topology")
+        tag = zlib.crc32(f"{WATCHER_ID}->{dst}".encode())
         link = self._links[dst] = _Link(LinkStats(), [self._seed, tag])
         return link
 
-    def send(self, src: str, dst: str, payload, now: float) -> Message | None:
-        """Schedule an update; returns None when the link model drops it."""
-        link = (src == WATCHER_ID and self._links.get(dst)) or self._open_link(src, dst)
+    def send(self, dst: str, payload, now: float) -> float | None:
+        """Schedule an update to dst; returns its delivery time, or None
+        when the link model drops it."""
+        link = self._links.get(dst) or self._open_link(dst)
         link.seq = seq = link.seq + 1
         stats = link.stats
         stats.sent += 1
@@ -167,31 +151,30 @@ class StarBus:
         if model.drop_prob > 0.0 and link.uniform() < model.drop_prob:
             stats.dropped += 1
             if self.trace is not None:
-                self.trace.append(f"drop t={fmt9(now)} src={src} dst={dst} "
+                self.trace.append(f"drop t={fmt9(now)} src=watcher dst={dst} "
                                   f"type=update seq={seq}")
             return None
         latency = model.base_latency
         if model.jitter > 0.0:
             latency += self._jitter_low + self._jitter_range * link.uniform()
-        deliver = max(now, now + latency)
-        msg = Message(src, dst, now, deliver, seq, payload)
-        heapq.heappush(self._queue, (deliver, seq, src, dst, msg, stats))
+        due = max(now, now + latency)
+        heapq.heappush(self._queue, (due, seq, dst, now, payload, stats))
         if self.trace is not None:
-            self.trace.append(f"send t={fmt9(now)} src={src} dst={dst} "
-                              f"type=update seq={seq} due={fmt9(deliver)}")
-        return msg
+            self.trace.append(f"send t={fmt9(now)} src=watcher dst={dst} "
+                              f"type=update seq={seq} due={fmt9(due)}")
+        return due
 
-    def deliver_due(self, now: float) -> list[Message]:
-        """Pop every message due by `now` in (deliver_time, seq, link) order."""
+    def deliver_due(self, now: float) -> list[tuple[str, object, float]]:
+        """Pop every update due by `now` in (due, seq, dst) order, as
+        (dst, payload, send time) triples."""
         queue, out = self._queue, []
         while queue and queue[0][0] <= now:
-            msg, stats = heapq.heappop(queue)[4:]
+            _, seq, dst, sent, payload, stats = heapq.heappop(queue)
             stats.delivered += 1
             if self.trace is not None:
-                self.trace.append(f"deliver t={fmt9(now)} src={msg.src} dst={msg.dst} "
-                                  f"type=update seq={msg.seq} "
-                                  f"sent={fmt9(msg.send_time)}")
-            out.append(msg)
+                self.trace.append(f"deliver t={fmt9(now)} src=watcher dst={dst} "
+                                  f"type=update seq={seq} sent={fmt9(sent)}")
+            out.append((dst, payload, sent))
         return out
 
     def pending(self) -> int:

@@ -21,9 +21,10 @@ trajectory block, one watcher.csv chunk and one step's trace lines at a
 time, never a whole log: each goes to a file under its temporary name
 (the log's name + PARTIAL), and the files are renamed to their own names
 only when the loop has completed.  Any other exit (a SafetyAbortError, any
-exception) closes and deletes them, so an aborted run leaves its
-state_dump.json and no log, and a log under its own name is always a
-whole one.
+exception) closes and deletes them.  As the logs open, every output an
+earlier run left in the directory is removed, so an aborted run leaves
+its state_dump.json and no log, and a log under its own name is always a
+whole one of this run.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .agents import (UAV, UGV, FilterError, KindControl, step_ugv, step_uav,
 from .config import ScenarioConfig
 from .errors import CapacityError, InvalidInputError, SafetyAbortError
 from .logfmt import fmt9
-from .netsim import WATCHER_ID, LinkStats, StarBus
+from .netsim import LinkStats, StarBus
 # run() no longer calls summarize_dir; bench/ still looks it up on this module.
 from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
                       WATCHER_FILE, WATCHER_HEADER, MetricsFold, MetricsSummary,
@@ -49,6 +50,7 @@ from .summary import (CONFIG_FILE, METRICS_FILE, TRACE_FILE, TRAJECTORY_FILE,
 from .watcher import Watcher, WatcherRecord
 
 PARTIAL = ".partial"   # a log's temporary name is its name + PARTIAL
+DUMP_FILE = "state_dump.json"
 
 
 @dataclass
@@ -172,10 +174,10 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
     steps_watch = cfg.steps_per_watcher()
     total = cfg.total_steps()
 
-    def route(messages):
-        for msg in messages:
-            i, on_update = routes[msg.dst]
-            on_update(i, *msg.payload, msg.send_time)
+    def route(updates):
+        for dst, payload, sent in updates:
+            i, on_update = routes[dst]
+            on_update(i, *payload, sent)
 
     def min_h(times, statuses, *block):
         """The writer's min_h: folds a flushed block into the metrics.  The
@@ -197,13 +199,17 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
             "uavs": {f"uav{i}": p for i, p in enumerate(uav.tolist())},
             "ugvs": {f"ugv{i}": p for i, p in enumerate(ugv.tolist())},
         }
-        path = os.path.join(out_dir, "state_dump.json")
+        path = os.path.join(out_dir, DUMP_FILE)
         with open(path, "w") as f:
             json.dump(dump, f, indent=2, sort_keys=True)
         return SafetyAbortError(f"{message} (state dump: {path})")
 
     names = [TRAJECTORY_FILE, WATCHER_FILE] + ([TRACE_FILE] if trace else [])
     paths = [os.path.join(out_dir, name) for name in names]
+    # The directory holds this run's outputs alone: an earlier run's go now.
+    for name in (TRAJECTORY_FILE, WATCHER_FILE, TRACE_FILE, CONFIG_FILE, METRICS_FILE,
+                 DUMP_FILE):
+        _discard(os.path.join(out_dir, name))
     with _streamed(paths) as (trajectory_out, watcher_out, *trace_out):
         writer = TrajectoryWriter(agent_ids, trajectory_out)
         watcher_out.write(WATCHER_HEADER + "\n")
@@ -227,7 +233,7 @@ def run(cfg: ScenarioConfig, out_dir: str, trace: bool = False) -> RunResult:
                     raise abort(step, t, f"watcher: {exc}",
                                 f"watcher failed at t={t}: {exc}")
                 for dst, payload in outbound:
-                    bus.send(WATCHER_ID, dst, payload, t)
+                    bus.send(dst, payload, t)
                 watcher_records += records
                 if coordinator.tables is not tails_of[0]:
                     # Row counts in column order, then the proximal set.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
@@ -31,7 +32,7 @@ from .barriers import (eval_landing, offset_points, pairwise_sq_distances,
 from .config import ScenarioConfig, load_config
 from .errors import InvalidInputError
 from .logfmt import fmt9, fmt9_floats, fmt9_round_trip
-from .netsim import WATCHER_ID, LinkStats, StarBus
+from .netsim import LinkStats, StarBus
 from .watcher import PHASE_NAMES, TASK
 
 TRAJECTORY_FILE = "trajectory.csv"
@@ -446,33 +447,29 @@ def _float_error(text: str) -> ValueError | None:
 def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> np.ndarray:
     """Checks watcher.csv block by block and folds its (agent id, active
     row count) records.  Per line, in file order: its field count and place
-    (_blocks), then its phase, one of PHASE_NAMES, then its row counts,
-    which must be non-negative integers summing to active_count (each
-    distinct phase and counts is checked once), then its pair's phase
-    (_check_phases).  Returns each pair's touchdown step: the step of the
-    watcher tick at which its lines first read landed, inf if none does."""
+    (_blocks), then its phase, row counts and proximal set
+    (_watcher_line_error, once per distinct agent id, phase, counts and
+    set), then its pair's phase (_check_phases).  Returns each pair's
+    touchdown step: the step of the watcher tick at which its lines first
+    read landed, inf if none does."""
     n, m, steps = cfg.n_pairs, 2 * cfg.n_pairs, cfg.steps_per_watcher()
+    ids = frozenset(cfg.agent_ids())
     checked: dict[tuple[str, ...], int] = {}
     touchdown = np.full(n, math.inf)
     last = [PHASE_NAMES[TASK]] * m   # the phases of the last tick read
     tick = 0   # the block's first
     for fields, linenos, _, error in _blocks(path, WATCHER_HEADER, 10, cfg, steps):
-        records = list(zip(*(fields[j::10] for j in range(2, 9))))   # phase, counts
+        records = list(zip(*(fields[j::10] for j in range(1, 10))))   # agent id on
         good = len(records)   # the lines before the first bad record
         for key in dict.fromkeys(records):   # distinct, first seen first
             if key in checked:
                 continue
-            phase, *counts = key
-            active, *families = (int(c) if c.isdecimal() else -1 for c in counts)
-            if phase in PHASE_NAMES and min(families) >= 0 and active == sum(families):
-                checked[key] = active
+            problem = _watcher_line_error(key, ids)
+            if problem is None:
+                checked[key] = int(key[2])   # its active_count
                 continue
             good = records.index(key)
-            where = f"{path}:{linenos[good]}"
-            error = (InvalidInputError(f"{where}: unknown phase {phase!r}")
-                     if phase not in PHASE_NAMES else
-                     InvalidInputError(f"{where}: row counts {','.join(counts)} must "
-                                       "be non-negative integers that sum to active_count"))
+            error = InvalidInputError(f"{path}:{linenos[good]}: {problem}")
             break
         phases = fields[2:10 * good:10]
         # A block whose ticks all repeat the last one changes no phase.
@@ -488,6 +485,35 @@ def _check_watcher(cfg: ScenarioConfig, path: str, fold: MetricsFold) -> np.ndar
         fold.rows(zip(fields[1::10], map(checked.__getitem__, records)))
         tick += len(phases) // m
     return touchdown
+
+
+def _watcher_line_error(key: tuple[str, ...], ids: frozenset[str]) -> str | None:
+    """What is wrong with a watcher.csv line's agent id, phase, row counts
+    and proximal set P (key), else None.  Its phase must be one of
+    PHASE_NAMES and its row counts non-negative integers summing to
+    active_count.  P must be sorted, without repeats, and name only agents
+    of the run (ids) outside the line's own pair.  A UAV line's families
+    then read 5, the UGVs in P, 1, the UAVs in P, 0; a UGV line's read 4,
+    0, 0, 0, the UGVs in P."""
+    agent, phase, *counts, proximal = key
+    if phase not in PHASE_NAMES:
+        return f"unknown phase {phase!r}"
+    active, *families = (int(c) if c.isdecimal() else -1 for c in counts)
+    if min(families) < 0 or active != sum(families):
+        return (f"row counts {','.join(counts)} must be non-negative integers "
+                "that sum to active_count")
+    others = proximal.split(";") if proximal else []
+    pair = agent[3:]
+    if (others != sorted(set(others)) or not ids.issuperset(others)
+            or "uav" + pair in others or "ugv" + pair in others):
+        return (f"proximal set {proximal!r} must name agents of the run outside its "
+                "own pair, sorted and each once")
+    uavs = bisect_left(others, "ugv")   # sorted ids: the UAVs come first
+    ugvs = len(others) - uavs
+    if families != ([5, ugvs, 1, uavs, 0] if agent.startswith("uav") else [4, 0, 0, 0, ugvs]):
+        return (f"row counts {','.join(counts)} do not fit a {agent[:3].upper()} line "
+                f"with proximal set {proximal!r}")
+    return None
 
 
 def _check_phases(path: str, linenos, phases: list[str], m: int, last: list[str]) -> None:
@@ -541,10 +567,10 @@ def _check_trace(cfg: ScenarioConfig, path: str, touchdown: np.ndarray,
     landing = np.full(cfg.n_pairs, math.inf)
     error: Exception | None = None
 
-    def reach(messages, step):
-        for msg in messages:
-            if msg.payload is landed:
-                pair = int(msg.dst[3:])
+    def reach(updates, step):
+        for dst, payload, _ in updates:
+            if payload is landed:
+                pair = int(dst[3:])
                 landing[pair] = min(landing[pair], step)
 
     with open(path, "r") as f:
@@ -581,7 +607,7 @@ def _check_trace(cfg: ScenarioConfig, path: str, touchdown: np.ndarray,
                 for pair in (touchdown == step).nonzero()[0].tolist():
                     payloads[2 * pair] = landed
                 for aid, payload in zip(ids, payloads):
-                    bus.send(WATCHER_ID, aid, payload, t)
+                    bus.send(aid, payload, t)
                 reach(bus.deliver_due(t), step)
             if lines and error is None:
                 error = compare(lines)

@@ -291,9 +291,8 @@ class Watcher:
         self.touchdown_times: dict[int, float] = {}
         # This tick's fleet, indexed by pair: UAV positions (x, y, z), UGV
         # decks (x, y) and UGV offset points (x, y) in one (n, 7) array,
-        # and the UGV poses (x, y, theta).  Both are fresh every tick.
+        # fresh every tick.
         self._fleet = np.zeros((n_pairs, 7))
-        self._ugv = np.zeros((n_pairs, 3))
         self._est = VelocityEstimator(n_pairs, 7, opts.smoothing)
         # The operands of the tick's one distance pass, families stacked as
         # (UAV vs UAV, UAV vs other platform, UGV vs UGV): UAVs, UAVs and
@@ -512,7 +511,7 @@ class Watcher:
         blocks) and whether its pair is landed, as of this tick's
         touchdowns."""
         n = self.n_pairs
-        self._ugv = ugv = np.array(ugv, dtype=float).reshape(n, 3)
+        ugv = np.array(ugv, dtype=float).reshape(n, 3)
         self._fleet = fleet = np.empty((n, 7))
         fleet[:, :3] = np.reshape(uav, (n, 3))
         fleet[:, 3:6] = ugv

@@ -84,7 +84,7 @@ from airground.barriers import RowKind, SafetyParams
 from airground.config import load_config
 from airground.errors import CapacityError, InvalidInputError
 from airground.logfmt import fmt9, fmt9_round_trip
-from airground.netsim import WATCHER_ID, LinkModel, LinkStats, Message
+from airground.netsim import WATCHER_ID, LinkModel, LinkStats
 from airground.qp import (_DEP_TOL, _FEAS_TOL, RELAXATION_WEIGHT, QpSolution,
                           _blocking_step, _project)
 from airground.watcher import LANDED, PHASE_NAMES, TASK, WatcherRecord
@@ -882,14 +882,14 @@ def from_rows(agent_id: str, capacity: int, dim: int,
 
 def tick_state(w) -> SimpleNamespace:
     """The watcher's current tick, per family, as the per-agent oracles read
-    it: positions (uav, ugv poses, offsets, platforms), velocity estimates
+    it: positions (uav, decks, offsets, platforms), velocity estimates
     with the worst-case flag (v_uav, v_deck, v_offset, worst) and gates
     (aa, ago, gg)."""
     velocity, worst = w._est.estimate()
     aa, ago, gg = w._gates
     fleet = w._fleet
     return SimpleNamespace(
-        uav=fleet[:, :3], ugv=w._ugv, offsets=fleet[:, 5:], platforms=w._platforms,
+        uav=fleet[:, :3], decks=fleet[:, 3:5], offsets=fleet[:, 5:], platforms=w._platforms,
         v_uav=velocity[:, :3], v_deck=velocity[:, 3:5], v_offset=velocity[:, 5:],
         worst=worst, aa=aa, ago=ago, gg=gg)
 
@@ -929,7 +929,7 @@ def assemble_per_row(w, agent_id: str) -> tuple[Matrix, list[ConstraintRow]]:
         for j in np.flatnonzero(s.ago[pair]).tolist() + [pair]:
             rows.append(build_constraint_row(
                 RowKind.UAV_OTHER_UGV if j != pair else RowKind.LANDING,
-                pos, s.ugv[j, :2], s.v_deck[j], params=p,
+                pos, s.decks[j], s.v_deck[j], params=p,
                 platform_height=w.platform_height, other_id=f"ugv{j}",
                 worst_case=s.worst))
         for j in np.flatnonzero(s.aa[pair]).tolist():
@@ -1044,9 +1044,10 @@ def hover_point(w, pair: int) -> np.ndarray:
     return p
 
 
-def per_agent_fanout(w, tracks, now: float) -> tuple[list[tuple], list[WatcherRecord]]:
+def per_agent_fanout(w, tracks, now: float, ugv) -> tuple[list[tuple], list[WatcherRecord]]:
     """The 2N updates and the records of the watcher's current tick, one
-    agent at a time: an update of a copied pose, the position and rate of
+    agent at a time: an update of a copied pose (a UGV's from ugv, the
+    (n, 3) poses the tick was given), the position and rate of
     the setpoint from the agent's own (waypoints, speed) pair in tracks
     (tick order, as the watcher was built with) by waypoint_sample (a landing or landed pair's UAV chases
     its platform's hover point instead), the per-row matrix and whether the
@@ -1058,7 +1059,7 @@ def per_agent_fanout(w, tracks, now: float) -> tuple[list[tuple], list[WatcherRe
     for i in range(w.n_pairs):
         phase = w.phases[i]
         for agent_id, pose, track in ((f"uav{i}", s.uav[i], tracks[2 * i]),
-                                      (f"ugv{i}", s.ugv[i], tracks[2 * i + 1])):
+                                      (f"ugv{i}", ugv[i], tracks[2 * i + 1])):
             setpoint = waypoint_sample(track, now)
             if agent_id.startswith("uav") and phase != TASK:
                 rate = (np.zeros(3) if s.worst
@@ -1073,6 +1074,16 @@ def per_agent_fanout(w, tracks, now: float) -> tuple[list[tuple], list[WatcherRe
     return updates, records
 
 
+class Sent(NamedTuple):
+    """An update the reference bus kept: its link, send and delivery times,
+    sequence number on its link and payload."""
+    dst: str
+    sent: float
+    due: float
+    seq: int
+    payload: object
+
+
 class ScalarDrawBus:
     """The star bus drawing each link's randomness one scalar call at a
     time: uniform() for a drop and uniform(-jitter, jitter) for a jitter."""
@@ -1081,33 +1092,25 @@ class ScalarDrawBus:
         link.require_valid()
         self.link = link
         self.agents = set(agent_ids)
-        self._seq: dict[tuple[str, str], int] = {}
-        self._rng: dict[tuple[str, str], np.random.Generator] = {}
+        self._seq: dict[str, int] = {}
+        self._rng: dict[str, np.random.Generator] = {}
         self._stats: dict[str, LinkStats] = {}
-        self._queue: list[tuple[float, int, str, str, Message]] = []
+        self._queue: list[tuple[float, int, str, Sent]] = []
         self._seed = seed
 
-    def _check_link(self, src: str, dst: str) -> str:
-        if src == WATCHER_ID and dst in self.agents:
-            return dst
-        raise AssertionError(f"link {src} -> {dst} is not part of the star topology")
-
-    def _link_rng(self, src: str, dst: str) -> np.random.Generator:
-        key = (src, dst)
-        rng = self._rng.get(key)
+    def _link_rng(self, dst: str) -> np.random.Generator:
+        rng = self._rng.get(dst)
         if rng is None:
-            tag = zlib.crc32(f"{src}->{dst}".encode())
+            tag = zlib.crc32(f"{WATCHER_ID}->{dst}".encode())
             rng = np.random.default_rng(np.random.SeedSequence([self._seed, tag]))
-            self._rng[key] = rng
+            self._rng[dst] = rng
         return rng
 
-    def send(self, src: str, dst: str, payload, now: float) -> Message | None:
-        agent = self._check_link(src, dst)
-        stats = self._stats.setdefault(agent, LinkStats())
-        key = (src, dst)
-        seq = self._seq.get(key, 0) + 1
-        self._seq[key] = seq
-        rng = self._link_rng(src, dst)
+    def send(self, dst: str, payload, now: float) -> Sent | None:
+        assert dst in self.agents, f"link {WATCHER_ID} -> {dst} is not part of the star topology"
+        stats = self._stats.setdefault(dst, LinkStats())
+        seq = self._seq[dst] = self._seq.get(dst, 0) + 1
+        rng = self._link_rng(dst)
         stats.sent += 1
         stats.bytes += type_walk_payload_bytes(payload)
         if self.link.drop_prob > 0.0 and rng.uniform() < self.link.drop_prob:
@@ -1117,17 +1120,16 @@ class ScalarDrawBus:
         if self.link.jitter > 0.0:
             latency += rng.uniform(-self.link.jitter, self.link.jitter)
         deliver = max(now, now + latency)
-        msg = Message(src=src, dst=dst, send_time=now,
-                      deliver_time=deliver, seq=seq, payload=payload)
-        heapq.heappush(self._queue, (deliver, seq, src, dst, msg))
-        return msg
+        sent = Sent(dst, now, deliver, seq, payload)
+        heapq.heappush(self._queue, (deliver, seq, dst, sent))
+        return sent
 
-    def deliver_due(self, now: float) -> list[Message]:
+    def deliver_due(self, now: float) -> list[Sent]:
         out = []
         while self._queue and self._queue[0][0] <= now:
-            _, _, _, _, msg = heapq.heappop(self._queue)
-            self._stats[self._check_link(msg.src, msg.dst)].delivered += 1
-            out.append(msg)
+            sent = heapq.heappop(self._queue)[3]
+            self._stats[sent.dst].delivered += 1
+            out.append(sent)
         return out
 
     def link_stats(self) -> dict[str, LinkStats]:
@@ -1296,22 +1298,44 @@ def _parse_trajectory(path: str, layout):
 def _parse_watcher(path: str, layout, n_pairs: int):
     """Yields (agent_id, active_count) per record of a watcher.csv laid out
     as layout says, whose phase must be one of PHASE_NAMES and whose row
-    counts must be non-negative integers summing to active_count, checked
-    once per distinct set.  Then a UGV line must read its UAV line's
-    phase, and a UAV line must not move its pair back along task,
-    landing, landed from the tick before."""
+    counts must be non-negative integers summing to active_count.  Its
+    proximal set must be sorted, without repeats, naming agents of the run
+    outside the line's own pair; its five family counts must be those of
+    its kind's rows against that set: a UAV has 5 walls, a row per UGV in
+    the set, 1 funnel and a row per UAV in the set; a UGV has 4 walls and a
+    row per UGV in the set.  Each distinct agent, counts and set is checked
+    once.  Then a UGV line must read its UAV line's phase, and a UAV line
+    must not move its pair back along task, landing, landed from the tick
+    before."""
     checked: dict[tuple[str, ...], int] = {}
+    agents = {f"{kind}{i}" for kind in ("uav", "ugv") for i in range(n_pairs)}
     pair_phase = [TASK] * n_pairs   # each pair's phase, as its UAV line last read
     for k, (lineno, parts) in enumerate(_csv_rows(path, summary.WATCHER_HEADER, 10, layout)):
         if parts[2] not in PHASE_NAMES:
             raise InvalidInputError(f"{path}:{lineno}: unknown phase {parts[2]!r}")
         counts = tuple(parts[3:9])
-        if counts not in checked:
+        key = (parts[1], *counts, parts[9])
+        if key not in checked:
             active, *families = (int(c) if c.isdecimal() else -1 for c in counts)
             if min(families) < 0 or active != sum(families):
                 raise InvalidInputError(f"{path}:{lineno}: row counts {','.join(counts)} must "
                                         "be non-negative integers that sum to active_count")
-            checked[counts] = active
+            proximal = parts[9].split(";") if parts[9] else []
+            index = parts[1][3:]
+            if (any(a >= b for a, b in zip(proximal, proximal[1:]))
+                    or any(p not in agents or p[3:] == index for p in proximal)):
+                raise InvalidInputError(
+                    f"{path}:{lineno}: proximal set {parts[9]!r} must name agents of the "
+                    "run outside its own pair, sorted and each once")
+            uavs = sum(p.startswith("uav") for p in proximal)
+            ugvs = len(proximal) - uavs
+            want = ([5, ugvs, 1, uavs, 0] if parts[1].startswith("uav")
+                    else [4, 0, 0, 0, ugvs])
+            if families != want:
+                raise InvalidInputError(
+                    f"{path}:{lineno}: row counts {','.join(counts)} do not fit a "
+                    f"{parts[1][:3].upper()} line with proximal set {parts[9]!r}")
+            checked[key] = active
         pair, is_ugv = divmod(k % (2 * n_pairs), 2)
         phase, was = PHASE_NAMES.index(parts[2]), PHASE_NAMES[pair_phase[pair]]
         if is_ugv and phase != pair_phase[pair]:
@@ -1321,7 +1345,7 @@ def _parse_watcher(path: str, layout, n_pairs: int):
             raise InvalidInputError(f"{path}:{lineno}: phase {parts[2]!r} moves its pair "
                                     f"back from {was!r}")
         pair_phase[pair] = phase
-        yield parts[1], checked[counts]
+        yield parts[1], checked[key]
 
 
 def summarize_logs_per_line(out_dir: str):

@@ -10,7 +10,7 @@ from airground.agents import (UAV, UGV, AgentControlUnit, KindControl, data_stal
                               nominal_velocity, step_ugv, step_uav, wrap_angle)
 from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import InvalidInputError
-from airground.netsim import WATCHER_ID, LinkModel, StarBus
+from airground.netsim import LinkModel, StarBus
 
 from oracles import (UgvState, build_constraint_row, from_rows, nid_forward,
                      nid_inverse, per_slot_stale, step_ugv_held)
@@ -341,10 +341,10 @@ class TestControlUnit:
             update = (np.array([0.01 * k, 0.0, 1.0]), np.array([2.0, 0.1 * k, 1.0]),
                       np.full(3, 0.01 * k), *matrix, False)
             before = fields()
-            sent = bus.send(WATCHER_ID, "uav0", update, t)
-            for msg in bus.deliver_due(t):
-                control.on_update(0, *msg.payload, msg.send_time)
-            if sent is None:
+            due = bus.send("uav0", update, t)
+            for _, payload, sent in bus.deliver_due(t):
+                control.on_update(0, *payload, sent)
+            if due is None:
                 drops += 1
                 after = fields()
                 assert after[:4] == before[:4] and after[4] is before[4]

@@ -470,6 +470,36 @@ class TestSummarize:
         assert f"{path}:7: row counts " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k, fields, problem", [
+        (2, {3: "7", 6: "1"}, "row counts 7,4,0,1,0,2 do not fit a UGV line"),
+        (1, {3: "11", 4: "6"}, "row counts 11,6,2,1,2,0 do not fit a UAV line"),
+        (1, {9: "banana;uav0"}, "proximal set 'banana;uav0' must name agents of the run"),
+    ], ids=["ugv_landing_row", "uav_sixth_wall", "foreign_proximal"])
+    def test_summarize_watcher_line_against_its_proximal_set_fails(
+            self, tmp_path, capsys, k, fields, problem):
+        """A line's row counts must be those of its kind's rows against
+        its proximal set, which names other pairs' agents of the run: a
+        landing row on a UGV line or a sixth wall on a UAV line, with
+        active_count raised to match, or an id outside the run in a
+        proximal set, is reported at its line."""
+        cfg = write_config(tmp_path, clustered_scenario(duration=1.0).raw)
+        out_dir = str(tmp_path / "out")
+        assert main(["run", cfg, "--out-dir", out_dir]) == 0
+        path = os.path.join(out_dir, "watcher.csv")
+        with open(path) as f:
+            lines = f.read().splitlines()
+        parts = lines[k].split(",")
+        for column, value in fields.items():
+            parts[column] = value
+        lines[k] = ",".join(parts)
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["summarize", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{k + 1}: {problem}" in err
+        assert "Traceback" not in err
+
     def test_summarize_missing_dir_fails(self):
         assert main(["summarize", "/nonexistent/run"]) == 1
 

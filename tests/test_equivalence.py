@@ -27,7 +27,7 @@ from airground.agents import (UAV, UGV, AgentControlUnit, Command, KindControl,
 from airground.barriers import Bounds, RowKind, SafetyParams, offset_points
 from airground.errors import CapacityError, InvalidInputError
 from airground.logfmt import fmt9, fmt9_round_trip
-from airground.netsim import WATCHER_ID, StarBus, wire_bytes
+from airground.netsim import StarBus, wire_bytes
 from airground.qp import _project, project_with_box, solve_relaxed
 from airground import runner
 from airground.runner import _integrate, run
@@ -516,11 +516,11 @@ def fanout_runs(draw):
     return n, platform_height, track_list, ticks
 
 
-def assert_fanout_matches_oracle(w, tracks, now, outbound, records):
+def assert_fanout_matches_oracle(w, tracks, now, ugv, outbound, records):
     """A tick's updates (order, destinations and payload bits), their
     wire sizes and its records equal the per-agent fan-out's on the
-    watcher's (waypoints, speed) tracks."""
-    want_updates, want_records = per_agent_fanout(w, tracks, now)
+    watcher's (waypoints, speed) tracks and the tick's UGV poses."""
+    want_updates, want_records = per_agent_fanout(w, tracks, now, ugv)
     assert [dst for dst, _ in outbound] == [dst for dst, _ in want_updates]
     for (dst, got), (_, want) in zip(outbound, want_updates):
         assert wire_bytes(got) == type_walk_payload_bytes(want)
@@ -566,11 +566,10 @@ def test_link_bytes_match_type_walk(tmp_path, monkeypatch):
     walked, bits = {}, set()
 
     class WalkedBus(StarBus):
-        def send(self, src, dst, payload, now):
-            agent = dst if src == WATCHER_ID else src
-            walked[agent] = walked.get(agent, 0) + type_walk_payload_bytes(payload)
+        def send(self, dst, payload, now):
+            walked[dst] = walked.get(dst, 0) + type_walk_payload_bytes(payload)
             bits.add(payload[6])
-            return super().send(src, dst, payload, now)
+            return super().send(dst, payload, now)
 
     monkeypatch.setattr(runner, "StarBus", WalkedBus)
     result = run(landing_crossing(), str(tmp_path))
@@ -611,7 +610,7 @@ def test_fanout_matches_per_agent_oracle(case):
         if signal is not None:
             w.handle_landing_signal(signal)
         outbound, records = w.tick(now, uav, ugv)
-        assert_fanout_matches_oracle(w, track_list, now, outbound, records)
+        assert_fanout_matches_oracle(w, track_list, now, ugv, outbound, records)
 
 
 def test_gate_tables_rebuilt_only_when_a_gate_or_phase_changes():
@@ -653,7 +652,7 @@ def test_gate_tables_rebuilt_only_when_a_gate_or_phase_changes():
         if k == 10:   # the phase alone changed
             assert w._gates.tobytes() == gates.tobytes()
             assert [rec.phase for rec in records[:2]] == ["landing", "landing"]
-        assert_fanout_matches_oracle(w, static_tracks(3), now, outbound, records)
+        assert_fanout_matches_oracle(w, static_tracks(3), now, ugv, outbound, records)
     assert w.phases[0] == LANDED
     # Pair 2 joins uav1: two more rows overflow it, on this tick and the next.
     uav = np.array([hover, near, [0.3, 0.4, 0.9]])

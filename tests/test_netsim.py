@@ -25,36 +25,35 @@ def update(tag=0.0, dim=3, capacity=8, landed=False):
             np.zeros((capacity, dim)), np.zeros(capacity), 0, landed)
 
 
+def seqs(trace, *kinds):
+    """The (dst, seq) of each of a trace's lines of the given kinds, in order."""
+    return [(fields["dst"], int(fields["seq"]))
+            for kind, *tokens in map(str.split, trace) if kind in kinds
+            for fields in [dict(token.split("=") for token in tokens)]]
+
+
 class TestTopology:
-    def test_only_watcher_to_agent_links_accepted(self):
-        """The watcher sends to each agent; no agent sends to the watcher."""
-        bus = make_bus()
-        assert bus.send(WATCHER_ID, "uav0", update(), 0.0)
-        with pytest.raises(TopologyViolationError):
-            bus.send("uav0", WATCHER_ID, update(), 0.0)
-
-    def test_agent_to_agent_rejected(self):
-        bus = make_bus()
-        with pytest.raises(TopologyViolationError):
-            bus.send("uav0", "ugv0", update(), 0.0)
-
     def test_unknown_node_rejected(self):
+        """Only the fleet's agents receive: the watcher itself and an id
+        outside the fleet are no destination."""
         bus = make_bus()
-        with pytest.raises(TopologyViolationError):
-            bus.send(WATCHER_ID, "uav9", update(), 0.0)
+        for dst in ("uav9", WATCHER_ID):
+            with pytest.raises(TopologyViolationError):
+                bus.send(dst, update(), 0.0)
+        assert bus.link_stats() == {}
 
 
 class TestDelivery:
     def test_zero_latency_delivers_same_instant(self):
         bus = make_bus()
-        bus.send(WATCHER_ID, "uav0", update(42), 0.05)
-        out = bus.deliver_due(0.05)
-        assert len(out) == 1 and out[0].payload[0][0] == 42
-        assert out[0].deliver_time == out[0].send_time == 0.05
+        due = bus.send("uav0", update(42), 0.05)
+        [(dst, payload, sent)] = bus.deliver_due(0.05)
+        assert dst == "uav0" and payload[0][0] == 42
+        assert due == sent == 0.05
 
     def test_latency_defers_delivery(self):
         bus = make_bus(latency=0.03)
-        bus.send(WATCHER_ID, "uav0", update(), 0.0)
+        assert bus.send("uav0", update(), 0.0) == 0.03
         assert bus.deliver_due(0.02) == []
         assert len(bus.deliver_due(0.03)) == 1
 
@@ -62,34 +61,35 @@ class TestDelivery:
         assert make_bus().deliver_due(10.0) == []
 
     def test_tie_order_by_seq_then_link(self):
-        bus = make_bus()
-        bus.send(WATCHER_ID, "ugv1", update(), 0.0)
-        bus.send(WATCHER_ID, "uav0", update(), 0.0)
-        bus.send(WATCHER_ID, "ugv1", update(), 0.0)
+        trace = []
+        bus = make_bus(trace=trace)
+        bus.send("ugv1", update(1), 0.0)
+        bus.send("uav0", update(2), 0.0)
+        bus.send("ugv1", update(3), 0.0)
         out = bus.deliver_due(0.0)
-        # Same deliver_time everywhere: seq breaks ties, then link id.
-        assert [(m.seq, m.dst) for m in out] == [(1, "uav0"), (1, "ugv1"), (2, "ugv1")]
+        # Same delivery time everywhere: seq breaks ties, then link id.
+        assert [(dst, int(payload[0][0])) for dst, payload, _ in out] == [
+            ("uav0", 2), ("ugv1", 1), ("ugv1", 3)]
+        assert seqs(trace, "deliver") == [("uav0", 1), ("ugv1", 1), ("ugv1", 2)]
 
     def test_jitter_can_reorder_transport(self):
         bus = make_bus(latency=0.05, jitter=0.04, seed=3)
         stamps = []
         for k in range(30):
-            msg = bus.send(WATCHER_ID, "uav0", update(k), 0.01 * k)
-            stamps.append(msg.deliver_time)
+            stamps.append(bus.send("uav0", update(k), 0.01 * k))
         out = bus.deliver_due(10.0)
-        payloads = [int(m.payload[0][0]) for m in out]
+        payloads = [int(payload[0][0]) for _, payload, _ in out]
         assert sorted(payloads) == list(range(30))
         assert payloads != list(range(30))  # at least one inversion under jitter
 
     def test_seq_strictly_increasing_per_link(self):
-        bus = make_bus(drop=0.3, seed=9)
-        seqs = []
-        for k in range(50):
-            msg = bus.send(WATCHER_ID, "uav0", update(k), 0.0)
-            if msg is not None:
-                seqs.append(msg.seq)
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
+        """Every update sent on a link, dropped or kept, takes the link's
+        next sequence number."""
+        trace = []
+        bus = make_bus(drop=0.3, seed=9, trace=trace)
+        dropped = sum(bus.send("uav0", update(k), 0.0) is None for k in range(50))
+        assert 0 < dropped < 50
+        assert seqs(trace, "send", "drop") == [("uav0", k) for k in range(1, 51)]
 
 
 class TestDeterminism:
@@ -98,9 +98,7 @@ class TestDeterminism:
             bus = make_bus(latency=0.02, jitter=0.01, drop=0.1, seed=seed)
             out = []
             for k in range(200):
-                msg = bus.send(WATCHER_ID,
-                               AGENTS[k % 4], update(k), 0.01 * k)
-                out.append(None if msg is None else (msg.seq, msg.deliver_time))
+                out.append(bus.send(AGENTS[k % 4], update(k), 0.01 * k))
             return out
 
         assert schedule(5) == schedule(5)
@@ -113,9 +111,8 @@ class TestDeterminism:
             out = []
             for k in range(100):
                 if extra_traffic:
-                    bus.send(WATCHER_ID, "ugv1", update(k), 0.01 * k)
-                msg = bus.send(WATCHER_ID, "uav0", update(k), 0.01 * k)
-                out.append(None if msg is None else msg.deliver_time)
+                    bus.send("ugv1", update(k), 0.01 * k)
+                out.append(bus.send("uav0", update(k), 0.01 * k))
             return out
 
         assert uav0_schedule(False) == uav0_schedule(True)
@@ -125,7 +122,7 @@ class TestStatsAndTrace:
     def test_conservation_per_link(self):
         bus = make_bus(latency=0.01, drop=0.25, seed=2)
         for k in range(300):
-            bus.send(WATCHER_ID, AGENTS[k % 4], update(), 0.001 * k)
+            bus.send(AGENTS[k % 4], update(), 0.001 * k)
         bus.deliver_due(0.1)
         stats = bus.link_stats()
         in_flight = bus.pending()
@@ -143,7 +140,7 @@ class TestStatsAndTrace:
     def test_active_link_count(self):
         bus = make_bus()
         for aid in AGENTS:
-            bus.send(WATCHER_ID, aid, update(), 0.0)
+            bus.send(aid, update(), 0.0)
         assert len(bus.link_stats()) == 4  # one link per agent: 2N with N=2
 
     def test_full_mesh_link_count_baseline(self):
@@ -156,7 +153,7 @@ class TestStatsAndTrace:
         trace = []
         bus = make_bus(drop=0.5, seed=4, trace=trace)
         for k in range(40):
-            bus.send(WATCHER_ID, "uav0", update(), 0.01 * k)
+            bus.send("uav0", update(), 0.01 * k)
         bus.deliver_due(10.0)
         kinds = {line.split()[0] for line in trace}
         assert kinds == {"send", "drop", "deliver"}
@@ -175,21 +172,26 @@ class TestLinkModel:
 
     def test_the_bus_takes_a_scenarios_link_rules(self):
         """A link model holds the rules a scenario's network section is
-        checked by: a drop of 1.0 is kept as 0.9999999999 and accepted,
-        and the bus raises every other violation of them, in their words."""
-        assert LinkModel(drop_prob=1.0).drop_prob == 0.9999999999
-        make_bus(drop=1.0)
+        checked by, and the bus raises every violation of them, in their
+        words."""
         with pytest.raises(InvalidInputError) as err:
             make_bus(latency=-0.1, drop=1.5)
         assert str(err.value) == ("network latency and jitter must be >= 0; "
                                   "network drop must be in [0, 1]")
+
+    def test_a_drop_of_one_drops_every_update(self):
+        """A drop of 1.0 is kept as 1.0: every uniform draw is below it."""
+        assert LinkModel(drop_prob=1.0).drop_prob == 1.0
+        bus = make_bus(drop=1.0)
+        assert all(bus.send(AGENTS[k % 4], update(), 0.0) is None for k in range(10_000))
+        assert bus.pending() == 0 and bus.deliver_due(1e309) == []
+        assert {s.dropped for s in bus.link_stats().values()} == {2_500}
 
 
 # Update payloads of both vehicle kinds (a UGV's setpoint has two
 # coordinates), several capacities, and both landed bits.
 UPDATES = [update(0.5, dim, capacity, landed) for dim in (3, 2) for capacity in (6, 8, 13)
            for landed in (False, True)]
-LINKS = [(WATCHER_ID, aid) for aid in AGENTS]
 
 
 class TestLazyStreams:
@@ -234,30 +236,38 @@ def test_wire_sizes_match_type_walk():
        drop=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_max=True)),
        schedule=st.integers(0, 2**32 - 1))
 def test_block_draws_match_scalar_draws(seed, latency, jitter, drop, schedule):
-    """Every other message goes over one link, so its draws span several
+    """Every other update goes over one link, so its draws span several
     blocks; the rest are spread over the other links.  Drop decisions,
     sequence numbers, delivery-time bits, delivery order and link
     statistics all equal those of one scalar draw per decision."""
     link = LinkModel(latency, jitter, drop)
-    bus, ref = StarBus(AGENTS, link, seed), ScalarDrawBus(AGENTS, link, seed)
+    trace: list[str] = []
+    bus, ref = StarBus(AGENTS, link, seed, trace=trace), ScalarDrawBus(AGENTS, link, seed)
     rng = np.random.default_rng(schedule)
     n = 4 * _BLOCK
-    others = rng.integers(1, len(LINKS), n)
+    others = rng.integers(1, len(AGENTS), n)
     picks = rng.integers(0, len(UPDATES), n)
+
+    def deliveries(now):
+        got = [(dst, id(payload), sent) for dst, payload, sent in bus.deliver_due(now)]
+        want = ref.deliver_due(now)
+        assert got == [(s.dst, id(s.payload), s.sent) for s in want]
+        assert seqs(trace, "deliver") == [(s.dst, s.seq) for s in want]
+        trace.clear()
+
     now = 0.0
     for k in range(n):
-        src, dst = LINKS[0 if k % 2 else others[k]]
+        dst = AGENTS[0 if k % 2 else others[k]]
         payload = UPDATES[picks[k]]
-        got = bus.send(src, dst, payload, now)
-        want = ref.send(src, dst, payload, now)
+        got = bus.send(dst, payload, now)
+        want = ref.send(dst, payload, now)
         assert (got is None) == (want is None)
         if got is not None:
-            assert (got.seq, got.deliver_time.hex()) == (want.seq, want.deliver_time.hex())
+            assert got.hex() == want.due.hex()
+            assert seqs(trace, "send")[-1] == (dst, want.seq)
         if k % 64 == 63:
             now += 0.05
-            assert ([(m.src, m.dst, m.seq) for m in bus.deliver_due(now)]
-                    == [(m.src, m.dst, m.seq) for m in ref.deliver_due(now)])
-    assert ([(m.src, m.dst, m.seq) for m in bus.deliver_due(1e309)]
-            == [(m.src, m.dst, m.seq) for m in ref.deliver_due(1e309)])
+            deliveries(now)
+    deliveries(1e309)
     assert ({k: vars(v) for k, v in bus.link_stats().items()}
             == {k: vars(v) for k, v in ref.link_stats().items()})

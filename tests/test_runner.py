@@ -610,6 +610,32 @@ class TestStreamedLogs:
             "watcher.csv"]
 
 
+    def test_rerun_removes_the_earlier_runs_trace(self, tmp_path, capsys):
+        """A run without --trace into the directory of a traced one leaves
+        no trace.log behind, so summarize checks this run's logs alone and
+        reproduces its metrics.json."""
+        scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                                "landing_demo.yaml")
+        out_dir = str(tmp_path / "d")
+        for extra in (["--duration", "4", "--trace"], ["--duration", "2"]):
+            assert main(["run", scenario, "--out-dir", out_dir, *extra]) == 0
+        assert sorted(os.listdir(out_dir)) == [
+            "metrics.json", "resolved_config.yaml", "trajectory.csv", "watcher.csv"]
+        capsys.readouterr()
+        assert main(["summarize", out_dir]) == 0
+        assert capsys.readouterr().out == (tmp_path / "d" / "metrics.json").read_text()
+
+    def test_abort_into_a_completed_runs_directory(self, tmp_path):
+        """An abort into the directory of a completed run leaves its state
+        dump alone: the earlier run's logs, config and metrics are gone."""
+        run(single_pair(duration=1.0), str(tmp_path), trace=True)
+        cfg = clustered_scenario(duration=1.0)
+        cfg.capacity = 6  # validated at 10, the rows a fully proximal UAV needs
+        with pytest.raises(SafetyAbortError, match="watcher failed at t=0"):
+            run(cfg, str(tmp_path))
+        assert_only_state_dump(tmp_path)
+
+
 class TestWatcherLog:
     def test_row_count_histogram_matches_records(self, tmp_path):
         cfg = clustered_scenario(duration=3.0)
